@@ -468,7 +468,7 @@ pub enum FaultTarget {
 /// `ParallelMStepPcg` extracts a private sweep table at construction and
 /// never calls back into the operator, so wrapper injection cannot reach
 /// it; instead the workers consult the plan at fixed schedule points —
-/// every worker evaluates the (replicated) lookup, only the strip owning
+/// every worker evaluates the (replicated) lookup, only the worker owning
 /// `index` writes, so injection is deterministic across thread counts.
 /// Iteration numbers are the solver's 1-based loop counter; every rerun of
 /// a ladder rung restarts the counter, so a planned fault re-fires on each

@@ -5,7 +5,8 @@
 //! OS on every wait — microseconds each — which swamps the numeric work
 //! for all but huge plates. HPC barriers spin instead: when all workers
 //! arrive within a few hundred nanoseconds of each other (the common case
-//! for balanced strips), a generation-counter spin costs ~100 ns.
+//! when every worker owns an equal chunk of every color), a
+//! generation-counter spin costs ~100 ns.
 //!
 //! The implementation is the classic central counter + generation
 //! ("sense") flag. Memory ordering: every worker's pre-barrier writes

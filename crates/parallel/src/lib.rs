@@ -4,12 +4,15 @@
 //! modern-hardware counterpart of the Finite Element Machine simulation in
 //! `mspcg-machine`.
 //!
-//! The design mirrors Algorithm 3's structure: each worker thread owns a
-//! contiguous strip of the color-ordered unknowns (the analogue of a
-//! processor's node assignment), every phase of the iteration is separated
-//! by a barrier (the analogue of the machine's synchronized communication
-//! steps), and the inner products are computed as per-worker partials
-//! reduced by worker 0 (the analogue of the sum/max circuit).
+//! The design mirrors Algorithm 3's structure. Each worker thread owns one
+//! contiguous chunk of **every** color block, the chunks of a block equal
+//! to within one row: the processor node assignment of §3.2, which gives
+//! each processor "as nearly as possible, an equal number of
+//! Red/Black/Green unconstrained nodes", so every color phase keeps every
+//! worker busy. Every phase of the iteration is separated by a barrier
+//! (the analogue of the machine's synchronized communication steps), and
+//! the inner products are per-worker partials that every worker sums in
+//! the same order (the analogue of the sum/max circuit).
 //!
 //! Because the multicolor ordering guarantees that a row couples only to
 //! *other* color blocks, all updates within one color phase write disjoint

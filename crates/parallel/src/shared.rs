@@ -4,7 +4,9 @@
 //! strict *phase discipline* enforced by barriers:
 //!
 //! * within one phase, every element is written by **at most one** worker
-//!   (ownership by contiguous strip, or by strip ∩ color block),
+//!   (each worker owns one contiguous chunk of every color block — the
+//!   paper's §3.2 node assignment — and writes only its own rows, or in a
+//!   color-sweep phase only its chunk of the current color),
 //! * elements *read* during a phase are never written in that same phase
 //!   (the multicolor property: a row's off-diagonal couplings point into
 //!   other color blocks, which the current phase does not touch),
@@ -15,7 +17,7 @@
 //! readers need the whole vector while writers hold disjoint parts, so
 //! [`SharedVec`] wraps an `UnsafeCell` and exposes `unsafe` accessors whose
 //! contracts restate the discipline. Nothing checks the discipline at run
-//! time: the solver's strip and color-block structure upholds it, and the
+//! time: the solver's per-color ownership map upholds it, and the
 //! bitwise-replay tests are the only evidence.
 
 use std::cell::UnsafeCell;
@@ -95,8 +97,8 @@ impl SharedVec {
         }
     }
 
-    /// Single-element write used by the color-sweep phases (ownership:
-    /// strip ∩ color block, one writer per index).
+    /// Single-element write used by the color-sweep phases (ownership: the
+    /// worker's chunk of the current color block, one writer per index).
     ///
     /// # Safety
     /// Same contract as [`SharedVec::write`] for the single index.

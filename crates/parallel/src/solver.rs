@@ -1,8 +1,15 @@
 //! SPMD parallel m-step SSOR PCG on real threads.
 //!
-//! Worker `t` owns a contiguous strip of the color-ordered unknowns and
-//! every iteration phase is barrier-separated. ω is fixed at 1, the
-//! paper's recommendation for multicolor orderings.
+//! Worker `t` owns chunk `t` of **every** color block — the Finite
+//! Element Machine's node assignment (§3.2: each processor gets "as
+//! nearly as possible, an equal number of Red/Black/Green unconstrained
+//! nodes"). Each block is cut into one contiguous chunk per worker, row
+//! counts equal to within one, so every color phase of the sweeps keeps
+//! every worker busy. A worker's `C` chunks are its *strip* below: it
+//! writes only its strip in each phase, and its reduction partials are
+//! summed chunk by chunk in color order. Every iteration phase is
+//! barrier-separated. ω is fixed at 1, the paper's recommendation for
+//! multicolor orderings.
 //!
 //! ## Fused phase schedule
 //!
@@ -354,6 +361,102 @@ fn sstep_gram_len(s: usize) -> usize {
     s * (s + 1) / 2 + s * s + 2 * s + 1
 }
 
+/// The rows one worker owns: chunk `t` of every color block, in color
+/// order (see the module docs). Built per solve, one per worker, by
+/// [`OwnedRows::map`].
+struct OwnedRows {
+    chunks: Vec<std::ops::Range<usize>>,
+}
+
+impl OwnedRows {
+    /// The ownership map of a `threads`-worker solve: entry `t` holds
+    /// chunk `t` of every block of `colors`, each block cut into
+    /// `threads` contiguous chunks whose row counts differ by at most one.
+    fn map(colors: &Partition, threads: usize) -> Vec<OwnedRows> {
+        (0..threads)
+            .map(|t| OwnedRows {
+                chunks: colors
+                    .iter()
+                    .map(|blk| {
+                        let (base, extra) = (blk.len() / threads, blk.len() % threads);
+                        let start = blk.start + t * base + t.min(extra);
+                        start..start + base + usize::from(t < extra)
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// The owned chunk of color block `c`.
+    #[inline]
+    fn chunk(&self, c: usize) -> std::ops::Range<usize> {
+        self.chunks[c].clone()
+    }
+
+    /// The owned chunks, in color order.
+    #[inline]
+    fn chunks(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.chunks.iter().cloned()
+    }
+
+    /// Whether this worker owns row `i` (the fault-owner lookup).
+    fn contains(&self, i: usize) -> bool {
+        self.chunks.iter().any(|rows| rows.contains(&i))
+    }
+
+    /// This worker's `(x, y)` partial: the chunk dots summed in color
+    /// order.
+    #[inline]
+    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for rows in self.chunks() {
+            acc += vecops::dot(&x[rows.clone()], &y[rows]);
+        }
+        acc
+    }
+
+    /// Copy the owned rows of `src` into `dst`.
+    ///
+    /// # Safety
+    /// The phase discipline of [`crate::shared`]: `src` is not a view of
+    /// `dst`, and no other worker touches `dst`'s owned rows this phase.
+    #[inline]
+    unsafe fn copy(&self, src: &[f64], dst: &SharedVec) {
+        for rows in self.chunks() {
+            // SAFETY: `rows` is owned, so the caller's contract makes this
+            // worker its only writer and reader this phase.
+            unsafe { dst.write(rows.clone()) }.copy_from_slice(&src[rows]);
+        }
+    }
+
+    /// `u += α·p`, `r −= α·kp` over the owned rows (the fused vecops
+    /// kernel, chunk by chunk), returning this worker's ‖Δu‖∞ partial
+    /// `|α|·max|p|`.
+    ///
+    /// # Safety
+    /// As for [`OwnedRows::copy`], for both `u` and `r`; neither `p` nor
+    /// `kp` is a view of `u` or `r`.
+    #[inline]
+    unsafe fn fused_update(
+        &self,
+        alpha: f64,
+        p: &[f64],
+        kp: &[f64],
+        u: &SharedVec,
+        r: &SharedVec,
+    ) -> f64 {
+        let mut p_max = 0.0f64;
+        for rows in self.chunks() {
+            // SAFETY: `rows` is owned; the caller's contract makes this
+            // worker the only writer and reader of it in `u` and `r`.
+            let (uo, ro) = unsafe { (u.write(rows.clone()), r.write(rows.clone())) };
+            let norms = vecops::fused_axpy_axpy_norm(alpha, &p[rows.clone()], &kp[rows], uo, ro);
+            p_max = p_max.max(norms.p_norm_inf);
+        }
+        alpha.abs() * p_max
+    }
+}
+
 /// The threaded m-step SSOR PCG solver (ω = 1), constructible from a
 /// color-blocked operator in **any** [`SparseOp`] format.
 ///
@@ -588,16 +691,47 @@ impl ParallelMStepPcg {
         self.row_ptr.len() - 1
     }
 
-    /// Serial SpMV over the worker's strip, off the extracted sweep table
+    /// Serial SpMV over one row range, off the extracted sweep table
     /// (same per-row ascending-column order as every `SparseOp` kernel).
     #[inline]
-    fn strip_spmv(&self, x: &[f64], y: &mut [f64], rows: std::ops::Range<usize>) {
+    fn spmv_rows(&self, x: &[f64], y: &mut [f64], rows: std::ops::Range<usize>) {
         for (k, i) in rows.enumerate() {
             let mut acc = 0.0;
             for j in self.row_ptr[i]..self.row_ptr[i + 1] {
                 acc += self.values[j] * x[self.col_idx[j] as usize];
             }
             y[k] = acc;
+        }
+    }
+
+    /// `out ← K·x` over the worker's strip, chunk by chunk in color order.
+    /// A claimed SpMV `fault` perturbs its row of the fresh output, then
+    /// `fuse(rows, out_chunk)` runs while the chunk is still hot: the
+    /// callers' partials ride it, so no partial needs a barrier of its
+    /// own.
+    ///
+    /// # Safety
+    /// The phase discipline of [`crate::shared`]: `x` was finalized
+    /// before the last barrier, and no other worker touches `out`'s owned
+    /// rows this phase.
+    #[inline]
+    unsafe fn own_spmv(
+        &self,
+        own: &OwnedRows,
+        x: &[f64],
+        out: &SharedVec,
+        fault: Option<(usize, FaultKind)>,
+        mut fuse: impl FnMut(std::ops::Range<usize>, &mut [f64]),
+    ) {
+        for rows in own.chunks() {
+            // SAFETY: `rows` is owned; the caller's contract makes this
+            // worker its only writer and reader in `out` this phase.
+            let y = unsafe { out.write(rows.clone()) };
+            self.spmv_rows(x, y, rows.clone());
+            if let Some((index, kind)) = fault.filter(|(index, _)| rows.contains(index)) {
+                y[index - rows.start] = perturb(y[index - rows.start], kind);
+            }
+            fuse(rows, y);
         }
     }
 
@@ -739,19 +873,7 @@ impl ParallelMStepPcg {
             None
         };
 
-        // Contiguous ownership strips.
-        let strips: Vec<std::ops::Range<usize>> = {
-            let base = n / threads;
-            let extra = n % threads;
-            let mut out = Vec::with_capacity(threads);
-            let mut start = 0usize;
-            for t in 0..threads {
-                let len = base + usize::from(t < extra);
-                out.push(start..start + len);
-                start += len;
-            }
-            out
-        };
+        let owned = OwnedRows::map(&self.colors, threads);
 
         let u = SharedVec::zeros(n);
         let r = SharedVec::from_vec(f.to_vec());
@@ -851,7 +973,7 @@ impl ParallelMStepPcg {
         };
         std::thread::scope(|s| {
             for t in 0..threads {
-                let strip = strips[t].clone();
+                let own = &owned[t];
                 let (u, r, z, p, kp, y, w, bank, barrier, iters_out) =
                     (&u, &r, &z, &p, &kp, &y, &w, &bank, &barrier, &iters_out);
                 let (dot_partials, change_partials, rz_partials, ps_partials) =
@@ -867,7 +989,7 @@ impl ParallelMStepPcg {
                         if let Some(interval) = sstep_interval {
                             this.worker_sstep(
                                 t,
-                                strip,
+                                own,
                                 sstep_s,
                                 interval,
                                 sv,
@@ -888,7 +1010,7 @@ impl ParallelMStepPcg {
                         } else if pipelined {
                             this.worker_pipelined(
                                 t,
-                                strip,
+                                own,
                                 pl,
                                 pscr,
                                 f,
@@ -905,7 +1027,7 @@ impl ParallelMStepPcg {
                         } else if single_reduction {
                             this.worker_single_reduction(
                                 t,
-                                strip,
+                                own,
                                 u,
                                 r,
                                 z,
@@ -931,7 +1053,7 @@ impl ParallelMStepPcg {
                         } else {
                             this.worker(
                                 t,
-                                strip,
+                                own,
                                 u,
                                 r,
                                 z,
@@ -1007,9 +1129,9 @@ impl ParallelMStepPcg {
 
     /// The SPMD body of the **classic** schedule. All `unsafe` blocks
     /// follow the phase discipline documented in [`crate::shared`]: writes
-    /// go only to owned ranges (or owned ∩ color block), reads only touch
-    /// elements finalized before the previous barrier or written by this
-    /// worker in the current phase.
+    /// go only to owned rows (in a sweep phase, only to the owned chunk of
+    /// the current color), reads only touch elements finalized before the
+    /// previous barrier or written by this worker in the current phase.
     ///
     /// Scalar reductions (α, β, the stopping test) are **replicated**:
     /// after the barrier that publishes a partial bank, every worker sums
@@ -1021,7 +1143,7 @@ impl ParallelMStepPcg {
     fn worker(
         &self,
         t: usize,
-        strip: std::ops::Range<usize>,
+        own: &OwnedRows,
         u: &SharedVec,
         r: &SharedVec,
         z: &SharedVec,
@@ -1042,7 +1164,6 @@ impl ParallelMStepPcg {
         iters_out: &SharedVec,
         opts: &ParallelSolverOptions,
     ) {
-        let own = strip.clone();
         // Replicated reduction phases consumed so far (worker 0 publishes
         // the count at every exit; the ‖Δu‖∞ flag-network max is not a
         // dot-product phase and is not counted).
@@ -1082,7 +1203,7 @@ impl ParallelMStepPcg {
                     }
                     replacements += 1;
                     $rz = self.reinit_phase(
-                        &own,
+                        own,
                         t,
                         f,
                         u,
@@ -1118,8 +1239,8 @@ impl ParallelMStepPcg {
 
         // --- init: z = M⁻¹ r, with p ← z and the (z, r) partial fused
         // into the preconditioner's final color phase — no extra barriers.
-        self.msolve_phases(&own, t, r, z, y, pscr, Some(p), Some(rz_partials), barrier);
-        self.inject_msolve_fault(plan, 0, &own, z, Some(p), barrier);
+        self.msolve_phases(own, t, r, z, y, pscr, Some(p), Some(rz_partials), barrier);
+        self.inject_msolve_fault(plan, 0, own, z, Some(p), barrier);
         let mut rz: f64 = unsafe { rz_partials.read().iter().sum() };
         phases += 1;
         if !rz.is_finite() {
@@ -1150,7 +1271,7 @@ impl ParallelMStepPcg {
                 && replacements < audit.max_replacements
                 && audit_due(iter, 0, audit.period)
             {
-                let dev2 = self.audit_phase(&own, t, f, u, r, aud, dev_partials, barrier);
+                let dev2 = self.audit_phase(own, t, f, u, r, aud, dev_partials, barrier);
                 audits += 1;
                 // Iterations completed if a guard fires inside the
                 // replacement below (named so the macro's budget test
@@ -1160,7 +1281,7 @@ impl ParallelMStepPcg {
                 if diverged(dev2, audit.bound2) {
                     replacements += 1;
                     rz = self.reinit_phase(
-                        &own,
+                        own,
                         t,
                         f,
                         u,
@@ -1194,12 +1315,12 @@ impl ParallelMStepPcg {
             // dot needs no barrier of its own.
             unsafe {
                 let pv = p.read();
-                let out = kp.write(own.clone());
-                self.strip_spmv(pv, out, own.clone());
-                if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, iter, &own) {
-                    out[index - own.start] = perturb(out[index - own.start], kind);
-                }
-                dot_partials.write_at(t, vecops::dot(&pv[own.clone()], out));
+                let fault = claim_fault(plan, FaultTarget::Spmv, iter, own);
+                let mut pkp = 0.0;
+                self.own_spmv(own, pv, kp, fault, |rows, out| {
+                    pkp += vecops::dot(&pv[rows], out);
+                });
+                dot_partials.write_at(t, pkp);
             }
             barrier.wait();
 
@@ -1226,18 +1347,8 @@ impl ParallelMStepPcg {
 
             // --- u += αp; r −= α·Kp ⊕ ‖Δu‖∞ partial (fused kernel) ----------
             unsafe {
-                let pv = p.read();
-                let kpv = kp.read();
-                let uo = u.write(own.clone());
-                let ro = r.write(own.clone());
-                let norms = vecops::fused_axpy_axpy_norm(
-                    alpha,
-                    &pv[own.clone()],
-                    &kpv[own.clone()],
-                    uo,
-                    ro,
-                );
-                change_partials.write_at(t, alpha.abs() * norms.p_norm_inf);
+                let dx = own.fused_update(alpha, p.read(), kp.read(), u, r);
+                change_partials.write_at(t, dx);
             }
             barrier.wait();
 
@@ -1260,8 +1371,8 @@ impl ParallelMStepPcg {
             }
 
             // --- z = M⁻¹ r, (z, r) partial fused into the final phase --------
-            self.msolve_phases(&own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
-            self.inject_msolve_fault(plan, iter, &own, z, None, barrier);
+            self.msolve_phases(own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
+            self.inject_msolve_fault(plan, iter, own, z, None, barrier);
 
             // --- β (replicated) ---------------------------------------------
             let rz_new: f64 = unsafe { rz_partials.read().iter().sum() };
@@ -1280,8 +1391,9 @@ impl ParallelMStepPcg {
             // --- p = z + βp (shared xpby kernel) -----------------------------
             unsafe {
                 let zv = z.read();
-                let po = p.write(own.clone());
-                vecops::xpby(&zv[own.clone()], beta, po);
+                for rows in own.chunks() {
+                    vecops::xpby(&zv[rows.clone()], beta, p.write(rows));
+                }
             }
             barrier.wait();
         }
@@ -1300,7 +1412,7 @@ impl ParallelMStepPcg {
     fn worker_single_reduction(
         &self,
         t: usize,
-        strip: std::ops::Range<usize>,
+        own: &OwnedRows,
         u: &SharedVec,
         r: &SharedVec,
         z: &SharedVec,
@@ -1323,7 +1435,6 @@ impl ParallelMStepPcg {
         iters_out: &SharedVec,
         opts: &ParallelSolverOptions,
     ) {
-        let own = strip.clone();
         let m_zero = self.no_msolve();
         let mut phases = 0usize;
         let mut audits = 0usize;
@@ -1354,11 +1465,11 @@ impl ParallelMStepPcg {
         // final color phase; for m = 0, z ≡ r and the (r, r) partial
         // rides the w phase instead.
         if !m_zero {
-            self.msolve_phases(&own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
-            self.inject_msolve_fault(plan, 0, &own, z, None, barrier);
+            self.msolve_phases(own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
+            self.inject_msolve_fault(plan, 0, own, z, None, barrier);
         }
         self.w_phase(
-            &own,
+            own,
             t,
             m_zero,
             r,
@@ -1367,7 +1478,7 @@ impl ParallelMStepPcg {
             wz_partials,
             rz_partials,
             barrier,
-            claim_fault(plan, FaultTarget::Spmv, 0, &own),
+            claim_fault(plan, FaultTarget::Spmv, 0, own),
         );
 
         // --- γ₀, δ₀ (replicated, ONE phase) -----------------------------
@@ -1409,7 +1520,7 @@ impl ParallelMStepPcg {
             // ladder. The state audited is the one iteration `iter − 1`
             // left behind.
             if audit.enabled && audit_due(iter, 0, audit.period) {
-                let dev2 = self.audit_phase(&own, t, f, u, r, aud, dev_partials, barrier);
+                let dev2 = self.audit_phase(own, t, f, u, r, aud, dev_partials, barrier);
                 audits += 1;
                 if diverged(dev2, audit.bound2) {
                     finish(status::FALLBACK, iter - 1, 0.0, phases, audits, faults);
@@ -1425,24 +1536,20 @@ impl ParallelMStepPcg {
                 {
                     let zv = if m_zero { r.read() } else { z.read() };
                     let wv = w.read();
-                    let po = p.write(own.clone());
-                    let so = s.write(own.clone());
-                    let ps = vecops::fused_xpby_xpby_dot(
-                        &zv[own.clone()],
-                        &wv[own.clone()],
-                        beta,
-                        po,
-                        so,
-                    );
+                    let mut ps = 0.0;
+                    for rows in own.chunks() {
+                        ps += vecops::fused_xpby_xpby_dot(
+                            &zv[rows.clone()],
+                            &wv[rows.clone()],
+                            beta,
+                            p.write(rows.clone()),
+                            s.write(rows),
+                        );
+                    }
                     ps_partials.write_at(t, ps);
                 }
-                let pv = p.read();
-                let sv = s.read();
-                let uo = u.write(own.clone());
-                let ro = r.write(own.clone());
-                let norms =
-                    vecops::fused_axpy_axpy_norm(alpha, &pv[own.clone()], &sv[own.clone()], uo, ro);
-                change_partials.write_at(t, alpha.abs() * norms.p_norm_inf);
+                let dx = own.fused_update(alpha, p.read(), s.read(), u, r);
+                change_partials.write_at(t, dx);
             }
             barrier.wait();
 
@@ -1478,11 +1585,11 @@ impl ParallelMStepPcg {
             // --- z = M⁻¹ r, (z, r) partial fused into the final phase,
             // then w = K z ⊕ (w, z) — THE reduction phase ---------------------
             if !m_zero {
-                self.msolve_phases(&own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
-                self.inject_msolve_fault(plan, iter, &own, z, None, barrier);
+                self.msolve_phases(own, t, r, z, y, pscr, None, Some(rz_partials), barrier);
+                self.inject_msolve_fault(plan, iter, own, z, None, barrier);
             }
             self.w_phase(
-                &own,
+                own,
                 t,
                 m_zero,
                 r,
@@ -1491,7 +1598,7 @@ impl ParallelMStepPcg {
                 wz_partials,
                 rz_partials,
                 barrier,
-                claim_fault(plan, FaultTarget::Spmv, iter, &own),
+                claim_fault(plan, FaultTarget::Spmv, iter, own),
             );
 
             // --- γ′, δ, then β and the reconstructed α (replicated) ----------
@@ -1568,7 +1675,7 @@ impl ParallelMStepPcg {
     fn worker_sstep(
         &self,
         t: usize,
-        strip: std::ops::Range<usize>,
+        own: &OwnedRows,
         s: usize,
         interval: SpectralInterval,
         sv: &SStepVecs,
@@ -1586,7 +1693,6 @@ impl ParallelMStepPcg {
         iters_out: &SharedVec,
         opts: &ParallelSolverOptions,
     ) {
-        let own = strip.clone();
         let m_zero = self.no_msolve();
         let threads = sv.change.len() / s;
         let glen = sstep_gram_len(s);
@@ -1618,6 +1724,24 @@ impl ParallelMStepPcg {
         let theta = 0.5 * (interval.max + interval.min);
         let delta = 0.5 * (interval.max - interval.min);
         let degenerate = interval.is_degenerate();
+        // One Chebyshev basis step on one owned chunk: vⱼ from
+        // `t_in = M⁻¹(K·v_{j−1})` and the two previous columns.
+        // SAFETY: every call site passes an owned chunk, in a phase where
+        // this worker is the only writer of that chunk of vⱼ and the
+        // previous columns were finalized by earlier barriers.
+        let cheb_step = |j: usize, t_in: &[f64], rows: std::ops::Range<usize>| unsafe {
+            let vp = &vjs[j - 1].read()[rows.clone()];
+            let vj_out = sv.v[j].write(rows.clone());
+            if degenerate {
+                // Collapsed interval: scaled-monomial fallback vⱼ = t/θ.
+                vecops::fused_cheb_basis(1.0 / theta, 0.0, 0.0, t_in, vp, vp, vj_out);
+            } else if j == 1 {
+                vecops::fused_cheb_basis(1.0 / delta, theta, 0.0, t_in, vp, vp, vj_out);
+            } else {
+                let vpp = &vjs[j - 2].read()[rows];
+                vecops::fused_cheb_basis(2.0 / delta, theta, 1.0, t_in, vp, vpp, vj_out);
+            }
+        };
 
         // Replicated dense scratch: every worker computes these
         // identically from the replicated reduced scalars, so they are
@@ -1646,7 +1770,7 @@ impl ParallelMStepPcg {
             if audit.enabled
                 && (completed + 1..=completed + s).any(|i| audit_due(i, 0, audit.period))
             {
-                let dev2 = self.audit_phase(&own, t, f, u, r, aud, dev_partials, barrier);
+                let dev2 = self.audit_phase(own, t, f, u, r, aud, dev_partials, barrier);
                 audits += 1;
                 if diverged(dev2, audit.bound2) {
                     finish(status::FALLBACK, completed, change, phases, audits, faults);
@@ -1668,63 +1792,30 @@ impl ParallelMStepPcg {
             // recurrence (planned faults land per sub-step index:
             // msolve j at iteration completed + j, SpMV j likewise).
             if !m_zero {
-                self.msolve_phases(&own, t, r, &sv.v[0], y, pscr, None, None, barrier);
-                self.inject_msolve_fault(plan, completed, &own, &sv.v[0], None, barrier);
+                self.msolve_phases(own, t, r, &sv.v[0], y, pscr, None, None, barrier);
+                self.inject_msolve_fault(plan, completed, own, &sv.v[0], None, barrier);
             }
             for j in 1..s {
                 unsafe {
                     let vin = vjs[j - 1].read();
-                    let out = sv.av[j - 1].write(own.clone());
-                    self.strip_spmv(vin, out, own.clone());
-                    if let Some((index, kind)) =
-                        claim_fault(plan, FaultTarget::Spmv, completed + j - 1, &own)
-                    {
-                        out[index - own.start] = perturb(out[index - own.start], kind);
-                    }
-                    if m_zero {
-                        // M = I: t ≡ A·v_{j−1}, freshly written own-strip
-                        // above — the Chebyshev step fuses into this
-                        // phase (all operands own-strip).
-                        let vp = &vin[own.clone()];
-                        let vj_out = sv.v[j].write(own.clone());
-                        if degenerate {
-                            vecops::fused_cheb_basis(1.0 / theta, 0.0, 0.0, out, vp, vp, vj_out);
-                        } else if j == 1 {
-                            vecops::fused_cheb_basis(1.0 / delta, theta, 0.0, out, vp, vp, vj_out);
-                        } else {
-                            let vpp = &vjs[j - 2].read()[own.clone()];
-                            vecops::fused_cheb_basis(2.0 / delta, theta, 1.0, out, vp, vpp, vj_out);
+                    let fault = claim_fault(plan, FaultTarget::Spmv, completed + j - 1, own);
+                    self.own_spmv(own, vin, &sv.av[j - 1], fault, |rows, out| {
+                        if m_zero {
+                            // M = I: t ≡ A·v_{j−1}, freshly written
+                            // own-strip above — the Chebyshev step fuses
+                            // into this phase (all operands own-strip).
+                            cheb_step(j, out, rows);
                         }
-                    }
+                    });
                 }
                 barrier.wait();
                 if !m_zero {
-                    self.msolve_phases(
-                        &own,
-                        t,
-                        &sv.av[j - 1],
-                        &sv.tv,
-                        y,
-                        pscr,
-                        None,
-                        None,
-                        barrier,
-                    );
-                    self.inject_msolve_fault(plan, completed + j, &own, &sv.tv, None, barrier);
-                    unsafe {
-                        let tvo = &sv.tv.read()[own.clone()];
-                        let vp = &sv.v[j - 1].read()[own.clone()];
-                        let vj_out = sv.v[j].write(own.clone());
-                        if degenerate {
-                            // Collapsed interval: scaled-monomial
-                            // fallback vⱼ = t/θ.
-                            vecops::fused_cheb_basis(1.0 / theta, 0.0, 0.0, tvo, vp, vp, vj_out);
-                        } else if j == 1 {
-                            vecops::fused_cheb_basis(1.0 / delta, theta, 0.0, tvo, vp, vp, vj_out);
-                        } else {
-                            let vpp = &sv.v[j - 2].read()[own.clone()];
-                            vecops::fused_cheb_basis(2.0 / delta, theta, 1.0, tvo, vp, vpp, vj_out);
-                        }
+                    self.msolve_phases(own, t, &sv.av[j - 1], &sv.tv, y, pscr, None, None, barrier);
+                    self.inject_msolve_fault(plan, completed + j, own, &sv.tv, None, barrier);
+                    // SAFETY: the msolve's final barrier finalized `t`.
+                    let tv = unsafe { sv.tv.read() };
+                    for rows in own.chunks() {
+                        cheb_step(j, &tv[rows.clone()], rows);
                     }
                     barrier.wait();
                 }
@@ -1737,39 +1828,34 @@ impl ParallelMStepPcg {
             // finalized by earlier barriers.
             unsafe {
                 let vin = vjs[s - 1].read();
-                let out = sv.av[s - 1].write(own.clone());
-                self.strip_spmv(vin, out, own.clone());
-                if let Some((index, kind)) =
-                    claim_fault(plan, FaultTarget::Spmv, completed + s - 1, &own)
-                {
-                    out[index - own.start] = perturb(out[index - own.start], kind);
-                }
+                let fault = claim_fault(plan, FaultTarget::Spmv, completed + s - 1, own);
+                self.own_spmv(own, vin, &sv.av[s - 1], fault, |_, _| {});
                 let g = sv.gram.write(t * glen..(t + 1) * glen);
                 let mut gi = 0usize;
                 for i in 0..s {
-                    let avi = &sv.av[i].read()[own.clone()];
+                    let avi = sv.av[i].read();
                     for j in 0..=i {
-                        g[gi] = vecops::dot(&vjs[j].read()[own.clone()], avi);
+                        g[gi] = own.dot(vjs[j].read(), avi);
                         gi += 1;
                     }
                 }
                 for i in 0..s {
-                    let api = &ap_prev[i].read()[own.clone()];
+                    let api = ap_prev[i].read();
                     for j in 0..s {
-                        g[gi] = vecops::dot(api, &vjs[j].read()[own.clone()]);
+                        g[gi] = own.dot(api, vjs[j].read());
                         gi += 1;
                     }
                 }
-                let rv = &r.read()[own.clone()];
+                let rv = r.read();
                 for j in 0..s {
-                    g[gi] = vecops::dot(&vjs[j].read()[own.clone()], rv);
+                    g[gi] = own.dot(vjs[j].read(), rv);
                     gi += 1;
                 }
                 for j in 0..s {
-                    g[gi] = vecops::dot(&p_prev[j].read()[own.clone()], rv);
+                    g[gi] = own.dot(p_prev[j].read(), rv);
                     gi += 1;
                 }
-                g[gi] = vecops::dot(rv, rv);
+                g[gi] = own.dot(rv, rv);
             }
             barrier.wait();
 
@@ -1886,31 +1972,23 @@ impl ParallelMStepPcg {
             // kernel — all own-strip, ONE barrier. The per-sub-step
             // displacement partials ride the kernel itself.
             unsafe {
-                for j in 0..s {
-                    let po = p_cur[j].write(own.clone());
-                    po.copy_from_slice(&vjs[j].read()[own.clone()]);
-                    for i in 0..s {
-                        vecops::axpy(bmat[i * s + j], &p_prev[i].read()[own.clone()], po);
-                    }
-                    let apo = ap_cur[j].write(own.clone());
-                    apo.copy_from_slice(&sv.av[j].read()[own.clone()]);
-                    for i in 0..s {
-                        vecops::axpy(bmat[i * s + j], &ap_prev[i].read()[own.clone()], apo);
+                for rows in own.chunks() {
+                    for j in 0..s {
+                        let po = p_cur[j].write(rows.clone());
+                        po.copy_from_slice(&vjs[j].read()[rows.clone()]);
+                        for i in 0..s {
+                            vecops::axpy(bmat[i * s + j], &p_prev[i].read()[rows.clone()], po);
+                        }
+                        let apo = ap_cur[j].write(rows.clone());
+                        apo.copy_from_slice(&sv.av[j].read()[rows.clone()]);
+                        for i in 0..s {
+                            vecops::axpy(bmat[i * s + j], &ap_prev[i].read()[rows.clone()], apo);
+                        }
                     }
                 }
                 for j in 0..cols {
-                    let alpha = acoef[j];
-                    let uo = u.write(own.clone());
-                    let ro = r.write(own.clone());
-                    let norms = vecops::fused_axpy_axpy_norm(
-                        alpha,
-                        &p_cur[j].read()[own.clone()],
-                        &ap_cur[j].read()[own.clone()],
-                        uo,
-                        ro,
-                    );
-                    sv.change
-                        .write_at(t * s + j, alpha.abs() * norms.p_norm_inf);
+                    let dx = own.fused_update(acoef[j], p_cur[j].read(), ap_cur[j].read(), u, r);
+                    sv.change.write_at(t * s + j, dx);
                 }
             }
             barrier.wait();
@@ -1942,11 +2020,14 @@ impl ParallelMStepPcg {
                     // replicated, so the rollback is unanimous; no
                     // barrier needed — only own strips are touched and
                     // the scope join publishes them).
-                    unsafe {
-                        let uo = u.write(own.clone());
+                    for rows in own.chunks() {
+                        // SAFETY: the update phase's barrier finalized the
+                        // directions, and until the scope join every
+                        // worker touches only its own rows of `u`.
+                        let uo = unsafe { u.write(rows.clone()) };
                         for jj in j + 1..cols {
                             let alpha = acoef[jj];
-                            let pj = &p_cur[jj].read()[own.clone()];
+                            let pj = unsafe { &p_cur[jj].read()[rows.clone()] };
                             for (k, pk) in pj.iter().enumerate() {
                                 uo[k] -= alpha * pk;
                             }
@@ -2003,7 +2084,7 @@ impl ParallelMStepPcg {
     fn worker_pipelined(
         &self,
         t: usize,
-        strip: std::ops::Range<usize>,
+        own: &OwnedRows,
         vecs: &PipelinedVecs<'_>,
         pscr: &PolyScratch<'_>,
         f: &[f64],
@@ -2017,7 +2098,6 @@ impl ParallelMStepPcg {
         iters_out: &SharedVec,
         opts: &ParallelSolverOptions,
     ) {
-        let own = strip;
         let m_zero = self.no_msolve();
         let mut phases = 0usize;
         let mut audits = 0usize;
@@ -2049,7 +2129,7 @@ impl ParallelMStepPcg {
         // arrive → mv⁰ = M⁻¹ w⁰, nv⁰ = K mv⁰ → wait.
         if !m_zero {
             self.msolve_phases(
-                &own,
+                own,
                 t,
                 vecs.r,
                 vecs.z,
@@ -2059,16 +2139,16 @@ impl ParallelMStepPcg {
                 Some(vecs.gamma[0]),
                 barrier,
             );
-            self.inject_msolve_fault(plan, 0, &own, vecs.z, None, barrier);
+            self.inject_msolve_fault(plan, 0, own, vecs.z, None, barrier);
             // z⁰ was finalized by the msolve's last internal barrier.
             unsafe {
                 let zv = vecs.z.read();
-                let out = vecs.w[0].write(own.clone());
-                self.strip_spmv(zv, out, own.clone());
-                if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, 0, &own) {
-                    out[index - own.start] = perturb(out[index - own.start], kind);
-                }
-                vecs.delta[0].write_at(t, vecops::dot(&zv[own.clone()], out));
+                let fault = claim_fault(plan, FaultTarget::Spmv, 0, own);
+                let mut del = 0.0;
+                self.own_spmv(own, zv, vecs.w[0], fault, |rows, out| {
+                    del += vecops::dot(&zv[rows], out);
+                });
+                vecs.delta[0].write_at(t, del);
             }
             let ticket = split.arrive();
             // The sweep msolve reads its input w⁰ at own rows only — no
@@ -2080,35 +2160,28 @@ impl ParallelMStepPcg {
                 barrier.wait();
             }
             self.msolve_phases(
-                &own, t, vecs.w[0], vecs.mv[0], vecs.y, pscr, None, None, barrier,
+                own, t, vecs.w[0], vecs.mv[0], vecs.y, pscr, None, None, barrier,
             );
-            unsafe {
-                let mvv = vecs.mv[0].read();
-                let out = vecs.nv.write(own.clone());
-                self.strip_spmv(mvv, out, own.clone());
-            }
+            unsafe { self.own_spmv(own, vecs.mv[0].read(), vecs.nv, None, |_, _| {}) };
             split.wait(ticket);
         } else {
             // z ≡ r = f (read-only so far): w⁰ = K f ⊕ both partials.
             unsafe {
                 let rv = vecs.r.read();
-                let out = vecs.w[0].write(own.clone());
-                self.strip_spmv(rv, out, own.clone());
-                if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, 0, &own) {
-                    out[index - own.start] = perturb(out[index - own.start], kind);
-                }
-                let rs = &rv[own.clone()];
-                vecs.gamma[0].write_at(t, vecops::dot(rs, rs));
-                vecs.delta[0].write_at(t, vecops::dot(rs, out));
+                let fault = claim_fault(plan, FaultTarget::Spmv, 0, own);
+                let (mut gam, mut del) = (0.0, 0.0);
+                self.own_spmv(own, rv, vecs.w[0], fault, |rows, out| {
+                    let rs = &rv[rows];
+                    gam += vecops::dot(rs, rs);
+                    del += vecops::dot(rs, out);
+                });
+                vecs.gamma[0].write_at(t, gam);
+                vecs.delta[0].write_at(t, del);
             }
             let ticket = split.arrive();
             // nv⁰ = K w⁰ reads w⁰ cross-strip: one full barrier.
             barrier.wait();
-            unsafe {
-                let wv = vecs.w[0].read();
-                let out = vecs.nv.write(own.clone());
-                self.strip_spmv(wv, out, own.clone());
-            }
+            unsafe { self.own_spmv(own, vecs.w[0].read(), vecs.nv, None, |_, _| {}) };
             split.wait(ticket);
         }
 
@@ -2147,7 +2220,7 @@ impl ParallelMStepPcg {
             // fall a rung down on divergence — the pipelined recurrences
             // carry too much coupled state to splice a replacement in.
             if audit.enabled && audit_due(iter, 0, audit.period) {
-                let dev2 = self.audit_phase(&own, t, f, vecs.u, vecs.r, aud, dev_partials, barrier);
+                let dev2 = self.audit_phase(own, t, f, vecs.u, vecs.r, aud, dev_partials, barrier);
                 audits += 1;
                 if diverged(dev2, audit.bound2) {
                     finish(status::FALLBACK, iter - 1, 0.0, phases, audits, faults);
@@ -2171,70 +2244,72 @@ impl ParallelMStepPcg {
                 let mut ps = 0.0f64;
                 let mut gam = 0.0f64;
                 let mut del = 0.0f64;
-                if m_zero {
-                    let w_old = &vecs.w[prev].read()[own.clone()];
-                    let nvv = &vecs.nv.read()[own.clone()];
-                    let pv = vecs.p.write(own.clone());
-                    let sv = vecs.s.write(own.clone());
-                    let zzv = vecs.zz.write(own.clone());
-                    let uv = vecs.u.write(own.clone());
-                    let rv = vecs.r.write(own.clone());
-                    let w_new = vecs.w[pk].write(own.clone());
-                    for i in 0..own.len() {
-                        let ri_old = rv[i];
-                        let pi = ri_old + beta * pv[i];
-                        let si = w_old[i] + beta * sv[i];
-                        let zzi = nvv[i] + beta * zzv[i];
-                        pv[i] = pi;
-                        sv[i] = si;
-                        zzv[i] = zzi;
-                        uv[i] += alpha * pi;
-                        let ri = ri_old - alpha * si;
-                        rv[i] = ri;
-                        let wi = w_old[i] - alpha * zzi;
-                        w_new[i] = wi;
-                        let a = pi.abs();
-                        if a > max_p {
-                            max_p = a;
+                for rows in own.chunks() {
+                    if m_zero {
+                        let w_old = &vecs.w[prev].read()[rows.clone()];
+                        let nvv = &vecs.nv.read()[rows.clone()];
+                        let pv = vecs.p.write(rows.clone());
+                        let sv = vecs.s.write(rows.clone());
+                        let zzv = vecs.zz.write(rows.clone());
+                        let uv = vecs.u.write(rows.clone());
+                        let rv = vecs.r.write(rows.clone());
+                        let w_new = vecs.w[pk].write(rows.clone());
+                        for i in 0..rows.len() {
+                            let ri_old = rv[i];
+                            let pi = ri_old + beta * pv[i];
+                            let si = w_old[i] + beta * sv[i];
+                            let zzi = nvv[i] + beta * zzv[i];
+                            pv[i] = pi;
+                            sv[i] = si;
+                            zzv[i] = zzi;
+                            uv[i] += alpha * pi;
+                            let ri = ri_old - alpha * si;
+                            rv[i] = ri;
+                            let wi = w_old[i] - alpha * zzi;
+                            w_new[i] = wi;
+                            let a = pi.abs();
+                            if a > max_p {
+                                max_p = a;
+                            }
+                            ps += pi * si;
+                            gam += ri * ri;
+                            del += wi * ri;
                         }
-                        ps += pi * si;
-                        gam += ri * ri;
-                        del += wi * ri;
-                    }
-                } else {
-                    let mvv = &vecs.mv[prev].read()[own.clone()];
-                    let nvv = &vecs.nv.read()[own.clone()];
-                    let pv = vecs.p.write(own.clone());
-                    let sv = vecs.s.write(own.clone());
-                    let qv = vecs.q.write(own.clone());
-                    let zzv = vecs.zz.write(own.clone());
-                    let uv = vecs.u.write(own.clone());
-                    let rv = vecs.r.write(own.clone());
-                    let zv = vecs.z.write(own.clone());
-                    let wv = vecs.w[0].write(own.clone());
-                    for i in 0..own.len() {
-                        let pi = zv[i] + beta * pv[i];
-                        let si = wv[i] + beta * sv[i];
-                        let qi = mvv[i] + beta * qv[i];
-                        let zzi = nvv[i] + beta * zzv[i];
-                        pv[i] = pi;
-                        sv[i] = si;
-                        qv[i] = qi;
-                        zzv[i] = zzi;
-                        uv[i] += alpha * pi;
-                        let ri = rv[i] - alpha * si;
-                        rv[i] = ri;
-                        let zi = zv[i] - alpha * qi;
-                        zv[i] = zi;
-                        let wi = wv[i] - alpha * zzi;
-                        wv[i] = wi;
-                        let a = pi.abs();
-                        if a > max_p {
-                            max_p = a;
+                    } else {
+                        let mvv = &vecs.mv[prev].read()[rows.clone()];
+                        let nvv = &vecs.nv.read()[rows.clone()];
+                        let pv = vecs.p.write(rows.clone());
+                        let sv = vecs.s.write(rows.clone());
+                        let qv = vecs.q.write(rows.clone());
+                        let zzv = vecs.zz.write(rows.clone());
+                        let uv = vecs.u.write(rows.clone());
+                        let rv = vecs.r.write(rows.clone());
+                        let zv = vecs.z.write(rows.clone());
+                        let wv = vecs.w[0].write(rows.clone());
+                        for i in 0..rows.len() {
+                            let pi = zv[i] + beta * pv[i];
+                            let si = wv[i] + beta * sv[i];
+                            let qi = mvv[i] + beta * qv[i];
+                            let zzi = nvv[i] + beta * zzv[i];
+                            pv[i] = pi;
+                            sv[i] = si;
+                            qv[i] = qi;
+                            zzv[i] = zzi;
+                            uv[i] += alpha * pi;
+                            let ri = rv[i] - alpha * si;
+                            rv[i] = ri;
+                            let zi = zv[i] - alpha * qi;
+                            zv[i] = zi;
+                            let wi = wv[i] - alpha * zzi;
+                            wv[i] = wi;
+                            let a = pi.abs();
+                            if a > max_p {
+                                max_p = a;
+                            }
+                            ps += pi * si;
+                            gam += ri * zi;
+                            del += wi * zi;
                         }
-                        ps += pi * si;
-                        gam += ri * zi;
-                        del += wi * zi;
                     }
                 }
                 vecs.change[pk].write_at(t, alpha.abs() * max_p);
@@ -2253,14 +2328,8 @@ impl ParallelMStepPcg {
             if m_zero {
                 // mv ≡ w: the K·w SpMV reads w cross-strip — one barrier.
                 barrier.wait();
-                unsafe {
-                    let wv = vecs.w[pk].read();
-                    let out = vecs.nv.write(own.clone());
-                    self.strip_spmv(wv, out, own.clone());
-                    if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, iter, &own) {
-                        out[index - own.start] = perturb(out[index - own.start], kind);
-                    }
-                }
+                let fault = claim_fault(plan, FaultTarget::Spmv, iter, own);
+                unsafe { self.own_spmv(own, vecs.w[pk].read(), vecs.nv, fault, |_, _| {}) };
             } else {
                 // The polynomial msolve's fused first phase reads its
                 // input w cross-strip (the sweep reads own-strip): one
@@ -2269,7 +2338,7 @@ impl ParallelMStepPcg {
                     barrier.wait();
                 }
                 self.msolve_phases(
-                    &own,
+                    own,
                     t,
                     vecs.w[0],
                     vecs.mv[pk],
@@ -2279,15 +2348,9 @@ impl ParallelMStepPcg {
                     None,
                     barrier,
                 );
-                self.inject_msolve_fault(plan, iter, &own, vecs.mv[pk], None, barrier);
-                unsafe {
-                    let mvv = vecs.mv[pk].read();
-                    let out = vecs.nv.write(own.clone());
-                    self.strip_spmv(mvv, out, own.clone());
-                    if let Some((index, kind)) = claim_fault(plan, FaultTarget::Spmv, iter, &own) {
-                        out[index - own.start] = perturb(out[index - own.start], kind);
-                    }
-                }
+                self.inject_msolve_fault(plan, iter, own, vecs.mv[pk], None, barrier);
+                let fault = claim_fault(plan, FaultTarget::Spmv, iter, own);
+                unsafe { self.own_spmv(own, vecs.mv[pk].read(), vecs.nv, fault, |_, _| {}) };
             }
             split.wait(ticket);
 
@@ -2351,7 +2414,7 @@ impl ParallelMStepPcg {
     #[allow(clippy::too_many_arguments)]
     fn reinit_phase(
         &self,
-        own: &std::ops::Range<usize>,
+        own: &OwnedRows,
         t: usize,
         f: &[f64],
         u: &SharedVec,
@@ -2366,18 +2429,12 @@ impl ParallelMStepPcg {
     ) -> f64 {
         unsafe {
             match fresh {
-                Some(aud) => {
-                    let av = aud.read();
-                    r.write(own.clone()).copy_from_slice(&av[own.clone()]);
-                }
-                None => {
-                    let uv = u.read();
-                    let ro = r.write(own.clone());
-                    self.strip_spmv(uv, ro, own.clone());
-                    for (k, i) in own.clone().enumerate() {
+                Some(aud) => own.copy(aud.read(), r),
+                None => self.own_spmv(own, u.read(), r, None, |rows, ro| {
+                    for (k, i) in rows.enumerate() {
                         ro[k] = f[i] - ro[k];
                     }
-                }
+                }),
             }
         }
         if self.poly.is_some() {
@@ -2397,7 +2454,7 @@ impl ParallelMStepPcg {
     #[allow(clippy::too_many_arguments)]
     fn audit_phase(
         &self,
-        own: &std::ops::Range<usize>,
+        own: &OwnedRows,
         t: usize,
         f: &[f64],
         u: &SharedVec,
@@ -2407,17 +2464,16 @@ impl ParallelMStepPcg {
         barrier: &SpinBarrier,
     ) -> f64 {
         unsafe {
-            let uv = u.read();
-            let out = aud.write(own.clone());
-            self.strip_spmv(uv, out, own.clone());
             let rv = r.read();
             let mut dev2 = 0.0;
-            for (k, i) in own.clone().enumerate() {
-                let rt = f[i] - out[k];
-                out[k] = rt;
-                let d = rt - rv[i];
-                dev2 += d * d;
-            }
+            self.own_spmv(own, u.read(), aud, None, |rows, out| {
+                for (k, i) in rows.enumerate() {
+                    let rt = f[i] - out[k];
+                    out[k] = rt;
+                    let d = rt - rv[i];
+                    dev2 += d * d;
+                }
+            });
             dev_partials.write_at(t, dev2);
         }
         barrier.wait();
@@ -2435,13 +2491,13 @@ impl ParallelMStepPcg {
         &self,
         plan: Option<&FaultPlan>,
         iteration: usize,
-        own: &std::ops::Range<usize>,
+        own: &OwnedRows,
         z: &SharedVec,
         p0: Option<&SharedVec>,
         barrier: &SpinBarrier,
     ) {
         if let Some(fault) = plan.and_then(|pl| pl.find(FaultTarget::Msolve, iteration)) {
-            if own.contains(&fault.index) {
+            if own.contains(fault.index) {
                 unsafe {
                     let v = perturb(z.read()[fault.index], fault.kind);
                     z.write_at(fault.index, v);
@@ -2464,7 +2520,7 @@ impl ParallelMStepPcg {
     #[allow(clippy::too_many_arguments)]
     fn w_phase(
         &self,
-        own: &std::ops::Range<usize>,
+        own: &OwnedRows,
         t: usize,
         m_zero: bool,
         r: &SharedVec,
@@ -2477,14 +2533,17 @@ impl ParallelMStepPcg {
     ) {
         unsafe {
             let zv = if m_zero { r.read() } else { z.read() };
-            let out = w.write(own.clone());
-            self.strip_spmv(zv, out, own.clone());
-            if let Some((index, kind)) = fault {
-                out[index - own.start] = perturb(out[index - own.start], kind);
-            }
-            wz_partials.write_at(t, vecops::dot(&zv[own.clone()], out));
+            let (mut wz, mut rr) = (0.0, 0.0);
+            self.own_spmv(own, zv, w, fault, |rows, out| {
+                let zs = &zv[rows];
+                wz += vecops::dot(zs, out);
+                if m_zero {
+                    rr += vecops::dot(zs, zs);
+                }
+            });
+            wz_partials.write_at(t, wz);
             if m_zero {
-                rz_partials.write_at(t, vecops::dot(&zv[own.clone()], &zv[own.clone()]));
+                rz_partials.write_at(t, rr);
             }
         }
         barrier.wait();
@@ -2508,7 +2567,7 @@ impl ParallelMStepPcg {
     #[allow(clippy::too_many_arguments)]
     fn msolve_phases(
         &self,
-        own: &std::ops::Range<usize>,
+        own: &OwnedRows,
         t: usize,
         r: &SharedVec,
         z: &SharedVec,
@@ -2524,23 +2583,20 @@ impl ParallelMStepPcg {
         }
         // Tail fused into the final phase, before its barrier. SAFETY of
         // the reads: only own-strip elements of z are touched, and all of
-        // them were written by this worker (ownership is strip ∩ color);
-        // r was finalized before the preconditioner began.
+        // them were written by this worker (in color phase `c` it writes
+        // its chunk of color `c`); r was finalized before the
+        // preconditioner began.
         let tail = || unsafe {
             let zs = z.read();
-            let rs = r.read();
             if let Some(p) = p0 {
-                p.write(own.clone()).copy_from_slice(&zs[own.clone()]);
+                own.copy(zs, p);
             }
             if let Some(bank) = rz_partials {
-                bank.write_at(t, vecops::dot(&zs[own.clone()], &rs[own.clone()]));
+                bank.write_at(t, own.dot(zs, r.read()));
             }
         };
         if self.alphas.is_empty() {
-            unsafe {
-                let rs = r.read();
-                z.write(own.clone()).copy_from_slice(&rs[own.clone()]);
-            }
+            unsafe { own.copy(r.read(), z) };
             tail();
             barrier.wait();
             return;
@@ -2552,21 +2608,18 @@ impl ParallelMStepPcg {
             let first_step = s == 1;
             let last_step = s == m;
             // Forward pass: one barrier per color. Within a color phase,
-            // each row is written by exactly one worker (own ∩ color) and
-            // reads only other colors (finalized) — the multicolor
-            // guarantee. In the first step the upper half-sums are
-            // structurally zero (fused `w₀ = 0` start), so the stale `y`
-            // cache is never read.
+            // every worker writes its own chunk of the color (one writer
+            // per row) and reads only other colors (finalized) — the
+            // multicolor guarantee. In the first step the upper half-sums
+            // are structurally zero (fused `w₀ = 0` start), so the stale
+            // `y` cache is never read.
             for c in 0..nb {
-                let blk = self.colors.range(c);
-                let lo = blk.start.max(own.start);
-                let hi = blk.end.min(own.end);
                 let last = c == nb - 1;
                 unsafe {
                     let rv = r.read();
                     let zv = z.read();
                     let yv = y.read();
-                    for i in lo..hi {
+                    for i in own.chunk(c) {
                         let lower = self.half_sum(i, zv, true);
                         let upper = if last || first_step { 0.0 } else { yv[i] };
                         let xi = (alpha * rv[i] - lower - upper) * self.inv_diag[i];
@@ -2583,14 +2636,11 @@ impl ParallelMStepPcg {
             }
             // Backward pass (skip the idempotent last color at ω = 1).
             for c in (0..nb.saturating_sub(1)).rev() {
-                let blk = self.colors.range(c);
-                let lo = blk.start.max(own.start);
-                let hi = blk.end.min(own.end);
                 unsafe {
                     let rv = r.read();
                     let zv = z.read();
                     let yv = y.read();
-                    for i in lo..hi {
+                    for i in own.chunk(c) {
                         let upper = self.half_sum(i, zv, false);
                         let lower = yv[i];
                         let xi = (alpha * rv[i] - lower - upper) * self.inv_diag[i];
@@ -2636,7 +2686,7 @@ impl ParallelMStepPcg {
     fn poly_msolve_phases(
         &self,
         poly: &ParPoly,
-        own: &std::ops::Range<usize>,
+        own: &OwnedRows,
         t: usize,
         r: &SharedVec,
         z: &SharedVec,
@@ -2655,55 +2705,56 @@ impl ParallelMStepPcg {
             let to_z = (k - j).is_multiple_of(2);
             unsafe {
                 let rv = r.read();
-                let kz = y.write(own.clone());
-                if j == 1 {
-                    // kz = K·z₀ with z₀ = scale₀·D⁻¹r formed on the fly
-                    // (the same expression as the seed below, so the
-                    // virtual z₀ is consistent across both uses).
-                    for (o, i) in own.clone().enumerate() {
-                        let mut acc = 0.0;
-                        for e in self.row_ptr[i]..self.row_ptr[i + 1] {
-                            let c = self.col_idx[e] as usize;
-                            acc += self.values[e] * (scale0 * self.inv_diag[c] * rv[c]);
+                let prev = if to_z { zb.read() } else { z.read() };
+                for rows in own.chunks() {
+                    let kz = y.write(rows.clone());
+                    if j == 1 {
+                        // kz = K·z₀ with z₀ = scale₀·D⁻¹r formed on the
+                        // fly (the same expression as the seed below, so
+                        // the virtual z₀ is consistent across both uses).
+                        for (o, i) in rows.clone().enumerate() {
+                            let mut acc = 0.0;
+                            for e in self.row_ptr[i]..self.row_ptr[i + 1] {
+                                let c = self.col_idx[e] as usize;
+                                acc += self.values[e] * (scale0 * self.inv_diag[c] * rv[c]);
+                            }
+                            kz[o] = acc;
                         }
-                        kz[o] = acc;
+                    } else {
+                        self.spmv_rows(prev, kz, rows.clone());
                     }
-                } else {
-                    let prev = if to_z { zb.read() } else { z.read() };
-                    self.strip_spmv(prev, kz, own.clone());
-                }
-                let dv = d.write(own.clone());
-                let out = if to_z {
-                    z.write(own.clone())
-                } else {
-                    zb.write(own.clone())
-                };
-                if j == 1 {
-                    // Seed and first step in one own-strip pass.
-                    for (o, i) in own.clone().enumerate() {
-                        let zi = scale0 * self.inv_diag[i] * rv[i];
-                        let resid = self.inv_diag[i] * (rv[i] - kz[o]);
-                        let di = aj * zi + bj * resid;
-                        dv[o] = di;
-                        out[o] = zi + di;
-                    }
-                } else {
-                    let prev = if to_z { zb.read() } else { z.read() };
-                    for (o, i) in own.clone().enumerate() {
-                        let resid = self.inv_diag[i] * (rv[i] - kz[o]);
-                        let di = aj * dv[o] + bj * resid;
-                        dv[o] = di;
-                        out[o] = prev[i] + di;
+                    let dv = d.write(rows.clone());
+                    let out = if to_z {
+                        z.write(rows.clone())
+                    } else {
+                        zb.write(rows.clone())
+                    };
+                    if j == 1 {
+                        // Seed and first step in one own-strip pass.
+                        for (o, i) in rows.enumerate() {
+                            let zi = scale0 * self.inv_diag[i] * rv[i];
+                            let resid = self.inv_diag[i] * (rv[i] - kz[o]);
+                            let di = aj * zi + bj * resid;
+                            dv[o] = di;
+                            out[o] = zi + di;
+                        }
+                    } else {
+                        for (o, i) in rows.enumerate() {
+                            let resid = self.inv_diag[i] * (rv[i] - kz[o]);
+                            let di = aj * dv[o] + bj * resid;
+                            dv[o] = di;
+                            out[o] = prev[i] + di;
+                        }
                     }
                 }
                 if j == k {
                     // Fused tail: z was fully written own-strip above.
                     let zs = z.read();
                     if let Some(p) = p0 {
-                        p.write(own.clone()).copy_from_slice(&zs[own.clone()]);
+                        own.copy(zs, p);
                     }
                     if let Some(bank) = rz_partials {
-                        bank.write_at(t, vecops::dot(&zs[own.clone()], &rv[own.clone()]));
+                        bank.write_at(t, own.dot(zs, rv));
                     }
                 }
             }
@@ -2788,9 +2839,9 @@ impl ParallelMStepPcg {
             let mut ycache = vec![0.0; n];
             lanczos_extremes(n, SSTEP_SPECTRUM_STEPS, SSTEP_SPECTRUM_SEED, |x, out| {
                 if self.alphas.is_empty() {
-                    self.strip_spmv(x, out, 0..n);
+                    self.spmv_rows(x, out, 0..n);
                 } else {
-                    self.strip_spmv(x, &mut tmp, 0..n);
+                    self.spmv_rows(x, &mut tmp, 0..n);
                     self.serial_msolve(&tmp, out, &mut ycache);
                 }
             })?
@@ -2802,7 +2853,7 @@ impl ParallelMStepPcg {
     }
 }
 
-/// The fault the strip owning `index` must inject at `(target,
+/// The fault the worker owning `index` must inject at `(target,
 /// iteration)`, if any. Every worker evaluates the same replicated
 /// lookup; only the owner acts (SpMV faults are applied to the owner's
 /// freshly written strip before its fused partial, so no extra barrier
@@ -2811,10 +2862,10 @@ fn claim_fault(
     plan: Option<&FaultPlan>,
     target: FaultTarget,
     iteration: usize,
-    own: &std::ops::Range<usize>,
+    own: &OwnedRows,
 ) -> Option<(usize, FaultKind)> {
     plan.and_then(|p| p.find(target, iteration))
-        .filter(|fault| own.contains(&fault.index))
+        .filter(|fault| own.contains(fault.index))
         .map(|fault| (fault.index, fault.kind))
 }
 
@@ -2929,6 +2980,54 @@ mod tests {
         assert_eq!(r1.iterations, r4.iterations);
         for (u, v) in r1.x.iter().zip(&r4.x) {
             assert!((u - v).abs() < 1e-9);
+        }
+    }
+
+    /// Per-color ownership (§3.2): at every worker count, each worker owns
+    /// exactly one contiguous chunk of every color block, the chunks of a
+    /// block are disjoint, in worker order and cover it, and their row
+    /// counts differ by at most one — so no color phase leaves a worker
+    /// idle while the block has a row for it. The fault-owner lookup
+    /// agrees: every row has exactly one owner.
+    #[test]
+    fn every_worker_owns_an_equal_chunk_of_every_color() {
+        let (_, plate_colors, _) = plate(8);
+        let red_black = mspcg_fem::poisson::poisson5(9)
+            .unwrap()
+            .coloring
+            .ordering()
+            .partition;
+        assert_eq!(red_black.num_blocks(), 2);
+        for colors in [&plate_colors, &red_black] {
+            for threads in [1usize, 2, 3, 4, 8] {
+                let map = OwnedRows::map(colors, threads);
+                assert_eq!(map.len(), threads);
+                for own in &map {
+                    assert_eq!(own.chunks().count(), colors.num_blocks());
+                }
+                for (c, blk) in colors.iter().enumerate() {
+                    let chunks: Vec<_> = map.iter().map(|own| own.chunk(c)).collect();
+                    assert_eq!(chunks[0].start, blk.start, "color {c}, {threads} workers");
+                    assert_eq!(
+                        chunks[threads - 1].end,
+                        blk.end,
+                        "color {c}, {threads} workers"
+                    );
+                    for pair in chunks.windows(2) {
+                        assert_eq!(pair[0].end, pair[1].start, "color {c}, {threads} workers");
+                    }
+                    let lens: Vec<usize> = chunks.iter().map(|ch| ch.len()).collect();
+                    let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                    assert!(hi - lo <= 1, "color {c}, {threads} workers: {lens:?}");
+                    if blk.len() >= threads {
+                        assert!(*lo >= 1, "color {c}, {threads} workers: an idle worker");
+                    }
+                }
+                for i in 0..colors.total_len() {
+                    let owners = map.iter().filter(|own| own.contains(i)).count();
+                    assert_eq!(owners, 1, "row {i}, {threads} workers");
+                }
+            }
         }
     }
 

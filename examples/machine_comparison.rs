@@ -111,8 +111,11 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    println!("\nNote: this host reports {cores} CPU core(s). Real-thread speedup needs");
-    println!("(a) multiple physical cores and (b) a plate large enough that the");
-    println!("per-color work dwarfs the barrier cost (a ≳ 80) — the same");
-    println!("surface-to-volume economics that governed the Finite Element Machine.");
+    println!("\nNote: this host reports {cores} CPU core(s). Each worker owns an equal");
+    println!("chunk of every color (the §3.2 node assignment), so every color phase");
+    println!("is shared by all workers. Speedup is bounded by the physical cores,");
+    println!("by the memory bandwidth they share, and by one barrier per color phase,");
+    println!("which dominates when a worker's chunk of a color is small (small plates,");
+    println!("many workers) — the surface-to-volume economics of the Finite Element");
+    println!("Machine.");
 }

@@ -18,7 +18,9 @@
 //!   (detector rungs hand the iterate down, the lower rung runs clean),
 //!   while an SPMD [`FaultPlan`] fault is *persistent* — every rung rerun
 //!   restarts the iteration counter, so the fault re-fires per rung until
-//!   the classic rung absorbs it in place.
+//!   the classic rung absorbs it in place. The SPMD NaN cells fault row 3
+//!   (first color, worker 0) and the last row (last color, last worker),
+//!   so the fault-owner lookup is checked for a row worker 0 does not own.
 //!
 //! The finite-corruption cells run at a tight tolerance under an explicit
 //! audit policy: drift beyond the replacement bound is caught by the
@@ -265,9 +267,14 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
             // --- SPMD at every thread count ------------------------------
             for threads in [1usize, 2, 4, 8] {
                 // NaN out of the iteration-2 preconditioner application:
-                // persistent across rung reruns, exact ladder walk.
-                {
-                    let label = format!("{}/spmd{threads}/{variant:?}/nan-msolve", family.name);
+                // persistent across rung reruns, exact ladder walk — at a
+                // first-color row and at the last row, which lies in the
+                // last color and is owned by the last worker.
+                for index in [3, n - 1] {
+                    let label = format!(
+                        "{}/spmd{threads}/{variant:?}/nan-msolve@{index}",
+                        family.name
+                    );
                     let opts = ParallelSolverOptions {
                         threads,
                         tol: TOL,
@@ -278,7 +285,7 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
                     let plan = FaultPlan::new(vec![IterationFault {
                         target: FaultTarget::Msolve,
                         iteration: 2,
-                        index: 3,
+                        index,
                         kind: FaultKind::NaN,
                     }]);
                     let rep = run_cell(
@@ -359,7 +366,8 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
 fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
     for family in families() {
         let a = &family.matrix;
-        let b = rhs_for(a.rows());
+        let n = a.rows();
+        let b = rhs_for(n);
         let degree = 2 * family.m;
         let spmd = ParallelMStepPcg::poly(a, &family.colors, PolyKind::Chebyshev, degree).unwrap();
 
@@ -401,41 +409,47 @@ fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
                 );
             }
 
-            // --- SPMD, persistent NaN at the iteration-2 poly msolve -----
+            // --- SPMD, persistent NaN at the iteration-2 poly msolve, at a
+            // first-color row and at the last worker's last-color row -----
             for threads in [1usize, 2, 4, 8] {
-                let label = format!("{}/spmd{threads}/{variant:?}/nan-poly-msolve", family.name);
-                let opts = ParallelSolverOptions {
-                    threads,
-                    tol: TOL,
-                    max_iterations: 50_000,
-                    variant,
-                    recovery: RecoveryPolicy::off(),
-                };
-                let plan = FaultPlan::new(vec![IterationFault {
-                    target: FaultTarget::Msolve,
-                    iteration: 2,
-                    index: 3,
-                    kind: FaultKind::NaN,
-                }]);
-                let rep = run_cell(
-                    &label,
-                    &mut || {
-                        let rep = spmd
-                            .solve_with_faults(&b, &opts, &plan)
-                            .expect("faulted spmd poly solve");
-                        assert!(rep.converged, "did not converge");
-                        (rep.x.clone(), rep)
-                    },
-                    a,
-                    &b,
-                );
-                let (faults, replacements, recoveries) = spmd_nan_counters(variant);
-                assert_eq!(
-                    (rep.faults_detected, rep.replacements, rep.recoveries),
-                    (faults, replacements, recoveries),
-                    "{label}"
-                );
-                assert_eq!(rep.variant, PcgVariant::Classic, "{label}");
+                for index in [3, n - 1] {
+                    let label = format!(
+                        "{}/spmd{threads}/{variant:?}/nan-poly-msolve@{index}",
+                        family.name
+                    );
+                    let opts = ParallelSolverOptions {
+                        threads,
+                        tol: TOL,
+                        max_iterations: 50_000,
+                        variant,
+                        recovery: RecoveryPolicy::off(),
+                    };
+                    let plan = FaultPlan::new(vec![IterationFault {
+                        target: FaultTarget::Msolve,
+                        iteration: 2,
+                        index,
+                        kind: FaultKind::NaN,
+                    }]);
+                    let rep = run_cell(
+                        &label,
+                        &mut || {
+                            let rep = spmd
+                                .solve_with_faults(&b, &opts, &plan)
+                                .expect("faulted spmd poly solve");
+                            assert!(rep.converged, "did not converge");
+                            (rep.x.clone(), rep)
+                        },
+                        a,
+                        &b,
+                    );
+                    let (faults, replacements, recoveries) = spmd_nan_counters(variant);
+                    assert_eq!(
+                        (rep.faults_detected, rep.replacements, rep.recoveries),
+                        (faults, replacements, recoveries),
+                        "{label}"
+                    );
+                    assert_eq!(rep.variant, PcgVariant::Classic, "{label}");
+                }
             }
         }
     }
