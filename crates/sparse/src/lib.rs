@@ -41,7 +41,9 @@
 //! [`csr::CsrMatrix::mul_vec_axpy`]) and the BLAS-1 reductions in
 //! [`vecops`] — are **data parallel** behind the `par` feature (on by
 //! default). They run on the persistent `std::thread` worker pool in
-//! [`par`]; no external runtime is required.
+//! [`par`]; no external runtime is required. Each pool thread runs the
+//! same chunks on every launch, so it keeps its slice of the matrix in
+//! its own cache across a solve.
 //!
 //! *Determinism contract.* Every kernel splits its index space into chunks
 //! whose boundaries depend only on the problem size, and every reduction
@@ -52,10 +54,12 @@
 //!
 //! *Adaptive fallback.* Kernels below a work threshold
 //! ([`tuning::par_min_elems`] elements / [`tuning::par_min_nnz`] stored
-//! entries) run serially: waking the pool costs more than the loop. Every
-//! threshold is a constant in [`tuning`]. Thread budget: hardware
-//! parallelism by default, pinned by the `MSPCG_THREADS` environment
-//! variable or [`par::set_max_threads`] — the one process-wide setting.
+//! entries) run serially: a 2-thread launch costs ≈ 1 µs (an atomic
+//! publish and a spinning worker), which a BLAS-1 loop of 2¹³ elements
+//! just repays. Every threshold is a constant in [`tuning`]. Thread
+//! budget: hardware parallelism by default, pinned by the
+//! `MSPCG_THREADS` environment variable or [`par::set_max_threads`] —
+//! the one process-wide setting.
 //!
 //! *Operator formats.* The solver stack is generic over [`op::SparseOp`],
 //! so storage is a pure performance decision: CSR is the general-purpose

@@ -8,10 +8,18 @@
 //! on:
 //!
 //! * a **persistent worker pool** built on `std` threads (no external
-//!   runtime), woken per kernel launch and parked in between,
+//!   runtime): a launch publishes its job with one atomic store and
+//!   unparks only the workers it uses; between launches a worker spins
+//!   briefly, then parks — and never spins when the launch has more
+//!   participants than the hardware has threads,
 //! * **fixed chunking**: every kernel splits its index space into chunks
 //!   whose boundaries depend only on the problem size — *never* on the
 //!   thread count — and distributes whole chunks to workers,
+//! * **fixed ownership**: participant `p` of `T` runs the chunks
+//!   `p·N/T .. (p+1)·N/T` of an `N`-chunk launch, the same on every
+//!   launch, so across the hundreds of kernels of one solve each core
+//!   keeps streaming the same slice of the matrix and vectors from its
+//!   own cache (§3.2's fixed node-to-processor assignment),
 //! * **deterministic reductions**: dot products and norms accumulate one
 //!   partial per chunk and combine the partials in ascending chunk order,
 //!   so the result is bitwise identical for 1, 2, 4 or 8 threads, and
@@ -214,10 +222,17 @@ pub fn threads_for(work: usize, min_work: usize) -> usize {
 
 /// Run `body(chunk_index)` for every chunk in `0..nchunks`, distributing
 /// whole chunks across `threads` participants (the calling thread plus
-/// pool workers). With `threads <= 1` or a single chunk the loop runs
-/// inline. Chunks are claimed through a shared counter, so *which thread*
-/// runs a chunk varies — the kernels must only depend on chunk boundaries,
-/// which are fixed by the layout functions.
+/// pool workers, at most [`pool_capacity`] and at most `nchunks`). With
+/// `threads <= 1` or a single chunk the loop runs inline. Participant `p`
+/// of `T` runs chunks `p·N/T .. (p+1)·N/T` in ascending order — the
+/// calling thread is participant 0 — so a launch with the same chunk
+/// count and participants puts every chunk on the same thread as the
+/// previous one. Results must still depend only on chunk boundaries,
+/// which the layout functions fix; ownership is a cache-locality
+/// property, not part of the determinism contract. A panic in the body
+/// reaches the caller once every participant has finished: as raised
+/// when the calling thread's share panicked, as the pool's own panic
+/// when only a worker's did.
 pub fn for_each_chunk(nchunks: usize, threads: usize, body: &(dyn Fn(usize) + Sync)) {
     if threads <= 1 || nchunks <= 1 {
         for c in 0..nchunks {
@@ -233,120 +248,201 @@ pub use imp::{max_threads, pool_capacity, serialized, set_max_threads};
 #[cfg(feature = "par")]
 mod imp {
     //! The persistent worker pool (compiled only with the `par` feature).
+    //!
+    //! A launch writes its job into one slot and publishes it with a single
+    //! release store of a packed word: the launch epoch above
+    //! `LIMIT_BITS`, the participant count below. A worker acquires the
+    //! word, so the epoch and the participant count it acts on always
+    //! belong to the same launch, and only a worker whose index is below
+    //! that count reads the slot. The launcher then unparks exactly the
+    //! participating workers, runs participant 0's share itself, and waits
+    //! until `active` — the participating workers still running — drains
+    //! to zero; only after that may the slot be written again.
+    //!
+    //! Waiting (a worker for the next launch, the launcher for its
+    //! workers) polls for `SPIN_POLLS` rounds before parking, but only
+    //! when the launch's participants fit in the hardware threads: an
+    //! oversubscribed launch parks at once, so a spinning thread never
+    //! holds the core a participant needs.
 
+    use std::cell::{Cell, UnsafeCell};
+    use std::ops::Range;
     use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Mutex, OnceLock};
+    use std::thread::{self, Thread};
 
-    /// Erased job pointer handed to the workers. The lifetime is erased;
-    /// soundness comes from `broadcast` blocking until every participant
-    /// has finished before returning (so the borrow outlives all uses).
-    #[derive(Clone, Copy)]
-    struct JobPtr(*const (dyn Fn() + Sync + 'static));
-    // SAFETY: the pointee is Sync and outlives the job (see above).
-    unsafe impl Send for JobPtr {}
+    /// Low bits of the published word that hold the participant count;
+    /// the launch epoch sits above them. The pool has at most 16 slots.
+    const LIMIT_BITS: u32 = 8;
 
-    struct JobState {
-        /// Bumped once per broadcast; workers sleep until it changes.
-        epoch: u64,
-        /// Workers allowed to join the current job (worker index < limit).
-        limit: usize,
-        /// Participating workers that have not yet finished.
-        active: usize,
-        job: Option<JobPtr>,
+    /// Polls a waiting thread makes before it parks, when the launch fits
+    /// the hardware threads: ≈ 0.34 ms on a 2-vCPU Xeon VM, far longer
+    /// than the serial gap between two kernels of one solve and far
+    /// shorter than a solve.
+    const SPIN_POLLS: u32 = 1 << 14;
+
+    /// The current launch's job.
+    struct Job {
+        /// Chunk body; `None` before the first launch. Its lifetime is
+        /// erased: the launcher does not return before `active` drains.
+        body: Option<*const (dyn Fn(usize) + Sync + 'static)>,
+        nchunks: usize,
+        /// The launching thread, which the last worker to finish unparks.
+        caller: Option<Thread>,
     }
 
     struct Shared {
-        state: Mutex<JobState>,
-        work_cv: Condvar,
-        done_cv: Condvar,
+        /// `epoch << LIMIT_BITS | participants` of the latest launch.
+        word: AtomicU64,
+        /// Participating workers that have not finished the current launch.
+        active: AtomicUsize,
         panicked: AtomicBool,
+        /// Written only by a launcher holding `Pool::run_lock`, before it
+        /// publishes `word`; read only by that launch's participating
+        /// workers, before they decrement `active`.
+        job: UnsafeCell<Job>,
+        /// Hardware threads, counted once when the pool starts.
+        hardware: usize,
     }
+
+    // SAFETY: `word`, `active` and `panicked` are atomics. `job` is written
+    // by one launcher at a time (the run lock) and only while no worker
+    // reads it: the release store of `word` orders the write before the
+    // participants' acquire loads, and each participant's last read comes
+    // before its release decrement of `active`, which the launcher
+    // acquires before the next write. The body pointer targets a `Sync`
+    // closure, `Thread` is `Sync`, and `hardware` never changes.
+    unsafe impl Sync for Shared {}
 
     struct Pool {
         shared: &'static Shared,
-        /// Workers + the calling thread.
-        capacity: usize,
-        /// Serializes broadcasts from different calling threads.
+        /// Worker `w` is participant `w`; it sits at `workers[w - 1]`.
+        workers: Vec<Thread>,
+        /// Serializes launches from different calling threads.
         run_lock: Mutex<()>,
     }
 
-    fn lock(m: &Mutex<JobState>) -> MutexGuard<'_, JobState> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
+    fn hardware_threads() -> usize {
+        thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
     }
 
     /// Execution slots the pool will have once spawned. Pure — consulting
     /// it must not construct the pool, so serial-only processes (small
     /// kernels, `MSPCG_THREADS=1`) never spawn idle workers.
     fn capacity() -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
         // Keep at least 8 slots so the determinism tests can exercise
         // real multi-thread schedules even on small CI boxes.
-        hw.clamp(8, 16)
+        hardware_threads().clamp(8, 16)
     }
 
     fn pool() -> &'static Pool {
         static POOL: OnceLock<Pool> = OnceLock::new();
         POOL.get_or_init(|| {
-            let capacity = capacity();
             let shared: &'static Shared = Box::leak(Box::new(Shared {
-                state: Mutex::new(JobState {
-                    epoch: 0,
-                    limit: 0,
-                    active: 0,
-                    job: None,
-                }),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
+                word: AtomicU64::new(0),
+                active: AtomicUsize::new(0),
                 panicked: AtomicBool::new(false),
+                job: UnsafeCell::new(Job {
+                    body: None,
+                    nchunks: 0,
+                    caller: None,
+                }),
+                hardware: hardware_threads(),
             }));
-            for w in 1..capacity {
-                std::thread::Builder::new()
-                    .name(format!("mspcg-par-{w}"))
-                    .spawn(move || worker_loop(shared, w))
-                    .expect("failed to spawn pool worker");
-            }
+            let workers = (1..capacity())
+                .map(|w| {
+                    thread::Builder::new()
+                        .name(format!("mspcg-par-{w}"))
+                        .spawn(move || worker_loop(shared, w))
+                        .expect("failed to spawn pool worker")
+                        .thread()
+                        .clone()
+                })
+                .collect();
             Pool {
                 shared,
-                capacity,
+                workers,
                 run_lock: Mutex::new(()),
             }
         })
     }
 
-    fn worker_loop(shared: &'static Shared, index: usize) {
-        let mut last_epoch = 0u64;
-        loop {
-            let job = {
-                let mut st = lock(&shared.state);
-                while st.epoch == last_epoch {
-                    st = shared.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-                last_epoch = st.epoch;
-                if index < st.limit {
-                    st.job
-                } else {
-                    None
-                }
-            };
-            let Some(job) = job else { continue };
-            // Mark this thread as inside a job so that kernels launched
-            // *from* the job body run inline instead of re-entering the
-            // pool (which would deadlock on the run lock).
-            IN_JOB.with(|c| c.set(true));
-            // SAFETY: `broadcast` keeps the closure alive until `active`
-            // drains to zero, which happens only after this call returns.
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)() }));
-            IN_JOB.with(|c| c.set(false));
-            if result.is_err() {
-                shared.panicked.store(true, Ordering::Release);
+    /// The chunks participant `p` of `participants` runs: the same
+    /// contiguous range on every launch with the same chunk count.
+    fn owned(p: usize, participants: usize, nchunks: usize) -> Range<usize> {
+        p * nchunks / participants..(p + 1) * nchunks / participants
+    }
+
+    /// Poll `ready` until it yields, spinning first when `spin` and then
+    /// parking between polls. Whoever makes `ready` succeed unparks this
+    /// thread after doing so, so no wake-up is lost.
+    fn wait_for<T>(spin: bool, mut ready: impl FnMut() -> Option<T>) -> T {
+        for _ in 0..if spin { SPIN_POLLS } else { 0 } {
+            if let Some(v) = ready() {
+                return v;
             }
-            let mut st = lock(&shared.state);
-            st.active -= 1;
-            if st.active == 0 {
-                shared.done_cv.notify_all();
+            std::hint::spin_loop();
+        }
+        loop {
+            if let Some(v) = ready() {
+                return v;
+            }
+            thread::park();
+        }
+    }
+
+    fn worker_loop(shared: &'static Shared, index: usize) {
+        // Kernels launched from a job body run inline on the worker.
+        IN_JOB.with(|c| c.set(true));
+        let mut seen = 0u64;
+        let mut spin = false;
+        let mut caller: Option<Thread> = None;
+        loop {
+            let word = wait_for(spin, || {
+                let w = shared.word.load(Ordering::Acquire);
+                (w >> LIMIT_BITS != seen).then_some(w)
+            });
+            seen = word >> LIMIT_BITS;
+            let participants = (word & ((1 << LIMIT_BITS) - 1)) as usize;
+            spin = index < participants && participants <= shared.hardware;
+            if index >= participants {
+                continue;
+            }
+            let (body, nchunks) = {
+                // SAFETY: the acquire load of `word` ordered the
+                // launcher's write of this launch's job before this read,
+                // and the launcher writes the slot again only after
+                // `active` drains, which waits for this worker's
+                // decrement below.
+                let job = unsafe { &*shared.job.get() };
+                let new_caller = job.caller.as_ref().map(Thread::id);
+                if caller.as_ref().map(Thread::id) != new_caller {
+                    caller.clone_from(&job.caller);
+                }
+                (
+                    job.body.expect("a published launch has a body"),
+                    job.nchunks,
+                )
+            };
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                for c in owned(index, participants, nchunks) {
+                    // SAFETY: the launcher keeps the closure alive until
+                    // `active` drains, which waits for the decrement below.
+                    unsafe { (*body)(c) }
+                }
+            }));
+            if result.is_err() {
+                shared.panicked.store(true, Ordering::Relaxed);
+            }
+            // Release: publishes this worker's writes (and `panicked`) to
+            // the launcher's acquire load of `active`.
+            if shared.active.fetch_sub(1, Ordering::AcqRel) == 1 {
+                if let Some(caller) = &caller {
+                    caller.unpark();
+                }
             }
         }
     }
@@ -354,71 +450,69 @@ mod imp {
     thread_local! {
         /// Set while this thread executes inside a pool job — nested kernel
         /// launches then run inline instead of deadlocking on the run lock.
-        static IN_JOB: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        static IN_JOB: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Run `f` once on the calling thread and once on each of
-    /// `participants - 1` workers, returning after all have finished.
-    fn broadcast(participants: usize, f: &(dyn Fn() + Sync)) {
-        let pool = pool();
-        let workers = participants.min(pool.capacity).saturating_sub(1);
-        if workers == 0 || IN_JOB.with(|c| c.get()) {
-            f();
+    pub(super) fn run_chunked(nchunks: usize, threads: usize, body: &(dyn Fn(usize) + Sync)) {
+        if IN_JOB.with(Cell::get) {
+            for c in 0..nchunks {
+                body(c);
+            }
             return;
         }
+        let pool = pool();
+        let participants = threads.min(nchunks).min(pool.workers.len() + 1);
+        let shared = pool.shared;
         let _serial = pool.run_lock.lock().unwrap_or_else(|e| e.into_inner());
         // SAFETY: lifetime erasure is sound because this function does not
-        // return until `active == 0`, i.e. until no worker can touch `f`.
-        let job = unsafe {
-            JobPtr(std::mem::transmute::<
-                *const (dyn Fn() + Sync),
-                *const (dyn Fn() + Sync + 'static),
-            >(f as *const (dyn Fn() + Sync)))
+        // return until `active` drains, i.e. until no worker can touch
+        // `body`.
+        let erased = unsafe {
+            std::mem::transmute::<
+                *const (dyn Fn(usize) + Sync),
+                *const (dyn Fn(usize) + Sync + 'static),
+            >(body as *const (dyn Fn(usize) + Sync))
         };
         {
-            let mut st = lock(&pool.shared.state);
-            st.job = Some(job);
-            st.limit = workers + 1;
-            st.active = workers;
-            st.epoch = st.epoch.wrapping_add(1);
-            pool.shared.work_cv.notify_all();
+            // SAFETY: the run lock makes this the only launcher, and the
+            // previous launch returned only after acquiring every
+            // participant's decrement of `active`, which each makes after
+            // its last read of the slot; other workers never read it.
+            let job = unsafe { &mut *shared.job.get() };
+            job.body = Some(erased);
+            job.nchunks = nchunks;
+            job.caller = Some(thread::current());
+        }
+        shared.active.store(participants - 1, Ordering::Relaxed);
+        let epoch = (shared.word.load(Ordering::Relaxed) >> LIMIT_BITS) + 1;
+        // Release: publishes the job and `active` with the word.
+        shared
+            .word
+            .store(epoch << LIMIT_BITS | participants as u64, Ordering::Release);
+        for worker in &pool.workers[..participants - 1] {
+            worker.unpark();
         }
         IN_JOB.with(|c| c.set(true));
-        let main_result = std::panic::catch_unwind(AssertUnwindSafe(f));
-        IN_JOB.with(|c| c.set(false));
-        {
-            let mut st = lock(&pool.shared.state);
-            while st.active > 0 {
-                st = pool
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
+        let main_result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            for c in owned(0, participants, nchunks) {
+                body(c);
             }
-            st.job = None;
-        }
+        }));
+        IN_JOB.with(|c| c.set(false));
+        wait_for(participants <= shared.hardware, || {
+            (shared.active.load(Ordering::Acquire) == 0).then_some(())
+        });
         // Consume the worker-panic flag *before* resuming a main-thread
-        // panic: if both sides panicked (the common case — they ran the
-        // same closure), a caught main panic must not leave the flag set
-        // to poison the next unrelated kernel launch.
-        let worker_panicked = pool.shared.panicked.swap(false, Ordering::AcqRel);
+        // panic, so a caught main panic cannot leave it set to poison the
+        // next unrelated kernel launch. The acquire load of `active` that
+        // ended the wait ordered every worker's store of the flag.
+        let worker_panicked = shared.panicked.swap(false, Ordering::Relaxed);
         if let Err(p) = main_result {
             std::panic::resume_unwind(p);
         }
         if worker_panicked {
             panic!("mspcg-par: a pool worker panicked inside a parallel kernel");
         }
-    }
-
-    pub(super) fn run_chunked(nchunks: usize, threads: usize, body: &(dyn Fn(usize) + Sync)) {
-        let next = AtomicUsize::new(0);
-        broadcast(threads.min(nchunks), &|| loop {
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            if c >= nchunks {
-                break;
-            }
-            body(c);
-        });
     }
 
     fn default_threads() -> usize {
@@ -440,10 +534,7 @@ mod imp {
                 };
             }
         }
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(pool_capacity())
+        hardware_threads().min(pool_capacity())
     }
 
     fn threads_cell() -> &'static AtomicUsize {
@@ -678,6 +769,111 @@ mod tests {
         set_max_threads(10_000);
         assert_eq!(max_threads(), pool_capacity());
         set_max_threads(before.max(1));
+    }
+
+    /// Thread that ran each chunk of one `for_each_chunk` launch.
+    #[cfg(feature = "par")]
+    fn chunk_owners(nchunks: usize, threads: usize) -> Vec<std::thread::ThreadId> {
+        let owners: Vec<std::sync::OnceLock<std::thread::ThreadId>> =
+            (0..nchunks).map(|_| std::sync::OnceLock::new()).collect();
+        for_each_chunk(nchunks, threads, &|c| {
+            owners[c]
+                .set(std::thread::current().id())
+                .expect("chunk ran twice");
+        });
+        owners
+            .into_iter()
+            .map(|o| o.into_inner().expect("chunk skipped"))
+            .collect()
+    }
+
+    #[cfg(feature = "par")]
+    #[test]
+    fn each_participant_owns_one_fixed_contiguous_range() {
+        let caller = std::thread::current().id();
+        for threads in [2usize, 3, 4, 8] {
+            for nchunks in [1usize, 2, 7, 97, 256] {
+                let first = chunk_owners(nchunks, threads);
+                let second = chunk_owners(nchunks, threads);
+                let case = format!("{threads} threads, {nchunks} chunks");
+                assert_eq!(first, second, "{case}: chunk ownership moved");
+                assert_eq!(first[0], caller, "{case}: the caller is participant 0");
+                // One contiguous range per participant: a thread whose run
+                // of chunks has ended never appears again.
+                let mut ended = Vec::new();
+                for pair in first.windows(2) {
+                    if pair[0] != pair[1] {
+                        ended.push(pair[0]);
+                        assert!(!ended.contains(&pair[1]), "{case}: split range");
+                    }
+                }
+                assert_eq!(
+                    ended.len() + 1,
+                    threads.min(nchunks),
+                    "{case}: participants"
+                );
+            }
+        }
+    }
+
+    #[cfg(feature = "par")]
+    #[test]
+    fn concurrent_callers_run_every_chunk_once_per_launch() {
+        // Participant counts cycle so that consecutive launches publish
+        // different epoch/limit pairs, including inline (1) and
+        // oversubscribed (8 on a small machine) ones.
+        const COUNTS: [usize; 5] = [8, 2, 5, 1, 3];
+        const NCHUNKS: usize = 13;
+        std::thread::scope(|s| {
+            for caller in 0..2 {
+                s.spawn(move || {
+                    let hits: Vec<AtomicUsize> =
+                        (0..NCHUNKS).map(|_| AtomicUsize::new(0)).collect();
+                    for launch in 0..2_500 {
+                        let threads = COUNTS[(launch + caller) % COUNTS.len()];
+                        for_each_chunk(NCHUNKS, threads, &|c| {
+                            hits[c].fetch_add(1, Ordering::Relaxed);
+                        });
+                        for (c, h) in hits.iter().enumerate() {
+                            assert_eq!(
+                                h.swap(0, Ordering::Relaxed),
+                                1,
+                                "caller {caller}, launch {launch}, {threads} threads, chunk {c}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[cfg(feature = "par")]
+    #[test]
+    fn worker_panic_reaches_the_caller_and_leaves_the_pool_usable() {
+        for threads in [2usize, 8] {
+            let nchunks = 8;
+            // The last chunk belongs to the last participant, a pool worker.
+            let launch = std::panic::catch_unwind(|| {
+                for_each_chunk(nchunks, threads, &|c| {
+                    if c == nchunks - 1 {
+                        panic!("chunk {c} fails");
+                    }
+                });
+            });
+            let payload = launch.expect_err("the worker's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some("mspcg-par: a pool worker panicked inside a parallel kernel"),
+                "{threads} threads"
+            );
+            // The next launch neither hangs on the panicked worker nor
+            // inherits its panic, and runs every chunk once.
+            let hits: Vec<AtomicUsize> = (0..nchunks).map(|_| AtomicUsize::new(0)).collect();
+            for_each_chunk(nchunks, threads, &|c| {
+                hits[c].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
     }
 
     #[cfg(feature = "par")]

@@ -1,8 +1,8 @@
 //! Central tuning thresholds and solver selection types.
 //!
 //! Every adaptive decision the kernels make — "is this loop big enough to
-//! wake the pool?", "how many stored entries should one SpMV chunk carry?"
-//! — reads its threshold from this module. The thresholds are the
+//! launch on the pool?", "how many stored entries should one SpMV chunk
+//! carry?" — reads its threshold from this module. The thresholds are the
 //! constants the benches were tuned with; they are fixed for the lifetime
 //! of the program, so chunk layouts derived from them never move and the
 //! determinism contract (bitwise thread-count insensitivity) holds across
@@ -28,10 +28,13 @@ pub fn parse_positive(raw: &str) -> Option<usize> {
 }
 
 /// BLAS-1 parallelism threshold (elements): kernels shorter than this
-/// always run serially (the launch cost of waking the pool exceeds the
-/// loop cost).
+/// always run serially. It sits at the measured break-even of the
+/// cheapest kernel: an empty 2-thread pool launch costs ≈ 1 µs, and at
+/// 2¹³ elements `vecops::axpy` takes ≈ 2.6–3.0 µs at 1 and at 2 threads
+/// alike, while the dot, fused-update and polynomial-step kernels
+/// already gain there (2-vCPU Xeon VM).
 pub const fn par_min_elems() -> usize {
-    1 << 15
+    1 << 13
 }
 
 /// Sparse-kernel parallelism threshold (stored entries): SpMV and SSOR

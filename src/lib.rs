@@ -37,7 +37,11 @@
 //! BLAS-1 reductions are row/chunk parallel, and the per-color row loops
 //! of the multicolor SSOR sweeps — the loops the paper identifies as
 //! embarrassingly parallel — run on a persistent `std::thread` worker
-//! pool. The contracts:
+//! pool. Like the paper's fixed node-to-processor assignment (§3.2),
+//! each pool thread runs the same chunks of every kernel on every
+//! launch, so it keeps its share of the matrix in its own cache across a
+//! solve; a launch costs ≈ 1 µs at 2 threads (one atomic publish, workers
+//! that spin briefly before parking). The contracts:
 //!
 //! * **Determinism** — chunk boundaries depend only on problem size and
 //!   reductions combine per-chunk partials in a fixed order, so results
@@ -186,8 +190,10 @@
 //!   sweeps chunk the same way (`par::spmv_chunk_rows_range` within each
 //!   color block). All thresholds are constants in
 //!   `mspcg::sparse::tuning`.
-//! * **Adaptive fallback** — small kernels run serially; a
-//!   `--no-default-features` build is strictly serial with identical
+//! * **Adaptive fallback** — kernels below a work threshold
+//!   (`tuning::par_min_elems` elements, set at the measured launch
+//!   break-even, or `tuning::par_min_nnz` stored entries) run serially;
+//!   a `--no-default-features` build is strictly serial with identical
 //!   results.
 //! * **Zero-allocation hot loop** — `pcg_solve_into` with a reusable
 //!   `PcgWorkspace` performs no heap allocation per solve (verified by a
