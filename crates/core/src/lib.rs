@@ -76,4 +76,4 @@ pub use recovery::{
     IterationFault, RecoveryPolicy, Toggle,
 };
 pub use splitting::{JacobiSplitting, NaturalSsorSplitting, Splitting};
-pub use ssor::MulticolorSsor;
+pub use ssor::{MulticolorSsor, SweepTable};

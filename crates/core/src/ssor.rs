@@ -49,53 +49,37 @@ use crate::splitting::Splitting;
 use mspcg_sparse::lanczos::power_spectral_radius;
 use mspcg_sparse::par::{self, ParSlice};
 use mspcg_sparse::{tuning, CsrMatrix, Partition, SparseError, SparseOp};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-/// Multicolor SSOR(ω) splitting of a color-blocked SPD matrix.
+/// The sweep table of a color-blocked matrix: the matrix and its color
+/// partition, the inverse diagonal, and per row the position of the
+/// diagonal entry, which splits the row's stored entries into its lower
+/// half (columns in earlier colors) and its upper half (later colors).
 ///
-/// Constructed from a matrix already permuted into contiguous color blocks
-/// (see `mspcg-coloring`); validates that each diagonal block is diagonal.
-/// The matrix and partition are held by [`Arc`], so building many
-/// splittings over one system (the ω sweep, the condition studies, the
-/// Table 2/3 m sweeps) shares the data instead of deep-cloning it.
+/// Both multicolor SSOR executors stream this table — [`MulticolorSsor`]
+/// here and `mspcg-parallel`'s SPMD solver — so [`SweepTable::new`] is
+/// the one place that validates the color blocks, and the half-sums run
+/// on the CSR row kernel ([`CsrMatrix::dot_entries`]).
 #[derive(Debug)]
-pub struct MulticolorSsor {
+pub struct SweepTable {
     a: Arc<CsrMatrix>,
     colors: Arc<Partition>,
-    omega: f64,
     inv_diag: Vec<f64>,
-    /// Per row: CSR index of the first entry with column ≥ own-block start.
-    lo_split: Vec<usize>,
-    /// Per row: CSR index of the first entry with column ≥ own-block end.
-    hi_split: Vec<usize>,
-    /// Conrad–Wallach half-sum cache (valid only inside one msolve call;
-    /// a mutex rather than a `RefCell` so the splitting stays `Sync` and
-    /// can be shared with the worker pool and across solver threads).
-    y: Mutex<Vec<f64>>,
+    /// Per row: CSR index of its diagonal entry, the only entry inside its
+    /// own color block.
+    diag_at: Vec<usize>,
 }
 
-impl MulticolorSsor {
-    /// Build from a color-blocked matrix. `ω = 1` is the paper's choice
-    /// (§5: for multicolor orderings with few colors, `ω = 1` is good).
-    ///
-    /// Accepts anything convertible into shared handles: pass `Arc`s to
-    /// share one system across many splittings (no copy), or owned values
-    /// to move them in. Borrowing callers can clone explicitly — the old
-    /// implicit deep copy of both matrix and partition is gone.
+impl SweepTable {
+    /// Validate the color blocks of `a` and build its table.
     ///
     /// # Errors
     /// * [`SparseError::NotSquare`] / shape mismatch with the partition,
     /// * [`SparseError::InvalidPartition`] if an off-diagonal entry lies
     ///   inside its own color block (the coloring failed to decouple),
-    /// * [`SparseError::ZeroDiagonal`] for missing/nonpositive diagonals,
-    /// * [`SparseError::InvalidPartition`] for ω outside `(0, 2)`.
-    pub fn new(
-        a: impl Into<Arc<CsrMatrix>>,
-        colors: impl Into<Arc<Partition>>,
-        omega: f64,
-    ) -> Result<Self, SparseError> {
-        let a: Arc<CsrMatrix> = a.into();
-        let colors: Arc<Partition> = colors.into();
+    /// * [`SparseError::ZeroDiagonal`] for missing/nonpositive diagonals.
+    pub fn new(a: Arc<CsrMatrix>, colors: Arc<Partition>) -> Result<Self, SparseError> {
         if a.rows() != a.cols() {
             return Err(SparseError::NotSquare {
                 rows: a.rows(),
@@ -108,21 +92,13 @@ impl MulticolorSsor {
                 right: (colors.total_len(), 1),
             });
         }
-        if !(omega > 0.0 && omega < 2.0) {
-            return Err(SparseError::InvalidPartition {
-                reason: format!("SSOR omega {omega} outside (0, 2)"),
-            });
-        }
         let n = a.rows();
         let mut inv_diag = vec![0.0; n];
-        let mut lo_split = vec![0usize; n];
-        let mut hi_split = vec![0usize; n];
-        for c in 0..colors.num_blocks() {
-            let blk = colors.range(c);
+        let mut diag_at = vec![0usize; n];
+        for (c, blk) in colors.iter().enumerate() {
             for i in blk.clone() {
                 let row_lo = a.row_ptr()[i];
-                let row_hi = a.row_ptr()[i + 1];
-                let cols = &a.col_idx()[row_lo..row_hi];
+                let cols = &a.col_idx()[row_lo..a.row_ptr()[i + 1]];
                 let lo = row_lo + cols.partition_point(|&j| (j as usize) < blk.start);
                 let hi = row_lo + cols.partition_point(|&j| (j as usize) < blk.end);
                 // Entries in [lo, hi) lie inside the block: must be the
@@ -150,17 +126,131 @@ impl MulticolorSsor {
                         });
                     }
                 }
-                lo_split[i] = lo;
-                hi_split[i] = hi;
+                diag_at[i] = lo;
             }
         }
-        Ok(MulticolorSsor {
+        Ok(SweepTable {
             a,
             colors,
-            omega,
             inv_diag,
-            lo_split,
-            hi_split,
+            diag_at,
+        })
+    }
+
+    /// The (color-blocked) matrix.
+    pub fn matrix(&self) -> &CsrMatrix {
+        &self.a
+    }
+
+    /// The color partition.
+    pub fn colors(&self) -> &Partition {
+        &self.colors
+    }
+
+    /// `1 / a_ii` per row.
+    pub fn inv_diag(&self) -> &[f64] {
+        &self.inv_diag
+    }
+
+    /// Stored entries of row `i` in earlier colors.
+    #[inline]
+    fn lower(&self, i: usize) -> Range<usize> {
+        self.a.row_ptr()[i]..self.diag_at[i]
+    }
+
+    /// Stored entries of row `i` in later colors.
+    #[inline]
+    fn upper(&self, i: usize) -> Range<usize> {
+        self.diag_at[i] + 1..self.a.row_ptr()[i + 1]
+    }
+
+    /// Lower half-sum of row `i`: `Σ_{color(j) < color(i)} a_ij x_j`.
+    ///
+    /// # Panics
+    /// Panics if `x.len()` differs from the dimension.
+    #[inline]
+    pub fn lower_sum(&self, i: usize, x: &[f64]) -> f64 {
+        self.a.dot_entries(self.lower(i), x)
+    }
+
+    /// Upper half-sum of row `i`: `Σ_{color(j) > color(i)} a_ij x_j`.
+    ///
+    /// # Panics
+    /// Panics if `x.len()` differs from the dimension.
+    #[inline]
+    pub fn upper_sum(&self, i: usize, x: &[f64]) -> f64 {
+        self.a.dot_entries(self.upper(i), x)
+    }
+
+    /// [`SweepTable::lower_sum`] reading through a shared slice (parallel
+    /// sweep path).
+    ///
+    /// # Safety
+    /// No chunk may write `x` at a column of row `i`'s lower half during
+    /// this parallel region (guaranteed by the multicolor property: those
+    /// columns lie in colors already finalized this pass).
+    #[inline]
+    pub unsafe fn lower_sum_shared(&self, i: usize, x: &ParSlice<'_>) -> f64 {
+        // SAFETY: forwarded contract.
+        unsafe { self.a.dot_entries_shared(self.lower(i), x) }
+    }
+
+    /// [`SweepTable::upper_sum`] reading through a shared slice.
+    ///
+    /// # Safety
+    /// As for [`SweepTable::lower_sum_shared`], for row `i`'s upper half.
+    #[inline]
+    pub unsafe fn upper_sum_shared(&self, i: usize, x: &ParSlice<'_>) -> f64 {
+        // SAFETY: forwarded contract.
+        unsafe { self.a.dot_entries_shared(self.upper(i), x) }
+    }
+}
+
+/// Multicolor SSOR(ω) splitting of a color-blocked SPD matrix.
+///
+/// Constructed from a matrix already permuted into contiguous color blocks
+/// (see `mspcg-coloring`); validates that each diagonal block is diagonal.
+/// The matrix and partition are held by [`Arc`], so building many
+/// splittings over one system (the ω sweep, the condition studies, the
+/// Table 2/3 m sweeps) shares the data instead of deep-cloning it.
+#[derive(Debug)]
+pub struct MulticolorSsor {
+    table: SweepTable,
+    omega: f64,
+    /// Conrad–Wallach half-sum cache (valid only inside one msolve call;
+    /// a mutex rather than a `RefCell` so the splitting stays `Sync` and
+    /// can be shared with the worker pool and across solver threads).
+    y: Mutex<Vec<f64>>,
+}
+
+impl MulticolorSsor {
+    /// Build from a color-blocked matrix. `ω = 1` is the paper's choice
+    /// (§5: for multicolor orderings with few colors, `ω = 1` is good).
+    ///
+    /// Accepts anything convertible into shared handles: pass `Arc`s to
+    /// share one system across many splittings (no copy), or owned values
+    /// to move them in. Borrowing callers can clone explicitly — the old
+    /// implicit deep copy of both matrix and partition is gone.
+    ///
+    /// # Errors
+    /// * [`SparseError::InvalidPartition`] for ω outside `(0, 2)`,
+    /// * the [`SweepTable::new`] errors: not square, shape mismatch with
+    ///   the partition, coupling inside a color block, bad diagonal.
+    pub fn new(
+        a: impl Into<Arc<CsrMatrix>>,
+        colors: impl Into<Arc<Partition>>,
+        omega: f64,
+    ) -> Result<Self, SparseError> {
+        if !(omega > 0.0 && omega < 2.0) {
+            return Err(SparseError::InvalidPartition {
+                reason: format!("SSOR omega {omega} outside (0, 2)"),
+            });
+        }
+        let table = SweepTable::new(a.into(), colors.into())?;
+        let n = table.a.rows();
+        Ok(MulticolorSsor {
+            table,
+            omega,
             y: Mutex::new(vec![0.0; n]),
         })
     }
@@ -168,19 +258,21 @@ impl MulticolorSsor {
     /// Build from a color-blocked operator in **any** [`SparseOp`]
     /// format: the splitting's sweep structure (split CSR arrays walked
     /// row-by-row in color order) is materialized once via
-    /// [`SparseOp::csr_copy`]. Because `csr_copy` reproduces the stored
+    /// [`SparseOp::try_csr_copy`]. Because the copy reproduces the stored
     /// entries in ascending-column order, the resulting splitting is
     /// bitwise identical to one built from the original CSR matrix —
     /// solving through SELL-C-σ replays the CSR preconditioner exactly.
     ///
     /// # Errors
-    /// Same classes as [`MulticolorSsor::new`].
+    /// Same classes as [`MulticolorSsor::new`], plus those of
+    /// [`SparseOp::try_csr_copy`] for an operator whose `visit_row`
+    /// yields an out-of-range or unsorted column.
     pub fn from_op<A: SparseOp>(
         a: &A,
         colors: impl Into<Arc<Partition>>,
         omega: f64,
     ) -> Result<Self, SparseError> {
-        Self::new(Arc::new(a.csr_copy()), colors, omega)
+        Self::new(Arc::new(a.try_csr_copy()?), colors, omega)
     }
 
     /// The relaxation parameter.
@@ -190,89 +282,35 @@ impl MulticolorSsor {
 
     /// The color partition.
     pub fn colors(&self) -> &Partition {
-        &self.colors
+        &self.table.colors
     }
 
     /// Shared handle to the color partition.
     pub fn colors_arc(&self) -> &Arc<Partition> {
-        &self.colors
+        &self.table.colors
     }
 
     /// The (color-blocked) matrix.
     pub fn matrix(&self) -> &CsrMatrix {
-        &self.a
+        &self.table.a
     }
 
     /// Shared handle to the matrix.
     pub fn matrix_arc(&self) -> &Arc<CsrMatrix> {
-        &self.a
-    }
-
-    #[inline]
-    fn lower_sum(&self, i: usize, x: &[f64]) -> f64 {
-        let cols = self.a.col_idx();
-        let vals = self.a.values();
-        let mut s = 0.0;
-        for k in self.a.row_ptr()[i]..self.lo_split[i] {
-            s += vals[k] * x[cols[k] as usize];
-        }
-        s
-    }
-
-    #[inline]
-    fn upper_sum(&self, i: usize, x: &[f64]) -> f64 {
-        let cols = self.a.col_idx();
-        let vals = self.a.values();
-        let mut s = 0.0;
-        for k in self.hi_split[i]..self.a.row_ptr()[i + 1] {
-            s += vals[k] * x[cols[k] as usize];
-        }
-        s
-    }
-
-    /// Lower half-sum reading through a shared slice (parallel sweep path).
-    ///
-    /// # Safety
-    /// Every column index in the lower half of row `i` must not be
-    /// concurrently written (guaranteed by the multicolor property: those
-    /// columns lie in colors already finalized this pass).
-    #[inline]
-    unsafe fn lower_sum_shared(&self, i: usize, x: &ParSlice<'_>) -> f64 {
-        let cols = self.a.col_idx();
-        let vals = self.a.values();
-        let mut s = 0.0;
-        for k in self.a.row_ptr()[i]..self.lo_split[i] {
-            // SAFETY: forwarded contract.
-            s += vals[k] * unsafe { x.get(cols[k] as usize) };
-        }
-        s
-    }
-
-    /// Upper half-sum through a shared slice; same contract as
-    /// [`MulticolorSsor::lower_sum_shared`] for the upper half.
-    #[inline]
-    unsafe fn upper_sum_shared(&self, i: usize, x: &ParSlice<'_>) -> f64 {
-        let cols = self.a.col_idx();
-        let vals = self.a.values();
-        let mut s = 0.0;
-        for k in self.hi_split[i]..self.a.row_ptr()[i + 1] {
-            // SAFETY: forwarded contract.
-            s += vals[k] * unsafe { x.get(cols[k] as usize) };
-        }
-        s
+        &self.table.a
     }
 
     #[inline]
     fn relax(&self, i: usize, rhs_minus_sums: f64, x: &mut [f64]) {
         let xi = x[i];
-        x[i] = (1.0 - self.omega) * xi + self.omega * rhs_minus_sums * self.inv_diag[i];
+        x[i] = (1.0 - self.omega) * xi + self.omega * rhs_minus_sums * self.table.inv_diag[i];
     }
 
     /// Stored entries in color block `c` — the work measure deciding
     /// whether its row loop is worth running on the pool.
     #[inline]
-    fn block_nnz(&self, blk: &std::ops::Range<usize>) -> usize {
-        self.a.row_ptr()[blk.end] - self.a.row_ptr()[blk.start]
+    fn block_nnz(&self, blk: &Range<usize>) -> usize {
+        self.table.a.row_ptr()[blk.end] - self.table.a.row_ptr()[blk.start]
     }
 
     /// Forward sweep with half-sum cache: fresh lower sums, cached upper
@@ -286,14 +324,15 @@ impl MulticolorSsor {
     /// Each color's row loop is data parallel: row `i` writes only `x[i]`
     /// and `y[i]` and reads `x` only at columns of *other* colors.
     fn forward_cached(&self, scale: f64, b: &[f64], x: &mut [f64], y: &mut [f64]) {
-        let nb = self.colors.num_blocks();
+        let t = &self.table;
+        let nb = t.colors.num_blocks();
         for c in 0..nb {
-            let blk = self.colors.range(c);
+            let blk = t.colors.range(c);
             let last = c == nb - 1;
             let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
             if threads <= 1 {
                 for i in blk {
-                    let lower = self.lower_sum(i, x);
+                    let lower = t.lower_sum(i, x);
                     let upper = if last { 0.0 } else { y[i] };
                     self.relax(i, scale * b[i] - lower - upper, x);
                     y[i] = lower;
@@ -304,21 +343,19 @@ impl MulticolorSsor {
                 let (chunk_nnz, nchunks) = par::spmv_layout(self.block_nnz(&blk));
                 par::for_each_chunk(nchunks, threads, &|ci| {
                     let rows =
-                        par::spmv_chunk_rows_range(self.a.row_ptr(), blk.clone(), chunk_nnz, ci);
+                        par::spmv_chunk_rows_range(t.a.row_ptr(), blk.clone(), chunk_nnz, ci);
                     for i in rows {
                         // SAFETY: row i is owned by this chunk (disjoint
                         // chunks of one color block); reads touch other
                         // colors only — the multicolor property.
                         unsafe {
-                            let lower = self.lower_sum_shared(i, &xs);
+                            let lower = t.lower_sum_shared(i, &xs);
                             let upper = if last { 0.0 } else { ys.get(i) };
                             let xi = xs.get(i);
                             xs.set(
                                 i,
                                 (1.0 - self.omega) * xi
-                                    + self.omega
-                                        * (scale * b[i] - lower - upper)
-                                        * self.inv_diag[i],
+                                    + self.omega * (scale * b[i] - lower - upper) * t.inv_diag[i],
                             );
                             ys.set(i, lower);
                         }
@@ -334,14 +371,13 @@ impl MulticolorSsor {
     /// cached upper sums are structurally zero — so the zero-fill passes
     /// are skipped entirely.
     fn forward_first(&self, scale: f64, b: &[f64], x: &mut [f64], y: &mut [f64]) {
-        let nb = self.colors.num_blocks();
-        for c in 0..nb {
-            let blk = self.colors.range(c);
+        let t = &self.table;
+        for blk in t.colors.iter() {
             let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
             if threads <= 1 {
                 for i in blk {
-                    let lower = self.lower_sum(i, x);
-                    x[i] = self.omega * (scale * b[i] - lower) * self.inv_diag[i];
+                    let lower = t.lower_sum(i, x);
+                    x[i] = self.omega * (scale * b[i] - lower) * t.inv_diag[i];
                     y[i] = lower;
                 }
             } else {
@@ -350,15 +386,15 @@ impl MulticolorSsor {
                 let (chunk_nnz, nchunks) = par::spmv_layout(self.block_nnz(&blk));
                 par::for_each_chunk(nchunks, threads, &|ci| {
                     let rows =
-                        par::spmv_chunk_rows_range(self.a.row_ptr(), blk.clone(), chunk_nnz, ci);
+                        par::spmv_chunk_rows_range(t.a.row_ptr(), blk.clone(), chunk_nnz, ci);
                     for i in rows {
                         // SAFETY: as in forward_cached; additionally, the
                         // lower sums of color 0 are empty and of color c>0
                         // read only rows written in earlier (barriered)
                         // color phases of this same pass.
                         unsafe {
-                            let lower = self.lower_sum_shared(i, &xs);
-                            xs.set(i, self.omega * (scale * b[i] - lower) * self.inv_diag[i]);
+                            let lower = t.lower_sum_shared(i, &xs);
+                            xs.set(i, self.omega * (scale * b[i] - lower) * t.inv_diag[i]);
                             ys.set(i, lower);
                         }
                     }
@@ -367,16 +403,16 @@ impl MulticolorSsor {
         }
     }
 
-    /// Backward sweep with half-sum cache, from block `from` (inclusive)
-    /// down to block 0; per-color row loops data parallel like the forward
-    /// sweep.
-    fn backward_cached(&self, scale: f64, b: &[f64], x: &mut [f64], y: &mut [f64], from: usize) {
-        for c in (0..=from).rev() {
-            let blk = self.colors.range(c);
+    /// Backward sweep with half-sum cache over blocks `end − 1` down to
+    /// block 0; per-color row loops data parallel like the forward sweep.
+    fn backward_cached(&self, scale: f64, b: &[f64], x: &mut [f64], y: &mut [f64], end: usize) {
+        let t = &self.table;
+        for c in (0..end).rev() {
+            let blk = t.colors.range(c);
             let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
             if threads <= 1 {
                 for i in blk {
-                    let upper = self.upper_sum(i, x);
+                    let upper = t.upper_sum(i, x);
                     let lower = y[i];
                     self.relax(i, scale * b[i] - lower - upper, x);
                     y[i] = upper;
@@ -387,19 +423,17 @@ impl MulticolorSsor {
                 let (chunk_nnz, nchunks) = par::spmv_layout(self.block_nnz(&blk));
                 par::for_each_chunk(nchunks, threads, &|ci| {
                     let rows =
-                        par::spmv_chunk_rows_range(self.a.row_ptr(), blk.clone(), chunk_nnz, ci);
+                        par::spmv_chunk_rows_range(t.a.row_ptr(), blk.clone(), chunk_nnz, ci);
                     for i in rows {
                         // SAFETY: as in forward_cached, mirrored.
                         unsafe {
-                            let upper = self.upper_sum_shared(i, &xs);
+                            let upper = t.upper_sum_shared(i, &xs);
                             let lower = ys.get(i);
                             let xi = xs.get(i);
                             xs.set(
                                 i,
                                 (1.0 - self.omega) * xi
-                                    + self.omega
-                                        * (scale * b[i] - lower - upper)
-                                        * self.inv_diag[i],
+                                    + self.omega * (scale * b[i] - lower - upper) * t.inv_diag[i],
                             );
                             ys.set(i, upper);
                         }
@@ -409,28 +443,30 @@ impl MulticolorSsor {
         }
     }
 
-    /// Which block the backward sweep starts from: with ω = 1 the last
-    /// color's backward update is the identity and is skipped (paper's
-    /// `c = 5 down to 2` optimization); otherwise it is required.
-    fn backward_start(&self) -> usize {
-        let last = self.colors.num_blocks() - 1;
+    /// One past the block the backward sweep starts from: with ω = 1 the
+    /// last color's backward update is the identity and is skipped (paper's
+    /// `c = 5 down to 2` optimization); otherwise it is required. The
+    /// subtraction saturates, as in the SPMD sweeps, so an empty partition
+    /// sweeps nothing.
+    fn backward_end(&self) -> usize {
+        let nb = self.table.colors.num_blocks();
         if self.omega == 1.0 {
-            last.saturating_sub(1)
+            nb.saturating_sub(1)
         } else {
-            last
+            nb
         }
     }
 
     /// Count of off-diagonal multiply–adds per SSOR step (the Conrad–Wallach
     /// cost: each off-diagonal entry exactly once).
     pub fn offdiag_ops_per_step(&self) -> usize {
-        self.a.nnz() - self.a.rows()
+        self.table.a.nnz() - self.table.a.rows()
     }
 }
 
 impl Splitting for MulticolorSsor {
     fn dim(&self) -> usize {
-        self.a.rows()
+        self.table.a.rows()
     }
 
     /// One full SSOR step from an *arbitrary* starting vector: both
@@ -439,19 +475,18 @@ impl Splitting for MulticolorSsor {
     fn step(&self, scale: f64, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.dim(), "mc-ssor step: b length mismatch");
         assert_eq!(x.len(), self.dim(), "mc-ssor step: x length mismatch");
-        let nb = self.colors.num_blocks();
+        let t = &self.table;
         // Forward: fresh lower AND upper sums.
-        for c in 0..nb {
-            for i in self.colors.range(c) {
-                let s = self.lower_sum(i, x) + self.upper_sum(i, x);
+        for blk in t.colors.iter() {
+            for i in blk {
+                let s = t.lower_sum(i, x) + t.upper_sum(i, x);
                 self.relax(i, scale * b[i] - s, x);
             }
         }
         // Backward: skip the last color when ω = 1 (identity update).
-        let from = self.backward_start();
-        for c in (0..=from).rev() {
-            for i in self.colors.range(c) {
-                let s = self.lower_sum(i, x) + self.upper_sum(i, x);
+        for c in (0..self.backward_end()).rev() {
+            for i in t.colors.range(c) {
+                let s = t.lower_sum(i, x) + t.upper_sum(i, x);
                 self.relax(i, scale * b[i] - s, x);
             }
         }
@@ -492,13 +527,13 @@ impl Splitting for MulticolorSsor {
         );
         let m = alphas.len();
         let y = scratch;
-        let from = self.backward_start();
+        let end = self.backward_end();
         self.forward_first(alphas[m - 1], r, z, y);
-        self.backward_cached(alphas[m - 1], r, z, y, from);
+        self.backward_cached(alphas[m - 1], r, z, y, end);
         for s in 2..=m {
             let alpha = alphas[m - s];
             self.forward_cached(alpha, r, z, y);
-            self.backward_cached(alpha, r, z, y, from);
+            self.backward_cached(alpha, r, z, y, end);
         }
     }
 

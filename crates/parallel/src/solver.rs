@@ -173,7 +173,7 @@ use mspcg_core::recovery::{
     audit_due, diverged, next_rung, perturb, AuditPlan, FaultKind, FaultPlan, FaultTarget,
     RecoveryPolicy,
 };
-use mspcg_core::PolySchedule;
+use mspcg_core::{PolySchedule, SweepTable};
 use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
 use mspcg_sparse::{vecops, Partition, PcgVariant, PolyKind, PrecondKind, SparseError, SparseOp};
 use std::sync::{Arc, OnceLock};
@@ -462,26 +462,20 @@ impl OwnedRows {
 ///
 /// Both the SSOR color sweeps (half-sums split at the own-color block) and
 /// the strip `K·p` products need *indexed row structure*, which no
-/// SpMV-oriented format is required to expose — so construction extracts
-/// one private split-CSR sweep table through [`SparseOp::visit_row`] and
-/// every iteration phase streams that single table (the source operator
-/// is not retained: per-worker strips are tiny, so a format's slice/block
-/// kernels could not be engaged anyway, and holding it would double the
-/// matrix memory). The extraction walks rows in ascending column order,
-/// so two formats storing the same matrix produce identical tables and
-/// therefore **bitwise-identical** solver runs.
+/// SpMV-oriented format is required to expose — so construction copies
+/// the operator once into a validated CSR matrix
+/// ([`SparseOp::try_csr_copy`]) and builds the serial splitting's
+/// [`SweepTable`] on it; every iteration phase streams that single table
+/// through the CSR row kernel (the source operator is not retained:
+/// per-worker strips are tiny, so a format's slice/block kernels could not
+/// be engaged anyway, and holding it would double the matrix memory). The
+/// copy walks rows in ascending column order, so two formats storing the
+/// same matrix produce identical tables and therefore
+/// **bitwise-identical** solver runs.
 pub struct ParallelMStepPcg {
-    colors: Arc<Partition>,
+    /// The color-blocked matrix, its partition and the sweep split.
+    table: SweepTable,
     alphas: Vec<f64>,
-    inv_diag: Vec<f64>,
-    /// Extracted sweep structure (ascending columns per row).
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
-    /// Per row: sweep-table index of the first entry with column ≥
-    /// own-block start / end.
-    lo_split: Vec<usize>,
-    hi_split: Vec<usize>,
     /// Polynomial msolve configuration (barrier-free alternative to the
     /// SSOR sweeps; mutually exclusive with nonempty `alphas`).
     poly: Option<ParPoly>,
@@ -519,7 +513,9 @@ impl ParallelMStepPcg {
     ///
     /// # Errors
     /// Same validation as the sequential `MulticolorSsor` (square matrix,
-    /// diagonal color blocks, positive diagonal).
+    /// diagonal color blocks, positive diagonal), plus the
+    /// [`SparseOp::try_csr_copy`] errors for an operator whose `visit_row`
+    /// yields an out-of-range or unsorted column.
     pub fn new<A: SparseOp>(
         matrix: &A,
         colors: &Partition,
@@ -538,68 +534,9 @@ impl ParallelMStepPcg {
         colors: Arc<Partition>,
         alphas: Vec<f64>,
     ) -> Result<Self, SparseError> {
-        let (rows, cols) = matrix.dims();
-        if rows != cols {
-            return Err(SparseError::NotSquare { rows, cols });
-        }
-        if colors.total_len() != rows {
-            return Err(SparseError::ShapeMismatch {
-                left: (rows, cols),
-                right: (colors.total_len(), 1),
-            });
-        }
-        let n = rows;
-        // Extract the sweep table: per-row (col, value) pairs in ascending
-        // column order — the order every SparseOp streams.
-        let mut row_ptr = vec![0usize; n + 1];
-        let mut col_idx: Vec<u32> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        for i in 0..n {
-            matrix.visit_row(i, &mut |j, v| {
-                col_idx.push(j as u32);
-                values.push(v);
-            });
-            row_ptr[i + 1] = col_idx.len();
-        }
-        let mut inv_diag = vec![0.0; n];
-        let mut lo_split = vec![0usize; n];
-        let mut hi_split = vec![0usize; n];
-        for c in 0..colors.num_blocks() {
-            let blk = colors.range(c);
-            for i in blk.clone() {
-                let row_lo = row_ptr[i];
-                let row_hi = row_ptr[i + 1];
-                let cols_slice = &col_idx[row_lo..row_hi];
-                let lo = row_lo + cols_slice.partition_point(|&j| (j as usize) < blk.start);
-                let hi = row_lo + cols_slice.partition_point(|&j| (j as usize) < blk.end);
-                match hi - lo {
-                    1 if col_idx[lo] as usize == i => {
-                        let d = values[lo];
-                        if d <= 0.0 || !d.is_finite() {
-                            return Err(SparseError::ZeroDiagonal { row: i });
-                        }
-                        inv_diag[i] = 1.0 / d;
-                    }
-                    0 => return Err(SparseError::ZeroDiagonal { row: i }),
-                    _ => {
-                        return Err(SparseError::InvalidPartition {
-                            reason: format!("off-diagonal coupling inside color block at row {i}"),
-                        })
-                    }
-                }
-                lo_split[i] = lo;
-                hi_split[i] = hi;
-            }
-        }
         Ok(ParallelMStepPcg {
-            colors,
+            table: SweepTable::new(Arc::new(matrix.try_csr_copy()?), colors)?,
             alphas,
-            inv_diag,
-            row_ptr,
-            col_idx,
-            values,
-            lo_split,
-            hi_split,
             poly: None,
             sstep_interval: OnceLock::new(),
         })
@@ -688,20 +625,7 @@ impl ParallelMStepPcg {
     /// System dimension.
     #[inline]
     fn dim(&self) -> usize {
-        self.row_ptr.len() - 1
-    }
-
-    /// Serial SpMV over one row range, off the extracted sweep table
-    /// (same per-row ascending-column order as every `SparseOp` kernel).
-    #[inline]
-    fn spmv_rows(&self, x: &[f64], y: &mut [f64], rows: std::ops::Range<usize>) {
-        for (k, i) in rows.enumerate() {
-            let mut acc = 0.0;
-            for j in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[j] * x[self.col_idx[j] as usize];
-            }
-            y[k] = acc;
-        }
+        self.table.matrix().rows()
     }
 
     /// `out ← K·x` over the worker's strip, chunk by chunk in color order.
@@ -727,7 +651,7 @@ impl ParallelMStepPcg {
             // SAFETY: `rows` is owned; the caller's contract makes this
             // worker its only writer and reader in `out` this phase.
             let y = unsafe { out.write(rows.clone()) };
-            self.spmv_rows(x, y, rows.clone());
+            self.table.matrix().mul_vec_range_into(x, y, rows.clone());
             if let Some((index, kind)) = fault.filter(|(index, _)| rows.contains(index)) {
                 y[index - rows.start] = perturb(y[index - rows.start], kind);
             }
@@ -873,7 +797,7 @@ impl ParallelMStepPcg {
             None
         };
 
-        let owned = OwnedRows::map(&self.colors, threads);
+        let owned = OwnedRows::map(self.table.colors(), threads);
 
         let u = SharedVec::zeros(n);
         let r = SharedVec::from_vec(f.to_vec());
@@ -2602,7 +2526,8 @@ impl ParallelMStepPcg {
             return;
         }
         let m = self.alphas.len();
-        let nb = self.colors.num_blocks();
+        let nb = self.table.colors().num_blocks();
+        let inv_diag = self.table.inv_diag();
         for s in 1..=m {
             let alpha = self.alphas[m - s];
             let first_step = s == 1;
@@ -2620,9 +2545,9 @@ impl ParallelMStepPcg {
                     let zv = z.read();
                     let yv = y.read();
                     for i in own.chunk(c) {
-                        let lower = self.half_sum(i, zv, true);
+                        let lower = self.table.lower_sum(i, zv);
                         let upper = if last || first_step { 0.0 } else { yv[i] };
-                        let xi = (alpha * rv[i] - lower - upper) * self.inv_diag[i];
+                        let xi = (alpha * rv[i] - lower - upper) * inv_diag[i];
                         z.write_at(i, xi);
                         y.write_at(i, lower);
                     }
@@ -2641,9 +2566,9 @@ impl ParallelMStepPcg {
                     let zv = z.read();
                     let yv = y.read();
                     for i in own.chunk(c) {
-                        let upper = self.half_sum(i, zv, false);
+                        let upper = self.table.upper_sum(i, zv);
                         let lower = yv[i];
-                        let xi = (alpha * rv[i] - lower - upper) * self.inv_diag[i];
+                        let xi = (alpha * rv[i] - lower - upper) * inv_diag[i];
                         z.write_at(i, xi);
                         y.write_at(i, upper);
                     }
@@ -2700,6 +2625,7 @@ impl ParallelMStepPcg {
         let steps = poly.schedule.steps();
         let k = steps.len();
         let (d, zb) = (pscr.d, pscr.zb);
+        let (a, inv_diag) = (self.table.matrix(), self.table.inv_diag());
         for (step, &(aj, bj)) in steps.iter().enumerate() {
             let j = step + 1;
             let to_z = (k - j).is_multiple_of(2);
@@ -2714,14 +2640,14 @@ impl ParallelMStepPcg {
                         // the virtual z₀ is consistent across both uses).
                         for (o, i) in rows.clone().enumerate() {
                             let mut acc = 0.0;
-                            for e in self.row_ptr[i]..self.row_ptr[i + 1] {
-                                let c = self.col_idx[e] as usize;
-                                acc += self.values[e] * (scale0 * self.inv_diag[c] * rv[c]);
+                            for e in a.row_ptr()[i]..a.row_ptr()[i + 1] {
+                                let c = a.col_idx()[e] as usize;
+                                acc += a.values()[e] * (scale0 * inv_diag[c] * rv[c]);
                             }
                             kz[o] = acc;
                         }
                     } else {
-                        self.spmv_rows(prev, kz, rows.clone());
+                        a.mul_vec_range_into(prev, kz, rows.clone());
                     }
                     let dv = d.write(rows.clone());
                     let out = if to_z {
@@ -2732,15 +2658,15 @@ impl ParallelMStepPcg {
                     if j == 1 {
                         // Seed and first step in one own-strip pass.
                         for (o, i) in rows.enumerate() {
-                            let zi = scale0 * self.inv_diag[i] * rv[i];
-                            let resid = self.inv_diag[i] * (rv[i] - kz[o]);
+                            let zi = scale0 * inv_diag[i] * rv[i];
+                            let resid = inv_diag[i] * (rv[i] - kz[o]);
                             let di = aj * zi + bj * resid;
                             dv[o] = di;
                             out[o] = zi + di;
                         }
                     } else {
                         for (o, i) in rows.enumerate() {
-                            let resid = self.inv_diag[i] * (rv[i] - kz[o]);
+                            let resid = inv_diag[i] * (rv[i] - kz[o]);
                             let di = aj * dv[o] + bj * resid;
                             dv[o] = di;
                             out[o] = prev[i] + di;
@@ -2762,52 +2688,6 @@ impl ParallelMStepPcg {
         }
     }
 
-    #[inline]
-    fn half_sum(&self, i: usize, x: &[f64], lower: bool) -> f64 {
-        let (from, to) = if lower {
-            (self.row_ptr[i], self.lo_split[i])
-        } else {
-            (self.hi_split[i], self.row_ptr[i + 1])
-        };
-        let mut s = 0.0;
-        for k in from..to {
-            s += self.values[k] * x[self.col_idx[k] as usize];
-        }
-        s
-    }
-
-    /// Single-threaded replica of the [`ParallelMStepPcg::msolve_phases`]
-    /// SSOR arithmetic (`z ← M⁻¹ r`, ω = 1) off the extracted sweep
-    /// table: same color order, same fused `w₀ = 0` first step, same
-    /// half-sum cache — term for term, so the Lanczos probe below sees
-    /// exactly the operator the workers apply. Requires nonempty
-    /// `alphas`; `y` is the caller-owned half-sum cache.
-    fn serial_msolve(&self, r: &[f64], z: &mut [f64], y: &mut [f64]) {
-        let m = self.alphas.len();
-        let nb = self.colors.num_blocks();
-        for s in 1..=m {
-            let alpha = self.alphas[m - s];
-            let first_step = s == 1;
-            for c in 0..nb {
-                let last = c == nb - 1;
-                for i in self.colors.range(c) {
-                    let lower = self.half_sum(i, z, true);
-                    let upper = if last || first_step { 0.0 } else { y[i] };
-                    z[i] = (alpha * r[i] - lower - upper) * self.inv_diag[i];
-                    y[i] = lower;
-                }
-            }
-            for c in (0..nb.saturating_sub(1)).rev() {
-                for i in self.colors.range(c) {
-                    let upper = self.half_sum(i, z, false);
-                    let lower = y[i];
-                    z[i] = (alpha * r[i] - lower - upper) * self.inv_diag[i];
-                    y[i] = upper;
-                }
-            }
-        }
-    }
-
     /// Eigenvalue bounds for the s-step Chebyshev basis recurrence —
     /// the SPMD counterpart of the serial solver's interval cache,
     /// sourced in the same priority order:
@@ -2818,10 +2698,10 @@ impl ParallelMStepPcg {
     /// 2. the instance-cached interval from an earlier s-step solve;
     /// 3. a fresh estimate, cached for every later solve: Lanczos (same
     ///    budget/seed/safeguard recipe as the serial rung) on the
-    ///    composite `x ↦ M⁻¹(K x)` — `M⁻¹` evaluated by the
-    ///    [`ParallelMStepPcg::serial_msolve`] replica so the probed
-    ///    operator is bitwise the workers' — or on `K` itself for plain
-    ///    CG. Runs on the main thread before any worker spawns.
+    ///    composite `x ↦ M⁻¹(K x)` — `M⁻¹` evaluated by
+    ///    [`ParallelMStepPcg::msolve_phases`] itself at one worker, so the
+    ///    probed operator is bitwise the workers' — or on `K` itself for
+    ///    plain CG. Runs on the main thread before any worker spawns.
     ///
     /// # Errors
     /// Lanczos breakdown ([`SparseError`] pass-through); the caller
@@ -2834,16 +2714,29 @@ impl ParallelMStepPcg {
             return Ok(*cached);
         }
         let n = self.dim();
+        let k = self.table.matrix();
         let est = {
-            let mut tmp = vec![0.0; n];
-            let mut ycache = vec![0.0; n];
+            // One worker owning every row runs the sweep phases back to
+            // back on this thread; its 1-party barrier returns at once.
+            let own = &OwnedRows::map(self.table.colors(), 1)[0];
+            let [kx, z, y] = [(); 3].map(|()| SharedVec::zeros(n));
+            let none = SharedVec::zeros(0);
+            let pscr = PolyScratch {
+                d: &none,
+                zb: &none,
+            };
+            let barrier = SpinBarrier::new(1);
             lanczos_extremes(n, SSTEP_SPECTRUM_STEPS, SSTEP_SPECTRUM_SEED, |x, out| {
                 if self.alphas.is_empty() {
-                    self.spmv_rows(x, out, 0..n);
-                } else {
-                    self.spmv_rows(x, &mut tmp, 0..n);
-                    self.serial_msolve(&tmp, out, &mut ycache);
+                    k.mul_vec_range_into(x, out, 0..n);
+                    return;
                 }
+                // SAFETY: this thread is the only worker; nothing else
+                // touches the scratch vectors.
+                unsafe { k.mul_vec_range_into(x, kx.write(0..n), 0..n) };
+                self.msolve_phases(own, 0, &kx, &z, &y, &pscr, None, None, &barrier);
+                // SAFETY: as above.
+                out.copy_from_slice(unsafe { z.read() });
             })?
         };
         let interval = safeguard_jacobi_interval(est);

@@ -12,9 +12,21 @@
 //!   `row_ptr[rows] == nnz`,
 //! * within each row, column indices are strictly increasing (sorted, no
 //!   duplicates) and in bounds.
+//!
+//! ## The row kernel
+//!
+//! Every row loop of the solvers — the SpMV range kernels behind the pool
+//! SpMV, the batch lanes and the polynomial msolve, and the SSOR half-sums
+//! of both executors — runs through one gather: it walks a row's
+//! `col_idx`/`values` slices in lockstep and reads `x[col]` **without a
+//! per-entry bounds check**. Its soundness is the column bound above: the
+//! structure is immutable after construction, so once a kernel has checked
+//! `x.len() == cols()` (once per call), every stored column indexes `x` in
+//! bounds. Each row is still summed in ascending column order, so the
+//! products are bitwise those of the checked loop.
 
 use crate::error::SparseError;
-use crate::par;
+use crate::par::{self, ParSlice};
 use crate::permute::Permutation;
 use crate::tuning;
 
@@ -254,19 +266,16 @@ impl CsrMatrix {
     /// and by `mspcg-parallel`'s SPMD strips.
     ///
     /// # Panics
-    /// Panics if `y.len() != rows.len()` or the range is out of bounds.
+    /// Panics if `y.len() != rows.len()`, the range is out of bounds, or
+    /// `x.len() != cols`.
     #[inline]
     pub fn mul_vec_range_into(&self, x: &[f64], y: &mut [f64], rows: std::ops::Range<usize>) {
         assert!(rows.end <= self.rows, "mul_vec_range: rows out of bounds");
         assert_eq!(y.len(), rows.len(), "mul_vec_range: y length mismatch");
-        for (k, i) in rows.enumerate() {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let mut acc = 0.0;
-            for j in lo..hi {
-                acc += self.values[j] * x[self.col_idx[j] as usize];
-            }
-            y[k] = acc;
+        assert_eq!(x.len(), self.cols, "mul_vec_range: x length mismatch");
+        for (yk, i) in y.iter_mut().zip(rows) {
+            // SAFETY: `x.len() == cols` is asserted above.
+            *yk = unsafe { self.gather(self.row_ptr[i]..self.row_ptr[i + 1], x.as_ptr()) };
         }
     }
 
@@ -297,7 +306,8 @@ impl CsrMatrix {
     /// `y[k] += a·(A·x)[rows.start + k]`.
     ///
     /// # Panics
-    /// Panics if `y.len() != rows.len()` or the range is out of bounds.
+    /// Panics if `y.len() != rows.len()`, the range is out of bounds, or
+    /// `x.len() != cols`.
     #[inline]
     pub fn mul_vec_axpy_range(
         &self,
@@ -311,15 +321,70 @@ impl CsrMatrix {
             "mul_vec_axpy_range: rows out of bounds"
         );
         assert_eq!(y.len(), rows.len(), "mul_vec_axpy_range: y length mismatch");
-        for (k, i) in rows.enumerate() {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let mut acc = 0.0;
-            for j in lo..hi {
-                acc += self.values[j] * x[self.col_idx[j] as usize];
-            }
-            y[k] += a * acc;
+        assert_eq!(x.len(), self.cols, "mul_vec_axpy_range: x length mismatch");
+        for (yk, i) in y.iter_mut().zip(rows) {
+            // SAFETY: `x.len() == cols` is asserted above.
+            *yk += a * unsafe { self.gather(self.row_ptr[i]..self.row_ptr[i + 1], x.as_ptr()) };
         }
+    }
+
+    /// `Σ values[k]·x[col_idx[k]]` over the stored entries `entries` (an
+    /// index range into [`CsrMatrix::col_idx`]/[`CsrMatrix::values`],
+    /// typically part of one row), accumulated in ascending entry order
+    /// from `0.0` — the SSOR half-sums' kernel.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != cols` or `entries` is out of bounds.
+    #[inline]
+    pub fn dot_entries(&self, entries: std::ops::Range<usize>, x: &[f64]) -> f64 {
+        assert_eq!(x.len(), self.cols, "dot_entries: x length mismatch");
+        // SAFETY: `x.len() == cols` is asserted above.
+        unsafe { self.gather(entries, x.as_ptr()) }
+    }
+
+    /// [`CsrMatrix::dot_entries`] reading `x` through a [`ParSlice`] — the
+    /// parallel color sweeps, whose rows read `x` while other chunks write
+    /// it.
+    ///
+    /// # Safety
+    /// No chunk may write `x` at any column of `entries` during this
+    /// parallel region (the multicolor property: a row's off-diagonal
+    /// columns lie in other color blocks).
+    ///
+    /// # Panics
+    /// Panics if `x.len() != cols` or `entries` is out of bounds.
+    #[inline]
+    pub unsafe fn dot_entries_shared(
+        &self,
+        entries: std::ops::Range<usize>,
+        x: &ParSlice<'_>,
+    ) -> f64 {
+        assert_eq!(x.len(), self.cols, "dot_entries_shared: x length mismatch");
+        // SAFETY: `x` spans `cols` elements (asserted above); the caller
+        // rules out concurrent writes to the columns read.
+        unsafe { self.gather(entries, x.as_ptr()) }
+    }
+
+    /// The one unchecked gather behind every row kernel above:
+    /// `Σ values[k]·x[col_idx[k]]` over `entries`, in ascending order.
+    ///
+    /// # Safety
+    /// `x` must point at `cols` readable `f64`s, none of them written
+    /// concurrently at a column of `entries`.
+    #[inline(always)]
+    unsafe fn gather(&self, entries: std::ops::Range<usize>, x: *const f64) -> f64 {
+        let cols = &self.col_idx[entries.clone()];
+        let vals = &self.values[entries];
+        let mut acc = 0.0;
+        for (&c, &v) in cols.iter().zip(vals) {
+            debug_assert!((c as usize) < self.cols, "column {c} out of bounds");
+            // SAFETY: every stored column is below `cols` — the invariant
+            // `from_raw_parts` checks and every constructor in this module
+            // preserves (the structure is never mutated afterwards) — and
+            // the caller guarantees `x` spans `cols` elements.
+            acc += v * unsafe { *x.add(c as usize) };
+        }
+        acc
     }
 
     /// Transpose (always produces sorted CSR).

@@ -123,7 +123,8 @@ where
         }
         let alpha = vecops::dot(&basis[j], &w);
         vecops::axpy(-alpha, &basis[j], &mut w);
-        // Full reorthogonalization (two passes of classical Gram-Schmidt).
+        // Full reorthogonalization: two passes of modified Gram–Schmidt
+        // (each coefficient is taken against the already-updated `w`).
         for _ in 0..2 {
             for q in &basis {
                 let c = vecops::dot(q, &w);

@@ -40,6 +40,7 @@
 //! cannot serialize the pool.
 
 use crate::csr::CsrMatrix;
+use crate::error::SparseError;
 use crate::par::{self, ParSlice};
 use crate::sellcs::SellCsMatrix;
 use crate::tuning::{self, MatrixFormat};
@@ -70,7 +71,9 @@ pub trait SparseOp: Sync {
     ///
     /// # Panics
     /// Implementations panic if `y.len() != rows.len()`, the range is out
-    /// of bounds, or `x.len() != cols()`.
+    /// of bounds, or `x.len() != cols()` — a longer `x` as well as a
+    /// shorter one (the CSR kernel reads `x` unchecked on the strength of
+    /// that one check).
     fn mul_vec_range_into(&self, x: &[f64], y: &mut [f64], rows: Range<usize>);
 
     /// Serial fused SpMV-accumulate over a row range:
@@ -180,23 +183,40 @@ pub trait SparseOp: Sync {
     }
 
     /// Materialize a CSR copy of the operator, row by row through
-    /// [`SparseOp::visit_row`] — the bridge format-generic constructors
-    /// (multicolor SSOR, the SPMD solver's sweep tables) use. Entries
-    /// arrive in ascending column order, so the copy reproduces the exact
-    /// stored values and ordering the SpMV kernels stream.
-    fn csr_copy(&self) -> CsrMatrix {
+    /// [`SparseOp::visit_row`] and validated by
+    /// [`CsrMatrix::from_raw_parts`] — the bridge format-generic
+    /// constructors (multicolor SSOR, the SPMD solver's sweep table) use.
+    /// Entries arrive in ascending column order, so the copy reproduces
+    /// the exact stored values and ordering the SpMV kernels stream.
+    ///
+    /// # Errors
+    /// [`SparseError::IndexOutOfBounds`] if `visit_row` yields a column
+    /// `≥ cols()`, [`SparseError::InvalidPartition`] if it yields a row's
+    /// columns out of ascending order or twice.
+    fn try_csr_copy(&self) -> Result<CsrMatrix, SparseError> {
         let rows = self.rows();
         let mut row_ptr = vec![0usize; rows + 1];
         let mut col_idx: Vec<u32> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         for i in 0..rows {
             self.visit_row(i, &mut |j, v| {
-                col_idx.push(j as u32);
+                // Saturate rather than wrap, so a column past `u32` cannot
+                // alias an in-range one and slip past the bound check.
+                col_idx.push(u32::try_from(j).unwrap_or(u32::MAX));
                 values.push(v);
             });
             row_ptr[i + 1] = col_idx.len();
         }
         CsrMatrix::from_raw_parts(rows, self.cols(), row_ptr, col_idx, values)
+    }
+
+    /// [`SparseOp::try_csr_copy`] for operators known to keep the
+    /// `visit_row` contract.
+    ///
+    /// # Panics
+    /// Panics where [`SparseOp::try_csr_copy`] returns an error.
+    fn csr_copy(&self) -> CsrMatrix {
+        self.try_csr_copy()
             .expect("visit_row produced an invalid row structure")
     }
 }
@@ -243,6 +263,9 @@ macro_rules! deref_sparse_op {
             }
             fn diag_into(&self, out: &mut [f64]) {
                 (**self).diag_into(out)
+            }
+            fn try_csr_copy(&self) -> Result<CsrMatrix, SparseError> {
+                (**self).try_csr_copy()
             }
             fn csr_copy(&self) -> CsrMatrix {
                 (**self).csr_copy()
@@ -298,8 +321,8 @@ impl SparseOp for CsrMatrix {
         CsrMatrix::mul_vec(self, x)
     }
 
-    fn csr_copy(&self) -> CsrMatrix {
-        self.clone()
+    fn try_csr_copy(&self) -> Result<CsrMatrix, SparseError> {
+        Ok(self.clone())
     }
 }
 
@@ -546,8 +569,8 @@ impl SparseOp for AutoOp {
         auto_dispatch!(self, diag_into(out))
     }
 
-    fn csr_copy(&self) -> CsrMatrix {
-        auto_dispatch!(self, csr_copy())
+    fn try_csr_copy(&self) -> Result<CsrMatrix, SparseError> {
+        auto_dispatch!(self, try_csr_copy())
     }
 }
 

@@ -160,6 +160,12 @@ impl<'a> ParSlice<'a> {
         self.len == 0
     }
 
+    /// Base pointer, for the CSR gather's unchecked reads.
+    #[inline]
+    pub(crate) fn as_ptr(&self) -> *const f64 {
+        self.ptr
+    }
+
     /// Read element `i`.
     ///
     /// # Safety

@@ -1,6 +1,7 @@
 //! Edge cases of the (batched) PCG entry points: empty systems, `1×1`
 //! systems, zero right-hand sides, a zero iteration budget, and the
-//! honest-residual contract of the `max_iterations` exit path.
+//! honest-residual contract of the `max_iterations` exit path; plus the
+//! multicolor SSOR splitting on an empty system.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
@@ -10,6 +11,7 @@ use mspcg::core::pcg::{
     StoppingCriterion,
 };
 use mspcg::core::preconditioner::IdentityPreconditioner;
+use mspcg::core::{MulticolorSsor, Splitting};
 use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, SparseError};
 
 mod common;
@@ -281,5 +283,25 @@ fn multi_rhs_edge_shapes() {
         let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
         assert_eq!(sum.converged, 2, "{variant:?}");
         assert!(u[16..].iter().all(|&v| v == 0.0), "{variant:?}");
+    }
+}
+
+#[test]
+fn empty_multicolor_ssor_sweeps_nothing() {
+    // A 0×0 system with an empty partition: the backward sweep's start
+    // block must not underflow (ω = 1 skips one block, ω ≠ 1 none).
+    for omega in [1.0, 1.3] {
+        let ssor = MulticolorSsor::new(
+            CsrMatrix::identity(0),
+            Partition::from_sizes(&[]).unwrap(),
+            omega,
+        )
+        .unwrap();
+        assert_eq!(ssor.dim(), 0);
+        let mut z: Vec<f64> = vec![];
+        ssor.msolve(&[1.0, 0.5], &[], &mut z);
+        ssor.msolve_with(&[1.0], &[], &mut z, &mut []);
+        ssor.step(1.0, &[], &mut z);
+        assert!(z.is_empty(), "omega {omega}");
     }
 }

@@ -1,0 +1,366 @@
+//! The CSR row kernel that every SpMV range kernel and SSOR half-sum runs
+//! on reads `x[col]` without a per-entry bounds check. These tests pin what
+//! that rests on:
+//!
+//! * an xorshift property loop over random CSR matrices (empty rows,
+//!   one-entry rows, rows longer than 64 entries, non-square shapes)
+//!   checks the range kernels and both half-sums **bitwise** against a
+//!   naive loop kept here, with `x` holding ±0.0, NaN and ±∞;
+//! * an `x` shorter or longer than `cols()` panics instead of being read;
+//! * an operator whose `visit_row` breaks its contract (a column past
+//!   `cols()`, unsorted columns) is refused with a [`SparseError`] by
+//!   both SSOR constructors, before any table is built on it.
+
+use mspcg::coloring::Coloring;
+use mspcg::core::{MulticolorSsor, SweepTable};
+use mspcg::parallel::ParallelMStepPcg;
+use mspcg::sparse::par::ParSlice;
+use mspcg::sparse::{CooMatrix, CsrMatrix, Partition, SparseError, SparseOp};
+use std::ops::Range;
+use std::sync::Arc;
+
+mod common;
+use common::Rng;
+
+/// Cases per property.
+const CASES: u64 = 40;
+
+/// The reference: `Σ values[k]·x[col_idx[k]]` over `entries`, summed in
+/// ascending order from `0.0` with checked indexing.
+fn naive(a: &CsrMatrix, entries: Range<usize>, x: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for k in entries {
+        acc += a.values()[k] * x[a.col_idx()[k] as usize];
+    }
+    acc
+}
+
+fn same_bits(got: f64, want: f64) -> bool {
+    got.to_bits() == want.to_bits()
+}
+
+/// A value of `x`: mostly finite, with probability `special` one of
+/// ±0.0, NaN, ±∞.
+fn draw(rng: &mut Rng, special: f64) -> f64 {
+    if rng.unit() < special {
+        [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.range(0, 5)]
+    } else {
+        rng.unit() * 4.0 - 2.0
+    }
+}
+
+/// A stored value: finite, occasionally a signed zero.
+fn value(rng: &mut Rng) -> f64 {
+    match rng.range(0, 16) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.unit() * 2.0 - 1.0,
+    }
+}
+
+/// `len` distinct columns from `pool`, sorted ascending.
+fn pick(rng: &mut Rng, pool: &mut [u32], len: usize) -> Vec<u32> {
+    for k in 0..len {
+        let j = rng.range(k, pool.len());
+        pool.swap(k, j);
+    }
+    let mut cols = pool[..len].to_vec();
+    cols.sort_unstable();
+    cols
+}
+
+/// A row length over `avail` candidate columns: empty, one entry, short,
+/// or long (more than 64 whenever `avail` allows).
+fn row_len(rng: &mut Rng, avail: usize) -> usize {
+    match rng.range(0, 4) {
+        0 => 0,
+        1 => avail.min(1),
+        2 => rng.range(0, avail.min(8) + 1),
+        _ => rng.range(avail.min(65), avail + 1),
+    }
+}
+
+fn random_csr(rng: &mut Rng, rows: usize, cols: usize) -> CsrMatrix {
+    let mut pool: Vec<u32> = (0..cols as u32).collect();
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for _ in 0..rows {
+        let len = row_len(rng, cols);
+        for c in pick(rng, &mut pool, len) {
+            col_idx.push(c);
+            values.push(value(rng));
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values).unwrap()
+}
+
+/// A random color-blocked matrix: each row holds its positive diagonal
+/// and random couplings to columns outside its own block.
+fn random_blocked(rng: &mut Rng) -> (CsrMatrix, Partition) {
+    let sizes: Vec<usize> = (0..rng.range(1, 5)).map(|_| rng.range(1, 50)).collect();
+    let colors = Partition::from_sizes(&sizes).unwrap();
+    let n = colors.total_len();
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for blk in colors.iter() {
+        let mut outside: Vec<u32> = (0..n as u32)
+            .filter(|&j| !blk.contains(&(j as usize)))
+            .collect();
+        for i in blk.clone() {
+            let len = row_len(rng, outside.len());
+            let mut cols = pick(rng, &mut outside, len);
+            cols.push(i as u32);
+            cols.sort_unstable();
+            for c in cols {
+                col_idx.push(c);
+                values.push(if c as usize == i {
+                    1.0 + rng.unit()
+                } else {
+                    value(rng)
+                });
+            }
+            row_ptr.push(col_idx.len());
+        }
+    }
+    let a = CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values).unwrap();
+    (a, colors)
+}
+
+const SHAPES: [(usize, usize); 8] = [
+    (0, 0),
+    (1, 1),
+    (5, 0),
+    (7, 3),
+    (3, 90),
+    (40, 130),
+    (120, 70),
+    (90, 90),
+];
+
+#[test]
+fn range_kernels_match_the_naive_loop_bitwise() {
+    let mut long_rows = 0;
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xC5 + case);
+        let (rows, cols) = SHAPES[case as usize % SHAPES.len()];
+        let a = random_csr(&mut rng, rows, cols);
+        long_rows += (0..rows).filter(|&i| a.row_nnz(i) > 64).count();
+        let special = [0.0, 0.05, 0.3][case as usize % 3];
+        let x: Vec<f64> = (0..cols).map(|_| draw(&mut rng, special)).collect();
+        let lo = rng.range(0, rows + 1);
+        let hi = rng.range(lo, rows + 1);
+        let scale = rng.unit() * 3.0 - 1.5;
+        let mut y = vec![f64::NAN; hi - lo];
+        a.mul_vec_range_into(&x, &mut y, lo..hi);
+        let seed: Vec<f64> = (lo..hi).map(|_| draw(&mut rng, special)).collect();
+        let mut acc = seed.clone();
+        a.mul_vec_axpy_range(scale, &x, &mut acc, lo..hi);
+        for (k, i) in (lo..hi).enumerate() {
+            let row = a.row_ptr()[i]..a.row_ptr()[i + 1];
+            let want = naive(&a, row, &x);
+            assert!(
+                same_bits(y[k], want),
+                "case {case} row {i}: {} vs {want}",
+                y[k]
+            );
+            let want = seed[k] + scale * want;
+            assert!(
+                same_bits(acc[k], want),
+                "case {case} axpy row {i}: {} vs {want}",
+                acc[k]
+            );
+        }
+        // The whole-matrix drivers land on the same kernel.
+        let full = a.mul_vec(&x);
+        for (i, v) in full.iter().enumerate() {
+            let want = naive(&a, a.row_ptr()[i]..a.row_ptr()[i + 1], &x);
+            assert!(same_bits(*v, want), "case {case} mul_vec row {i}");
+        }
+    }
+    assert!(
+        long_rows > 0,
+        "the generator must produce rows past 64 entries"
+    );
+}
+
+#[test]
+fn half_sums_match_the_naive_loop_bitwise() {
+    let mut long_rows = 0;
+    for case in 0..CASES {
+        let mut rng = Rng::new(0x5EED + case);
+        let (a, colors) = random_blocked(&mut rng);
+        let n = a.rows();
+        long_rows += (0..n).filter(|&i| a.row_nnz(i) > 64).count();
+        let special = [0.0, 0.05, 0.3][case as usize % 3];
+        let x: Vec<f64> = (0..n).map(|_| draw(&mut rng, special)).collect();
+        let mut xs_buf = x.clone();
+        let table = SweepTable::new(Arc::new(a.clone()), Arc::new(colors.clone())).unwrap();
+        let xs = ParSlice::new(&mut xs_buf);
+        for blk in colors.iter() {
+            for i in blk.clone() {
+                let row = a.row_ptr()[i]..a.row_ptr()[i + 1];
+                let split = |bound: usize| {
+                    row.start + a.col_idx()[row.clone()].partition_point(|&j| (j as usize) < bound)
+                };
+                let lower = naive(&a, row.start..split(blk.start), &x);
+                let upper = naive(&a, split(blk.end)..row.end, &x);
+                assert!(
+                    same_bits(table.lower_sum(i, &x), lower),
+                    "case {case} lower {i}"
+                );
+                assert!(
+                    same_bits(table.upper_sum(i, &x), upper),
+                    "case {case} upper {i}"
+                );
+                // SAFETY: one thread, nothing writes `xs` meanwhile.
+                unsafe {
+                    assert!(same_bits(table.lower_sum_shared(i, &xs), lower));
+                    assert!(same_bits(table.upper_sum_shared(i, &xs), upper));
+                }
+            }
+        }
+    }
+    assert!(
+        long_rows > 0,
+        "the generator must produce rows past 64 entries"
+    );
+}
+
+fn small() -> CsrMatrix {
+    let mut a = CooMatrix::new(3, 4);
+    a.push(0, 3, 1.0).unwrap();
+    a.push(1, 0, 2.0).unwrap();
+    a.push(2, 2, 3.0).unwrap();
+    a.to_csr()
+}
+
+#[test]
+#[should_panic(expected = "x length mismatch")]
+fn range_kernel_rejects_a_short_x() {
+    small().mul_vec_range_into(&[1.0; 3], &mut [0.0; 3], 0..3);
+}
+
+#[test]
+#[should_panic(expected = "x length mismatch")]
+fn range_kernel_rejects_a_long_x() {
+    small().mul_vec_range_into(&[1.0; 5], &mut [0.0; 3], 0..3);
+}
+
+#[test]
+#[should_panic(expected = "x length mismatch")]
+fn axpy_range_kernel_rejects_a_short_x() {
+    small().mul_vec_axpy_range(1.0, &[1.0; 3], &mut [0.0; 2], 1..3);
+}
+
+#[test]
+#[should_panic(expected = "x length mismatch")]
+fn axpy_range_kernel_rejects_a_long_x() {
+    small().mul_vec_axpy_range(1.0, &[1.0; 5], &mut [0.0; 2], 1..3);
+}
+
+#[test]
+#[should_panic(expected = "x length mismatch")]
+fn entry_dot_rejects_a_long_x() {
+    small().dot_entries(0..3, &[1.0; 5]);
+}
+
+/// Red/black-ordered 1-D Laplacian: a valid color-blocked system.
+fn rb_system(n: usize) -> (CsrMatrix, Partition) {
+    let mut a = CooMatrix::new(n, n);
+    for i in 0..n {
+        a.push(i, i, 2.0).unwrap();
+        if i + 1 < n {
+            a.push_sym(i, i + 1, -1.0).unwrap();
+        }
+    }
+    let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
+    let ord = Coloring::from_labels(labels, 2).unwrap().ordering();
+    (ord.permute_matrix(&a.to_csr()).unwrap(), ord.partition)
+}
+
+/// How an [`Adversarial`] operator breaks the `visit_row` contract on
+/// its chosen row.
+#[derive(Clone, Copy)]
+enum Flaw {
+    /// An extra entry at this column (`≥ cols()`).
+    Column(usize),
+    /// The row's entries in descending column order.
+    Unsorted,
+}
+
+/// A valid matrix whose `visit_row` misreports one row.
+struct Adversarial {
+    inner: CsrMatrix,
+    row: usize,
+    flaw: Flaw,
+}
+
+impl SparseOp for Adversarial {
+    fn rows(&self) -> usize {
+        self.inner.rows()
+    }
+    fn cols(&self) -> usize {
+        self.inner.cols()
+    }
+    fn nnz(&self) -> usize {
+        self.inner.nnz()
+    }
+    fn mul_vec_range_into(&self, x: &[f64], y: &mut [f64], rows: Range<usize>) {
+        self.inner.mul_vec_range_into(x, y, rows)
+    }
+    fn mul_vec_axpy_range(&self, a: f64, x: &[f64], y: &mut [f64], rows: Range<usize>) {
+        self.inner.mul_vec_axpy_range(a, x, y, rows)
+    }
+    fn visit_row(&self, i: usize, visit: &mut dyn FnMut(usize, f64)) {
+        let mut entries: Vec<(usize, f64)> = self.inner.row_entries(i).collect();
+        if i == self.row {
+            match self.flaw {
+                Flaw::Column(j) => entries.push((j, -1.0)),
+                Flaw::Unsorted => entries.reverse(),
+            }
+        }
+        for (j, v) in entries {
+            visit(j, v);
+        }
+    }
+}
+
+#[test]
+fn malformed_operators_are_refused_by_both_ssor_constructors() {
+    let (a, colors) = rb_system(9);
+    let colors = Arc::new(colors);
+    let n = a.cols();
+    let cases = [
+        (Flaw::Column(n), "column = cols()"),
+        (Flaw::Column(n + 1000), "column past cols()"),
+        // Would wrap to column 1 if narrowed to u32 unchecked.
+        (Flaw::Column((1usize << 32) + 1), "column past u32"),
+        (Flaw::Unsorted, "unsorted columns"),
+    ];
+    for (flaw, what) in cases {
+        let op = Adversarial {
+            inner: a.clone(),
+            row: 2,
+            flaw,
+        };
+        let ok = |e: &SparseError| match flaw {
+            Flaw::Column(_) => matches!(e, SparseError::IndexOutOfBounds { .. }),
+            Flaw::Unsorted => matches!(e, SparseError::InvalidPartition { .. }),
+        };
+        let e = op.try_csr_copy().unwrap_err();
+        assert!(ok(&e), "{what}: try_csr_copy gave {e:?}");
+        let e = MulticolorSsor::from_op(&op, Arc::clone(&colors), 1.0).unwrap_err();
+        assert!(ok(&e), "{what}: MulticolorSsor::from_op gave {e:?}");
+        let e = ParallelMStepPcg::shared(&op, Arc::clone(&colors), vec![1.0; 2])
+            .err()
+            .unwrap();
+        assert!(ok(&e), "{what}: ParallelMStepPcg::shared gave {e:?}");
+    }
+    // The same operator without a flaw builds both.
+    let honest = Adversarial {
+        inner: a,
+        row: usize::MAX,
+        flaw: Flaw::Unsorted,
+    };
+    MulticolorSsor::from_op(&honest, Arc::clone(&colors), 1.0).unwrap();
+    ParallelMStepPcg::shared(&honest, colors, vec![1.0; 2]).unwrap();
+}
