@@ -9,8 +9,8 @@
 //! sweeps): single-application cost, bitwise thread-count determinism of
 //! the chunked chain, and the full SPMD solve — iterations × barriers ×
 //! wall time per variant, with the exact degree-`k` barrier formulas
-//! (classic `k+3`, single-reduction `k+2`, pipelined `k+1` per
-//! iteration) *asserted* in-run, not just recorded.
+//! (classic `k+3`, single-reduction `k+2` per iteration) *asserted*
+//! in-run, not just recorded.
 //!
 //! Record results: `cargo bench -p mspcg-bench --bench precond -- --json
 //! BENCH_pr8.json` (PR 1 recorded the sweep-only groups as
@@ -183,15 +183,10 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
     let ssor = ParallelMStepPcg::new(&ord.matrix, &ord.colors, vec![1.0; m]).expect("spmd ssor");
     let poly = ParallelMStepPcg::poly(&ord.matrix, &ord.colors, PolyKind::Chebyshev, k)
         .expect("spmd poly");
-    for variant in [
-        PcgVariant::Classic,
-        PcgVariant::SingleReduction,
-        PcgVariant::Pipelined,
-    ] {
+    for variant in [PcgVariant::Classic, PcgVariant::SingleReduction] {
         let vname = match variant {
             PcgVariant::SingleReduction => "single_reduction",
-            PcgVariant::Pipelined => "pipelined",
-            _ => "classic",
+            PcgVariant::Classic => "classic",
         };
         for threads in [1usize, 4] {
             let opts = ParallelSolverOptions {
@@ -209,21 +204,12 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
                 assert_eq!(rep.variant, variant, "{group}/{label} fell back");
                 let i = rep.iterations;
                 // The degree-k chain must obey the same pinned formulas
-                // as the sweeps with `sweep → k` (pipelined pays one
-                // extra input-finalization barrier per overlap window).
-                let is_poly = matches!(solver.precond(), mspcg_sparse::PrecondKind::Poly { .. });
+                // as the sweeps with `sweep → k`.
                 let expected = match variant {
                     PcgVariant::SingleReduction => {
                         msolve_cost + 1 + (i - 1) * (msolve_cost + 2) + 1
                     }
-                    PcgVariant::Pipelined => {
-                        if is_poly {
-                            (i + 2) * k + i + 1
-                        } else {
-                            (i + 2) * msolve_cost
-                        }
-                    }
-                    _ => msolve_cost + (i - 1) * (msolve_cost + 3) + 2,
+                    PcgVariant::Classic => msolve_cost + (i - 1) * (msolve_cost + 3) + 2,
                 };
                 assert_eq!(
                     rep.barrier_crossings, expected,
@@ -236,7 +222,6 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
                 .with_extra("iterations", iters)
                 .with_extra("barriers_per_iter", rep.barrier_crossings as f64 / iters)
                 .with_extra("reductions_per_iter", rep.reduction_phases as f64 / iters)
-                .with_extra("splits_per_iter", rep.split_crossings as f64 / iters)
                 .with_extra("colors", c as f64);
                 results.push(run);
             }

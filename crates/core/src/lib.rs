@@ -38,9 +38,9 @@
 //! * [`recovery`] — fault injection ([`recovery::FaultyOp`],
 //!   [`recovery::FaultyPreconditioner`]), residual auditing with
 //!   replacement ([`recovery::AuditPlan`]), and the recovery ladder
-//!   ([`recovery::next_rung`]) that steps SStep → Pipelined →
-//!   SingleReduction → Classic on breakdown or detected corruption — one
-//!   definition each, shared by the serial and SPMD executors.
+//!   ([`recovery::next_rung`]) that steps SingleReduction → Classic on
+//!   breakdown or detected corruption — one definition each, shared by the
+//!   serial and SPMD executors.
 
 // Indexed `for i in 0..n` loops are deliberate throughout the numeric
 // kernels: they address several parallel arrays (CSR structure, split

@@ -242,10 +242,9 @@ impl BatchPtrs {
 /// [`SparseError::ShapeMismatch`] when `f.len()` is not a multiple of `n`,
 /// `u.len() != f.len()`, or the preconditioner dimension differs.
 /// [`SparseError::InvalidTolerance`] for a nonpositive or non-finite
-/// tolerance, [`SparseError::InvalidBlockWidth`] for an s-step width
-/// outside `2..=16`, [`SparseError::ZeroAuditPeriod`] for an audit period
-/// of 0, and [`SparseError::NonFinite`] when any right-hand side or
-/// initial guess carries a NaN/Inf entry — all rejected up front by
+/// tolerance, [`SparseError::ZeroAuditPeriod`] for an audit period of 0,
+/// and [`SparseError::NonFinite`] when any right-hand side or initial
+/// guess carries a NaN/Inf entry — all rejected up front by
 /// [`crate::pcg::validate_inputs`], once for the whole batch, before any
 /// lane starts iterating.
 pub fn pcg_solve_multi<A: SparseOp>(
@@ -273,7 +272,7 @@ pub fn pcg_solve_multi<A: SparseOp>(
     // before any lane starts: a NaN smuggled in through one right-hand
     // side would otherwise burn that lane's whole iteration budget (or a
     // recovery ladder walk) on garbage.
-    validate_inputs(opts.tol, opts.variant, &opts.recovery, f, u)?;
+    validate_inputs(opts.tol, &opts.recovery, f, u)?;
     if n == 0 {
         ws.ensure(0, 0, 1);
         return Ok(MultiRhsSummary::default());

@@ -39,37 +39,12 @@
 //! erroring (recorded in [`PcgStats::fallbacks`]). Selection:
 //! [`PcgOptions::variant`] (default [`PcgVariant::Classic`]).
 //!
-//! [`PcgVariant::Pipelined`] goes one synchronization step further
-//! (Ghysels–Vanroose): two extra recurrence carries (`q = M⁻¹s`, `K·q`)
-//! and two recomputed auxiliaries (`mv = M⁻¹w`, `nv = K·mv`) rearrange
-//! the iteration so the one fused reduction reads only vectors finished
-//! *before* the preconditioner + SpMV — on the SPMD executor the
-//! reduction is initiated (split-barrier arrive) before that heavy phase
-//! and consumed (wait) after it, hiding its latency entirely. Same
-//! breakdown-fallback contract, with stricter guards (see
-//! `pipelined_loop`).
-//!
-//! [`PcgVariant::SStep`] is the endpoint of the synchronization-count
-//! war: per *outer step* it builds an s-dimensional Krylov block with the
-//! Chebyshev three-term basis recurrence (on cached eigenvalue bounds —
-//! see [`sstep_loop`]), amortizes **all** inner products of those `s`
-//! iterations into ONE fused Gram-matrix reduction phase, solves the
-//! small `s×s` Gram system by a replicated dense Cholesky, and applies
-//! `s` local update sub-steps — `1/s` reduction phases per iteration. In
-//! exact arithmetic the block (conjugated against the previous direction
-//! block, Chronopoulos–Gear style) reproduces `s` classic iterations;
-//! in finite precision the basis can lose conditioning, so a breakdown
-//! (nonpositive Cholesky pivot, non-finite Gram scalar) steps down warm
-//! onto the Pipelined → SingleReduction → Classic ladder.
-//!
 //! Breakdown guards double as SPD validation: a nonpositive `(p, Kp)`
 //! reveals an indefinite `K`, a nonpositive `(r̂, r)` an indefinite `M`;
 //! both return typed errors instead of silently diverging.
 
 use crate::preconditioner::{IdentityPreconditioner, Preconditioner};
 use crate::recovery::{audit_due, diverged, next_rung, AuditPlan, RecoveryPolicy};
-use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
-use mspcg_sparse::tuning::MAX_SSTEP_S;
 use mspcg_sparse::{vecops, SparseError, SparseOp};
 
 pub use mspcg_sparse::PcgVariant;
@@ -142,11 +117,10 @@ pub struct PcgStats {
     /// Total stationary steps inside the preconditioner
     /// (`applications × m`).
     pub precond_steps: usize,
-    /// Recovery-ladder steps: a single-reduction or pipelined attempt
-    /// whose guards fired (breakdown or detected corruption) handed the
-    /// current iterate one rung down
-    /// (Pipelined → SingleReduction → Classic) and this counter records
-    /// it — the report "says `FALLBACK`" instead of hiding the rescue.
+    /// Recovery-ladder steps: a single-reduction attempt whose guards
+    /// fired (breakdown or detected corruption) handed the current
+    /// iterate to the classic loop, and this counter records it — the
+    /// report "says `FALLBACK`" instead of hiding the rescue.
     pub fallbacks: usize,
     /// Residual audits performed: true-residual recomputations `f − K·u`
     /// (one extra SpMV each) compared against the recurrence residual.
@@ -201,17 +175,16 @@ pub struct PcgReport {
 /// Algorithm 1 needs four working vectors (`r`, `r̂`, `p`, `Kp`); the
 /// single-reduction variant carries one more (`w = Kz`; its second carried
 /// vector `s = Kp` reuses the `Kp` slot, which that recurrence updates
-/// instead of recomputing), and the pipelined variant four more (`q`,
-/// `K·q`, `mv = M⁻¹w`, `nv = K·mv`). The one-shot entry points ([`pcg_solve`],
+/// instead of recomputing). The one-shot entry points ([`pcg_solve`],
 /// [`pcg_solve_from`]) allocate them per call; repeated solves over
 /// systems of one size — the ω sweep, the condition scans, the Table 2/3
 /// m sweeps — should construct one `PcgWorkspace` and call
 /// [`pcg_solve_into`], whose iteration performs **no heap allocation**
-/// after workspace construction for *any variant* (when history
+/// after workspace construction for *either variant* (when history
 /// recording is off; with it on, [`PcgWorkspace::reserve_history`]
-/// preallocates the record too). The pipelined carries are sized by the
-/// first pipelined solve — one warm-up allocation, so non-pipelined
-/// workspaces never pay for them.
+/// preallocates the record too). The audit scratch is sized by the first
+/// audited solve — one warm-up allocation, so unaudited workspaces never
+/// pay for it.
 #[derive(Debug, Clone)]
 pub struct PcgWorkspace {
     r: Vec<f64>,
@@ -221,41 +194,10 @@ pub struct PcgWorkspace {
     /// `w = Kz` carry of the single-reduction variant (allocated up front
     /// so variant selection can never reintroduce a per-solve allocation).
     w: Vec<f64>,
-    /// `q = M⁻¹s` direction carry of the pipelined variant. The four
-    /// pipelined-only slots start **empty** (a classic or
-    /// single-reduction workspace must not pay 4·n dead floats) and are
-    /// sized by the first pipelined solve — a warm-up-once allocation,
-    /// after which pipelined solves are as allocation free as the rest.
-    q: Vec<f64>,
-    /// `K·q` direction carry of the pipelined variant.
-    zz: Vec<f64>,
-    /// `mv = M⁻¹w` auxiliary of the pipelined variant (the heavy-phase
-    /// product the overlapped reduction hides behind).
-    mv: Vec<f64>,
-    /// `nv = K·mv` auxiliary of the pipelined variant.
-    nv: Vec<f64>,
-    /// True-residual scratch of the audit pass (`aud = f − K·u`). Like
-    /// the pipelined carries it starts empty and is sized by the first
-    /// audited solve, so non-audited workspaces never pay for it.
+    /// True-residual scratch of the audit pass (`aud = f − K·u`). It
+    /// starts empty and is sized by the first audited solve, so
+    /// non-audited workspaces never pay for it.
     aud: Vec<f64>,
-    /// s-step block storage: the basis block `V`, its image `A·V`, and
-    /// the parity pair of direction blocks (`P`, `AP`, current and
-    /// previous) — six flattened `s×n` column blocks. Starts empty and is
-    /// sized by the first s-step solve, like the pipelined carries.
-    sstep: Vec<f64>,
-    /// Small dense s-step scratch: the Gram blocks `G1 = VᵀAV` and
-    /// `G2 = AP_prevᵀV`, the coupling matrix `B`, the parity pair of
-    /// Cholesky factors, and four `s`-long coefficient strips
-    /// (`5s² + 4s` floats).
-    sstep_small: Vec<f64>,
-    /// Block width the s-step storage is sized for.
-    sstep_s: usize,
-    /// Basis-interval cache of the s-step rung: one spectral estimate per
-    /// workspace × operator, reused by every subsequent s-step solve (and
-    /// across basis degrees — the estimate is degree independent).
-    /// Cleared on resize; bound accuracy affects only basis conditioning,
-    /// so reuse across a parameter sweep on one system is always safe.
-    pub(crate) sstep_interval: Option<SpectralInterval>,
     /// Preconditioner scratch (sized on first use from
     /// [`Preconditioner::scratch_len`]); lets the hot loop call
     /// [`Preconditioner::apply_with`], bypassing any internal lock.
@@ -272,15 +214,7 @@ impl PcgWorkspace {
             p: vec![0.0; n],
             kp: vec![0.0; n],
             w: vec![0.0; n],
-            q: Vec::new(),
-            zz: Vec::new(),
-            mv: Vec::new(),
-            nv: Vec::new(),
             aud: Vec::new(),
-            sstep: Vec::new(),
-            sstep_small: Vec::new(),
-            sstep_s: 0,
-            sstep_interval: None,
             precond_scratch: Vec::new(),
             history: Vec::new(),
         }
@@ -299,49 +233,16 @@ impl PcgWorkspace {
         self.p.resize(n, 0.0);
         self.kp.resize(n, 0.0);
         self.w.resize(n, 0.0);
-        // Pipelined-only and audit-only slots track the dimension only
-        // once in use.
-        if !self.q.is_empty() {
-            self.ensure_pipelined(n);
-        }
+        // The audit slot tracks the dimension only once in use.
         if !self.aud.is_empty() {
             self.ensure_audit(n);
         }
-        if !self.sstep.is_empty() {
-            let s = self.sstep_s;
-            self.sstep.resize(6 * s * n, 0.0);
-        }
-        // A different dimension means a different operator: the cached
-        // basis interval no longer describes it.
-        self.sstep_interval = None;
-    }
-
-    /// Size the four pipelined-only carries. Called by the first
-    /// pipelined solve on this workspace (allocates once); afterwards a
-    /// no-op, keeping the hot loop allocation free.
-    fn ensure_pipelined(&mut self, n: usize) {
-        self.q.resize(n, 0.0);
-        self.zz.resize(n, 0.0);
-        self.mv.resize(n, 0.0);
-        self.nv.resize(n, 0.0);
     }
 
     /// Size the audit scratch vector. Called by the first audited solve
     /// on this workspace (allocates once); afterwards a no-op.
     fn ensure_audit(&mut self, n: usize) {
         self.aud.resize(n, 0.0);
-    }
-
-    /// Size the s-step block storage for width `s`. Called by the first
-    /// s-step solve on this workspace (allocates once per `(n, s)`
-    /// shape); afterwards a no-op, keeping the outer loop allocation
-    /// free.
-    fn ensure_sstep(&mut self, n: usize, s: usize) {
-        if self.sstep_s != s || self.sstep.len() != 6 * s * n {
-            self.sstep.resize(6 * s * n, 0.0);
-            self.sstep_small.resize(5 * s * s + 4 * s, 0.0);
-            self.sstep_s = s;
-        }
     }
 
     /// Preallocate the history record so that solves with
@@ -505,7 +406,7 @@ pub fn pcg_try_solve_into<A: SparseOp>(
             right: (f.len(), u.len().max(m.dim())),
         });
     }
-    validate_inputs(opts.tol, opts.variant, &opts.recovery, f, u)?;
+    validate_inputs(opts.tol, &opts.recovery, f, u)?;
     if ws.dim() != n {
         ws.resize(n);
     }
@@ -541,8 +442,7 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     // performed against the shared budget:
     // * `Done` — the rung produced a final report;
     // * `Fallback` — breakdown or detected corruption: step DOWN one rung
-    //   (SStep → Pipelined → SingleReduction → Classic; classic recovers
-    //   in place);
+    //   (SingleReduction → Classic; classic recovers in place);
     // * `Replace` — audit divergence: re-enter the SAME rung warm (the
     //   re-derivation from `u` *is* the residual replacement), bounded by
     //   the `max_replacements` budget checked at the emit site.
@@ -556,32 +456,6 @@ pub fn pcg_try_solve_into<A: SparseOp>(
             PcgVariant::SingleReduction => single_reduction_loop(
                 k, f, u, m, opts, ws, &mut stats, f_norm, &audit, start, change,
             )?,
-            PcgVariant::Pipelined => {
-                ws.ensure_pipelined(n);
-                pipelined_loop(
-                    k, f, u, m, opts, ws, &mut stats, f_norm, &audit, start, change,
-                )?
-            }
-            PcgVariant::SStep { s } => {
-                ws.ensure_sstep(n, s);
-                // A failed spectral estimate (a poisoned or degenerate
-                // operator breaking the setup Lanczos) is a detected
-                // fault, not a solve-fatal error: step down warm like
-                // any other basis breakdown.
-                match sstep_basis_interval(k, m, ws) {
-                    Ok(interval) => sstep_loop(
-                        k, f, u, m, opts, ws, &mut stats, f_norm, &audit, start, change, s,
-                        interval,
-                    )?,
-                    Err(_) => {
-                        stats.faults_detected += 1;
-                        SrFlow::Fallback {
-                            completed: start,
-                            change,
-                        }
-                    }
-                }
-            }
             PcgVariant::Classic => {
                 return classic_loop(
                     k, f, u, m, opts, ws, &mut stats, f_norm, &audit, start, change,
@@ -613,31 +487,23 @@ pub fn pcg_try_solve_into<A: SparseOp>(
 
 /// The input checks every solver entry point — [`pcg_try_solve_into`],
 /// [`crate::multi::pcg_solve_multi`] and the SPMD executor — runs before
-/// any kernel: a finite positive tolerance, an s-step block width in
-/// `2..=MAX_SSTEP_S`, a nonzero audit period, and finite right-hand sides
-/// and initial guesses (a NaN anywhere in `f` or `u⁰` poisons every
-/// subsequent reduction, so the solve would iterate on garbage until the
-/// budget runs out). Pass an empty `u0` for a solve from the zero initial
-/// guess.
+/// any kernel: a finite positive tolerance, a nonzero audit period, and
+/// finite right-hand sides and initial guesses (a NaN anywhere in `f` or
+/// `u⁰` poisons every subsequent reduction, so the solve would iterate on
+/// garbage until the budget runs out). Pass an empty `u0` for a solve from
+/// the zero initial guess.
 ///
 /// # Errors
-/// [`SparseError::InvalidTolerance`], [`SparseError::InvalidBlockWidth`],
-/// [`SparseError::ZeroAuditPeriod`], and [`SparseError::NonFinite`] with
-/// phase `"rhs"` or `"initial-guess"`.
+/// [`SparseError::InvalidTolerance`], [`SparseError::ZeroAuditPeriod`],
+/// and [`SparseError::NonFinite`] with phase `"rhs"` or `"initial-guess"`.
 pub fn validate_inputs(
     tol: f64,
-    variant: PcgVariant,
     recovery: &RecoveryPolicy,
     f: &[f64],
     u0: &[f64],
 ) -> Result<(), SparseError> {
     if !(tol.is_finite() && tol > 0.0) {
         return Err(SparseError::InvalidTolerance { value: tol });
-    }
-    if let PcgVariant::SStep { s } = variant {
-        if !(2..=MAX_SSTEP_S).contains(&s) {
-            return Err(SparseError::InvalidBlockWidth { s });
-        }
     }
     if recovery.audit_period == 0 {
         return Err(SparseError::ZeroAuditPeriod);
@@ -977,7 +843,7 @@ fn classic_pass<A: SparseOp>(
     )))
 }
 
-/// Control flow of a single-reduction or pipelined attempt.
+/// Control flow of a single-reduction attempt.
 enum SrFlow {
     /// The attempt produced a final report (converged, exact breakdown,
     /// or budget exhaustion).
@@ -1222,711 +1088,6 @@ fn single_reduction_loop<A: SparseOp>(
     )))
 }
 
-/// The pipelined (Ghysels–Vanroose) loop: on top of the single-reduction
-/// carries `s = Kp` and `w = Kz`, the iteration carries `q = M⁻¹s` and
-/// `zz = K·q`, plus the recomputed auxiliaries `mv = M⁻¹w` and
-/// `nv = K·mv`, so the fused reduction phase only consumes vectors that
-/// were finished *before* the heavy phase of the iteration:
-///
-/// ```text
-/// p ← z + βp;  s ← w + βs;  q ← mv + βq;  zz ← nv + βzz
-/// u += αp;  r −= αs;  z −= αq;  w −= αzz   ⊕ stopping partials
-/// γ′ = (r, z), δ = (w, z), guard (p, s)    ← reduction INITIATED here
-/// mv = M⁻¹ w;  nv = K·mv                   ← overlapped heavy phase
-/// β = γ′/γ;  α = γ′/(δ − β·γ′/α_old)       ← reduction CONSUMED here
-/// ```
-///
-/// Nothing the heavy phase computes feeds the reduction, so the SPMD
-/// executor *initiates* the reduction (split-barrier `arrive`) before
-/// `M⁻¹w` / `K·mv` and *consumes* it (`wait`) after them — the reduction
-/// latency hides behind the heaviest work of the iteration. This serial
-/// analogue runs the same recurrences with the same stats; it consumes
-/// the reduction (and runs its guards) *before* the heavy phase, which
-/// changes no arithmetic — the scalars never feed `mv`/`nv` — but lets a
-/// converging or breaking-down final iteration skip one preconditioner
-/// application and SpMV.
-///
-/// Every iteration vector except `mv`/`nv` is a recurrence carry, so the
-/// rounding drift is larger than the single-reduction variant's; the
-/// guards are correspondingly stricter — a nonpositive carried
-/// `γ′ = (r, z)` routes to the classic **fallback**, not to an
-/// indefiniteness error, because a drifted carry cannot certify the sign
-/// of the true quadratic form (the classic continuation's fresh probes
-/// produce the canonical error if the system really is indefinite).
-#[allow(clippy::too_many_arguments)]
-fn pipelined_loop<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &mut [f64],
-    m: &impl Preconditioner,
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-    stats: &mut PcgStats,
-    f_norm: f64,
-    audit: &AuditPlan,
-    start_iter: usize,
-    initial_change: f64,
-) -> Result<SrFlow, SparseError> {
-    let PcgWorkspace {
-        r,
-        rhat: z,
-        p,
-        kp: s,
-        w,
-        q,
-        zz,
-        mv,
-        nv,
-        aud,
-        precond_scratch,
-        history,
-        ..
-    } = ws;
-
-    // r⁰ = f − K u⁰;  z⁰ = M⁻¹ r⁰;  w⁰ = K z⁰.
-    vecops::copy(f, r);
-    k.mul_vec_axpy(-1.0, u, r);
-    stats.spmv += 1;
-    m.apply_with(r, z, precond_scratch);
-    stats.precond_applications += 1;
-    stats.precond_steps += m.steps_per_apply();
-    k.mul_vec_into(z, w);
-    stats.spmv += 1;
-    // γ₀ = (r, z) and δ₀ = (w, z): one reduction phase, which the SPMD
-    // schedule initiates before — and consumes after — the mv/nv phase.
-    let mut gamma = vecops::dot(z, r);
-    let delta = vecops::dot(w, z);
-    stats.inner_products += 2;
-    stats.reduction_phases += 1;
-    if !(gamma.is_finite() && delta.is_finite()) {
-        // Corrupted initialization: step down the ladder.
-        stats.faults_detected += 1;
-        return Ok(SrFlow::Fallback {
-            completed: start_iter,
-            change: initial_change,
-        });
-    }
-    if gamma < 0.0 {
-        // Freshly computed quadratic form (no drift yet): indefinite M.
-        return Err(SparseError::NotPositiveDefinite {
-            pivot: start_iter,
-            value: gamma,
-        });
-    }
-    if gamma == 0.0 {
-        return Ok(SrFlow::Done(exit_report(
-            k,
-            f,
-            u,
-            r,
-            stats,
-            f_norm,
-            start_iter,
-            true,
-            initial_change,
-        )));
-    }
-    if delta <= 0.0 {
-        // (z, Kz) ≤ 0 with z ≠ 0: hand the start iterate down the
-        // ladder; the classic rung's probes produce the canonical typed
-        // error if the system really is indefinite.
-        return Ok(SrFlow::Fallback {
-            completed: start_iter,
-            change: initial_change,
-        });
-    }
-    // mv⁰ = M⁻¹ w⁰;  nv⁰ = K mv⁰ — the first overlapped heavy phase.
-    m.apply_with(w, mv, precond_scratch);
-    stats.precond_applications += 1;
-    stats.precond_steps += m.steps_per_apply();
-    k.mul_vec_into(mv, nv);
-    stats.spmv += 1;
-    let mut alpha = gamma / delta;
-    let mut beta = 0.0f64;
-    let mut change = initial_change;
-
-    for iter in start_iter + 1..=opts.max_iterations {
-        // Residual audit (state after iteration `iter − 1`, before this
-        // iteration's carries move): divergence re-enters this rung warm,
-        // re-deriving all six carries from the true residual.
-        if audit.enabled
-            && audit_due(iter, start_iter, audit.period)
-            && stats.replacements < audit.max_replacements
-        {
-            let dev2 = audit_deviation2(k, f, u, r, aud, stats);
-            if diverged(dev2, audit.bound2) {
-                return Ok(SrFlow::Replace {
-                    completed: iter - 1,
-                    change,
-                });
-            }
-        }
-
-        // The four direction carries, then the four iterate/carry updates,
-        // in four fused sweeps (β = 0 makes the direction carries exact
-        // copies: the initialization path).
-        vecops::fused_xpby_xpby(z, w, beta, p, s);
-        vecops::fused_xpby_xpby(mv, nv, beta, q, zz);
-        let norms = vecops::fused_axpy_axpy_norm(alpha, p, s, u, r);
-        vecops::fused_axpy2(-alpha, q, z, zz, w);
-        change = alpha.abs() * norms.p_norm_inf;
-        if opts.criterion == StoppingCriterion::DisplacementChange {
-            if opts.record_history {
-                history.push(change);
-            }
-            if change < opts.tol {
-                let final_rel = vecops::norm2_with_max(r, norms.r_norm_inf) / f_norm.max(1e-300);
-                return Ok(SrFlow::Done(PcgReport {
-                    iterations: iter,
-                    converged: true,
-                    final_change: change,
-                    final_relative_residual: final_rel,
-                    stats: *stats,
-                }));
-            }
-        }
-
-        // THE fused reduction phase: γ′, δ, the (p, s) guard and ‖r‖₂ in
-        // one sweep over the freshly updated carries.
-        let d3 = vecops::fused_dot3_norm(r, z, w, p, s, norms.r_norm_inf);
-        stats.inner_products += 3;
-        stats.reduction_phases += 1;
-
-        // Non-finite detection on the fused scalars before any is
-        // consumed. A fault in the overlapped heavy phase (mv/nv) lands
-        // here one iteration later — after it has flowed through q/zz
-        // into z/w — but still before `u` is touched by a poisoned α, so
-        // the next rung recovers from a finite iterate.
-        if !d3.all_finite() {
-            stats.faults_detected += 1;
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-
-        if opts.criterion == StoppingCriterion::RelativeResidual {
-            let rel = d3.r_norm2 / f_norm.max(1e-300);
-            if opts.record_history {
-                history.push(rel);
-            }
-            if rel < opts.tol {
-                return Ok(SrFlow::Done(PcgReport {
-                    iterations: iter,
-                    converged: true,
-                    final_change: change,
-                    final_relative_residual: rel,
-                    stats: *stats,
-                }));
-            }
-        }
-
-        // Guards: γ′ is a product of two recurrence carries (see the
-        // function docs), so every nonpositive scalar — carried γ′,
-        // measured curvature (p, s), or the reconstructed denominator —
-        // routes to the classic fallback.
-        if d3.rz <= 0.0 || d3.ps <= 0.0 {
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-        let beta_new = d3.rz / gamma.max(1e-300);
-        let denom = d3.wz - beta_new * d3.rz / alpha;
-        if !(denom.is_finite() && denom > 0.0) {
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-
-        // Overlapped heavy phase: the scalars above never feed it — the
-        // SPMD schedule runs it between the reduction's arrive and wait.
-        m.apply_with(w, mv, precond_scratch);
-        stats.precond_applications += 1;
-        stats.precond_steps += m.steps_per_apply();
-        k.mul_vec_into(mv, nv);
-        stats.spmv += 1;
-
-        beta = beta_new;
-        alpha = d3.rz / denom;
-        gamma = d3.rz;
-    }
-
-    Ok(SrFlow::Done(exit_report(
-        k,
-        f,
-        u,
-        r,
-        stats,
-        f_norm,
-        opts.max_iterations,
-        false,
-        change,
-    )))
-}
-
-/// Lanczos budget and starting seed of the s-step rung's fallback
-/// spectral estimate — mirrors the polynomial preconditioner's
-/// construction-time estimate so the two boundaries of the interval
-/// cache behave alike. Public so the SPMD executor's estimate follows
-/// the identical recipe (same budget, same seed, same safeguard).
-pub const SSTEP_SPECTRUM_STEPS: usize = 60;
-pub const SSTEP_SPECTRUM_SEED: u64 = 0x5EED;
-
-/// Eigenvalue bounds for the s-step Chebyshev basis recurrence, sourced
-/// in priority order:
-///
-/// 1. the preconditioner's own [`Preconditioner::spectral_hint`] — the
-///    polynomial preconditioner already paid a Lanczos run for its
-///    schedule, and this is the poly-precond ↔ s-step-basis half of the
-///    one-estimate-per-operator cache;
-/// 2. the interval already cached in the workspace by an earlier s-step
-///    solve on this system;
-/// 3. a fresh estimate, cached for every later solve: Lanczos on the
-///    composite `x ↦ M⁻¹(K x)` — the operator the recurrence actually
-///    iterates. That map is self-adjoint in the `M` inner product, not
-///    the Euclidean one, so the Ritz values carry an orthogonality
-///    error; but bound accuracy affects only the *conditioning* of the
-///    basis (any increasing-degree recurrence spans the same Krylov
-///    space), and a snug bracket on `M⁻¹K` keeps the Chebyshev basis
-///    near-orthogonal where a loose surrogate (the Jacobi-scaled
-///    spectrum of `K`, a superset interval for SSOR-class `M`) drives
-///    the Gram condition number up like a monomial basis.
-///
-/// Estimation is setup cost — charged like polynomial-preconditioner
-/// construction, i.e. not counted in [`PcgStats`].
-fn sstep_basis_interval<A: SparseOp>(
-    k: &A,
-    m: &impl Preconditioner,
-    ws: &mut PcgWorkspace,
-) -> Result<SpectralInterval, SparseError> {
-    if let Some(hint) = m.spectral_hint() {
-        return Ok(hint);
-    }
-    if let Some(cached) = ws.sstep_interval {
-        return Ok(cached);
-    }
-    let n = k.rows();
-    let est = {
-        let mut tmp = vec![0.0; n];
-        let mut scratch = vec![0.0; m.scratch_len()];
-        lanczos_extremes(n, SSTEP_SPECTRUM_STEPS, SSTEP_SPECTRUM_SEED, |x, y| {
-            k.mul_vec_into(x, &mut tmp);
-            m.apply_with(&tmp, y, &mut scratch);
-        })?
-    };
-    let interval = crate::poly::safeguard_jacobi_interval(est);
-    ws.sstep_interval = Some(interval);
-    Ok(interval)
-}
-
-/// In-place rank-revealing Cholesky factorization `W = L·Lᵀ` of a
-/// row-major `s×s` symmetric matrix; only the lower triangle is read,
-/// and it is overwritten with `L`. Returns the number of columns
-/// factored before a pivot collapsed — the factorization stops at the
-/// first pivot that is non-finite, nonpositive, or below roundoff
-/// relative to the largest original diagonal entry.
-///
-/// A return of `0` is the s-step Gram breakdown signal (an indefinite
-/// or numerically collapsed basis), which the caller handles by
-/// stepping down the recovery ladder. A return in `1..s` is the
-/// *endgame* signal: the residual's remaining Krylov grade is smaller
-/// than the block, so the trailing basis vectors are linearly dependent
-/// to machine precision and only the leading sub-steps carry
-/// information. Without the relative-pivot cutoff those trailing pivots
-/// pass `> 0.0` at roundoff level, the triangular solves amplify the
-/// noise, and the final block's "updates" destroy the superlinear
-/// terminal convergence classic CG gets for free. Public so the SPMD
-/// solver's replicated scalar phase runs bitwise-identical arithmetic.
-pub fn small_cholesky_factor(w: &mut [f64], s: usize) -> usize {
-    debug_assert!(w.len() >= s * s, "small_cholesky_factor: undersized");
-    let mut max_diag: f64 = 0.0;
-    for i in 0..s {
-        max_diag = max_diag.max(w[i * s + i]);
-    }
-    if !(max_diag.is_finite() && max_diag > 0.0) {
-        return 0;
-    }
-    // Pivots of an SPD Gram matrix decay with the basis conditioning;
-    // anything this far under the largest diagonal is pure roundoff.
-    let floor = max_diag * (s as f64) * f64::EPSILON;
-    for i in 0..s {
-        for j in 0..=i {
-            let mut sum = w[i * s + j];
-            for t in 0..j {
-                sum -= w[i * s + t] * w[j * s + t];
-            }
-            if i == j {
-                if !(sum.is_finite() && sum > floor) {
-                    return i;
-                }
-                w[i * s + i] = sum.sqrt();
-            } else {
-                w[i * s + j] = sum / w[j * s + j];
-            }
-        }
-    }
-    s
-}
-
-/// Solve the leading `cols×cols` system `L·Lᵀ·x = b` in place given a
-/// factor from [`small_cholesky_factor`] stored at row stride `s`
-/// (`b[..cols]` holds `x` on exit; `b[cols..]` is untouched).
-pub fn small_cholesky_solve(l: &[f64], s: usize, cols: usize, b: &mut [f64]) {
-    debug_assert!(
-        cols <= s && l.len() >= s * s && b.len() >= cols,
-        "small_cholesky_solve: undersized"
-    );
-    for i in 0..cols {
-        let mut x = b[i];
-        for t in 0..i {
-            x -= l[i * s + t] * b[t];
-        }
-        b[i] = x / l[i * s + i];
-    }
-    for i in (0..cols).rev() {
-        let mut x = b[i];
-        for t in i + 1..cols {
-            x -= l[t * s + i] * b[t];
-        }
-        b[i] = x / l[i * s + i];
-    }
-}
-
-/// The s-step (communication-avoiding) rung. Per outer step:
-///
-/// ```text
-/// v₁ = M⁻¹r;   vⱼ₊₁ = (2/δ)(M⁻¹K·vⱼ − θ·vⱼ) − vⱼ₋₁     (Chebyshev basis)
-/// G1 = VᵀAV, G2 = AP'ᵀV, gv = Vᵀr, gp = P'ᵀr, (r,r)    ← ONE reduction
-/// B = −W'⁻¹G2;  P = V + P'B;  AP = AV + AP'B           (replicated s×s)
-/// W = G1 + G2ᵀB = PᵀKP;  a = W⁻¹(gv + Bᵀgp)            (dense Cholesky)
-/// u += aⱼpⱼ, r −= aⱼ·apⱼ, j = 1…s                      (s update sub-steps)
-/// ```
-///
-/// where primes mark the previous outer step's direction block (parity
-/// double-buffered; the first block has `B = 0`, `P = V`). Conjugating
-/// the block against the previous block only is the Chronopoulos–Gear
-/// s-step formulation: in exact arithmetic conjugacy against older
-/// blocks is automatic from the Krylov structure, and the iterate after
-/// each sub-step's update matches the classic iteration — so `s`
-/// iterations cost ONE reduction phase (the fused Gram sweep; on the
-/// SPMD executor, one barrier) instead of the classic 2s.
-///
-/// The displacement stopping test runs per sub-step on the classic
-/// per-iteration quantity `|aⱼ|·‖pⱼ‖∞` (fused into the update sweep, not
-/// a counted reduction); the relative-residual test reads the block's
-/// entering `‖r‖₂` off the Gram phase, converging at block granularity.
-/// History records one value per sub-step (displacement) or per outer
-/// step (residual). A final partial block is not run: the loop exits
-/// with budget-exhaustion when fewer than `s` budgeted iterations
-/// remain.
-///
-/// Breakdown — non-finite Gram scalars (faults), a nonpositive Cholesky
-/// pivot, or a non-finite update — emits [`SrFlow::Fallback`] and the
-/// ladder steps down warm onto the Pipelined rung; audit divergence
-/// emits [`SrFlow::Replace`] as usual. A negative fresh quadratic form
-/// `(M⁻¹r, r)` is an indefinite preconditioner: typed error, exactly as
-/// in the other rungs.
-#[allow(clippy::too_many_arguments)]
-fn sstep_loop<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &mut [f64],
-    m: &impl Preconditioner,
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-    stats: &mut PcgStats,
-    f_norm: f64,
-    audit: &AuditPlan,
-    start_iter: usize,
-    initial_change: f64,
-    s: usize,
-    interval: SpectralInterval,
-) -> Result<SrFlow, SparseError> {
-    let n = u.len();
-    let msteps = m.steps_per_apply();
-    let PcgWorkspace {
-        r,
-        rhat: t,
-        aud,
-        precond_scratch,
-        history,
-        sstep,
-        sstep_small,
-        ..
-    } = ws;
-
-    // Six s×n column blocks; the (pa, apa)/(pb, apb) pairs alternate
-    // between "current" and "previous" roles each outer step.
-    let (v_blk, rest) = sstep.split_at_mut(s * n);
-    let (av_blk, rest) = rest.split_at_mut(s * n);
-    let (pa_blk, rest) = rest.split_at_mut(s * n);
-    let (apa_blk, rest) = rest.split_at_mut(s * n);
-    let (pb_blk, apb_blk) = rest.split_at_mut(s * n);
-    let (g1, rest) = sstep_small.split_at_mut(s * s);
-    let (g2, rest) = rest.split_at_mut(s * s);
-    let (bmat, rest) = rest.split_at_mut(s * s);
-    let (wfac_a, rest) = rest.split_at_mut(s * s);
-    let (wfac_b, rest) = rest.split_at_mut(s * s);
-    let (gv, rest) = rest.split_at_mut(s);
-    let (gp, rest) = rest.split_at_mut(s);
-    let (gcur, acoef) = rest.split_at_mut(s);
-
-    // r = f − K·u (fresh on rung entry; a warm Replace re-entry makes
-    // this re-derivation the residual replacement).
-    vecops::copy(f, r);
-    k.mul_vec_axpy(-1.0, u, r);
-    stats.spmv += 1;
-
-    // Zero the first "previous" parity so the unanimous-by-construction
-    // Gram sweep over it reads deterministic zeros regardless of stale
-    // workspace contents (its results are unused while B = 0).
-    vecops::zero(pb_blk);
-    vecops::zero(apb_blk);
-
-    let theta = 0.5 * (interval.max + interval.min);
-    let delta = 0.5 * (interval.max - interval.min);
-    let degenerate = interval.is_degenerate();
-
-    let mut completed = start_iter;
-    let mut change = initial_change;
-    let mut first_block = true;
-    let mut parity = false;
-
-    while completed + s <= opts.max_iterations {
-        // Residual audit between outer steps (state after the previous
-        // block), due when any of the block's sub-step indices hits the
-        // audit schedule. Skipped once the replacement budget is spent.
-        if audit.enabled
-            && stats.replacements < audit.max_replacements
-            && (completed + 1..=completed + s).any(|i| audit_due(i, start_iter, audit.period))
-        {
-            let dev2 = audit_deviation2(k, f, u, r, aud, stats);
-            if diverged(dev2, audit.bound2) {
-                return Ok(SrFlow::Replace { completed, change });
-            }
-        }
-
-        let (p_cur, ap_cur, p_prev, ap_prev) = if parity {
-            (&mut *pb_blk, &mut *apb_blk, &*pa_blk, &*apa_blk)
-        } else {
-            (&mut *pa_blk, &mut *apa_blk, &*pb_blk, &*apb_blk)
-        };
-        let (wfac_cur, wfac_prev) = if parity {
-            (&mut *wfac_b, &*wfac_a)
-        } else {
-            (&mut *wfac_a, &*wfac_b)
-        };
-
-        // ---- Basis block: v₁ = M⁻¹r, then the three-term recurrence.
-        m.apply_with(r, &mut v_blk[..n], precond_scratch);
-        stats.precond_applications += 1;
-        stats.precond_steps += msteps;
-        for j in 1..s {
-            k.mul_vec_into(&v_blk[(j - 1) * n..j * n], &mut av_blk[(j - 1) * n..j * n]);
-            stats.spmv += 1;
-            m.apply_with(&av_blk[(j - 1) * n..j * n], t, precond_scratch);
-            stats.precond_applications += 1;
-            stats.precond_steps += msteps;
-            let (head, tail) = v_blk.split_at_mut(j * n);
-            let vj = &mut tail[..n];
-            let vp = &head[(j - 1) * n..];
-            if degenerate {
-                // Collapsed interval: scaled-monomial fallback vⱼ = t/θ
-                // (θ > 0 for any safeguarded interval).
-                vecops::fused_cheb_basis(1.0 / theta, 0.0, 0.0, t, vp, vp, vj);
-            } else if j == 1 {
-                vecops::fused_cheb_basis(1.0 / delta, theta, 0.0, t, vp, vp, vj);
-            } else {
-                let vpp = &head[(j - 2) * n..(j - 1) * n];
-                vecops::fused_cheb_basis(2.0 / delta, theta, 1.0, t, vp, vpp, vj);
-            }
-        }
-        // Final SpMV completes A·V (on the SPMD executor the Gram
-        // partials below ride this phase's barrier).
-        k.mul_vec_into(&v_blk[(s - 1) * n..], &mut av_blk[(s - 1) * n..]);
-        stats.spmv += 1;
-
-        // ---- ONE fused Gram reduction phase for the whole block.
-        for i in 0..s {
-            let avi = &av_blk[i * n..(i + 1) * n];
-            for j in 0..=i {
-                let d = vecops::dot(&v_blk[j * n..(j + 1) * n], avi);
-                g1[i * s + j] = d;
-                g1[j * s + i] = d;
-            }
-        }
-        for i in 0..s {
-            let api = &ap_prev[i * n..(i + 1) * n];
-            for j in 0..s {
-                g2[i * s + j] = vecops::dot(api, &v_blk[j * n..(j + 1) * n]);
-            }
-        }
-        for j in 0..s {
-            gv[j] = vecops::dot(&v_blk[j * n..(j + 1) * n], r);
-            gp[j] = vecops::dot(&p_prev[j * n..(j + 1) * n], r);
-        }
-        let rr = vecops::dot(r, r);
-        stats.inner_products += s * (s + 1) / 2 + s * s + 2 * s + 1;
-        stats.reduction_phases += 1;
-
-        // ---- Guards on the reduced scalars (the iterate is untouched).
-        let finite = rr.is_finite()
-            && g1.iter().all(|x| x.is_finite())
-            && g2.iter().all(|x| x.is_finite())
-            && gv.iter().all(|x| x.is_finite())
-            && gp.iter().all(|x| x.is_finite());
-        if !finite {
-            stats.faults_detected += 1;
-            return Ok(SrFlow::Fallback { completed, change });
-        }
-        // gv[0] = (M⁻¹r, r) is a fresh quadratic form every block.
-        if gv[0] < 0.0 {
-            return Err(SparseError::NotPositiveDefinite {
-                pivot: completed,
-                value: gv[0],
-            });
-        }
-        if gv[0] == 0.0 {
-            // Exact convergence: r = 0 under an SPD preconditioner.
-            return Ok(SrFlow::Done(exit_report(
-                k, f, u, r, stats, f_norm, completed, true, change,
-            )));
-        }
-        if opts.criterion == StoppingCriterion::RelativeResidual {
-            let rel = rr.sqrt() / f_norm.max(1e-300);
-            if opts.record_history {
-                history.push(rel);
-            }
-            if rel < opts.tol {
-                return Ok(SrFlow::Done(exit_report(
-                    k, f, u, r, stats, f_norm, completed, true, change,
-                )));
-            }
-        }
-
-        // ---- Replicated small dense work: coupling, Gram assembly,
-        // Cholesky. (On the SPMD executor every worker runs this
-        // identically on the reduced scalars — unanimous branching.)
-        if first_block {
-            // No previous block: B = 0, P = V, AP = AV, W = G1, g = gv.
-            p_cur.copy_from_slice(v_blk);
-            ap_cur.copy_from_slice(av_blk);
-            wfac_cur.copy_from_slice(g1);
-            gcur.copy_from_slice(gv);
-        } else {
-            // B = −W'⁻¹·G2, column by column via the carried factor.
-            for j in 0..s {
-                for i in 0..s {
-                    acoef[i] = -g2[i * s + j];
-                }
-                small_cholesky_solve(wfac_prev, s, s, acoef);
-                for i in 0..s {
-                    bmat[i * s + j] = acoef[i];
-                }
-            }
-            // P = V + P'·B and AP = AV + AP'·B (block A-conjugation).
-            for j in 0..s {
-                let pj = &mut p_cur[j * n..(j + 1) * n];
-                pj.copy_from_slice(&v_blk[j * n..(j + 1) * n]);
-                for i in 0..s {
-                    vecops::axpy(bmat[i * s + j], &p_prev[i * n..(i + 1) * n], pj);
-                }
-            }
-            for j in 0..s {
-                let apj = &mut ap_cur[j * n..(j + 1) * n];
-                apj.copy_from_slice(&av_blk[j * n..(j + 1) * n]);
-                for i in 0..s {
-                    vecops::axpy(bmat[i * s + j], &ap_prev[i * n..(i + 1) * n], apj);
-                }
-            }
-            // W = PᵀKP = G1 + G2ᵀB (only the lower triangle feeds the
-            // Cholesky, sidestepping the floating-point asymmetry of the
-            // product), and g = gv + Bᵀgp.
-            for i in 0..s {
-                for j in 0..=i {
-                    let mut sum = g1[i * s + j];
-                    for q in 0..s {
-                        sum += g2[q * s + i] * bmat[q * s + j];
-                    }
-                    wfac_cur[i * s + j] = sum;
-                }
-            }
-            for j in 0..s {
-                let mut sum = gv[j];
-                for i in 0..s {
-                    sum += bmat[i * s + j] * gp[i];
-                }
-                gcur[j] = sum;
-            }
-        }
-        let cols = small_cholesky_factor(wfac_cur, s);
-        if cols == 0 {
-            // Ill-conditioned or indefinite Gram matrix: the basis has
-            // numerically collapsed — step down the ladder warm.
-            return Ok(SrFlow::Fallback { completed, change });
-        }
-        // cols < s is the endgame: the residual's Krylov grade ran out
-        // mid-block. Take only the well-conditioned leading sub-steps
-        // and restart the block recurrence from the updated residual —
-        // the trailing "directions" are roundoff-level linear
-        // dependencies whose coefficients would wreck the terminal
-        // superlinear drop.
-        acoef.copy_from_slice(gcur);
-        small_cholesky_solve(wfac_cur, s, cols, acoef);
-        if acoef[..cols].iter().any(|x| !x.is_finite()) {
-            stats.faults_detected += 1;
-            return Ok(SrFlow::Fallback { completed, change });
-        }
-
-        // ---- Local update sub-steps (all s of them, or the factored
-        // leading `cols` in the endgame), each on the classic fused
-        // update kernel with the classic per-iteration displacement.
-        let mut converged_at = None;
-        for j in 0..cols {
-            let alpha = acoef[j];
-            let norms = vecops::fused_axpy_axpy_norm(
-                alpha,
-                &p_cur[j * n..(j + 1) * n],
-                &ap_cur[j * n..(j + 1) * n],
-                u,
-                r,
-            );
-            completed += 1;
-            change = alpha.abs() * norms.p_norm_inf;
-            if opts.record_history && opts.criterion == StoppingCriterion::DisplacementChange {
-                history.push(change);
-            }
-            if !norms.all_finite() {
-                // u took a finite update (α and p passed the Gram
-                // guards); the next rung's r = f − K·u re-derivation
-                // recovers the poisoned residual.
-                stats.faults_detected += 1;
-                return Ok(SrFlow::Fallback { completed, change });
-            }
-            if opts.criterion == StoppingCriterion::DisplacementChange && change < opts.tol {
-                converged_at = Some(completed);
-                break;
-            }
-        }
-        if let Some(iterations) = converged_at {
-            return Ok(SrFlow::Done(exit_report(
-                k, f, u, r, stats, f_norm, iterations, true, change,
-            )));
-        }
-        // An endgame-truncated block leaves no full-rank carried factor
-        // to conjugate against — restart the recurrence from r.
-        first_block = cols < s;
-        parity = !parity;
-    }
-
-    // Budget exhausted (including a final sliver shorter than one block).
-    Ok(SrFlow::Done(exit_report(
-        k, f, u, r, stats, f_norm, completed, false, change,
-    )))
-}
-
 /// Plain conjugate gradients (`M = I`) — the paper's `m = 0` baseline rows.
 ///
 /// # Errors
@@ -2087,8 +1248,7 @@ mod tests {
             max_iterations: 1,
             criterion: StoppingCriterion::RelativeResidual,
             // Pinned classic: the premise needs the first iteration to
-            // actually run, and an s-step block cannot fit a 1-iteration
-            // budget (the s-step budget exit has its own dedicated test).
+            // actually run.
             variant: PcgVariant::Classic,
             ..Default::default()
         };
@@ -2469,450 +1629,6 @@ mod tests {
         // The classic continuation is visible in the counters: a pure
         // single-reduction run performs at most iterations + 1 phases,
         // while the fallback's classic suffix adds two per iteration.
-        assert!(
-            sol.stats.reduction_phases >= sol.iterations + 2,
-            "{} phases for {} iterations — fallback never ran",
-            sol.stats.reduction_phases,
-            sol.iterations
-        );
-    }
-
-    #[test]
-    fn pipelined_matches_classic_solution() {
-        let (a, p) = rb(128);
-        let b: Vec<f64> = (0..128)
-            .map(|i| ((i * 7 + 5) % 23) as f64 * 0.2 - 2.0)
-            .collect();
-        for m in [1usize, 2, 4] {
-            let pre = MStepSsorPreconditioner::unparametrized(&a, &p, m).unwrap();
-            let classic =
-                pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::Classic, 1e-8)).unwrap();
-            let pl = pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::Pipelined, 1e-8)).unwrap();
-            assert!(classic.converged && pl.converged);
-            // At essential convergence the carried γ′ can dip nonpositive
-            // and trip the guard — the designed breakdown path. The
-            // ladder steps Pipelined → SingleReduction → Classic, and the
-            // single-reduction rung can itself break down near
-            // convergence, so up to two steps are legitimate; more would
-            // mean the guards thrash.
-            assert!(pl.stats.fallbacks <= 2, "m = {m}: guards thrash");
-            // The pipelined recurrences drift more than the single-
-            // reduction ones; the Krylov space is still the same.
-            assert!(
-                (classic.iterations as isize - pl.iterations as isize).abs() <= 3,
-                "m = {m}: classic {} vs pipelined {}",
-                classic.iterations,
-                pl.iterations
-            );
-            let scale = pl.x.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
-            for (x, y) in classic.x.iter().zip(&pl.x) {
-                assert!((x - y).abs() < 1e-5 * scale, "m = {m}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_performs_one_reduction_phase_per_iteration() {
-        let (a, p) = rb(96);
-        let b: Vec<f64> = (0..96).map(|i| (i as f64 * 0.17).sin()).collect();
-        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
-        let pl = pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::Pipelined, 1e-10)).unwrap();
-        // 1 init phase + 1 per iteration (the converging displacement-test
-        // iteration exits before its reduction phase).
-        assert!(
-            pl.stats.reduction_phases >= pl.iterations
-                && pl.stats.reduction_phases <= pl.iterations + 1,
-            "{} reduction phases for {} iterations",
-            pl.stats.reduction_phases,
-            pl.iterations
-        );
-        // One SpMV per full iteration (nv = K·mv) + three at init.
-        assert!(
-            pl.stats.spmv <= pl.iterations + 3,
-            "{} SpMVs for {} iterations",
-            pl.stats.spmv,
-            pl.iterations
-        );
-        // One preconditioner application per full iteration + two at init.
-        assert!(
-            pl.stats.precond_applications <= pl.iterations + 2,
-            "{} preconditioner applications for {} iterations",
-            pl.stats.precond_applications,
-            pl.iterations
-        );
-    }
-
-    #[test]
-    fn pipelined_workspace_reuse_is_bitwise_deterministic() {
-        let (a, p) = rb(64);
-        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
-        let b: Vec<f64> = (0..64).map(|i| ((i * 11 + 3) % 17) as f64 - 8.0).collect();
-        let opts = variant_opts(PcgVariant::Pipelined, 1e-10);
-        let mut ws = PcgWorkspace::new(64);
-        let mut u1 = vec![0.0; 64];
-        let rep1 = pcg_solve_into(&a, &b, &mut u1, &pre, &opts, &mut ws).unwrap();
-        let mut u2 = vec![0.0; 64];
-        let rep2 = pcg_solve_into(&a, &b, &mut u2, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(u1, u2);
-        assert_eq!(rep1.iterations, rep2.iterations);
-        assert_eq!(rep1.final_change.to_bits(), rep2.final_change.to_bits());
-    }
-
-    #[test]
-    fn pipelined_rejects_indefinite_matrix_via_fallback() {
-        // Indefinite K: the pipelined guards hand the iterate to the
-        // classic loop, whose probes produce the canonical error.
-        let mut c = CooMatrix::new(2, 2);
-        c.push(0, 0, 1.0).unwrap();
-        c.push(1, 1, -1.0).unwrap();
-        let a = c.to_csr();
-        let err = cg_solve(&a, &[1.0, 1.0], &variant_opts(PcgVariant::Pipelined, 1e-6));
-        assert!(matches!(err, Err(SparseError::NotPositiveDefinite { .. })));
-    }
-
-    #[test]
-    fn pipelined_budget_exhaustion_reports_true_residual() {
-        let a = laplacian(50);
-        let b = vec![1.0; 50];
-        let opts = PcgOptions {
-            tol: 1e-14,
-            max_iterations: 3,
-            variant: PcgVariant::Pipelined,
-            ..Default::default()
-        };
-        let mut ws = PcgWorkspace::new(50);
-        let mut u = vec![0.0; 50];
-        let rep = pcg_try_solve_into(
-            &a,
-            &b,
-            &mut u,
-            &IdentityPreconditioner::new(50),
-            &opts,
-            &mut ws,
-        )
-        .unwrap();
-        assert!(!rep.converged);
-        assert_eq!(rep.iterations, 3);
-        assert!(rep.final_relative_residual.is_finite() && rep.final_relative_residual > 0.0);
-    }
-
-    #[test]
-    fn pipelined_zero_rhs_and_warm_start() {
-        let a = laplacian(10);
-        let opts = variant_opts(PcgVariant::Pipelined, 1e-8);
-        let sol = cg_solve(&a, &[0.0; 10], &opts).unwrap();
-        assert!(sol.converged);
-        assert_eq!(sol.x, vec![0.0; 10]);
-        // Warm start at the exact solution: γ = 0 at init.
-        let x_true: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let b = a.mul_vec(&x_true);
-        let pre = IdentityPreconditioner::new(10);
-        let sol = pcg_solve_from(&a, &b, &x_true, &pre, &opts).unwrap();
-        assert!(sol.converged);
-        assert!(sol.iterations <= 1);
-    }
-
-    #[test]
-    fn sstep_matches_classic_solution() {
-        let (a, p) = rb(128);
-        let b: Vec<f64> = (0..128)
-            .map(|i| ((i * 7 + 5) % 23) as f64 * 0.2 - 2.0)
-            .collect();
-        for s in [2usize, 4] {
-            for m in [1usize, 2] {
-                let pre = MStepSsorPreconditioner::unparametrized(&a, &p, m).unwrap();
-                let classic =
-                    pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::Classic, 1e-10)).unwrap();
-                let ss =
-                    pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::SStep { s }, 1e-10)).unwrap();
-                assert!(classic.converged && ss.converged);
-                // Exact-arithmetic equivalent iteration: counts agree to
-                // within block-granularity slack.
-                assert!(
-                    (classic.iterations as isize - ss.iterations as isize).abs()
-                        <= 2 * s as isize + 2,
-                    "s = {s}, m = {m}: classic {} vs s-step {}",
-                    classic.iterations,
-                    ss.iterations
-                );
-                for (x, y) in classic.x.iter().zip(&ss.x) {
-                    assert!((x - y).abs() < 1e-7, "s = {s}, m = {m}: {x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sstep_performs_one_reduction_phase_per_outer_step() {
-        let (a, p) = rb(96);
-        let b: Vec<f64> = (0..96).map(|i| (i as f64 * 0.17).sin()).collect();
-        for s in [2usize, 4] {
-            let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
-            let ss =
-                pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::SStep { s }, 1e-10)).unwrap();
-            assert!(ss.converged);
-            assert_eq!(ss.stats.fallbacks, 0, "s = {s}: breakdown on a clean solve");
-            // EXACTLY one fused Gram reduction phase per outer step — the
-            // tentpole schedule (≈ 1/s phases per iteration).
-            let outer = ss.iterations.div_ceil(s);
-            assert_eq!(
-                ss.stats.reduction_phases, outer,
-                "s = {s}: {} phases for {} iterations",
-                ss.stats.reduction_phases, ss.iterations
-            );
-            // …and the phase's exact scalar census: G1 (symmetric half),
-            // G2, gv, gp, and the entering ‖r‖₂².
-            let per_phase = s * (s + 1) / 2 + s * s + 2 * s + 1;
-            assert_eq!(
-                ss.stats.inner_products,
-                outer * per_phase,
-                "s = {s}: {} inner products over {} outer steps",
-                ss.stats.inner_products,
-                outer
-            );
-        }
-    }
-
-    #[test]
-    fn sstep_workspace_reuse_is_bitwise_deterministic_and_caches_interval() {
-        let (a, p) = rb(64);
-        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
-        let b: Vec<f64> = (0..64).map(|i| ((i * 11 + 3) % 17) as f64 - 8.0).collect();
-        let opts = variant_opts(PcgVariant::SStep { s: 4 }, 1e-10);
-        let mut ws = PcgWorkspace::new(64);
-        let mut u1 = vec![0.0; 64];
-        let rep1 = pcg_solve_into(&a, &b, &mut u1, &pre, &opts, &mut ws).unwrap();
-        // The first s-step solve paid ONE spectral estimate and cached it…
-        let cached = ws.sstep_interval.expect("interval must be cached");
-        let mut u2 = vec![0.0; 64];
-        let rep2 = pcg_solve_into(&a, &b, &mut u2, &pre, &opts, &mut ws).unwrap();
-        // …which the second solve reused unchanged (Lanczos once per
-        // workspace × operator), replaying bitwise.
-        assert_eq!(ws.sstep_interval, Some(cached));
-        assert_eq!(u1, u2);
-        assert_eq!(rep1.iterations, rep2.iterations);
-        assert_eq!(rep1.final_change.to_bits(), rep2.final_change.to_bits());
-    }
-
-    #[test]
-    fn sstep_reuses_polynomial_precond_interval_across_the_boundary() {
-        // The poly-precond ↔ s-step-basis half of the interval cache: a
-        // solve preconditioned by the polynomial preconditioner must take
-        // the basis bounds from its spectral hint and never run (or cache)
-        // a second estimate.
-        let a = laplacian(48);
-        let pre = crate::poly::PolynomialPreconditioner::chebyshev(a.clone(), 4).unwrap();
-        let b: Vec<f64> = (0..48).map(|i| (i as f64 * 0.3).cos()).collect();
-        let opts = variant_opts(PcgVariant::SStep { s: 4 }, 1e-10);
-        let mut ws = PcgWorkspace::new(48);
-        let mut u = vec![0.0; 48];
-        let rep = pcg_solve_into(&a, &b, &mut u, &pre, &opts, &mut ws).unwrap();
-        assert!(rep.converged);
-        assert_eq!(
-            ws.sstep_interval, None,
-            "hint path must not burn a workspace estimate"
-        );
-    }
-
-    #[test]
-    fn sstep_degenerate_hint_takes_the_monomial_fallback_and_converges() {
-        // A collapsed spectral hint (λmin = λmax) must not poison the
-        // basis: the recurrence degrades to a scaled monomial basis and
-        // the solve still converges.
-        struct DegenerateHint(IdentityPreconditioner);
-        impl Preconditioner for DegenerateHint {
-            fn dim(&self) -> usize {
-                self.0.dim()
-            }
-            fn apply(&self, r: &[f64], z: &mut [f64]) {
-                self.0.apply(r, z);
-            }
-            fn steps_per_apply(&self) -> usize {
-                0
-            }
-            fn spectral_hint(&self) -> Option<SpectralInterval> {
-                Some(SpectralInterval {
-                    min: 2.0,
-                    max: 2.0,
-                    steps: 1,
-                })
-            }
-        }
-        let a = laplacian(32);
-        let x_true: Vec<f64> = (0..32).map(|i| (i as f64 * 0.4).sin()).collect();
-        let b = a.mul_vec(&x_true);
-        let opts = variant_opts(PcgVariant::SStep { s: 2 }, 1e-10);
-        let sol = pcg_solve(
-            &a,
-            &b,
-            &DegenerateHint(IdentityPreconditioner::new(32)),
-            &opts,
-        )
-        .unwrap();
-        assert!(sol.converged);
-        for (x, y) in sol.x.iter().zip(&x_true) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn sstep_rejects_indefinite_matrix_via_fallback() {
-        let mut c = CooMatrix::new(2, 2);
-        c.push(0, 0, 1.0).unwrap();
-        c.push(1, 1, -1.0).unwrap();
-        let a = c.to_csr();
-        let err = cg_solve(
-            &a,
-            &[1.0, 1.0],
-            &variant_opts(PcgVariant::SStep { s: 2 }, 1e-6),
-        );
-        assert!(matches!(err, Err(SparseError::NotPositiveDefinite { .. })));
-    }
-
-    #[test]
-    fn sstep_budget_exhaustion_reports_true_residual() {
-        let a = laplacian(50);
-        let b = vec![1.0; 50];
-        let opts = PcgOptions {
-            tol: 1e-14,
-            max_iterations: 3,
-            variant: PcgVariant::SStep { s: 2 },
-            ..Default::default()
-        };
-        let mut ws = PcgWorkspace::new(50);
-        let mut u = vec![0.0; 50];
-        let rep = pcg_try_solve_into(
-            &a,
-            &b,
-            &mut u,
-            &IdentityPreconditioner::new(50),
-            &opts,
-            &mut ws,
-        )
-        .unwrap();
-        assert!(!rep.converged);
-        // A final sliver shorter than one block is not run: 3 budgeted
-        // iterations fit one s = 2 block.
-        assert_eq!(rep.iterations, 2);
-        assert!(rep.final_relative_residual.is_finite() && rep.final_relative_residual > 0.0);
-    }
-
-    #[test]
-    fn sstep_zero_rhs_and_warm_start() {
-        let a = laplacian(10);
-        let opts = variant_opts(PcgVariant::SStep { s: 2 }, 1e-8);
-        let sol = cg_solve(&a, &[0.0; 10], &opts).unwrap();
-        assert!(sol.converged);
-        assert_eq!(sol.x, vec![0.0; 10]);
-        // Warm start at the exact solution: γ = (M⁻¹r, r) = 0 at the
-        // first Gram phase.
-        let x_true: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let b = a.mul_vec(&x_true);
-        let pre = IdentityPreconditioner::new(10);
-        let sol = pcg_solve_from(&a, &b, &x_true, &pre, &opts).unwrap();
-        assert!(sol.converged);
-        assert_eq!(sol.iterations, 0);
-    }
-
-    #[test]
-    fn sstep_nan_mid_block_falls_back_down_the_ladder_and_converges() {
-        // A NaN out of a basis msolve mid-block poisons the Gram scalars:
-        // the finiteness guard fires (the iterate is untouched), the
-        // ladder steps down warm onto the pipelined rung, and the rescue
-        // must converge — with the detection and the single ladder step
-        // visible in the counters.
-        struct NanOnce {
-            n: usize,
-            at_call: usize,
-            calls: std::cell::Cell<usize>,
-        }
-        impl Preconditioner for NanOnce {
-            fn dim(&self) -> usize {
-                self.n
-            }
-            fn apply(&self, r: &[f64], z: &mut [f64]) {
-                let call = self.calls.get();
-                self.calls.set(call + 1);
-                z.copy_from_slice(r);
-                if call == self.at_call {
-                    z[0] = f64::NAN;
-                }
-            }
-            // Pin the basis bounds (M ≈ I, so M⁻¹K is the laplacian)
-            // so no setup Lanczos runs and the counted applies are
-            // exactly the solve's own msolves.
-            fn spectral_hint(&self) -> Option<SpectralInterval> {
-                Some(SpectralInterval {
-                    min: 0.009,
-                    max: 3.992,
-                    steps: 1,
-                })
-            }
-        }
-        let a = laplacian(32);
-        let x_true: Vec<f64> = (0..32).map(|i| (i as f64 * 0.3).cos()).collect();
-        let b = a.mul_vec(&x_true);
-        let pre = NanOnce {
-            n: 32,
-            at_call: 2, // a basis msolve inside the first outer step
-            calls: std::cell::Cell::new(0),
-        };
-        let opts = PcgOptions {
-            tol: 1e-10,
-            criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::SStep { s: 4 },
-            recovery: RecoveryPolicy::off(),
-            ..Default::default()
-        };
-        let sol = pcg_solve(&a, &b, &pre, &opts).unwrap();
-        assert!(sol.converged, "fallback did not rescue the solve");
-        assert!(sol.final_relative_residual < 1e-10);
-        for (x, y) in sol.x.iter().zip(&x_true) {
-            assert!((x - y).abs() < 1e-6);
-        }
-        assert_eq!(sol.stats.faults_detected, 1);
-        assert_eq!(sol.stats.fallbacks, 1);
-        assert_eq!(sol.stats.replacements, 0);
-    }
-
-    #[test]
-    fn pipelined_breakdown_falls_back_to_classic_and_converges() {
-        // The sabotaged application lands on mv = M⁻¹w (the pipelined
-        // heavy phase), poisoning the q/z carries: the next iteration's
-        // carried γ′/δ disagree with the true quadratic forms and a guard
-        // fires. The fallback must continue from the current iterate —
-        // visible in the counters — and the report must say FALLBACK.
-        let a = laplacian(32);
-        let x_true: Vec<f64> = (0..32).map(|i| (i as f64 * 0.3).cos()).collect();
-        let b = a.mul_vec(&x_true);
-        let pre = SabotagePreconditioner {
-            n: 32,
-            at_call: 3,
-            calls: std::cell::Cell::new(0),
-        };
-        let opts = PcgOptions {
-            tol: 1e-10,
-            criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::Pipelined,
-            ..Default::default()
-        };
-        let sol = pcg_solve(&a, &b, &pre, &opts).unwrap();
-        assert!(sol.converged, "fallback did not rescue the solve");
-        assert!(sol.final_relative_residual < 1e-10);
-        for (x, y) in sol.x.iter().zip(&x_true) {
-            assert!((x - y).abs() < 1e-6);
-        }
-        // The report says FALLBACK. The ladder now steps through the
-        // single-reduction rung first; it usually finishes the rescue
-        // itself (one step), but may break down near convergence and hand
-        // off to classic (two).
-        assert!(
-            (1..=2).contains(&sol.stats.fallbacks),
-            "fallbacks = {}",
-            sol.stats.fallbacks
-        );
-        // …and the continuation ran from the current iterate: the rescue
-        // rungs' extra phases are visible in the counter.
         assert!(
             sol.stats.reduction_phases >= sol.iterations + 2,
             "{} phases for {} iterations — fallback never ran",

@@ -36,7 +36,8 @@
 //!
 //! The spectral interval comes from [`mspcg_sparse::lanczos`] on the
 //! symmetric similar operator `D^{-1/2}K D^{-1/2}` — the matrix-free
-//! recipe of [`crate::splitting::JacobiSplitting::spectrum_interval`],
+//! recipe of [`JacobiSplitting`](crate::splitting::JacobiSplitting)'s
+//! [`Splitting::spectrum_interval`](crate::splitting::Splitting::spectrum_interval),
 //! but safeguarded *relatively* on both ends ([`jacobi_spectrum`]) so a
 //! small `λ₁` keeps its order of magnitude — and is **cached** in the
 //! preconditioner: repeated applications (every PCG iteration) and
@@ -420,9 +421,8 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
         }
     }
 
-    /// The cached Jacobi-spectrum estimate: lets the s-step basis reuse
-    /// this preconditioner's Lanczos run instead of performing its own
-    /// (the poly-precond ↔ s-step-basis boundary of the caching story).
+    /// The cached Jacobi-spectrum estimate this preconditioner's schedule
+    /// was built on.
     fn spectral_hint(&self) -> Option<SpectralInterval> {
         Some(self.interval)
     }

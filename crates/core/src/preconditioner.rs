@@ -46,16 +46,11 @@ pub trait Preconditioner {
     }
 
     /// A spectral interval this preconditioner already paid a Lanczos run
-    /// for, if it has one. The s-step basis recurrence needs eigenvalue
-    /// bounds to parameterize its Chebyshev three-term recurrence; bound
-    /// accuracy affects only the *conditioning* of the basis (any
-    /// increasing-degree polynomial recurrence spans the same Krylov
-    /// space), so an estimate made for a related operator — the
-    /// [`crate::poly::PolynomialPreconditioner`]'s Jacobi-scaled spectrum
-    /// — is a usable hint. Returning it here lets the solver reuse that
-    /// one estimate across the poly-precond ↔ s-step-basis boundary
-    /// instead of re-running Lanczos. `None` (the default) means the
-    /// solver estimates — and caches — an interval itself.
+    /// for, if it has one: the [`crate::poly::PolynomialPreconditioner`]
+    /// returns its cached Jacobi-scaled spectrum, so a consumer that needs
+    /// eigenvalue bounds on the same operator can reuse that estimate
+    /// instead of re-running Lanczos. No solver in this crate reads it.
+    /// `None` (the default) means the preconditioner holds no estimate.
     fn spectral_hint(&self) -> Option<SpectralInterval> {
         None
     }

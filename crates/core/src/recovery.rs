@@ -1,8 +1,8 @@
 //! Fault injection, residual auditing and the structured recovery ladder.
 //!
-//! The communication-avoiding variants (PRs 4–5) buy their barrier cuts by
-//! *carrying* recurrence vectors that drift away from the true residual
-//! `f − Ku`; a silent data corruption (a flipped bit in an SpMV output, a
+//! The single-reduction variant buys its barrier cut by *carrying*
+//! recurrence vectors that drift away from the true residual `f − Ku`; a
+//! silent data corruption (a flipped bit in an SpMV output, a
 //! NaN out of a preconditioner application) is the same failure mode in
 //! concentrated form. This module supplies the three robustness layers the
 //! solver stack threads through every entry point:
@@ -20,14 +20,15 @@
 //!    divergence beyond [`replacement_bound`] replaces the carried vectors
 //!    from the true residual and re-derives the CG scalars (van der
 //!    Vorst/Ye-style residual replacement). Enabled by policy: explicitly,
-//!    or automatically for the drift-prone variants at tight tolerances
-//!    ([`TIGHT_TOL`]). Both executors read the decision from one
-//!    [`AuditPlan`].
+//!    or automatically for the drift-prone single-reduction variant at
+//!    tight tolerances ([`TIGHT_TOL`]). Both executors read the decision
+//!    from one [`AuditPlan`].
 //! 3. **Recovery ladder** — breakdown and detected corruption step down
-//!    SStep → Pipelined → SingleReduction → Classic ([`next_rung`]), each
-//!    rung re-deriving its carries from the current iterate (serial) or
-//!    rerunning the schedule (SPMD); non-finite reduction scalars surface
-//!    as [`SparseError::NonFinite`](mspcg_sparse::SparseError::NonFinite)
+//!    SingleReduction → Classic ([`next_rung`]): the classic loop
+//!    continues from the current iterate (serial) or reruns the solve
+//!    (SPMD), and recovers in place from then on; non-finite reduction
+//!    scalars surface as
+//!    [`SparseError::NonFinite`](mspcg_sparse::SparseError::NonFinite)
 //!    only once the replacement budget is exhausted.
 //!
 //! Everything is *measured*: audits, replacements, ladder steps and
@@ -40,9 +41,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tolerances at or below this are "tight": the recurrence drift of the
-/// single-reduction and pipelined variants can plausibly exceed the
-/// stopping threshold, so [`RecoveryPolicy::Auto`](Toggle::Auto) enables
-/// auditing for them without being asked.
+/// single-reduction variant can plausibly exceed the stopping threshold,
+/// so [`RecoveryPolicy::Auto`](Toggle::Auto) enables auditing for it
+/// without being asked.
 pub const TIGHT_TOL: f64 = 1e-11;
 
 /// Default replacement budget: enough for persistent-fault scenarios
@@ -59,8 +60,8 @@ pub const DEFAULT_AUDIT_PERIOD: usize = 32;
 /// heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Toggle {
-    /// Decide at solve time: on only for drift-prone variants at tight
-    /// tolerance.
+    /// Decide at solve time: on only for the drift-prone single-reduction
+    /// variant at tight tolerance.
     #[default]
     Auto,
     /// Always audit (and replace on divergence).
@@ -121,17 +122,12 @@ impl RecoveryPolicy {
 
     /// Whether auditing is active for a solve of `variant` at tolerance
     /// `tol`. Explicit `On`/`Off` win; `Auto` enables auditing only for
-    /// the drift-prone recurrences at tight tolerance.
+    /// the drift-prone single-reduction recurrence at tight tolerance.
     pub fn audit_enabled(&self, variant: PcgVariant, tol: f64) -> bool {
         match self.replacement {
             Toggle::On => true,
             Toggle::Off => false,
-            Toggle::Auto => {
-                matches!(
-                    variant,
-                    PcgVariant::SingleReduction | PcgVariant::Pipelined | PcgVariant::SStep { .. }
-                ) && tol <= TIGHT_TOL
-            }
+            Toggle::Auto => variant == PcgVariant::SingleReduction && tol <= TIGHT_TOL,
         }
     }
 }
@@ -169,12 +165,10 @@ impl AuditPlan {
 }
 
 /// The recovery ladder: the rung a breakdown on `rung` steps down to,
-/// SStep → Pipelined → SingleReduction → Classic. `None` on the classic
-/// bottom rung, which recovers in place instead.
+/// SingleReduction → Classic. `None` on the classic bottom rung, which
+/// recovers in place instead.
 pub fn next_rung(rung: PcgVariant) -> Option<PcgVariant> {
     match rung {
-        PcgVariant::SStep { .. } => Some(PcgVariant::Pipelined),
-        PcgVariant::Pipelined => Some(PcgVariant::SingleReduction),
         PcgVariant::SingleReduction => Some(PcgVariant::Classic),
         PcgVariant::Classic => None,
     }
@@ -457,10 +451,10 @@ impl<P: Preconditioner> Preconditioner for FaultyPreconditioner<P> {
 /// The kernel a [`FaultPlan`] fault targets inside the SPMD solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
-    /// The iteration's SpMV product (`kp`, `w = Kz` or `nv = K·mv`,
-    /// depending on the schedule).
+    /// The iteration's SpMV product (`kp` or `w = Kz`, depending on the
+    /// schedule).
     Spmv,
-    /// The iteration's preconditioner output (`z` or `mv`).
+    /// The iteration's preconditioner output `z`.
     Msolve,
 }
 
@@ -596,13 +590,12 @@ mod tests {
     fn policy_resolution_and_audit_schedule() {
         // Explicit states win regardless of variant and tolerance.
         assert!(RecoveryPolicy::on().audit_enabled(PcgVariant::Classic, 1e-6));
-        assert!(!RecoveryPolicy::off().audit_enabled(PcgVariant::Pipelined, 1e-14));
-        // Auto: drift-prone variants at tight tolerance only.
+        assert!(!RecoveryPolicy::off().audit_enabled(PcgVariant::SingleReduction, 1e-14));
+        // Auto: the drift-prone variant at tight tolerance only.
         let auto = RecoveryPolicy::default();
-        assert!(auto.audit_enabled(PcgVariant::Pipelined, 1e-12));
+        assert!(auto.audit_enabled(PcgVariant::SingleReduction, 1e-12));
         assert!(auto.audit_enabled(PcgVariant::SingleReduction, TIGHT_TOL));
-        assert!(auto.audit_enabled(PcgVariant::SStep { s: 4 }, 1e-12));
-        assert!(!auto.audit_enabled(PcgVariant::Pipelined, 1e-8));
+        assert!(!auto.audit_enabled(PcgVariant::SingleReduction, 1e-8));
         assert!(!auto.audit_enabled(PcgVariant::Classic, 1e-14));
         assert_eq!(auto.audit_period, DEFAULT_AUDIT_PERIOD);
         // Schedule: first audit strictly after the warm-start point, then

@@ -30,7 +30,7 @@ pub mod barrier;
 pub mod shared;
 pub mod solver;
 
-pub use barrier::{SpinBarrier, SplitBarrier};
+pub use barrier::SpinBarrier;
 pub use mspcg_core::recovery::{FaultKind, FaultPlan, FaultTarget, IterationFault, RecoveryPolicy};
 pub use mspcg_sparse::PcgVariant;
 pub use solver::{ParallelMStepPcg, ParallelSolveReport, ParallelSolverOptions};

@@ -91,12 +91,6 @@ pub enum SparseError {
         /// The offending tolerance.
         value: f64,
     },
-    /// An s-step block width outside `2..=MAX_SSTEP_S`
-    /// ([`crate::tuning::MAX_SSTEP_S`]), rejected before any kernel runs.
-    InvalidBlockWidth {
-        /// The offending width.
-        s: usize,
-    },
     /// A residual-audit period of 0 iterations, rejected before any
     /// kernel runs: a period must be at least 1.
     ZeroAuditPeriod,
@@ -150,11 +144,6 @@ impl fmt::Display for SparseError {
                     "invalid tolerance {value:e} (must be finite and positive)"
                 )
             }
-            SparseError::InvalidBlockWidth { s } => write!(
-                f,
-                "invalid s-step block width {s} (must be in 2..={})",
-                crate::tuning::MAX_SSTEP_S
-            ),
             SparseError::ZeroAuditPeriod => {
                 write!(f, "invalid audit period 0 (must be at least 1)")
             }
@@ -193,8 +182,6 @@ mod tests {
         assert!(e.to_string().contains("iteration 7"));
         let e = SparseError::InvalidTolerance { value: -1.0 };
         assert!(e.to_string().contains("tolerance"));
-        let e = SparseError::InvalidBlockWidth { s: 17 };
-        assert!(e.to_string().contains("width 17"));
         assert!(SparseError::ZeroAuditPeriod
             .to_string()
             .contains("audit period 0"));

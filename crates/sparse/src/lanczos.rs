@@ -60,8 +60,8 @@ impl SpectralInterval {
     /// `θ = (max + min)/2`. This happens on a scaled identity, a 1×1
     /// operator, or an early invariant-subspace break — spectra on which
     /// a Chebyshev three-term recurrence is ill-defined (`δ → 0`), so
-    /// interval consumers (polynomial schedules, the s-step basis, the
-    /// Auto preconditioner heuristic) must take their degenerate path.
+    /// interval consumers (polynomial schedules, the Auto preconditioner
+    /// heuristic) must take their degenerate path.
     /// Same test as the `PolySchedule` Richardson fallback.
     pub fn is_degenerate(self) -> bool {
         let theta = 0.5 * (self.max + self.min);

@@ -72,34 +72,7 @@ pub enum PcgVariant {
     /// so `α` and `β` both come out of **one** fused reduction phase per
     /// iteration — the communication-avoiding form.
     SingleReduction,
-    /// Ghysels–Vanroose pipelined recurrence: additionally carry
-    /// `mv = M⁻¹w` and `nv = K·mv` (with the direction carries `q` and
-    /// `z`), so the one reduction of the single-reduction form is
-    /// **initiated before** the preconditioner + SpMV of the next
-    /// iteration and **consumed after** them — the reduction latency
-    /// hides behind the heaviest phase instead of merely being fused.
-    Pipelined,
-    /// s-step (communication-avoiding) CG: per outer step build an
-    /// `s`-dimensional Krylov block with a Chebyshev-basis three-term
-    /// recurrence on the cached Lanczos interval, amortize **all** inner
-    /// products into **one** fused Gram-matrix reduction phase per `s`
-    /// iterations, and advance the iterate through `s` local update
-    /// sub-steps from a replicated small dense Cholesky solve.
-    SStep {
-        /// Iterations per outer step (block width); `2 ..= MAX_SSTEP_S`,
-        /// checked before any kernel runs.
-        s: usize,
-    },
 }
-
-/// Largest s-step block width a solve accepts. The Chebyshev basis keeps
-/// an s-dimensional block well conditioned for moderate `s`, but the Gram
-/// system is solved in replicated O(s³) scalar work per outer step and
-/// basis conditioning still degrades with `s` — an absurd width is a
-/// misconfiguration, not a tuning choice, and is rejected like `s < 2`
-/// (`s = 0` is empty, `s = 1` the single-reduction iteration with extra
-/// overhead).
-pub const MAX_SSTEP_S: usize = 16;
 
 /// Polynomial recurrences the barrier-free preconditioner implements.
 /// Lives here (next to [`PcgVariant`]) so the serial and SPMD stacks share

@@ -558,54 +558,6 @@ pub fn fused_xpby_xpby(x1: &[f64], x2: &[f64], b: f64, y1: &mut [f64], y2: &mut 
     });
 }
 
-/// `y1 ← y1 + a·x1` and `y2 ← y2 + a·x2` in **one pass** — the paired
-/// recurrence updates of the pipelined (Ghysels–Vanroose) PCG iteration,
-/// `z ← z − α·q` and `w ← w − α·zz`, which share the scalar and the chunk
-/// layout. One memory traversal and one kernel launch instead of two
-/// [`axpy`] sweeps.
-///
-/// Chunk deterministic and bitwise identical to the unfused
-/// `axpy(a, x1, y1); axpy(a, x2, y2)` sequence (same layout, same
-/// per-element arithmetic, disjoint chunk writes).
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-pub fn fused_axpy2(a: f64, x1: &[f64], y1: &mut [f64], x2: &[f64], y2: &mut [f64]) {
-    let n = x1.len();
-    assert_eq!(y1.len(), n, "fused_axpy2: y1 length mismatch");
-    assert_eq!(x2.len(), n, "fused_axpy2: x2 length mismatch");
-    assert_eq!(y2.len(), n, "fused_axpy2: y2 length mismatch");
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let update = |lo: usize, hi: usize, y1c: &mut [f64], y2c: &mut [f64]| {
-        for (yi, xi) in y1c.iter_mut().zip(&x1[lo..hi]) {
-            *yi += a * xi;
-        }
-        for (yi, xi) in y2c.iter_mut().zip(&x2[lo..hi]) {
-            *yi += a * xi;
-        }
-    };
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    if threads <= 1 {
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            let (y1c, y2c) = (&mut y1[lo..hi], &mut y2[lo..hi]);
-            update(lo, hi, y1c, y2c);
-        }
-        return;
-    }
-    let y1s = par::ParSlice::new(y1);
-    let y2s = par::ParSlice::new(y2);
-    par::for_each_chunk(nchunks, threads, &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        // SAFETY: chunks are disjoint and each claimed exactly once.
-        unsafe {
-            update(lo, hi, y1s.slice_mut(lo..hi), y2s.slice_mut(lo..hi));
-        }
-    });
-}
-
 /// [`fused_xpby_xpby`] that additionally returns the inner product of the
 /// **updated** vectors, `(y1, y2)` — for the single-reduction PCG this is
 /// the `(p, s)` curvature guard, formed while both operands are still in
@@ -979,92 +931,6 @@ pub fn fused_poly_step(
     });
 }
 
-/// One chunk of the s-step Chebyshev basis combine — shared by
-/// [`fused_cheb_basis`] and the SPMD solver's own-strip basis phase, so
-/// both paths run bitwise-identical per-element arithmetic.
-#[inline]
-pub fn cheb_basis_chunk(
-    a: f64,
-    theta: f64,
-    b: f64,
-    t: &[f64],
-    v: &[f64],
-    w: &[f64],
-    out: &mut [f64],
-) {
-    for i in 0..t.len() {
-        out[i] = a * (t[i] - theta * v[i]) - b * w[i];
-    }
-}
-
-/// One step of the s-step Chebyshev *basis* three-term recurrence, fused
-/// into a single pass: with `t = M⁻¹K·v` already computed,
-///
-/// ```text
-/// out ← a·(t − θ·v) − b·w.
-/// ```
-///
-/// The three shapes the recurrence needs are all instances:
-/// the first step `v₂ = (1/δ)(t − θ v₁)` is `(a, b) = (1/δ, 0)`, the
-/// general step `vⱼ₊₁ = (2/δ)(t − θ vⱼ) − vⱼ₋₁` is `(a, b) = (2/δ, 1)`,
-/// and the degenerate-interval scaled-monomial fallback `vⱼ₊₁ = t/θ` is
-/// `(a, θ, b) = (1/θ, 0, 0)`. The same pass shape as [`fused_poly_step`]:
-/// chunk deterministic, disjoint chunk writes, no reductions. With
-/// `b == 0.0` the `w` operand is multiplied by an exact zero, so stale
-/// values cannot leak through.
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-pub fn fused_cheb_basis(
-    a: f64,
-    theta: f64,
-    b: f64,
-    t: &[f64],
-    v: &[f64],
-    w: &[f64],
-    out: &mut [f64],
-) {
-    let n = t.len();
-    assert_eq!(v.len(), n, "fused_cheb_basis: v length mismatch");
-    assert_eq!(w.len(), n, "fused_cheb_basis: w length mismatch");
-    assert_eq!(out.len(), n, "fused_cheb_basis: out length mismatch");
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    if threads <= 1 {
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            cheb_basis_chunk(
-                a,
-                theta,
-                b,
-                &t[lo..hi],
-                &v[lo..hi],
-                &w[lo..hi],
-                &mut out[lo..hi],
-            );
-        }
-        return;
-    }
-    let os = par::ParSlice::new(out);
-    par::for_each_chunk(nchunks, threads, &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        // SAFETY: chunks are disjoint and each claimed exactly once.
-        unsafe {
-            cheb_basis_chunk(
-                a,
-                theta,
-                b,
-                &t[lo..hi],
-                &v[lo..hi],
-                &w[lo..hi],
-                os.slice_mut(lo..hi),
-            );
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1331,45 +1197,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_axpy2_matches_unfused_sequence() {
-        let n = crate::par::MIN_REDUCTION_CHUNK + 47;
-        let x1: Vec<f64> = (0..n).map(|i| ((i * 19 + 3) % 127) as f64 * 0.02).collect();
-        let x2: Vec<f64> = (0..n)
-            .map(|i| ((i * 7 + 11) % 113) as f64 * 0.03 - 1.5)
-            .collect();
-        let y10: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) % 71) as f64 * 0.1).collect();
-        let y20: Vec<f64> = (0..n)
-            .map(|i| ((i * 13 + 5) % 83) as f64 * 0.05 - 2.0)
-            .collect();
-        for a in [0.0, -0.731, 1.25] {
-            let mut y1_ref = y10.clone();
-            let mut y2_ref = y20.clone();
-            axpy(a, &x1, &mut y1_ref);
-            axpy(a, &x2, &mut y2_ref);
-            let mut y1 = y10.clone();
-            let mut y2 = y20.clone();
-            fused_axpy2(a, &x1, &mut y1, &x2, &mut y2);
-            assert!(y1
-                .iter()
-                .zip(&y1_ref)
-                .all(|(u, v)| u.to_bits() == v.to_bits()));
-            assert!(y2
-                .iter()
-                .zip(&y2_ref)
-                .all(|(u, v)| u.to_bits() == v.to_bits()));
-        }
-        // Tiny and empty inputs.
-        let mut e1: [f64; 0] = [];
-        let mut e2: [f64; 0] = [];
-        fused_axpy2(2.0, &[], &mut e1, &[], &mut e2);
-        let mut a1 = [1.0];
-        let mut a2 = [2.0];
-        fused_axpy2(0.5, &[4.0], &mut a1, &[-2.0], &mut a2);
-        assert_eq!(a1, [3.0]);
-        assert_eq!(a2, [1.0]);
-    }
-
-    #[test]
     fn fused_xpby_xpby_zero_b_is_exact_copy() {
         let x1 = [1.0, 2.0];
         let x2 = [3.0, 4.0];
@@ -1546,29 +1373,6 @@ mod tests {
         for i in 0..n {
             let want_d = 0.0 * d0[i] + b * (inv_diag[i] * (r[i] - kz[i]));
             assert_eq!(dn[i].to_bits(), want_d.to_bits());
-        }
-    }
-
-    #[test]
-    fn fused_cheb_basis_matches_elementwise() {
-        let n = 417;
-        let t: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).sin()).collect();
-        let v: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.2 - 0.6).collect();
-        let w: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos()).collect();
-        let (a, theta, b) = (2.0 / 0.45, 0.55, 1.0);
-        let mut out = vec![f64::NAN; n]; // overwritten, stale values must not leak
-        fused_cheb_basis(a, theta, b, &t, &v, &w, &mut out);
-        for i in 0..n {
-            let want = a * (t[i] - theta * v[i]) - b * w[i];
-            assert_eq!(out[i].to_bits(), want.to_bits());
-        }
-        // First-step instance: b = 0 must be an exact zero multiply so a
-        // finite-but-stale `w` contributes nothing.
-        let mut first = vec![f64::NAN; n];
-        fused_cheb_basis(1.0 / 0.45, theta, 0.0, &t, &v, &w, &mut first);
-        for i in 0..n {
-            let want = (1.0 / 0.45) * (t[i] - theta * v[i]) - 0.0 * w[i];
-            assert_eq!(first[i].to_bits(), want.to_bits());
         }
     }
 }

@@ -82,87 +82,42 @@
 //!   reduction into the phase producing its operands and replicates the
 //!   scalar reductions across workers: `m·(2C−1) + 3` barriers per
 //!   iteration (C colors, m steps), down from `m·(2C−1) + 9`.
-//! * **Single-reduction (communication-avoiding) variant** — classic PCG
-//!   serializes two inner products per iteration: `(p, Kp)` before α,
-//!   `(r̂, r)` before β. `PcgVariant::SingleReduction` runs the
-//!   Chronopoulos–Gear two-term recurrence instead — carry `s = Kp` and
-//!   `w = Kz`, reconstruct `α = γ′/(δ − β·γ′/α)` — so both scalars come
-//!   out of **one** fused reduction phase (`vecops::fused_dot3_norm`:
-//!   `(r, z)`, `(w, z)`, the `(p, s)` breakdown guard and the stopping
-//!   norm, in one sweep). Per-iteration cost model:
+//! * **Single-reduction variant** — classic PCG serializes two inner
+//!   products per iteration: `(p, Kp)` before α, `(r̂, r)` before β.
+//!   `PcgVariant::SingleReduction` runs the Chronopoulos–Gear two-term
+//!   recurrence instead — carry `s = Kp` and `w = Kz`, reconstruct
+//!   `α = γ′/(δ − β·γ′/α)` — so both scalars come out of **one** fused
+//!   reduction phase (`vecops::fused_dot3_norm`: `(r, z)`, `(w, z)`, the
+//!   `(p, s)` breakdown guard and the stopping norm, in one sweep).
+//!   Per-iteration cost model:
 //!
-//!   | schedule | reduction phases | SPMD barriers | reduction overlap window |
-//!   |---|---|---|---|
-//!   | classic | 2 (serialized) | `m·(2C−1) + 3` | — (both block) |
-//!   | single-reduction | **1** | `m·(2C−1) + 2` | — (fused, still blocks) |
-//!   | pipelined | **1, in flight** | **`m·(2C−1)`** + 1 split crossing | the whole `M⁻¹w` + `K·mv` phase |
-//!   | classic, plain CG (`m = 0`) | 2 | 4 | — |
-//!   | single-reduction, plain CG | **1** | **2** (`z ≡ r`) | — |
-//!   | pipelined, plain CG | **1, in flight** | **1** + 1 split crossing | the `K·w` SpMV |
-//!   | classic, polynomial degree `k` | 2 | **`k + 3`** | — |
-//!   | single-reduction, polynomial | **1** | **`k + 2`** | — |
-//!   | pipelined, polynomial | **1, in flight** | **`k + 1`** + 1 split crossing | the `p(G)D⁻¹w` chain + `K·mv` |
-//!   | s-step, block size `s` | **1 per `s` iterations** | `s·m(2C−1) + 2s` per block | — (fused block Gram) |
-//!   | s-step, plain CG | **1 per `s` iterations** | **`s + 1`** per block (`v₁ ≡ r`) | — |
-//!   | s-step, polynomial | **1 per `s` iterations** | **`s·(k + 2)`** per block | — |
+//!   | schedule | reduction phases | SPMD barriers |
+//!   |---|---|---|
+//!   | classic | 2 (serialized) | `m·(2C−1) + 3` |
+//!   | single-reduction | **1** | `m·(2C−1) + 2` |
+//!   | classic, plain CG (`m = 0`) | 2 | 4 |
+//!   | single-reduction, plain CG | **1** | **2** (`z ≡ r`) |
+//!   | classic, polynomial degree `k` | 2 | **`k + 3`** |
+//!   | single-reduction, polynomial | **1** | **`k + 2`** |
 //!
 //!   Both counts are *measured*, not asserted: `PcgStats` carries
-//!   `reduction_phases` (and `fallbacks`), the SPMD report carries
-//!   `barrier_crossings` / `reduction_phases` / `split_crossings` from
-//!   instrumented barriers, and `BENCH_pr5.json` records them per
-//!   variant on the Table-3 family. The recurrences have
-//!   different-but-bounded rounding paths, so the contract is bitwise
+//!   `reduction_phases` (and `fallbacks`), and the SPMD report carries
+//!   `barrier_crossings` / `reduction_phases` from the instrumented
+//!   barrier; counter tests pin the formulas. The recurrence has a
+//!   different-but-bounded rounding path, so the contract is bitwise
 //!   determinism across thread counts *within* each variant and
 //!   cross-variant agreement to a residual tolerance
 //!   (`tests/pcg_variants.rs`, `tests/variant_conformance.rs`); on
-//!   recurrence breakdown (`(p, s) ≤ 0`, a nonpositive reconstructed
-//!   denominator, or — pipelined — a nonpositive carried `γ′`) every
-//!   entry point falls back to the classic loop — serial solves continue
-//!   from the current iterate, the SPMD solver reruns the solve.
-//!   Selection: `PcgOptions::variant` / `ParallelSolverOptions::variant`
-//!   (default `Classic`); the conformance and fault harnesses iterate
-//!   every variant through every executor.
-//! * **Pipelined (Ghysels–Vanroose) variant** — the single-reduction
-//!   schedule still *blocks* at its one reduction barrier.
-//!   `PcgVariant::Pipelined` carries two more recurrence vectors
-//!   (`q = M⁻¹s`, `K·q`) and recomputes `mv = M⁻¹w` / `nv = K·mv` each
-//!   iteration, so the γ/δ reduction reads only vectors finished in the
-//!   update phase: the SPMD executor **initiates** it there
-//!   (`SplitBarrier::arrive`, a new split-phase primitive in
-//!   `mspcg-parallel`) and **consumes** it (`wait`) only after the
-//!   preconditioner + SpMV — the reduction latency hides behind the
-//!   heaviest phase, and the update mega-phase needs *no trailing
-//!   barrier at all* (own-strip analysis + parity-rotated `mv`/partial
-//!   banks), which is why the pipelined iteration runs on `m·(2C−1)`
-//!   full barriers where single-reduction needs `+ 2`. Costs: one
-//!   speculative heavy phase on the converging iteration, ~4 extra
-//!   vector carries, and faster drift (hence the stricter guards). The
-//!   exact schedule — full-barrier, split-crossing and reduction-phase
-//!   formulas at `m ∈ {0..3}` — is pinned by counter tests; honest
-//!   1-core caveat: this container cannot show the latency win, only the
-//!   counter proof (`BENCH_pr5.json` records both).
-//! * **s-step (communication-avoiding) variant** — the pipelined
-//!   schedule still pays one reduction *per iteration*; it merely hides
-//!   the latency. `PcgVariant::SStep { s }` amortizes the count itself:
-//!   each outer step builds an `s`-dimensional Krylov block with the
-//!   **Chebyshev three-term recurrence** on the cached Lanczos interval
-//!   (well-conditioned where the naive monomial basis collapses —
-//!   Chronopoulos–Gear blocked, Carson/Demmel-style basis), then fuses
-//!   *every* inner product of the next `s` iterations — the `s(s+1)/2`
-//!   block Gram entries, the `s×s` direction coupling, the projections
-//!   and the stopping norm — into **ONE** reduction phase, solved
-//!   replicated by a small dense Cholesky (with a rank-revealing pivot
-//!   floor: an endgame-degenerate block truncates to its numerical rank
-//!   and restarts the recurrence instead of dividing by noise). The
-//!   serial solver and the multi-RHS driver share one loop
-//!   (`sstep_loop`); the SPMD executor runs its own worker
-//!   (`worker_sstep`) on `s·m(2C−1) + 2s` barriers per block (table
-//!   above) with **zero** split crossings and no init phase. Breakdown
-//!   steps down warm onto the pipelined rung. The exact block schedule
-//!   is pinned by counter tests at `s ∈ {2, 4}` × 1/4 threads × CSR /
-//!   SELL-C-σ, bitwise-deterministic across runs and formats;
-//!   `BENCH_pr10.json` records the `s`-sweep against the ladder, with
-//!   the formulas asserted in-run.
+//!   recurrence breakdown (`(p, s) ≤ 0` or a nonpositive reconstructed
+//!   denominator) every entry point falls back to the classic loop —
+//!   serial solves continue from the current iterate, the SPMD solver
+//!   reruns the solve. Selection: `PcgOptions::variant` /
+//!   `ParallelSolverOptions::variant` (default `Classic`); the
+//!   conformance and fault harnesses run both variants through every
+//!   executor. On shared memory a reduction is one spin barrier, so the
+//!   saved barrier buys little: on a 2-vCPU VM the variant's median solve
+//!   time ran between 0.92× and 1.11× classic's on the plates a = 24, 40
+//!   and 100, on both executors.
 //! * **Barrier-free polynomial (Newton–Chebyshev) preconditioning** — the
 //!   multicolor SSOR sweeps cost `2C−1` barriers per step: the
 //!   *color structure itself* is the synchronization bill.
@@ -178,15 +133,14 @@
 //!   (`poly::jacobi_spectrum`, cached on the preconditioner for reuse at
 //!   other degrees) and shared verbatim by the serial evaluator and the
 //!   SPMD `ParallelMStepPcg::poly` msolve — `k` fused SpMV phases, whose
-//!   exact barrier/split/reduction formulas (table above; the pipelined
-//!   overlap window pays one input-finalization barrier) are pinned by
-//!   counter tests at every variant. Selection:
+//!   exact barrier and reduction formulas (table above) are pinned by
+//!   counter tests for both variants. Selection:
 //!   `PrecondKind::{Auto, MStepSsor, Poly}` on the auto constructors
 //!   (`core::poly::auto_preconditioner`, `ParallelMStepPcg::auto`), which
 //!   share one resolution (`core::poly::resolve_precond`); the `Auto`
 //!   heuristic picks the polynomial at matched flops (degree `2m` ≈ `m`
 //!   sweeps) whenever `2C−1 > 2`, i.e. for every genuinely multicolor
-//!   matrix. The conformance and fault harnesses run every variant with
+//!   matrix. The conformance and fault harnesses run both variants with
 //!   the polynomial msolve, and `BENCH_pr8.json` records iterations /
 //!   barriers / wall time of degree-`k` vs m-step at matched flops.
 //! * **Operator abstraction + SELL-C-σ** — every solver entry point
@@ -235,8 +189,7 @@
 //! * **Input validation** — a NaN/Inf right-hand side or initial guess is
 //!   rejected up front as `SparseError::NonFinite { phase, .. }`, a
 //!   nonpositive or non-finite tolerance as
-//!   `SparseError::InvalidTolerance`, an s-step width outside `2..=16` as
-//!   `SparseError::InvalidBlockWidth`, an audit period of 0 as
+//!   `SparseError::InvalidTolerance`, an audit period of 0 as
 //!   `SparseError::ZeroAuditPeriod`, before any kernel runs — by one
 //!   function (`core::pcg::validate_inputs`) that the serial, multi-RHS
 //!   and SPMD entry points all call.
@@ -245,21 +198,20 @@
 //!   the recurrence residual. Deviation beyond
 //!   `max(10·tol, 10³·ε)·‖f‖` replaces the recurrence state from the
 //!   recomputed residual (van der Vorst/Ye-style). Cost model, asserted
-//!   by counter tests and recorded in `BENCH_pr6.json`: the SPMD audit is
-//!   ONE fused extra phase — **+1 barrier crossing, zero extra reduction
+//!   by counter tests: the SPMD audit is ONE fused extra phase — **+1 barrier crossing, zero extra reduction
 //!   phases** — and a clean audited solve stays *bitwise identical* to
 //!   the unaudited run (an audit that finds no drift only observes).
 //!   Policy: `RecoveryPolicy` on `PcgOptions` / `ParallelSolverOptions`
-//!   (`Auto` enables auditing for the drift-prone single-reduction,
-//!   pipelined and s-step recurrences at tolerances ≤ 1e-11;
+//!   (`Auto` enables auditing for the drift-prone single-reduction
+//!   recurrence at tolerances ≤ 1e-11;
 //!   `audit_period` defaults to 32), resolved once per solve into the
 //!   `AuditPlan` both executors read; `tests/fault_injection.rs` runs
-//!   audited solves of every variant on both executors.
+//!   audited solves of both variants on both executors.
 //! * **Recovery ladder** — a non-finite reduction scalar (or an audit
-//!   divergence in a recurrence schedule) walks SStep → Pipelined →
-//!   SingleReduction → Classic: the recurrence rungs are *detectors*
-//!   (they hand the current iterate down one rung, counted as a
-//!   `recovery`/`fallback`), the classic rung *self-heals in place*
+//!   divergence in the single-reduction schedule) steps SingleReduction →
+//!   Classic: the single-reduction rung is a *detector* (it hands the
+//!   current iterate down, counted as a `recovery`/`fallback`), the
+//!   classic rung *self-heals in place*
 //!   (recompute `f − K·u`, re-derive the direction, counted as a
 //!   `replacement`, budget `max_replacements`); an exhausted budget
 //!   surfaces `SparseError::NonFinite { phase, iteration }` instead of
@@ -273,14 +225,13 @@
 //!   the serial stack; `ParallelMStepPcg::solve_with_faults` takes an
 //!   iteration-indexed `FaultPlan` injected deterministically at every
 //!   thread count. The two models differ on purpose: a wrapper fault is
-//!   consumed once (lower rungs run clean), a plan fault is *persistent*
-//!   (it re-fires on every ladder rung, so the full walk is exercised —
-//!   a pipelined start under a NaN preconditioner fault proves exactly 3
-//!   detections, 2 step-downs, 1 classic in-place replacement; an s-step
-//!   start proves the full 4-rung walk: 4 detections, 3 step-downs, 1
-//!   replacement).
-//!   `tests/fault_injection.rs` runs every variant × executor × family
-//!   under both fault classes with bitwise replay and exact counters.
+//!   consumed once (the classic rung runs clean), a plan fault is
+//!   *persistent* (it re-fires on every ladder rung, so the full walk is
+//!   exercised — a single-reduction start under a NaN preconditioner
+//!   fault proves exactly 2 detections, 1 step-down, 1 classic in-place
+//!   replacement). `tests/fault_injection.rs` runs both variants ×
+//!   executor × family under both fault classes with bitwise replay and
+//!   exact counters.
 //!
 //! Measure time to solution with the benchmark `BENCHMARK.json` declares,
 //! `cargo run --release --manifest-path perfbench/Cargo.toml --
@@ -288,8 +239,8 @@
 //! repository root: three workloads on the paper's plate, end-to-end
 //! seconds and memory with `--trace 0`, a per-module split with
 //! `--trace 1`. The in-repo kernel benches (`cargo bench -p mspcg-bench
-//! --bench spmv|precond|multi_rhs|pcg_variants|recovery|sstep -- --json
-//! FILE`) record per-kernel numbers; the committed `BENCH_pr*.json`
+//! --bench spmv|precond|multi_rhs -- --json FILE`) record per-kernel
+//! numbers; the committed `BENCH_pr*.json`
 //! records predate the 2-core runner and are not comparable across PRs.
 
 pub use mspcg_coloring as coloring;

@@ -61,8 +61,8 @@ fn measure_lock() -> MutexGuard<'static, ()> {
 
 /// Every variant, unaudited and audited (every 4 iterations, so even a
 /// short solve audits). The first solve of a configuration sizes the
-/// workspace slots only it uses (the pipelined carries, the s-step block,
-/// the audit vector); every later solve on that workspace must reuse them.
+/// workspace slots only it uses (the audit vector); every later solve on
+/// that workspace must reuse them.
 fn configurations() -> Vec<PcgOptions> {
     let audited = RecoveryPolicy {
         audit_period: 4,

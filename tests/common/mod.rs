@@ -10,24 +10,15 @@
 
 use mspcg::sparse::PcgVariant;
 
-/// Every iteration variant the harnesses cover, the s-step schedule at
-/// two block sizes. A new variant is added here once and every harness
-/// inherits it: the closed `match` in [`exhaustiveness_guard`] refuses to
-/// compile until the new enum entry is listed.
-pub const ALL_VARIANTS: [PcgVariant; 5] = [
-    PcgVariant::Classic,
-    PcgVariant::SingleReduction,
-    PcgVariant::Pipelined,
-    PcgVariant::SStep { s: 2 },
-    PcgVariant::SStep { s: 4 },
-];
+/// Every iteration variant the harnesses cover. A new variant is added
+/// here once and every harness inherits it: the closed `match` in
+/// [`exhaustiveness_guard`] refuses to compile until the new enum entry is
+/// listed.
+pub const ALL_VARIANTS: [PcgVariant; 2] = [PcgVariant::Classic, PcgVariant::SingleReduction];
 
 fn exhaustiveness_guard(v: PcgVariant) {
     match v {
-        PcgVariant::Classic
-        | PcgVariant::SingleReduction
-        | PcgVariant::Pipelined
-        | PcgVariant::SStep { .. } => {}
+        PcgVariant::Classic | PcgVariant::SingleReduction => {}
     }
 }
 

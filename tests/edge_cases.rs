@@ -169,8 +169,6 @@ fn budget_exit_residual_matches_a_fresh_recomputation() {
         };
         let rep = pcg_try_solve_into(&a, &b, &mut u, &pre, &opts, &mut ws).unwrap();
         assert!(!rep.converged, "{variant:?}");
-        // The iteration count is granular: the s-step schedule runs whole
-        // `s`-blocks, so `s = 4` exhausts this budget at 0 iterations.
         assert!(
             rep.iterations <= 3,
             "{variant:?}: {} iterations",

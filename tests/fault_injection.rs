@@ -169,8 +169,6 @@ fn spmd_nan_counters(variant: PcgVariant) -> (usize, usize, usize) {
     match variant {
         PcgVariant::Classic => (1, 1, 0),
         PcgVariant::SingleReduction => (2, 1, 1),
-        PcgVariant::Pipelined => (3, 1, 2),
-        PcgVariant::SStep { .. } => (4, 1, 3),
     }
 }
 

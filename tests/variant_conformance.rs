@@ -33,9 +33,9 @@ use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SellCsMat
 const TOL: f64 = 1e-8;
 /// Bound on the TRUE recomputed relative residual at convergence.
 const RES_BOUND: f64 = 1e-6;
-/// Fixed slack on iteration counts across variants and executors. Block
-/// granularity (the s-step schedule checks convergence only every `s`
-/// iterations) is why this is a slack, not an equality.
+/// Fixed slack on iteration counts across variants and executors: the
+/// recurrences and the SPMD reductions follow different rounding paths,
+/// which is why this is a slack, not an equality.
 const ITER_SLACK: isize = 10;
 
 mod common;
