@@ -9,8 +9,8 @@
 //!     small plate, kernel-level on a large one) vs the same 32 solves
 //!     issued sequentially through `pcg_solve_into`.
 //!
-//! Record results: `cargo bench -p mspcg-bench --bench multi_rhs -- --json
-//! BENCH_pr2.json`.
+//! Run: `cargo bench -p mspcg-bench --bench multi_rhs` (add `-- --json
+//! FILE` to keep the numbers).
 
 use mspcg_bench::experiments::ordered_plate;
 use mspcg_bench::timing::{bench, finish, BenchResult};

@@ -12,9 +12,8 @@
 //! (classic `k+3`, single-reduction `k+2` per iteration) *asserted*
 //! in-run, not just recorded.
 //!
-//! Record results: `cargo bench -p mspcg-bench --bench precond -- --json
-//! BENCH_pr8.json` (PR 1 recorded the sweep-only groups as
-//! `BENCH_pr1.json`).
+//! Run: `cargo bench -p mspcg-bench --bench precond` (add `-- --json
+//! FILE` to keep the numbers; CI runs it for the in-run asserts only).
 
 use mspcg_bench::experiments::{ordered_plate, ordered_poisson};
 use mspcg_bench::timing::{bench, finish, BenchResult};

@@ -6,8 +6,8 @@
 //! on the wide-row (arrow) family — the row-length-irregular shapes the
 //! SELL layout exists for.
 //!
-//! Record results: `cargo bench -p mspcg-bench --bench spmv -- --json
-//! BENCH_pr3.json` (PR 1 recorded groups (a)/(b) as BENCH_pr1.json).
+//! Run: `cargo bench -p mspcg-bench --bench spmv` (add `-- --json FILE`
+//! to keep the numbers).
 
 use mspcg_bench::experiments::{ordered_plate, ordered_poisson};
 use mspcg_bench::timing::{bench, finish, BenchResult};

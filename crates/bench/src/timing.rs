@@ -4,11 +4,11 @@
 //! binaries (declared `harness = false`) use this module instead: warm up,
 //! auto-calibrate a sample count against a time budget, report mean/min
 //! per iteration, and optionally record everything as JSON
-//! (`cargo bench -p mspcg-bench --bench spmv -- --json BENCH_pr1.json`).
+//! (`cargo bench -p mspcg-bench --bench spmv -- --json FILE`).
 //!
 //! The JSON is hand-rolled (flat array of objects, append-merge on reruns)
-//! — enough for the committed `BENCH_pr1.json` record and for plotting,
-//! without a serializer dependency.
+//! — enough for comparing runs and for plotting, without a serializer
+//! dependency.
 
 use std::time::Instant;
 

@@ -16,6 +16,7 @@
 //!
 //! — the crossover the paper evaluates for m = 9 → 10 on the CYBER.
 
+use crate::coeffs::residual_sup;
 use crate::preconditioner::Preconditioner;
 use mspcg_sparse::{CsrMatrix, SparseError};
 
@@ -30,6 +31,28 @@ pub struct CostModel {
 }
 
 impl CostModel {
+    /// `A` and `B` as the bytes one outer iteration and one SSOR step
+    /// stream on a CSR operator with `n` rows and `nnz` stored entries —
+    /// a cost from the operator's shape alone, with no timer, so a choice
+    /// made on it is deterministic:
+    ///
+    /// * `A = 12·nnz + 136·n`: the SpMV (values and 4-byte column indices,
+    ///   row pointers, `x` and `y`), the fused `u`/`r` update, two dots,
+    ///   the residual norm and the direction update;
+    /// * `B = 12·(nnz − n) + 96·n + 16`: one Conrad–Wallach SSOR step
+    ///   touches each off-diagonal entry once, both row-pointer arrays,
+    ///   and ten 8-byte words per row (diagonal position, inverse
+    ///   diagonal, right-hand side, iterate and half-sum cache).
+    ///
+    /// `B/A ≈ 0.81` on the Table-3 plate.
+    pub fn from_traffic(n: usize, nnz: usize) -> Self {
+        let (n, nnz) = (n as f64, nnz as f64);
+        CostModel {
+            a: 12.0 * nnz + 136.0 * n,
+            b: 12.0 * (nnz - n) + 96.0 * n + 16.0,
+        }
+    }
+
     /// Predicted time `T_m = N_m (A + m B)`.
     pub fn time(&self, m: usize, n_m: usize) -> f64 {
         n_m as f64 * (self.a + m as f64 * self.b)
@@ -112,6 +135,20 @@ pub fn cg_iteration_bound(kappa: f64, eps: f64) -> usize {
     assert!(kappa >= 1.0, "condition number must be >= 1, got {kappa}");
     assert!(eps > 0.0 && eps < 1.0, "eps must be in (0, 1), got {eps}");
     (kappa.sqrt() * (2.0 / eps).ln() / 2.0).ceil() as usize
+}
+
+/// Iterations CG is predicted to need under the m-step coefficients
+/// `alphas` fitted on the spectral interval `interval` of `P⁻¹K`: the
+/// residual sup `s` ([`residual_sup`]) puts `σ(M⁻¹K)` in `[1 − s, 1 + s]`,
+/// so `κ ≤ (1 + s)/(1 − s)`, and [`cg_iteration_bound`] turns κ into
+/// iterations to reduce the error by `eps`. `None` when `s ≥ 1` (or is not
+/// a number): the fit then bounds no condition number.
+///
+/// # Panics
+/// Panics for `eps` outside `(0, 1)`.
+pub fn predicted_iterations(alphas: &[f64], interval: (f64, f64), eps: f64) -> Option<usize> {
+    let s = residual_sup(alphas, interval);
+    (s < 1.0).then(|| cg_iteration_bound((1.0 + s) / (1.0 - s), eps))
 }
 
 /// Pick the time-minimizing m from measured `(m, N_m)` pairs under a cost
@@ -362,6 +399,34 @@ mod tests {
                 sol.iterations
             );
         }
+    }
+
+    #[test]
+    fn traffic_model_matches_the_plate_ratio() {
+        // Table-3 plate, a = 100: 19 800 unknowns, 235 214 stored entries.
+        let model = CostModel::from_traffic(19_800, 235_214);
+        assert!(
+            (model.b_over_a() - 0.813).abs() < 1e-3,
+            "{}",
+            model.b_over_a()
+        );
+    }
+
+    #[test]
+    fn predicted_iterations_track_the_fitted_residual() {
+        use crate::coeffs::minimax_alphas;
+        let interval = (0.01, 1.0);
+        let mut prev = usize::MAX;
+        for m in 1..=6 {
+            let alphas = minimax_alphas(m, interval).unwrap();
+            let s = residual_sup(&alphas, interval);
+            let n = predicted_iterations(&alphas, interval, 1e-8).unwrap();
+            assert_eq!(n, cg_iteration_bound((1.0 + s) / (1.0 - s), 1e-8));
+            assert!(n < prev, "m = {m}: {n} !< {prev}");
+            prev = n;
+        }
+        // A residual reaching 1 bounds no condition number.
+        assert_eq!(predicted_iterations(&[0.0], interval, 1e-8), None);
     }
 
     #[test]

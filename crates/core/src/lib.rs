@@ -24,15 +24,18 @@
 //!   polynomial in `G`), parametrized or not,
 //! * [`poly`] — the barrier-free **polynomial (Newton–Chebyshev)
 //!   preconditioner** on the Lanczos-estimated spectrum of the
-//!   Jacobi-scaled operator: `k` SpMVs per application, zero color-sweep
-//!   synchronization, with the [`poly::AutoPreconditioner`] selector
-//!   ([`poly::resolve_precond`], shared with the SPMD executor) choosing
-//!   between it and the m-step SSOR,
+//!   Jacobi-scaled operator (`k` SpMVs per application, zero color-sweep
+//!   synchronization), and the selection by value that both executors
+//!   share ([`poly::resolve_precond`], [`poly::AutoPreconditioner`]):
+//!   `Auto` builds the paper's parametrized m-step SSOR — min-max α on the
+//!   estimated SSOR interval, `m` chosen by Eq. (4.1)/(4.2) with costs from
+//!   the operator's shape ([`analysis::CostModel::from_traffic`]),
 //! * [`coeffs`] — least-squares and min-max α coefficients
 //!   (Johnson–Micchelli–Paul parametrization, §2.2, Table 1),
 //! * [`quadrature`] — Gauss–Legendre rules used by the least-squares fit,
-//! * [`analysis`] — Eq. (4.1)/(4.2) cost model, optimal-m prediction and
-//!   condition-number studies (the κ(M⁻¹K) vs m experiments),
+//! * [`analysis`] — Eq. (4.1)/(4.2) cost model, optimal-m prediction,
+//!   iteration prediction from a fitted polynomial and condition-number
+//!   studies (the κ(M⁻¹K) vs m experiments),
 //! * [`ic`] — the IC(0) incomplete-Cholesky baseline the m-step method
 //!   competes with (effective per iteration, but inherently sequential),
 //! * [`recovery`] — fault injection ([`recovery::FaultyOp`],

@@ -23,8 +23,9 @@ use mspcg_sparse::{CsrMatrix, Partition, SparseError, SparseOp};
 use std::sync::Arc;
 
 /// Power-iteration budget used when a constructor must estimate the
-/// spectral interval itself.
-const SPECTRUM_ITERS: usize = 60;
+/// spectral interval itself (and by `Auto`'s SSOR estimate, so both fit
+/// on bitwise the same interval).
+pub(crate) const SPECTRUM_ITERS: usize = 60;
 
 /// An m-step preconditioner over any splitting.
 #[derive(Debug)]
@@ -100,10 +101,30 @@ impl<S: Splitting> MStep<S> {
                 value: margin,
             });
         }
+        Self::fitted(splitting, alphas, Some(interval))
+    }
+
+    /// Coefficients fitted and checked elsewhere: `interval` is the
+    /// spectral interval they were fitted on, `None` for coefficients
+    /// that need none (α = 1) — what [`crate::poly::resolve_precond`]
+    /// hands back.
+    ///
+    /// # Errors
+    /// [`SparseError::InvalidPartition`] if `alphas` is empty (`m == 0`).
+    pub(crate) fn fitted(
+        splitting: S,
+        alphas: Vec<f64>,
+        interval: Option<(f64, f64)>,
+    ) -> Result<Self, SparseError> {
+        if alphas.is_empty() {
+            return Err(SparseError::InvalidPartition {
+                reason: "m must be at least 1".into(),
+            });
+        }
         Ok(MStep {
             splitting,
             alphas,
-            interval: Some(interval),
+            interval,
         })
     }
 
@@ -117,7 +138,9 @@ impl<S: Splitting> MStep<S> {
         &self.alphas
     }
 
-    /// The spectral interval used for fitting, when one was estimated.
+    /// The spectral interval used for fitting, when one was estimated;
+    /// `None` for α = 1, including an `Auto` resolution that fell back to
+    /// it.
     pub fn interval(&self) -> Option<(f64, f64)> {
         self.interval
     }

@@ -1,17 +1,15 @@
-//! Polynomial (Newton–Chebyshev) preconditioning — the **barrier-free**
-//! alternative to the paper's m-step SSOR.
+//! Polynomial (Newton–Chebyshev) preconditioning, and the selection of a
+//! preconditioner by value ([`resolve_precond`]).
 //!
-//! The m-step multicolor SSOR preconditioner costs `m·(2C−1)` color-sweep
-//! barriers per application on the SPMD schedule (`C` = colors); those
-//! sweeps dominate every variant of the reduction ladder. A polynomial
-//! preconditioner `M⁻¹ = p(G)·D⁻¹` in the Jacobi-scaled operator
-//! `G = D⁻¹K` is built from **SpMVs only**: a degree-`k` application is
-//! exactly `k` products `K·z` interleaved with fused BLAS-1 sweeps
-//! ([`mspcg_sparse::vecops::fused_poly_seed`] /
+//! A polynomial preconditioner `M⁻¹ = p(G)·D⁻¹` in the Jacobi-scaled
+//! operator `G = D⁻¹K` is built from **SpMVs only**: a degree-`k`
+//! application is exactly `k` products `K·z` interleaved with fused BLAS-1
+//! sweeps ([`mspcg_sparse::vecops::fused_poly_seed`] /
 //! [`mspcg_sparse::vecops::fused_poly_step`]) — zero color-sweep
 //! synchronization, `k` full barriers per application in SPMD
 //! (Bergamaschi–Martinez 2020; D'Ambra et al. 2025 for the Chebyshev-basis
-//! recipe).
+//! recipe). It is a pinned choice ([`PrecondKind::Poly`]); `Auto` does not
+//! pick it (see [`resolve_precond`]).
 //!
 //! `M⁻¹` is symmetric positive definite in the PCG sense:
 //! `p(D⁻¹K)·D⁻¹ = D^{-1/2}·p(D^{-1/2}K D^{-1/2})·D^{-1/2}` is congruent to
@@ -43,13 +41,36 @@
 //! preconditioner: repeated applications (every PCG iteration) and
 //! rebuilt preconditioners over the same matrix
 //! ([`PolynomialPreconditioner::with_interval`]) never re-run Lanczos.
+//!
+//! ## `Auto`: the paper's parametrized m-step SSOR
+//!
+//! [`PrecondKind::Auto`] resolves to the m-step multicolor SSOR with
+//! min-max coefficients (§2.2), its `m` chosen by the paper's cost model
+//! (§4). One 60-step power iteration estimates `σ(P⁻¹K) ⊆ [1 − ρ, 1]`
+//! ([`SweepTable::ssor_spectrum`]); the walk fits
+//! [`minimax_alphas`] at `m_default` and steps `m → m + 1`, up to
+//! [`AUTO_MAX_M`], while inequality (4.2)
+//! ([`step_increase_beneficial`]) predicts a gain. The
+//! iteration counts it compares come from the fit
+//! ([`predicted_iterations`]); the cost ratio `B/A` from the
+//! operator's `n` and `nnz` ([`CostModel::from_traffic`]), so the choice
+//! takes no timing and is deterministic. The polynomial is not a
+//! candidate: on the Table-3 plates (a = 24, 40, 100, both executors,
+//! 2 threads) the degree-4 Chebyshev pick lost to min-max SSOR at every
+//! `m` from 2 to 10, and ranking it would cost a Lanczos run at set-up.
+//! Matched flops do not decide it either: at a = 100 one Chebyshev degree
+//! costs ≈ 165 µs and one SSOR step ≈ 300 µs, but the fitted SSOR needs
+//! far fewer iterations (94 against 249 at relative residual 1e-8).
 
-use crate::mstep::MStepSsorPreconditioner;
+use crate::analysis::{predicted_iterations, step_increase_beneficial, CostModel};
+use crate::coeffs::{minimax_alphas, spd_margin};
+use crate::mstep::{MStep, MStepSsorPreconditioner, SPECTRUM_ITERS};
 use crate::preconditioner::Preconditioner;
+use crate::ssor::{MulticolorSsor, SweepTable};
 use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
 use mspcg_sparse::tuning::{PolyKind, PrecondKind};
 use mspcg_sparse::{vecops, CsrMatrix, Partition, SparseError, SparseOp};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Lanczos step budget when a constructor must estimate the spectral
 /// interval itself (matches the m-step constructors' power-iteration
@@ -84,7 +105,8 @@ pub const LOWER_MARGIN: f64 = 0.1;
 /// [`UPPER_MARGIN`]) with the lower end clamped positive.
 ///
 /// # Errors
-/// Propagates [`lanczos_extremes`] failures.
+/// Propagates [`lanczos_extremes`] failures, among them the
+/// [`SparseError::DidNotConverge`] of an empty operator.
 ///
 /// # Panics
 /// Panics if `inv_diag.len() != a.rows()`.
@@ -92,33 +114,11 @@ pub fn jacobi_spectrum<A: SparseOp>(
     a: &A,
     inv_diag: &[f64],
 ) -> Result<SpectralInterval, SparseError> {
-    Ok(safeguard_jacobi_interval(raw_jacobi_spectrum(a, inv_diag)?))
-}
-
-/// The **unsafeguarded** Ritz-value interval behind [`jacobi_spectrum`]:
-/// exactly what Lanczos estimated, before the relative margins bracket it.
-/// The safeguarding deliberately widens a degenerate point spectrum into a
-/// usable (non-degenerate) interval, so consumers that need to *detect*
-/// degeneracy — the `Auto` preconditioner heuristic must not commit to a
-/// polynomial on `λmin ≈ λmax` — check
-/// [`SpectralInterval::is_degenerate`] on this raw estimate and then apply
-/// [`safeguard_jacobi_interval`] themselves, reusing the single Lanczos
-/// run for both decisions.
-///
-/// # Errors
-/// Propagates [`lanczos_extremes`] failures.
-///
-/// # Panics
-/// Panics if `inv_diag.len() != a.rows()`.
-pub fn raw_jacobi_spectrum<A: SparseOp>(
-    a: &A,
-    inv_diag: &[f64],
-) -> Result<SpectralInterval, SparseError> {
     let n = a.rows();
     assert_eq!(inv_diag.len(), n, "jacobi_spectrum: diag length mismatch");
     let dhalf: Vec<f64> = inv_diag.iter().map(|d| d.sqrt()).collect();
     let mut tmp = vec![0.0; n];
-    lanczos_extremes(n, SPECTRUM_STEPS, 0x5EED, |x, y| {
+    let est = lanczos_extremes(n, SPECTRUM_STEPS, 0x5EED, |x, y| {
         for i in 0..n {
             tmp[i] = dhalf[i] * x[i];
         }
@@ -126,19 +126,12 @@ pub fn raw_jacobi_spectrum<A: SparseOp>(
         for i in 0..n {
             y[i] *= dhalf[i];
         }
-    })
-}
-
-/// Apply the [`LOWER_MARGIN`] / [`UPPER_MARGIN`] relative safeguards to a
-/// raw Ritz-value estimate (lower end clamped positive) — the widening
-/// step of [`jacobi_spectrum`], exposed so callers of
-/// [`raw_jacobi_spectrum`] produce bitwise the same interval.
-pub fn safeguard_jacobi_interval(est: SpectralInterval) -> SpectralInterval {
-    SpectralInterval {
+    })?;
+    Ok(SpectralInterval {
         min: (est.min * (1.0 - LOWER_MARGIN)).max(1e-12),
         max: est.max * (1.0 + UPPER_MARGIN),
         steps: est.steps,
-    }
+    })
 }
 
 /// The coefficient schedule of one polynomial preconditioner application:
@@ -395,9 +388,7 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
         self.apply_with(r, z, scratch);
     }
 
-    /// One SpMV per degree — the `k` of the Eq. (4.1)-style cost model,
-    /// directly comparable to the `m` of the m-step preconditioner at
-    /// matched sweep cost (`k ≈ 2m` streams the matrix equally often).
+    /// One SpMV per degree: the polynomial degree `k`.
     fn steps_per_apply(&self) -> usize {
         self.schedule.degree()
     }
@@ -428,18 +419,21 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
     }
 }
 
-/// The Auto-resolved serial preconditioner: either the paper's m-step
-/// multicolor SSOR or the barrier-free polynomial, behind one type so
-/// callers can let [`resolve_precond`] choose per matrix.
+/// The serial preconditioner a [`PrecondKind`] resolves to: the paper's
+/// m-step multicolor SSOR (`Auto` and a pinned `MStepSsor`) or a pinned
+/// polynomial, behind one type so callers can let [`resolve_precond`]
+/// choose per matrix.
 pub enum AutoPreconditioner<A: SparseOp = CsrMatrix> {
-    /// The paper's m-step multicolor SSOR.
+    /// The paper's m-step multicolor SSOR; its
+    /// [`MStep::alphas`] and [`MStep::interval`] tell a fitted `Auto`
+    /// resolution from α = 1.
     MStepSsor(MStepSsorPreconditioner),
     /// The degree-k polynomial alternative.
     Poly(PolynomialPreconditioner<A>),
 }
 
 impl<A: SparseOp> AutoPreconditioner<A> {
-    /// Which selection was made.
+    /// Which selection was made — never [`PrecondKind::Auto`].
     pub fn selected(&self) -> PrecondKind {
         match self {
             AutoPreconditioner::MStepSsor(p) => PrecondKind::MStepSsor {
@@ -500,12 +494,15 @@ impl<A: SparseOp> Preconditioner for AutoPreconditioner<A> {
 /// A [`PrecondKind`] selection resolved against one operator: what the
 /// serial [`auto_preconditioner`] and the SPMD `ParallelMStepPcg::auto`
 /// both build.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResolvedPrecond {
-    /// The m-step multicolor SSOR.
+    /// The m-step multicolor SSOR with these coefficients (`m` of them).
     MStepSsor {
-        /// Number of preconditioner steps.
-        m: usize,
+        /// `alphas[i]` multiplies `Gⁱ P⁻¹`.
+        alphas: Vec<f64>,
+        /// The SSOR interval the coefficients were fitted on; `None` for
+        /// α = 1.
+        interval: Option<(f64, f64)>,
     },
     /// A polynomial on the safeguarded Jacobi spectrum.
     Poly {
@@ -518,74 +515,143 @@ pub enum ResolvedPrecond {
     },
 }
 
-/// Resolve `selection` for the operator `a` with `colors` color blocks:
-/// the barrier-cost heuristic of [`PrecondKind::resolve`] (with
-/// `m_default`), then — for a polynomial — ONE Lanczos estimate of the
-/// Jacobi spectrum before committing. On a degenerate RAW spectrum
-/// (λmin ≈ λmax — a scaled identity, a tiny system, an early
-/// invariant-subspace break) every polynomial schedule collapses to
-/// (near-)Richardson on the artificially widened safeguard interval,
-/// which buys nothing over the sweeps the heuristic rejected on barrier
-/// cost — so a *heuristic* polynomial pick falls back to m-step SSOR. A
-/// pinned polynomial stays pinned (its schedule handles the degenerate
-/// interval explicitly).
+/// Largest `m` the `Auto` walk reaches. In the `(1 − t)ⁱ` basis the
+/// min-max coefficients grow about 5× per step (max |α| is 5.3e4 at
+/// m = 8 and 1.2e6 at m = 10 on the Table-3 plate), and measured solve
+/// time there is flat from m = 4 to 10.
+pub const AUTO_MAX_M: usize = 8;
+
+/// The error reduction the `Auto` walk predicts iteration counts for. Only
+/// the ratios between counts enter inequality (4.2).
+pub const AUTO_PREDICTION_EPS: f64 = 1e-8;
+
+/// Resolve `selection` for the operator `a`:
+///
+/// * [`PrecondKind::Auto`] → the paper's parametrized m-step SSOR (module
+///   docs): min-max α on the SSOR interval estimated on `table`, `m`
+///   walked up from `m_default` by inequality (4.2). It falls back to
+///   α = 1 at `m_default` — [`ResolvedPrecond::MStepSsor`] with no
+///   interval — when the estimate errs (an empty operator, before any
+///   step; `G = 0`, a diagonal `K`) and when the fit fails
+///   [`spd_margin`];
+/// * a pinned `MStepSsor { m }` → α = 1, no estimate;
+/// * a pinned `Poly` → ONE Lanczos estimate of the Jacobi spectrum of `a`
+///   ([`jacobi_spectrum`]).
+///
+/// `table` is the operator's SSOR sweep table: `Auto` needs it, the
+/// pinned kinds do not read it.
 ///
 /// # Errors
+/// [`SparseError::InvalidPartition`] for `Auto` without a table;
 /// [`SparseError::NotSquare`] / [`SparseError::ZeroDiagonal`] for a
-/// defective matrix, and spectrum-estimation failures.
+/// defective matrix and spectrum-estimation failures on the `Poly` path.
 pub fn resolve_precond<A: SparseOp>(
     a: &A,
-    colors: usize,
+    table: Option<&SweepTable>,
     m_default: usize,
     selection: PrecondKind,
 ) -> Result<ResolvedPrecond, SparseError> {
-    match selection.resolve(colors, m_default) {
-        PrecondKind::Auto => unreachable!("resolve never returns Auto"),
-        PrecondKind::MStepSsor { m } => Ok(ResolvedPrecond::MStepSsor { m }),
-        PrecondKind::Poly { kind, degree } => {
-            let raw = raw_jacobi_spectrum(a, &checked_inv_diag(a)?)?;
-            if selection == PrecondKind::Auto && raw.is_degenerate() {
-                return Ok(ResolvedPrecond::MStepSsor {
-                    m: m_default.max(1),
-                });
-            }
-            Ok(ResolvedPrecond::Poly {
-                kind,
-                degree,
-                interval: safeguard_jacobi_interval(raw),
-            })
+    Ok(match selection {
+        PrecondKind::Auto => auto_ssor(
+            table.ok_or_else(|| SparseError::InvalidPartition {
+                reason: "Auto needs the operator's SSOR sweep table".into(),
+            })?,
+            m_default,
+        ),
+        PrecondKind::MStepSsor { m } => ResolvedPrecond::MStepSsor {
+            alphas: vec![1.0; m],
+            interval: None,
+        },
+        PrecondKind::Poly { kind, degree } => ResolvedPrecond::Poly {
+            kind,
+            degree,
+            interval: jacobi_spectrum(a, &checked_inv_diag(a)?)?,
+        },
+    })
+}
+
+/// `Auto`'s m-step SSOR (see [`resolve_precond`]).
+fn auto_ssor(table: &SweepTable, m_default: usize) -> ResolvedPrecond {
+    let mut m = m_default.max(1);
+    let unit = ResolvedPrecond::MStepSsor {
+        alphas: vec![1.0; m],
+        interval: None,
+    };
+    // An empty operator errs here too, before any step is taken.
+    let Ok(interval) = table.ssor_spectrum(1.0, SPECTRUM_ITERS) else {
+        return unit;
+    };
+    let Some((mut alphas, mut n_m)) = minimax_fit(m, interval) else {
+        return unit;
+    };
+    let model = CostModel::from_traffic(table.matrix().rows(), table.matrix().nnz());
+    while m < AUTO_MAX_M {
+        let Some((next, n_next)) = minimax_fit(m + 1, interval) else {
+            break;
+        };
+        // (4.2) assumes N_{m+1} ≤ N_m; a step that saves no iteration
+        // never pays.
+        if n_next >= n_m || !step_increase_beneficial(m, n_m, n_next, model).beneficial {
+            break;
         }
+        (m, alphas, n_m) = (m + 1, next, n_next);
+    }
+    ResolvedPrecond::MStepSsor {
+        alphas,
+        interval: Some(interval),
     }
 }
 
-/// Resolve `selection` ([`resolve_precond`] with `colors.num_blocks()`
-/// and `m_default`) and build the chosen serial preconditioner over `a`.
+/// Min-max α at `m` on `interval` and the iterations they predict, or
+/// `None` when the fit errs, fails [`spd_margin`] or bounds no condition
+/// number.
+fn minimax_fit(m: usize, interval: (f64, f64)) -> Option<(Vec<f64>, usize)> {
+    let alphas = minimax_alphas(m, interval).ok()?;
+    if spd_margin(&alphas, interval) <= 0.0 {
+        return None;
+    }
+    let n = predicted_iterations(&alphas, interval, AUTO_PREDICTION_EPS)?;
+    Some((alphas, n))
+}
+
+/// Resolve `selection` ([`resolve_precond`]) and build the chosen serial
+/// preconditioner over `a`. `Auto` and a pinned `MStepSsor` build the
+/// SSOR splitting first — one CSR copy of `a`, which the estimate and the
+/// sweeps share — so an operator whose `colors` do not decouple is a
+/// [`SparseError::InvalidPartition`]; a pinned polynomial needs no
+/// coloring.
 ///
 /// # Errors
-/// Propagates the resolution's and the chosen constructor's errors.
+/// Propagates the splitting's, the resolution's and the chosen
+/// constructor's errors.
 pub fn auto_preconditioner<A: SparseOp + Clone>(
     a: &A,
     colors: &Partition,
     m_default: usize,
     selection: PrecondKind,
 ) -> Result<AutoPreconditioner<A>, SparseError> {
-    Ok(
-        match resolve_precond(a, colors.num_blocks(), m_default, selection)? {
-            ResolvedPrecond::MStepSsor { m } => AutoPreconditioner::MStepSsor(
-                MStepSsorPreconditioner::unparametrized_op(a, colors, m)?,
-            ),
-            ResolvedPrecond::Poly {
-                kind,
-                degree,
-                interval,
-            } => AutoPreconditioner::Poly(PolynomialPreconditioner::with_interval(
-                a.clone(),
-                kind,
-                degree,
-                interval,
-            )?),
-        },
-    )
+    let ssor = match selection {
+        PrecondKind::Poly { .. } => None,
+        _ => Some(MulticolorSsor::from_op(a, Arc::new(colors.clone()), 1.0)?),
+    };
+    let table = ssor.as_ref().map(MulticolorSsor::table);
+    let resolved = resolve_precond(a, table, m_default, selection)?;
+    Ok(match resolved {
+        ResolvedPrecond::MStepSsor { alphas, interval } => {
+            let ssor = ssor.expect("only a polynomial selection skips the splitting");
+            AutoPreconditioner::MStepSsor(MStep::fitted(ssor, alphas, interval)?)
+        }
+        ResolvedPrecond::Poly {
+            kind,
+            degree,
+            interval,
+        } => AutoPreconditioner::Poly(PolynomialPreconditioner::with_interval(
+            a.clone(),
+            kind,
+            degree,
+            interval,
+        )?),
+    })
 }
 
 #[cfg(test)]
@@ -593,6 +659,7 @@ mod tests {
     use super::*;
     use crate::pcg::{pcg_solve, PcgOptions};
     use crate::preconditioner::DiagonalPreconditioner;
+    use crate::splitting::Splitting;
     use mspcg_sparse::{CooMatrix, SellCsMatrix};
 
     fn laplacian(n: usize) -> CsrMatrix {
@@ -807,15 +874,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn auto_selection_obeys_heuristic_and_pins() {
-        let a = laplacian(12);
-        let labels: Vec<usize> = (0..12).map(|i| i % 2).collect();
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`poisson2d`] in red/black order, with its two color blocks.
+    fn rb_poisson2d(g: usize) -> (CsrMatrix, Partition) {
+        let labels: Vec<usize> = (0..g * g).map(|i| (i / g + i % g) % 2).collect();
         let ord = mspcg_coloring::Coloring::from_labels(labels, 2)
             .unwrap()
             .ordering();
-        let (pa, colors) = (ord.permute_matrix(&a).unwrap(), ord.partition);
-        // A pinned selection passes through verbatim.
+        (ord.permute_matrix(&poisson2d(g)).unwrap(), ord.partition)
+    }
+
+    #[test]
+    fn auto_fits_minimax_ssor_and_pins_pass_through() {
+        let (pa, colors) = rb_poisson2d(16);
+        // Auto: min-max α fitted on the SSOR interval the parametrized
+        // constructors estimate, at an m the walk reached from m_default.
+        let auto = auto_preconditioner(&pa, &colors, 2, PrecondKind::Auto).unwrap();
+        let AutoPreconditioner::MStepSsor(p) = &auto else {
+            panic!("Auto must build the m-step SSOR");
+        };
+        let interval = p.interval().expect("a fitted Auto reports its interval");
+        let ssor = MulticolorSsor::new(pa.clone(), colors.clone(), 1.0).unwrap();
+        assert_eq!(interval, ssor.spectrum_interval(SPECTRUM_ITERS).unwrap());
+        assert!((2..=AUTO_MAX_M).contains(&p.m()), "m = {}", p.m());
+        assert_eq!(
+            bits(p.alphas()),
+            bits(&minimax_alphas(p.m(), interval).unwrap())
+        );
+        assert_eq!(auto.selected(), PrecondKind::MStepSsor { m: p.m() });
+        // A pinned m-step SSOR is α = 1, with no estimate.
+        let pinned = auto_preconditioner(&pa, &colors, 2, PrecondKind::MStepSsor { m: 3 }).unwrap();
+        let AutoPreconditioner::MStepSsor(p) = &pinned else {
+            panic!("a pinned MStepSsor builds the m-step SSOR");
+        };
+        assert_eq!(p.alphas(), &[1.0; 3]);
+        assert_eq!(p.interval(), None);
+        assert!(auto_preconditioner(&pa, &colors, 2, PrecondKind::MStepSsor { m: 0 }).is_err());
+        // A pinned polynomial is the one its own constructor builds.
         let pinned = auto_preconditioner(
             &pa,
             &colors,
@@ -833,49 +931,37 @@ mod tests {
                 degree: 3
             }
         );
-        assert_eq!(pinned.steps_per_apply(), 3);
-        // Auto: whatever resolve() picks must be what gets built.
-        let auto = auto_preconditioner(&pa, &colors, 2, PrecondKind::Auto).unwrap();
-        assert_eq!(
-            auto.selected(),
-            PrecondKind::Auto.resolve(colors.num_blocks(), 2)
-        );
+        let AutoPreconditioner::Poly(p) = &pinned else {
+            panic!("a pinned Poly builds the polynomial");
+        };
+        let own = PolynomialPreconditioner::newton(pa.clone(), 3).unwrap();
+        assert_eq!(p.schedule(), own.schedule());
+        assert_eq!(p.interval(), own.interval());
     }
 
     #[test]
-    fn auto_heuristic_falls_back_to_ssor_on_degenerate_spectrum() {
-        // K = 3I in a 2-color blocking: the barrier-cost heuristic alone
-        // would pick the polynomial (2C−1 = 3 > 2), but the Jacobi
-        // spectrum of a scaled identity is the single point {1} — Lanczos
-        // breaks on an invariant subspace after one step and the RAW
-        // interval is degenerate. Auto must fall back to the m-step
-        // sweeps instead of constructing a meaningless schedule.
+    fn auto_falls_back_to_unit_alphas_on_a_diagonal_operator() {
+        // K = 3I in a 2-color blocking: G_SSOR = 0, so the power iteration
+        // finds no spectral radius to fit on and errs after 0 steps. Auto
+        // keeps m_default steps at α = 1 and says so: no interval.
         let n = 12;
         let mut c = CooMatrix::new(n, n);
         for i in 0..n {
             c.push(i, i, 3.0).unwrap();
         }
         let a = c.to_csr();
-        let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
-        let ord = mspcg_coloring::Coloring::from_labels(labels, 2)
-            .unwrap()
-            .ordering();
-        let (pa, colors) = (ord.permute_matrix(&a).unwrap(), ord.partition);
-        // Sanity: the heuristic alone WOULD pick the polynomial here.
-        assert_eq!(
-            PrecondKind::Auto.resolve(colors.num_blocks(), 2),
-            PrecondKind::Poly {
-                kind: PolyKind::Chebyshev,
-                degree: 4
-            }
-        );
-        let auto = auto_preconditioner(&pa, &colors, 2, PrecondKind::Auto).unwrap();
+        let colors = Partition::from_sizes(&[6, 6]).unwrap();
+        let auto = auto_preconditioner(&a, &colors, 2, PrecondKind::Auto).unwrap();
         assert_eq!(auto.selected(), PrecondKind::MStepSsor { m: 2 });
-        // A *pinned* polynomial stays pinned on the same spectrum: the
-        // schedule handles the degenerate interval (Richardson fallback),
-        // so the pin is honored rather than second-guessed.
+        let AutoPreconditioner::MStepSsor(p) = &auto else {
+            panic!("Auto must build the m-step SSOR");
+        };
+        assert_eq!(p.alphas(), &[1.0, 1.0]);
+        assert_eq!(p.interval(), None);
+        // A pinned polynomial stays pinned on the same operator: its
+        // schedule handles the degenerate interval (Richardson fallback).
         let pinned = auto_preconditioner(
-            &pa,
+            &a,
             &colors,
             2,
             PrecondKind::Poly {
@@ -885,6 +971,31 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(pinned.selected(), PrecondKind::Poly { .. }));
+    }
+
+    #[test]
+    fn auto_needs_a_decoupling_coloring_but_a_pinned_polynomial_does_not() {
+        // The natural-order 1-D Laplacian in one block couples inside it.
+        let a = laplacian(8);
+        let one_block = Partition::single(8);
+        for selection in [PrecondKind::Auto, PrecondKind::MStepSsor { m: 2 }] {
+            assert!(matches!(
+                auto_preconditioner(&a, &one_block, 2, selection),
+                Err(SparseError::InvalidPartition { .. })
+            ));
+        }
+        let poly = PrecondKind::Poly {
+            kind: PolyKind::Chebyshev,
+            degree: 2,
+        };
+        assert_eq!(
+            auto_preconditioner(&a, &one_block, 2, poly)
+                .unwrap()
+                .selected(),
+            poly
+        );
+        // The resolution itself refuses Auto without the sweep table.
+        assert!(resolve_precond(&a, None, 2, PrecondKind::Auto).is_err());
     }
 
     /// SpMV-counting wrapper: proves which construction paths run Lanczos.

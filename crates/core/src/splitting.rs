@@ -146,12 +146,13 @@ impl<A: SparseOp> Splitting for JacobiSplitting<A> {
     /// Exact extremes of `σ(D⁻¹K)` via Lanczos on the similar *symmetric*
     /// operator `D^{-1/2} K D^{-1/2}`, applied matrix-free
     /// (`y = D^{-1/2}·(K·(D^{-1/2}x))`) so no format needs a symmetric
-    /// rescaling primitive.
+    /// rescaling primitive. At least 8 steps; Lanczos clamps the budget
+    /// to the dimension.
     fn spectrum_interval(&self, iters: usize) -> Result<(f64, f64), SparseError> {
         let n = self.dim();
         let dhalf: Vec<f64> = self.inv_diag.iter().map(|d| d.sqrt()).collect();
         let mut tmp = vec![0.0; n];
-        let est = lanczos_extremes(n, iters.clamp(8, n), 0x5EED, |x, y| {
+        let est = lanczos_extremes(n, iters.max(8), 0x5EED, |x, y| {
             for i in 0..n {
                 tmp[i] = dhalf[i] * x[i];
             }

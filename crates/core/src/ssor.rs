@@ -204,6 +204,67 @@ impl SweepTable {
         // SAFETY: forwarded contract.
         unsafe { self.a.dot_entries_shared(self.upper(i), x) }
     }
+
+    /// The SOR(ω) update of row `i` from its right-hand side minus both
+    /// half-sums.
+    #[inline]
+    fn relax(&self, omega: f64, i: usize, rhs_minus_sums: f64, x: &mut [f64]) {
+        let xi = x[i];
+        x[i] = (1.0 - omega) * xi + omega * rhs_minus_sums * self.inv_diag[i];
+    }
+
+    /// One past the block the backward sweep starts from: with ω = 1 the
+    /// last color's backward update is the identity and is skipped (paper's
+    /// `c = 5 down to 2` optimization); otherwise it is required. The
+    /// subtraction saturates, as in the SPMD sweeps, so an empty partition
+    /// sweeps nothing.
+    fn backward_end(&self, omega: f64) -> usize {
+        let nb = self.colors.num_blocks();
+        if omega == 1.0 {
+            nb.saturating_sub(1)
+        } else {
+            nb
+        }
+    }
+
+    /// One full SSOR(ω) step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
+    /// starting vector: both half-sums are computed fresh (no cache
+    /// assumption), serially. The step the spectrum estimate iterates.
+    fn ssor_step(&self, omega: f64, scale: f64, b: &[f64], x: &mut [f64]) {
+        // Forward: fresh lower AND upper sums.
+        for blk in self.colors.iter() {
+            for i in blk {
+                let s = self.lower_sum(i, x) + self.upper_sum(i, x);
+                self.relax(omega, i, scale * b[i] - s, x);
+            }
+        }
+        // Backward: skip the last color when ω = 1 (identity update).
+        for c in (0..self.backward_end(omega)).rev() {
+            for i in self.colors.range(c) {
+                let s = self.lower_sum(i, x) + self.upper_sum(i, x);
+                self.relax(omega, i, scale * b[i] - s, x);
+            }
+        }
+    }
+
+    /// The interval `[1 − ρ, 1]` containing `σ(P⁻¹K)` of the SSOR(ω)
+    /// splitting: `σ(G_SSOR) ⊆ [0, ρ]` for SPD `K` and ω ∈ (0, 2), with `ρ`
+    /// from `iters` power-iteration steps on `G` (capped below 1, the
+    /// lower end floored at `1e-12`). Both executors estimate here: the
+    /// serial splitting on its own table, the SPMD solver on the table it
+    /// streams, so no second copy of the matrix is made.
+    ///
+    /// # Errors
+    /// [`SparseError::DidNotConverge`] for an empty operator and when `G`
+    /// annihilates the start vector (`G = 0`, e.g. a diagonal `K`).
+    pub fn ssor_spectrum(&self, omega: f64, iters: usize) -> Result<(f64, f64), SparseError> {
+        let rho = power_spectral_radius(self.a.rows(), iters, 0x5EED, |x, y| {
+            y.copy_from_slice(x);
+            self.ssor_step(omega, 0.0, x, y);
+        })?;
+        let rho = rho.min(0.999_999);
+        Ok(((1.0 - rho).max(1e-12), 1.0))
+    }
 }
 
 /// Multicolor SSOR(ω) splitting of a color-blocked SPD matrix.
@@ -300,10 +361,9 @@ impl MulticolorSsor {
         &self.table.a
     }
 
-    #[inline]
-    fn relax(&self, i: usize, rhs_minus_sums: f64, x: &mut [f64]) {
-        let xi = x[i];
-        x[i] = (1.0 - self.omega) * xi + self.omega * rhs_minus_sums * self.table.inv_diag[i];
+    /// The sweep table this splitting streams.
+    pub(crate) fn table(&self) -> &SweepTable {
+        &self.table
     }
 
     /// Stored entries in color block `c` — the work measure deciding
@@ -334,7 +394,7 @@ impl MulticolorSsor {
                 for i in blk {
                     let lower = t.lower_sum(i, x);
                     let upper = if last { 0.0 } else { y[i] };
-                    self.relax(i, scale * b[i] - lower - upper, x);
+                    t.relax(self.omega, i, scale * b[i] - lower - upper, x);
                     y[i] = lower;
                 }
             } else {
@@ -414,7 +474,7 @@ impl MulticolorSsor {
                 for i in blk {
                     let upper = t.upper_sum(i, x);
                     let lower = y[i];
-                    self.relax(i, scale * b[i] - lower - upper, x);
+                    t.relax(self.omega, i, scale * b[i] - lower - upper, x);
                     y[i] = upper;
                 }
             } else {
@@ -443,20 +503,6 @@ impl MulticolorSsor {
         }
     }
 
-    /// One past the block the backward sweep starts from: with ω = 1 the
-    /// last color's backward update is the identity and is skipped (paper's
-    /// `c = 5 down to 2` optimization); otherwise it is required. The
-    /// subtraction saturates, as in the SPMD sweeps, so an empty partition
-    /// sweeps nothing.
-    fn backward_end(&self) -> usize {
-        let nb = self.table.colors.num_blocks();
-        if self.omega == 1.0 {
-            nb.saturating_sub(1)
-        } else {
-            nb
-        }
-    }
-
     /// Count of off-diagonal multiply–adds per SSOR step (the Conrad–Wallach
     /// cost: each off-diagonal entry exactly once).
     pub fn offdiag_ops_per_step(&self) -> usize {
@@ -475,21 +521,7 @@ impl Splitting for MulticolorSsor {
     fn step(&self, scale: f64, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.dim(), "mc-ssor step: b length mismatch");
         assert_eq!(x.len(), self.dim(), "mc-ssor step: x length mismatch");
-        let t = &self.table;
-        // Forward: fresh lower AND upper sums.
-        for blk in t.colors.iter() {
-            for i in blk {
-                let s = t.lower_sum(i, x) + t.upper_sum(i, x);
-                self.relax(i, scale * b[i] - s, x);
-            }
-        }
-        // Backward: skip the last color when ω = 1 (identity update).
-        for c in (0..self.backward_end()).rev() {
-            for i in t.colors.range(c) {
-                let s = t.lower_sum(i, x) + t.upper_sum(i, x);
-                self.relax(i, scale * b[i] - s, x);
-            }
-        }
+        self.table.ssor_step(self.omega, scale, b, x);
     }
 
     /// Algorithm 2: m-step multicolor SSOR solve of `M r̂ = r` with the
@@ -527,7 +559,7 @@ impl Splitting for MulticolorSsor {
         );
         let m = alphas.len();
         let y = scratch;
-        let end = self.backward_end();
+        let end = self.table.backward_end(self.omega);
         self.forward_first(alphas[m - 1], r, z, y);
         self.backward_cached(alphas[m - 1], r, z, y, end);
         for s in 2..=m {
@@ -537,15 +569,9 @@ impl Splitting for MulticolorSsor {
         }
     }
 
+    /// [`SweepTable::ssor_spectrum`] at this splitting's ω.
     fn spectrum_interval(&self, iters: usize) -> Result<(f64, f64), SparseError> {
-        // σ(G_SSOR) ⊆ [0, ρ] for SPD K and ω ∈ (0, 2) ⇒ σ(P⁻¹K) ⊆ [1−ρ, 1].
-        let n = self.dim();
-        let rho = power_spectral_radius(n, iters, 0x5EED, |x, y| {
-            y.copy_from_slice(x);
-            self.step(0.0, x, y);
-        })?;
-        let rho = rho.min(0.999_999);
-        Ok(((1.0 - rho).max(1e-12), 1.0))
+        self.table.ssor_spectrum(self.omega, iters)
     }
 }
 

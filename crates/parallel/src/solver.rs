@@ -73,8 +73,7 @@
 //! ## Polynomial msolve (barrier-free preconditioning)
 //!
 //! Both schedules above pay `m·(2C−1)` color-sweep barriers per m-step
-//! SSOR application — the dominant synchronization term for realistic
-//! color counts. [`ParallelMStepPcg::poly`] swaps the sweeps for the
+//! SSOR application. [`ParallelMStepPcg::poly`] swaps the sweeps for the
 //! degree-`k` **polynomial preconditioner** of `mspcg_core::poly`
 //! (Newton or Chebyshev on the Lanczos-estimated spectrum of the
 //! Jacobi-scaled operator): `z = p(D⁻¹K)·D⁻¹r` evaluated as `k` fused
@@ -87,9 +86,19 @@
 //! next phase's writes. The exact-formula counter test pins the
 //! resulting schedules: per iteration, classic `k + 3` barriers,
 //! single-reduction `k + 2`.
-//! [`ParallelMStepPcg::auto`] picks between sweeps and polynomial through
-//! the same [`mspcg_core::poly::resolve_precond`] as the serial
-//! `auto_preconditioner`.
+//!
+//! ## `Auto`: the paper's parametrized m-step SSOR
+//!
+//! [`ParallelMStepPcg::auto`] resolves a [`PrecondKind`] through the same
+//! [`mspcg_core::poly::resolve_precond`] as the serial
+//! `auto_preconditioner`. `Auto` is the m-step SSOR with min-max
+//! coefficients fitted on the SSOR spectral interval, estimated once on
+//! this solver's own [`SweepTable`], with `m` chosen by the paper's cost
+//! model (Eq. (4.1), inequality (4.2)) — not by counting barriers: on a
+//! 2-vCPU shared-memory VM all 25 barriers of an m = 2 iteration on the
+//! Table-3 plate cost under 1 % of solve time, and fitted coefficients
+//! cost nothing per iteration (the schedule stays `m·(2C−1) + 3`). Both
+//! executors resolve bitwise the same coefficients.
 
 use crate::barrier::SpinBarrier;
 use crate::shared::{slot, ScalarBank, SharedVec};
@@ -404,9 +413,13 @@ impl ParallelMStepPcg {
     }
 
     /// Resolve `selection` with [`mspcg_core::poly::resolve_precond`] —
-    /// the same resolution, degenerate-spectrum fallback included, as the
-    /// serial [`mspcg_core::auto_preconditioner`] — and build the chosen
-    /// SPMD configuration.
+    /// the same resolution, fallbacks included, as the serial
+    /// [`mspcg_core::auto_preconditioner`] — and build the chosen SPMD
+    /// configuration. `Auto` is the paper's parametrized m-step SSOR:
+    /// min-max α on the SSOR interval, estimated on the sweep table this
+    /// solver streams (no second matrix copy), with `m` walked up from
+    /// `m_default` by inequality (4.2); [`ParallelMStepPcg::alphas`] shows
+    /// the result, all ones when it fell back to α = 1.
     ///
     /// # Errors
     /// The construction errors of [`ParallelMStepPcg::new`], and the
@@ -418,8 +431,8 @@ impl ParallelMStepPcg {
         selection: PrecondKind,
     ) -> Result<Self, SparseError> {
         let mut base = Self::shared(matrix, Arc::new(colors.clone()), Vec::new())?;
-        match resolve_precond(matrix, colors.num_blocks(), m_default, selection)? {
-            ResolvedPrecond::MStepSsor { m } => base.alphas = vec![1.0; m],
+        match resolve_precond(matrix, Some(&base.table), m_default, selection)? {
+            ResolvedPrecond::MStepSsor { alphas, .. } => base.alphas = alphas,
             ResolvedPrecond::Poly {
                 kind,
                 degree,
@@ -449,6 +462,12 @@ impl ParallelMStepPcg {
     /// Number of preconditioner steps (0 = plain CG).
     pub fn m(&self) -> usize {
         self.alphas.len()
+    }
+
+    /// The m-step SSOR coefficients (`alphas[i]` multiplies `Gⁱ P⁻¹`;
+    /// empty for plain CG and the polynomial msolve).
+    pub fn alphas(&self) -> &[f64] {
+        &self.alphas
     }
 
     /// Whether this configuration runs with **no** preconditioner phase
@@ -1647,7 +1666,7 @@ fn claim_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mspcg_core::{pcg_solve, MStepSsorPreconditioner, PcgOptions};
+    use mspcg_core::{pcg_solve, AutoPreconditioner, MStepSsorPreconditioner, PcgOptions};
     use mspcg_fem::plate::PlaneStressProblem;
     use mspcg_sparse::CsrMatrix;
 
@@ -2414,56 +2433,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn auto_constructor_respects_pins_and_heuristic() {
-        let (a, colors, rhs) = plate(6);
-        // Pinned selections pass through the auto constructor verbatim.
-        let ssor = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::MStepSsor { m: 3 }).unwrap();
-        assert_eq!(ssor.precond(), PrecondKind::MStepSsor { m: 3 });
-        let poly = ParallelMStepPcg::auto(
-            &a,
-            &colors,
-            2,
-            PrecondKind::Poly {
-                kind: PolyKind::Newton,
-                degree: 5,
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            poly.precond(),
-            PrecondKind::Poly {
-                kind: PolyKind::Newton,
-                degree: 5
-            }
-        );
-        // Auto follows the barrier-cost heuristic.
-        let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
-        assert_eq!(
-            auto.precond(),
-            PrecondKind::Auto.resolve(colors.num_blocks(), 2)
-        );
-        // Both pinned solvers reach the true solution.
-        let exact = exact_solution(&a, &rhs);
-        for par in [&ssor, &poly] {
-            let rep = par
-                .solve(&rhs, &variant_opts(PcgVariant::Classic, 2, 1e-8))
-                .unwrap();
-            assert!(rep.converged);
-            for (x, v) in rep.x.iter().zip(&exact) {
-                assert!((x - v).abs() < 1e-5, "{x} vs {v}");
-            }
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The serial `Auto` resolution's coefficients and interval.
+    fn serial_auto(a: &CsrMatrix, colors: &Partition) -> (Vec<f64>, Option<(f64, f64)>) {
+        match mspcg_core::auto_preconditioner(a, colors, 2, PrecondKind::Auto).unwrap() {
+            AutoPreconditioner::MStepSsor(p) => (p.alphas().to_vec(), p.interval()),
+            AutoPreconditioner::Poly(_) => panic!("Auto must build the m-step SSOR"),
         }
     }
 
     #[test]
-    fn auto_heuristic_falls_back_to_ssor_on_degenerate_spectrum() {
-        // K = 3I in a 2-color blocking: the barrier-cost heuristic alone
-        // picks the polynomial (2C−1 = 3 > 2), but the Jacobi spectrum of
-        // a scaled identity is the single point {1} — the RAW Lanczos
-        // interval is degenerate, so the SPMD auto constructor must
-        // revise the heuristic choice down to m-step SSOR, exactly like
-        // [`mspcg_core::auto_preconditioner`].
+    fn auto_constructor_resolves_like_the_serial_selector_and_pins_pass_through() {
+        let (a, colors, rhs) = plate(24);
+        // Auto: the SPMD estimate on its own sweep table fits bitwise the
+        // coefficients the serial selector fits on its splitting's.
+        let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
+        let (alphas, interval) = serial_auto(&a, &colors);
+        assert!(interval.is_some());
+        assert_eq!(bits(auto.alphas()), bits(&alphas));
+        assert_eq!(auto.precond(), PrecondKind::MStepSsor { m: alphas.len() });
+        // Pinned selections pass through the auto constructor verbatim.
+        let ssor = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::MStepSsor { m: 3 }).unwrap();
+        assert_eq!(ssor.precond(), PrecondKind::MStepSsor { m: 3 });
+        assert_eq!(ssor.alphas(), &[1.0; 3]);
+        let newton = PrecondKind::Poly {
+            kind: PolyKind::Newton,
+            degree: 5,
+        };
+        let poly = ParallelMStepPcg::auto(&a, &colors, 2, newton).unwrap();
+        assert_eq!(poly.precond(), newton);
+        assert!(poly.alphas().is_empty());
+        // All three solve the system: true relative residual ≤ 1e-8.
+        let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        for par in [&auto, &ssor, &poly] {
+            let rep = par
+                .solve(&rhs, &variant_opts(PcgVariant::Classic, 2, 1e-10))
+                .unwrap();
+            assert!(rep.converged);
+            let ku = a.mul_vec(&rep.x);
+            let r: Vec<f64> = rhs.iter().zip(&ku).map(|(f, k)| f - k).collect();
+            assert!(norm(&r) <= 1e-8 * norm(&rhs), "{:?}", par.precond());
+        }
+    }
+
+    #[test]
+    fn auto_walk_stops_where_inequality_42_does() {
+        use mspcg_core::analysis::{predicted_iterations, step_increase_beneficial, CostModel};
+        use mspcg_core::minimax_alphas;
+        use mspcg_core::poly::{AUTO_MAX_M, AUTO_PREDICTION_EPS};
+        let mut picked = Vec::new();
+        for size in [12, 24, 40] {
+            let (a, colors, _) = plate(size);
+            let (alphas, interval) = serial_auto(&a, &colors);
+            let interval = interval.expect("the plate has an SSOR spectrum to fit");
+            let model = CostModel::from_traffic(a.rows(), a.nnz());
+            let n = |m: usize| {
+                predicted_iterations(
+                    &minimax_alphas(m, interval).unwrap(),
+                    interval,
+                    AUTO_PREDICTION_EPS,
+                )
+                .unwrap()
+            };
+            let m = alphas.len();
+            assert!((2..=AUTO_MAX_M).contains(&m), "a = {size}: m = {m}");
+            // The step into m passed (4.2) ...
+            if m > 2 {
+                assert!(n(m) < n(m - 1), "a = {size}");
+                assert!(step_increase_beneficial(m - 1, n(m - 1), n(m), model).beneficial);
+            }
+            // ... and the step out of it fails it, unless m is the cap.
+            if m < AUTO_MAX_M {
+                let (n_m, n_next) = (n(m), n(m + 1));
+                assert!(
+                    n_next >= n_m || !step_increase_beneficial(m, n_m, n_next, model).beneficial,
+                    "a = {size}: m = {m} should have stepped on"
+                );
+            }
+            picked.push(m);
+        }
+        // The walk lands at different m on different plates, the cap
+        // included.
+        assert_eq!(picked, [4, 7, AUTO_MAX_M]);
+    }
+
+    #[test]
+    fn auto_needs_fewer_iterations_than_chebyshev_4_on_the_a24_plate() {
+        // The plate's own load at relative residual 1e-8. Before `Auto`
+        // built the fitted SSOR it picked degree-4 Chebyshev, which needs
+        // 94 iterations here.
+        let (a, colors, rhs) = plate(24);
+        let opts = PcgOptions {
+            tol: 1e-8,
+            criterion: mspcg_core::StoppingCriterion::RelativeResidual,
+            ..PcgOptions::default()
+        };
+        let iterations = |selection| {
+            let pre = mspcg_core::auto_preconditioner(&a, &colors, 2, selection).unwrap();
+            let sol = pcg_solve(&a, &rhs, &pre, &opts).unwrap();
+            assert!(sol.converged);
+            sol.iterations
+        };
+        let auto = iterations(PrecondKind::Auto);
+        let chebyshev = iterations(PrecondKind::Poly {
+            kind: PolyKind::Chebyshev,
+            degree: 4,
+        });
+        assert_eq!(chebyshev, 94);
+        assert!(auto < chebyshev, "Auto {auto} vs Chebyshev-4 {chebyshev}");
+    }
+
+    #[test]
+    fn auto_constructor_falls_back_to_unit_alphas_on_a_diagonal_operator() {
+        // K = 3I in a 2-color blocking: G_SSOR = 0, so the estimate errs
+        // and the SPMD auto constructor keeps m_default steps at α = 1,
+        // exactly like [`mspcg_core::auto_preconditioner`].
         let n = 12;
         let mut c = mspcg_sparse::CooMatrix::new(n, n);
         for i in 0..n {
@@ -2472,13 +2559,10 @@ mod tests {
         let a = c.to_csr();
         let colors = Partition::from_sizes(&[6, 6]).unwrap();
         let rhs: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        // Sanity: the heuristic alone WOULD pick the polynomial here.
-        assert!(matches!(
-            PrecondKind::Auto.resolve(colors.num_blocks(), 2),
-            PrecondKind::Poly { .. }
-        ));
         let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
         assert_eq!(auto.precond(), PrecondKind::MStepSsor { m: 2 });
+        assert_eq!(auto.alphas(), &[1.0, 1.0]);
+        assert_eq!(serial_auto(&a, &colors), (vec![1.0, 1.0], None));
         let rep = auto
             .solve(&rhs, &variant_opts(PcgVariant::Classic, 2, 1e-10))
             .unwrap();
@@ -2486,24 +2570,13 @@ mod tests {
         for (x, f) in rep.x.iter().zip(&rhs) {
             assert!((x - f / 3.0).abs() < 1e-10, "{x} vs {}", f / 3.0);
         }
-        // A *pinned* polynomial stays pinned on the same spectrum: its
+        // A *pinned* polynomial stays pinned on the same operator: its
         // schedule absorbs the degenerate (safeguard-widened) interval.
-        let pinned = ParallelMStepPcg::auto(
-            &a,
-            &colors,
-            2,
-            PrecondKind::Poly {
-                kind: PolyKind::Chebyshev,
-                degree: 2,
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            pinned.precond(),
-            PrecondKind::Poly {
-                kind: PolyKind::Chebyshev,
-                degree: 2
-            }
-        );
+        let chebyshev = PrecondKind::Poly {
+            kind: PolyKind::Chebyshev,
+            degree: 2,
+        };
+        let pinned = ParallelMStepPcg::auto(&a, &colors, 2, chebyshev).unwrap();
+        assert_eq!(pinned.precond(), chebyshev);
     }
 }

@@ -54,20 +54,6 @@ impl SpectralInterval {
             self.max / self.min
         }
     }
-
-    /// Whether the interval is numerically a single point: the half-span
-    /// `δ = (max − min)/2` is negligible against the midpoint
-    /// `θ = (max + min)/2`. This happens on a scaled identity, a 1×1
-    /// operator, or an early invariant-subspace break — spectra on which
-    /// a Chebyshev three-term recurrence is ill-defined (`δ → 0`), so
-    /// interval consumers (polynomial schedules, the Auto preconditioner
-    /// heuristic) must take their degenerate path.
-    /// Same test as the `PolySchedule` Richardson fallback.
-    pub fn is_degenerate(self) -> bool {
-        let theta = 0.5 * (self.max + self.min);
-        let delta = 0.5 * (self.max - self.min);
-        delta <= theta * 1e-12
-    }
 }
 
 /// Deterministic pseudo-random unit starting vector (xorshift; avoids an
@@ -95,7 +81,8 @@ fn seeded_unit_vector(n: usize, seed: u64) -> Vec<f64> {
 /// reorthogonalization.
 ///
 /// # Errors
-/// [`SparseError::DidNotConverge`] only when the Krylov space collapses at
+/// [`SparseError::DidNotConverge`] after 0 steps for an empty operator
+/// (`n == 0` has no spectrum), and when the Krylov space collapses at
 /// step 0 (zero operator on a zero start vector — practically impossible
 /// with the seeded start).
 pub fn lanczos_extremes<F>(
@@ -107,7 +94,12 @@ pub fn lanczos_extremes<F>(
 where
     F: FnMut(&[f64], &mut [f64]),
 {
-    assert!(n > 0, "lanczos: empty operator");
+    if n == 0 {
+        return Err(SparseError::DidNotConverge {
+            iterations: 0,
+            residual: f64::NAN,
+        });
+    }
     let m = max_steps.min(n).max(1);
     let mut alphas: Vec<f64> = Vec::with_capacity(m);
     let mut betas: Vec<f64> = Vec::with_capacity(m);
@@ -173,7 +165,8 @@ where
 /// splitting iteration matrix, §2.1). Returns the dominant `|λ|`.
 ///
 /// # Errors
-/// [`SparseError::DidNotConverge`] if the iterate collapses to zero.
+/// [`SparseError::DidNotConverge`] after 0 iterations for an empty
+/// operator (`n == 0`) or when the first iterate collapses to zero.
 pub fn power_spectral_radius<F>(
     n: usize,
     iterations: usize,
@@ -183,7 +176,12 @@ pub fn power_spectral_radius<F>(
 where
     F: FnMut(&[f64], &mut [f64]),
 {
-    assert!(n > 0, "power iteration: empty operator");
+    if n == 0 {
+        return Err(SparseError::DidNotConverge {
+            iterations: 0,
+            residual: 0.0,
+        });
+    }
     let mut x = seeded_unit_vector(n, seed);
     let mut y = vec![0.0; n];
     let mut rho = 0.0;
@@ -338,6 +336,19 @@ mod tests {
         }
         .widened(0.02);
         assert!(z.min < 0.0 && z.max > 0.0, "{z:?}");
+    }
+
+    #[test]
+    fn empty_operator_is_an_error_not_a_panic() {
+        let never = |_: &[f64], _: &mut [f64]| unreachable!("no operator to apply");
+        assert!(matches!(
+            lanczos_extremes(0, 8, 1, never),
+            Err(SparseError::DidNotConverge { iterations: 0, .. })
+        ));
+        assert!(matches!(
+            power_spectral_radius(0, 8, 1, never),
+            Err(SparseError::DidNotConverge { iterations: 0, .. })
+        ));
     }
 
     #[test]

@@ -93,8 +93,15 @@ pub enum PolyKind {
 /// SpMVs only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrecondKind {
-    /// Resolve at construction time by the barrier-cost heuristic of
-    /// [`PrecondKind::resolve`].
+    /// The paper's parametrized m-step SSOR, resolved per operator at
+    /// construction (`mspcg_core::poly::resolve_precond`, shared by both
+    /// executors): min-max coefficients fitted on the estimated SSOR
+    /// spectral interval (§2.2), with `m` stepped up from the caller's
+    /// default while the paper's cost model, Eq. (4.1) and inequality
+    /// (4.2), predicts a gain. `B/A` comes from the bytes an outer
+    /// iteration and an SSOR step stream, not from a timer, so the choice
+    /// is deterministic. Falls back to unit coefficients when there is no
+    /// spectrum to fit (an empty operator, a diagonal `K`).
     #[default]
     Auto,
     /// The paper's m-step multicolor SSOR preconditioner
@@ -114,36 +121,6 @@ pub enum PrecondKind {
     },
 }
 
-impl PrecondKind {
-    /// Resolve [`PrecondKind::Auto`] by the barrier-cost heuristic; pinned
-    /// selections pass through unchanged. The result is never `Auto`.
-    ///
-    /// The heuristic compares estimated synchronization cost per
-    /// application at matched flops (a degree-`2m` polynomial streams the
-    /// matrix as often as `m` forward+backward sweeps): m-step SSOR costs
-    /// `m·(2·colors − 1)` sweep barriers where the flop-equivalent
-    /// polynomial costs `2m` SpMV barriers, so the polynomial wins
-    /// whenever `2·colors − 1 > 2`, i.e. for every genuinely multicolor
-    /// matrix (`colors ≥ 2`); a single-color (pure-diagonal) system keeps
-    /// the cheaper SSOR sweeps.
-    pub fn resolve(self, colors: usize, m_default: usize) -> PrecondKind {
-        match self {
-            PrecondKind::Auto => {
-                let m = m_default.max(1);
-                if 2 * colors > 3 {
-                    PrecondKind::Poly {
-                        kind: PolyKind::Chebyshev,
-                        degree: 2 * m,
-                    }
-                } else {
-                    PrecondKind::MStepSsor { m }
-                }
-            }
-            pinned => pinned,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,33 +134,5 @@ mod tests {
         assert_eq!(parse_positive("abc"), None);
         assert_eq!(parse_positive("-3"), None);
         assert_eq!(parse_positive("2.5"), None);
-    }
-
-    #[test]
-    fn precond_resolution_never_returns_auto() {
-        // Pinned selections pass through untouched.
-        assert_eq!(
-            PrecondKind::MStepSsor { m: 2 }.resolve(4, 3),
-            PrecondKind::MStepSsor { m: 2 }
-        );
-        let poly = PrecondKind::Poly {
-            kind: PolyKind::Newton,
-            degree: 5,
-        };
-        assert_eq!(poly.resolve(1, 1), poly);
-        // Auto: the barrier-cost heuristic picks the flop-equivalent
-        // Chebyshev polynomial for multicolor matrices and m-step SSOR for
-        // single-color ones.
-        assert_eq!(
-            PrecondKind::Auto.resolve(4, 3),
-            PrecondKind::Poly {
-                kind: PolyKind::Chebyshev,
-                degree: 6
-            }
-        );
-        assert_eq!(
-            PrecondKind::Auto.resolve(1, 2),
-            PrecondKind::MStepSsor { m: 2 }
-        );
     }
 }

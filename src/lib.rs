@@ -134,15 +134,29 @@
 //!   other degrees) and shared verbatim by the serial evaluator and the
 //!   SPMD `ParallelMStepPcg::poly` msolve — `k` fused SpMV phases, whose
 //!   exact barrier and reduction formulas (table above) are pinned by
-//!   counter tests for both variants. Selection:
+//!   counter tests for both variants. The conformance and fault harnesses
+//!   run both variants with the polynomial msolve.
+//! * **`Auto` is the paper's parametrized m-step SSOR** — selection is
 //!   `PrecondKind::{Auto, MStepSsor, Poly}` on the auto constructors
 //!   (`core::poly::auto_preconditioner`, `ParallelMStepPcg::auto`), which
-//!   share one resolution (`core::poly::resolve_precond`); the `Auto`
-//!   heuristic picks the polynomial at matched flops (degree `2m` ≈ `m`
-//!   sweeps) whenever `2C−1 > 2`, i.e. for every genuinely multicolor
-//!   matrix. The conformance and fault harnesses run both variants with
-//!   the polynomial msolve, and `BENCH_pr8.json` records iterations /
-//!   barriers / wall time of degree-`k` vs m-step at matched flops.
+//!   share one resolution (`core::poly::resolve_precond`). `Auto` fits
+//!   min-max coefficients (§2.2) on the SSOR interval `[1 − ρ, 1]` from one
+//!   60-step power iteration, then steps `m` up from the caller's default,
+//!   to at most 8, while inequality (4.2) predicts a gain: iteration counts
+//!   from the fitted polynomial's κ bound, `B/A` from the bytes an outer
+//!   iteration and an SSOR step stream (`analysis::CostModel::from_traffic`,
+//!   ≈ 0.81 on the Table-3 plate). No timer is read, so the choice is
+//!   deterministic and both executors fit bitwise the same coefficients.
+//!   An empty operator, a failed estimate (a diagonal `K`) or a fit failing
+//!   the SPD check keeps α = 1 at the default `m`. Barrier counts do not
+//!   decide it: on a 2-vCPU VM the Table-3 plate's 25 SPMD barriers per
+//!   iteration cost under 1 % of solve time, one Chebyshev degree costs
+//!   ≈ 165 µs against ≈ 300 µs for one SSOR step at a = 100 and 2
+//!   threads, and still the former degree-4 Chebyshev pick lost to
+//!   min-max SSOR at every `m` from 2 to 10 on the a = 24, 40 and 100
+//!   plates. On the a = 100 plate `Auto` picks m = 5 and the pool path
+//!   needs 94 iterations instead of Chebyshev's 249 (relative residual
+//!   1e-8).
 //! * **Operator abstraction + SELL-C-σ** — every solver entry point
 //!   (`pcg_solve_into`, `pcg_solve_multi`, the SPMD `ParallelMStepPcg`,
 //!   the splitting/preconditioner constructors) is generic over
@@ -150,8 +164,9 @@
 //!   performance decision: CSR by default, SELL-C-σ
 //!   (`mspcg::sparse::SellCsMatrix`, sliced ELL with slice height C and
 //!   sort window σ) for wide/irregular rows — ~1.3–1.6× CSR throughput on
-//!   the arrow-matrix family (`BENCH_pr3.json`) with bitwise-identical
-//!   products and solver runs. `AutoOp` picks the format from the row
+//!   the arrow-matrix family (`cargo bench -p mspcg-bench --bench spmv`,
+//!   measured on one core) with bitwise-identical products and solver
+//!   runs. `AutoOp` picks the format from the row
 //!   shape (longest row ≥ 4× mean, padding ≤ 50 %); a caller that wants
 //!   one format builds that type, and the conformance harness solves
 //!   every variant on both. Future formats (blocked CSR,
@@ -239,9 +254,9 @@
 //! repository root: three workloads on the paper's plate, end-to-end
 //! seconds and memory with `--trace 0`, a per-module split with
 //! `--trace 1`. The in-repo kernel benches (`cargo bench -p mspcg-bench
-//! --bench spmv|precond|multi_rhs -- --json FILE`) record per-kernel
-//! numbers; the committed `BENCH_pr*.json`
-//! records predate the 2-core runner and are not comparable across PRs.
+//! --bench spmv|precond|multi_rhs`, `-- --json FILE` to keep the numbers)
+//! print per-kernel timings and assert their counter formulas in-run; no
+//! record of them is kept in the repository.
 
 pub use mspcg_coloring as coloring;
 pub use mspcg_core as core;

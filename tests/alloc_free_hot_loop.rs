@@ -2,40 +2,63 @@
 //! counting global allocator: after a [`PcgWorkspace`] is constructed (and
 //! warmed once), repeated `pcg_solve_into` calls — the ω-sweep pattern —
 //! perform **no heap allocation at all**, for every variant, audited or
-//! not.
+//! not, and so does a warm `pcg_solve_multi` batch. Both run the
+//! unparametrized m-step SSOR and the `Auto`-built plate preconditioner
+//! (fitted m-step SSOR).
+//!
+//! Only allocations made on the measuring test thread and on the pool
+//! workers count: the harness's own threads (result printing, other
+//! tests' set-up) allocate whenever they like.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace};
 use mspcg::core::pcg::{pcg_solve_into, PcgOptions, PcgWorkspace};
+use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner};
+use mspcg::core::preconditioner::Preconditioner;
 use mspcg::core::recovery::{RecoveryPolicy, Toggle};
 use mspcg::fem::plate::PlaneStressProblem;
-use mspcg::sparse::{CooMatrix, CsrMatrix, Partition};
+use mspcg::sparse::{par, tuning, CooMatrix, CsrMatrix, Partition, PrecondKind};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 mod common;
 use common::ALL_VARIANTS;
 
-/// System allocator with an allocation-event counter.
+/// System allocator that counts allocation events made on threads whose
+/// [`COUNTED`] flag is set.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count. A `const` `Cell<bool>`
+    /// needs no allocation and no destructor, so the allocator may read it
+    /// at any point of a thread's life.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn record() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -51,12 +74,39 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// The counter is process wide and the test harness runs tests on
-/// parallel threads, so one test's setup would land in the other's
-/// measured window: the tests of this file run one at a time.
+/// Start counting on the calling test thread and on every pool worker:
+/// one launch of `P` chunks on `P` participants, `P` the pool's capacity,
+/// runs exactly one chunk on each participant. The workers stay counted
+/// for the rest of the process, which is why the tests also hold
+/// [`measure_lock`].
+fn count_this_thread_and_the_pool() {
+    let p = par::pool_capacity();
+    par::for_each_chunk(p, p, &|_| COUNTED.with(|c| c.set(true)));
+    COUNTED.with(|c| c.set(true));
+}
+
+/// The pool workers are shared by every test of this file, so one test's
+/// set-up could run kernels in the other's measured window: the tests of
+/// this file run one at a time.
 fn measure_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The `Auto`-built preconditioner of the `a`-plate, with the plate's
+/// matrix, colors and load: the fitted m-step SSOR.
+fn auto_plate(a: usize) -> (Arc<CsrMatrix>, Arc<Partition>, Vec<f64>, AutoPreconditioner) {
+    let ord = PlaneStressProblem::unit_square(a)
+        .assemble()
+        .unwrap()
+        .multicolor()
+        .unwrap();
+    let pre = auto_preconditioner(&ord.matrix, &ord.colors, 2, PrecondKind::Auto).unwrap();
+    match &pre {
+        AutoPreconditioner::MStepSsor(p) => assert!(p.interval().is_some(), "fitted"),
+        AutoPreconditioner::Poly(_) => panic!("Auto must build the m-step SSOR"),
+    }
+    (Arc::new(ord.matrix), Arc::new(ord.colors), ord.rhs, pre)
 }
 
 /// Every variant, unaudited and audited (every 4 iterations, so even a
@@ -99,6 +149,7 @@ fn rb_laplacian(n: usize) -> (CsrMatrix, Partition) {
 #[test]
 fn omega_sweep_solves_allocate_nothing_after_workspace_construction() {
     let _guard = measure_lock();
+    count_this_thread_and_the_pool();
     let n = 256usize;
     let (a, p) = rb_laplacian(n);
     let matrix = Arc::new(a);
@@ -158,61 +209,100 @@ fn omega_sweep_solves_allocate_nothing_after_workspace_construction() {
             omegas.len()
         );
     }
+
+    // The `Auto`-built plate preconditioner, on a plate whose SpMV runs on
+    // the pool (more stored entries than `tuning::par_min_nnz`).
+    let (matrix, _, rhs, pre) = auto_plate(32);
+    assert!(matrix.nnz() >= tuning::par_min_nnz());
+    let n = matrix.rows();
+    let mut ws = PcgWorkspace::new(n);
+    let mut u = vec![0.0; n];
+    for opts in &configs {
+        u.fill(0.0);
+        let warm = pcg_solve_into(&matrix, &rhs, &mut u, &pre, opts, &mut ws).unwrap();
+        assert!(warm.converged, "{:?}", opts.variant);
+    }
+    for opts in &configs {
+        u.fill(0.0);
+        let before = allocation_count();
+        let rep = pcg_solve_into(&matrix, &rhs, &mut u, &pre, opts, &mut ws).unwrap();
+        let after = allocation_count();
+        assert!(rep.converged && rep.iterations > 0);
+        assert_eq!(
+            after - before,
+            0,
+            "{:?}, audit {:?}: Auto-preconditioned solve allocated {} time(s)",
+            opts.variant,
+            opts.recovery.replacement,
+            after - before
+        );
+    }
 }
 
 #[test]
 fn multi_rhs_batch_solves_allocate_nothing_after_workspace_construction() {
     // The batched solver's contract: 32 load cases against one plate
     // stiffness matrix, zero heap allocation per batch once the workspace
-    // is warm.
+    // is warm, for the unparametrized m-step SSOR and the `Auto` choice.
     let _guard = measure_lock();
+    count_this_thread_and_the_pool();
     let nrhs = 32usize;
-    let asm = PlaneStressProblem::unit_square(10).assemble().unwrap();
-    let ord = asm.multicolor().unwrap();
-    let n = ord.matrix.rows();
-    let matrix = Arc::new(ord.matrix);
-    let colors = Arc::new(ord.colors);
-    let pre =
+    let (matrix, colors, rhs, auto) = auto_plate(10);
+    let n = matrix.rows();
+    let unit =
         MStepSsorPreconditioner::unparametrized_shared(Arc::clone(&matrix), Arc::clone(&colors), 2)
             .unwrap();
     // 32 load cases: the assembled edge load under per-case scale factors.
     let f: Vec<f64> = (0..nrhs)
         .flat_map(|j| {
             let scale = 1.0 + 0.1 * j as f64;
-            ord.rhs.iter().map(move |v| v * scale)
+            rhs.iter().map(move |v| v * scale)
         })
         .collect();
-    let mut u = vec![0.0; nrhs * n];
-    let configs = configurations();
     let mut ws = MultiRhsWorkspace::new(n, nrhs);
+    batches_allocate_nothing("α = 1", &matrix, &f, &unit, &mut ws);
+    batches_allocate_nothing("Auto", &matrix, &f, &auto, &mut ws);
+}
 
-    // Warm every configuration once: sizes every lane workspace (including
-    // the per-lane preconditioner scratch) and the outcome table.
+/// Warm every configuration once on `ws` — which sizes every lane
+/// workspace (including the per-lane preconditioner scratch) and the
+/// outcome table — then assert that one more batch per configuration
+/// allocates nothing.
+fn batches_allocate_nothing<P: Preconditioner + Sync>(
+    name: &str,
+    matrix: &CsrMatrix,
+    f: &[f64],
+    pre: &P,
+    ws: &mut MultiRhsWorkspace,
+) {
+    let n = matrix.rows();
+    let nrhs = f.len() / n;
+    let mut u = vec![0.0; f.len()];
+    let configs = configurations();
     for opts in &configs {
         u.fill(0.0);
-        let warm = pcg_solve_multi(&matrix, &f, &mut u, &pre, opts, &mut ws).unwrap();
-        assert_eq!(warm.converged, nrhs, "{:?}", opts.variant);
+        let warm = pcg_solve_multi(matrix, f, &mut u, pre, opts, ws).unwrap();
+        assert_eq!(warm.converged, nrhs, "{name}, {:?}", opts.variant);
         let audited = opts.recovery.replacement == Toggle::On;
         assert!(
             ws.outcomes()
                 .iter()
                 .all(|o| (o.report.stats.audits > 0) == audited),
-            "{:?}",
+            "{name}, {:?}",
             opts.variant
         );
     }
-
     for opts in &configs {
         u.fill(0.0);
         let before = allocation_count();
-        let sum = pcg_solve_multi(&matrix, &f, &mut u, &pre, opts, &mut ws).unwrap();
+        let sum = pcg_solve_multi(matrix, f, &mut u, pre, opts, ws).unwrap();
         let after = allocation_count();
         assert_eq!(sum.converged, nrhs);
         assert!(sum.total_iterations > 0);
         assert_eq!(
             after - before,
             0,
-            "{:?}, audit {:?}: multi-RHS batch allocated {} time(s) across {} solves",
+            "{name}, {:?}, audit {:?}: multi-RHS batch allocated {} time(s) across {} solves",
             opts.variant,
             opts.recovery.replacement,
             after - before,

@@ -1,18 +1,21 @@
 //! Edge cases of the (batched) PCG entry points: empty systems, `1×1`
 //! systems, zero right-hand sides, a zero iteration budget, and the
 //! honest-residual contract of the `max_iterations` exit path; plus the
-//! multicolor SSOR splitting on an empty system.
+//! multicolor SSOR splitting, the spectrum-fitted constructors and the
+//! `Auto` selection on an empty system.
 
 use mspcg::coloring::Coloring;
-use mspcg::core::mstep::MStepSsorPreconditioner;
+use mspcg::core::mstep::{MStepJacobiPreconditioner, MStepSsorPreconditioner};
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, SolveStatus};
 use mspcg::core::pcg::{
     pcg_solve, pcg_solve_into, pcg_try_solve_into, PcgOptions, PcgVariant, PcgWorkspace,
     StoppingCriterion,
 };
-use mspcg::core::preconditioner::IdentityPreconditioner;
+use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner, PolynomialPreconditioner};
+use mspcg::core::preconditioner::{IdentityPreconditioner, Preconditioner};
 use mspcg::core::{MulticolorSsor, Splitting};
-use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, SparseError};
+use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
+use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, PrecondKind, SparseError};
 
 mod common;
 use common::ALL_VARIANTS;
@@ -302,4 +305,44 @@ fn empty_multicolor_ssor_sweeps_nothing() {
         ssor.step(1.0, &[], &mut z);
         assert!(z.is_empty(), "omega {omega}");
     }
+}
+
+#[test]
+fn spectrum_fits_on_an_empty_system_are_errors_and_auto_falls_back() {
+    let a = CsrMatrix::identity(0);
+    let colors = Partition::from_sizes(&[]).unwrap();
+    let no_spectrum = |r: Result<(), SparseError>| {
+        assert!(
+            matches!(r, Err(SparseError::DidNotConverge { iterations: 0, .. })),
+            "{r:?}"
+        );
+    };
+    // Every constructor that estimates a spectrum reports that an empty
+    // operator has none.
+    no_spectrum(MStepSsorPreconditioner::parametrized(&a, &colors, 2).map(drop));
+    no_spectrum(MStepSsorPreconditioner::parametrized_minimax(&a, &colors, 2).map(drop));
+    no_spectrum(MStepJacobiPreconditioner::parametrized_jacobi(&a, 2).map(drop));
+    no_spectrum(PolynomialPreconditioner::chebyshev(a.clone(), 2).map(drop));
+    let chebyshev = PrecondKind::Poly {
+        kind: PolyKind::Chebyshev,
+        degree: 2,
+    };
+    no_spectrum(auto_preconditioner(&a, &colors, 2, chebyshev).map(drop));
+    no_spectrum(ParallelMStepPcg::auto(&a, &colors, 2, chebyshev).map(drop));
+
+    // Auto builds on both executors without an estimate: m_default steps
+    // at α = 1, and the solves return the empty solution.
+    let serial = auto_preconditioner(&a, &colors, 2, PrecondKind::Auto).unwrap();
+    let AutoPreconditioner::MStepSsor(p) = &serial else {
+        panic!("Auto must build the m-step SSOR");
+    };
+    assert_eq!(p.alphas(), &[1.0, 1.0]);
+    assert_eq!(p.interval(), None);
+    assert_eq!(serial.dim(), 0);
+    let sol = pcg_solve(&a, &[], &serial, &opts(PcgVariant::Classic)).unwrap();
+    assert!(sol.converged && sol.x.is_empty());
+    let spmd = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
+    assert_eq!(spmd.alphas(), &[1.0, 1.0]);
+    let rep = spmd.solve(&[], &ParallelSolverOptions::default()).unwrap();
+    assert!(rep.converged && rep.x.is_empty());
 }

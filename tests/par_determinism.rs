@@ -7,13 +7,14 @@
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace};
 use mspcg::core::pcg::{pcg_solve_into, PcgOptions, PcgWorkspace};
+use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner};
 use mspcg::core::recovery::{RecoveryPolicy, Toggle};
 use mspcg::core::splitting::Splitting;
 use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
-use mspcg::sparse::{par, vecops, AutoOp, CsrMatrix, Partition, SellCsMatrix};
+use mspcg::sparse::{par, vecops, AutoOp, CsrMatrix, Partition, PrecondKind, SellCsMatrix};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod common;
@@ -212,6 +213,35 @@ fn spmd_default_worker_count_is_the_pool_budget() {
         if budget == 1 {
             assert_eq!(rep.threads, 1);
         }
+    }
+    par::set_max_threads(before);
+}
+
+/// `Auto` resolves to the same m-step SSOR on both executors at every
+/// thread count: the serial selector estimates on its splitting's sweep
+/// table, the SPMD constructor on the table it streams, and the fitted
+/// coefficients agree bit for bit.
+#[test]
+fn auto_alphas_bitwise_across_executors_and_thread_counts() {
+    let _guard = sweep_lock();
+    let asm = PlaneStressProblem::unit_square(24).assemble().unwrap();
+    let ord = asm.multicolor().unwrap();
+    let resolve = || {
+        let serial = auto_preconditioner(&ord.matrix, &ord.colors, 2, PrecondKind::Auto).unwrap();
+        let AutoPreconditioner::MStepSsor(p) = serial else {
+            panic!("Auto must build the m-step SSOR");
+        };
+        let spmd = ParallelMStepPcg::auto(&ord.matrix, &ord.colors, 2, PrecondKind::Auto).unwrap();
+        assert_eq!(bits(p.alphas()), bits(spmd.alphas()), "serial vs SPMD");
+        bits(p.alphas())
+    };
+    let before = par::max_threads();
+    par::set_max_threads(1);
+    let reference = resolve();
+    assert!(reference.len() >= 2);
+    for t in [2usize, 4] {
+        par::set_max_threads(t);
+        assert_eq!(reference, resolve(), "t = {t}");
     }
     par::set_max_threads(before);
 }
