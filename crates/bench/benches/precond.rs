@@ -8,8 +8,8 @@
 //! (degree `2m` streams the matrix as often as `m` forward+backward
 //! sweeps): single-application cost, bitwise thread-count determinism of
 //! the chunked chain, and the full SPMD solve — iterations × barriers ×
-//! wall time per variant, with the exact degree-`k` barrier formulas
-//! (classic `k+3`, single-reduction `k+2` per iteration) *asserted*
+//! wall time, with the exact barrier formulas (`k + 3` per iteration for
+//! the degree-`k` chain, `m·(2C−1) + 3` for the sweeps) *asserted*
 //! in-run, not just recorded.
 //!
 //! Run: `cargo bench -p mspcg-bench --bench precond` (add `-- --json
@@ -20,7 +20,7 @@ use mspcg_bench::timing::{bench, finish, BenchResult};
 use mspcg_core::preconditioner::Preconditioner;
 use mspcg_core::splitting::Splitting;
 use mspcg_core::ssor::MulticolorSsor;
-use mspcg_core::{PcgVariant, PolynomialPreconditioner, RecoveryPolicy};
+use mspcg_core::PolynomialPreconditioner;
 use mspcg_parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use mspcg_sparse::{par, PolyKind};
 use std::hint::black_box;
@@ -167,11 +167,10 @@ fn bench_poly_thread_determinism(results: &mut Vec<BenchResult>) {
 }
 
 /// (d3) The headline comparison: full SPMD solves on the plate, degree-4
-/// Chebyshev vs the flop-matched 2-step SSOR, per variant × thread
-/// count. Wall time is measured; `iterations`, `barriers_per_iter`,
-/// `reductions_per_iter` and `splits_per_iter` ride the record as
-/// extras, and the exact degree-`k` barrier formulas are asserted before
-/// anything is recorded.
+/// Chebyshev vs the flop-matched 2-step SSOR, per thread count. Wall time
+/// is measured; `iterations`, `barriers_per_iter`, `reductions_per_iter`
+/// and `colors` ride the record as extras, and the exact barrier formulas
+/// are asserted before anything is recorded.
 fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
     let (_, ord) = ordered_plate(40).expect("plate");
     let c = ord.colors.num_blocks();
@@ -182,48 +181,34 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
     let ssor = ParallelMStepPcg::new(&ord.matrix, &ord.colors, vec![1.0; m]).expect("spmd ssor");
     let poly = ParallelMStepPcg::poly(&ord.matrix, &ord.colors, PolyKind::Chebyshev, k)
         .expect("spmd poly");
-    for variant in [PcgVariant::Classic, PcgVariant::SingleReduction] {
-        let vname = match variant {
-            PcgVariant::SingleReduction => "single_reduction",
-            PcgVariant::Classic => "classic",
+    for threads in [1usize, 4] {
+        let opts = ParallelSolverOptions {
+            threads,
+            tol: 1e-8,
+            max_iterations: 50_000,
+            ..ParallelSolverOptions::default()
         };
-        for threads in [1usize, 4] {
-            let opts = ParallelSolverOptions {
-                threads,
-                tol: 1e-8,
-                max_iterations: 50_000,
-                variant,
-                recovery: RecoveryPolicy::off(),
-            };
-            let group = format!("poly_vs_mstep_spmd_plate40_{vname}");
-            for (label, solver, msolve_cost) in [("mstep_m2", &ssor, sweep), ("cheby_k4", &poly, k)]
-            {
-                let rep = solver.solve(rhs, &opts).expect("spmd solve");
-                assert!(rep.converged, "{group}/{label} did not converge");
-                assert_eq!(rep.variant, variant, "{group}/{label} fell back");
-                let i = rep.iterations;
-                // The degree-k chain must obey the same pinned formulas
-                // as the sweeps with `sweep → k`.
-                let expected = match variant {
-                    PcgVariant::SingleReduction => {
-                        msolve_cost + 1 + (i - 1) * (msolve_cost + 2) + 1
-                    }
-                    PcgVariant::Classic => msolve_cost + (i - 1) * (msolve_cost + 3) + 2,
-                };
-                assert_eq!(
-                    rep.barrier_crossings, expected,
-                    "{group}/{label}: barrier schedule changed (threads = {threads})"
-                );
-                let iters = i as f64;
-                let run = bench(&group, &format!("{label}_t{threads}"), || {
-                    black_box(solver.solve(black_box(rhs), &opts).expect("spmd solve"));
-                })
-                .with_extra("iterations", iters)
-                .with_extra("barriers_per_iter", rep.barrier_crossings as f64 / iters)
-                .with_extra("reductions_per_iter", rep.reduction_phases as f64 / iters)
-                .with_extra("colors", c as f64);
-                results.push(run);
-            }
+        let group = "poly_vs_mstep_spmd_plate40";
+        for (label, solver, msolve_cost) in [("mstep_m2", &ssor, sweep), ("cheby_k4", &poly, k)] {
+            let rep = solver.solve(rhs, &opts).expect("spmd solve");
+            assert!(rep.converged, "{group}/{label} did not converge");
+            let i = rep.iterations;
+            // The degree-k chain must obey the same pinned formula as the
+            // sweeps with `sweep → k`.
+            let expected = msolve_cost + (i - 1) * (msolve_cost + 3) + 2;
+            assert_eq!(
+                rep.barrier_crossings, expected,
+                "{group}/{label}: barrier schedule changed (threads = {threads})"
+            );
+            let iters = i as f64;
+            let run = bench(group, &format!("{label}_t{threads}"), || {
+                black_box(solver.solve(black_box(rhs), &opts).expect("spmd solve"));
+            })
+            .with_extra("iterations", iters)
+            .with_extra("barriers_per_iter", rep.barrier_crossings as f64 / iters)
+            .with_extra("reductions_per_iter", rep.reduction_phases as f64 / iters)
+            .with_extra("colors", c as f64);
+            results.push(run);
         }
     }
 }

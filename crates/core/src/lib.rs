@@ -11,9 +11,10 @@
 //! M_m⁻¹ = (α₀ I + α₁ G + … + α_{m−1} G^{m−1}) P⁻¹,    G = P⁻¹ Q.
 //! ```
 //!
-//! * [`pcg`] — Algorithm 1, generic over [`preconditioner::Preconditioner`],
-//!   with the paper's `‖u^{k+1} − u^k‖∞ < ε` stopping test, running on the
-//!   fused one-pass update kernels of `mspcg_sparse::vecops`,
+//! * [`pcg`] — Algorithm 1, the one PCG recurrence, generic over
+//!   [`preconditioner::Preconditioner`], with the paper's
+//!   `‖u^{k+1} − u^k‖∞ < ε` stopping test, running on the fused one-pass
+//!   update kernels of `mspcg_sparse::vecops`,
 //! * [`multi`] — batched multi-RHS solves (many load cases on one
 //!   stiffness matrix) over shared matrix/preconditioner handles,
 //! * [`splitting`] — the [`splitting::Splitting`] abstraction plus Jacobi
@@ -38,12 +39,12 @@
 //!   studies (the κ(M⁻¹K) vs m experiments),
 //! * [`ic`] — the IC(0) incomplete-Cholesky baseline the m-step method
 //!   competes with (effective per iteration, but inherently sequential),
-//! * [`recovery`] — fault injection ([`recovery::FaultyOp`],
-//!   [`recovery::FaultyPreconditioner`]), residual auditing with
-//!   replacement ([`recovery::AuditPlan`]), and the recovery ladder
-//!   ([`recovery::next_rung`]) that steps SingleReduction → Classic on
-//!   breakdown or detected corruption — one definition each, shared by the
-//!   serial and SPMD executors.
+//! * [`recovery`] — the two robustness layers: fault injection
+//!   ([`recovery::FaultyOp`], [`recovery::FaultyPreconditioner`],
+//!   [`recovery::FaultPlan`]), and residual auditing with in-place
+//!   replacement ([`recovery::AuditPlan`]), whose restart from the current
+//!   iterate also recovers from a non-finite reduction scalar — one
+//!   definition each, shared by the serial and SPMD executors.
 
 // Indexed `for i in 0..n` loops are deliberate throughout the numeric
 // kernels: they address several parallel arrays (CSR structure, split
@@ -76,7 +77,7 @@ pub use poly::{auto_preconditioner, AutoPreconditioner, PolySchedule, Polynomial
 pub use preconditioner::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
 pub use recovery::{
     ApplicationFault, FaultKind, FaultPlan, FaultTarget, FaultyOp, FaultyPreconditioner,
-    IterationFault, RecoveryPolicy, Toggle,
+    IterationFault, RecoveryPolicy,
 };
 pub use splitting::{JacobiSplitting, NaturalSsorSplitting, Splitting};
 pub use ssor::{MulticolorSsor, SweepTable};

@@ -27,7 +27,11 @@
 //!
 //! Budget exhaustion on one right-hand side is recorded in that RHS's
 //! [`RhsOutcome`] (with the *true* recomputed final residual) instead of
-//! aborting the batch — see [`crate::pcg::pcg_try_solve_into`].
+//! aborting the batch — see [`crate::pcg::pcg_try_solve_into`]. So is
+//! recovery: a lane whose solve restarted in place from its iterate (an
+//! audit replacement or a non-finite recovery, see [`crate::recovery`])
+//! reports [`SolveStatus::Replaced`], and one whose replacement budget ran
+//! out reports [`SolveStatus::Breakdown`].
 
 use crate::pcg::{
     pcg_try_solve_into, validate_inputs, PcgOptions, PcgReport, PcgStats, PcgWorkspace,
@@ -41,14 +45,9 @@ pub enum SolveStatus {
     /// The stopping test fired within the iteration budget, with no
     /// recovery of any kind — a clean solve.
     Converged,
-    /// Converged, but only after the recovery ladder stepped down at
-    /// least once (`stats.fallbacks > 0`): the result is trustworthy, but
-    /// the requested variant did not finish the job on its own.
-    Recovered,
     /// Converged after one or more residual replacements or in-place
-    /// non-finite recoveries (`stats.replacements > 0`) without any
-    /// ladder step — drift or corruption was caught and repaired inside
-    /// the requested variant.
+    /// non-finite recoveries (`stats.replacements > 0`): drift or
+    /// corruption was caught and repaired from the current iterate.
     Replaced,
     /// The budget ran out; the report carries the true final residual.
     BudgetExhausted,
@@ -61,10 +60,7 @@ impl SolveStatus {
     /// Whether this status means the returned iterate satisfies the
     /// stopping test (cleanly or rescued).
     pub fn is_converged(self) -> bool {
-        matches!(
-            self,
-            SolveStatus::Converged | SolveStatus::Recovered | SolveStatus::Replaced
-        )
+        matches!(self, SolveStatus::Converged | SolveStatus::Replaced)
     }
 }
 
@@ -99,10 +95,10 @@ impl RhsOutcome {
 pub struct MultiRhsSummary {
     /// Right-hand sides processed.
     pub solved: usize,
-    /// How many converged (cleanly, recovered, or replaced).
+    /// How many converged (cleanly or replaced).
     pub converged: usize,
     /// How many of the converged needed a rescue
-    /// ([`SolveStatus::Recovered`] or [`SolveStatus::Replaced`]).
+    /// ([`SolveStatus::Replaced`]).
     pub rescued: usize,
     /// Iterations summed over the batch.
     pub total_iterations: usize,
@@ -270,8 +266,8 @@ pub fn pcg_solve_multi<A: SparseOp>(
     }
     // Reject bad options and poisoned inputs once for the whole batch,
     // before any lane starts: a NaN smuggled in through one right-hand
-    // side would otherwise burn that lane's whole iteration budget (or a
-    // recovery ladder walk) on garbage.
+    // side would otherwise burn that lane's whole iteration budget (or its
+    // replacement budget) on garbage.
     validate_inputs(opts.tol, &opts.recovery, f, u)?;
     if n == 0 {
         ws.ensure(0, 0, 1);
@@ -385,8 +381,6 @@ fn solve_one_into<A: SparseOp>(
         Ok(report) => RhsOutcome {
             status: if !report.converged {
                 SolveStatus::BudgetExhausted
-            } else if report.stats.fallbacks > 0 {
-                SolveStatus::Recovered
             } else if report.stats.replacements > 0 {
                 SolveStatus::Replaced
             } else {
@@ -614,7 +608,7 @@ mod tests {
 
     #[test]
     fn in_place_recovery_surfaces_as_replaced_status() {
-        use crate::pcg::{PcgVariant, StoppingCriterion};
+        use crate::pcg::StoppingCriterion;
         use crate::preconditioner::IdentityPreconditioner;
         use crate::recovery::{ApplicationFault, FaultKind, FaultyPreconditioner};
 
@@ -633,55 +627,17 @@ mod tests {
         let opts = PcgOptions {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::Classic,
             ..Default::default()
         };
         let mut ws = MultiRhsWorkspace::new(32, 1);
         let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
         assert_eq!(pre.injected(), 1);
         let out = &ws.outcomes()[0];
-        // Classic recovers in place: a replacement, no ladder step.
+        // The solve recovers in place: one replacement.
         assert_eq!(out.status, SolveStatus::Replaced);
         assert!(out.status.is_converged());
         assert_eq!(out.report.stats.replacements, 1);
         assert_eq!(out.report.stats.fallbacks, 0);
-        assert_eq!(out.report.stats.faults_detected, 1);
-        assert_eq!(sum.converged, 1);
-        assert_eq!(sum.rescued, 1);
-    }
-
-    #[test]
-    fn ladder_step_surfaces_as_recovered_status() {
-        use crate::pcg::{PcgVariant, StoppingCriterion};
-        use crate::preconditioner::IdentityPreconditioner;
-        use crate::recovery::{ApplicationFault, FaultKind, FaultyPreconditioner};
-
-        let (a, _p) = rb_laplacian(32);
-        let f = batch_rhs(32, 1);
-        let mut u = vec![0.0; 32];
-        let pre = FaultyPreconditioner::new(
-            IdentityPreconditioner::new(32),
-            vec![ApplicationFault {
-                application: 2,
-                index: 5,
-                kind: FaultKind::NaN,
-            }],
-        );
-        // SingleReduction has no same-rung restart for a poisoned scalar:
-        // it steps down the ladder to classic, which must finish the job.
-        let opts = PcgOptions {
-            tol: 1e-10,
-            criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::SingleReduction,
-            ..Default::default()
-        };
-        let mut ws = MultiRhsWorkspace::new(32, 1);
-        let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(pre.injected(), 1);
-        let out = &ws.outcomes()[0];
-        assert_eq!(out.status, SolveStatus::Recovered);
-        assert!(out.status.is_converged());
-        assert!(out.report.stats.fallbacks >= 1);
         assert_eq!(out.report.stats.faults_detected, 1);
         assert_eq!(sum.converged, 1);
         assert_eq!(sum.rescued, 1);

@@ -16,35 +16,27 @@
 //!
 //! The two inner products per iteration are the paper's motivating cost on
 //! vector and array machines; [`PcgStats`] counts them so the machine
-//! models in `mspcg-machine` can charge them faithfully.
+//! models in `mspcg-machine` can charge them faithfully. This is the one
+//! recurrence the solver stack runs: the batched driver and the SPMD
+//! executor in `mspcg-parallel` run it too.
 //!
-//! ## Iteration variants
+//! ## Recovery
 //!
-//! The classic loop above serializes its two inner products: `(p, Kp)`
-//! must finish before `α`, and `(r̂, r)` — available only after the
-//! preconditioner — before `β`. On a parallel machine each is a global
-//! synchronization point. [`PcgVariant::SingleReduction`] runs the
-//! **Chronopoulos–Gear** two-term recurrence instead: the iteration
-//! carries `s = Kp` and `w = Kz` and obtains *both* scalars from **one
-//! fused reduction phase** per iteration
-//! ([`vecops::fused_dot3_norm`]: `γ = (r, z)`, `δ = (w, z)`, plus the
-//! `(p, s)` breakdown guard and the stopping norm), with
-//! `β = γ′/γ` and `α = γ′ / (δ − β·γ′/α_old)`. The recurrence has a
-//! different-but-bounded rounding path, so the contract is: bitwise
-//! deterministic across thread counts *within* the variant, and
-//! classic-vs-single-reduction agreement to a relative-residual tolerance
-//! (`tests/pcg_variants.rs`). When the recurrence breaks down
-//! (`(p, s) ≤ 0` or a nonpositive reconstructed denominator) the solve
-//! **falls back to the classic loop from the current iterate** instead of
-//! erroring (recorded in [`PcgStats::fallbacks`]). Selection:
-//! [`PcgOptions::variant`] (default [`PcgVariant::Classic`]).
+//! Non-finite reduction scalars (a NaN/Inf out of a corrupted SpMV or
+//! preconditioner application) are caught on the scalar before it feeds
+//! `α` or `β`, and the loop restarts in place from the current iterate:
+//! it re-derives `r = f − K·u`, `r̂` and `p`. With auditing on
+//! ([`RecoveryPolicy::replacement`]) the same restart replaces a
+//! recurrence residual that has drifted from the true one. Both are
+//! bounded by [`RecoveryPolicy::max_replacements`] and counted in
+//! [`PcgStats`].
 //!
 //! Breakdown guards double as SPD validation: a nonpositive `(p, Kp)`
 //! reveals an indefinite `K`, a nonpositive `(r̂, r)` an indefinite `M`;
 //! both return typed errors instead of silently diverging.
 
 use crate::preconditioner::{IdentityPreconditioner, Preconditioner};
-use crate::recovery::{audit_due, diverged, next_rung, AuditPlan, RecoveryPolicy};
+use crate::recovery::{audit_due, diverged, AuditPlan, RecoveryPolicy};
 use mspcg_sparse::{vecops, SparseError, SparseOp};
 
 pub use mspcg_sparse::PcgVariant;
@@ -73,13 +65,12 @@ pub struct PcgOptions {
     /// Record the per-iteration criterion value in
     /// [`PcgSolution::history`].
     pub record_history: bool,
-    /// Which iteration variant to run (default [`PcgVariant::Classic`]).
+    /// The recurrence; [`PcgVariant::Classic`] is the only one. Kept only
+    /// so the `perfbench` package, which sets it, still compiles.
     pub variant: PcgVariant,
     /// Detection/recovery policy: residual auditing with replacement and
-    /// the recovery-ladder budget. The default
-    /// ([`crate::recovery::Toggle::Auto`]) audits only the drift-prone
-    /// variants at tight tolerances; [`RecoveryPolicy::off`] pins the
-    /// exact pre-recovery arithmetic and operation schedule.
+    /// the replacement budget. The default runs no audits, which pins
+    /// the exact operation schedule.
     pub recovery: RecoveryPolicy,
 }
 
@@ -105,22 +96,18 @@ pub struct PcgStats {
     pub inner_products: usize,
     /// Fused **reduction phases** feeding the `α`/`β` recurrence: a phase
     /// is one sweep (one synchronization point on a parallel machine)
-    /// regardless of how many scalars it produces. The classic loop
-    /// performs two serialized phases per iteration (`(p, Kp)`, then
-    /// `(r̂, r)`); the single-reduction variant performs **one**
-    /// ([`vecops::fused_dot3_norm`]). Stopping-test norms are not counted:
-    /// their partials ride the update kernels' existing phase (the paper's
-    /// flag network).
+    /// regardless of how many scalars it produces. Algorithm 1 performs
+    /// two serialized phases per iteration (`(p, Kp)`, then `(r̂, r)`).
+    /// Stopping-test norms are not counted: their partials ride the
+    /// update kernels' existing phase (the paper's flag network).
     pub reduction_phases: usize,
     /// Preconditioner applications (`M r̂ = r` solves).
     pub precond_applications: usize,
     /// Total stationary steps inside the preconditioner
     /// (`applications × m`).
     pub precond_steps: usize,
-    /// Recovery-ladder steps: a single-reduction attempt whose guards
-    /// fired (breakdown or detected corruption) handed the current
-    /// iterate to the classic loop, and this counter records it — the
-    /// report "says `FALLBACK`" instead of hiding the rescue.
+    /// Always 0: there is no second recurrence to fall back from. Kept
+    /// only so the `perfbench` package, which reads it, still compiles.
     pub fallbacks: usize,
     /// Residual audits performed: true-residual recomputations `f − K·u`
     /// (one extra SpMV each) compared against the recurrence residual.
@@ -172,15 +159,12 @@ pub struct PcgReport {
 
 /// Reusable scratch buffers for the PCG loop.
 ///
-/// Algorithm 1 needs four working vectors (`r`, `r̂`, `p`, `Kp`); the
-/// single-reduction variant carries one more (`w = Kz`; its second carried
-/// vector `s = Kp` reuses the `Kp` slot, which that recurrence updates
-/// instead of recomputing). The one-shot entry points ([`pcg_solve`],
-/// [`pcg_solve_from`]) allocate them per call; repeated solves over
-/// systems of one size — the ω sweep, the condition scans, the Table 2/3
-/// m sweeps — should construct one `PcgWorkspace` and call
-/// [`pcg_solve_into`], whose iteration performs **no heap allocation**
-/// after workspace construction for *either variant* (when history
+/// Algorithm 1 needs four working vectors (`r`, `r̂`, `p`, `Kp`). The
+/// one-shot entry points ([`pcg_solve`], [`pcg_solve_from`]) allocate them
+/// per call; repeated solves over systems of one size — the ω sweep, the
+/// condition scans, the Table 2/3 m sweeps — should construct one
+/// `PcgWorkspace` and call [`pcg_solve_into`], whose iteration performs
+/// **no heap allocation** after workspace construction (when history
 /// recording is off; with it on, [`PcgWorkspace::reserve_history`]
 /// preallocates the record too). The audit scratch is sized by the first
 /// audited solve — one warm-up allocation, so unaudited workspaces never
@@ -191,9 +175,6 @@ pub struct PcgWorkspace {
     rhat: Vec<f64>,
     p: Vec<f64>,
     kp: Vec<f64>,
-    /// `w = Kz` carry of the single-reduction variant (allocated up front
-    /// so variant selection can never reintroduce a per-solve allocation).
-    w: Vec<f64>,
     /// True-residual scratch of the audit pass (`aud = f − K·u`). It
     /// starts empty and is sized by the first audited solve, so
     /// non-audited workspaces never pay for it.
@@ -213,7 +194,6 @@ impl PcgWorkspace {
             rhat: vec![0.0; n],
             p: vec![0.0; n],
             kp: vec![0.0; n],
-            w: vec![0.0; n],
             aud: Vec::new(),
             precond_scratch: Vec::new(),
             history: Vec::new(),
@@ -232,7 +212,6 @@ impl PcgWorkspace {
         self.rhat.resize(n, 0.0);
         self.p.resize(n, 0.0);
         self.kp.resize(n, 0.0);
-        self.w.resize(n, 0.0);
         // The audit slot tracks the dimension only once in use.
         if !self.aud.is_empty() {
             self.ensure_audit(n);
@@ -340,11 +319,7 @@ pub fn pcg_solve_from<A: SparseOp>(
 /// [`vecops::norm2_with_max`]): the `u`/`r` updates and the stopping-test
 /// reduction partials are computed in a single pass per iteration instead
 /// of three to four, with bitwise-identical results to the unfused
-/// kernel sequence (`tests/par_determinism.rs`). With
-/// [`PcgOptions::variant`] set to [`PcgVariant::SingleReduction`] the
-/// Chronopoulos–Gear recurrence runs instead, collapsing the two
-/// serialized inner products into one [`vecops::fused_dot3_norm`]
-/// reduction phase per iteration (classic fallback on breakdown).
+/// kernel sequence (`tests/par_determinism.rs`).
 ///
 /// An undersized workspace is resized on entry (that path allocates once).
 ///
@@ -376,12 +351,6 @@ pub fn pcg_solve_into<A: SparseOp>(
 /// in-loop residual (which drifts from the true one). Batched callers
 /// ([`crate::multi::pcg_solve_multi`]) use this so one stubborn
 /// right-hand side cannot abort a whole batch.
-///
-/// [`PcgOptions::variant`] selects the iteration: the classic two-dot
-/// loop, or the single-reduction Chronopoulos–Gear recurrence — which on
-/// breakdown (`(p, s) ≤ 0` or a nonpositive reconstructed denominator)
-/// **falls back to the classic loop from the current iterate**, counting
-/// the iterations already spent against the same budget.
 ///
 /// # Errors
 /// Shape violations and inner-product breakdowns only.
@@ -432,57 +401,11 @@ pub fn pcg_try_solve_into<A: SparseOp>(
         });
     }
 
-    let audit = AuditPlan::new(&opts.recovery, opts.variant, opts.tol, f_norm);
+    let audit = AuditPlan::new(&opts.recovery, opts.tol, f_norm);
     if audit.enabled {
         ws.ensure_audit(n);
     }
-
-    // The recovery ladder. Each rung starts from the iterate currently in
-    // `u` (re-deriving its carries), charging the iterations already
-    // performed against the shared budget:
-    // * `Done` — the rung produced a final report;
-    // * `Fallback` — breakdown or detected corruption: step DOWN one rung
-    //   (SingleReduction → Classic; classic recovers in place);
-    // * `Replace` — audit divergence: re-enter the SAME rung warm (the
-    //   re-derivation from `u` *is* the residual replacement), bounded by
-    //   the `max_replacements` budget checked at the emit site.
-    // Termination: `Replace` strictly advances `start` (audit schedule),
-    // `Fallback` strictly descends, and classic terminates on its own.
-    let mut rung = opts.variant;
-    let mut start = 0usize;
-    let mut change = f64::INFINITY;
-    loop {
-        let flow = match rung {
-            PcgVariant::SingleReduction => single_reduction_loop(
-                k, f, u, m, opts, ws, &mut stats, f_norm, &audit, start, change,
-            )?,
-            PcgVariant::Classic => {
-                return classic_loop(
-                    k, f, u, m, opts, ws, &mut stats, f_norm, &audit, start, change,
-                )
-            }
-        };
-        match flow {
-            SrFlow::Done(report) => return Ok(report),
-            SrFlow::Fallback {
-                completed,
-                change: c,
-            } => {
-                stats.fallbacks += 1;
-                rung = next_rung(rung).expect("the classic rung recovers in place");
-                start = completed;
-                change = c;
-            }
-            SrFlow::Replace {
-                completed,
-                change: c,
-            } => {
-                stats.replacements += 1;
-                start = completed;
-                change = c;
-            }
-        }
-    }
+    classic_loop(k, f, u, m, opts, ws, &mut stats, f_norm, &audit)
 }
 
 /// The input checks every solver entry point — [`pcg_try_solve_into`],
@@ -577,14 +500,13 @@ fn exit_report<A: SparseOp>(
     }
 }
 
-/// The classic rung driver: run [`classic_pass`] until it produces a
-/// final report, re-entering it on every in-place recovery restart (audit
-/// replacement or budgeted non-finite recovery). The classic loop is the
-/// ladder's bottom rung, so it recovers by restarting *itself* from the
-/// current iterate — each pass re-derives `r`, `r̂`, `p` from `u`, which
-/// is exactly the residual-replacement transformation. Termination: audit
-/// restarts strictly advance `start` ([`audit_due`]) and non-finite
-/// restarts spend the `max_replacements` budget.
+/// Run [`classic_pass`] from the iterate in `u` until it produces a final
+/// report, re-entering it on every in-place recovery restart (audit
+/// replacement or budgeted non-finite recovery). Each pass re-derives
+/// `r`, `r̂`, `p` from the current iterate `u`, which is exactly the
+/// residual-replacement transformation. Termination: audit restarts
+/// strictly advance `start` ([`audit_due`]) and non-finite restarts spend
+/// the `max_replacements` budget.
 #[allow(clippy::too_many_arguments)]
 fn classic_loop<A: SparseOp>(
     k: &A,
@@ -596,11 +518,9 @@ fn classic_loop<A: SparseOp>(
     stats: &mut PcgStats,
     f_norm: f64,
     audit: &AuditPlan,
-    start_iter: usize,
-    initial_change: f64,
 ) -> Result<PcgReport, SparseError> {
-    let mut start = start_iter;
-    let mut change = initial_change;
+    let mut start = 0;
+    let mut change = f64::INFINITY;
     loop {
         match classic_pass(k, f, u, m, opts, ws, stats, f_norm, audit, start, change)? {
             ClassicFlow::Done(report) => return Ok(report),
@@ -645,13 +565,12 @@ fn nonfinite_flow(
     }
 }
 
-/// The classic Algorithm 1 loop (two serialized inner products per
-/// iteration), starting from the iterate already in `u`. `start_iter`
-/// iterations have been charged against the budget by a preceding
-/// ladder rung or restart (0 for a direct classic solve);
-/// `initial_change` is that attempt's last measured ‖Δu‖∞ (infinity for a
-/// direct solve), reported if the loop body never runs — a breakdown on
-/// the final budgeted iteration must not erase the measured step size.
+/// The Algorithm 1 loop (two serialized inner products per iteration),
+/// starting from the iterate already in `u`. `start_iter` iterations have
+/// been charged against the budget by a preceding pass (0 for the first);
+/// `initial_change` is that pass's last measured ‖Δu‖∞ (infinity for the
+/// first), reported if the loop body never runs — a restart on the final
+/// budgeted iteration must not erase the measured step size.
 ///
 /// Non-finite reduction scalars (a NaN/Inf out of a corrupted SpMV or
 /// preconditioner application) are detected on the scalars *before* they
@@ -828,9 +747,7 @@ fn classic_pass<A: SparseOp>(
     // `change < tol` arm is meaningful only for the displacement test:
     // under RelativeResidual a sub-tolerance *step size* says nothing
     // about the residual the caller asked to bound (a stagnating solve
-    // must not be reported as converged). A carried `initial_change`
-    // cannot take the arm: the single-reduction loop would have returned
-    // converged itself before falling back with a sub-tolerance step.
+    // must not be reported as converged).
     let converged =
         rz == 0.0 || (opts.criterion == StoppingCriterion::DisplacementChange && change < opts.tol);
     let iterations = if converged {
@@ -840,251 +757,6 @@ fn classic_pass<A: SparseOp>(
     };
     Ok(ClassicFlow::Done(exit_report(
         k, f, u, r, stats, f_norm, iterations, converged, change,
-    )))
-}
-
-/// Control flow of a single-reduction attempt.
-enum SrFlow {
-    /// The attempt produced a final report (converged, exact breakdown,
-    /// or budget exhaustion).
-    Done(PcgReport),
-    /// Recurrence breakdown or detected corruption after `completed`
-    /// iterations: the ladder must step DOWN one rung from the iterate in
-    /// `u`, carrying the last measured ‖Δu‖∞ for reporting.
-    Fallback { completed: usize, change: f64 },
-    /// Audit divergence after `completed` iterations: the ladder must
-    /// re-enter the SAME rung warm — the rung's re-initialization from
-    /// `u` recomputes `r = f − K·u` and re-derives every carry and CG
-    /// scalar from it, which is precisely the residual replacement.
-    Replace { completed: usize, change: f64 },
-}
-
-/// The single-reduction (Chronopoulos–Gear) loop: carry `s = Kp` (in the
-/// workspace's `Kp` slot) and `w = Kz`, and obtain `α` and `β` from one
-/// fused reduction phase per iteration:
-///
-/// ```text
-/// z = M⁻¹ r;  w = K z
-/// γ′ = (r, z),  δ = (w, z),  guard (p, s)     ← ONE fused sweep
-/// β = γ′/γ;  α = γ′ / (δ − β·γ′/α_old)
-/// p ← z + βp;  s ← w + βs                     ← one fused sweep
-/// u += αp;  r −= αs  ⊕ stopping partials      ← one fused sweep
-/// ```
-///
-/// The recurrence reconstructs the classic denominator `(p, Kp)` from
-/// already-reduced scalars, so no reduction has to wait on the direction
-/// update — on the SPMD solver the whole iteration needs one reduction
-/// phase (and one barrier for it) where the classic loop serializes two.
-#[allow(clippy::too_many_arguments)]
-fn single_reduction_loop<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &mut [f64],
-    m: &impl Preconditioner,
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-    stats: &mut PcgStats,
-    f_norm: f64,
-    audit: &AuditPlan,
-    start_iter: usize,
-    initial_change: f64,
-) -> Result<SrFlow, SparseError> {
-    let PcgWorkspace {
-        r,
-        rhat,
-        p,
-        kp: s,
-        w,
-        aud,
-        precond_scratch,
-        history,
-        ..
-    } = ws;
-
-    // r⁰ = f − K u⁰;  z⁰ = M⁻¹ r⁰;  w⁰ = K z⁰.
-    vecops::copy(f, r);
-    k.mul_vec_axpy(-1.0, u, r);
-    stats.spmv += 1;
-    m.apply_with(r, rhat, precond_scratch);
-    stats.precond_applications += 1;
-    stats.precond_steps += m.steps_per_apply();
-    k.mul_vec_into(rhat, w);
-    stats.spmv += 1;
-    // γ₀ = (r̂, r) and δ₀ = (w, r̂): one reduction phase (the SPMD
-    // schedule forms both partials in the phase that produces `w`).
-    let mut gamma = vecops::dot(rhat, r);
-    let delta = vecops::dot(w, rhat);
-    stats.inner_products += 2;
-    stats.reduction_phases += 1;
-    if !(gamma.is_finite() && delta.is_finite()) {
-        // Corrupted initialization (the fault hit the re-derivation
-        // itself): step down — the classic rung's budgeted in-place
-        // restarts absorb even a persistent fault.
-        stats.faults_detected += 1;
-        return Ok(SrFlow::Fallback {
-            completed: start_iter,
-            change: initial_change,
-        });
-    }
-    if gamma < 0.0 {
-        return Err(SparseError::NotPositiveDefinite {
-            pivot: start_iter,
-            value: gamma,
-        });
-    }
-    if gamma == 0.0 {
-        // z = 0 against a nonzero f: exact convergence at the start (the
-        // classic loop's rz == 0 probe path, minus the probe SpMV).
-        return Ok(SrFlow::Done(exit_report(
-            k,
-            f,
-            u,
-            r,
-            stats,
-            f_norm,
-            start_iter,
-            true,
-            initial_change,
-        )));
-    }
-    if delta <= 0.0 {
-        // (z, Kz) ≤ 0 with z ≠ 0: K is not SPD on this subspace. Hand the
-        // start iterate to the classic loop, whose own probes produce the
-        // canonical typed error.
-        return Ok(SrFlow::Fallback {
-            completed: start_iter,
-            change: initial_change,
-        });
-    }
-    let mut alpha = gamma / delta;
-    let mut beta = 0.0f64;
-    let mut change = initial_change;
-
-    for iter in start_iter + 1..=opts.max_iterations {
-        // Residual audit on the recurrence residual (state after
-        // iteration `iter − 1`); divergence re-enters this rung warm,
-        // which re-derives every carry from the true residual.
-        if audit.enabled
-            && audit_due(iter, start_iter, audit.period)
-            && stats.replacements < audit.max_replacements
-        {
-            let dev2 = audit_deviation2(k, f, u, r, aud, stats);
-            if diverged(dev2, audit.bound2) {
-                return Ok(SrFlow::Replace {
-                    completed: iter - 1,
-                    change,
-                });
-            }
-        }
-
-        // p ← z + βp and s ← w + βs in one sweep (β = 0 makes both exact
-        // copies: the initialization path).
-        vecops::fused_xpby_xpby(rhat, w, beta, p, s);
-        // u += αp, r −= αs ⊕ the ‖p‖∞ / ‖r‖∞ stopping partials.
-        let norms = vecops::fused_axpy_axpy_norm(alpha, p, s, u, r);
-        change = alpha.abs() * norms.p_norm_inf;
-        if opts.criterion == StoppingCriterion::DisplacementChange {
-            if opts.record_history {
-                history.push(change);
-            }
-            if change < opts.tol {
-                // Same exit point as the classic loop: the converging
-                // iteration skips the preconditioner.
-                let final_rel = vecops::norm2_with_max(r, norms.r_norm_inf) / f_norm.max(1e-300);
-                return Ok(SrFlow::Done(PcgReport {
-                    iterations: iter,
-                    converged: true,
-                    final_change: change,
-                    final_relative_residual: final_rel,
-                    stats: *stats,
-                }));
-            }
-        }
-
-        // z = M⁻¹ r;  w = K z;  then THE one fused reduction phase.
-        m.apply_with(r, rhat, precond_scratch);
-        stats.precond_applications += 1;
-        stats.precond_steps += m.steps_per_apply();
-        k.mul_vec_into(rhat, w);
-        stats.spmv += 1;
-        let d3 = vecops::fused_dot3_norm(r, rhat, w, p, s, norms.r_norm_inf);
-        stats.inner_products += 3;
-        stats.reduction_phases += 1;
-
-        // Non-finite detection on the fused scalars, BEFORE any of them
-        // is consumed: a NaN/Inf anywhere in r/z/w/p/s poisons at least
-        // one dot product, while `u` — updated with the previous
-        // iteration's validated α — is still finite, so the next rung
-        // recovers from it.
-        if !d3.all_finite() {
-            stats.faults_detected += 1;
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-
-        if opts.criterion == StoppingCriterion::RelativeResidual {
-            let rel = d3.r_norm2 / f_norm.max(1e-300);
-            if opts.record_history {
-                history.push(rel);
-            }
-            if rel < opts.tol {
-                return Ok(SrFlow::Done(PcgReport {
-                    iterations: iter,
-                    converged: true,
-                    final_change: change,
-                    final_relative_residual: rel,
-                    stats: *stats,
-                }));
-            }
-        }
-
-        if d3.rz < 0.0 {
-            return Err(SparseError::NotPositiveDefinite {
-                pivot: iter,
-                value: d3.rz,
-            });
-        }
-        if d3.rz == 0.0 {
-            // Exact convergence in fewer than n steps.
-            return Ok(SrFlow::Done(exit_report(
-                k, f, u, r, stats, f_norm, iter, true, change,
-            )));
-        }
-        // Breakdown guard on the *directly measured* curvature (p, s) —
-        // bounded where the reconstructed denominator has drifted — plus
-        // the reconstruction itself: either nonpositive means the
-        // recurrence can no longer be trusted; continue classically.
-        if d3.ps <= 0.0 {
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-        let beta_new = d3.rz / gamma.max(1e-300);
-        let denom = d3.wz - beta_new * d3.rz / alpha;
-        if !(denom.is_finite() && denom > 0.0) {
-            return Ok(SrFlow::Fallback {
-                completed: iter,
-                change,
-            });
-        }
-        beta = beta_new;
-        alpha = d3.rz / denom;
-        gamma = d3.rz;
-    }
-
-    Ok(SrFlow::Done(exit_report(
-        k,
-        f,
-        u,
-        r,
-        stats,
-        f_norm,
-        opts.max_iterations,
-        false,
-        change,
     )))
 }
 
@@ -1247,9 +919,6 @@ mod tests {
             tol: 1e-3,
             max_iterations: 1,
             criterion: StoppingCriterion::RelativeResidual,
-            // Pinned classic: the premise needs the first iteration to
-            // actually run.
-            variant: PcgVariant::Classic,
             ..Default::default()
         };
         let mut ws = PcgWorkspace::new(50);
@@ -1293,12 +962,7 @@ mod tests {
     fn stats_count_two_inner_products_per_iteration() {
         let a = laplacian(16);
         let b = vec![1.0; 16];
-        // Pinned classic: the count below is the classic loop's signature.
-        let opts = PcgOptions {
-            variant: PcgVariant::Classic,
-            ..Default::default()
-        };
-        let sol = cg_solve(&a, &b, &opts).unwrap();
+        let sol = cg_solve(&a, &b, &PcgOptions::default()).unwrap();
         // 1 initial + 2 per iteration, except the converging iteration (or
         // an exact-breakdown probe) skips the second one: ≈ 2·I total —
         // the paper's "two inner products per iteration".
@@ -1312,6 +976,13 @@ mod tests {
         // + initial residual, + an exact-breakdown probe, + the true-residual
         // recompute on the breakdown exit path.
         assert!(sol.stats.spmv >= sol.iterations && sol.stats.spmv <= sol.iterations + 3);
+        // Each inner product is its own serialized reduction phase.
+        assert!(
+            sol.stats.reduction_phases >= 2 * sol.iterations,
+            "{} reduction phases for {} iterations",
+            sol.stats.reduction_phases,
+            sol.iterations
+        );
     }
 
     #[test]
@@ -1413,230 +1084,6 @@ mod tests {
         assert!(matches!(err, Err(SparseError::ShapeMismatch { .. })));
     }
 
-    fn variant_opts(variant: PcgVariant, tol: f64) -> PcgOptions {
-        PcgOptions {
-            tol,
-            variant,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn single_reduction_matches_classic_solution() {
-        let (a, p) = rb(128);
-        let b: Vec<f64> = (0..128)
-            .map(|i| ((i * 7 + 5) % 23) as f64 * 0.2 - 2.0)
-            .collect();
-        for m in [1usize, 2, 4] {
-            let pre = MStepSsorPreconditioner::unparametrized(&a, &p, m).unwrap();
-            let classic =
-                pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::Classic, 1e-10)).unwrap();
-            let sr = pcg_solve(
-                &a,
-                &b,
-                &pre,
-                &variant_opts(PcgVariant::SingleReduction, 1e-10),
-            )
-            .unwrap();
-            assert!(classic.converged && sr.converged);
-            // Same preconditioned Krylov space: iteration counts agree to
-            // within rounding slack, solutions to solver accuracy.
-            assert!(
-                (classic.iterations as isize - sr.iterations as isize).abs() <= 2,
-                "m = {m}: classic {} vs single-reduction {}",
-                classic.iterations,
-                sr.iterations
-            );
-            for (x, y) in classic.x.iter().zip(&sr.x) {
-                assert!((x - y).abs() < 1e-7, "m = {m}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_reduction_performs_one_reduction_phase_per_iteration() {
-        let (a, p) = rb(96);
-        let b: Vec<f64> = (0..96).map(|i| (i as f64 * 0.17).sin()).collect();
-        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
-        let sr = pcg_solve(
-            &a,
-            &b,
-            &pre,
-            &variant_opts(PcgVariant::SingleReduction, 1e-10),
-        )
-        .unwrap();
-        // 1 init phase + 1 per iteration (the converging displacement-test
-        // iteration skips its reduction phase).
-        assert!(
-            sr.stats.reduction_phases >= sr.iterations
-                && sr.stats.reduction_phases <= sr.iterations + 1,
-            "{} reduction phases for {} iterations",
-            sr.stats.reduction_phases,
-            sr.iterations
-        );
-        // 3 fused dots per full iteration + 2 at init.
-        assert!(
-            sr.stats.inner_products <= 3 * sr.iterations + 2,
-            "{} inner products for {} iterations",
-            sr.stats.inner_products,
-            sr.iterations
-        );
-        let classic = pcg_solve(&a, &b, &pre, &variant_opts(PcgVariant::Classic, 1e-10)).unwrap();
-        // Classic serializes two phases per iteration.
-        assert!(
-            classic.stats.reduction_phases >= 2 * classic.iterations,
-            "{} classic phases for {} iterations",
-            classic.stats.reduction_phases,
-            classic.iterations
-        );
-    }
-
-    #[test]
-    fn single_reduction_workspace_reuse_is_bitwise_deterministic() {
-        let (a, p) = rb(64);
-        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
-        let b: Vec<f64> = (0..64).map(|i| ((i * 11 + 3) % 17) as f64 - 8.0).collect();
-        let opts = variant_opts(PcgVariant::SingleReduction, 1e-10);
-        let mut ws = PcgWorkspace::new(64);
-        let mut u1 = vec![0.0; 64];
-        let rep1 = pcg_solve_into(&a, &b, &mut u1, &pre, &opts, &mut ws).unwrap();
-        let mut u2 = vec![0.0; 64];
-        let rep2 = pcg_solve_into(&a, &b, &mut u2, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(u1, u2);
-        assert_eq!(rep1.iterations, rep2.iterations);
-        assert_eq!(rep1.final_change.to_bits(), rep2.final_change.to_bits());
-    }
-
-    #[test]
-    fn single_reduction_rejects_indefinite_matrix_via_fallback() {
-        // Indefinite K: the single-reduction guards hand the iterate to
-        // the classic loop, whose probes produce the canonical error — the
-        // two variants must agree on the failure class.
-        let mut c = CooMatrix::new(2, 2);
-        c.push(0, 0, 1.0).unwrap();
-        c.push(1, 1, -1.0).unwrap();
-        let a = c.to_csr();
-        let err = cg_solve(
-            &a,
-            &[1.0, 1.0],
-            &variant_opts(PcgVariant::SingleReduction, 1e-6),
-        );
-        assert!(matches!(err, Err(SparseError::NotPositiveDefinite { .. })));
-    }
-
-    #[test]
-    fn single_reduction_budget_exhaustion_reports_true_residual() {
-        let a = laplacian(50);
-        let b = vec![1.0; 50];
-        let opts = PcgOptions {
-            tol: 1e-14,
-            max_iterations: 3,
-            variant: PcgVariant::SingleReduction,
-            ..Default::default()
-        };
-        let mut ws = PcgWorkspace::new(50);
-        let mut u = vec![0.0; 50];
-        let rep = pcg_try_solve_into(
-            &a,
-            &b,
-            &mut u,
-            &IdentityPreconditioner::new(50),
-            &opts,
-            &mut ws,
-        )
-        .unwrap();
-        assert!(!rep.converged);
-        assert_eq!(rep.iterations, 3);
-        assert!(rep.final_relative_residual.is_finite() && rep.final_relative_residual > 0.0);
-    }
-
-    #[test]
-    fn single_reduction_zero_rhs_and_warm_start() {
-        let a = laplacian(10);
-        let opts = variant_opts(PcgVariant::SingleReduction, 1e-8);
-        let sol = cg_solve(&a, &[0.0; 10], &opts).unwrap();
-        assert!(sol.converged);
-        assert_eq!(sol.x, vec![0.0; 10]);
-        // Warm start at the exact solution: γ = 0 at init.
-        let x_true: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let b = a.mul_vec(&x_true);
-        let pre = IdentityPreconditioner::new(10);
-        let sol = pcg_solve_from(&a, &b, &x_true, &pre, &opts).unwrap();
-        assert!(sol.converged);
-        assert!(sol.iterations <= 1);
-    }
-
-    /// A "preconditioner" that is the identity except on one application,
-    /// where it returns a vector crafted to drive the Chronopoulos–Gear
-    /// reconstructed denominator `δ − β·γ′/α` nonpositive while `K` stays
-    /// SPD — the classic loop's true `(p, Kp)` never goes nonpositive, so
-    /// the fallback must rescue the solve rather than error.
-    struct SabotagePreconditioner {
-        n: usize,
-        at_call: usize,
-        calls: std::cell::Cell<usize>,
-    }
-
-    impl Preconditioner for SabotagePreconditioner {
-        fn dim(&self) -> usize {
-            self.n
-        }
-        fn apply(&self, r: &[f64], z: &mut [f64]) {
-            let call = self.calls.get();
-            self.calls.set(call + 1);
-            z.copy_from_slice(r);
-            if call == self.at_call {
-                // Add a huge component along the constant vector — the
-                // 1-D Laplacian's lowest-curvature direction, so (z, Kz)
-                // grows far slower than (r, z)² and the reconstructed
-                // denominator goes negative. Signed by Σr to keep
-                // γ′ = (r, z) positive (a negative γ′ would be the
-                // indefinite-M error path, not the fallback).
-                let s: f64 = r.iter().sum();
-                let t = 1e6f64.copysign(s);
-                for zi in z.iter_mut() {
-                    *zi += t;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn recurrence_breakdown_falls_back_to_classic_and_converges() {
-        let a = laplacian(32);
-        let x_true: Vec<f64> = (0..32).map(|i| (i as f64 * 0.3).cos()).collect();
-        let b = a.mul_vec(&x_true);
-        let pre = SabotagePreconditioner {
-            n: 32,
-            at_call: 2,
-            calls: std::cell::Cell::new(0),
-        };
-        let opts = PcgOptions {
-            tol: 1e-10,
-            criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::SingleReduction,
-            ..Default::default()
-        };
-        let sol = pcg_solve(&a, &b, &pre, &opts).unwrap();
-        assert!(sol.converged, "fallback did not rescue the solve");
-        assert!(sol.final_relative_residual < 1e-10);
-        for (x, y) in sol.x.iter().zip(&x_true) {
-            assert!((x - y).abs() < 1e-6);
-        }
-        // The report says FALLBACK: the rescue is a recorded event, not a
-        // silent rerun.
-        assert_eq!(sol.stats.fallbacks, 1);
-        // The classic continuation is visible in the counters: a pure
-        // single-reduction run performs at most iterations + 1 phases,
-        // while the fallback's classic suffix adds two per iteration.
-        assert!(
-            sol.stats.reduction_phases >= sol.iterations + 2,
-            "{} phases for {} iterations — fallback never ran",
-            sol.stats.reduction_phases,
-            sol.iterations
-        );
-    }
-
     #[test]
     fn non_finite_inputs_and_tolerances_are_rejected_up_front() {
         let a = laplacian(8);
@@ -1696,17 +1143,14 @@ mod tests {
         let opts = PcgOptions {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::Classic,
-            // Pin auditing off: the exact counters below count no audits.
-            recovery: crate::recovery::RecoveryPolicy::off(),
             ..Default::default()
         };
         let sol = pcg_solve(&a, &b, &pre, &opts).unwrap();
         assert!(sol.converged);
         assert!(sol.final_relative_residual < 1e-10);
         assert_eq!(pre.injected(), 1);
-        // Exact counters: one detection, one in-place recovery, no ladder
-        // step, no audits (auditing pinned off).
+        // Exact counters: one detection, one in-place recovery, no audits
+        // (the default policy runs none).
         assert_eq!(sol.stats.faults_detected, 1);
         assert_eq!(sol.stats.replacements, 1);
         assert_eq!(sol.stats.fallbacks, 0);
@@ -1730,10 +1174,9 @@ mod tests {
             }],
         );
         let opts = PcgOptions {
-            variant: PcgVariant::Classic,
             recovery: RecoveryPolicy {
                 max_replacements: 0,
-                ..RecoveryPolicy::off()
+                ..RecoveryPolicy::default()
             },
             ..Default::default()
         };
@@ -1752,14 +1195,12 @@ mod tests {
         let a = laplacian(64);
         let x_true: Vec<f64> = (0..64).map(|i| (i as f64 * 0.13).cos()).collect();
         let b = SparseOp::mul_vec(&a, &x_true);
-        // A moderate, FINITE corruption of one SpMV output: in the
-        // single-reduction recurrence the poisoned w flows into the `s`
-        // carry at the next direction update, after which `r −= αs` and
-        // `u += αp` use INCONSISTENT vectors — the recurrence residual
-        // silently drifts from `f − K·u`. The perturbation is kept small
-        // enough that every reduction scalar stays finite and plausible
-        // (a huge one would trip the breakdown guards instead), so only
-        // the audit can catch it.
+        // A moderate, FINITE corruption of one SpMV output: the poisoned
+        // `Kp` feeds `r −= α·Kp` while `u += α·p` uses the clean `p`, so
+        // the recurrence residual silently drifts from `f − K·u`. The
+        // perturbation is kept small enough that every reduction scalar
+        // stays finite and plausible (a huge one would trip the
+        // breakdown guards instead), so only the audit can catch it.
         let op = FaultyOp::new(
             a.clone(),
             vec![ApplicationFault {
@@ -1771,7 +1212,6 @@ mod tests {
         let opts = PcgOptions {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
-            variant: PcgVariant::SingleReduction,
             recovery: RecoveryPolicy {
                 audit_period: 4,
                 ..RecoveryPolicy::on()
@@ -1805,7 +1245,6 @@ mod tests {
         let b: Vec<f64> = (0..64).map(|i| ((i * 5 + 1) % 19) as f64 - 9.0).collect();
         let opts = PcgOptions {
             tol: 1e-10,
-            variant: PcgVariant::SingleReduction,
             recovery: RecoveryPolicy {
                 audit_period: 3,
                 ..RecoveryPolicy::on()
@@ -1832,7 +1271,7 @@ mod tests {
         // And the audited solution equals the unaudited one bitwise: a
         // non-replacing audit must not perturb the iteration.
         let plain = PcgOptions {
-            recovery: RecoveryPolicy::off(),
+            recovery: RecoveryPolicy::default(),
             ..opts
         };
         let mut u3 = vec![0.0; 64];

@@ -33,11 +33,12 @@
 //!   `(aⱼ, bⱼ) = (ρⱼρⱼ₋₁, 2ρⱼ/δ)`.
 //!
 //! The spectral interval comes from [`mspcg_sparse::lanczos`] on the
-//! symmetric similar operator `D^{-1/2}K D^{-1/2}` — the matrix-free
-//! recipe of [`JacobiSplitting`](crate::splitting::JacobiSplitting)'s
-//! [`Splitting::spectrum_interval`](crate::splitting::Splitting::spectrum_interval),
-//! but safeguarded *relatively* on both ends ([`jacobi_spectrum`]) so a
-//! small `λ₁` keeps its order of magnitude — and is **cached** in the
+//! symmetric similar operator `D^{-1/2}K D^{-1/2}`, safeguarded
+//! *relatively* on both ends ([`jacobi_spectrum`]) so a small `λ₁` keeps
+//! its order of magnitude — the same estimate
+//! [`JacobiSplitting`](crate::splitting::JacobiSplitting)'s
+//! [`Splitting::spectrum_interval`](crate::splitting::Splitting::spectrum_interval)
+//! returns — and is **cached** in the
 //! preconditioner: repeated applications (every PCG iteration) and
 //! rebuilt preconditioners over the same matrix
 //! ([`PolynomialPreconditioner::with_interval`]) never re-run Lanczos.
@@ -83,11 +84,11 @@ pub const UPPER_MARGIN: f64 = 0.02;
 
 /// Relative safeguard on the **lower** interval end: the lower Ritz value
 /// is pushed *down* by this factor. The margin is multiplicative — an
-/// additive span-proportional widening (as
-/// [`SpectralInterval::widened`] applies) would annihilate a small `λ₁`
+/// additive span-proportional widening would annihilate a small `λ₁`
 /// entirely (`λ₁ − margin·(λₙ−λ₁) < 0` whenever `κ > 1/margin`), turning
-/// the Chebyshev interval into `[ε, λₙ]` on which the recurrence gains
-/// nothing — and it is deliberately *small*: the asymptotic Chebyshev
+/// the interval into `[ε, λₙ]` on which neither the Chebyshev recurrence
+/// nor a min-max m-step fit gains anything — and it is deliberately
+/// *small*: the asymptotic Chebyshev
 /// damping factor degrades like `√(λ₁/λₙ)`, so every factor of two lost
 /// at the lower end costs `√2` in the exponent. Under-bracketing below is
 /// safe for SPD: Ritz values never under-estimate `λ₁` (they lie inside

@@ -1,11 +1,10 @@
-//! Fault injection, residual auditing and the structured recovery ladder.
+//! Fault injection, residual auditing and in-place recovery.
 //!
-//! The single-reduction variant buys its barrier cut by *carrying*
-//! recurrence vectors that drift away from the true residual `f − Ku`; a
-//! silent data corruption (a flipped bit in an SpMV output, a
-//! NaN out of a preconditioner application) is the same failure mode in
-//! concentrated form. This module supplies the three robustness layers the
-//! solver stack threads through every entry point:
+//! PCG carries the residual `r` by recurrence, so it drifts away from the
+//! true residual `f − Ku`; a silent data corruption (a flipped bit in an
+//! SpMV output, a NaN out of a preconditioner application) is the same
+//! failure mode in concentrated form. This module supplies the two
+//! robustness layers both executors thread through every entry point:
 //!
 //! 1. **Fault injection** — [`FaultyOp`] / [`FaultyPreconditioner`] wrap
 //!    any operator/preconditioner and perturb chosen *applications*
@@ -14,41 +13,31 @@
 //!    solver (whose sweep table never calls back into the operator). Every
 //!    detection and recovery path below is exercised under injection by
 //!    `tests/fault_injection.rs` instead of being trusted.
-//! 2. **Residual audit + replacement** — every
+//! 2. **Residual audit + replacement** — with
+//!    [`RecoveryPolicy::replacement`] on, every
 //!    [`RecoveryPolicy::audit_period`] iterations the solver recomputes the
 //!    true residual, compares it with the recurrence residual, and on
 //!    divergence beyond [`replacement_bound`] replaces the carried vectors
 //!    from the true residual and re-derives the CG scalars (van der
-//!    Vorst/Ye-style residual replacement). Enabled by policy: explicitly,
-//!    or automatically for the drift-prone single-reduction variant at
-//!    tight tolerances ([`TIGHT_TOL`]). Both executors read the decision
-//!    from one [`AuditPlan`].
-//! 3. **Recovery ladder** — breakdown and detected corruption step down
-//!    SingleReduction → Classic ([`next_rung`]): the classic loop
-//!    continues from the current iterate (serial) or reruns the solve
-//!    (SPMD), and recovers in place from then on; non-finite reduction
-//!    scalars surface as
+//!    Vorst/Ye-style residual replacement). A non-finite reduction scalar
+//!    triggers the same in-place restart from the current iterate whether
+//!    or not audits run; it surfaces as
 //!    [`SparseError::NonFinite`](mspcg_sparse::SparseError::NonFinite)
-//!    only once the replacement budget is exhausted.
+//!    only once the [`RecoveryPolicy::max_replacements`] budget is spent.
+//!    Both executors read the decision from one [`AuditPlan`].
 //!
-//! Everything is *measured*: audits, replacements, ladder steps and
-//! detected/injected faults are counted in `PcgStats` and
-//! `ParallelSolveReport`, exactly like the barrier/reduction counters.
+//! Everything is *measured*: audits, replacements and detected/injected
+//! faults are counted in `PcgStats` and `ParallelSolveReport`, exactly
+//! like the barrier/reduction counters.
 
 use crate::preconditioner::Preconditioner;
-use mspcg_sparse::{PcgVariant, SparseOp};
+use mspcg_sparse::SparseOp;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Tolerances at or below this are "tight": the recurrence drift of the
-/// single-reduction variant can plausibly exceed the stopping threshold,
-/// so [`RecoveryPolicy::Auto`](Toggle::Auto) enables auditing for it
-/// without being asked.
-pub const TIGHT_TOL: f64 = 1e-11;
-
 /// Default replacement budget: enough for persistent-fault scenarios
-/// (a fault re-injected on every rerun of a ladder rung) while still
-/// bounding a pathological always-corrupting operator.
+/// (a fault re-injected after every restart) while still bounding a
+/// pathological always-corrupting operator.
 pub const DEFAULT_MAX_REPLACEMENTS: usize = 32;
 
 /// Default iterations between residual audits. One audit costs one extra
@@ -56,28 +45,14 @@ pub const DEFAULT_MAX_REPLACEMENTS: usize = 32;
 /// trades a few percent of overhead for bounded recurrence drift.
 pub const DEFAULT_AUDIT_PERIOD: usize = 32;
 
-/// Three-state switch: the explicit states win, `Auto` decides by a
-/// heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Toggle {
-    /// Decide at solve time: on only for the drift-prone single-reduction
-    /// variant at tight tolerance.
-    #[default]
-    Auto,
-    /// Always audit (and replace on divergence).
-    On,
-    /// Never audit — the schedule-pinning choice for counter tests and
-    /// for bitwise compatibility with pre-recovery releases.
-    Off,
-}
-
 /// How a solve detects and recovers from drift and corruption. Carried in
 /// `PcgOptions::recovery` / `ParallelSolverOptions::recovery`; `Copy` and
 /// cheap so options stay plain-old-data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Residual auditing + replacement switch.
-    pub replacement: Toggle,
+    /// Residual auditing + replacement switch (default `false`: no audit
+    /// phase runs, which pins the exact barrier/reduction schedule).
+    pub replacement: bool,
     /// Iterations between audits (default [`DEFAULT_AUDIT_PERIOD`]; `1`
     /// audits every iteration). A solve rejects `0` with
     /// [`SparseError::ZeroAuditPeriod`].
@@ -95,7 +70,7 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
-            replacement: Toggle::Auto,
+            replacement: false,
             audit_period: DEFAULT_AUDIT_PERIOD,
             max_replacements: DEFAULT_MAX_REPLACEMENTS,
         }
@@ -103,39 +78,18 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Auditing unconditionally on (period/budget at their defaults).
+    /// Auditing on (period/budget at their defaults).
     pub fn on() -> Self {
         RecoveryPolicy {
-            replacement: Toggle::On,
+            replacement: true,
             ..RecoveryPolicy::default()
-        }
-    }
-
-    /// Auditing unconditionally off — pins the exact barrier/reduction
-    /// schedule whatever the variant and tolerance.
-    pub fn off() -> Self {
-        RecoveryPolicy {
-            replacement: Toggle::Off,
-            ..RecoveryPolicy::default()
-        }
-    }
-
-    /// Whether auditing is active for a solve of `variant` at tolerance
-    /// `tol`. Explicit `On`/`Off` win; `Auto` enables auditing only for
-    /// the drift-prone single-reduction recurrence at tight tolerance.
-    pub fn audit_enabled(&self, variant: PcgVariant, tol: f64) -> bool {
-        match self.replacement {
-            Toggle::On => true,
-            Toggle::Off => false,
-            Toggle::Auto => variant == PcgVariant::SingleReduction && tol <= TIGHT_TOL,
         }
     }
 }
 
-/// The audit decision of one solve — policy × requested variant ×
-/// tolerance × `‖f‖₂` — made once before the ladder runs, so every rung
-/// (a serial loop or an SPMD worker, the classic bottom rung of a ladder
-/// walk included) inherits the auditing the requested variant opted into.
+/// The audit decision of one solve — policy × tolerance × `‖f‖₂` — made
+/// once before the loop runs and read by the serial loop and every SPMD
+/// worker alike.
 #[derive(Debug, Clone, Copy)]
 pub struct AuditPlan {
     /// Whether audits run at all.
@@ -151,26 +105,16 @@ pub struct AuditPlan {
 }
 
 impl AuditPlan {
-    /// Resolve `policy` for a solve of `variant` at tolerance `tol` whose
-    /// right-hand side has norm `f_norm`.
-    pub fn new(policy: &RecoveryPolicy, variant: PcgVariant, tol: f64, f_norm: f64) -> Self {
+    /// Resolve `policy` for a solve at tolerance `tol` whose right-hand
+    /// side has norm `f_norm`.
+    pub fn new(policy: &RecoveryPolicy, tol: f64, f_norm: f64) -> Self {
         let bound = replacement_bound(tol, f_norm);
         AuditPlan {
-            enabled: policy.audit_enabled(variant, tol),
+            enabled: policy.replacement,
             period: policy.audit_period,
             bound2: bound * bound,
             max_replacements: policy.max_replacements,
         }
-    }
-}
-
-/// The recovery ladder: the rung a breakdown on `rung` steps down to,
-/// SingleReduction → Classic. `None` on the classic bottom rung, which
-/// recovers in place instead.
-pub fn next_rung(rung: PcgVariant) -> Option<PcgVariant> {
-    match rung {
-        PcgVariant::SingleReduction => Some(PcgVariant::Classic),
-        PcgVariant::Classic => None,
     }
 }
 
@@ -183,10 +127,10 @@ pub fn replacement_bound(tol: f64, f_norm: f64) -> f64 {
     (10.0 * tol).max(1e3 * f64::EPSILON) * f_norm
 }
 
-/// Audit schedule predicate, shared by the serial loops and the SPMD
+/// Audit schedule predicate, shared by the serial loop and the SPMD
 /// workers: at the *top* of (1-based) iteration `iter`, audit the state
-/// left by iteration `iter − 1`. `start` is the warm-start point of the
-/// current rung — requiring `iter − 1 > start` guarantees every
+/// left by iteration `iter − 1`. `start` is the iteration the current
+/// pass restarted from — requiring `iter − 1 > start` guarantees every
 /// audit-triggered restart strictly advances, so the restart loop
 /// terminates on the iteration budget alone.
 pub fn audit_due(iter: usize, start: usize, period: usize) -> bool {
@@ -451,8 +395,7 @@ impl<P: Preconditioner> Preconditioner for FaultyPreconditioner<P> {
 /// The kernel a [`FaultPlan`] fault targets inside the SPMD solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
-    /// The iteration's SpMV product (`kp` or `w = Kz`, depending on the
-    /// schedule).
+    /// The iteration's SpMV product `K·p`.
     Spmv,
     /// The iteration's preconditioner output `z`.
     Msolve,
@@ -464,10 +407,8 @@ pub enum FaultTarget {
 /// it; instead the workers consult the plan at fixed schedule points —
 /// every worker evaluates the (replicated) lookup, only the worker owning
 /// `index` writes, so injection is deterministic across thread counts.
-/// Iteration numbers are the solver's 1-based loop counter; every rerun of
-/// a ladder rung restarts the counter, so a planned fault re-fires on each
-/// rung — the persistent-fault model the classic rung's replacement
-/// machinery must (and does) absorb.
+/// Iteration numbers are the solver's 1-based loop counter, which an
+/// in-place restart does not reset: a planned fault fires once.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationFault {
     /// Which kernel's output to perturb.
@@ -588,16 +529,12 @@ mod tests {
 
     #[test]
     fn policy_resolution_and_audit_schedule() {
-        // Explicit states win regardless of variant and tolerance.
-        assert!(RecoveryPolicy::on().audit_enabled(PcgVariant::Classic, 1e-6));
-        assert!(!RecoveryPolicy::off().audit_enabled(PcgVariant::SingleReduction, 1e-14));
-        // Auto: the drift-prone variant at tight tolerance only.
-        let auto = RecoveryPolicy::default();
-        assert!(auto.audit_enabled(PcgVariant::SingleReduction, 1e-12));
-        assert!(auto.audit_enabled(PcgVariant::SingleReduction, TIGHT_TOL));
-        assert!(!auto.audit_enabled(PcgVariant::SingleReduction, 1e-8));
-        assert!(!auto.audit_enabled(PcgVariant::Classic, 1e-14));
-        assert_eq!(auto.audit_period, DEFAULT_AUDIT_PERIOD);
+        // Audits run only when the policy asks for them.
+        let plan = |policy: &RecoveryPolicy| AuditPlan::new(policy, 1e-8, 1.0);
+        assert!(plan(&RecoveryPolicy::on()).enabled);
+        let default = RecoveryPolicy::default();
+        assert!(!plan(&default).enabled);
+        assert_eq!(default.audit_period, DEFAULT_AUDIT_PERIOD);
         // Schedule: first audit strictly after the warm-start point, then
         // every `period` iterations.
         assert!(!audit_due(1, 0, 4));
@@ -605,7 +542,7 @@ mod tests {
         assert!(audit_due(5, 0, 4));
         assert!(!audit_due(6, 0, 4));
         assert!(audit_due(9, 0, 4));
-        // A rung restarted at iteration 8 must not re-audit state 8.
+        // A pass restarted at iteration 8 must not re-audit state 8.
         assert!(!audit_due(9, 8, 4));
         assert!(audit_due(13, 8, 4));
         // Degenerate period never divides by zero.

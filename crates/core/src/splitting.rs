@@ -15,7 +15,8 @@
 //!
 //! The multicolor SSOR splitting lives in [`crate::ssor`].
 
-use mspcg_sparse::lanczos::{lanczos_extremes, power_spectral_radius};
+use crate::poly::jacobi_spectrum;
+use mspcg_sparse::lanczos::power_spectral_radius;
 use mspcg_sparse::{CsrMatrix, SparseError, SparseOp};
 use std::cell::RefCell;
 
@@ -143,26 +144,14 @@ impl<A: SparseOp> Splitting for JacobiSplitting<A> {
         }
     }
 
-    /// Exact extremes of `σ(D⁻¹K)` via Lanczos on the similar *symmetric*
-    /// operator `D^{-1/2} K D^{-1/2}`, applied matrix-free
-    /// (`y = D^{-1/2}·(K·(D^{-1/2}x))`) so no format needs a symmetric
-    /// rescaling primitive. At least 8 steps; Lanczos clamps the budget
-    /// to the dimension.
-    fn spectrum_interval(&self, iters: usize) -> Result<(f64, f64), SparseError> {
-        let n = self.dim();
-        let dhalf: Vec<f64> = self.inv_diag.iter().map(|d| d.sqrt()).collect();
-        let mut tmp = vec![0.0; n];
-        let est = lanczos_extremes(n, iters.max(8), 0x5EED, |x, y| {
-            for i in 0..n {
-                tmp[i] = dhalf[i] * x[i];
-            }
-            self.a.mul_vec_into(&tmp, y);
-            for i in 0..n {
-                y[i] *= dhalf[i];
-            }
-        })?;
-        let est = est.widened(0.02);
-        Ok((est.min.max(1e-12), est.max))
+    /// The interval of `σ(D⁻¹K)` that [`jacobi_spectrum`] estimates: the
+    /// extremes of a [`crate::poly::SPECTRUM_STEPS`]-step Lanczos run on
+    /// the similar symmetric operator `D^{-1/2} K D^{-1/2}`, each end
+    /// widened relative to itself, so a small `λ₁` keeps its order of
+    /// magnitude. That step budget replaces `iters`.
+    fn spectrum_interval(&self, _iters: usize) -> Result<(f64, f64), SparseError> {
+        let est = jacobi_spectrum(&self.a, &self.inv_diag)?;
+        Ok((est.min, est.max))
     }
 }
 

@@ -20,11 +20,10 @@
 //! the same order, so all workers reach bitwise-identical α, β and
 //! stopping decisions without a broadcast phase — the sum/max circuit of
 //! the Finite Element Machine, minus the dedicated round trips. The
-//! partial banks (`dot`, `change`, `rz` — plus `ps` on the
-//! single-reduction schedule) rotate so a fast worker's writes for phase
-//! k+1 can never race a slow worker's reads from phase k.
+//! partial banks (`dot`, `change`, `rz`) rotate so a fast worker's writes
+//! for phase k+1 can never race a slow worker's reads from phase k.
 //!
-//! Per **classic** iteration (`C` colors, `m` steps):
+//! Per iteration of Algorithm 1 (`C` colors, `m` steps):
 //!
 //! ```text
 //! kp ← K·p  ⊕ (p, Kp) partial          1 barrier
@@ -35,57 +34,40 @@
 //! p ← z + βp                            1 barrier
 //! ```
 //!
-//! i.e. `m·(2C−1) + 3` barriers per iteration, down from the unfused
-//! `m·(2C−1) + 9` (separate dot/stop/reduce/fill phases). Results are
-//! bit-identical to the unfused schedule: the fused kernels perform the
-//! same arithmetic in the same order, only without the barriers.
+//! i.e. `m·(2C−1) + 3` barriers and two reduction phases (`(p, Kp)`, then
+//! `(z, r)`) per iteration, down from the unfused `m·(2C−1) + 9` barriers
+//! (separate dot/stop/reduce/fill phases). Results are bit-identical to
+//! the unfused schedule: the fused kernels perform the same arithmetic in
+//! the same order, only without the barriers.
 //!
-//! ## Single-reduction schedule
-//!
-//! The classic floor is its two *serialized* dot products: `(p, Kp)` must
-//! close before α can scale the update, and `(z, r)` before β can build
-//! the next direction — each pinning one extra barrier. Under
-//! [`PcgVariant::SingleReduction`] the Chronopoulos–Gear recurrence
-//! removes both waits: `s = Kp` is carried by the recurrence `s ← w + βs`
-//! (`w = Kz`), and α/β are reconstructed from the **one** fused reduction
-//! phase that rides the `w`-producing SpMV:
-//!
-//! ```text
-//! p ← z + βp; s ← w + βs; u += αp;
-//!   r −= αs ⊕ ‖Δu‖∞, (p, s) partials   1 barrier   (one mega-phase)
-//! preconditioner (as above)             m·(2C−1) barriers
-//! w ← K·z ⊕ (w, z) partial,
-//!   (z, r) fused into the last sweep    1 barrier
-//! ```
-//!
-//! i.e. `m·(2C−1) + 2` barriers and **one reduction phase** per iteration
-//! (plain CG, `m = 0`: two barriers total, with `z ≡ r`). The recurrence
-//! follows a different-but-bounded rounding path, so this schedule is
-//! *not* bitwise identical to classic — it is bitwise reproducible within
-//! the variant, and on recurrence breakdown (`(p, s) ≤ 0` or a
-//! nonpositive reconstructed denominator) [`ParallelMStepPcg::solve`]
-//! transparently reruns the solve on the classic schedule. Both barrier
-//! and reduction-phase counts are measured, not asserted:
+//! Both counts are measured, not asserted:
 //! [`ParallelSolveReport::barrier_crossings`] /
 //! [`ParallelSolveReport::reduction_phases`] come from the instrumented
 //! [`SpinBarrier`] and the replicated-reduction counter.
 //!
+//! ## Recovery
+//!
+//! A non-finite replicated scalar, or (with auditing on) a fused
+//! `f − K·u` audit phase that finds the carried residual drifted, makes
+//! every worker restart in place from the current iterate: recompute the
+//! true residual and re-derive `z`, `p` and `(z, r)`, exactly like the
+//! serial loop, within the policy's replacement budget.
+//!
 //! ## Polynomial msolve (barrier-free preconditioning)
 //!
-//! Both schedules above pay `m·(2C−1)` color-sweep barriers per m-step
+//! The schedule above pays `m·(2C−1)` color-sweep barriers per m-step
 //! SSOR application. [`ParallelMStepPcg::poly`] swaps the sweeps for the
 //! degree-`k` **polynomial preconditioner** of `mspcg_core::poly`
 //! (Newton or Chebyshev on the Lanczos-estimated spectrum of the
 //! Jacobi-scaled operator): `z = p(D⁻¹K)·D⁻¹r` evaluated as `k` fused
 //! SpMV phases, **one full barrier each and zero color sweeps** — the
-//! msolve term drops from `m·(2C−1)` to `k` on both schedules. The
-//! recurrence seed is folded into the first SpMV (accumulated on the fly
-//! from the msolve input), the `(z, r)` partial and `p⁰` copy into the
-//! last, and the iterate banks alternate between the caller's vector and
-//! one scratch bank so a phase's cross-strip SpMV reads never race the
-//! next phase's writes. The exact-formula counter test pins the
-//! resulting schedules: per iteration, classic `k + 3` barriers,
-//! single-reduction `k + 2`.
+//! msolve term drops from `m·(2C−1)` to `k`. The recurrence seed is
+//! folded into the first SpMV (accumulated on the fly from the msolve
+//! input), the `(z, r)` partial and `p⁰` copy into the last, and the
+//! iterate banks alternate between the caller's vector and one scratch
+//! bank so a phase's cross-strip SpMV reads never race the next phase's
+//! writes. The exact-formula counter test pins the
+//! resulting schedule: `k + 3` barriers per iteration.
 //!
 //! ## `Auto`: the paper's parametrized m-step SSOR
 //!
@@ -105,8 +87,7 @@ use crate::shared::{slot, ScalarBank, SharedVec};
 use mspcg_core::pcg::validate_inputs;
 use mspcg_core::poly::{resolve_precond, ResolvedPrecond};
 use mspcg_core::recovery::{
-    audit_due, diverged, next_rung, perturb, AuditPlan, FaultKind, FaultPlan, FaultTarget,
-    RecoveryPolicy,
+    audit_due, diverged, perturb, AuditPlan, FaultKind, FaultPlan, FaultTarget, RecoveryPolicy,
 };
 use mspcg_core::{PolySchedule, SweepTable};
 use mspcg_sparse::{vecops, Partition, PcgVariant, PolyKind, PrecondKind, SparseError, SparseOp};
@@ -124,13 +105,12 @@ pub struct ParallelSolverOptions {
     pub tol: f64,
     /// Iteration budget.
     pub max_iterations: usize,
-    /// Iteration variant (default [`PcgVariant::Classic`]).
+    /// The recurrence; [`PcgVariant::Classic`] is the only one. Kept only
+    /// so the `perfbench` package, which sets it, still compiles.
     pub variant: PcgVariant,
-    /// Residual-audit / replacement / recovery-ladder policy. Auditing is
-    /// resolved **once** from the requested variant and tolerance, so a
-    /// ladder rerun on a lower rung inherits the decision. Use
-    /// [`RecoveryPolicy::off`] to pin the exact barrier schedule (counter
-    /// tests, benches).
+    /// Residual-audit / replacement policy. The default runs no audit
+    /// phase, which pins the exact barrier schedule (counter tests,
+    /// benches).
     pub recovery: RecoveryPolicy,
 }
 
@@ -159,37 +139,29 @@ pub struct ParallelSolveReport {
     pub final_change: f64,
     /// Worker threads actually used.
     pub threads: usize,
-    /// The schedule that produced this result: the rung the ladder ended
-    /// on (classic after a single-reduction breakdown fallback).
-    pub variant: PcgVariant,
     /// Total [`SpinBarrier`] crossings of the run (init + all
     /// iterations), measured by the instrumented barrier: the
     /// synchronization cost the `m·(2C−1) + k` model predicts.
     pub barrier_crossings: usize,
-    /// Replicated dot-product reduction phases feeding α/β: `2I` on the
-    /// classic schedule and `I` on the single-reduction schedule for a
+    /// Replicated dot-product reduction phases feeding α/β: `2I` for a
     /// clean solve converging at iteration `I` (the init phase stands in
     /// for the one the converging iteration skips). The ‖Δu‖∞ stopping
     /// max is the paper's flag network and is not counted.
     pub reduction_phases: usize,
-    /// Split-phase barrier crossings. Always 0: both schedules block
-    /// every reduction at a [`SpinBarrier`]. Kept so readers of the report
+    /// Split-phase barrier crossings. Always 0: the schedule blocks every
+    /// reduction at a [`SpinBarrier`]. Kept so readers of the report
     /// stay source compatible.
     pub split_crossings: usize,
-    /// True-residual audit phases performed, accumulated across ladder
-    /// reruns (each audit is one fused `f − K·u` phase: +1 barrier, no
-    /// reduction phase — the deviation sum feeds no CG scalar).
+    /// True-residual audit phases performed (each audit is one fused
+    /// `f − K·u` phase: +1 barrier, no reduction phase — the deviation sum
+    /// feeds no CG scalar).
     pub audits: usize,
-    /// Residual replacements plus in-place non-finite recoveries,
-    /// accumulated across reruns. Only the classic schedule replaces (the
-    /// recurrence schedules have no same-rung warm restart — they step
-    /// down the ladder instead).
+    /// Residual replacements plus in-place non-finite recoveries.
     pub replacements: usize,
-    /// Ladder step-downs this solve performed: 1 when a single-reduction
-    /// run fell back to a from-scratch rerun on the classic schedule,
-    /// else 0.
+    /// Always 0: there is no second recurrence to fall back to. Kept only
+    /// so the `perfbench` package, which reads it, still compiles.
     pub recoveries: usize,
-    /// Non-finite reduction scalars detected, accumulated across reruns.
+    /// Non-finite reduction scalars detected.
     pub faults_detected: usize,
 }
 
@@ -201,23 +173,9 @@ mod status {
     pub const INDEFINITE_K: f64 = 2.0;
     pub const INDEFINITE_M: f64 = 3.0;
     pub const BUDGET: f64 = 4.0;
-    /// Recurrence breakdown or detected corruption on a recurrence
-    /// schedule: the caller must rerun on the next rung down.
-    pub const FALLBACK: f64 = 5.0;
-    /// A non-finite reduction scalar survived the classic schedule's
-    /// replacement budget: surfaces as `SparseError::NonFinite`.
+    /// A non-finite reduction scalar outlived the replacement budget:
+    /// surfaces as `SparseError::NonFinite`.
     pub const NONFINITE: f64 = 6.0;
-}
-
-/// Internal outcome of one pinned-schedule run.
-enum SolveOutcome {
-    Report(ParallelSolveReport),
-    /// Breakdown or detected corruption on a recurrence schedule: rerun
-    /// one rung down, carrying the failed run's counters.
-    Fallback {
-        audits: usize,
-        faults_detected: usize,
-    },
 }
 
 /// The rows one worker owns: chunk `t` of every color block, in color
@@ -470,12 +428,6 @@ impl ParallelMStepPcg {
         &self.alphas
     }
 
-    /// Whether this configuration runs with **no** preconditioner phase
-    /// at all (plain CG): no SSOR coefficients and no polynomial.
-    fn no_msolve(&self) -> bool {
-        self.alphas.is_empty() && self.poly.is_none()
-    }
-
     /// System dimension.
     #[inline]
     fn dim(&self) -> usize {
@@ -524,17 +476,12 @@ impl ParallelMStepPcg {
 
     /// Solve `K u = f` from the zero initial guess.
     ///
-    /// [`ParallelSolverOptions::variant`] selects the schedule; a
-    /// single-reduction run that hits breakdown or detected corruption is
-    /// rerun one **ladder rung** down, on the classic schedule,
-    /// transparently, counting the step in
-    /// [`ParallelSolveReport::recoveries`] (breakdown is decided by
-    /// replicated scalars, so every worker — and every rerun — takes the
-    /// branch deterministically). When [`ParallelSolverOptions::recovery`]
-    /// resolves auditing on, every `audit_period` iterations a fused
-    /// `f − K·u` phase compares the true residual against the recurrence
-    /// carry; divergence beyond the replacement bound replaces the carry
-    /// (classic) or steps down the ladder (recurrence schedules).
+    /// A non-finite replicated scalar restarts the solve in place from the
+    /// current iterate (the decision is replicated, so every worker takes
+    /// it). When [`ParallelSolverOptions::recovery`] turns auditing on,
+    /// every `audit_period` iterations a fused `f − K·u` phase compares the
+    /// true residual against the recurrence carry; divergence beyond the
+    /// replacement bound replaces the carry the same way.
     ///
     /// # Errors
     /// [`SparseError::NotPositiveDefinite`] on breakdown,
@@ -556,9 +503,7 @@ impl ParallelMStepPcg {
     /// [`FaultPlan`]: at each planned `(target, iteration)` the worker
     /// owning `index` perturbs its freshly computed kernel output before
     /// the fused partials are formed — deterministic at every thread
-    /// count. The plan is consulted per rung rerun (a persistent fault
-    /// re-fires on each rung), so the returned report proves the full
-    /// ladder path.
+    /// count, so the returned counters prove the recovery path.
     ///
     /// # Errors
     /// Same classes as [`ParallelMStepPcg::solve`].
@@ -578,42 +523,6 @@ impl ParallelMStepPcg {
         plan: Option<&FaultPlan>,
     ) -> Result<ParallelSolveReport, SparseError> {
         validate_inputs(opts.tol, &opts.recovery, f, &[])?;
-        let f_norm = f.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let audit = AuditPlan::new(&opts.recovery, opts.variant, opts.tol, f_norm);
-        let mut rung = opts.variant;
-        let mut recoveries = 0usize;
-        let mut acc_audits = 0usize;
-        let mut acc_faults = 0usize;
-        loop {
-            match self.solve_variant(f, opts, rung, &audit, plan)? {
-                SolveOutcome::Report(mut report) => {
-                    report.audits += acc_audits;
-                    report.faults_detected += acc_faults;
-                    report.recoveries = recoveries;
-                    return Ok(report);
-                }
-                SolveOutcome::Fallback {
-                    audits,
-                    faults_detected,
-                } => {
-                    acc_audits += audits;
-                    acc_faults += faults_detected;
-                    recoveries += 1;
-                    rung = next_rung(rung).expect("the classic schedule has no fallback exit");
-                }
-            }
-        }
-    }
-
-    /// One solve on one pinned schedule.
-    fn solve_variant(
-        &self,
-        f: &[f64],
-        opts: &ParallelSolverOptions,
-        variant: PcgVariant,
-        audit: &AuditPlan,
-        plan: Option<&FaultPlan>,
-    ) -> Result<SolveOutcome, SparseError> {
         let n = self.dim();
         if f.len() != n {
             return Err(SparseError::ShapeMismatch {
@@ -621,7 +530,8 @@ impl ParallelMStepPcg {
                 right: (f.len(), 1),
             });
         }
-        let single_reduction = variant == PcgVariant::SingleReduction;
+        let f_norm = f.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let audit = AuditPlan::new(&opts.recovery, opts.tol, f_norm);
         let threads = self.resolve_threads(opts.threads);
 
         let owned = OwnedRows::map(self.table.colors(), threads);
@@ -632,8 +542,6 @@ impl ParallelMStepPcg {
         let p = SharedVec::zeros(n);
         let kp = SharedVec::zeros(n);
         let y = SharedVec::zeros(n);
-        // The `w = Kz` carry of the single-reduction recurrence.
-        let w = SharedVec::zeros(if single_reduction { n } else { 0 });
         // Polynomial msolve scratch: the difference carry `d` (own-strip
         // only) and the second iterate bank `zb` of the two-bank rotation
         // (read cross-strip by the chained SpMVs). Zero-length for the
@@ -647,7 +555,6 @@ impl ParallelMStepPcg {
         let dot_partials = SharedVec::zeros(threads);
         let change_partials = SharedVec::zeros(threads);
         let rz_partials = SharedVec::zeros(threads);
-        let ps_partials = SharedVec::zeros(if single_reduction { threads } else { 0 });
         let bank = ScalarBank::new();
         let barrier = SpinBarrier::new(threads);
         // Audit scratch: the true-residual vector and the deviation
@@ -666,10 +573,10 @@ impl ParallelMStepPcg {
         std::thread::scope(|s| {
             for t in 0..threads {
                 let own = &owned[t];
-                let (u, r, z, p, kp, y, w, bank, barrier, iters_out) =
-                    (&u, &r, &z, &p, &kp, &y, &w, &bank, &barrier, &iters_out);
-                let (dot_partials, change_partials, rz_partials, ps_partials) =
-                    (&dot_partials, &change_partials, &rz_partials, &ps_partials);
+                let (u, r, z, p, kp, y, bank, barrier, iters_out) =
+                    (&u, &r, &z, &p, &kp, &y, &bank, &barrier, &iters_out);
+                let (dot_partials, change_partials, rz_partials) =
+                    (&dot_partials, &change_partials, &rz_partials);
                 let pscr = &pscr;
                 let (aud, dev_partials) = (&aud, &dev_partials);
                 let this = &*self;
@@ -678,57 +585,29 @@ impl ParallelMStepPcg {
                 // launches would only add contention.
                 s.spawn(move || {
                     mspcg_sparse::par::serialized(|| {
-                        if single_reduction {
-                            this.worker_single_reduction(
-                                t,
-                                own,
-                                u,
-                                r,
-                                z,
-                                p,
-                                kp,
-                                y,
-                                w,
-                                pscr,
-                                dot_partials,
-                                change_partials,
-                                rz_partials,
-                                ps_partials,
-                                f,
-                                aud,
-                                dev_partials,
-                                audit,
-                                plan,
-                                bank,
-                                barrier,
-                                iters_out,
-                                opts,
-                            );
-                        } else {
-                            this.worker(
-                                t,
-                                own,
-                                u,
-                                r,
-                                z,
-                                p,
-                                kp,
-                                y,
-                                pscr,
-                                dot_partials,
-                                change_partials,
-                                rz_partials,
-                                f,
-                                aud,
-                                dev_partials,
-                                audit,
-                                plan,
-                                bank,
-                                barrier,
-                                iters_out,
-                                opts,
-                            );
-                        }
+                        this.worker(
+                            t,
+                            own,
+                            u,
+                            r,
+                            z,
+                            p,
+                            kp,
+                            y,
+                            pscr,
+                            dot_partials,
+                            change_partials,
+                            rz_partials,
+                            f,
+                            aud,
+                            dev_partials,
+                            &audit,
+                            plan,
+                            bank,
+                            barrier,
+                            iters_out,
+                            opts,
+                        );
                     });
                 });
             }
@@ -743,10 +622,6 @@ impl ParallelMStepPcg {
         let replacements = out[4] as usize;
         let faults_detected = out[5] as usize;
         match code {
-            c if c == status::FALLBACK => Ok(SolveOutcome::Fallback {
-                audits,
-                faults_detected,
-            }),
             c if c == status::NONFINITE => Err(SparseError::NonFinite {
                 phase: "replicated-reduction",
                 iteration: iterations,
@@ -763,13 +638,12 @@ impl ParallelMStepPcg {
                 iterations,
                 residual: final_change,
             }),
-            _ => Ok(SolveOutcome::Report(ParallelSolveReport {
+            _ => Ok(ParallelSolveReport {
                 x: u.into_vec(),
                 iterations,
                 converged: true,
                 final_change,
                 threads,
-                variant,
                 barrier_crossings: barrier.crossings(),
                 reduction_phases,
                 split_crossings: 0,
@@ -777,12 +651,11 @@ impl ParallelMStepPcg {
                 replacements,
                 recoveries: 0,
                 faults_detected,
-            })),
+            }),
         }
     }
 
-    /// The SPMD body of the **classic** schedule. All `unsafe` blocks
-    /// follow the phase discipline documented in [`crate::shared`]: writes
+    /// The SPMD body of Algorithm 1. All `unsafe` blocks follow the phase discipline documented in [`crate::shared`]: writes
     /// go only to owned rows (in a sweep phase, only to the owned chunk of
     /// the current color), reads only touch elements finalized before the
     /// previous barrier or written by this worker in the current phase.
@@ -1053,242 +926,8 @@ impl ParallelMStepPcg {
         }
     }
 
-    /// The SPMD body of the **single-reduction** schedule. Same phase
-    /// discipline as [`ParallelMStepPcg::worker`]; the differences are the
-    /// carried `s = Kp` (in the `kp` vectors) and `w = Kz`, the fused
-    /// mega-update phase, and that every scalar the recurrence needs
-    /// comes out of the one reduction phase riding the `w = Kz` SpMV.
-    ///
-    /// For plain CG (`m = 0`) no preconditioner phase exists and `z ≡ r`:
-    /// the schedule reads `r` wherever `z` appears, dropping to **two
-    /// barriers per iteration**.
-    #[allow(clippy::too_many_arguments)]
-    fn worker_single_reduction(
-        &self,
-        t: usize,
-        own: &OwnedRows,
-        u: &SharedVec,
-        r: &SharedVec,
-        z: &SharedVec,
-        p: &SharedVec,
-        s: &SharedVec,
-        y: &SharedVec,
-        w: &SharedVec,
-        pscr: &PolyScratch<'_>,
-        wz_partials: &SharedVec,
-        change_partials: &SharedVec,
-        rz_partials: &SharedVec,
-        ps_partials: &SharedVec,
-        f: &[f64],
-        aud: &SharedVec,
-        dev_partials: &SharedVec,
-        audit: &AuditPlan,
-        plan: Option<&FaultPlan>,
-        bank: &ScalarBank,
-        barrier: &SpinBarrier,
-        iters_out: &SharedVec,
-        opts: &ParallelSolverOptions,
-    ) {
-        let m_zero = self.no_msolve();
-        let mut phases = 0usize;
-        let mut audits = 0usize;
-        let mut faults = 0usize;
-        // Worker-0 outcome publication (every branch below is taken
-        // unanimously — the scalars are replicated). The recurrence
-        // schedules never replace in place (slot 4 stays 0): corruption
-        // and breakdown both step down the ladder via FALLBACK.
-        let finish = |code: f64,
-                      iterations: usize,
-                      change: f64,
-                      phases: usize,
-                      audits: usize,
-                      faults: usize| {
-            if t == 0 {
-                unsafe {
-                    bank.set(slot::STOP, code);
-                    iters_out.write_at(0, iterations as f64);
-                    iters_out.write_at(1, change);
-                    iters_out.write_at(2, phases as f64);
-                    iters_out.write_at(3, audits as f64);
-                    iters_out.write_at(5, faults as f64);
-                }
-            }
-        };
-
-        // --- init: z = M⁻¹ r with the (z, r) partial fused into the
-        // final color phase; for m = 0, z ≡ r and the (r, r) partial
-        // rides the w phase instead.
-        if !m_zero {
-            self.msolve_phases(own, t, r, z, y, pscr, None, rz_partials, barrier);
-            self.inject_msolve_fault(plan, 0, own, z, None, barrier);
-        }
-        self.w_phase(
-            own,
-            t,
-            m_zero,
-            r,
-            z,
-            w,
-            wz_partials,
-            rz_partials,
-            barrier,
-            claim_fault(plan, FaultTarget::Spmv, 0, own),
-        );
-
-        // --- γ₀, δ₀ (replicated, ONE phase) -----------------------------
-        let mut gamma: f64 = unsafe { rz_partials.read().iter().sum() };
-        let delta: f64 = unsafe { wz_partials.read().iter().sum() };
-        phases += 1;
-        if !(gamma.is_finite() && delta.is_finite()) {
-            // A poisoned init scalar: no recurrence state worth keeping —
-            // step down the ladder before any carry is built.
-            faults += 1;
-            finish(status::FALLBACK, 0, 0.0, phases, audits, faults);
-            return;
-        }
-        if gamma < 0.0 {
-            finish(status::INDEFINITE_M, 0, 0.0, phases, audits, faults);
-            return;
-        }
-        if gamma == 0.0 {
-            finish(status::CONVERGED, 0, 0.0, phases, audits, faults);
-            return;
-        }
-        if opts.max_iterations == 0 {
-            finish(status::BUDGET, 0, f64::INFINITY, phases, audits, faults);
-            return;
-        }
-        if delta <= 0.0 {
-            // (z, Kz) ≤ 0 with z ≠ 0: let the classic schedule's probes
-            // produce the canonical error.
-            finish(status::FALLBACK, 0, 0.0, phases, audits, faults);
-            return;
-        }
-        let mut alpha = gamma / delta;
-        let mut beta = 0.0f64;
-
-        for iter in 1..=opts.max_iterations {
-            // --- audit (detector-only on the recurrence schedules): the
-            // fused true-residual phase costs one barrier; divergence has
-            // no same-rung warm restart here, so it steps down the
-            // ladder. The state audited is the one iteration `iter − 1`
-            // left behind.
-            if audit.enabled && audit_due(iter, 0, audit.period) {
-                let dev2 = self.audit_phase(own, t, f, u, r, aud, dev_partials, barrier);
-                audits += 1;
-                if diverged(dev2, audit.bound2) {
-                    finish(status::FALLBACK, iter - 1, 0.0, phases, audits, faults);
-                    return;
-                }
-            }
-            // --- mega-update phase: p ← z + βp, s ← w + βs, u += αp,
-            // r −= αs ⊕ ‖Δu‖∞ and (p, s) partials — one barrier for all
-            // four updates and both partials. The (p, s) strip partial
-            // rides the update kernel itself (fused_xpby_xpby_dot), so
-            // the strips are traversed once, not re-read by a dot pass.
-            unsafe {
-                {
-                    let zv = if m_zero { r.read() } else { z.read() };
-                    let wv = w.read();
-                    let mut ps = 0.0;
-                    for rows in own.chunks() {
-                        ps += vecops::fused_xpby_xpby_dot(
-                            &zv[rows.clone()],
-                            &wv[rows.clone()],
-                            beta,
-                            p.write(rows.clone()),
-                            s.write(rows),
-                        );
-                    }
-                    ps_partials.write_at(t, ps);
-                }
-                let dx = own.fused_update(alpha, p.read(), s.read(), u, r);
-                change_partials.write_at(t, dx);
-            }
-            barrier.wait();
-
-            // --- convergence test (replicated flag network) + guards ---------
-            let change = unsafe { change_partials.read().iter().fold(0.0f64, |a, &b| a.max(b)) };
-            if !change.is_finite() {
-                // ‖Δu‖∞ swallows NaN but surfaces Inf: a poisoned update.
-                faults += 1;
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-            if change < opts.tol {
-                finish(status::CONVERGED, iter, change, phases, audits, faults);
-                return;
-            }
-            if iter == opts.max_iterations {
-                finish(status::BUDGET, iter, change, phases, audits, faults);
-                return;
-            }
-            let ps: f64 = unsafe { ps_partials.read().iter().sum() };
-            if !ps.is_finite() {
-                faults += 1;
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-            // Directly measured curvature (p, s) ≤ 0: the recurrence can
-            // no longer be trusted — rerun one rung down.
-            if ps <= 0.0 {
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-
-            // --- z = M⁻¹ r, (z, r) partial fused into the final phase,
-            // then w = K z ⊕ (w, z) — THE reduction phase ---------------------
-            if !m_zero {
-                self.msolve_phases(own, t, r, z, y, pscr, None, rz_partials, barrier);
-                self.inject_msolve_fault(plan, iter, own, z, None, barrier);
-            }
-            self.w_phase(
-                own,
-                t,
-                m_zero,
-                r,
-                z,
-                w,
-                wz_partials,
-                rz_partials,
-                barrier,
-                claim_fault(plan, FaultTarget::Spmv, iter, own),
-            );
-
-            // --- γ′, δ, then β and the reconstructed α (replicated) ----------
-            let gamma_new: f64 = unsafe { rz_partials.read().iter().sum() };
-            let delta: f64 = unsafe { wz_partials.read().iter().sum() };
-            phases += 1;
-            if !(gamma_new.is_finite() && delta.is_finite()) {
-                // Checked before either scalar feeds α/β, so u is still a
-                // valid iterate when the lower rung reruns.
-                faults += 1;
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-            if gamma_new < 0.0 {
-                finish(status::INDEFINITE_M, iter, change, phases, audits, faults);
-                return;
-            }
-            if gamma_new == 0.0 {
-                // Exact convergence in fewer than n steps.
-                finish(status::CONVERGED, iter, change, phases, audits, faults);
-                return;
-            }
-            let beta_new = gamma_new / gamma.max(1e-300);
-            let denom = delta - beta_new * gamma_new / alpha;
-            if !(denom.is_finite() && denom > 0.0) {
-                finish(status::FALLBACK, iter, change, phases, audits, faults);
-                return;
-            }
-            beta = beta_new;
-            alpha = gamma_new / denom;
-            gamma = gamma_new;
-        }
-    }
-
-    /// The classic schedule's restart phase, shared by the audit-replace
-    /// and non-finite recovery paths: refresh `r` to the true residual —
+    /// The restart phase, shared by the audit-replace and non-finite
+    /// recovery paths: refresh `r` to the true residual —
     /// adopting the audited copy when one is on hand (`fresh`), else
     /// recomputing `r ← f − K·u` over the strip — then re-derive
     /// `z = M⁻¹r`, `p ← z` and the `(z, r)` partial exactly like the init
@@ -1296,7 +935,7 @@ impl ParallelMStepPcg {
     ///
     /// No barrier precedes the `r` overwrite: every entry point has just
     /// consumed a replicated scalar (all workers are past its publishing
-    /// barrier), and the classic schedule never reads `r` cross-strip.
+    /// barrier), and the sweep msolve never reads `r` cross-strip.
     /// The polynomial msolve *does* read `r` cross-strip in its fused
     /// first phase, so one extra barrier separates the overwrite from it.
     #[allow(clippy::too_many_arguments)]
@@ -1332,7 +971,7 @@ impl ParallelMStepPcg {
         unsafe { rz_partials.read().iter().sum() }
     }
 
-    /// The fused audit phase shared by every schedule: `aud ← f − K·u`
+    /// The fused audit phase: `aud ← f − K·u`
     /// over the strip ⊕ the squared-deviation partial against the
     /// recurrence carry `r` — one barrier — then the replicated deviation
     /// sum. `u` and `r` were finalized by the previous iteration's
@@ -1396,45 +1035,6 @@ impl ParallelMStepPcg {
             }
             barrier.wait();
         }
-    }
-
-    /// The single-reduction schedule's `w = K·z` phase: write the strip of
-    /// `w`, fuse in the `(w, z)` partial — and, for plain CG (`m_zero`,
-    /// where `z ≡ r` and no preconditioner phase exists to carry it), the
-    /// `(r, r)` partial — then barrier. The strip of `w` this worker just
-    /// wrote is exactly the strip the partial reads, so no reduction needs
-    /// a barrier of its own. Used verbatim at init and in the iteration
-    /// loop: the two reduction points must stay arithmetically identical.
-    #[allow(clippy::too_many_arguments)]
-    fn w_phase(
-        &self,
-        own: &OwnedRows,
-        t: usize,
-        m_zero: bool,
-        r: &SharedVec,
-        z: &SharedVec,
-        w: &SharedVec,
-        wz_partials: &SharedVec,
-        rz_partials: &SharedVec,
-        barrier: &SpinBarrier,
-        fault: Option<(usize, FaultKind)>,
-    ) {
-        unsafe {
-            let zv = if m_zero { r.read() } else { z.read() };
-            let (mut wz, mut rr) = (0.0, 0.0);
-            self.own_spmv(own, zv, w, fault, |rows, out| {
-                let zs = &zv[rows];
-                wz += vecops::dot(zs, out);
-                if m_zero {
-                    rr += vecops::dot(zs, zs);
-                }
-            });
-            wz_partials.write_at(t, wz);
-            if m_zero {
-                rz_partials.write_at(t, rr);
-            }
-        }
-        barrier.wait();
     }
 
     /// Barrier-per-color m-step SSOR solve `z ← M⁻¹ r` (ω = 1), or a plain
@@ -1894,160 +1494,44 @@ mod tests {
         ));
     }
 
-    fn variant_opts(variant: PcgVariant, threads: usize, tol: f64) -> ParallelSolverOptions {
+    fn pinned_opts(threads: usize, tol: f64) -> ParallelSolverOptions {
         ParallelSolverOptions {
             threads,
             tol,
             max_iterations: 10_000,
-            variant,
-            // The schedule-pinning tests assert exact crossing counts, so
-            // the audit phase must stay off.
-            recovery: RecoveryPolicy::off(),
+            // The default policy runs no audit phase, so the exact
+            // crossing counts below hold.
+            ..Default::default()
         }
     }
 
+    /// The acceptance gate of the fused schedule: the instrumented
+    /// barrier proves `m·(2C−1) + 3` barriers per iteration, and the
+    /// replicated-reduction counter proves two reduction phases per
+    /// iteration.
     #[test]
-    fn single_reduction_matches_classic_solution() {
-        let (a, colors, rhs) = plate(8);
-        let par = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
-        let classic = par
-            .solve(&rhs, &variant_opts(PcgVariant::Classic, 4, 1e-8))
-            .unwrap();
-        let sr = par
-            .solve(&rhs, &variant_opts(PcgVariant::SingleReduction, 4, 1e-8))
-            .unwrap();
-        assert!(classic.converged && sr.converged);
-        assert_eq!(classic.variant, PcgVariant::Classic);
-        assert_eq!(sr.variant, PcgVariant::SingleReduction);
-        assert!(
-            (classic.iterations as isize - sr.iterations as isize).abs() <= 2,
-            "classic {} vs single-reduction {}",
-            classic.iterations,
-            sr.iterations
-        );
-        for (x, y) in classic.x.iter().zip(&sr.x) {
-            assert!((x - y).abs() < 1e-6, "{x} vs {y}");
-        }
-    }
-
-    /// The acceptance gate of the single-reduction schedule: the
-    /// instrumented barrier proves `m·(2C−1) + 2` barriers per iteration
-    /// (classic: `m·(2C−1) + 3`), and the replicated-reduction counter
-    /// proves ONE reduction phase per iteration (classic: two).
-    #[test]
-    fn barrier_counter_proves_single_reduction_schedule() {
+    fn barrier_counter_proves_classic_sweep_schedule() {
         let (a, colors, rhs) = plate(8);
         let c = colors.num_blocks();
         for m in [1usize, 2, 3] {
             let par = ParallelMStepPcg::new(&a, &colors, vec![1.0; m]).unwrap();
             let sweep = m * (2 * c - 1);
             for threads in [1usize, 4] {
-                let classic = par
-                    .solve(&rhs, &variant_opts(PcgVariant::Classic, threads, 1e-8))
-                    .unwrap();
-                let sr = par
-                    .solve(
-                        &rhs,
-                        &variant_opts(PcgVariant::SingleReduction, threads, 1e-8),
-                    )
-                    .unwrap();
-                let (kc, ks) = (classic.iterations, sr.iterations);
-                assert!(kc >= 1 && ks >= 1);
-                // Classic: init sweep, k−1 full iterations of sweep + 3
-                // barriers, converging iteration stops after its second.
+                let rep = par.solve(&rhs, &pinned_opts(threads, 1e-8)).unwrap();
+                let k = rep.iterations;
+                assert!(k >= 1);
+                // Init sweep, k−1 full iterations of sweep + 3 barriers,
+                // the converging iteration stops after its second.
                 assert_eq!(
-                    classic.barrier_crossings,
-                    sweep + (kc - 1) * (sweep + 3) + 2,
-                    "classic barrier count, m = {m}, threads = {threads}"
+                    rep.barrier_crossings,
+                    sweep + (k - 1) * (sweep + 3) + 2,
+                    "barrier count, m = {m}, threads = {threads}"
                 );
-                // Single-reduction: init sweep + the w-phase barrier, k−1
-                // full iterations of sweep + 2, converging iteration stops
-                // after the mega-update barrier.
-                assert_eq!(
-                    sr.barrier_crossings,
-                    sweep + 1 + (ks - 1) * (sweep + 2) + 1,
-                    "single-reduction barrier count, m = {m}, threads = {threads}"
-                );
-                // Reduction phases: two per classic iteration, ONE per
-                // single-reduction iteration (init phase included, the
-                // converging iteration's phases as scheduled above).
-                assert_eq!(classic.reduction_phases, 2 * kc, "classic phases, m = {m}");
-                assert_eq!(sr.reduction_phases, ks, "single-reduction phases, m = {m}");
+                // Two reduction phases per iteration (the init phase
+                // stands in for the one the converging iteration skips).
+                assert_eq!(rep.reduction_phases, 2 * k, "phases, m = {m}");
             }
         }
-    }
-
-    #[test]
-    fn plain_cg_single_reduction_runs_two_barriers_per_iteration() {
-        let (a, colors, rhs) = plate(6);
-        let par = ParallelMStepPcg::new(&a, &colors, vec![]).unwrap();
-        let sr = par
-            .solve(&rhs, &variant_opts(PcgVariant::SingleReduction, 3, 1e-8))
-            .unwrap();
-        assert!(sr.converged);
-        // z ≡ r drops the preconditioner phases entirely: 1 init barrier,
-        // 2 per full iteration, 1 on the converging iteration.
-        assert_eq!(sr.barrier_crossings, 2 * sr.iterations);
-        let exact = a.to_dense().cholesky().unwrap().solve(&rhs);
-        for (x, v) in sr.x.iter().zip(&exact) {
-            assert!((x - v).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn single_reduction_is_deterministic_and_format_insensitive() {
-        let (a, colors, rhs) = plate(7);
-        let sell = mspcg_sparse::SellCsMatrix::from_csr_default(&a);
-        let par_csr = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
-        let par_sell = ParallelMStepPcg::new(&sell, &colors, vec![1.0; 2]).unwrap();
-        let opts = variant_opts(PcgVariant::SingleReduction, 4, 1e-9);
-        let r1 = par_csr.solve(&rhs, &opts).unwrap();
-        let r2 = par_csr.solve(&rhs, &opts).unwrap();
-        // Bitwise reproducible within the variant.
-        assert_eq!(r1.iterations, r2.iterations);
-        assert_eq!(r1.x, r2.x);
-        // And across storage formats (one extracted sweep table).
-        let rs = par_sell.solve(&rhs, &opts).unwrap();
-        assert_eq!(r1.iterations, rs.iterations);
-        assert!(r1
-            .x
-            .iter()
-            .zip(&rs.x)
-            .all(|(u, v)| u.to_bits() == v.to_bits()));
-    }
-
-    #[test]
-    fn single_reduction_budget_and_zero_budget_match_classic_reporting() {
-        let (a, colors, rhs) = plate(6);
-        let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
-        let err = par.solve(
-            &rhs,
-            &ParallelSolverOptions {
-                threads: 2,
-                tol: 1e-14,
-                max_iterations: 2,
-                variant: PcgVariant::SingleReduction,
-                ..Default::default()
-            },
-        );
-        assert!(matches!(
-            err,
-            Err(SparseError::DidNotConverge { iterations: 2, .. })
-        ));
-        let err = par.solve(
-            &rhs,
-            &ParallelSolverOptions {
-                threads: 2,
-                tol: 1e-8,
-                max_iterations: 0,
-                variant: PcgVariant::SingleReduction,
-                ..Default::default()
-            },
-        );
-        assert!(matches!(
-            err,
-            Err(SparseError::DidNotConverge { iterations: 0, .. })
-        ));
     }
 
     #[test]
@@ -2110,43 +1594,34 @@ mod tests {
     /// The audit acceptance gate: on a clean run the fused `f − K·u`
     /// audit phase costs exactly ONE extra barrier crossing per audit, no
     /// reduction phase, fires `⌊(k − 1)/period⌋` times, never replaces —
-    /// and leaves the iterate stream bitwise untouched on every schedule.
+    /// and leaves the iterate stream bitwise untouched.
     #[test]
     fn audit_phase_costs_one_barrier_and_nothing_else() {
         let (a, colors, rhs) = plate(8);
         let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
-        for variant in [PcgVariant::Classic, PcgVariant::SingleReduction] {
-            let off = par.solve(&rhs, &variant_opts(variant, 4, 1e-8)).unwrap();
-            let mut opts = variant_opts(variant, 4, 1e-8);
-            opts.recovery = RecoveryPolicy {
-                replacement: mspcg_core::recovery::Toggle::On,
-                audit_period: 4,
-                ..RecoveryPolicy::default()
-            };
-            let on = par.solve(&rhs, &opts).unwrap();
-            assert!(on.converged, "{variant:?}");
-            assert_eq!(on.iterations, off.iterations, "{variant:?}");
-            // Bitwise identical: the audit observes, it does not touch.
-            assert!(
-                on.x.iter()
-                    .zip(&off.x)
-                    .all(|(u, v)| u.to_bits() == v.to_bits()),
-                "{variant:?}"
-            );
-            let audits = (off.iterations - 1) / 4;
-            assert_eq!(on.audits, audits, "{variant:?}");
-            assert_eq!(
-                on.barrier_crossings,
-                off.barrier_crossings + audits,
-                "{variant:?}"
-            );
-            assert_eq!(on.reduction_phases, off.reduction_phases, "{variant:?}");
-            assert_eq!(
-                (on.replacements, on.recoveries, on.faults_detected),
-                (0, 0, 0),
-                "{variant:?}"
-            );
-        }
+        let off = par.solve(&rhs, &pinned_opts(4, 1e-8)).unwrap();
+        let mut opts = pinned_opts(4, 1e-8);
+        opts.recovery = RecoveryPolicy {
+            audit_period: 4,
+            ..RecoveryPolicy::on()
+        };
+        let on = par.solve(&rhs, &opts).unwrap();
+        assert!(on.converged);
+        assert_eq!(on.iterations, off.iterations);
+        // Bitwise identical: the audit observes, it does not touch.
+        assert!(on
+            .x
+            .iter()
+            .zip(&off.x)
+            .all(|(u, v)| u.to_bits() == v.to_bits()));
+        let audits = (off.iterations - 1) / 4;
+        assert_eq!(on.audits, audits);
+        assert_eq!(on.barrier_crossings, off.barrier_crossings + audits);
+        assert_eq!(on.reduction_phases, off.reduction_phases);
+        assert_eq!(
+            (on.replacements, on.recoveries, on.faults_detected),
+            (0, 0, 0)
+        );
     }
 
     fn exact_solution(a: &CsrMatrix, rhs: &[f64]) -> Vec<f64> {
@@ -2167,16 +1642,11 @@ mod tests {
         let (a, colors, rhs) = plate(6);
         let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
         let rep = par
-            .solve_with_faults(
-                &rhs,
-                &variant_opts(PcgVariant::Classic, 4, 1e-8),
-                &nan_msolve_at(2),
-            )
+            .solve_with_faults(&rhs, &pinned_opts(4, 1e-8), &nan_msolve_at(2))
             .unwrap();
         assert!(rep.converged);
-        assert_eq!(rep.variant, PcgVariant::Classic);
         // One non-finite β-scalar detection, one in-place restart, no
-        // ladder motion, no audit phases (policy pinned off).
+        // fallback, no audit phases (the default policy runs none).
         assert_eq!(
             (
                 rep.faults_detected,
@@ -2191,54 +1661,17 @@ mod tests {
         }
     }
 
-    /// The persistent-fault ladder walk: the planned fault is
-    /// iteration-indexed and every rung rerun restarts the counter, so it
-    /// re-fires on each rung — the single-reduction rung detects it and
-    /// steps down, the classic rung absorbs it. Counters prove the exact
-    /// path.
-    #[test]
-    fn recurrence_schedules_walk_the_ladder_under_persistent_fault() {
-        let (a, colors, rhs) = plate(6);
-        let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
-        let exact = exact_solution(&a, &rhs);
-
-        // SingleReduction: detect at the poisoned γ′ → one step down →
-        // classic absorbs the re-fired fault in place.
-        let sr = par
-            .solve_with_faults(
-                &rhs,
-                &variant_opts(PcgVariant::SingleReduction, 4, 1e-8),
-                &nan_msolve_at(2),
-            )
-            .unwrap();
-        assert!(sr.converged);
-        assert_eq!(sr.variant, PcgVariant::Classic);
-        assert_eq!(
-            (
-                sr.faults_detected,
-                sr.replacements,
-                sr.recoveries,
-                sr.audits
-            ),
-            (2, 1, 1, 0)
-        );
-        for (x, v) in sr.x.iter().zip(&exact) {
-            assert!((x - v).abs() < 1e-5, "{x} vs {v}");
-        }
-    }
-
     /// A large-but-finite SpMV corruption slips every non-finite check —
-    /// only the residual audit can see it. The classic schedule replaces
-    /// the drifted carry and still converges to the true solution.
+    /// only the residual audit can see it. The solver replaces the drifted
+    /// carry and still converges to the true solution.
     #[test]
     fn audit_catches_finite_spmv_corruption_and_replaces() {
         let (a, colors, rhs) = plate(6);
         let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
-        let mut opts = variant_opts(PcgVariant::Classic, 4, 1e-10);
+        let mut opts = pinned_opts(4, 1e-10);
         opts.recovery = RecoveryPolicy {
-            replacement: mspcg_core::recovery::Toggle::On,
             audit_period: 4,
-            ..RecoveryPolicy::default()
+            ..RecoveryPolicy::on()
         };
         let plan = FaultPlan::new(vec![mspcg_core::recovery::IterationFault {
             target: FaultTarget::Spmv,
@@ -2264,7 +1697,7 @@ mod tests {
     fn faulted_solves_replay_bitwise() {
         let (a, colors, rhs) = plate(6);
         let par = ParallelMStepPcg::new(&a, &colors, vec![1.0]).unwrap();
-        let opts = variant_opts(PcgVariant::SingleReduction, 4, 1e-8);
+        let opts = pinned_opts(4, 1e-8);
         let plan = nan_msolve_at(2);
         let r1 = par.solve_with_faults(&rhs, &opts, &plan).unwrap();
         let r2 = par.solve_with_faults(&rhs, &opts, &plan).unwrap();
@@ -2303,9 +1736,7 @@ mod tests {
                 degree: 4
             }
         );
-        let rep = par
-            .solve(&rhs, &variant_opts(PcgVariant::Classic, 4, 1e-8))
-            .unwrap();
+        let rep = par.solve(&rhs, &pinned_opts(4, 1e-8)).unwrap();
         let pre = mspcg_core::PolynomialPreconditioner::chebyshev(a.clone(), 4).unwrap();
         let seq = pcg_solve(
             &a,
@@ -2332,48 +1763,25 @@ mod tests {
     /// The acceptance gate of the polynomial msolve, by exact formula: a
     /// degree-`k` application costs exactly `k` full-barrier crossings
     /// (one fused SpMV phase each) — **zero color sweeps** — so the
-    /// per-iteration budgets are the sweep formulas with `sweep → k`:
-    ///
-    /// * classic: `k + (I−1)(k+3) + 2` crossings, `2I` reduction phases,
-    /// * single-reduction: `k+1 + (I−1)(k+2) + 1` crossings, `I` phases.
+    /// per-iteration budget is the sweep formula with `sweep → k`:
+    /// `k + (I−1)(k+3) + 2` crossings, `2I` reduction phases.
     #[test]
     fn barrier_counter_proves_polynomial_schedule() {
         let (a, colors, rhs) = plate(8);
         for k in [2usize, 4] {
             let par = ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, k).unwrap();
             for threads in [1usize, 4] {
-                let classic = par
-                    .solve(&rhs, &variant_opts(PcgVariant::Classic, threads, 1e-8))
-                    .unwrap();
-                let sr = par
-                    .solve(
-                        &rhs,
-                        &variant_opts(PcgVariant::SingleReduction, threads, 1e-8),
-                    )
-                    .unwrap();
-                assert!(classic.converged && sr.converged);
-                assert_eq!(classic.variant, PcgVariant::Classic);
+                let rep = par.solve(&rhs, &pinned_opts(threads, 1e-8)).unwrap();
+                assert!(rep.converged);
+                let i = rep.iterations;
+                assert!(i >= 1);
                 assert_eq!(
-                    sr.variant,
-                    PcgVariant::SingleReduction,
-                    "fell back, k = {k}, threads = {threads}"
+                    rep.barrier_crossings,
+                    k + (i - 1) * (k + 3) + 2,
+                    "poly barrier count, k = {k}, threads = {threads}"
                 );
-                let (ic, is) = (classic.iterations, sr.iterations);
-                assert!(ic >= 1 && is >= 1);
-                assert_eq!(
-                    classic.barrier_crossings,
-                    k + (ic - 1) * (k + 3) + 2,
-                    "classic poly barrier count, k = {k}, threads = {threads}"
-                );
-                assert_eq!(classic.reduction_phases, 2 * ic);
-                assert_eq!(classic.split_crossings, 0);
-                assert_eq!(
-                    sr.barrier_crossings,
-                    k + 1 + (is - 1) * (k + 2) + 1,
-                    "single-reduction poly barrier count, k = {k}, threads = {threads}"
-                );
-                assert_eq!(sr.reduction_phases, is);
-                assert_eq!(sr.split_crossings, 0);
+                assert_eq!(rep.reduction_phases, 2 * i);
+                assert_eq!(rep.split_crossings, 0);
             }
         }
     }
@@ -2384,53 +1792,23 @@ mod tests {
         let sell = mspcg_sparse::SellCsMatrix::from_csr_default(&a);
         let par_csr = ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, 3).unwrap();
         let par_sell = ParallelMStepPcg::poly(&sell, &colors, PolyKind::Chebyshev, 3).unwrap();
-        for variant in [PcgVariant::Classic, PcgVariant::SingleReduction] {
-            let opts = variant_opts(variant, 4, 1e-8);
-            let r1 = par_csr.solve(&rhs, &opts).unwrap();
-            let r2 = par_csr.solve(&rhs, &opts).unwrap();
-            // Bitwise reproducible within the variant.
-            assert_eq!(r1.iterations, r2.iterations, "{variant:?}");
-            assert_eq!(r1.x, r2.x, "{variant:?}");
-            // And across storage formats: the SELL-C-σ row kernel is
-            // bitwise the CSR row loop, so the Lanczos interval, the
-            // schedule, and every iterate replay exactly.
-            let rs = par_sell.solve(&rhs, &opts).unwrap();
-            assert_eq!(r1.iterations, rs.iterations, "{variant:?}");
-            assert!(
-                r1.x.iter()
-                    .zip(&rs.x)
-                    .all(|(u, v)| u.to_bits() == v.to_bits()),
-                "format divergence under {variant:?}"
-            );
-        }
-    }
-
-    /// The recovery ladder treats a poisoned polynomial msolve exactly
-    /// like a poisoned sweep: same detection points, same rung walk,
-    /// same counters.
-    #[test]
-    fn poly_schedules_walk_the_ladder_under_persistent_fault() {
-        let (a, colors, rhs) = plate(6);
-        let par = ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, 2).unwrap();
-        let exact = exact_solution(&a, &rhs);
-        for (variant, final_variant, counters) in [
-            (PcgVariant::Classic, PcgVariant::Classic, (1, 1, 0)),
-            (PcgVariant::SingleReduction, PcgVariant::Classic, (2, 1, 1)),
-        ] {
-            let rep = par
-                .solve_with_faults(&rhs, &variant_opts(variant, 4, 1e-8), &nan_msolve_at(2))
-                .unwrap();
-            assert!(rep.converged, "{variant:?}");
-            assert_eq!(rep.variant, final_variant, "{variant:?}");
-            assert_eq!(
-                (rep.faults_detected, rep.replacements, rep.recoveries),
-                counters,
-                "{variant:?}"
-            );
-            for (x, v) in rep.x.iter().zip(&exact) {
-                assert!((x - v).abs() < 1e-5, "{x} vs {v} under {variant:?}");
-            }
-        }
+        let opts = pinned_opts(4, 1e-8);
+        let r1 = par_csr.solve(&rhs, &opts).unwrap();
+        let r2 = par_csr.solve(&rhs, &opts).unwrap();
+        // Bitwise reproducible.
+        assert_eq!(r1.iterations, r2.iterations);
+        assert_eq!(r1.x, r2.x);
+        // And across storage formats: the SELL-C-σ row kernel is bitwise
+        // the CSR row loop, so the Lanczos interval, the schedule, and
+        // every iterate replay exactly.
+        let rs = par_sell.solve(&rhs, &opts).unwrap();
+        assert_eq!(r1.iterations, rs.iterations);
+        assert!(
+            r1.x.iter()
+                .zip(&rs.x)
+                .all(|(u, v)| u.to_bits() == v.to_bits()),
+            "format divergence"
+        );
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -2469,9 +1847,7 @@ mod tests {
         // All three solve the system: true relative residual ≤ 1e-8.
         let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
         for par in [&auto, &ssor, &poly] {
-            let rep = par
-                .solve(&rhs, &variant_opts(PcgVariant::Classic, 2, 1e-10))
-                .unwrap();
+            let rep = par.solve(&rhs, &pinned_opts(2, 1e-10)).unwrap();
             assert!(rep.converged);
             let ku = a.mul_vec(&rep.x);
             let r: Vec<f64> = rhs.iter().zip(&ku).map(|(f, k)| f - k).collect();
@@ -2563,9 +1939,7 @@ mod tests {
         assert_eq!(auto.precond(), PrecondKind::MStepSsor { m: 2 });
         assert_eq!(auto.alphas(), &[1.0, 1.0]);
         assert_eq!(serial_auto(&a, &colors), (vec![1.0, 1.0], None));
-        let rep = auto
-            .solve(&rhs, &variant_opts(PcgVariant::Classic, 2, 1e-10))
-            .unwrap();
+        let rep = auto.solve(&rhs, &pinned_opts(2, 1e-10)).unwrap();
         assert!(rep.converged);
         for (x, f) in rep.x.iter().zip(&rhs) {
             assert!((x - f / 3.0).abs() < 1e-10, "{x} vs {}", f / 3.0);

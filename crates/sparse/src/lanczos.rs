@@ -4,7 +4,9 @@
 //! containing the spectrum of `P⁻¹K`. For small problems the dense Jacobi
 //! eigensolver suffices; for realistic plates we estimate the extremes with
 //! a Lanczos process with full reorthogonalization (cheap because we only
-//! run a few dozen steps) plus a safeguard expansion factor.
+//! run a few dozen steps); the caller safeguards the Ritz extremes
+//! (`mspcg_core::poly::jacobi_spectrum` widens each end relative to
+//! itself).
 //!
 //! The operator is supplied as a closure `apply(x, y)` computing `y = A x`,
 //! so both explicit matrices and matrix-free preconditioned operators (e.g.
@@ -26,26 +28,6 @@ pub struct SpectralInterval {
 }
 
 impl SpectralInterval {
-    /// Widen the interval by relative `margin` on both sides (safeguard for
-    /// the Ritz-value under-estimation of the extreme eigenvalues).
-    ///
-    /// The widening span never collapses: a degenerate interval
-    /// (`λmin ≈ λmax`, e.g. a scaled identity, a 1×1 operator, or an early
-    /// invariant-subspace break) falls back to a relative floor of `1e-3`
-    /// of the largest eigenvalue magnitude, and an all-zero interval to an
-    /// absolute floor — so for any `margin > 0` the result strictly
-    /// brackets the input (`min < max`), which downstream consumers
-    /// (Chebyshev-interval construction divides by `λmax − λmin`) rely on.
-    pub fn widened(self, margin: f64) -> SpectralInterval {
-        let scale = self.min.abs().max(self.max.abs());
-        let span = (self.max - self.min).abs().max(scale * 1e-3).max(1e-12);
-        SpectralInterval {
-            min: self.min - margin * span,
-            max: self.max + margin * span,
-            steps: self.steps,
-        }
-    }
-
     /// Condition-number style ratio `max/min` (∞ when `min ≤ 0`).
     pub fn ratio(self) -> f64 {
         if self.min <= 0.0 {
@@ -279,18 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn widened_interval_brackets() {
-        let s = SpectralInterval {
-            min: 1.0,
-            max: 2.0,
-            steps: 5,
-        };
-        let w = s.widened(0.1);
-        assert!(w.min < 1.0 && w.max > 2.0);
-        assert!(w.ratio() > s.ratio() * 0.9);
-    }
-
-    #[test]
     fn lanczos_one_by_one_operator_is_exact() {
         // n = 1: the Krylov space is the whole space; both extremes equal
         // the single entry regardless of the requested step budget.
@@ -314,28 +284,6 @@ mod tests {
         assert!((est.min - 2.0).abs() < 1e-12, "{est:?}");
         assert!((est.max - 2.0).abs() < 1e-12, "{est:?}");
         assert_eq!(est.steps, 1);
-    }
-
-    #[test]
-    fn widened_degenerate_interval_strictly_brackets() {
-        // λmin == λmax: the relative floor keeps the widening span
-        // nonzero, so the widened interval is a genuine interval.
-        let s = SpectralInterval {
-            min: 2.0,
-            max: 2.0,
-            steps: 1,
-        };
-        let w = s.widened(0.02);
-        assert!(w.min < 2.0 && w.max > 2.0, "{w:?}");
-        assert!(w.max - w.min >= 2.0 * 0.02 * 1e-3 * 2.0 * 0.999, "{w:?}");
-        // Even the all-zero interval widens through the absolute floor.
-        let z = SpectralInterval {
-            min: 0.0,
-            max: 0.0,
-            steps: 1,
-        }
-        .widened(0.02);
-        assert!(z.min < 0.0 && z.max > 0.0, "{z:?}");
     }
 
     #[test]

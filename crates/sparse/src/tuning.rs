@@ -9,8 +9,10 @@
 //! every solve of a process.
 //!
 //! The selection types shared by the serial solvers, the batched multi-RHS
-//! driver and the SPMD executor live here too: [`PcgVariant`],
-//! [`PrecondKind`] / [`PolyKind`] and [`MatrixFormat`]. A solve receives
+//! driver and the SPMD executor live here too: [`PrecondKind`] /
+//! [`PolyKind`] and [`MatrixFormat`]. Every executor runs one recurrence,
+//! Algorithm 1; [`PcgVariant`] names it and is kept only so the
+//! `perfbench` package still compiles. A solve receives
 //! its configuration only as values — the options struct it is called
 //! with, the preconditioner it is handed, the operator type the caller
 //! built. The pool size is the one process-wide setting, in [`crate::par`];
@@ -58,9 +60,9 @@ pub enum MatrixFormat {
     SellCs,
 }
 
-/// PCG iteration variants the solver stack implements. Lives here (rather
-/// than in `mspcg-core`) so the serial solvers, the batched multi-RHS
-/// driver and the SPMD `ParallelMStepPcg` all share one selection type.
+/// The PCG recurrence. Algorithm 1 is the only one the solver stack
+/// implements; the type and the `variant` option fields that carry it are
+/// kept only so the `perfbench` package, which names them, still compiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PcgVariant {
     /// Algorithm 1 as transcribed from the paper: two serialized inner
@@ -68,10 +70,6 @@ pub enum PcgVariant {
     /// preconditioner).
     #[default]
     Classic,
-    /// Chronopoulos–Gear two-term recurrence: carry `s = Kp` and `w = Kz`
-    /// so `α` and `β` both come out of **one** fused reduction phase per
-    /// iteration — the communication-avoiding form.
-    SingleReduction,
 }
 
 /// Polynomial recurrences the barrier-free preconditioner implements.

@@ -502,289 +502,6 @@ pub fn fused_xpby_dot(x: &[f64], b: f64, y: &mut [f64], w: &[f64]) -> f64 {
     acc
 }
 
-/// `y1 ← x1 + b·y1` and `y2 ← x2 + b·y2` in **one pass** — the paired
-/// direction updates of the single-reduction (Chronopoulos–Gear) PCG
-/// iteration, `p ← z + βp` and `s ← w + βs`, which share the scalar and
-/// the chunk layout.
-///
-/// Chunk deterministic; for `b != 0.0` bitwise identical to the unfused
-/// `xpby(x1, b, y1); xpby(x2, b, y2)` sequence (same layout, same
-/// per-element arithmetic, disjoint chunk writes). `b == 0.0` is
-/// deliberately **stronger** than the unfused arithmetic: both updates
-/// become exact copies (`y ← x`) — the variant's initialization path —
-/// so stale non-finite workspace contents cannot leak through a `0·y`
-/// product the way `xpby`'s `x + 0·inf = NaN` would.
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-pub fn fused_xpby_xpby(x1: &[f64], x2: &[f64], b: f64, y1: &mut [f64], y2: &mut [f64]) {
-    let n = x1.len();
-    assert_eq!(x2.len(), n, "fused_xpby_xpby: x2 length mismatch");
-    assert_eq!(y1.len(), n, "fused_xpby_xpby: y1 length mismatch");
-    assert_eq!(y2.len(), n, "fused_xpby_xpby: y2 length mismatch");
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let update = |lo: usize, hi: usize, y1c: &mut [f64], y2c: &mut [f64]| {
-        if b == 0.0 {
-            y1c.copy_from_slice(&x1[lo..hi]);
-            y2c.copy_from_slice(&x2[lo..hi]);
-        } else {
-            for (yi, xi) in y1c.iter_mut().zip(&x1[lo..hi]) {
-                *yi = xi + b * *yi;
-            }
-            for (yi, xi) in y2c.iter_mut().zip(&x2[lo..hi]) {
-                *yi = xi + b * *yi;
-            }
-        }
-    };
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    if threads <= 1 {
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            let (y1c, y2c) = (&mut y1[lo..hi], &mut y2[lo..hi]);
-            update(lo, hi, y1c, y2c);
-        }
-        return;
-    }
-    let y1s = par::ParSlice::new(y1);
-    let y2s = par::ParSlice::new(y2);
-    par::for_each_chunk(nchunks, threads, &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        // SAFETY: chunks are disjoint and each claimed exactly once.
-        unsafe {
-            update(lo, hi, y1s.slice_mut(lo..hi), y2s.slice_mut(lo..hi));
-        }
-    });
-}
-
-/// [`fused_xpby_xpby`] that additionally returns the inner product of the
-/// **updated** vectors, `(y1, y2)` — for the single-reduction PCG this is
-/// the `(p, s)` curvature guard, formed while both operands are still in
-/// cache from their own updates instead of by a separate [`dot`] pass
-/// (the SPMD mega-update phase uses this; one memory traversal instead of
-/// two per iteration).
-///
-/// Same update semantics as [`fused_xpby_xpby`] (including the `b == 0.0`
-/// exact-copy path); the returned product is chunk deterministic and
-/// bitwise identical to calling [`dot`]`(y1, y2)` after the updates.
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-pub fn fused_xpby_xpby_dot(x1: &[f64], x2: &[f64], b: f64, y1: &mut [f64], y2: &mut [f64]) -> f64 {
-    let n = x1.len();
-    assert_eq!(x2.len(), n, "fused_xpby_xpby_dot: x2 length mismatch");
-    assert_eq!(y1.len(), n, "fused_xpby_xpby_dot: y1 length mismatch");
-    assert_eq!(y2.len(), n, "fused_xpby_xpby_dot: y2 length mismatch");
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let update = |lo: usize, hi: usize, y1c: &mut [f64], y2c: &mut [f64]| -> f64 {
-        if b == 0.0 {
-            y1c.copy_from_slice(&x1[lo..hi]);
-            y2c.copy_from_slice(&x2[lo..hi]);
-        } else {
-            for (yi, xi) in y1c.iter_mut().zip(&x1[lo..hi]) {
-                *yi = xi + b * *yi;
-            }
-            for (yi, xi) in y2c.iter_mut().zip(&x2[lo..hi]) {
-                *yi = xi + b * *yi;
-            }
-        }
-        dot_chunk(y1c, y2c)
-    };
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    if threads <= 1 {
-        let mut acc = 0.0;
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            let (head, tail) = (&mut y1[lo..hi], &mut y2[lo..hi]);
-            acc += update(lo, hi, head, tail);
-        }
-        return acc;
-    }
-    let mut partials = [0.0f64; par::MAX_PARTIALS];
-    {
-        let y1s = par::ParSlice::new(y1);
-        let y2s = par::ParSlice::new(y2);
-        let ps = par::ParSlice::new(&mut partials);
-        par::for_each_chunk(nchunks, threads, &|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            // SAFETY: chunks are disjoint and each claimed exactly once;
-            // partial slot `c` is written only by this chunk.
-            unsafe {
-                let d = update(lo, hi, y1s.slice_mut(lo..hi), y2s.slice_mut(lo..hi));
-                ps.set(c, d);
-            }
-        });
-    }
-    let mut acc = 0.0;
-    for &p in &partials[..nchunks] {
-        acc += p;
-    }
-    acc
-}
-
-/// Reduction results of [`fused_dot3_norm`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Dot3Norm {
-    /// `(r, z)` — `γ` of the Chronopoulos–Gear recurrence.
-    pub rz: f64,
-    /// `(w, z)` — `δ` of the recurrence (`w = Kz`).
-    pub wz: f64,
-    /// `(p, s)` — the *directly measured* curvature `(p, Kp)` of the
-    /// direction currently carried in the workspace (the recurrence only
-    /// reconstructs it); the single-reduction breakdown guard.
-    pub ps: f64,
-    /// `‖r‖₂`, finished from the caller-provided `‖r‖∞` exactly like
-    /// [`norm2_with_max`].
-    pub r_norm2: f64,
-}
-
-impl Dot3Norm {
-    /// Every reduction scalar is finite. Dot products are the reliable
-    /// non-finite detectors of the fused kernels: one NaN/Inf element of
-    /// any input vector poisons its sum, whereas the ∞-norm max can
-    /// swallow a NaN behind a larger finite element. The solver loops
-    /// check this before consuming α/β so a corrupted carry is caught the
-    /// iteration it first feeds a reduction, while the iterate is still
-    /// finite.
-    pub fn all_finite(&self) -> bool {
-        self.rz.is_finite()
-            && self.wz.is_finite()
-            && self.ps.is_finite()
-            && self.r_norm2.is_finite()
-    }
-}
-
-/// Per-chunk kernel of [`fused_dot3_norm`]: three [`dot_chunk`]-identical
-/// dot partials plus the scaled sum-of-squares partial of
-/// [`norm2_with_max`], in one traversal of the chunk.
-#[inline]
-fn dot3_norm_chunk(
-    r: &[f64],
-    z: &[f64],
-    w: &[f64],
-    p: &[f64],
-    s: &[f64],
-    inv_rmax: f64,
-) -> (f64, f64, f64, f64) {
-    (dot_chunk(r, z), dot_chunk(w, z), dot_chunk(p, s), {
-        let mut sq = 0.0;
-        for &ri in r {
-            let t = ri * inv_rmax;
-            sq += t * t;
-        }
-        sq
-    })
-}
-
-/// The single-reduction PCG fused reduction phase: in **one pass** over
-/// the fixed chunk layout, compute the three inner products the
-/// Chronopoulos–Gear recurrence consumes — `(r, z)`, `(w, z)` and the
-/// `(p, s)` breakdown guard — plus the relative-residual stopping norm
-/// `‖r‖₂` (finished from the caller-provided `r_maxabs = ‖r‖∞`, which the
-/// preceding [`fused_axpy_axpy_norm`] already produced). One memory
-/// traversal and, on the SPMD solver, **one reduction phase** where the
-/// classic iteration needs two serialized ones.
-///
-/// Bitwise contract: `rz`/`wz`/`ps` are identical to [`dot`]`(r, z)` /
-/// [`dot`]`(w, z)` / [`dot`]`(p, s)`, and `r_norm2` to
-/// [`norm2_with_max`]`(r, r_maxabs)` — same chunk layout, same per-chunk
-/// kernels, partials combined in ascending chunk order.
-///
-/// # Panics
-/// Panics if the five slices differ in length.
-pub fn fused_dot3_norm(
-    r: &[f64],
-    z: &[f64],
-    w: &[f64],
-    p: &[f64],
-    s: &[f64],
-    r_maxabs: f64,
-) -> Dot3Norm {
-    let n = r.len();
-    assert_eq!(z.len(), n, "fused_dot3_norm: z length mismatch");
-    assert_eq!(w.len(), n, "fused_dot3_norm: w length mismatch");
-    assert_eq!(p.len(), n, "fused_dot3_norm: p length mismatch");
-    assert_eq!(s.len(), n, "fused_dot3_norm: s length mismatch");
-    // norm2_with_max semantics for degenerate maxima: the scaled sum is
-    // skipped and the max itself is the norm (0 or non-finite).
-    let norm_degenerate = r_maxabs == 0.0 || !r_maxabs.is_finite();
-    let inv_rmax = if norm_degenerate { 0.0 } else { 1.0 / r_maxabs };
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    let (rz, wz, ps, sq) = if threads <= 1 {
-        let mut acc = (0.0, 0.0, 0.0, 0.0);
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            let part = dot3_norm_chunk(
-                &r[lo..hi],
-                &z[lo..hi],
-                &w[lo..hi],
-                &p[lo..hi],
-                &s[lo..hi],
-                inv_rmax,
-            );
-            acc.0 += part.0;
-            acc.1 += part.1;
-            acc.2 += part.2;
-            acc.3 += part.3;
-        }
-        acc
-    } else {
-        let mut rz_p = [0.0f64; par::MAX_PARTIALS];
-        let mut wz_p = [0.0f64; par::MAX_PARTIALS];
-        let mut ps_p = [0.0f64; par::MAX_PARTIALS];
-        let mut sq_p = [0.0f64; par::MAX_PARTIALS];
-        {
-            let rzs = par::ParSlice::new(&mut rz_p);
-            let wzs = par::ParSlice::new(&mut wz_p);
-            let pss = par::ParSlice::new(&mut ps_p);
-            let sqs = par::ParSlice::new(&mut sq_p);
-            par::for_each_chunk(nchunks, threads, &|c| {
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(n);
-                let part = dot3_norm_chunk(
-                    &r[lo..hi],
-                    &z[lo..hi],
-                    &w[lo..hi],
-                    &p[lo..hi],
-                    &s[lo..hi],
-                    inv_rmax,
-                );
-                // SAFETY: each chunk index is claimed exactly once; slot
-                // `c` of every partial bank is written only by this chunk.
-                unsafe {
-                    rzs.set(c, part.0);
-                    wzs.set(c, part.1);
-                    pss.set(c, part.2);
-                    sqs.set(c, part.3);
-                }
-            });
-        }
-        let mut acc = (0.0, 0.0, 0.0, 0.0);
-        for c in 0..nchunks {
-            acc.0 += rz_p[c];
-            acc.1 += wz_p[c];
-            acc.2 += ps_p[c];
-            acc.3 += sq_p[c];
-        }
-        acc
-    };
-    Dot3Norm {
-        rz,
-        wz,
-        ps,
-        r_norm2: if norm_degenerate {
-            r_maxabs
-        } else {
-            r_maxabs * sq.sqrt()
-        },
-    }
-}
-
 /// One chunk of the polynomial-preconditioner seed and step kernels —
 /// shared by the serial entry points below and by the SPMD solver's
 /// own-strip phases, so both paths run bitwise-identical per-element
@@ -1135,147 +852,6 @@ mod tests {
         assert_eq!(norms.r_norm_inf, 1.0);
     }
 
-    #[test]
-    fn fused_xpby_xpby_matches_unfused_sequence() {
-        let n = crate::par::MIN_REDUCTION_CHUNK + 53;
-        let x1: Vec<f64> = (0..n).map(|i| ((i * 19 + 3) % 127) as f64 * 0.02).collect();
-        let x2: Vec<f64> = (0..n)
-            .map(|i| ((i * 7 + 11) % 113) as f64 * 0.03 - 1.5)
-            .collect();
-        let y10: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) % 71) as f64 * 0.1).collect();
-        let y20: Vec<f64> = (0..n)
-            .map(|i| ((i * 13 + 5) % 83) as f64 * 0.05 - 2.0)
-            .collect();
-        for b in [0.73, -0.4] {
-            let mut y1_ref = y10.clone();
-            let mut y2_ref = y20.clone();
-            xpby(&x1, b, &mut y1_ref);
-            xpby(&x2, b, &mut y2_ref);
-            let mut y1 = y10.clone();
-            let mut y2 = y20.clone();
-            fused_xpby_xpby(&x1, &x2, b, &mut y1, &mut y2);
-            assert!(y1
-                .iter()
-                .zip(&y1_ref)
-                .all(|(a, c)| a.to_bits() == c.to_bits()));
-            assert!(y2
-                .iter()
-                .zip(&y2_ref)
-                .all(|(a, c)| a.to_bits() == c.to_bits()));
-        }
-    }
-
-    #[test]
-    fn fused_xpby_xpby_dot_matches_updates_then_dot() {
-        let n = crate::par::MIN_REDUCTION_CHUNK + 61;
-        let x1: Vec<f64> = (0..n).map(|i| ((i * 19 + 3) % 127) as f64 * 0.02).collect();
-        let x2: Vec<f64> = (0..n)
-            .map(|i| ((i * 7 + 11) % 113) as f64 * 0.03 - 1.5)
-            .collect();
-        let y10: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) % 71) as f64 * 0.1).collect();
-        let y20: Vec<f64> = (0..n)
-            .map(|i| ((i * 13 + 5) % 83) as f64 * 0.05 - 2.0)
-            .collect();
-        for b in [0.0, 0.62, -1.1] {
-            let mut y1_ref = y10.clone();
-            let mut y2_ref = y20.clone();
-            fused_xpby_xpby(&x1, &x2, b, &mut y1_ref, &mut y2_ref);
-            let d_ref = dot(&y1_ref, &y2_ref);
-            let mut y1 = y10.clone();
-            let mut y2 = y20.clone();
-            let d = fused_xpby_xpby_dot(&x1, &x2, b, &mut y1, &mut y2);
-            assert_eq!(d.to_bits(), d_ref.to_bits(), "b = {b}");
-            assert!(y1
-                .iter()
-                .zip(&y1_ref)
-                .all(|(a, c)| a.to_bits() == c.to_bits()));
-            assert!(y2
-                .iter()
-                .zip(&y2_ref)
-                .all(|(a, c)| a.to_bits() == c.to_bits()));
-        }
-    }
-
-    #[test]
-    fn fused_xpby_xpby_zero_b_is_exact_copy() {
-        let x1 = [1.0, 2.0];
-        let x2 = [3.0, 4.0];
-        let mut y1 = [f64::NAN, f64::INFINITY];
-        let mut y2 = [-0.0, f64::NAN];
-        fused_xpby_xpby(&x1, &x2, 0.0, &mut y1, &mut y2);
-        assert_eq!(y1, x1);
-        assert_eq!(y2, x2);
-    }
-
-    #[test]
-    fn fused_dot3_norm_matches_unfused_reductions() {
-        let n = crate::par::MIN_REDUCTION_CHUNK * 2 + 91;
-        let mk = |a: usize, b: usize, m: usize, s: f64, off: f64| -> Vec<f64> {
-            (0..n).map(|i| ((i * a + b) % m) as f64 * s - off).collect()
-        };
-        let r = mk(13, 5, 211, 0.01, 1.0);
-        let z = mk(29, 1, 173, 0.02, 1.5);
-        let w = mk(7, 2, 97, 0.1, 3.0);
-        let p = mk(11, 3, 89, 0.05, 2.0);
-        let s = mk(17, 9, 151, 0.03, 0.5);
-        let rmax = norm_inf(&r);
-        let out = fused_dot3_norm(&r, &z, &w, &p, &s, rmax);
-        assert_eq!(out.rz.to_bits(), dot(&r, &z).to_bits());
-        assert_eq!(out.wz.to_bits(), dot(&w, &z).to_bits());
-        assert_eq!(out.ps.to_bits(), dot(&p, &s).to_bits());
-        assert_eq!(out.r_norm2.to_bits(), norm2_with_max(&r, rmax).to_bits());
-        assert_eq!(out.r_norm2.to_bits(), norm2(&r).to_bits());
-    }
-
-    #[test]
-    fn fused_dot3_norm_degenerate_and_empty() {
-        // Zero max: the scaled-sum pass is skipped, norm is the max itself.
-        let zeros = [0.0; 4];
-        let ones = [1.0; 4];
-        let out = fused_dot3_norm(&zeros, &ones, &ones, &ones, &ones, 0.0);
-        assert_eq!(out.r_norm2, 0.0);
-        assert_eq!(out.rz, 0.0);
-        assert_eq!(out.ps, 4.0);
-        // Non-finite max propagates like norm2_with_max.
-        let out = fused_dot3_norm(&ones, &ones, &ones, &ones, &ones, f64::INFINITY);
-        assert_eq!(out.r_norm2, f64::INFINITY);
-        // Empty vectors.
-        let e: [f64; 0] = [];
-        let out = fused_dot3_norm(&e, &e, &e, &e, &e, 0.0);
-        assert_eq!(out, Dot3Norm::default());
-    }
-
-    #[test]
-    fn fused_dot3_norm_is_thread_count_insensitive() {
-        let _guard = crate::par::thread_sweep_lock();
-        let n = crate::tuning::par_min_elems() + 777;
-        let mk = |a: usize, m: usize, s: f64| -> Vec<f64> {
-            (0..n).map(|i| ((i * a + 1) % m) as f64 * s - 0.5).collect()
-        };
-        let r = mk(31, 1013, 1e-3);
-        let z = mk(17, 911, 1e-3);
-        let w = mk(23, 809, 1e-3);
-        let p = mk(41, 701, 1e-3);
-        let s = mk(37, 613, 1e-3);
-        let rmax = norm_inf(&r);
-        let before = crate::par::max_threads();
-        crate::par::set_max_threads(1);
-        let ref1 = fused_dot3_norm(&r, &z, &w, &p, &s, rmax);
-        for t in [2usize, 4, 8] {
-            crate::par::set_max_threads(t);
-            let out = fused_dot3_norm(&r, &z, &w, &p, &s, rmax);
-            assert_eq!(ref1.rz.to_bits(), out.rz.to_bits(), "rz at t = {t}");
-            assert_eq!(ref1.wz.to_bits(), out.wz.to_bits(), "wz at t = {t}");
-            assert_eq!(ref1.ps.to_bits(), out.ps.to_bits(), "ps at t = {t}");
-            assert_eq!(
-                ref1.r_norm2.to_bits(),
-                out.r_norm2.to_bits(),
-                "norm at t = {t}"
-            );
-        }
-        crate::par::set_max_threads(before);
-    }
-
     /// The determinism contract, at unit level: serial result == parallel
     /// result, bitwise, for every configured thread count.
     #[test]
@@ -1300,24 +876,19 @@ mod tests {
         crate::par::set_max_threads(before);
     }
 
-    /// The fused reduction scalars are the solver's non-finite detectors:
-    /// one poisoned element must surface through `all_finite`.
+    /// The reduction scalars are the solver's non-finite detectors: one
+    /// poisoned element must surface through the dot product, while the
+    /// ∞-norm partials of the fused update surface only an Inf.
     #[test]
     fn fused_reduction_scalars_detect_non_finite_elements() {
         let n = 64usize;
         let mut r: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let z: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let w: Vec<f64> = (0..n).map(|i| 0.5 - (i % 7) as f64 * 0.1).collect();
-        let p: Vec<f64> = (0..n).map(|i| (i % 5) as f64 * 0.2 - 0.3).collect();
-        let s: Vec<f64> = (0..n).map(|i| (i % 3) as f64 * 0.4 - 0.2).collect();
-        let clean = fused_dot3_norm(&r, &z, &w, &p, &s, norm_inf(&r));
-        assert!(clean.all_finite());
+        assert!(dot(&r, &z).is_finite());
         r[n / 2] = f64::NAN;
-        let poisoned = fused_dot3_norm(&r, &z, &w, &p, &s, 1.0);
-        assert!(!poisoned.all_finite(), "NaN in r must poison (r, z)");
+        assert!(!dot(&r, &z).is_finite(), "NaN in r must poison (r, z)");
         r[n / 2] = f64::INFINITY;
-        let poisoned = fused_dot3_norm(&r, &z, &w, &p, &s, 1.0);
-        assert!(!poisoned.all_finite(), "Inf in r must poison (r, z)");
+        assert!(!dot(&r, &z).is_finite(), "Inf in r must poison (r, z)");
 
         // The ∞-norm caveat the docs state: a NaN behind a larger finite
         // element is swallowed by max, so FusedUpdateNorms::all_finite is

@@ -66,7 +66,6 @@ fn main() {
     for (j, outcome) in ws.outcomes().iter().enumerate() {
         let tag = match outcome.status {
             SolveStatus::Converged => "ok",
-            SolveStatus::Recovered => "ok (recovered)",
             SolveStatus::Replaced => "ok (replaced)",
             SolveStatus::BudgetExhausted => "BUDGET",
             SolveStatus::Breakdown => "BREAKDOWN",

@@ -82,42 +82,26 @@
 //!   reduction into the phase producing its operands and replicates the
 //!   scalar reductions across workers: `m·(2C−1) + 3` barriers per
 //!   iteration (C colors, m steps), down from `m·(2C−1) + 9`.
-//! * **Single-reduction variant** — classic PCG serializes two inner
-//!   products per iteration: `(p, Kp)` before α, `(r̂, r)` before β.
-//!   `PcgVariant::SingleReduction` runs the Chronopoulos–Gear two-term
-//!   recurrence instead — carry `s = Kp` and `w = Kz`, reconstruct
-//!   `α = γ′/(δ − β·γ′/α)` — so both scalars come out of **one** fused
-//!   reduction phase (`vecops::fused_dot3_norm`: `(r, z)`, `(w, z)`, the
-//!   `(p, s)` breakdown guard and the stopping norm, in one sweep).
-//!   Per-iteration cost model:
+//! * **One recurrence** — every executor runs Algorithm 1, whose two
+//!   inner products per iteration are serialized: `(p, Kp)` before α,
+//!   `(r̂, r)` before β. Per-iteration cost model:
 //!
-//!   | schedule | reduction phases | SPMD barriers |
+//!   | configuration | reduction phases | SPMD barriers |
 //!   |---|---|---|
-//!   | classic | 2 (serialized) | `m·(2C−1) + 3` |
-//!   | single-reduction | **1** | `m·(2C−1) + 2` |
-//!   | classic, plain CG (`m = 0`) | 2 | 4 |
-//!   | single-reduction, plain CG | **1** | **2** (`z ≡ r`) |
-//!   | classic, polynomial degree `k` | 2 | **`k + 3`** |
-//!   | single-reduction, polynomial | **1** | **`k + 2`** |
+//!   | m-step SSOR, `C` colors | 2 | `m·(2C−1) + 3` |
+//!   | plain CG (`m = 0`) | 2 | 4 |
+//!   | polynomial degree `k` | 2 | **`k + 3`** |
 //!
 //!   Both counts are *measured*, not asserted: `PcgStats` carries
-//!   `reduction_phases` (and `fallbacks`), and the SPMD report carries
-//!   `barrier_crossings` / `reduction_phases` from the instrumented
-//!   barrier; counter tests pin the formulas. The recurrence has a
-//!   different-but-bounded rounding path, so the contract is bitwise
-//!   determinism across thread counts *within* each variant and
-//!   cross-variant agreement to a residual tolerance
-//!   (`tests/pcg_variants.rs`, `tests/variant_conformance.rs`); on
-//!   recurrence breakdown (`(p, s) ≤ 0` or a nonpositive reconstructed
-//!   denominator) every entry point falls back to the classic loop —
-//!   serial solves continue from the current iterate, the SPMD solver
-//!   reruns the solve. Selection: `PcgOptions::variant` /
-//!   `ParallelSolverOptions::variant` (default `Classic`); the
-//!   conformance and fault harnesses run both variants through every
-//!   executor. On shared memory a reduction is one spin barrier, so the
-//!   saved barrier buys little: on a 2-vCPU VM the variant's median solve
-//!   time ran between 0.92× and 1.11× classic's on the plates a = 24, 40
-//!   and 100, on both executors.
+//!   `reduction_phases`, and the SPMD report carries `barrier_crossings` /
+//!   `reduction_phases` from the instrumented barrier; counter tests pin
+//!   the formulas. A Chronopoulos–Gear single-reduction recurrence (one
+//!   reduction phase, one barrier fewer per iteration) used to be the
+//!   alternative. On shared memory a reduction is one spin barrier, so
+//!   the saved barrier bought little: on a 2-vCPU VM the 25 barriers of
+//!   an m = 2 SPMD iteration on the Table-3 plate cost 0.6 % of solve
+//!   time, and the variant's median solve time ran between 0.92× and
+//!   1.11× classic's on the plates a = 24, 40 and 100, on both executors.
 //! * **Barrier-free polynomial (Newton–Chebyshev) preconditioning** — the
 //!   multicolor SSOR sweeps cost `2C−1` barriers per step: the
 //!   *color structure itself* is the synchronization bill.
@@ -134,8 +118,8 @@
 //!   other degrees) and shared verbatim by the serial evaluator and the
 //!   SPMD `ParallelMStepPcg::poly` msolve — `k` fused SpMV phases, whose
 //!   exact barrier and reduction formulas (table above) are pinned by
-//!   counter tests for both variants. The conformance and fault harnesses
-//!   run both variants with the polynomial msolve.
+//!   counter tests. The conformance and fault harnesses run the
+//!   polynomial msolve on both executors.
 //! * **`Auto` is the paper's parametrized m-step SSOR** — selection is
 //!   `PrecondKind::{Auto, MStepSsor, Poly}` on the auto constructors
 //!   (`core::poly::auto_preconditioner`, `ParallelMStepPcg::auto`), which
@@ -168,8 +152,8 @@
 //!   measured on one core) with bitwise-identical products and solver
 //!   runs. `AutoOp` picks the format from the row
 //!   shape (longest row ≥ 4× mean, padding ≤ 50 %); a caller that wants
-//!   one format builds that type, and the conformance harness solves
-//!   every variant on both. Future formats (blocked CSR,
+//!   one format builds that type, and the conformance harness solves on
+//!   both. Future formats (blocked CSR,
 //!   NUMA-partitioned) implement one trait and drop in.
 //! * **nnz-weighted SpMV chunking** — parallel SpMV splits rows at
 //!   `row_ptr` prefix-sum boundaries (`par::spmv_layout`), so a run of
@@ -199,7 +183,8 @@
 //!
 //! `mspcg::core::recovery` makes every solver entry point fault-tolerant,
 //! with the same discipline as the performance work: every rescue is
-//! *counted*, every cost is *pinned*.
+//! *counted*, every cost is *pinned*. Input validation comes first, then
+//! two recovery layers.
 //!
 //! * **Input validation** — a NaN/Inf right-hand side or initial guess is
 //!   rejected up front as `SparseError::NonFinite { phase, .. }`, a
@@ -208,45 +193,33 @@
 //!   `SparseError::ZeroAuditPeriod`, before any kernel runs — by one
 //!   function (`core::pcg::validate_inputs`) that the serial, multi-RHS
 //!   and SPMD entry points all call.
-//! * **Residual audit + replacement** — every `audit_period` iterations
-//!   the solver recomputes the TRUE residual `f − K·u` and compares it to
-//!   the recurrence residual. Deviation beyond
-//!   `max(10·tol, 10³·ε)·‖f‖` replaces the recurrence state from the
-//!   recomputed residual (van der Vorst/Ye-style). Cost model, asserted
-//!   by counter tests: the SPMD audit is ONE fused extra phase — **+1 barrier crossing, zero extra reduction
-//!   phases** — and a clean audited solve stays *bitwise identical* to
-//!   the unaudited run (an audit that finds no drift only observes).
-//!   Policy: `RecoveryPolicy` on `PcgOptions` / `ParallelSolverOptions`
-//!   (`Auto` enables auditing for the drift-prone single-reduction
-//!   recurrence at tolerances ≤ 1e-11;
-//!   `audit_period` defaults to 32), resolved once per solve into the
-//!   `AuditPlan` both executors read; `tests/fault_injection.rs` runs
-//!   audited solves of both variants on both executors.
-//! * **Recovery ladder** — a non-finite reduction scalar (or an audit
-//!   divergence in the single-reduction schedule) steps SingleReduction →
-//!   Classic: the single-reduction rung is a *detector* (it hands the
-//!   current iterate down, counted as a `recovery`/`fallback`), the
-//!   classic rung *self-heals in place*
-//!   (recompute `f − K·u`, re-derive the direction, counted as a
-//!   `replacement`, budget `max_replacements`); an exhausted budget
-//!   surfaces `SparseError::NonFinite { phase, iteration }` instead of
-//!   silent garbage. All of it lands in `PcgStats` /
-//!   `ParallelSolveReport` (`audits`, `replacements`, `recoveries`,
-//!   `faults_detected`), and per-RHS in `multi::SolveStatus::{Recovered,
-//!   Replaced}`.
 //! * **Fault injection, first-class** — `FaultyOp` /
 //!   `FaultyPreconditioner` wrap any operator/preconditioner with
 //!   application-indexed faults (bit-flips, NaN/Inf, scaled noise) for
 //!   the serial stack; `ParallelMStepPcg::solve_with_faults` takes an
 //!   iteration-indexed `FaultPlan` injected deterministically at every
-//!   thread count. The two models differ on purpose: a wrapper fault is
-//!   consumed once (the classic rung runs clean), a plan fault is
-//!   *persistent* (it re-fires on every ladder rung, so the full walk is
-//!   exercised — a single-reduction start under a NaN preconditioner
-//!   fault proves exactly 2 detections, 1 step-down, 1 classic in-place
-//!   replacement). `tests/fault_injection.rs` runs both variants ×
-//!   executor × family under both fault classes with bitwise replay and
-//!   exact counters.
+//!   thread count. `tests/fault_injection.rs` runs executor × family
+//!   under both fault classes with bitwise replay and exact counters: a
+//!   NaN preconditioner fault costs exactly 1 detection, 1 in-place
+//!   replacement and 0 fallbacks.
+//! * **Audit with in-place replacement** — with
+//!   `RecoveryPolicy::replacement` on, every `audit_period` iterations
+//!   (default 32) the solver recomputes the TRUE residual `f − K·u` and
+//!   compares it to the recurrence residual. Deviation beyond
+//!   `max(10·tol, 10³·ε)·‖f‖` restarts the loop from the current iterate:
+//!   it re-derives `r`, `r̂` and `p` from the recomputed residual (van der
+//!   Vorst/Ye-style replacement). A non-finite reduction scalar triggers
+//!   the same restart whether or not audits run, while the
+//!   `max_replacements` budget lasts; an exhausted budget surfaces
+//!   `SparseError::NonFinite { phase, iteration }` instead of silent
+//!   garbage. Cost model, asserted by counter tests: the SPMD audit is
+//!   ONE fused extra phase — **+1 barrier crossing, zero extra reduction
+//!   phases** — and a clean audited solve stays *bitwise identical* to
+//!   the unaudited run (an audit that finds no drift only observes). The
+//!   policy resolves once per solve into the `AuditPlan` both executors
+//!   read. All of it lands in `PcgStats` / `ParallelSolveReport`
+//!   (`audits`, `replacements`, `faults_detected`), and per-RHS in
+//!   `multi::SolveStatus::Replaced`.
 //!
 //! Measure time to solution with the benchmark `BENCHMARK.json` declares,
 //! `cargo run --release --manifest-path perfbench/Cargo.toml --

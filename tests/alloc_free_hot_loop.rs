@@ -1,8 +1,8 @@
 //! The zero-allocation contract of the PCG hot loop, verified with a
 //! counting global allocator: after a [`PcgWorkspace`] is constructed (and
 //! warmed once), repeated `pcg_solve_into` calls — the ω-sweep pattern —
-//! perform **no heap allocation at all**, for every variant, audited or
-//! not, and so does a warm `pcg_solve_multi` batch. Both run the
+//! perform **no heap allocation at all**, audited or not, and so does a
+//! warm `pcg_solve_multi` batch. Both run the
 //! unparametrized m-step SSOR and the `Auto`-built plate preconditioner
 //! (fitted m-step SSOR).
 //!
@@ -16,16 +16,13 @@ use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace};
 use mspcg::core::pcg::{pcg_solve_into, PcgOptions, PcgWorkspace};
 use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner};
 use mspcg::core::preconditioner::Preconditioner;
-use mspcg::core::recovery::{RecoveryPolicy, Toggle};
+use mspcg::core::recovery::RecoveryPolicy;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::sparse::{par, tuning, CooMatrix, CsrMatrix, Partition, PrecondKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-mod common;
-use common::ALL_VARIANTS;
 
 /// System allocator that counts allocation events made on threads whose
 /// [`COUNTED`] flag is set.
@@ -109,26 +106,20 @@ fn auto_plate(a: usize) -> (Arc<CsrMatrix>, Arc<Partition>, Vec<f64>, AutoPrecon
     (Arc::new(ord.matrix), Arc::new(ord.colors), ord.rhs, pre)
 }
 
-/// Every variant, unaudited and audited (every 4 iterations, so even a
-/// short solve audits). The first solve of a configuration sizes the
-/// workspace slots only it uses (the audit vector); every later solve on
-/// that workspace must reuse them.
-fn configurations() -> Vec<PcgOptions> {
+/// Unaudited and audited (every 4 iterations, so even a short solve
+/// audits). The first solve of a configuration sizes the workspace slots
+/// only it uses (the audit vector); every later solve on that workspace
+/// must reuse them.
+fn configurations() -> [PcgOptions; 2] {
     let audited = RecoveryPolicy {
         audit_period: 4,
         ..RecoveryPolicy::on()
     };
-    ALL_VARIANTS
-        .into_iter()
-        .flat_map(|variant| {
-            [RecoveryPolicy::off(), audited].map(|recovery| PcgOptions {
-                tol: 1e-9,
-                variant,
-                recovery,
-                ..Default::default()
-            })
-        })
-        .collect()
+    [RecoveryPolicy::default(), audited].map(|recovery| PcgOptions {
+        tol: 1e-9,
+        recovery,
+        ..Default::default()
+    })
 }
 
 /// Red/black 1-D Laplacian in color-blocked form.
@@ -183,9 +174,8 @@ fn omega_sweep_solves_allocate_nothing_after_workspace_construction() {
     for opts in &configs {
         u.fill(0.0);
         let warm = pcg_solve_into(&matrix, &rhs, &mut u, &pres[0], opts, &mut ws).unwrap();
-        assert!(warm.converged, "{:?}", opts.variant);
-        let audited = opts.recovery.replacement == Toggle::On;
-        assert_eq!(warm.stats.audits > 0, audited, "{:?}", opts.variant);
+        assert!(warm.converged);
+        assert_eq!(warm.stats.audits > 0, opts.recovery.replacement);
     }
 
     for opts in &configs {
@@ -202,8 +192,7 @@ fn omega_sweep_solves_allocate_nothing_after_workspace_construction() {
         assert_eq!(
             after - before,
             0,
-            "{:?}, audit {:?}: PCG hot loop allocated {} time(s) across {} ω-sweep solves",
-            opts.variant,
+            "audit {:?}: PCG hot loop allocated {} time(s) across {} ω-sweep solves",
             opts.recovery.replacement,
             after - before,
             omegas.len()
@@ -220,7 +209,7 @@ fn omega_sweep_solves_allocate_nothing_after_workspace_construction() {
     for opts in &configs {
         u.fill(0.0);
         let warm = pcg_solve_into(&matrix, &rhs, &mut u, &pre, opts, &mut ws).unwrap();
-        assert!(warm.converged, "{:?}", opts.variant);
+        assert!(warm.converged);
     }
     for opts in &configs {
         u.fill(0.0);
@@ -231,8 +220,7 @@ fn omega_sweep_solves_allocate_nothing_after_workspace_construction() {
         assert_eq!(
             after - before,
             0,
-            "{:?}, audit {:?}: Auto-preconditioned solve allocated {} time(s)",
-            opts.variant,
+            "audit {:?}: Auto-preconditioned solve allocated {} time(s)",
             opts.recovery.replacement,
             after - before
         );
@@ -282,14 +270,13 @@ fn batches_allocate_nothing<P: Preconditioner + Sync>(
     for opts in &configs {
         u.fill(0.0);
         let warm = pcg_solve_multi(matrix, f, &mut u, pre, opts, ws).unwrap();
-        assert_eq!(warm.converged, nrhs, "{name}, {:?}", opts.variant);
-        let audited = opts.recovery.replacement == Toggle::On;
+        assert_eq!(warm.converged, nrhs, "{name}");
+        let audited = opts.recovery.replacement;
         assert!(
             ws.outcomes()
                 .iter()
                 .all(|o| (o.report.stats.audits > 0) == audited),
-            "{name}, {:?}",
-            opts.variant
+            "{name}"
         );
     }
     for opts in &configs {
@@ -302,8 +289,7 @@ fn batches_allocate_nothing<P: Preconditioner + Sync>(
         assert_eq!(
             after - before,
             0,
-            "{name}, {:?}, audit {:?}: multi-RHS batch allocated {} time(s) across {} solves",
-            opts.variant,
+            "{name}, audit {:?}: multi-RHS batch allocated {} time(s) across {} solves",
             opts.recovery.replacement,
             after - before,
             nrhs

@@ -8,20 +8,6 @@
 // expected, not dead weight to warn about.
 #![allow(dead_code)]
 
-use mspcg::sparse::PcgVariant;
-
-/// Every iteration variant the harnesses cover. A new variant is added
-/// here once and every harness inherits it: the closed `match` in
-/// [`exhaustiveness_guard`] refuses to compile until the new enum entry is
-/// listed.
-pub const ALL_VARIANTS: [PcgVariant; 2] = [PcgVariant::Classic, PcgVariant::SingleReduction];
-
-fn exhaustiveness_guard(v: PcgVariant) {
-    match v {
-        PcgVariant::Classic | PcgVariant::SingleReduction => {}
-    }
-}
-
 /// Deterministic xorshift64 stream (the in-repo property-test generator).
 pub struct Rng(u64);
 

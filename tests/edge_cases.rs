@@ -2,23 +2,22 @@
 //! systems, zero right-hand sides, a zero iteration budget, and the
 //! honest-residual contract of the `max_iterations` exit path; plus the
 //! multicolor SSOR splitting, the spectrum-fitted constructors and the
-//! `Auto` selection on an empty system.
+//! `Auto` selection on an empty system, and the audit-period check every
+//! entry point shares.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::{MStepJacobiPreconditioner, MStepSsorPreconditioner};
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, SolveStatus};
 use mspcg::core::pcg::{
-    pcg_solve, pcg_solve_into, pcg_try_solve_into, PcgOptions, PcgVariant, PcgWorkspace,
-    StoppingCriterion,
+    pcg_solve, pcg_solve_into, pcg_try_solve_into, PcgOptions, PcgWorkspace, StoppingCriterion,
 };
 use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner, PolynomialPreconditioner};
 use mspcg::core::preconditioner::{IdentityPreconditioner, Preconditioner};
+use mspcg::core::recovery::RecoveryPolicy;
 use mspcg::core::{MulticolorSsor, Splitting};
+use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, PrecondKind, SparseError};
-
-mod common;
-use common::ALL_VARIANTS;
 
 fn laplacian(n: usize) -> CsrMatrix {
     let mut a = CooMatrix::new(n, n);
@@ -38,53 +37,42 @@ fn rb_laplacian(n: usize) -> (CsrMatrix, Partition) {
     (ord.permute_matrix(&a).unwrap(), ord.partition)
 }
 
-fn opts(variant: PcgVariant) -> PcgOptions {
-    PcgOptions {
-        variant,
-        ..Default::default()
-    }
-}
-
 #[test]
 fn empty_system_converges_immediately() {
     let a = CsrMatrix::identity(0);
     let mut ws = PcgWorkspace::new(0);
-    for variant in ALL_VARIANTS {
-        let mut u: Vec<f64> = vec![];
-        let rep = pcg_solve_into(
-            &a,
-            &[],
-            &mut u,
-            &IdentityPreconditioner::new(0),
-            &opts(variant),
-            &mut ws,
-        )
-        .unwrap();
-        assert!(rep.converged, "{variant:?}");
-        assert_eq!(rep.iterations, 0, "{variant:?}");
-        assert_eq!(rep.final_relative_residual, 0.0, "{variant:?}");
-    }
+    let mut u: Vec<f64> = vec![];
+    let rep = pcg_solve_into(
+        &a,
+        &[],
+        &mut u,
+        &IdentityPreconditioner::new(0),
+        &PcgOptions::default(),
+        &mut ws,
+    )
+    .unwrap();
+    assert!(rep.converged);
+    assert_eq!(rep.iterations, 0);
+    assert_eq!(rep.final_relative_residual, 0.0);
 }
 
 #[test]
 fn one_by_one_system_solves_exactly() {
     let a = CsrMatrix::from_diag(&[4.0]);
-    for variant in ALL_VARIANTS {
-        let sol = pcg_solve(
-            &a,
-            &[8.0],
-            &IdentityPreconditioner::new(1),
-            &PcgOptions {
-                tol: 1e-14,
-                criterion: StoppingCriterion::RelativeResidual,
-                ..opts(variant)
-            },
-        )
-        .unwrap();
-        assert!(sol.converged, "{variant:?}");
-        assert_eq!(sol.x, vec![2.0], "{variant:?}");
-        assert_eq!(sol.iterations, 1, "{variant:?}");
-    }
+    let sol = pcg_solve(
+        &a,
+        &[8.0],
+        &IdentityPreconditioner::new(1),
+        &PcgOptions {
+            tol: 1e-14,
+            criterion: StoppingCriterion::RelativeResidual,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(sol.converged);
+    assert_eq!(sol.x, vec![2.0]);
+    assert_eq!(sol.iterations, 1);
 }
 
 #[test]
@@ -93,21 +81,19 @@ fn zero_rhs_zeroes_a_stale_output_buffer() {
     // hand the caller back whatever the buffer held.
     let a = laplacian(8);
     let mut ws = PcgWorkspace::new(8);
-    for variant in ALL_VARIANTS {
-        let mut u = vec![7.5; 8]; // poisoned warm start
-        let rep = pcg_solve_into(
-            &a,
-            &[0.0; 8],
-            &mut u,
-            &IdentityPreconditioner::new(8),
-            &opts(variant),
-            &mut ws,
-        )
-        .unwrap();
-        assert!(rep.converged, "{variant:?}");
-        assert_eq!(rep.iterations, 0, "{variant:?}");
-        assert_eq!(u, vec![0.0; 8], "{variant:?}");
-    }
+    let mut u = vec![7.5; 8]; // poisoned warm start
+    let rep = pcg_solve_into(
+        &a,
+        &[0.0; 8],
+        &mut u,
+        &IdentityPreconditioner::new(8),
+        &PcgOptions::default(),
+        &mut ws,
+    )
+    .unwrap();
+    assert!(rep.converged);
+    assert_eq!(rep.iterations, 0);
+    assert_eq!(u, vec![0.0; 8]);
 }
 
 #[test]
@@ -115,43 +101,41 @@ fn zero_iteration_budget_reports_honest_residual() {
     let a = laplacian(12);
     let b = vec![1.0; 12];
     let mut ws = PcgWorkspace::new(12);
-    for variant in ALL_VARIANTS {
-        let mut u = vec![0.0; 12];
-        let opts = PcgOptions {
-            max_iterations: 0,
-            tol: 1e-12,
-            ..opts(variant)
-        };
-        let rep = pcg_try_solve_into(
-            &a,
-            &b,
-            &mut u,
-            &IdentityPreconditioner::new(12),
-            &opts,
-            &mut ws,
-        )
-        .unwrap();
-        assert!(!rep.converged, "{variant:?}");
-        assert_eq!(rep.iterations, 0, "{variant:?}");
-        // Nothing happened: u is still the initial guess, the true
-        // relative residual is ‖b − K·0‖/‖b‖ = 1.
-        assert_eq!(u, vec![0.0; 12], "{variant:?}");
-        assert!((rep.final_relative_residual - 1.0).abs() < 1e-15);
-        // The erroring wrapper reports the same number.
-        match pcg_solve_into(
-            &a,
-            &b,
-            &mut u,
-            &IdentityPreconditioner::new(12),
-            &opts,
-            &mut ws,
-        ) {
-            Err(SparseError::DidNotConverge {
-                iterations: 0,
-                residual,
-            }) => assert!((residual - 1.0).abs() < 1e-15),
-            other => panic!("{variant:?}: expected DidNotConverge, got {other:?}"),
-        }
+    let mut u = vec![0.0; 12];
+    let opts = PcgOptions {
+        max_iterations: 0,
+        tol: 1e-12,
+        ..Default::default()
+    };
+    let rep = pcg_try_solve_into(
+        &a,
+        &b,
+        &mut u,
+        &IdentityPreconditioner::new(12),
+        &opts,
+        &mut ws,
+    )
+    .unwrap();
+    assert!(!rep.converged);
+    assert_eq!(rep.iterations, 0);
+    // Nothing happened: u is still the initial guess, the true
+    // relative residual is ‖b − K·0‖/‖b‖ = 1.
+    assert_eq!(u, vec![0.0; 12]);
+    assert!((rep.final_relative_residual - 1.0).abs() < 1e-15);
+    // The erroring wrapper reports the same number.
+    match pcg_solve_into(
+        &a,
+        &b,
+        &mut u,
+        &IdentityPreconditioner::new(12),
+        &opts,
+        &mut ws,
+    ) {
+        Err(SparseError::DidNotConverge {
+            iterations: 0,
+            residual,
+        }) => assert!((residual - 1.0).abs() < 1e-15),
+        other => panic!("expected DidNotConverge, got {other:?}"),
     }
 }
 
@@ -163,31 +147,25 @@ fn budget_exit_residual_matches_a_fresh_recomputation() {
     let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 1).unwrap();
     let b: Vec<f64> = (0..64).map(|i| ((i * 7 + 2) % 19) as f64 - 9.0).collect();
     let mut ws = PcgWorkspace::new(64);
-    for variant in ALL_VARIANTS {
-        let mut u = vec![0.0; 64];
-        let opts = PcgOptions {
-            tol: 1e-15,
-            max_iterations: 3,
-            ..opts(variant)
-        };
-        let rep = pcg_try_solve_into(&a, &b, &mut u, &pre, &opts, &mut ws).unwrap();
-        assert!(!rep.converged, "{variant:?}");
-        assert!(
-            rep.iterations <= 3,
-            "{variant:?}: {} iterations",
-            rep.iterations
-        );
-        let mut true_r = b.clone();
-        a.mul_vec_axpy(-1.0, &u, &mut true_r);
-        let expected = vecops::norm2(&true_r) / vecops::norm2(&b);
-        assert_eq!(
-            rep.final_relative_residual.to_bits(),
-            expected.to_bits(),
-            "{variant:?}: reported {} vs recomputed {}",
-            rep.final_relative_residual,
-            expected
-        );
-    }
+    let mut u = vec![0.0; 64];
+    let opts = PcgOptions {
+        tol: 1e-15,
+        max_iterations: 3,
+        ..Default::default()
+    };
+    let rep = pcg_try_solve_into(&a, &b, &mut u, &pre, &opts, &mut ws).unwrap();
+    assert!(!rep.converged);
+    assert!(rep.iterations <= 3, "{} iterations", rep.iterations);
+    let mut true_r = b.clone();
+    a.mul_vec_axpy(-1.0, &u, &mut true_r);
+    let expected = vecops::norm2(&true_r) / vecops::norm2(&b);
+    assert_eq!(
+        rep.final_relative_residual.to_bits(),
+        expected.to_bits(),
+        "reported {} vs recomputed {}",
+        rep.final_relative_residual,
+        expected
+    );
 }
 
 #[test]
@@ -201,9 +179,6 @@ fn fused_loop_agrees_with_manual_unfused_iteration() {
         .collect();
     let opts = PcgOptions {
         tol: 1e-10,
-        // Pinned classic: the manual replay below is the classic loop, and
-        // bitwise agreement is a classic-fusion claim.
-        variant: PcgVariant::Classic,
         ..Default::default()
     };
     let mut ws = PcgWorkspace::new(96);
@@ -252,39 +227,33 @@ fn multi_rhs_edge_shapes() {
     let (a, p) = rb_laplacian(16);
     let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 1).unwrap();
     let b: Vec<f64> = (0..16).map(|i| (i as f64 * 0.3).sin()).collect();
-    for variant in ALL_VARIANTS {
-        let opts = opts(variant);
+    let opts = PcgOptions::default();
 
-        // Zero RHS in the batch.
-        let mut ws = MultiRhsWorkspace::new(16, 0);
-        let sum = pcg_solve_multi(&a, &[], &mut [], &pre, &opts, &mut ws).unwrap();
-        assert_eq!(sum.solved, 0, "{variant:?}");
+    // Zero RHS in the batch.
+    let mut ws = MultiRhsWorkspace::new(16, 0);
+    let sum = pcg_solve_multi(&a, &[], &mut [], &pre, &opts, &mut ws).unwrap();
+    assert_eq!(sum.solved, 0);
 
-        // Single RHS batch behaves like a standalone solve.
-        let mut u_batch = vec![0.0; 16];
-        let mut ws = MultiRhsWorkspace::new(16, 1);
-        let sum = pcg_solve_multi(&a, &b, &mut u_batch, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(sum.converged, 1, "{variant:?}");
-        assert_eq!(ws.outcomes().len(), 1);
-        assert_eq!(
-            ws.outcomes()[0].status,
-            SolveStatus::Converged,
-            "{variant:?}"
-        );
-        let mut sws = PcgWorkspace::new(16);
-        let mut u_single = vec![0.0; 16];
-        pcg_solve_into(&a, &b, &mut u_single, &pre, &opts, &mut sws).unwrap();
-        assert_eq!(u_batch, u_single, "{variant:?}");
+    // Single RHS batch behaves like a standalone solve.
+    let mut u_batch = vec![0.0; 16];
+    let mut ws = MultiRhsWorkspace::new(16, 1);
+    let sum = pcg_solve_multi(&a, &b, &mut u_batch, &pre, &opts, &mut ws).unwrap();
+    assert_eq!(sum.converged, 1);
+    assert_eq!(ws.outcomes().len(), 1);
+    assert_eq!(ws.outcomes()[0].status, SolveStatus::Converged);
+    let mut sws = PcgWorkspace::new(16);
+    let mut u_single = vec![0.0; 16];
+    pcg_solve_into(&a, &b, &mut u_single, &pre, &opts, &mut sws).unwrap();
+    assert_eq!(u_batch, u_single);
 
-        // Batch containing a b = 0 column gets the exact zero column back.
-        let mut f = b.clone();
-        f.extend(std::iter::repeat_n(0.0, 16));
-        let mut u = vec![1.0; 32];
-        let mut ws = MultiRhsWorkspace::new(16, 2);
-        let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(sum.converged, 2, "{variant:?}");
-        assert!(u[16..].iter().all(|&v| v == 0.0), "{variant:?}");
-    }
+    // Batch containing a b = 0 column gets the exact zero column back.
+    let mut f = b.clone();
+    f.extend(std::iter::repeat_n(0.0, 16));
+    let mut u = vec![1.0; 32];
+    let mut ws = MultiRhsWorkspace::new(16, 2);
+    let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
+    assert_eq!(sum.converged, 2);
+    assert!(u[16..].iter().all(|&v| v == 0.0));
 }
 
 #[test]
@@ -339,10 +308,52 @@ fn spectrum_fits_on_an_empty_system_are_errors_and_auto_falls_back() {
     assert_eq!(p.alphas(), &[1.0, 1.0]);
     assert_eq!(p.interval(), None);
     assert_eq!(serial.dim(), 0);
-    let sol = pcg_solve(&a, &[], &serial, &opts(PcgVariant::Classic)).unwrap();
+    let sol = pcg_solve(&a, &[], &serial, &PcgOptions::default()).unwrap();
     assert!(sol.converged && sol.x.is_empty());
     let spmd = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
     assert_eq!(spmd.alphas(), &[1.0, 1.0]);
     let rep = spmd.solve(&[], &ParallelSolverOptions::default()).unwrap();
     assert!(rep.converged && rep.x.is_empty());
+}
+
+/// An audit period of 0 iterations has no meaning: the same input check
+/// rejects it on every entry point, whether the policy audits or not.
+#[test]
+fn zero_audit_period_is_rejected_by_every_entry_point() {
+    let asm = PlaneStressProblem::unit_square(8).assemble().unwrap();
+    let ord = asm.multicolor().unwrap();
+    let (a, colors) = (&ord.matrix, &ord.colors);
+    let n = a.rows();
+    let pre = MStepSsorPreconditioner::unparametrized(a, colors, 2).unwrap();
+    let spmd = ParallelMStepPcg::new(a, colors, vec![1.0; 2]).unwrap();
+    let b = vec![1.0; n];
+    let batch = vec![1.0; 2 * n];
+    let mut ws = MultiRhsWorkspace::new(n, 2);
+    for policy in [RecoveryPolicy::on(), RecoveryPolicy::default()] {
+        let recovery = RecoveryPolicy {
+            audit_period: 0,
+            ..policy
+        };
+        let serial_opts = PcgOptions {
+            tol: 1e-8,
+            criterion: StoppingCriterion::RelativeResidual,
+            recovery,
+            ..Default::default()
+        };
+        let err = Some(SparseError::ZeroAuditPeriod);
+        assert_eq!(pcg_solve(a, &b, &pre, &serial_opts).err(), err);
+        let mut u = vec![0.0; 2 * n];
+        let multi = pcg_solve_multi(a, &batch, &mut u, &pre, &serial_opts, &mut ws);
+        assert_eq!(multi.err(), err);
+        let par = spmd.solve(
+            &b,
+            &ParallelSolverOptions {
+                threads: 2,
+                tol: 1e-8,
+                recovery,
+                ..Default::default()
+            },
+        );
+        assert_eq!(par.err(), err);
+    }
 }

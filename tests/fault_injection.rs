@@ -1,48 +1,43 @@
 //! Fault-injection conformance harness.
 //!
-//! One parameterized loop runs *every* [`PcgVariant`] × {serial, SPMD at
-//! 1/2/4/8 workers} × {plate, Poisson, arrow} under injected faults and
-//! asserts, for every cell:
+//! One parameterized loop runs {serial, SPMD at 1/2/4/8 workers} ×
+//! {plate, Poisson, arrow} under injected faults and asserts, for every
+//! cell:
 //!
 //! * **(a) rescue** — a NaN out of a preconditioner application and a
 //!   large-but-finite SpMV corruption both leave the solve *converged*,
 //!   verified by the TRUE recomputed residual against the clean matrix
 //!   (never the solver's own recurrence),
-//! * **(b) bitwise within-variant replay** — the same faulted
-//!   configuration solved twice returns bit-identical iterates (fault
-//!   injection is deterministic: application-indexed wrappers serially,
-//!   iteration-indexed plans in the SPMD workers),
-//! * **(c) exact counters** — detections, replacements and ladder steps
-//!   are pinned exactly for the NaN cells, where the detection path is
-//!   schedule-determined: the serial ladder consumes a wrapper fault once
-//!   (detector rungs hand the iterate down, the lower rung runs clean),
-//!   while an SPMD [`FaultPlan`] fault is *persistent* — every rung rerun
-//!   restarts the iteration counter, so the fault re-fires per rung until
-//!   the classic rung absorbs it in place. The SPMD NaN cells fault row 3
-//!   (first color, worker 0) and the last row (last color, last worker),
-//!   so the fault-owner lookup is checked for a row worker 0 does not own.
+//! * **(b) bitwise replay** — the same faulted configuration solved twice
+//!   returns bit-identical iterates (fault injection is deterministic:
+//!   application-indexed wrappers serially, iteration-indexed plans in the
+//!   SPMD workers),
+//! * **(c) exact counters** — for the NaN cells, where the detection path
+//!   is schedule-determined, `(faults_detected, replacements, fallbacks)`
+//!   is pinned at `(1, 1, 0)`: the non-finite scalar is caught once and
+//!   the solve restarts in place from its current iterate. The SPMD NaN
+//!   cells fault row 3 (first color, worker 0) and the last row (last
+//!   color, last worker), so the fault-owner lookup is checked for a row
+//!   worker 0 does not own.
 //!
 //! The finite-corruption cells run at a tight tolerance under an explicit
 //! audit policy: drift beyond the replacement bound is caught by the
-//! fused `f − K·u` audit and replaced (classic) or stepped down
-//! (recurrence schedules); drift below the bound is too small to matter
-//! at the checked residual level. Either way the cell must converge.
+//! fused `f − K·u` audit and replaced; drift below the bound is too small
+//! to matter at the checked residual level. Either way the cell must
+//! converge.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
-use mspcg::core::pcg::{pcg_solve, PcgOptions, PcgVariant, StoppingCriterion};
+use mspcg::core::pcg::{pcg_solve, PcgOptions, StoppingCriterion};
 use mspcg::core::poly::PolynomialPreconditioner;
 use mspcg::core::recovery::{
     ApplicationFault, FaultKind, FaultPlan, FaultTarget, FaultyOp, FaultyPreconditioner,
-    IterationFault, RecoveryPolicy, Toggle,
+    IterationFault, RecoveryPolicy,
 };
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SparseOp};
-
-mod common;
-use common::ALL_VARIANTS;
 
 /// Stopping tolerance of the NaN cells.
 const TOL: f64 = 1e-8;
@@ -152,25 +147,10 @@ fn run_cell<T>(
     out
 }
 
-/// Exact (faults_detected, replacements, ladder steps) for a NaN
-/// preconditioner fault consumed ONCE (serial wrappers): detector rungs
-/// hand the iterate down and the lower rung runs clean.
-fn serial_nan_counters(variant: PcgVariant) -> (usize, usize, usize) {
-    match variant {
-        PcgVariant::Classic => (1, 1, 0),
-        _ => (1, 0, 1),
-    }
-}
-
-/// Exact counters for a *persistent* (iteration-indexed) NaN fault in the
-/// SPMD solver: the fault re-fires on every ladder rung, each recurrence
-/// rung detects and steps down, the classic rung restarts in place.
-fn spmd_nan_counters(variant: PcgVariant) -> (usize, usize, usize) {
-    match variant {
-        PcgVariant::Classic => (1, 1, 0),
-        PcgVariant::SingleReduction => (2, 1, 1),
-    }
-}
+/// Exact `(faults_detected, replacements, fallbacks)` of a NaN
+/// preconditioner fault: one detection, one in-place restart, and no
+/// fallback (there is no second recurrence).
+const NAN_COUNTERS: (usize, usize, usize) = (1, 1, 0);
 
 #[test]
 fn every_variant_survives_injected_faults_across_executors_and_families() {
@@ -180,186 +160,171 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
         let b = rhs_for(n);
         let spmd = ParallelMStepPcg::new(a, &family.colors, vec![1.0; family.m]).unwrap();
 
-        for variant in ALL_VARIANTS {
-            // --- serial, NaN out of preconditioner application 2 ---------
-            {
-                let label = format!("{}/serial/{variant:?}/nan-msolve", family.name);
-                let opts = PcgOptions {
+        // --- serial, NaN out of preconditioner application 2 ---------
+        {
+            let label = format!("{}/serial/nan-msolve", family.name);
+            let opts = PcgOptions {
+                tol: TOL,
+                criterion: StoppingCriterion::DisplacementChange,
+                ..Default::default()
+            };
+            let stats = run_cell(
+                &label,
+                &mut || {
+                    let pre = FaultyPreconditioner::new(
+                        MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
+                            .unwrap(),
+                        vec![ApplicationFault {
+                            application: 2,
+                            index: 3,
+                            kind: FaultKind::NaN,
+                        }],
+                    );
+                    let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial solve");
+                    assert!(sol.converged, "did not converge");
+                    assert_eq!(pre.injected(), 1, "fault was not consumed");
+                    (sol.x, sol.stats)
+                },
+                a,
+                &b,
+            );
+            assert_eq!(
+                (stats.faults_detected, stats.replacements, stats.fallbacks),
+                NAN_COUNTERS,
+                "{label}: counters {stats:?}"
+            );
+            assert_eq!(
+                stats.audits, 0,
+                "{label}: the default policy audits nothing"
+            );
+        }
+
+        // --- serial, finite SpMV corruption under an audit policy ----
+        {
+            let label = format!("{}/serial/audited-spmv", family.name);
+            let opts = PcgOptions {
+                tol: TIGHT,
+                criterion: StoppingCriterion::DisplacementChange,
+                recovery: RecoveryPolicy {
+                    audit_period: 4,
+                    ..RecoveryPolicy::on()
+                },
+                ..Default::default()
+            };
+            let stats = run_cell(
+                &label,
+                &mut || {
+                    let op = FaultyOp::new(
+                        a.clone(),
+                        vec![ApplicationFault {
+                            application: 3,
+                            index: 3,
+                            kind: FaultKind::BitFlip(55),
+                        }],
+                    );
+                    let pre = MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
+                        .unwrap();
+                    let sol = pcg_solve(&op, &b, &pre, &opts).expect("audited serial solve");
+                    assert!(sol.converged, "did not converge");
+                    (sol.x, sol.stats)
+                },
+                a,
+                &b,
+            );
+            assert!(stats.audits >= 1, "{label}: no audit ran");
+            assert_eq!(
+                stats.faults_detected, 0,
+                "{label}: a finite corruption must not trip the NaN checks"
+            );
+        }
+
+        // --- SPMD at every thread count ------------------------------
+        for threads in [1usize, 2, 4, 8] {
+            // NaN out of the iteration-2 preconditioner application,
+            // exact counters — at a first-color row and at the last
+            // row, which lies in the last color and is owned by the
+            // last worker.
+            for index in [3, n - 1] {
+                let label = format!("{}/spmd{threads}/nan-msolve@{index}", family.name);
+                let opts = ParallelSolverOptions {
+                    threads,
                     tol: TOL,
-                    criterion: StoppingCriterion::DisplacementChange,
-                    variant,
-                    recovery: RecoveryPolicy::off(),
+                    max_iterations: 50_000,
                     ..Default::default()
                 };
-                let stats = run_cell(
+                let plan = FaultPlan::new(vec![IterationFault {
+                    target: FaultTarget::Msolve,
+                    iteration: 2,
+                    index,
+                    kind: FaultKind::NaN,
+                }]);
+                let rep = run_cell(
                     &label,
                     &mut || {
-                        let pre = FaultyPreconditioner::new(
-                            MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
-                                .unwrap(),
-                            vec![ApplicationFault {
-                                application: 2,
-                                index: 3,
-                                kind: FaultKind::NaN,
-                            }],
-                        );
-                        let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial solve");
-                        assert!(sol.converged, "did not converge");
-                        assert_eq!(pre.injected(), 1, "fault was not consumed");
-                        (sol.x, sol.stats)
+                        let rep = spmd
+                            .solve_with_faults(&b, &opts, &plan)
+                            .expect("faulted spmd solve");
+                        assert!(rep.converged, "did not converge");
+                        (rep.x.clone(), rep)
                     },
                     a,
                     &b,
                 );
-                let (faults, replacements, fallbacks) = serial_nan_counters(variant);
                 assert_eq!(
-                    (stats.faults_detected, stats.replacements, stats.fallbacks),
-                    (faults, replacements, fallbacks),
-                    "{label}: counters {stats:?}"
+                    (rep.faults_detected, rep.replacements, rep.recoveries),
+                    NAN_COUNTERS,
+                    "{label}"
                 );
-                assert_eq!(stats.audits, 0, "{label}: policy pinned off");
+                assert_eq!(rep.audits, 0, "{label}: the default policy audits nothing");
             }
 
-            // --- serial, finite SpMV corruption under an audit policy ----
+            // Finite SpMV corruption at iteration 2 under an audit
+            // policy: caught by the fused audit (or harmlessly below
+            // its bound), never by the non-finite checks.
             {
-                let label = format!("{}/serial/{variant:?}/audited-spmv", family.name);
-                let opts = PcgOptions {
+                let label = format!("{}/spmd{threads}/audited-spmv", family.name);
+                let opts = ParallelSolverOptions {
+                    threads,
                     tol: TIGHT,
-                    criterion: StoppingCriterion::DisplacementChange,
-                    variant,
+                    max_iterations: 50_000,
                     recovery: RecoveryPolicy {
-                        replacement: Toggle::On,
                         audit_period: 4,
-                        ..RecoveryPolicy::default()
+                        ..RecoveryPolicy::on()
                     },
                     ..Default::default()
                 };
-                let stats = run_cell(
+                let plan = FaultPlan::new(vec![IterationFault {
+                    target: FaultTarget::Spmv,
+                    iteration: 2,
+                    index: 3,
+                    kind: FaultKind::BitFlip(55),
+                }]);
+                let rep = run_cell(
                     &label,
                     &mut || {
-                        let op = FaultyOp::new(
-                            a.clone(),
-                            vec![ApplicationFault {
-                                application: 3,
-                                index: 3,
-                                kind: FaultKind::BitFlip(55),
-                            }],
-                        );
-                        let pre =
-                            MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
-                                .unwrap();
-                        let sol = pcg_solve(&op, &b, &pre, &opts).expect("audited serial solve");
-                        assert!(sol.converged, "did not converge");
-                        (sol.x, sol.stats)
+                        let rep = spmd
+                            .solve_with_faults(&b, &opts, &plan)
+                            .expect("audited spmd solve");
+                        assert!(rep.converged, "did not converge");
+                        (rep.x.clone(), rep)
                     },
                     a,
                     &b,
                 );
-                assert!(stats.audits >= 1, "{label}: no audit ran");
+                assert!(rep.audits >= 1, "{label}: no audit ran");
                 assert_eq!(
-                    stats.faults_detected, 0,
+                    rep.faults_detected, 0,
                     "{label}: a finite corruption must not trip the NaN checks"
                 );
-            }
-
-            // --- SPMD at every thread count ------------------------------
-            for threads in [1usize, 2, 4, 8] {
-                // NaN out of the iteration-2 preconditioner application:
-                // persistent across rung reruns, exact ladder walk — at a
-                // first-color row and at the last row, which lies in the
-                // last color and is owned by the last worker.
-                for index in [3, n - 1] {
-                    let label = format!(
-                        "{}/spmd{threads}/{variant:?}/nan-msolve@{index}",
-                        family.name
-                    );
-                    let opts = ParallelSolverOptions {
-                        threads,
-                        tol: TOL,
-                        max_iterations: 50_000,
-                        variant,
-                        recovery: RecoveryPolicy::off(),
-                    };
-                    let plan = FaultPlan::new(vec![IterationFault {
-                        target: FaultTarget::Msolve,
-                        iteration: 2,
-                        index,
-                        kind: FaultKind::NaN,
-                    }]);
-                    let rep = run_cell(
-                        &label,
-                        &mut || {
-                            let rep = spmd
-                                .solve_with_faults(&b, &opts, &plan)
-                                .expect("faulted spmd solve");
-                            assert!(rep.converged, "did not converge");
-                            (rep.x.clone(), rep)
-                        },
-                        a,
-                        &b,
-                    );
-                    let (faults, replacements, recoveries) = spmd_nan_counters(variant);
-                    assert_eq!(
-                        (rep.faults_detected, rep.replacements, rep.recoveries),
-                        (faults, replacements, recoveries),
-                        "{label}"
-                    );
-                    // Every NaN walk ends on the classic rung.
-                    assert_eq!(rep.variant, PcgVariant::Classic, "{label}");
-                    assert_eq!(rep.audits, 0, "{label}: policy pinned off");
-                }
-
-                // Finite SpMV corruption at iteration 2 under an audit
-                // policy: caught by the fused audit (or harmlessly below
-                // its bound), never by the non-finite checks.
-                {
-                    let label = format!("{}/spmd{threads}/{variant:?}/audited-spmv", family.name);
-                    let opts = ParallelSolverOptions {
-                        threads,
-                        tol: TIGHT,
-                        max_iterations: 50_000,
-                        variant,
-                        recovery: RecoveryPolicy {
-                            replacement: Toggle::On,
-                            audit_period: 4,
-                            ..RecoveryPolicy::default()
-                        },
-                    };
-                    let plan = FaultPlan::new(vec![IterationFault {
-                        target: FaultTarget::Spmv,
-                        iteration: 2,
-                        index: 3,
-                        kind: FaultKind::BitFlip(55),
-                    }]);
-                    let rep = run_cell(
-                        &label,
-                        &mut || {
-                            let rep = spmd
-                                .solve_with_faults(&b, &opts, &plan)
-                                .expect("audited spmd solve");
-                            assert!(rep.converged, "did not converge");
-                            (rep.x.clone(), rep)
-                        },
-                        a,
-                        &b,
-                    );
-                    assert!(rep.audits >= 1, "{label}: no audit ran");
-                    assert_eq!(
-                        rep.faults_detected, 0,
-                        "{label}: a finite corruption must not trip the NaN checks"
-                    );
-                }
             }
         }
     }
 }
 
-/// The recovery ladder is preconditioner-agnostic: a NaN out of the
-/// barrier-free **polynomial** msolve walks the exact same detection /
-/// replacement / rung path as a poisoned SSOR sweep — serially (fault
-/// consumed once, lower rung runs clean) and in the SPMD solver
-/// (iteration-indexed plan re-fires per rung until the classic rung
-/// absorbs it).
+/// Recovery is preconditioner-agnostic: a NaN out of the barrier-free
+/// **polynomial** msolve takes the exact same detection / in-place
+/// replacement path as a poisoned SSOR sweep, serially and in the SPMD
+/// solver.
 #[test]
 fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
     for family in families() {
@@ -369,85 +334,74 @@ fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
         let degree = 2 * family.m;
         let spmd = ParallelMStepPcg::poly(a, &family.colors, PolyKind::Chebyshev, degree).unwrap();
 
-        for variant in ALL_VARIANTS {
-            // --- serial, NaN out of polynomial application 2 -------------
-            {
-                let label = format!("{}/serial/{variant:?}/nan-poly-msolve", family.name);
-                let opts = PcgOptions {
+        // --- serial, NaN out of polynomial application 2 -------------
+        {
+            let label = format!("{}/serial/nan-poly-msolve", family.name);
+            let opts = PcgOptions {
+                tol: TOL,
+                criterion: StoppingCriterion::DisplacementChange,
+                ..Default::default()
+            };
+            let stats = run_cell(
+                &label,
+                &mut || {
+                    let pre = FaultyPreconditioner::new(
+                        PolynomialPreconditioner::chebyshev(a.clone(), degree).unwrap(),
+                        vec![ApplicationFault {
+                            application: 2,
+                            index: 3,
+                            kind: FaultKind::NaN,
+                        }],
+                    );
+                    let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial poly solve");
+                    assert!(sol.converged, "did not converge");
+                    assert_eq!(pre.injected(), 1, "fault was not consumed");
+                    (sol.x, sol.stats)
+                },
+                a,
+                &b,
+            );
+            assert_eq!(
+                (stats.faults_detected, stats.replacements, stats.fallbacks),
+                NAN_COUNTERS,
+                "{label}: counters {stats:?}"
+            );
+        }
+
+        // --- SPMD, persistent NaN at the iteration-2 poly msolve, at a
+        // first-color row and at the last worker's last-color row -----
+        for threads in [1usize, 2, 4, 8] {
+            for index in [3, n - 1] {
+                let label = format!("{}/spmd{threads}/nan-poly-msolve@{index}", family.name);
+                let opts = ParallelSolverOptions {
+                    threads,
                     tol: TOL,
-                    criterion: StoppingCriterion::DisplacementChange,
-                    variant,
-                    recovery: RecoveryPolicy::off(),
+                    max_iterations: 50_000,
                     ..Default::default()
                 };
-                let stats = run_cell(
+                let plan = FaultPlan::new(vec![IterationFault {
+                    target: FaultTarget::Msolve,
+                    iteration: 2,
+                    index,
+                    kind: FaultKind::NaN,
+                }]);
+                let rep = run_cell(
                     &label,
                     &mut || {
-                        let pre = FaultyPreconditioner::new(
-                            PolynomialPreconditioner::chebyshev(a.clone(), degree).unwrap(),
-                            vec![ApplicationFault {
-                                application: 2,
-                                index: 3,
-                                kind: FaultKind::NaN,
-                            }],
-                        );
-                        let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial poly solve");
-                        assert!(sol.converged, "did not converge");
-                        assert_eq!(pre.injected(), 1, "fault was not consumed");
-                        (sol.x, sol.stats)
+                        let rep = spmd
+                            .solve_with_faults(&b, &opts, &plan)
+                            .expect("faulted spmd poly solve");
+                        assert!(rep.converged, "did not converge");
+                        (rep.x.clone(), rep)
                     },
                     a,
                     &b,
                 );
-                let (faults, replacements, fallbacks) = serial_nan_counters(variant);
                 assert_eq!(
-                    (stats.faults_detected, stats.replacements, stats.fallbacks),
-                    (faults, replacements, fallbacks),
-                    "{label}: counters {stats:?}"
+                    (rep.faults_detected, rep.replacements, rep.recoveries),
+                    NAN_COUNTERS,
+                    "{label}"
                 );
-            }
-
-            // --- SPMD, persistent NaN at the iteration-2 poly msolve, at a
-            // first-color row and at the last worker's last-color row -----
-            for threads in [1usize, 2, 4, 8] {
-                for index in [3, n - 1] {
-                    let label = format!(
-                        "{}/spmd{threads}/{variant:?}/nan-poly-msolve@{index}",
-                        family.name
-                    );
-                    let opts = ParallelSolverOptions {
-                        threads,
-                        tol: TOL,
-                        max_iterations: 50_000,
-                        variant,
-                        recovery: RecoveryPolicy::off(),
-                    };
-                    let plan = FaultPlan::new(vec![IterationFault {
-                        target: FaultTarget::Msolve,
-                        iteration: 2,
-                        index,
-                        kind: FaultKind::NaN,
-                    }]);
-                    let rep = run_cell(
-                        &label,
-                        &mut || {
-                            let rep = spmd
-                                .solve_with_faults(&b, &opts, &plan)
-                                .expect("faulted spmd poly solve");
-                            assert!(rep.converged, "did not converge");
-                            (rep.x.clone(), rep)
-                        },
-                        a,
-                        &b,
-                    );
-                    let (faults, replacements, recoveries) = spmd_nan_counters(variant);
-                    assert_eq!(
-                        (rep.faults_detected, rep.replacements, rep.recoveries),
-                        (faults, replacements, recoveries),
-                        "{label}"
-                    );
-                    assert_eq!(rep.variant, PcgVariant::Classic, "{label}");
-                }
             }
         }
     }

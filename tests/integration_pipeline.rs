@@ -2,10 +2,10 @@
 //! PCG → solution, validated against dense direct solves and against each
 //! other across orderings and preconditioners.
 
-use mspcg::core::mstep::{MStepJacobiPreconditioner, MStepSsorPreconditioner};
+use mspcg::core::mstep::{MStep, MStepJacobiPreconditioner, MStepSsorPreconditioner};
 use mspcg::core::pcg::{cg_solve, pcg_solve, PcgOptions, StoppingCriterion};
 use mspcg::core::preconditioner::Preconditioner;
-use mspcg::core::splitting::{NaturalSsorSplitting, Splitting};
+use mspcg::core::splitting::{JacobiSplitting, NaturalSsorSplitting, Splitting};
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::sparse::vecops;
 
@@ -83,6 +83,29 @@ fn even_neumann_is_rejected_as_indefinite() {
         let sol = pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts(1e-10)).unwrap();
         assert!(sol.converged);
     }
+}
+
+#[test]
+fn minimax_jacobi_needs_fewer_iterations_than_plain_cg_on_the_plate() {
+    // The min-max fit is only as good as its interval. Widening the
+    // Lanczos extremes by a share of the span pushed the plate's lower
+    // end below zero; floored at 1e-12, the fit still passed the SPD
+    // check but built a near-singular preconditioner that needed ~7×
+    // the iterations of no preconditioner at all.
+    let asm = PlaneStressProblem::unit_square(24).assemble().unwrap();
+    let ord = asm.multicolor().unwrap();
+    let o = opts(1e-8);
+    let cg = cg_solve(&ord.matrix, &ord.rhs, &o).unwrap();
+    let pre = MStep::new_minimax(JacobiSplitting::new(&ord.matrix).unwrap(), 4).unwrap();
+    let sol = pcg_solve(&ord.matrix, &ord.rhs, &pre, &o).unwrap();
+    assert!(
+        sol.iterations < cg.iterations,
+        "min-max m = 4 Jacobi {} vs plain CG {}",
+        sol.iterations,
+        cg.iterations
+    );
+    let (lo, _) = pre.interval().expect("a fitted interval");
+    assert!(lo > 1e-6, "lower interval end {lo:e} sits on the floor");
 }
 
 #[test]

@@ -8,7 +8,7 @@ use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace};
 use mspcg::core::pcg::{pcg_solve_into, PcgOptions, PcgWorkspace};
 use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner};
-use mspcg::core::recovery::{RecoveryPolicy, Toggle};
+use mspcg::core::recovery::RecoveryPolicy;
 use mspcg::core::splitting::Splitting;
 use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
@@ -16,9 +16,6 @@ use mspcg::fem::poisson::poisson5;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use mspcg::sparse::{par, vecops, AutoOp, CsrMatrix, Partition, PrecondKind, SellCsMatrix};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-mod common;
-use common::ALL_VARIANTS;
 
 /// The thread budget is process global; sweep one test at a time.
 fn sweep_lock() -> MutexGuard<'static, ()> {
@@ -140,7 +137,7 @@ fn fused_kernels_bitwise_equal_unfused_across_thread_counts() {
 }
 
 /// The batched multi-RHS solver must reproduce the standalone solves
-/// bitwise for every thread count and every variant. The system is below
+/// bitwise for every thread count. The system is below
 /// `par_min_nnz`, so the batch runs in the RHS-level regime (lanes spread
 /// over the pool, each lane's kernels serial); the kernel-parallel regime
 /// is covered by the multi-RHS leg of
@@ -157,34 +154,31 @@ fn multi_rhs_batch_bitwise_across_thread_counts() {
         .collect();
 
     let before = par::max_threads();
-    for variant in ALL_VARIANTS {
-        let opts = PcgOptions {
-            tol: 1e-9,
-            variant,
-            ..Default::default()
-        };
-        par::set_max_threads(1);
-        let mut ws1 = MultiRhsWorkspace::new(n, nrhs);
-        let mut u1 = vec![0.0; nrhs * n];
-        pcg_solve_multi(&matrix, &f, &mut u1, &pre, &opts, &mut ws1).unwrap();
-        // Every lane replays its standalone solve.
-        let mut sws = PcgWorkspace::new(n);
-        for (i, fi) in f.chunks(n).enumerate() {
-            let mut ui = vec![0.0; n];
-            pcg_solve_into(&matrix, fi, &mut ui, &pre, &opts, &mut sws).unwrap();
-            assert_eq!(
-                bits(&u1[i * n..(i + 1) * n]),
-                bits(&ui),
-                "{variant:?}: lane {i} differs from its standalone solve"
-            );
-        }
-        for t in [2usize, 4, 8] {
-            par::set_max_threads(t);
-            let mut ws = MultiRhsWorkspace::new(n, nrhs);
-            let mut u = vec![0.0; nrhs * n];
-            pcg_solve_multi(&matrix, &f, &mut u, &pre, &opts, &mut ws).unwrap();
-            assert_eq!(bits(&u1), bits(&u), "{variant:?}: batch differs at t = {t}");
-        }
+    let opts = PcgOptions {
+        tol: 1e-9,
+        ..Default::default()
+    };
+    par::set_max_threads(1);
+    let mut ws1 = MultiRhsWorkspace::new(n, nrhs);
+    let mut u1 = vec![0.0; nrhs * n];
+    pcg_solve_multi(&matrix, &f, &mut u1, &pre, &opts, &mut ws1).unwrap();
+    // Every lane replays its standalone solve.
+    let mut sws = PcgWorkspace::new(n);
+    for (i, fi) in f.chunks(n).enumerate() {
+        let mut ui = vec![0.0; n];
+        pcg_solve_into(&matrix, fi, &mut ui, &pre, &opts, &mut sws).unwrap();
+        assert_eq!(
+            bits(&u1[i * n..(i + 1) * n]),
+            bits(&ui),
+            "lane {i} differs from its standalone solve"
+        );
+    }
+    for t in [2usize, 4, 8] {
+        par::set_max_threads(t);
+        let mut ws = MultiRhsWorkspace::new(n, nrhs);
+        let mut u = vec![0.0; nrhs * n];
+        pcg_solve_multi(&matrix, &f, &mut u, &pre, &opts, &mut ws).unwrap();
+        assert_eq!(bits(&u1), bits(&u), "batch differs at t = {t}");
     }
     par::set_max_threads(before);
 }
@@ -270,7 +264,7 @@ fn spmv_and_ssor_sweeps_bitwise_across_thread_counts() {
 }
 
 /// The cross-format leg of the determinism contract: replaying the full
-/// m-step SSOR PCG solve of every variant through SELL-C-σ — operator
+/// m-step SSOR PCG solve through SELL-C-σ — operator
 /// *and* preconditioner built from the SELL form — must reproduce the CSR
 /// run bitwise, at every thread count. This is what makes the storage
 /// format a pure performance decision.
@@ -286,49 +280,35 @@ fn full_pcg_solve_bitwise_under_both_formats() {
     f.extend_from_slice(&rhs);
 
     let before = par::max_threads();
-    for variant in ALL_VARIANTS {
-        let opts = PcgOptions {
-            tol: 1e-8,
-            variant,
-            recovery: RecoveryPolicy::off(),
-            ..Default::default()
-        };
-        for t in [1usize, 2, 4, 8] {
-            par::set_max_threads(t);
-            let mut ws = PcgWorkspace::new(n);
-            let mut u_csr = vec![0.0; n];
-            let rep_csr =
-                pcg_solve_into(&matrix, &rhs, &mut u_csr, &pre_csr, &opts, &mut ws).unwrap();
-            let mut u_sell = vec![0.0; n];
-            let rep_sell =
-                pcg_solve_into(&sell, &rhs, &mut u_sell, &pre_sell, &opts, &mut ws).unwrap();
-            assert_eq!(
-                rep_csr.iterations, rep_sell.iterations,
-                "{variant:?}: iters differ, t = {t}"
-            );
-            assert_eq!(
-                rep_csr.final_relative_residual.to_bits(),
-                rep_sell.final_relative_residual.to_bits(),
-                "{variant:?}: residual differs, t = {t}"
-            );
-            assert_eq!(
-                bits(&u_csr),
-                bits(&u_sell),
-                "{variant:?}: solution differs, t = {t}"
-            );
+    let opts = PcgOptions {
+        tol: 1e-8,
+        ..Default::default()
+    };
+    for t in [1usize, 2, 4, 8] {
+        par::set_max_threads(t);
+        let mut ws = PcgWorkspace::new(n);
+        let mut u_csr = vec![0.0; n];
+        let rep_csr = pcg_solve_into(&matrix, &rhs, &mut u_csr, &pre_csr, &opts, &mut ws).unwrap();
+        let mut u_sell = vec![0.0; n];
+        let rep_sell = pcg_solve_into(&sell, &rhs, &mut u_sell, &pre_sell, &opts, &mut ws).unwrap();
+        assert_eq!(
+            rep_csr.iterations, rep_sell.iterations,
+            "iters differ, t = {t}"
+        );
+        assert_eq!(
+            rep_csr.final_relative_residual.to_bits(),
+            rep_sell.final_relative_residual.to_bits(),
+            "residual differs, t = {t}"
+        );
+        assert_eq!(bits(&u_csr), bits(&u_sell), "solution differs, t = {t}");
 
-            // The batched multi-RHS path accepts the SELL operator too.
-            let mut ub_csr = vec![0.0; 2 * n];
-            let mut ub_sell = vec![0.0; 2 * n];
-            let mut mws = MultiRhsWorkspace::new(n, 2);
-            pcg_solve_multi(&matrix, &f, &mut ub_csr, &pre_csr, &opts, &mut mws).unwrap();
-            pcg_solve_multi(&sell, &f, &mut ub_sell, &pre_sell, &opts, &mut mws).unwrap();
-            assert_eq!(
-                bits(&ub_csr),
-                bits(&ub_sell),
-                "{variant:?}: multi-RHS differs, t = {t}"
-            );
-        }
+        // The batched multi-RHS path accepts the SELL operator too.
+        let mut ub_csr = vec![0.0; 2 * n];
+        let mut ub_sell = vec![0.0; 2 * n];
+        let mut mws = MultiRhsWorkspace::new(n, 2);
+        pcg_solve_multi(&matrix, &f, &mut ub_csr, &pre_csr, &opts, &mut mws).unwrap();
+        pcg_solve_multi(&sell, &f, &mut ub_sell, &pre_sell, &opts, &mut mws).unwrap();
+        assert_eq!(bits(&ub_csr), bits(&ub_sell), "multi-RHS differs, t = {t}");
     }
     par::set_max_threads(before);
 }
@@ -360,7 +340,7 @@ fn auto_format_solve_matches_csr_bitwise() {
     );
 }
 
-/// A complete solve of every variant, unaudited and audited, on a system
+/// A complete solve, unaudited and audited, on a system
 /// large enough that its SpMV and SSOR sweeps run in parallel: iteration
 /// count and solution bits must not depend on the thread count.
 #[test]
@@ -371,36 +351,33 @@ fn full_pcg_solve_bitwise_across_thread_counts() {
     let mut ws = PcgWorkspace::new(matrix.rows());
 
     let before = par::max_threads();
-    for variant in ALL_VARIANTS {
-        for recovery in [RecoveryPolicy::off(), RecoveryPolicy::on()] {
-            let opts = PcgOptions {
-                tol: 1e-8,
-                variant,
-                recovery,
-                ..Default::default()
-            };
-            let audit = recovery.replacement;
-            let mut solve = |t: usize| {
-                par::set_max_threads(t);
-                let mut u = vec![0.0; matrix.rows()];
-                let rep = pcg_solve_into(&matrix, &rhs, &mut u, &pre, &opts, &mut ws).unwrap();
-                assert!(rep.converged, "{variant:?}, audit {audit:?}, t = {t}");
-                assert_eq!(rep.stats.audits > 0, audit == Toggle::On, "{variant:?}");
-                (u, rep.iterations)
-            };
-            let (u1, it1) = solve(1);
-            for t in [2usize, 4, 8] {
-                let (ut, itt) = solve(t);
-                assert_eq!(
-                    it1, itt,
-                    "{variant:?}, audit {audit:?}: iteration count differs at t = {t}"
-                );
-                assert_eq!(
-                    bits(&u1),
-                    bits(&ut),
-                    "{variant:?}, audit {audit:?}: solution differs at t = {t}"
-                );
-            }
+    for recovery in [RecoveryPolicy::default(), RecoveryPolicy::on()] {
+        let opts = PcgOptions {
+            tol: 1e-8,
+            recovery,
+            ..Default::default()
+        };
+        let audit = recovery.replacement;
+        let mut solve = |t: usize| {
+            par::set_max_threads(t);
+            let mut u = vec![0.0; matrix.rows()];
+            let rep = pcg_solve_into(&matrix, &rhs, &mut u, &pre, &opts, &mut ws).unwrap();
+            assert!(rep.converged, "audit {audit:?}, t = {t}");
+            assert_eq!(rep.stats.audits > 0, audit);
+            (u, rep.iterations)
+        };
+        let (u1, it1) = solve(1);
+        for t in [2usize, 4, 8] {
+            let (ut, itt) = solve(t);
+            assert_eq!(
+                it1, itt,
+                "audit {audit:?}: iteration count differs at t = {t}"
+            );
+            assert_eq!(
+                bits(&u1),
+                bits(&ut),
+                "audit {audit:?}: solution differs at t = {t}"
+            );
         }
     }
     par::set_max_threads(before);

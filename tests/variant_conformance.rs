@@ -1,28 +1,23 @@
-//! Cross-variant conformance harness.
+//! Executor and format conformance harness.
 //!
-//! **One** parameterized property loop runs *every* [`PcgVariant`] ×
-//! {serial, SPMD 1/2/4/8 threads} × {plate, Poisson, arrow} × formats
-//! {CSR, SELL-C-σ} and asserts, for every cell of that matrix:
+//! **One** parameterized property loop runs {serial, SPMD 1/2/4/8
+//! threads} × {plate, Poisson, arrow} × formats {CSR, SELL-C-σ} and
+//! asserts, for every cell of that matrix:
 //!
 //! * **(a) convergence to the same tolerance** — the solve reports
 //!   converged and the TRUE recomputed residual `‖f − Ku‖/‖f‖` is below a
 //!   common bound,
-//! * **(b) bitwise within-variant replay** — the same configuration
-//!   solved twice returns bit-identical iterates and identical iteration
-//!   counts (the determinism contract; *across* variants only closeness
-//!   is promised, the recurrences follow different rounding paths),
-//! * **(c) iteration counts within a fixed slack across variants** —
-//!   every cell stays within [`ITER_SLACK`] of the serial classic CSR
-//!   baseline of its family.
-//!
-//! A future variant inherits the whole matrix by adding one entry to
-//! `common::ALL_VARIANTS`, whose exhaustiveness guard refuses to compile
-//! until the new enum entry is listed, so the coverage cannot silently
-//! lag the enum.
+//! * **(b) bitwise replay** — the same configuration solved twice returns
+//!   bit-identical iterates and identical iteration counts (the
+//!   determinism contract; *across* executors only closeness is promised,
+//!   the SPMD reductions follow a different rounding path),
+//! * **(c) iteration counts within a fixed slack across executors** —
+//!   every cell stays within [`ITER_SLACK`] of the serial CSR baseline of
+//!   its family.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
-use mspcg::core::pcg::{pcg_solve, PcgOptions, PcgVariant, StoppingCriterion};
+use mspcg::core::pcg::{pcg_solve, PcgOptions, StoppingCriterion};
 use mspcg::core::poly::PolynomialPreconditioner;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;
@@ -33,13 +28,13 @@ use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SellCsMat
 const TOL: f64 = 1e-8;
 /// Bound on the TRUE recomputed relative residual at convergence.
 const RES_BOUND: f64 = 1e-6;
-/// Fixed slack on iteration counts across variants and executors: the
-/// recurrences and the SPMD reductions follow different rounding paths,
-/// which is why this is a slack, not an equality.
+/// Fixed slack on iteration counts across executors: the SPMD reductions
+/// follow a different rounding path, which is why this is a slack, not an
+/// equality.
 const ITER_SLACK: isize = 10;
 
 mod common;
-use common::{Rng, ALL_VARIANTS};
+use common::Rng;
 
 /// One test family: a color-blocked SPD system plus its preconditioner
 /// depth.
@@ -134,7 +129,7 @@ fn run_cell(
 ) -> (Vec<f64>, usize) {
     let (x1, it1) = solve();
     let (x2, it2) = solve();
-    // (b) bitwise within-variant replay.
+    // (b) bitwise replay.
     assert_eq!(it1, it2, "{label}: replay changed the iteration count");
     assert!(
         x1.iter().zip(&x2).all(|(u, v)| u.to_bits() == v.to_bits()),
@@ -146,8 +141,8 @@ fn run_cell(
     (x1, it1)
 }
 
-/// The parameterized conformance loop of the issue: every variant ×
-/// executor × family × format, in one place.
+/// The parameterized conformance loop: every executor × family × format,
+/// in one place.
 #[test]
 fn every_variant_conforms_across_executors_families_and_formats() {
     let mut rng = Rng::new(0xD1CE);
@@ -161,16 +156,15 @@ fn every_variant_conforms_across_executors_families_and_formats() {
         let spmd_csr = ParallelMStepPcg::new(a, &family.colors, vec![1.0; family.m]).unwrap();
         let spmd_sell = ParallelMStepPcg::new(&sell, &family.colors, vec![1.0; family.m]).unwrap();
 
-        // (c) baseline: serial classic on CSR.
-        let baseline = {
-            let opts = PcgOptions {
-                tol: TOL,
-                criterion: StoppingCriterion::DisplacementChange,
-                variant: PcgVariant::Classic,
-                ..Default::default()
-            };
-            pcg_solve(a, &b, &pre, &opts).expect("baseline").iterations as isize
+        let serial_opts = PcgOptions {
+            tol: TOL,
+            criterion: StoppingCriterion::DisplacementChange,
+            ..Default::default()
         };
+        // (c) baseline: serial on CSR.
+        let baseline = pcg_solve(a, &b, &pre, &serial_opts)
+            .expect("baseline")
+            .iterations as isize;
 
         let check_iters = |label: &str, iters: usize| {
             assert!(
@@ -179,82 +173,69 @@ fn every_variant_conforms_across_executors_families_and_formats() {
             );
         };
 
-        for variant in ALL_VARIANTS {
-            let serial_opts = PcgOptions {
+        // Serial executor, both storage formats. The solvers are
+        // generic over `SparseOp`; the preconditioner sees identical
+        // structure either way.
+        {
+            let label = format!("{}/serial/csr", family.name);
+            let (_, iters) = run_cell(
+                &label,
+                &mut || {
+                    let s = pcg_solve(a, &b, &pre, &serial_opts).expect("serial csr");
+                    assert!(s.converged);
+                    (s.x, s.iterations)
+                },
+                a,
+                &b,
+            );
+            check_iters(&label, iters);
+        }
+        {
+            let label = format!("{}/serial/sellcs", family.name);
+            let (_, iters) = run_cell(
+                &label,
+                &mut || {
+                    let s = pcg_solve(&sell, &b, &pre, &serial_opts).expect("serial sell");
+                    assert!(s.converged);
+                    (s.x, s.iterations)
+                },
+                a,
+                &b,
+            );
+            check_iters(&label, iters);
+        }
+        // SPMD executor at 1/2/4/8 workers, both formats.
+        for threads in [1usize, 2, 4, 8] {
+            let spmd_opts = ParallelSolverOptions {
+                threads,
                 tol: TOL,
-                criterion: StoppingCriterion::DisplacementChange,
-                variant,
+                max_iterations: 50_000,
                 ..Default::default()
             };
-            // Serial executor, both storage formats. The solvers are
-            // generic over `SparseOp`; the preconditioner sees identical
-            // structure either way.
-            {
-                let label = format!("{}/serial/csr/{variant:?}", family.name);
+            for (fmt, solver) in [("csr", &spmd_csr), ("sellcs", &spmd_sell)] {
+                let label = format!("{}/spmd{threads}/{fmt}", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
-                        let s = pcg_solve(a, &b, &pre, &serial_opts).expect("serial csr");
-                        assert!(s.converged);
-                        (s.x, s.iterations)
+                        let rep = solver.solve(&b, &spmd_opts).expect("spmd");
+                        assert!(rep.converged);
+                        (rep.x, rep.iterations)
                     },
                     a,
                     &b,
                 );
                 check_iters(&label, iters);
-            }
-            {
-                let label = format!("{}/serial/sellcs/{variant:?}", family.name);
-                let (_, iters) = run_cell(
-                    &label,
-                    &mut || {
-                        let s = pcg_solve(&sell, &b, &pre, &serial_opts).expect("serial sell");
-                        assert!(s.converged);
-                        (s.x, s.iterations)
-                    },
-                    a,
-                    &b,
-                );
-                check_iters(&label, iters);
-            }
-            // SPMD executor at 1/2/4/8 workers, both formats. A
-            // recurrence variant that falls back near convergence reports
-            // the classic schedule — conformance only requires the
-            // *solve* to conform, so the report's variant is not pinned
-            // here (the schedule itself is pinned by the counter tests).
-            for threads in [1usize, 2, 4, 8] {
-                let spmd_opts = ParallelSolverOptions {
-                    threads,
-                    tol: TOL,
-                    max_iterations: 50_000,
-                    variant,
-                    ..Default::default()
-                };
-                for (fmt, solver) in [("csr", &spmd_csr), ("sellcs", &spmd_sell)] {
-                    let label = format!("{}/spmd{threads}/{fmt}/{variant:?}", family.name);
-                    let (_, iters) = run_cell(
-                        &label,
-                        &mut || {
-                            let rep = solver.solve(&b, &spmd_opts).expect("spmd");
-                            assert!(rep.converged);
-                            (rep.x, rep.iterations)
-                        },
-                        a,
-                        &b,
-                    );
-                    check_iters(&label, iters);
-                }
             }
         }
     }
 }
 
 /// The **polynomial-preconditioner axis** of the same matrix: every
-/// variant × executor × family × format again, with the barrier-free
+/// executor × family × format again, with the barrier-free
 /// Newton–Chebyshev msolve in place of the m-step SSOR sweeps. The degree
 /// is `2m` — the flop-matched exchange rate (a degree-`2m` chain streams
 /// the matrix as often as `m` forward+backward sweeps) — and the slack
-/// baseline is the serial classic CSR *polynomial* solve of each family,
+/// baseline is the serial CSR *polynomial* solve of each family,
 /// since the two preconditioners converge on different iteration counts.
 #[test]
 fn every_variant_conforms_with_polynomial_preconditioning() {
@@ -272,16 +253,15 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
         let spmd_sell =
             ParallelMStepPcg::poly(&sell, &family.colors, PolyKind::Chebyshev, degree).unwrap();
 
-        // (c) baseline: serial classic on CSR, polynomial msolve.
-        let baseline = {
-            let opts = PcgOptions {
-                tol: TOL,
-                criterion: StoppingCriterion::DisplacementChange,
-                variant: PcgVariant::Classic,
-                ..Default::default()
-            };
-            pcg_solve(a, &b, &pre, &opts).expect("baseline").iterations as isize
+        let serial_opts = PcgOptions {
+            tol: TOL,
+            criterion: StoppingCriterion::DisplacementChange,
+            ..Default::default()
         };
+        // (c) baseline: serial on CSR, polynomial msolve.
+        let baseline = pcg_solve(a, &b, &pre, &serial_opts)
+            .expect("baseline")
+            .iterations as isize;
 
         let check_iters = |label: &str, iters: usize| {
             assert!(
@@ -290,53 +270,44 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
             );
         };
 
-        for variant in ALL_VARIANTS {
-            let serial_opts = PcgOptions {
+        for (fmt, op) in [("csr", None), ("sellcs", Some(&sell))] {
+            let label = format!("{}/serial/{fmt}/poly", family.name);
+            let (_, iters) = run_cell(
+                &label,
+                &mut || {
+                    let s = match op {
+                        None => pcg_solve(a, &b, &pre, &serial_opts),
+                        Some(sell) => pcg_solve(sell, &b, &pre, &serial_opts),
+                    }
+                    .expect("serial poly");
+                    assert!(s.converged);
+                    (s.x, s.iterations)
+                },
+                a,
+                &b,
+            );
+            check_iters(&label, iters);
+        }
+        for threads in [1usize, 2, 4, 8] {
+            let spmd_opts = ParallelSolverOptions {
+                threads,
                 tol: TOL,
-                criterion: StoppingCriterion::DisplacementChange,
-                variant,
+                max_iterations: 50_000,
                 ..Default::default()
             };
-            for (fmt, op) in [("csr", None), ("sellcs", Some(&sell))] {
-                let label = format!("{}/serial/{fmt}/{variant:?}/poly", family.name);
+            for (fmt, solver) in [("csr", &spmd_csr), ("sellcs", &spmd_sell)] {
+                let label = format!("{}/spmd{threads}/{fmt}/poly", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
-                        let s = match op {
-                            None => pcg_solve(a, &b, &pre, &serial_opts),
-                            Some(sell) => pcg_solve(sell, &b, &pre, &serial_opts),
-                        }
-                        .expect("serial poly");
-                        assert!(s.converged);
-                        (s.x, s.iterations)
+                        let rep = solver.solve(&b, &spmd_opts).expect("spmd poly");
+                        assert!(rep.converged);
+                        (rep.x, rep.iterations)
                     },
                     a,
                     &b,
                 );
                 check_iters(&label, iters);
-            }
-            for threads in [1usize, 2, 4, 8] {
-                let spmd_opts = ParallelSolverOptions {
-                    threads,
-                    tol: TOL,
-                    max_iterations: 50_000,
-                    variant,
-                    ..Default::default()
-                };
-                for (fmt, solver) in [("csr", &spmd_csr), ("sellcs", &spmd_sell)] {
-                    let label = format!("{}/spmd{threads}/{fmt}/{variant:?}/poly", family.name);
-                    let (_, iters) = run_cell(
-                        &label,
-                        &mut || {
-                            let rep = solver.solve(&b, &spmd_opts).expect("spmd poly");
-                            assert!(rep.converged);
-                            (rep.x, rep.iterations)
-                        },
-                        a,
-                        &b,
-                    );
-                    check_iters(&label, iters);
-                }
             }
         }
     }
