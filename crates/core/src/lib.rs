@@ -21,6 +21,8 @@
 //!   and natural-order SSOR splittings,
 //! * [`ssor`] — the multicolor block SSOR splitting with the
 //!   Conrad–Wallach auxiliary-vector optimization (paper Algorithm 2),
+//!   and the color-phase sweep kernel and row ownership both executors
+//!   share,
 //! * [`mstep`] — the m-step preconditioner (Horner evaluation of the
 //!   polynomial in `G`), parametrized or not,
 //! * [`poly`] — the barrier-free **polynomial (Newton–Chebyshev)

@@ -4,10 +4,21 @@
 //! every diagonal color block `D_c` is *diagonal*, so the SOR sweeps of
 //! SSOR reduce to, per color, an off-diagonal block multiply followed by a
 //! pointwise diagonal solve — long vector operations / embarrassingly
-//! parallel loops. The per-color row loops here run on the `mspcg-sparse`
-//! worker pool (`par` feature) for large blocks: rows within one color
-//! update independently (the multicolor guarantee), so the parallel sweep
-//! is bitwise identical to the serial one for any thread count.
+//! parallel loops.
+//!
+//! ## One kernel, one ownership rule
+//!
+//! Both executors sweep through one color-phase kernel,
+//! [`SweepTable::sweep`], in one phase order,
+//! [`SweepTable::sweep_schedule`], on one row ownership, [`owned_chunk`]:
+//! each of `T` participants owns chunk `p` of every color block, the
+//! paper's fixed node assignment (§3.2). [`MulticolorSsor`] runs each
+//! color phase as one `T`-participant pool launch (`par` feature);
+//! `mspcg-parallel`'s SPMD workers run the same kernel on the same chunks
+//! between barriers. Rows within one color update independently (the
+//! multicolor guarantee), so a sweep is bitwise identical for any
+//! participant count. Each executor passes the kernel its own relaxation
+//! update, so each keeps its arithmetic.
 //!
 //! ## The Conrad–Wallach auxiliary vector
 //!
@@ -52,6 +63,33 @@ use mspcg_sparse::{tuning, CsrMatrix, Partition, SparseError, SparseOp};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
+/// The half-sum a color phase of [`SweepTable::sweep`] computes fresh,
+/// and where the other half comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// Fresh lower half. The upper half is read from the cache, or is zero:
+    /// structurally in the last color, and in every color of a first step
+    /// fused with the `w₀ = 0` start.
+    Forward {
+        /// Whether the upper half is read from the cache.
+        cached_upper: bool,
+    },
+    /// Fresh upper half; the lower half is read from the cache.
+    Backward,
+}
+
+/// Participant `p`'s rows of `block` when `parts` participants share it:
+/// contiguous chunks in participant order whose row counts differ by at
+/// most one (the first `len % parts` participants take the longer ones).
+/// This is the paper's fixed node assignment (§3.2), and both executors
+/// sweep on it: pool participant `p` and SPMD worker `p` own the same
+/// chunk of every color block.
+pub fn owned_chunk(block: Range<usize>, p: usize, parts: usize) -> Range<usize> {
+    let (base, extra) = (block.len() / parts, block.len() % parts);
+    let start = block.start + p * base + p.min(extra);
+    start..start + base + usize::from(p < extra)
+}
+
 /// The sweep table of a color-blocked matrix: the matrix and its color
 /// partition, the inverse diagonal, and per row the position of the
 /// diagonal entry, which splits the row's stored entries into its lower
@@ -59,8 +97,9 @@ use std::sync::{Arc, Mutex};
 ///
 /// Both multicolor SSOR executors stream this table — [`MulticolorSsor`]
 /// here and `mspcg-parallel`'s SPMD solver — so [`SweepTable::new`] is
-/// the one place that validates the color blocks, and the half-sums run
-/// on the CSR row kernel ([`CsrMatrix::dot_entries`]).
+/// the one place that validates the color blocks. Their sweeps run on
+/// [`SweepTable::sweep`]; the power iteration's fresh half-sums run on the
+/// CSR row kernel ([`CsrMatrix::dot_entries`]).
 #[derive(Debug)]
 pub struct SweepTable {
     a: Arc<CsrMatrix>,
@@ -182,27 +221,104 @@ impl SweepTable {
         self.a.dot_entries(self.upper(i), x)
     }
 
-    /// [`SweepTable::lower_sum`] reading through a shared slice (parallel
-    /// sweep path).
+    /// One color phase of a cached sweep over `rows`, a range of one color
+    /// block. Per row it forms the fresh half-sum (the lower half going
+    /// forward, the upper half going backward), subtracts both halves from
+    /// `scale·b_i` in the order lower, upper, sets `x_i` to
+    /// `relax(x_i, s, 1/a_ii)` where `s` is that difference, and caches the
+    /// fresh half in `y_i` for the opposite pass (Conrad–Wallach). Both
+    /// executors sweep here, each passing its own update as `relax`.
+    ///
+    /// `row_ptr`, `diag_at`, `inv_diag` and `b` are sliced once per call.
+    /// `x` is read at the rows' columns without a bounds check: every
+    /// stored column of the validated, square matrix is below its
+    /// dimension, and `x.len()` is asserted equal to it once per call
+    /// (each read re-checks it in a `debug_assert!`).
     ///
     /// # Safety
-    /// No chunk may write `x` at a column of row `i`'s lower half during
-    /// this parallel region (guaranteed by the multicolor property: those
-    /// columns lie in colors already finalized this pass).
-    #[inline]
-    pub unsafe fn lower_sum_shared(&self, i: usize, x: &ParSlice<'_>) -> f64 {
+    /// While the call runs, no other thread writes `x` at a column of the
+    /// fresh halves of `rows`, or reads or writes `x` or `y` at a row of
+    /// `rows`. Concurrent calls on disjoint chunks of one color block meet
+    /// this: a row's off-diagonal columns lie in other color blocks.
+    ///
+    /// # Panics
+    /// If `x`, `y` or `b` differs in length from the dimension, or `rows`
+    /// runs past it.
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn sweep(
+        &self,
+        rows: Range<usize>,
+        sweep: Sweep,
+        scale: f64,
+        b: &[f64],
+        x: &ParSlice<'_>,
+        y: &ParSlice<'_>,
+        relax: impl Fn(f64, f64, f64) -> f64,
+    ) {
+        let n = self.a.rows();
+        assert!(
+            x.len() == n && y.len() == n && b.len() == n,
+            "sweep: vector length mismatch"
+        );
+        // One row loop per sweep kind, free of row branches on it.
         // SAFETY: forwarded contract.
-        unsafe { self.a.dot_entries_shared(self.lower(i), x) }
+        unsafe {
+            match sweep {
+                Sweep::Forward {
+                    cached_upper: false,
+                } => self.sweep_rows(rows, true, scale, b, x, y, |b, lo, _| b - lo, relax),
+                Sweep::Forward { cached_upper: true } => {
+                    self.sweep_rows(rows, true, scale, b, x, y, |b, lo, up| b - lo - up, relax)
+                }
+                Sweep::Backward => {
+                    self.sweep_rows(rows, false, scale, b, x, y, |b, up, lo| b - lo - up, relax)
+                }
+            }
+        }
     }
 
-    /// [`SweepTable::upper_sum`] reading through a shared slice.
+    /// The row loop of [`SweepTable::sweep`], with
+    /// `rhs(scale·b_i, fresh, cached)` forming its difference `s`.
     ///
     /// # Safety
-    /// As for [`SweepTable::lower_sum_shared`], for row `i`'s upper half.
-    #[inline]
-    pub unsafe fn upper_sum_shared(&self, i: usize, x: &ParSlice<'_>) -> f64 {
-        // SAFETY: forwarded contract.
-        unsafe { self.a.dot_entries_shared(self.upper(i), x) }
+    /// As for [`SweepTable::sweep`], whose length checks it relies on.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn sweep_rows(
+        &self,
+        rows: Range<usize>,
+        forward: bool,
+        scale: f64,
+        b: &[f64],
+        x: &ParSlice<'_>,
+        y: &ParSlice<'_>,
+        rhs: impl Fn(f64, f64, f64) -> f64,
+        relax: impl Fn(f64, f64, f64) -> f64,
+    ) {
+        let row_ptr = &self.a.row_ptr()[rows.start..=rows.end];
+        let (cols, vals) = (self.a.col_idx(), self.a.values());
+        let table = row_ptr
+            .windows(2)
+            .zip(&self.diag_at[rows.clone()])
+            .zip(&self.inv_diag[rows.clone()])
+            .zip(&b[rows.clone()]);
+        for ((((ends, &d), &inv_diag), &b_i), i) in table.zip(rows) {
+            let fresh = if forward { ends[0]..d } else { d + 1..ends[1] };
+            let mut sum = 0.0;
+            for (&c, &v) in cols[fresh.clone()].iter().zip(&vals[fresh]) {
+                // SAFETY: `c < n` (the validated column bound) and
+                // `x.len() == n` (asserted by `sweep`); the caller rules
+                // out a concurrent write at a fresh column.
+                sum += v * unsafe { x.get(c as usize) };
+            }
+            // SAFETY: `i < n`, and the caller makes this thread the only
+            // one touching row `i`.
+            unsafe {
+                let s = rhs(scale * b_i, sum, y.get(i));
+                x.set(i, relax(x.get(i), s, inv_diag));
+                y.set(i, sum);
+            }
+        }
     }
 
     /// The SOR(ω) update of row `i` from its right-hand side minus both
@@ -216,8 +332,7 @@ impl SweepTable {
     /// One past the block the backward sweep starts from: with ω = 1 the
     /// last color's backward update is the identity and is skipped (paper's
     /// `c = 5 down to 2` optimization); otherwise it is required. The
-    /// subtraction saturates, as in the SPMD sweeps, so an empty partition
-    /// sweeps nothing.
+    /// subtraction saturates, so an empty partition sweeps nothing.
     fn backward_end(&self, omega: f64) -> usize {
         let nb = self.colors.num_blocks();
         if omega == 1.0 {
@@ -225,6 +340,30 @@ impl SweepTable {
         } else {
             nb
         }
+    }
+
+    /// The color phases of an `m`-step SSOR(ω) msolve, in order: step `s`
+    /// of `1..=m`, color block `c` and its [`Sweep`]. Both executors run
+    /// this schedule: each step sweeps forward over every color, then
+    /// backward down to color 0, from the next-to-last color when ω = 1
+    /// (see `backward_end`). The first step is fused with the `w₀ = 0`
+    /// start, so its upper halves are zero; later steps read them from the
+    /// cache, except in the last color, which has none (with ω = 1 the
+    /// backward pass skips that color, leaving a stale lower half in its
+    /// cache).
+    pub fn sweep_schedule(
+        &self,
+        m: usize,
+        omega: f64,
+    ) -> impl Iterator<Item = (usize, usize, Sweep)> {
+        let (nb, end) = (self.colors.num_blocks(), self.backward_end(omega));
+        (1..=m).flat_map(move |s| {
+            let forward = (0..nb).map(move |c| {
+                let cached_upper = s > 1 && c + 1 < nb;
+                (s, c, Sweep::Forward { cached_upper })
+            });
+            forward.chain((0..end).rev().map(move |c| (s, c, Sweep::Backward)))
+        })
     }
 
     /// One full SSOR(ω) step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
@@ -366,143 +505,6 @@ impl MulticolorSsor {
         &self.table
     }
 
-    /// Stored entries in color block `c` — the work measure deciding
-    /// whether its row loop is worth running on the pool.
-    #[inline]
-    fn block_nnz(&self, blk: &Range<usize>) -> usize {
-        self.table.a.row_ptr()[blk.end] - self.table.a.row_ptr()[blk.start]
-    }
-
-    /// Forward sweep with half-sum cache: fresh lower sums, cached upper
-    /// sums; caches the fresh lower sums for the backward pass.
-    ///
-    /// The last color has no upper colors, so its upper sum is structurally
-    /// zero — read it as such rather than from the cache (with ω = 1 the
-    /// backward pass skips the last color, leaving a stale *lower* sum in
-    /// `y` there).
-    ///
-    /// Each color's row loop is data parallel: row `i` writes only `x[i]`
-    /// and `y[i]` and reads `x` only at columns of *other* colors.
-    fn forward_cached(&self, scale: f64, b: &[f64], x: &mut [f64], y: &mut [f64]) {
-        let t = &self.table;
-        let nb = t.colors.num_blocks();
-        for c in 0..nb {
-            let blk = t.colors.range(c);
-            let last = c == nb - 1;
-            let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
-            if threads <= 1 {
-                for i in blk {
-                    let lower = t.lower_sum(i, x);
-                    let upper = if last { 0.0 } else { y[i] };
-                    t.relax(self.omega, i, scale * b[i] - lower - upper, x);
-                    y[i] = lower;
-                }
-            } else {
-                let xs = ParSlice::new(x);
-                let ys = ParSlice::new(y);
-                let (chunk_nnz, nchunks) = par::spmv_layout(self.block_nnz(&blk));
-                par::for_each_chunk(nchunks, threads, &|ci| {
-                    let rows =
-                        par::spmv_chunk_rows_range(t.a.row_ptr(), blk.clone(), chunk_nnz, ci);
-                    for i in rows {
-                        // SAFETY: row i is owned by this chunk (disjoint
-                        // chunks of one color block); reads touch other
-                        // colors only — the multicolor property.
-                        unsafe {
-                            let lower = t.lower_sum_shared(i, &xs);
-                            let upper = if last { 0.0 } else { ys.get(i) };
-                            let xi = xs.get(i);
-                            xs.set(
-                                i,
-                                (1.0 - self.omega) * xi
-                                    + self.omega * (scale * b[i] - lower - upper) * t.inv_diag[i],
-                            );
-                            ys.set(i, lower);
-                        }
-                    }
-                });
-            }
-        }
-    }
-
-    /// First forward sweep of an msolve, fused with the `w₀ = 0` start:
-    /// identical to [`MulticolorSsor::forward_cached`] on zero-filled
-    /// `x`/`y`, but never *reads* either — the `(1−ω)x` self-term and the
-    /// cached upper sums are structurally zero — so the zero-fill passes
-    /// are skipped entirely.
-    fn forward_first(&self, scale: f64, b: &[f64], x: &mut [f64], y: &mut [f64]) {
-        let t = &self.table;
-        for blk in t.colors.iter() {
-            let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
-            if threads <= 1 {
-                for i in blk {
-                    let lower = t.lower_sum(i, x);
-                    x[i] = self.omega * (scale * b[i] - lower) * t.inv_diag[i];
-                    y[i] = lower;
-                }
-            } else {
-                let xs = ParSlice::new(x);
-                let ys = ParSlice::new(y);
-                let (chunk_nnz, nchunks) = par::spmv_layout(self.block_nnz(&blk));
-                par::for_each_chunk(nchunks, threads, &|ci| {
-                    let rows =
-                        par::spmv_chunk_rows_range(t.a.row_ptr(), blk.clone(), chunk_nnz, ci);
-                    for i in rows {
-                        // SAFETY: as in forward_cached; additionally, the
-                        // lower sums of color 0 are empty and of color c>0
-                        // read only rows written in earlier (barriered)
-                        // color phases of this same pass.
-                        unsafe {
-                            let lower = t.lower_sum_shared(i, &xs);
-                            xs.set(i, self.omega * (scale * b[i] - lower) * t.inv_diag[i]);
-                            ys.set(i, lower);
-                        }
-                    }
-                });
-            }
-        }
-    }
-
-    /// Backward sweep with half-sum cache over blocks `end − 1` down to
-    /// block 0; per-color row loops data parallel like the forward sweep.
-    fn backward_cached(&self, scale: f64, b: &[f64], x: &mut [f64], y: &mut [f64], end: usize) {
-        let t = &self.table;
-        for c in (0..end).rev() {
-            let blk = t.colors.range(c);
-            let threads = par::threads_for(self.block_nnz(&blk), tuning::par_min_nnz());
-            if threads <= 1 {
-                for i in blk {
-                    let upper = t.upper_sum(i, x);
-                    let lower = y[i];
-                    t.relax(self.omega, i, scale * b[i] - lower - upper, x);
-                    y[i] = upper;
-                }
-            } else {
-                let xs = ParSlice::new(x);
-                let ys = ParSlice::new(y);
-                let (chunk_nnz, nchunks) = par::spmv_layout(self.block_nnz(&blk));
-                par::for_each_chunk(nchunks, threads, &|ci| {
-                    let rows =
-                        par::spmv_chunk_rows_range(t.a.row_ptr(), blk.clone(), chunk_nnz, ci);
-                    for i in rows {
-                        // SAFETY: as in forward_cached, mirrored.
-                        unsafe {
-                            let upper = t.upper_sum_shared(i, &xs);
-                            let lower = ys.get(i);
-                            let xi = xs.get(i);
-                            xs.set(
-                                i,
-                                (1.0 - self.omega) * xi
-                                    + self.omega * (scale * b[i] - lower - upper) * t.inv_diag[i],
-                            );
-                            ys.set(i, upper);
-                        }
-                    }
-                });
-            }
-        }
-    }
-
     /// Count of off-diagonal multiply–adds per SSOR step (the Conrad–Wallach
     /// cost: each off-diagonal entry exactly once).
     pub fn offdiag_ops_per_step(&self) -> usize {
@@ -557,15 +559,31 @@ impl Splitting for MulticolorSsor {
             self.dim(),
             "mc-ssor msolve: scratch length mismatch"
         );
-        let m = alphas.len();
-        let y = scratch;
-        let end = self.table.backward_end(self.omega);
-        self.forward_first(alphas[m - 1], r, z, y);
-        self.backward_cached(alphas[m - 1], r, z, y, end);
-        for s in 2..=m {
-            let alpha = alphas[m - s];
-            self.forward_cached(alpha, r, z, y);
-            self.backward_cached(alpha, r, z, y, end);
+        let t = &self.table;
+        let (m, omega) = (alphas.len(), self.omega);
+        // One participant count for the whole msolve, so every color phase
+        // keeps the same owners: one launch per phase, participant `p`
+        // sweeping chunk `p` of the block.
+        let threads = par::threads_for(t.a.nnz(), tuning::par_min_nnz());
+        let (x, y) = (ParSlice::new(z), ParSlice::new(scratch));
+        for (step, c, sweep) in t.sweep_schedule(m, omega) {
+            let (blk, alpha) = (t.colors.range(c), alphas[m - step]);
+            // The first forward pass starts from `x = 0`: no self term.
+            let from_zero = step == 1 && sweep != Sweep::Backward;
+            par::for_each_chunk(threads, threads, &|p| {
+                let rows = owned_chunk(blk.clone(), p, threads);
+                // SAFETY: participants sweep disjoint chunks of block `c`,
+                // whose rows read `x` only in other blocks.
+                unsafe {
+                    if from_zero {
+                        t.sweep(rows, sweep, alpha, r, &x, &y, |_, s, inv| omega * s * inv);
+                    } else {
+                        t.sweep(rows, sweep, alpha, r, &x, &y, |x_i, s, inv| {
+                            (1.0 - omega) * x_i + omega * s * inv
+                        });
+                    }
+                }
+            });
         }
     }
 
@@ -794,6 +812,30 @@ mod tests {
         let (lo, hi) = mc.spectrum_interval(80).unwrap();
         assert_eq!(hi, 1.0);
         assert!(lo > 0.0 && lo < 1.0);
+    }
+
+    /// The shared ownership rule: for every block length and participant
+    /// count — blocks shorter than the participant count included — the
+    /// chunks are contiguous, disjoint and in participant order, cover the
+    /// block, and differ in length by at most one.
+    #[test]
+    fn owned_chunks_split_a_block_evenly() {
+        for len in 0..=17 {
+            let block = 5..5 + len;
+            for parts in 1..=9 {
+                let chunks: Vec<_> = (0..parts)
+                    .map(|p| owned_chunk(block.clone(), p, parts))
+                    .collect();
+                let what = format!("{len} rows, {parts} participants: {chunks:?}");
+                assert_eq!(chunks[0].start, block.start, "{what}");
+                assert_eq!(chunks[parts - 1].end, block.end, "{what}");
+                assert!(chunks.iter().all(|c| c.start <= c.end), "{what}");
+                assert!(chunks.windows(2).all(|w| w[0].end == w[1].start), "{what}");
+                let lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+                let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(hi - lo <= 1, "{what}");
+            }
+        }
     }
 
     #[test]

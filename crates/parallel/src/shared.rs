@@ -20,6 +20,7 @@
 //! time: the solver's per-color ownership map upholds it, and the
 //! bitwise-replay tests are the only evidence.
 
+use mspcg_sparse::par::ParSlice;
 use std::cell::UnsafeCell;
 
 /// A fixed-length `f64` vector shared across the worker pool, stored as a
@@ -97,8 +98,19 @@ impl SharedVec {
         }
     }
 
-    /// Single-element write used by the color-sweep phases (ownership: the
-    /// worker's chunk of the current color block, one writer per index).
+    /// The vector behind the raw element accessors of a [`ParSlice`], for
+    /// the color-sweep kernel: unlike [`SharedVec::read`], this borrows no
+    /// element, so one worker's sweep may read other chunks while it
+    /// writes its own.
+    #[inline]
+    pub fn par_slice(&self) -> ParSlice<'_> {
+        // SAFETY: `UnsafeCell<f64>` has the layout of `f64` and permits
+        // writes through a shared reference; every access through the
+        // accessors is `unsafe` and carries the phase discipline.
+        unsafe { ParSlice::from_raw_parts(UnsafeCell::raw_get(self.buf.as_ptr()), self.buf.len()) }
+    }
+
+    /// Single-element write (ownership: one writer per index per phase).
     ///
     /// # Safety
     /// Same contract as [`SharedVec::write`] for the single index.

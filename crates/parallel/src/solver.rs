@@ -11,6 +11,13 @@
 //! barrier-separated. ω is fixed at 1, the paper's recommendation for
 //! multicolor orderings.
 //!
+//! One kernel, one ownership rule: the chunks come from
+//! [`mspcg_core::ssor::owned_chunk`] and every phase of
+//! [`SweepTable::sweep_schedule`] runs [`SweepTable::sweep`] on the
+//! worker's chunk — the rule, the order and the kernel the pool-path
+//! `MulticolorSsor` sweeps with. The SPMD executor passes its own update
+//! (ω = 1, no self term) and keeps its fused tail and its barriers.
+//!
 //! ## Fused phase schedule
 //!
 //! Each reduction is **fused into the phase that produces its operands**
@@ -89,6 +96,7 @@ use mspcg_core::poly::{resolve_precond, ResolvedPrecond};
 use mspcg_core::recovery::{
     audit_due, diverged, perturb, AuditPlan, FaultKind, FaultPlan, FaultTarget, RecoveryPolicy,
 };
+use mspcg_core::ssor::owned_chunk;
 use mspcg_core::{PolySchedule, SweepTable};
 use mspcg_sparse::{vecops, Partition, PcgVariant, PolyKind, PrecondKind, SparseError, SparseOp};
 use std::sync::Arc;
@@ -187,18 +195,14 @@ struct OwnedRows {
 
 impl OwnedRows {
     /// The ownership map of a `threads`-worker solve: entry `t` holds
-    /// chunk `t` of every block of `colors`, each block cut into
-    /// `threads` contiguous chunks whose row counts differ by at most one.
+    /// chunk `t` of every block of `colors` ([`owned_chunk`], the rule the
+    /// pool-path sweeps share).
     fn map(colors: &Partition, threads: usize) -> Vec<OwnedRows> {
         (0..threads)
             .map(|t| OwnedRows {
                 chunks: colors
                     .iter()
-                    .map(|blk| {
-                        let (base, extra) = (blk.len() / threads, blk.len() % threads);
-                        let start = blk.start + t * base + t.min(extra);
-                        start..start + base + usize::from(t < extra)
-                    })
+                    .map(|blk| owned_chunk(blk, t, threads))
                     .collect(),
             })
             .collect()
@@ -1038,13 +1042,15 @@ impl ParallelMStepPcg {
     }
 
     /// Barrier-per-color m-step SSOR solve `z ← M⁻¹ r` (ω = 1), or a plain
-    /// copy when no coefficients are set (plain CG).
+    /// copy when no coefficients are set (plain CG). Each phase of
+    /// [`SweepTable::sweep_schedule`] runs [`SweepTable::sweep`] on this
+    /// worker's chunk of the color, as the pool-path `MulticolorSsor`
+    /// does, here with the ω = 1 update `s/a_ii`, without the self term.
     ///
     /// Two fusions remove the surrounding barriers:
     /// * the `w₀ = 0` start is folded into the first forward sweep (step 1
     ///   reads neither `z` outside the current pass nor the `y` cache, so
-    ///   the old zero-fill phase and its barrier are gone), exactly like
-    ///   the sequential `MulticolorSsor::forward_first`;
+    ///   no zero-fill phase and barrier precede it), as on the pool path;
     /// * the **final color phase** additionally forms this worker's
     ///   `(z, r)` strip partial in `rz_partials` — every `z` element of
     ///   the strip was written by this worker in this or an earlier phase
@@ -1086,58 +1092,26 @@ impl ParallelMStepPcg {
             return;
         }
         let m = self.alphas.len();
-        let nb = self.table.colors().num_blocks();
-        let inv_diag = self.table.inv_diag();
-        for s in 1..=m {
-            let alpha = self.alphas[m - s];
-            let first_step = s == 1;
-            let last_step = s == m;
-            // Forward pass: one barrier per color. Within a color phase,
-            // every worker writes its own chunk of the color (one writer
-            // per row) and reads only other colors (finalized) — the
-            // multicolor guarantee. In the first step the upper half-sums
-            // are structurally zero (fused `w₀ = 0` start), so the stale
-            // `y` cache is never read.
-            for c in 0..nb {
-                let last = c == nb - 1;
-                unsafe {
-                    let rv = r.read();
-                    let zv = z.read();
-                    let yv = y.read();
-                    for i in own.chunk(c) {
-                        let lower = self.table.lower_sum(i, zv);
-                        let upper = if last || first_step { 0.0 } else { yv[i] };
-                        let xi = (alpha * rv[i] - lower - upper) * inv_diag[i];
-                        z.write_at(i, xi);
-                        y.write_at(i, lower);
-                    }
-                }
-                if last_step && last && nb == 1 {
-                    // Single color: no backward pass — this is the final
-                    // phase of the whole solve.
-                    tail();
-                }
-                barrier.wait();
+        let (zs, ys) = (z.par_slice(), y.par_slice());
+        // The ω = 1 update, without the self term.
+        let update = |_, s, inv_diag| s * inv_diag;
+        let mut schedule = self.table.sweep_schedule(m, 1.0).peekable();
+        while let Some((step, c, sweep)) = schedule.next() {
+            let alpha = self.alphas[m - step];
+            // SAFETY: within a color phase every worker writes only its own
+            // chunk of the color (one writer per row) and reads `z` only in
+            // other colors, finalized before the last barrier — the
+            // multicolor guarantee; `r` was finalized before the
+            // preconditioner began.
+            unsafe {
+                self.table
+                    .sweep(own.chunk(c), sweep, alpha, r.read(), &zs, &ys, update)
+            };
+            if schedule.peek().is_none() {
+                // The final phase of the solve carries the tail.
+                tail();
             }
-            // Backward pass (skip the idempotent last color at ω = 1).
-            for c in (0..nb.saturating_sub(1)).rev() {
-                unsafe {
-                    let rv = r.read();
-                    let zv = z.read();
-                    let yv = y.read();
-                    for i in own.chunk(c) {
-                        let upper = self.table.upper_sum(i, zv);
-                        let lower = yv[i];
-                        let xi = (alpha * rv[i] - lower - upper) * inv_diag[i];
-                        z.write_at(i, xi);
-                        y.write_at(i, upper);
-                    }
-                }
-                if last_step && c == 0 {
-                    tail();
-                }
-                barrier.wait();
-            }
+            barrier.wait();
         }
     }
 

@@ -15,18 +15,19 @@
 //!
 //! ## The row kernel
 //!
-//! Every row loop of the solvers — the SpMV range kernels behind the pool
-//! SpMV, the batch lanes and the polynomial msolve, and the SSOR half-sums
-//! of both executors — runs through one gather: it walks a row's
-//! `col_idx`/`values` slices in lockstep and reads `x[col]` **without a
-//! per-entry bounds check**. Its soundness is the column bound above: the
-//! structure is immutable after construction, so once a kernel has checked
-//! `x.len() == cols()` (once per call), every stored column indexes `x` in
-//! bounds. Each row is still summed in ascending column order, so the
-//! products are bitwise those of the checked loop.
+//! The SpMV range kernels behind the pool SpMV, the batch lanes and the
+//! polynomial msolve, and the half-sums of the SSOR power iteration, run
+//! through one gather: it walks a row's `col_idx`/`values` slices in
+//! lockstep and reads `x[col]` **without a per-entry bounds check**. Its
+//! soundness is the column bound above: the structure is immutable after
+//! construction, so once a kernel has checked `x.len() == cols()` (once
+//! per call), every stored column indexes `x` in bounds. Each row is
+//! still summed in ascending column order, so the products are bitwise
+//! those of the checked loop. The SSOR color sweeps of both executors
+//! read `x` the same way, in `mspcg-core`'s `SweepTable::sweep`.
 
 use crate::error::SparseError;
-use crate::par::{self, ParSlice};
+use crate::par;
 use crate::permute::Permutation;
 use crate::tuning;
 
@@ -331,7 +332,7 @@ impl CsrMatrix {
     /// `Σ values[k]·x[col_idx[k]]` over the stored entries `entries` (an
     /// index range into [`CsrMatrix::col_idx`]/[`CsrMatrix::values`],
     /// typically part of one row), accumulated in ascending entry order
-    /// from `0.0` — the SSOR half-sums' kernel.
+    /// from `0.0` — the half-sums of the SSOR power iteration.
     ///
     /// # Panics
     /// Panics if `x.len() != cols` or `entries` is out of bounds.
@@ -339,29 +340,6 @@ impl CsrMatrix {
     pub fn dot_entries(&self, entries: std::ops::Range<usize>, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.cols, "dot_entries: x length mismatch");
         // SAFETY: `x.len() == cols` is asserted above.
-        unsafe { self.gather(entries, x.as_ptr()) }
-    }
-
-    /// [`CsrMatrix::dot_entries`] reading `x` through a [`ParSlice`] — the
-    /// parallel color sweeps, whose rows read `x` while other chunks write
-    /// it.
-    ///
-    /// # Safety
-    /// No chunk may write `x` at any column of `entries` during this
-    /// parallel region (the multicolor property: a row's off-diagonal
-    /// columns lie in other color blocks).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols` or `entries` is out of bounds.
-    #[inline]
-    pub unsafe fn dot_entries_shared(
-        &self,
-        entries: std::ops::Range<usize>,
-        x: &ParSlice<'_>,
-    ) -> f64 {
-        assert_eq!(x.len(), self.cols, "dot_entries_shared: x length mismatch");
-        // SAFETY: `x` spans `cols` elements (asserted above); the caller
-        // rules out concurrent writes to the columns read.
         unsafe { self.gather(entries, x.as_ptr()) }
     }
 

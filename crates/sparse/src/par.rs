@@ -81,40 +81,22 @@ pub fn spmv_layout(nnz: usize) -> (usize, usize) {
 }
 
 /// Row range owned by nnz-weighted chunk `c` of a CSR matrix with row
-/// pointer array `row_ptr`: row `r` belongs to chunk
-/// `row_ptr[r] / chunk_nnz` (prefix-sum bucketing), so consecutive chunks
-/// hold disjoint, exhaustive, ascending row ranges whose stored-entry
-/// counts are within one row of `chunk_nnz`. The final chunk absorbs any
-/// trailing empty rows.
+/// pointer array `row_ptr` (any prefix sum starting at 0 works: the
+/// SELL-C-σ kernel feeds its per-slice sums through here): row `r`
+/// belongs to chunk `row_ptr[r] / chunk_nnz` (prefix-sum bucketing), so
+/// consecutive chunks hold disjoint, exhaustive, ascending row ranges
+/// whose stored-entry counts are within one row of `chunk_nnz`. The final
+/// chunk absorbs any trailing empty rows.
 #[inline]
 pub fn spmv_chunk_rows(row_ptr: &[usize], chunk_nnz: usize, c: usize) -> Range<usize> {
-    spmv_chunk_rows_range(row_ptr, 0..row_ptr.len() - 1, chunk_nnz, c)
-}
-
-/// [`spmv_chunk_rows`] restricted to the row block `rows` of a prefix-sum
-/// array: stored-entry counts are measured relative to
-/// `row_ptr[rows.start]`, and `chunk_nnz` must come from
-/// `spmv_layout(row_ptr[rows.end] − row_ptr[rows.start])`. This is the
-/// schedule the multicolor SSOR color sweeps use — each color block is
-/// chunked by the work its rows actually carry, not by row count — and any
-/// prefix-sum array works (the SELL-C-σ kernel feeds per-slice prefix
-/// sums through the same machinery).
-#[inline]
-pub fn spmv_chunk_rows_range(
-    row_ptr: &[usize],
-    rows: Range<usize>,
-    chunk_nnz: usize,
-    c: usize,
-) -> Range<usize> {
-    let base = row_ptr[rows.start];
-    let nnz = row_ptr[rows.end] - base;
-    let (_, nchunks) = spmv_layout(nnz);
-    let blk = &row_ptr[rows.start..rows.end];
-    let lo = rows.start + blk.partition_point(|&x| x - base < c * chunk_nnz);
+    let n = row_ptr.len() - 1;
+    let (_, nchunks) = spmv_layout(row_ptr[n]);
+    let starts = &row_ptr[..n];
+    let lo = starts.partition_point(|&x| x < c * chunk_nnz);
     let hi = if c + 1 >= nchunks {
-        rows.end
+        n
     } else {
-        rows.start + blk.partition_point(|&x| x - base < (c + 1) * chunk_nnz)
+        starts.partition_point(|&x| x < (c + 1) * chunk_nnz)
     };
     lo..hi
 }
@@ -148,6 +130,22 @@ impl<'a> ParSlice<'a> {
         }
     }
 
+    /// Wrap `len` elements at `ptr`: a buffer that is shared through
+    /// interior mutability instead of a `&mut` slice (`mspcg-parallel`'s
+    /// `SharedVec`).
+    ///
+    /// # Safety
+    /// `ptr` must be valid for reads and writes of `len` `f64`s for `'a`,
+    /// and every access to them during `'a` must keep the accessors'
+    /// contracts.
+    pub unsafe fn from_raw_parts(ptr: *mut f64, len: usize) -> Self {
+        ParSlice {
+            ptr,
+            len,
+            _marker: std::marker::PhantomData,
+        }
+    }
+
     /// Length of the underlying slice.
     #[inline]
     pub fn len(&self) -> usize {
@@ -160,29 +158,25 @@ impl<'a> ParSlice<'a> {
         self.len == 0
     }
 
-    /// Base pointer, for the CSR gather's unchecked reads.
-    #[inline]
-    pub(crate) fn as_ptr(&self) -> *const f64 {
-        self.ptr
-    }
-
     /// Read element `i`.
     ///
     /// # Safety
-    /// No chunk may concurrently write index `i` in this parallel region.
+    /// `i < len()` (checked only by a `debug_assert!`), and no chunk may
+    /// concurrently write index `i` in this parallel region.
     #[inline]
     pub unsafe fn get(&self, i: usize) -> f64 {
         debug_assert!(i < self.len);
-        // SAFETY: in-bounds by the debug assert; no concurrent writer by
-        // the forwarded contract.
+        // SAFETY: in bounds and no concurrent writer, by the forwarded
+        // contract.
         unsafe { *self.ptr.add(i) }
     }
 
     /// Write element `i`.
     ///
     /// # Safety
-    /// Index `i` must be written by at most one chunk in this parallel
-    /// region, and not read concurrently.
+    /// `i < len()` (checked only by a `debug_assert!`), and index `i` must
+    /// be written by at most one chunk in this parallel region, and not
+    /// read concurrently.
     #[inline]
     pub unsafe fn set(&self, i: usize, v: f64) {
         debug_assert!(i < self.len);
@@ -670,34 +664,6 @@ mod tests {
         // The dense row sits alone in its first chunk(s): chunk 0 covers
         // only row 0 (its 1000 entries span targets 0 and 512).
         assert_eq!(spmv_chunk_rows(&row_ptr, chunk, 0), 0..1);
-    }
-
-    #[test]
-    fn spmv_chunk_rows_range_covers_a_block_by_nnz() {
-        // Rows 2..6 of this prefix sum form a "color block" whose first row
-        // is dense; the block-relative chunks must be contiguous,
-        // exhaustive within the block, and split by stored entries.
-        let row_ptr = vec![0usize, 5, 10, 1010, 1014, 1018, 1022, 1030];
-        let rows = 2usize..6;
-        let blk_nnz = row_ptr[rows.end] - row_ptr[rows.start];
-        let (chunk_nnz, nchunks) = spmv_layout(blk_nnz);
-        let mut covered = Vec::new();
-        let mut prev_end = rows.start;
-        for c in 0..nchunks {
-            let r = spmv_chunk_rows_range(&row_ptr, rows.clone(), chunk_nnz, c);
-            assert_eq!(r.start, prev_end, "chunks must be contiguous");
-            prev_end = r.end;
-            covered.extend(r);
-        }
-        assert_eq!(covered, rows.clone().collect::<Vec<_>>());
-        // Whole-matrix chunking is the rows = 0..n special case.
-        let (full_chunk, full_chunks) = spmv_layout(row_ptr[7]);
-        for c in 0..full_chunks {
-            assert_eq!(
-                spmv_chunk_rows(&row_ptr, full_chunk, c),
-                spmv_chunk_rows_range(&row_ptr, 0..7, full_chunk, c)
-            );
-        }
     }
 
     #[test]

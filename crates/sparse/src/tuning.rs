@@ -39,8 +39,9 @@ pub const fn par_min_elems() -> usize {
     1 << 13
 }
 
-/// Sparse-kernel parallelism threshold (stored entries): SpMV and SSOR
-/// color sweeps with fewer stored entries than this run serially.
+/// Sparse-kernel parallelism threshold (stored entries): the SpMV and
+/// the SSOR sweeps of a matrix with fewer stored entries than this run
+/// serially.
 pub const fn par_min_nnz() -> usize {
     1 << 14
 }

@@ -158,10 +158,18 @@
 //! * **nnz-weighted SpMV chunking** — parallel SpMV splits rows at
 //!   `row_ptr` prefix-sum boundaries (`par::spmv_layout`), so a run of
 //!   dense-ish rows on an irregular FEM matrix cannot serialize the pool;
-//!   layouts stay thread-count independent. The multicolor SSOR color
-//!   sweeps chunk the same way (`par::spmv_chunk_rows_range` within each
-//!   color block). All thresholds are constants in
-//!   `mspcg::sparse::tuning`.
+//!   layouts stay thread-count independent. All thresholds are
+//!   constants in `mspcg::sparse::tuning`.
+//! * **One SSOR color-phase kernel** — both executors sweep through
+//!   `mspcg::core::SweepTable::sweep`, in the phase order of
+//!   `SweepTable::sweep_schedule`, on one fixed row ownership
+//!   (`mspcg::core::ssor::owned_chunk`, the paper's §3.2 assignment):
+//!   participant `p` of `T` owns chunk `p` of every color block, row
+//!   counts equal to within one. The pool path runs each color phase as
+//!   one `T`-participant launch, the SPMD workers between barriers. The
+//!   kernel slices the table once per call and reads `x` unchecked under
+//!   the validated column bound, with one row loop per sweep kind. Each
+//!   executor passes its own update, so each keeps its own arithmetic.
 //! * **Adaptive fallback** — kernels below a work threshold
 //!   (`tuning::par_min_elems` elements, set at the measured launch
 //!   break-even, or `tuning::par_min_nnz` stored entries) run serially;

@@ -1,20 +1,24 @@
 //! The CSR row kernel that every SpMV range kernel and SSOR half-sum runs
-//! on reads `x[col]` without a per-entry bounds check. These tests pin what
-//! that rests on:
+//! on, and the SSOR color-phase kernel both executors sweep with, read
+//! `x[col]` without a per-entry bounds check. These tests pin what that
+//! rests on:
 //!
-//! * an xorshift property loop over random CSR matrices (empty rows,
-//!   one-entry rows, rows longer than 64 entries, non-square shapes)
-//!   checks the range kernels and both half-sums **bitwise** against a
-//!   naive loop kept here, with `x` holding ±0.0, NaN and ±∞;
-//! * an `x` shorter or longer than `cols()` panics instead of being read;
+//! * xorshift property loops over random CSR matrices (empty rows,
+//!   one-entry rows, rows longer than 64 entries, non-square shapes) and
+//!   random color-blocked ones check the range kernels, both half-sums
+//!   and the color-phase sweeps **bitwise** against naive loops kept here,
+//!   with `x` holding ±0.0, NaN and ±∞ (a NaN result need only be a NaN:
+//!   see [`same_value`]);
+//! * an `x` of the wrong length panics instead of being read;
 //! * an operator whose `visit_row` breaks its contract (a column past
 //!   `cols()`, unsorted columns) is refused with a [`SparseError`] by
 //!   both SSOR constructors, before any table is built on it.
 
 use mspcg::coloring::Coloring;
+use mspcg::core::ssor::{owned_chunk, Sweep};
 use mspcg::core::{MulticolorSsor, SweepTable};
 use mspcg::parallel::ParallelMStepPcg;
-use mspcg::sparse::par::ParSlice;
+use mspcg::sparse::par::{self, ParSlice};
 use mspcg::sparse::{CooMatrix, CsrMatrix, Partition, SparseError, SparseOp};
 use std::ops::Range;
 use std::sync::Arc;
@@ -35,8 +39,16 @@ fn naive(a: &CsrMatrix, entries: Range<usize>, x: &[f64]) -> f64 {
     acc
 }
 
-fn same_bits(got: f64, want: f64) -> bool {
-    got.to_bits() == want.to_bits()
+/// Bit for bit, signed zeros included — except that a NaN reference needs
+/// only a NaN: Rust leaves the sign and payload of a NaN result
+/// unspecified, and optimized code may commute `acc + v·x`, so the kernels
+/// and the naive loops may return different NaNs for the same sum.
+fn same_value(got: f64, want: f64) -> bool {
+    if want.is_nan() {
+        got.is_nan()
+    } else {
+        got.to_bits() == want.to_bits()
+    }
 }
 
 /// A value of `x`: mostly finite, with probability `special` one of
@@ -158,13 +170,13 @@ fn range_kernels_match_the_naive_loop_bitwise() {
             let row = a.row_ptr()[i]..a.row_ptr()[i + 1];
             let want = naive(&a, row, &x);
             assert!(
-                same_bits(y[k], want),
+                same_value(y[k], want),
                 "case {case} row {i}: {} vs {want}",
                 y[k]
             );
             let want = seed[k] + scale * want;
             assert!(
-                same_bits(acc[k], want),
+                same_value(acc[k], want),
                 "case {case} axpy row {i}: {} vs {want}",
                 acc[k]
             );
@@ -173,7 +185,7 @@ fn range_kernels_match_the_naive_loop_bitwise() {
         let full = a.mul_vec(&x);
         for (i, v) in full.iter().enumerate() {
             let want = naive(&a, a.row_ptr()[i]..a.row_ptr()[i + 1], &x);
-            assert!(same_bits(*v, want), "case {case} mul_vec row {i}");
+            assert!(same_value(*v, want), "case {case} mul_vec row {i}");
         }
     }
     assert!(
@@ -192,9 +204,7 @@ fn half_sums_match_the_naive_loop_bitwise() {
         long_rows += (0..n).filter(|&i| a.row_nnz(i) > 64).count();
         let special = [0.0, 0.05, 0.3][case as usize % 3];
         let x: Vec<f64> = (0..n).map(|_| draw(&mut rng, special)).collect();
-        let mut xs_buf = x.clone();
         let table = SweepTable::new(Arc::new(a.clone()), Arc::new(colors.clone())).unwrap();
-        let xs = ParSlice::new(&mut xs_buf);
         for blk in colors.iter() {
             for i in blk.clone() {
                 let row = a.row_ptr()[i]..a.row_ptr()[i + 1];
@@ -204,18 +214,13 @@ fn half_sums_match_the_naive_loop_bitwise() {
                 let lower = naive(&a, row.start..split(blk.start), &x);
                 let upper = naive(&a, split(blk.end)..row.end, &x);
                 assert!(
-                    same_bits(table.lower_sum(i, &x), lower),
+                    same_value(table.lower_sum(i, &x), lower),
                     "case {case} lower {i}"
                 );
                 assert!(
-                    same_bits(table.upper_sum(i, &x), upper),
+                    same_value(table.upper_sum(i, &x), upper),
                     "case {case} upper {i}"
                 );
-                // SAFETY: one thread, nothing writes `xs` meanwhile.
-                unsafe {
-                    assert!(same_bits(table.lower_sum_shared(i, &xs), lower));
-                    assert!(same_bits(table.upper_sum_shared(i, &xs), upper));
-                }
             }
         }
     }
@@ -223,6 +228,113 @@ fn half_sums_match_the_naive_loop_bitwise() {
         long_rows > 0,
         "the generator must produce rows past 64 entries"
     );
+}
+
+/// A relaxation update `(x_i, s, 1/a_ii) ↦ x_i'` as the executors pass it.
+type Update = fn(f64, f64, f64, f64) -> f64;
+
+/// The updates the executors sweep with, at relaxation factor `w`: the
+/// pool path's first step from `x = 0`, its SOR(ω) step, and the SPMD
+/// executor's ω = 1 form.
+const UPDATES: [(&str, Update); 3] = [
+    ("from zero", |w, _, s, inv| w * s * inv),
+    ("sor", |w, x_i, s, inv| (1.0 - w) * x_i + w * s * inv),
+    ("unit", |_, _, s, inv| s * inv),
+];
+
+/// One color phase over `blk`, row by row with checked indexing: the
+/// fresh half-sum, both halves subtracted from `scale·b_i` in the order
+/// lower, upper (the upper half zero when not cached), the update, and
+/// the fresh half into the cache.
+#[allow(clippy::too_many_arguments)]
+fn naive_sweep(
+    a: &CsrMatrix,
+    blk: Range<usize>,
+    sweep: Sweep,
+    update: impl Fn(f64, f64, f64) -> f64,
+    scale: f64,
+    b: &[f64],
+    x: &mut [f64],
+    y: &mut [f64],
+) {
+    let snapshot = x.to_vec();
+    for i in blk.clone() {
+        let row = a.row_ptr()[i]..a.row_ptr()[i + 1];
+        let split = |bound: usize| {
+            row.start + a.col_idx()[row.clone()].partition_point(|&j| (j as usize) < bound)
+        };
+        let lower = naive(a, row.start..split(blk.start), &snapshot);
+        let upper = naive(a, split(blk.end)..row.end, &snapshot);
+        let (s, fresh) = match sweep {
+            Sweep::Forward {
+                cached_upper: false,
+            } => (scale * b[i] - lower, lower),
+            Sweep::Forward { cached_upper: true } => (scale * b[i] - lower - y[i], lower),
+            Sweep::Backward => (scale * b[i] - y[i] - upper, upper),
+        };
+        let diag = a.values()[split(blk.start)];
+        x[i] = update(x[i], s, 1.0 / diag);
+        y[i] = fresh;
+    }
+}
+
+#[test]
+fn sweep_kernel_matches_a_naive_sweep_bitwise() {
+    let sweeps = [
+        Sweep::Forward {
+            cached_upper: false,
+        },
+        Sweep::Forward { cached_upper: true },
+        Sweep::Backward,
+    ];
+    for case in 0..CASES / 2 {
+        let mut rng = Rng::new(0x5EE9 + case);
+        let (a, colors) = random_blocked(&mut rng);
+        let n = a.rows();
+        let special = [0.0, 0.05, 0.3][case as usize % 3];
+        let x0: Vec<f64> = (0..n).map(|_| draw(&mut rng, special)).collect();
+        let y0: Vec<f64> = (0..n).map(|_| draw(&mut rng, special)).collect();
+        let b: Vec<f64> = (0..n).map(|_| draw(&mut rng, special)).collect();
+        let scale = rng.unit() * 3.0 - 1.5;
+        let table = SweepTable::new(Arc::new(a.clone()), Arc::new(colors.clone())).unwrap();
+        for (c, blk) in colors.iter().enumerate() {
+            for sweep in sweeps {
+                for (name, update) in UPDATES {
+                    for w in [1.0, 0.7] {
+                        let update = |x_i, s, inv| update(w, x_i, s, inv);
+                        let (mut want_x, mut want_y) = (x0.clone(), y0.clone());
+                        naive_sweep(
+                            &a,
+                            blk.clone(),
+                            sweep,
+                            update,
+                            scale,
+                            &b,
+                            &mut want_x,
+                            &mut want_y,
+                        );
+                        for parts in [1usize, 2, 3, 8] {
+                            let (mut got_x, mut got_y) = (x0.clone(), y0.clone());
+                            let (x, y) = (ParSlice::new(&mut got_x), ParSlice::new(&mut got_y));
+                            par::for_each_chunk(parts, parts, &|p| {
+                                let rows = owned_chunk(blk.clone(), p, parts);
+                                // SAFETY: disjoint chunks of one color block.
+                                unsafe { table.sweep(rows, sweep, scale, &b, &x, &y, update) }
+                            });
+                            for i in 0..n {
+                                assert!(
+                                    same_value(got_x[i], want_x[i])
+                                        && same_value(got_y[i], want_y[i]),
+                                    "case {case} color {c} {sweep:?} {name} w = {w}, \
+                                     {parts} participants, row {i}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 fn small() -> CsrMatrix {
@@ -261,6 +373,27 @@ fn axpy_range_kernel_rejects_a_long_x() {
 #[should_panic(expected = "x length mismatch")]
 fn entry_dot_rejects_a_long_x() {
     small().dot_entries(0..3, &[1.0; 5]);
+}
+
+#[test]
+#[should_panic(expected = "sweep: vector length mismatch")]
+fn sweep_kernel_rejects_a_short_x() {
+    let (a, colors) = rb_system(9);
+    let table = SweepTable::new(Arc::new(a), Arc::new(colors)).unwrap();
+    let (mut x, mut y) = (vec![0.0; 8], vec![0.0; 9]);
+    let (x, y) = (ParSlice::new(&mut x), ParSlice::new(&mut y));
+    // SAFETY: one thread.
+    unsafe {
+        table.sweep(
+            0..4,
+            Sweep::Backward,
+            1.0,
+            &[1.0; 9],
+            &x,
+            &y,
+            |_, s, inv| s * inv,
+        )
+    }
 }
 
 /// Red/black-ordered 1-D Laplacian: a valid color-blocked system.
