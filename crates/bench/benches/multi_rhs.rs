@@ -5,9 +5,11 @@
 //!     + dot, as four separate sweeps vs one fused kernel, on
 //!     512×512-Poisson-sized vectors (262 144 elements);
 //! (b) **batched multi-RHS solves** — 32 load cases against one plate
-//!     stiffness matrix via `pcg_solve_multi` (RHS-level parallelism on a
-//!     small plate, kernel-level on a large one) vs the same 32 solves
-//!     issued sequentially through `pcg_solve_into`.
+//!     stiffness matrix via `pcg_solve_multi` (RHS-level parallelism in
+//!     lockstep blocks on a small plate, kernel-level on a large one) vs
+//!     the same 32 solves issued sequentially through `pcg_solve_into`.
+//!     Each regime asserts in-run that every batch column is bitwise its
+//!     sequential solve, iteration count included.
 //!
 //! Run: `cargo bench -p mspcg-bench --bench multi_rhs` (add `-- --json
 //! FILE` to keep the numbers).
@@ -104,6 +106,16 @@ fn bench_multi_rhs(results: &mut Vec<BenchResult>, a: usize, regime: &str) {
         },
     ));
 
+    let sequential = u.clone();
+    let iterations: Vec<usize> = f
+        .chunks(n)
+        .map(|fi| {
+            let mut ui = vec![0.0; n];
+            let rep = pcg_solve_into(&matrix, fi, &mut ui, &pre, &opts, &mut single_ws);
+            rep.expect("solve").iterations
+        })
+        .collect();
+
     let mut ws = MultiRhsWorkspace::new(n, N_CASES);
     results.push(bench(
         &format!("multi_rhs_plate{a}_{regime}"),
@@ -113,6 +125,23 @@ fn bench_multi_rhs(results: &mut Vec<BenchResult>, a: usize, regime: &str) {
             pcg_solve_multi(&matrix, &f, &mut u, &pre, &opts, &mut ws).expect("batch");
         },
     ));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (i, (got, want)) in u.chunks(n).zip(sequential.chunks(n)).enumerate() {
+        assert_eq!(
+            bits(got),
+            bits(want),
+            "{regime}: case {i} differs from its sequential solve"
+        );
+        let out = &ws.outcomes()[i];
+        assert!(
+            out.status.is_converged(),
+            "{regime}: case {i} did not converge"
+        );
+        assert_eq!(
+            out.report.iterations, iterations[i],
+            "{regime}: case {i} iterations"
+        );
+    }
 }
 
 fn main() {

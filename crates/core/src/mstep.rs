@@ -171,6 +171,17 @@ impl<S: Splitting> Preconditioner for MStep<S> {
     fn apply_with(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
         self.splitting.msolve_with(&self.alphas, r, z, scratch);
     }
+
+    fn apply_block<const W: usize>(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        active: &[bool; W],
+        scratch: &mut [f64],
+    ) {
+        self.splitting
+            .msolve_block(&self.alphas, r, z, active, scratch);
+    }
 }
 
 /// The paper's headline configuration: m-step **multicolor SSOR** PCG.

@@ -224,6 +224,33 @@ impl PcgWorkspace {
         self.aud.resize(n, 0.0);
     }
 
+    /// Ready the workspace for solves of dimension `n` with a
+    /// preconditioner scratch of `scratch_len` values, audited or not, and
+    /// clear the history. Allocates only where a slot grows.
+    pub(crate) fn prepare(&mut self, n: usize, scratch_len: usize, audited: bool) {
+        if self.dim() != n {
+            self.resize(n);
+        }
+        if self.precond_scratch.len() != scratch_len {
+            self.precond_scratch.resize(scratch_len, 0.0);
+        }
+        if audited {
+            self.ensure_audit(n);
+        }
+        self.history.clear();
+    }
+
+    /// The residual slot, scratch for the batched solver's per-column
+    /// initial residuals and exit reports.
+    pub(crate) fn residual_mut(&mut self) -> &mut [f64] {
+        &mut self.r
+    }
+
+    /// The audit slot (sized by [`PcgWorkspace::prepare`] when audited).
+    pub(crate) fn audit_mut(&mut self) -> &mut [f64] {
+        &mut self.aud
+    }
+
     /// Preallocate the history record so that solves with
     /// `record_history` stay allocation free up to `iters` iterations.
     pub fn reserve_history(&mut self, iters: usize) {
@@ -376,13 +403,7 @@ pub fn pcg_try_solve_into<A: SparseOp>(
         });
     }
     validate_inputs(opts.tol, &opts.recovery, f, u)?;
-    if ws.dim() != n {
-        ws.resize(n);
-    }
-    if ws.precond_scratch.len() != m.scratch_len() {
-        ws.precond_scratch.resize(m.scratch_len(), 0.0);
-    }
-    ws.history.clear();
+    ws.prepare(n, m.scratch_len(), opts.recovery.replacement);
 
     let mut stats = PcgStats::default();
 
@@ -402,10 +423,19 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     }
 
     let audit = AuditPlan::new(&opts.recovery, opts.tol, f_norm);
-    if audit.enabled {
-        ws.ensure_audit(n);
-    }
-    classic_loop(k, f, u, m, opts, ws, &mut stats, f_norm, &audit)
+    classic_loop(
+        k,
+        f,
+        u,
+        m,
+        opts,
+        ws,
+        &mut stats,
+        f_norm,
+        &audit,
+        0,
+        f64::INFINITY,
+    )
 }
 
 /// The input checks every solver entry point — [`pcg_try_solve_into`],
@@ -447,14 +477,15 @@ pub fn validate_inputs(
 }
 
 /// One audit: recompute the true residual `f − K·u` into `aud` and return
-/// its squared deviation from the recurrence residual `r`. The sum of
+/// its squared deviation from the recurrence residual, column `j` of the
+/// `W`-column interleaved block `r` (width 1: `r` itself). The sum of
 /// squares propagates NaN (unlike a max-based norm, which swallows it),
 /// so a poisoned recurrence residual always reads as divergent.
-fn audit_deviation2<A: SparseOp>(
+pub(crate) fn audit_deviation2<A: SparseOp, const W: usize>(
     k: &A,
     f: &[f64],
     u: &[f64],
-    r: &[f64],
+    (r, j): (&[f64], usize),
     aud: &mut [f64],
     stats: &mut PcgStats,
 ) -> f64 {
@@ -463,7 +494,7 @@ fn audit_deviation2<A: SparseOp>(
     k.mul_vec_axpy(-1.0, u, aud);
     stats.spmv += 1;
     aud.iter()
-        .zip(r.iter())
+        .zip(r.chunks_exact(W).map(|row| row[j]))
         .map(|(t, ri)| {
             let d = t - ri;
             d * d
@@ -476,7 +507,7 @@ fn audit_deviation2<A: SparseOp>(
 /// it over many iterations, so reporting its norm would overstate — or
 /// understate — how close the returned iterate actually is).
 #[allow(clippy::too_many_arguments)]
-fn exit_report<A: SparseOp>(
+pub(crate) fn exit_report<A: SparseOp>(
     k: &A,
     f: &[f64],
     u: &[f64],
@@ -507,8 +538,13 @@ fn exit_report<A: SparseOp>(
 /// residual-replacement transformation. Termination: audit restarts
 /// strictly advance `start` ([`audit_due`]) and non-finite restarts spend
 /// the `max_replacements` budget.
+///
+/// `start` iterations are already charged to `stats` and `change` is the
+/// last measured ‖Δu‖∞ — `0` and infinity for a fresh solve; the batched
+/// solver enters here with a column that left its lockstep block, so its
+/// restart continues exactly like the standalone one.
 #[allow(clippy::too_many_arguments)]
-fn classic_loop<A: SparseOp>(
+pub(crate) fn classic_loop<A: SparseOp>(
     k: &A,
     f: &[f64],
     u: &mut [f64],
@@ -518,9 +554,9 @@ fn classic_loop<A: SparseOp>(
     stats: &mut PcgStats,
     f_norm: f64,
     audit: &AuditPlan,
+    mut start: usize,
+    mut change: f64,
 ) -> Result<PcgReport, SparseError> {
-    let mut start = 0;
-    let mut change = f64::INFINITY;
     loop {
         match classic_pass(k, f, u, m, opts, ws, stats, f_norm, audit, start, change)? {
             ClassicFlow::Done(report) => return Ok(report),
@@ -536,7 +572,7 @@ fn classic_loop<A: SparseOp>(
 }
 
 /// Control flow of one classic pass.
-enum ClassicFlow {
+pub(crate) enum ClassicFlow {
     /// The pass produced a final report.
     Done(PcgReport),
     /// In-place recovery after `completed` iterations: re-enter the pass
@@ -548,7 +584,7 @@ enum ClassicFlow {
 /// Shared non-finite handling of the classic pass: count the detection,
 /// then recover in place while the replacement budget lasts, surfacing
 /// the typed error once it is spent.
-fn nonfinite_flow(
+pub(crate) fn nonfinite_flow(
     stats: &mut PcgStats,
     audit: &AuditPlan,
     phase: &'static str,
@@ -650,7 +686,7 @@ fn classic_pass<A: SparseOp>(
             && audit_due(iter, start_iter, audit.period)
             && stats.replacements < audit.max_replacements
         {
-            let dev2 = audit_deviation2(k, f, u, r, aud, stats);
+            let dev2 = audit_deviation2::<_, 1>(k, f, u, (r, 0), aud, stats);
             if diverged(dev2, audit.bound2) {
                 stats.replacements += 1;
                 return Ok(ClassicFlow::Restart {

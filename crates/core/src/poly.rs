@@ -484,6 +484,19 @@ impl<A: SparseOp> Preconditioner for AutoPreconditioner<A> {
         }
     }
 
+    fn apply_block<const W: usize>(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        active: &[bool; W],
+        scratch: &mut [f64],
+    ) {
+        match self {
+            AutoPreconditioner::MStepSsor(p) => p.apply_block(r, z, active, scratch),
+            AutoPreconditioner::Poly(p) => p.apply_block(r, z, active, scratch),
+        }
+    }
+
     fn spectral_hint(&self) -> Option<SpectralInterval> {
         match self {
             AutoPreconditioner::MStepSsor(p) => p.spectral_hint(),

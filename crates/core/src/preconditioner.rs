@@ -7,6 +7,7 @@
 //! nonpositive, which is the observable symptom of an indefinite `M`.
 
 use mspcg_sparse::lanczos::SpectralInterval;
+use mspcg_sparse::op::by_column;
 use mspcg_sparse::SparseError;
 
 /// Application of `M⁻¹`: `z ← M⁻¹ r`.
@@ -45,6 +46,38 @@ pub trait Preconditioner {
         self.apply(r, z);
     }
 
+    /// [`Preconditioner::apply_with`] on `W` right-hand sides stored
+    /// interleaved — column `j` of row `i` at `i·W + j`, in `r` and `z`
+    /// alike — for the columns with `active[j]`: each such column of `z` is
+    /// bitwise the `apply_with` of that column of `r`. An inactive column
+    /// of `z` is left as it is or overwritten with the solve of the same
+    /// column of `r`.
+    ///
+    /// `scratch` holds at least [`block_scratch_len`]`(self, W)` values.
+    /// The default goes column by column through `apply_with`
+    /// ([`by_column`]), so every column is one application, as call
+    /// counting and fault injection expect. The m-step multicolor SSOR
+    /// overrides it, through
+    /// [`Splitting::msolve_block`](crate::splitting::Splitting::msolve_block),
+    /// with sweeps that load each stored entry once per block.
+    ///
+    /// # Panics
+    /// If `r` or `z` is not `W·dim()` long or `scratch` is too short.
+    fn apply_block<const W: usize>(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        active: &[bool; W],
+        scratch: &mut [f64],
+    ) {
+        let (n, s) = (self.dim(), self.scratch_len());
+        assert_eq!(r.len(), W * n, "apply_block: r length mismatch");
+        assert_eq!(z.len(), W * n, "apply_block: z length mismatch");
+        by_column(r, z, active, scratch, |r, z, scratch| {
+            self.apply_with(r, z, &mut scratch[..s]);
+        });
+    }
+
     /// A spectral interval this preconditioner already paid a Lanczos run
     /// for, if it has one: the [`crate::poly::PolynomialPreconditioner`]
     /// returns its cached Jacobi-scaled spectrum, so a consumer that needs
@@ -54,6 +87,18 @@ pub trait Preconditioner {
     fn spectral_hint(&self) -> Option<SpectralInterval> {
         None
     }
+}
+
+/// The scratch [`Preconditioner::apply_block`] needs on `w` columns:
+/// `w·s` for a block kernel and `s + 2·dim()` for the column-by-column
+/// default (`s` = [`Preconditioner::scratch_len`]), so the larger of the
+/// two. It also covers [`SparseOp::mul_block_into`]'s default on an
+/// operator of the same dimension.
+///
+/// [`SparseOp::mul_block_into`]: mspcg_sparse::SparseOp::mul_block_into
+pub fn block_scratch_len(m: &impl Preconditioner, w: usize) -> usize {
+    let s = m.scratch_len();
+    (w * s).max(s + 2 * m.dim())
 }
 
 /// `M = I`: plain conjugate gradients.

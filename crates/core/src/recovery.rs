@@ -262,7 +262,9 @@ impl InjectionState {
 /// delegate untouched, so construction paths (splitting extraction, sweep
 /// tables) see the clean matrix and only the solver-facing applications
 /// are corrupted. Counters use atomics so the wrapper stays `Sync` like
-/// every operator.
+/// every operator. Block products take the trait's default, column by
+/// column through the injecting `mul_vec_into`, so each column of a
+/// batched block counts as one application.
 #[derive(Debug)]
 pub struct FaultyOp<A> {
     inner: A,
@@ -336,7 +338,8 @@ impl<A: SparseOp> SparseOp for FaultyOp<A> {
 
 /// A [`Preconditioner`] wrapper injecting planned perturbations into the
 /// output of chosen `apply`/`apply_with` calls — the msolve analog of
-/// [`FaultyOp`].
+/// [`FaultyOp`]. Like it, block applications go column by column through
+/// the injecting `apply_with`.
 #[derive(Debug)]
 pub struct FaultyPreconditioner<P> {
     inner: P,

@@ -17,6 +17,7 @@
 
 use crate::poly::jacobi_spectrum;
 use mspcg_sparse::lanczos::power_spectral_radius;
+use mspcg_sparse::op::by_column;
 use mspcg_sparse::{CsrMatrix, SparseError, SparseOp};
 use std::cell::RefCell;
 
@@ -62,6 +63,37 @@ pub trait Splitting {
     /// Numerically identical to `msolve`. The default ignores the scratch.
     fn msolve_with(&self, alphas: &[f64], r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
         self.msolve(alphas, r, z);
+    }
+
+    /// [`Splitting::msolve_with`] on `W` right-hand sides stored
+    /// interleaved — column `j` of row `i` at `i·W + j`, in `r` and `z`
+    /// alike — for the columns with `active[j]`: each such column of `z` is
+    /// bitwise the `msolve_with` of that column of `r`. An inactive column
+    /// of `z` is left as it is or overwritten with the solve of the same
+    /// column of `r`.
+    ///
+    /// `scratch` holds at least `max(W·s, s + 2·dim())` values, `s` being
+    /// [`Splitting::msolve_scratch_len`]. The default goes column by column
+    /// through `msolve_with` ([`by_column`]); the multicolor SSOR overrides
+    /// it with sweeps that load each stored entry once per block.
+    ///
+    /// # Panics
+    /// If `r` or `z` is not `W·dim()` long, `scratch` is too short, or
+    /// `alphas` is empty.
+    fn msolve_block<const W: usize>(
+        &self,
+        alphas: &[f64],
+        r: &[f64],
+        z: &mut [f64],
+        active: &[bool; W],
+        scratch: &mut [f64],
+    ) {
+        let (n, s) = (self.dim(), self.msolve_scratch_len());
+        assert_eq!(r.len(), W * n, "msolve_block: r length mismatch");
+        assert_eq!(z.len(), W * n, "msolve_block: z length mismatch");
+        by_column(r, z, active, scratch, |r, z, scratch| {
+            self.msolve_with(alphas, r, z, &mut scratch[..s]);
+        });
     }
 
     /// Estimated interval `[λ₁, λₙ]` containing the spectrum of `P⁻¹K`.

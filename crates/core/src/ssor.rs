@@ -20,6 +20,12 @@
 //! participant count. Each executor passes the kernel its own relaxation
 //! update, so each keeps its arithmetic.
 //!
+//! The kernel is generic over a column count `W`: the batched solver's
+//! lockstep blocks sweep `W` interleaved right-hand sides at once
+//! (`Splitting::msolve_block`), loading each stored entry, `diag_at` and
+//! `1/a_ii` once for all of them. Every column is bitwise its width-1
+//! sweep, and both executors' solves are width 1.
+//!
 //! ## The Conrad–Wallach auxiliary vector
 //!
 //! A textbook SSOR step touches every off-diagonal entry twice (once in the
@@ -222,18 +228,22 @@ impl SweepTable {
     }
 
     /// One color phase of a cached sweep over `rows`, a range of one color
-    /// block. Per row it forms the fresh half-sum (the lower half going
+    /// block, on `W` right-hand sides stored interleaved (column `j` of row
+    /// `i` at `i·W + j` in `b`, `x` and `y`; width 1 is a plain vector).
+    /// Per row and column it forms the fresh half-sum (the lower half going
     /// forward, the upper half going backward), subtracts both halves from
     /// `scale·b_i` in the order lower, upper, sets `x_i` to
     /// `relax(x_i, s, 1/a_ii)` where `s` is that difference, and caches the
     /// fresh half in `y_i` for the opposite pass (Conrad–Wallach). Both
-    /// executors sweep here, each passing its own update as `relax`.
+    /// executors sweep here, each passing its own update as `relax`. Each
+    /// stored value and column index of a row is loaded once for all `W`
+    /// columns, and every column is bitwise its width-1 sweep.
     ///
     /// `row_ptr`, `diag_at`, `inv_diag` and `b` are sliced once per call.
     /// `x` is read at the rows' columns without a bounds check: every
     /// stored column of the validated, square matrix is below its
-    /// dimension, and `x.len()` is asserted equal to it once per call
-    /// (each read re-checks it in a `debug_assert!`).
+    /// dimension, and `x.len()` is asserted equal to `W` times it once per
+    /// call (each read re-checks it in a `debug_assert!`).
     ///
     /// # Safety
     /// While the call runs, no other thread writes `x` at a column of the
@@ -242,10 +252,10 @@ impl SweepTable {
     /// this: a row's off-diagonal columns lie in other color blocks.
     ///
     /// # Panics
-    /// If `x`, `y` or `b` differs in length from the dimension, or `rows`
-    /// runs past it.
+    /// If `x`, `y` or `b` differs in length from `W` times the dimension,
+    /// or `rows` runs past it.
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn sweep(
+    pub unsafe fn sweep<const W: usize>(
         &self,
         rows: Range<usize>,
         sweep: Sweep,
@@ -255,7 +265,7 @@ impl SweepTable {
         y: &ParSlice<'_>,
         relax: impl Fn(f64, f64, f64) -> f64,
     ) {
-        let n = self.a.rows();
+        let n = W * self.a.rows();
         assert!(
             x.len() == n && y.len() == n && b.len() == n,
             "sweep: vector length mismatch"
@@ -266,13 +276,20 @@ impl SweepTable {
             match sweep {
                 Sweep::Forward {
                     cached_upper: false,
-                } => self.sweep_rows(rows, true, scale, b, x, y, |b, lo, _| b - lo, relax),
+                } => self.sweep_rows::<W>(rows, true, scale, b, x, y, |b, lo, _| b - lo, relax),
                 Sweep::Forward { cached_upper: true } => {
-                    self.sweep_rows(rows, true, scale, b, x, y, |b, lo, up| b - lo - up, relax)
+                    self.sweep_rows::<W>(rows, true, scale, b, x, y, |b, lo, up| b - lo - up, relax)
                 }
-                Sweep::Backward => {
-                    self.sweep_rows(rows, false, scale, b, x, y, |b, up, lo| b - lo - up, relax)
-                }
+                Sweep::Backward => self.sweep_rows::<W>(
+                    rows,
+                    false,
+                    scale,
+                    b,
+                    x,
+                    y,
+                    |b, up, lo| b - lo - up,
+                    relax,
+                ),
             }
         }
     }
@@ -284,7 +301,7 @@ impl SweepTable {
     /// As for [`SweepTable::sweep`], whose length checks it relies on.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn sweep_rows(
+    unsafe fn sweep_rows<const W: usize>(
         &self,
         rows: Range<usize>,
         forward: bool,
@@ -301,22 +318,28 @@ impl SweepTable {
             .windows(2)
             .zip(&self.diag_at[rows.clone()])
             .zip(&self.inv_diag[rows.clone()])
-            .zip(&b[rows.clone()]);
-        for ((((ends, &d), &inv_diag), &b_i), i) in table.zip(rows) {
+            .zip(b[W * rows.start..W * rows.end].chunks_exact(W));
+        for ((((ends, &d), &inv_diag), b_i), i) in table.zip(rows) {
             let fresh = if forward { ends[0]..d } else { d + 1..ends[1] };
-            let mut sum = 0.0;
+            let mut sums = [0.0; W];
             for (&c, &v) in cols[fresh.clone()].iter().zip(&vals[fresh]) {
-                // SAFETY: `c < n` (the validated column bound) and
-                // `x.len() == n` (asserted by `sweep`); the caller rules
-                // out a concurrent write at a fresh column.
-                sum += v * unsafe { x.get(c as usize) };
+                let base = W * c as usize;
+                for (j, sum) in sums.iter_mut().enumerate() {
+                    // SAFETY: `c < n` (the validated column bound) and
+                    // `x.len() == W·n` (asserted by `sweep`); the caller
+                    // rules out a concurrent write at a fresh column.
+                    *sum += v * unsafe { x.get(base + j) };
+                }
             }
-            // SAFETY: `i < n`, and the caller makes this thread the only
-            // one touching row `i`.
-            unsafe {
-                let s = rhs(scale * b_i, sum, y.get(i));
-                x.set(i, relax(x.get(i), s, inv_diag));
-                y.set(i, sum);
+            for (j, (&sum, &b_ij)) in sums.iter().zip(b_i).enumerate() {
+                let k = W * i + j;
+                // SAFETY: `k < W·n`, and the caller makes this thread the
+                // only one touching row `i`.
+                unsafe {
+                    let s = rhs(scale * b_ij, sum, y.get(k));
+                    x.set(k, relax(x.get(k), s, inv_diag));
+                    y.set(k, sum);
+                }
             }
         }
     }
@@ -510,6 +533,38 @@ impl MulticolorSsor {
     pub fn offdiag_ops_per_step(&self) -> usize {
         self.table.a.nnz() - self.table.a.rows()
     }
+
+    /// Algorithm 2 on `W` interleaved right-hand sides (width 1: a plain
+    /// vector), with the half-sum cache `y` of the same shape: the phases
+    /// of [`SweepTable::sweep_schedule`], each run as one pool launch.
+    fn sweeps<const W: usize>(&self, alphas: &[f64], r: &[f64], z: &mut [f64], y: &mut [f64]) {
+        let t = &self.table;
+        let (m, omega) = (alphas.len(), self.omega);
+        // One participant count for the whole msolve, so every color phase
+        // keeps the same owners: one launch per phase, participant `p`
+        // sweeping chunk `p` of the block.
+        let threads = par::threads_for(t.a.nnz(), tuning::par_min_nnz());
+        let (x, y) = (ParSlice::new(z), ParSlice::new(y));
+        for (step, c, sweep) in t.sweep_schedule(m, omega) {
+            let (blk, alpha) = (t.colors.range(c), alphas[m - step]);
+            // The first forward pass starts from `x = 0`: no self term.
+            let from_zero = step == 1 && sweep != Sweep::Backward;
+            par::for_each_chunk(threads, threads, &|p| {
+                let rows = owned_chunk(blk.clone(), p, threads);
+                // SAFETY: participants sweep disjoint chunks of block `c`,
+                // whose rows read `x` only in other blocks.
+                unsafe {
+                    if from_zero {
+                        t.sweep::<W>(rows, sweep, alpha, r, &x, &y, |_, s, inv| omega * s * inv);
+                    } else {
+                        t.sweep::<W>(rows, sweep, alpha, r, &x, &y, |x_i, s, inv| {
+                            (1.0 - omega) * x_i + omega * s * inv
+                        });
+                    }
+                }
+            });
+        }
+    }
 }
 
 impl Splitting for MulticolorSsor {
@@ -559,32 +614,26 @@ impl Splitting for MulticolorSsor {
             self.dim(),
             "mc-ssor msolve: scratch length mismatch"
         );
-        let t = &self.table;
-        let (m, omega) = (alphas.len(), self.omega);
-        // One participant count for the whole msolve, so every color phase
-        // keeps the same owners: one launch per phase, participant `p`
-        // sweeping chunk `p` of the block.
-        let threads = par::threads_for(t.a.nnz(), tuning::par_min_nnz());
-        let (x, y) = (ParSlice::new(z), ParSlice::new(scratch));
-        for (step, c, sweep) in t.sweep_schedule(m, omega) {
-            let (blk, alpha) = (t.colors.range(c), alphas[m - step]);
-            // The first forward pass starts from `x = 0`: no self term.
-            let from_zero = step == 1 && sweep != Sweep::Backward;
-            par::for_each_chunk(threads, threads, &|p| {
-                let rows = owned_chunk(blk.clone(), p, threads);
-                // SAFETY: participants sweep disjoint chunks of block `c`,
-                // whose rows read `x` only in other blocks.
-                unsafe {
-                    if from_zero {
-                        t.sweep(rows, sweep, alpha, r, &x, &y, |_, s, inv| omega * s * inv);
-                    } else {
-                        t.sweep(rows, sweep, alpha, r, &x, &y, |x_i, s, inv| {
-                            (1.0 - omega) * x_i + omega * s * inv
-                        });
-                    }
-                }
-            });
-        }
+        self.sweeps::<1>(alphas, r, z, scratch);
+    }
+
+    /// Algorithm 2 on every column of the block — active or not — with an
+    /// interleaved half-sum cache in the first `W·dim()` values of
+    /// `scratch`: each color phase streams the sweep table once for all `W`
+    /// columns.
+    fn msolve_block<const W: usize>(
+        &self,
+        alphas: &[f64],
+        r: &[f64],
+        z: &mut [f64],
+        _active: &[bool; W],
+        scratch: &mut [f64],
+    ) {
+        assert!(!alphas.is_empty(), "msolve needs at least one coefficient");
+        let n = W * self.dim();
+        assert_eq!(r.len(), n, "mc-ssor msolve: r length mismatch");
+        assert_eq!(z.len(), n, "mc-ssor msolve: z length mismatch");
+        self.sweeps::<W>(alphas, r, z, &mut scratch[..n]);
     }
 
     /// [`SweepTable::ssor_spectrum`] at this splitting's ω.

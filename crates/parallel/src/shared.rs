@@ -78,6 +78,25 @@ impl SharedVec {
         unsafe { std::slice::from_raw_parts(self.buf.as_ptr() as *const f64, self.buf.len()) }
     }
 
+    /// Read-only view of a sub-range — what a worker reads of a vector
+    /// other workers are writing elsewhere in the same phase.
+    ///
+    /// # Safety
+    /// No worker may concurrently write any element of `range` during the
+    /// current phase.
+    #[inline]
+    pub unsafe fn read_range(&self, range: std::ops::Range<usize>) -> &[f64] {
+        debug_assert!(range.end <= self.buf.len(), "read range out of bounds");
+        // SAFETY: layout as in `read`; the forwarded contract rules out a
+        // concurrent writer of these elements.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.buf.as_ptr().add(range.start) as *const f64,
+                range.len(),
+            )
+        }
+    }
+
     /// Mutable view of a sub-range.
     ///
     /// # Safety

@@ -225,15 +225,39 @@ impl OwnedRows {
         self.chunks.iter().any(|rows| rows.contains(&i))
     }
 
-    /// This worker's `(x, y)` partial: the chunk dots summed in color
-    /// order.
+    /// The fused tail of an msolve's final phase: worker `t`'s `(z, r)`
+    /// partial into `rz_partials`, and during initialization (`p0`) the
+    /// copy `p⁰ ← z`, both over the owned rows only — other workers may
+    /// still be writing their rows of `z` in this phase. The partial is
+    /// the chunk dots summed in color order.
+    ///
+    /// # Safety
+    /// This worker wrote every owned row of `z` in this or an earlier
+    /// phase, no worker writes `r` in this phase, and no other worker
+    /// touches the owned rows of `p0` or slot `t` of `rz_partials`.
     #[inline]
-    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
+    unsafe fn msolve_tail(
+        &self,
+        t: usize,
+        z: &SharedVec,
+        r: &SharedVec,
+        p0: Option<&SharedVec>,
+        rz_partials: &SharedVec,
+    ) {
         let mut acc = 0.0;
         for rows in self.chunks() {
-            acc += vecops::dot(&x[rows.clone()], &y[rows]);
+            // SAFETY: by the contract, these rows of `z` are this worker's
+            // own writes and nobody writes `r` or these rows of `p0`.
+            unsafe {
+                let zc = z.read_range(rows.clone());
+                if let Some(p) = p0 {
+                    p.write(rows.clone()).copy_from_slice(zc);
+                }
+                acc += vecops::dot(zc, r.read_range(rows));
+            }
         }
-        acc
+        // SAFETY: slot `t` is this worker's alone.
+        unsafe { rz_partials.write_at(t, acc) };
     }
 
     /// Copy the owned rows of `src` into `dst`.
@@ -1073,18 +1097,11 @@ impl ParallelMStepPcg {
             self.poly_msolve_phases(poly, own, t, r, z, y, pscr, p0, rz_partials, barrier);
             return;
         }
-        // Tail fused into the final phase, before its barrier. SAFETY of
-        // the reads: only own-strip elements of z are touched, and all of
-        // them were written by this worker (in color phase `c` it writes
-        // its chunk of color `c`); r was finalized before the
-        // preconditioner began.
-        let tail = || unsafe {
-            let zs = z.read();
-            if let Some(p) = p0 {
-                own.copy(zs, p);
-            }
-            rz_partials.write_at(t, own.dot(zs, r.read()));
-        };
+        // SAFETY of the tail (fused into the final phase, before its
+        // barrier): every owned element of z was written by this worker
+        // (in color phase `c` it writes its chunk of color `c`), and r was
+        // finalized before the preconditioner began.
+        let tail = || unsafe { own.msolve_tail(t, z, r, p0, rz_partials) };
         if self.alphas.is_empty() {
             unsafe { own.copy(r.read(), z) };
             tail();
@@ -1105,7 +1122,7 @@ impl ParallelMStepPcg {
             // preconditioner began.
             unsafe {
                 self.table
-                    .sweep(own.chunk(c), sweep, alpha, r.read(), &zs, &ys, update)
+                    .sweep::<1>(own.chunk(c), sweep, alpha, r.read(), &zs, &ys, update)
             };
             if schedule.peek().is_none() {
                 // The final phase of the solve carries the tail.
@@ -1209,11 +1226,7 @@ impl ParallelMStepPcg {
                 }
                 if j == k {
                     // Fused tail: z was fully written own-strip above.
-                    let zs = z.read();
-                    if let Some(p) = p0 {
-                        own.copy(zs, p);
-                    }
-                    rz_partials.write_at(t, own.dot(zs, rv));
+                    own.msolve_tail(t, z, r, p0, rz_partials);
                 }
             }
             barrier.wait();

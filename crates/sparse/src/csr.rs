@@ -25,6 +25,13 @@
 //! still summed in ascending column order, so the products are bitwise
 //! those of the checked loop. The SSOR color sweeps of both executors
 //! read `x` the same way, in `mspcg-core`'s `SweepTable::sweep`.
+//!
+//! The gather is generic over a column count `W`: on `W` right-hand sides
+//! stored interleaved ([`CsrMatrix::mul_block_into`], the batched solver's
+//! lockstep blocks) it loads each stored value and column index once for
+//! all `W` sums. Each column is still summed in ascending column order, so
+//! every column is bitwise its width-1 product, and width 1 is the plain
+//! SpMV.
 
 use crate::error::SparseError;
 use crate::par;
@@ -245,11 +252,23 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if `x.len() != cols` or `y.len() != rows`.
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "mul_vec: x length mismatch");
-        assert_eq!(y.len(), self.rows, "mul_vec: y length mismatch");
+        self.mul_block_into::<1>(x, y);
+    }
+
+    /// [`CsrMatrix::mul_vec_into`] on `W` right-hand sides stored
+    /// interleaved (column `j` of row `i` at `i·W + j`, in `x` and `y`
+    /// alike): every stored value and column index is loaded once for all
+    /// `W` products. Column `j` of `y` is bitwise `mul_vec_into` of column
+    /// `j` of `x`; width 1 is `mul_vec_into` itself.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != W·cols` or `y.len() != W·rows`.
+    pub fn mul_block_into<const W: usize>(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), W * self.cols, "mul_vec: x length mismatch");
+        assert_eq!(y.len(), W * self.rows, "mul_vec: y length mismatch");
         let threads = par::threads_for(self.nnz(), tuning::par_min_nnz());
         if threads <= 1 {
-            self.mul_vec_range_into(x, y, 0..self.rows);
+            self.mul_block_range_into::<W>(x, y, 0..self.rows);
             return;
         }
         let (chunk_nnz, nchunks) = par::spmv_layout(self.nnz());
@@ -257,8 +276,8 @@ impl CsrMatrix {
         par::for_each_chunk(nchunks, threads, &|c| {
             let rows = par::spmv_chunk_rows(&self.row_ptr, chunk_nnz, c);
             // SAFETY: row chunks are disjoint and each claimed once.
-            let out = unsafe { ys.slice_mut(rows.clone()) };
-            self.mul_vec_range_into(x, out, rows);
+            let out = unsafe { ys.slice_mut(W * rows.start..W * rows.end) };
+            self.mul_block_range_into::<W>(x, out, rows);
         });
     }
 
@@ -271,12 +290,26 @@ impl CsrMatrix {
     /// `x.len() != cols`.
     #[inline]
     pub fn mul_vec_range_into(&self, x: &[f64], y: &mut [f64], rows: std::ops::Range<usize>) {
+        self.mul_block_range_into::<1>(x, y, rows);
+    }
+
+    /// The row loop of [`CsrMatrix::mul_block_into`]: `W` interleaved
+    /// columns of the rows `rows`, into `y` (`W·rows.len()` values).
+    #[inline]
+    fn mul_block_range_into<const W: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        rows: std::ops::Range<usize>,
+    ) {
         assert!(rows.end <= self.rows, "mul_vec_range: rows out of bounds");
-        assert_eq!(y.len(), rows.len(), "mul_vec_range: y length mismatch");
-        assert_eq!(x.len(), self.cols, "mul_vec_range: x length mismatch");
-        for (yk, i) in y.iter_mut().zip(rows) {
-            // SAFETY: `x.len() == cols` is asserted above.
-            *yk = unsafe { self.gather(self.row_ptr[i]..self.row_ptr[i + 1], x.as_ptr()) };
+        assert_eq!(y.len(), W * rows.len(), "mul_vec_range: y length mismatch");
+        assert_eq!(x.len(), W * self.cols, "mul_vec_range: x length mismatch");
+        for (yk, i) in y.chunks_exact_mut(W).zip(rows) {
+            // SAFETY: `x.len() == W·cols` is asserted above.
+            let sums =
+                unsafe { self.gather::<W>(self.row_ptr[i]..self.row_ptr[i + 1], x.as_ptr()) };
+            yk.copy_from_slice(&sums);
         }
     }
 
@@ -325,7 +358,9 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.cols, "mul_vec_axpy_range: x length mismatch");
         for (yk, i) in y.iter_mut().zip(rows) {
             // SAFETY: `x.len() == cols` is asserted above.
-            *yk += a * unsafe { self.gather(self.row_ptr[i]..self.row_ptr[i + 1], x.as_ptr()) };
+            let [sum] =
+                unsafe { self.gather::<1>(self.row_ptr[i]..self.row_ptr[i + 1], x.as_ptr()) };
+            *yk += a * sum;
         }
     }
 
@@ -340,27 +375,40 @@ impl CsrMatrix {
     pub fn dot_entries(&self, entries: std::ops::Range<usize>, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.cols, "dot_entries: x length mismatch");
         // SAFETY: `x.len() == cols` is asserted above.
-        unsafe { self.gather(entries, x.as_ptr()) }
+        let [sum] = unsafe { self.gather::<1>(entries, x.as_ptr()) };
+        sum
     }
 
     /// The one unchecked gather behind every row kernel above:
-    /// `Σ values[k]·x[col_idx[k]]` over `entries`, in ascending order.
+    /// `Σ values[k]·x[col_idx[k]]` over `entries`, in ascending order, for
+    /// each of `W` columns stored interleaved (column `j` of row `c` at
+    /// `x[c·W + j]`; width 1 is a plain vector). Every value and column
+    /// index is loaded once for all `W` sums, and the `W` sums are
+    /// independent dependency chains.
     ///
     /// # Safety
-    /// `x` must point at `cols` readable `f64`s, none of them written
+    /// `x` must point at `W·cols` readable `f64`s, none of them written
     /// concurrently at a column of `entries`.
     #[inline(always)]
-    unsafe fn gather(&self, entries: std::ops::Range<usize>, x: *const f64) -> f64 {
+    unsafe fn gather<const W: usize>(
+        &self,
+        entries: std::ops::Range<usize>,
+        x: *const f64,
+    ) -> [f64; W] {
         let cols = &self.col_idx[entries.clone()];
         let vals = &self.values[entries];
-        let mut acc = 0.0;
+        let mut acc = [0.0; W];
         for (&c, &v) in cols.iter().zip(vals) {
             debug_assert!((c as usize) < self.cols, "column {c} out of bounds");
             // SAFETY: every stored column is below `cols` — the invariant
             // `from_raw_parts` checks and every constructor in this module
             // preserves (the structure is never mutated afterwards) — and
-            // the caller guarantees `x` spans `cols` elements.
-            acc += v * unsafe { *x.add(c as usize) };
+            // the caller guarantees `x` spans `W·cols` elements.
+            let xc = unsafe { x.add(W * c as usize) };
+            for (j, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: `j < W`, inside row `c`'s `W` elements.
+                *acc += v * unsafe { *xc.add(j) };
+            }
         }
         acc
     }

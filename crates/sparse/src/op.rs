@@ -38,6 +38,16 @@
 //! formats with a row-length prefix sum (CSR) or slice table (SELL-C-σ)
 //! override it — or override the whole driver — so dense-ish row runs
 //! cannot serialize the pool.
+//!
+//! ## Blocks of right-hand sides
+//!
+//! [`SparseOp::mul_block_into`] multiplies `W` right-hand sides stored
+//! interleaved (column `j` of row `i` at `i·W + j`) — the batched solver's
+//! lockstep blocks. Its default goes column by column through
+//! [`SparseOp::mul_vec_into`] ([`by_column`]), so every format works
+//! unchanged; [`CsrMatrix`] overrides it with its row kernel at width `W`,
+//! which loads each stored entry once for the whole block. Either way each
+//! column is bitwise its own `mul_vec_into`.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -154,6 +164,36 @@ pub trait SparseOp: Sync {
         });
     }
 
+    /// `y ← A·x` on `W` right-hand sides stored interleaved — column `j`
+    /// of row `i` at `i·W + j`, in `x` and `y` alike — for the columns
+    /// with `active[j]`: each such column of `y` is bitwise the
+    /// [`SparseOp::mul_vec_into`] of that column of `x`. An inactive
+    /// column of `y` is either left as it is or overwritten with the
+    /// product of the same column of `x`.
+    ///
+    /// The default goes column by column through
+    /// [`SparseOp::mul_vec_into`], copying each active column into
+    /// `scratch` (at least `rows() + cols()` values) and back, so every
+    /// column is one top-level product, as call counting and fault
+    /// injection expect. [`CsrMatrix`] overrides it with a kernel that
+    /// loads each stored entry once per block and ignores `scratch`.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != W·cols()` or `y.len() != W·rows()`, and in
+    /// the default if `scratch` is too short.
+    fn mul_block_into<const W: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        active: &[bool; W],
+        scratch: &mut [f64],
+    ) {
+        let (rows, cols) = self.dims();
+        assert_eq!(x.len(), W * cols, "mul_block: x length mismatch");
+        assert_eq!(y.len(), W * rows, "mul_block: y length mismatch");
+        by_column(x, y, active, scratch, |x, y, _| self.mul_vec_into(x, y));
+    }
+
     /// Allocating `A·x`.
     ///
     /// # Panics
@@ -221,6 +261,46 @@ pub trait SparseOp: Sync {
     }
 }
 
+/// The default of the block methods — [`SparseOp::mul_block_into`] and
+/// `mspcg-core`'s preconditioner and splitting ones: run `f(x_j, y_j,
+/// rest)` on each active column `j` of two interleaved `W`-column blocks
+/// (column `j` of row `i` at `i·W + j`), through plain-vector copies of
+/// the column kept at the front of `scratch`; `rest` is the scratch after
+/// them. Width 1 needs no copy: `f` gets `x`, `y` and all of `scratch`.
+///
+/// # Panics
+/// If a length is not a multiple of `W`, or `scratch` is shorter than one
+/// column of `x` and one of `y` together.
+pub fn by_column<const W: usize>(
+    x: &[f64],
+    y: &mut [f64],
+    active: &[bool; W],
+    scratch: &mut [f64],
+    mut f: impl FnMut(&[f64], &mut [f64], &mut [f64]),
+) {
+    assert!(
+        x.len().is_multiple_of(W) && y.len().is_multiple_of(W),
+        "by_column: length not a multiple of the block width {W}"
+    );
+    if W == 1 {
+        if active[0] {
+            f(x, y, scratch);
+        }
+        return;
+    }
+    let (x_col, rest) = scratch.split_at_mut(x.len() / W);
+    let (y_col, rest) = rest.split_at_mut(y.len() / W);
+    for j in (0..W).filter(|&j| active[j]) {
+        for (v, row) in x_col.iter_mut().zip(x.chunks_exact(W)) {
+            *v = row[j];
+        }
+        f(x_col, y_col, rest);
+        for (row, &v) in y.chunks_exact_mut(W).zip(y_col.iter()) {
+            row[j] = v;
+        }
+    }
+}
+
 /// Forward every method — including the parallel drivers and scheduling
 /// hooks a format may have specialized — through a pointer-like wrapper,
 /// so `&A` and `Arc<A>` are operators wherever `A` is (the solver stack
@@ -257,6 +337,15 @@ macro_rules! deref_sparse_op {
             }
             fn mul_vec_axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
                 (**self).mul_vec_axpy(a, x, y)
+            }
+            fn mul_block_into<const W: usize>(
+                &self,
+                x: &[f64],
+                y: &mut [f64],
+                active: &[bool; W],
+                scratch: &mut [f64],
+            ) {
+                (**self).mul_block_into(x, y, active, scratch)
             }
             fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
                 (**self).mul_vec(x)
@@ -315,6 +404,18 @@ impl SparseOp for CsrMatrix {
 
     fn mul_vec_axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
         CsrMatrix::mul_vec_axpy(self, a, x, y);
+    }
+
+    /// The interleaved-block row kernel ([`CsrMatrix::mul_block_into`]):
+    /// computes every column, active or not, and needs no scratch.
+    fn mul_block_into<const W: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        _active: &[bool; W],
+        _scratch: &mut [f64],
+    ) {
+        CsrMatrix::mul_block_into::<W>(self, x, y);
     }
 
     fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
@@ -563,6 +664,16 @@ impl SparseOp for AutoOp {
 
     fn mul_vec_axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
         auto_dispatch!(self, mul_vec_axpy(a, x, y))
+    }
+
+    fn mul_block_into<const W: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        active: &[bool; W],
+        scratch: &mut [f64],
+    ) {
+        auto_dispatch!(self, mul_block_into(x, y, active, scratch))
     }
 
     fn diag_into(&self, out: &mut [f64]) {

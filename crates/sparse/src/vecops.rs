@@ -22,29 +22,96 @@
 //! Large inputs run on the `mspcg-sparse` worker pool (behind the `par`
 //! feature); small inputs take the serial path (see
 //! [`crate::tuning::par_min_elems`]).
+//!
+//! ## Blocks of right-hand sides
+//!
+//! The `_block` kernels run the same kernels on `W` columns stored
+//! interleaved: column `j` of row `i` sits at `i·W + j`, so one pass over
+//! the rows serves every column. The chunk layout is that of the `n` rows,
+//! and each column is combined exactly as the plain kernel combines a
+//! vector, so column `j` of a block result is bitwise the plain kernel's
+//! result on column `j`. The plain kernels are the width-1 instances.
 
 use crate::par;
 use crate::tuning;
 
-/// Serial dot kernel over one chunk: four independent partial accumulators,
-/// which both enables vectorization and reduces the rounding error compared
-/// to a single serial accumulator.
-#[inline]
-fn dot_chunk(x: &[f64], y: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let chunks = x.len() / 4;
-    for i in 0..chunks {
-        let b = i * 4;
-        acc[0] += x[b] * y[b];
-        acc[1] += x[b + 1] * y[b + 1];
-        acc[2] += x[b + 2] * y[b + 2];
-        acc[3] += x[b + 3] * y[b + 3];
+/// Serial dot kernel over one chunk of `W` interleaved columns: per column,
+/// four independent partial accumulators over the rows, which both enables
+/// vectorization and reduces the rounding error compared to a single
+/// serial accumulator.
+#[inline(always)]
+fn dot_chunk<const W: usize>(x: &[f64], y: &[f64]) -> [f64; W] {
+    let mut acc = [[0.0f64; W]; 4];
+    let (xq, yq) = (x.chunks_exact(4 * W), y.chunks_exact(4 * W));
+    let (x_tail, y_tail) = (xq.remainder(), yq.remainder());
+    for (xq, yq) in xq.zip(yq) {
+        for (k, acc) in acc.iter_mut().enumerate() {
+            let rows = k * W..(k + 1) * W;
+            for ((a, xi), yi) in acc.iter_mut().zip(&xq[rows.clone()]).zip(&yq[rows]) {
+                *a += xi * yi;
+            }
+        }
     }
-    let mut tail = 0.0;
-    for i in chunks * 4..x.len() {
-        tail += x[i] * y[i];
+    let mut tail = [0.0f64; W];
+    for (xr, yr) in x_tail.chunks_exact(W).zip(y_tail.chunks_exact(W)) {
+        for ((t, xi), yi) in tail.iter_mut().zip(xr).zip(yr) {
+            *t += xi * yi;
+        }
     }
-    (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
+    std::array::from_fn(|j| (acc[0][j] + acc[2][j]) + (acc[1][j] + acc[3][j]) + tail[j])
+}
+
+/// The fixed-layout sum behind every reduction here, over `n` rows:
+/// `chunk(lo, hi)` returns the partials of rows `lo..hi`, one per column,
+/// and the partials of the chunks are added in ascending chunk order from
+/// `0.0` — serially, or chunk by chunk on the pool for large inputs,
+/// bitwise alike.
+#[inline(always)]
+fn sum_chunks<const W: usize>(
+    n: usize,
+    chunk: impl Fn(usize, usize) -> [f64; W] + Sync,
+) -> [f64; W] {
+    let (len, nchunks) = par::reduction_layout(n);
+    let bounds = |c: usize| (c * len, (c * len + len).min(n));
+    let mut acc = [0.0f64; W];
+    let threads = par::threads_for(n, tuning::par_min_elems());
+    if threads <= 1 {
+        for c in 0..nchunks {
+            let (lo, hi) = bounds(c);
+            for (a, v) in acc.iter_mut().zip(chunk(lo, hi)) {
+                *a += v;
+            }
+        }
+        return acc;
+    }
+    let mut partials = [[0.0f64; W]; par::MAX_PARTIALS];
+    {
+        let ps = par::ParSlice::new(partials.as_flattened_mut());
+        par::for_each_chunk(nchunks, threads, &|c| {
+            let (lo, hi) = bounds(c);
+            for (j, v) in chunk(lo, hi).into_iter().enumerate() {
+                // SAFETY: each chunk index is claimed exactly once, and
+                // chunk `c` alone writes slots `c·W..(c + 1)·W`.
+                unsafe { ps.set(c * W + j, v) };
+            }
+        });
+    }
+    for part in &partials[..nchunks] {
+        for (a, v) in acc.iter_mut().zip(part) {
+            *a += v;
+        }
+    }
+    acc
+}
+
+/// Rows of a block of `W` interleaved columns of total length `len`.
+#[inline(always)]
+fn block_rows<const W: usize>(len: usize, what: &str) -> usize {
+    assert!(
+        len.is_multiple_of(W),
+        "{what}: length {len} is not a multiple of the block width {W}"
+    );
+    len / W
 }
 
 /// Dot product `xᵀy`, chunk-deterministic (see the module docs).
@@ -53,46 +120,41 @@ fn dot_chunk(x: &[f64], y: &[f64]) -> f64 {
 /// Panics if `x.len() != y.len()`.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    let n = x.len();
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    if threads <= 1 {
-        let mut acc = 0.0;
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            acc += dot_chunk(&x[lo..hi], &y[lo..hi]);
-        }
-        return acc;
-    }
-    let mut partials = [0.0f64; par::MAX_PARTIALS];
-    {
-        let ps = par::ParSlice::new(&mut partials);
-        par::for_each_chunk(nchunks, threads, &|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            // SAFETY: each chunk index is claimed exactly once.
-            unsafe { ps.set(c, dot_chunk(&x[lo..hi], &y[lo..hi])) };
-        });
-    }
-    let mut acc = 0.0;
-    for &p in &partials[..nchunks] {
-        acc += p;
-    }
-    acc
+    let [d] = dot_block::<1>(x, y);
+    d
 }
 
-/// Distribute an elementwise update over the fixed chunk layout.
+/// [`dot`] of each of `W` interleaved columns: entry `j` is bitwise the
+/// `dot` of column `j` of `x` and `y`.
+///
+/// # Panics
+/// Panics if `x.len() != y.len()` or the length is not a multiple of `W`.
 #[inline]
-fn elementwise(n: usize, y: &mut [f64], body: impl Fn(usize, usize, &mut [f64]) + Sync) {
+pub fn dot_block<const W: usize>(x: &[f64], y: &[f64]) -> [f64; W] {
+    assert_eq!(x.len(), y.len(), "dot: length mismatch");
+    let n = block_rows::<W>(x.len(), "dot");
+    sum_chunks::<W>(n, |lo, hi| {
+        let rows = lo * W..hi * W;
+        dot_chunk::<W>(&x[rows.clone()], &y[rows])
+    })
+}
+
+/// Distribute an elementwise update of `W` interleaved columns over the
+/// fixed chunk layout of its `n` rows: `body(lo, hi, yc)` updates rows
+/// `lo..hi`, whose elements `yc` holds.
+#[inline]
+fn elementwise<const W: usize>(
+    n: usize,
+    y: &mut [f64],
+    body: impl Fn(usize, usize, &mut [f64]) + Sync,
+) {
     let threads = par::threads_for(n, tuning::par_min_elems());
     let (chunk, nchunks) = par::reduction_layout(n);
     if threads <= 1 {
         for c in 0..nchunks {
             let lo = c * chunk;
             let hi = (lo + chunk).min(n);
-            body(lo, hi, &mut y[lo..hi]);
+            body(lo, hi, &mut y[lo * W..hi * W]);
         }
         return;
     }
@@ -101,7 +163,7 @@ fn elementwise(n: usize, y: &mut [f64], body: impl Fn(usize, usize, &mut [f64]) 
         let lo = c * chunk;
         let hi = (lo + chunk).min(n);
         // SAFETY: chunks are disjoint and each claimed exactly once.
-        let yc = unsafe { ys.slice_mut(lo..hi) };
+        let yc = unsafe { ys.slice_mut(lo * W..hi * W) };
         body(lo, hi, yc);
     });
 }
@@ -113,7 +175,7 @@ fn elementwise(n: usize, y: &mut [f64], body: impl Fn(usize, usize, &mut [f64]) 
 #[inline]
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    elementwise(x.len(), y, |lo, hi, yc| {
+    elementwise::<1>(x.len(), y, |lo, hi, yc| {
         for (yi, xi) in yc.iter_mut().zip(&x[lo..hi]) {
             *yi += a * xi;
         }
@@ -127,10 +189,22 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
 /// Panics if `x.len() != y.len()`.
 #[inline]
 pub fn xpby(x: &[f64], b: f64, y: &mut [f64]) {
+    xpby_block::<1>(x, &[b], y);
+}
+
+/// [`xpby`] on each of `W` interleaved columns, column `j` scaled by its
+/// own `b[j]`.
+///
+/// # Panics
+/// Panics if `x.len() != y.len()` or the length is not a multiple of `W`.
+#[inline]
+pub fn xpby_block<const W: usize>(x: &[f64], b: &[f64; W], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "xpby: length mismatch");
-    elementwise(x.len(), y, |lo, hi, yc| {
-        for (yi, xi) in yc.iter_mut().zip(&x[lo..hi]) {
-            *yi = xi + b * *yi;
+    let n = block_rows::<W>(x.len(), "xpby");
+    elementwise::<W>(n, y, |lo, hi, yc| {
+        // Element `k` of the chunk belongs to column `k % W`.
+        for (k, (yi, xi)) in yc.iter_mut().zip(&x[lo * W..hi * W]).enumerate() {
+            *yi = xi + b[k % W] * *yi;
         }
     });
 }
@@ -138,7 +212,7 @@ pub fn xpby(x: &[f64], b: f64, y: &mut [f64]) {
 /// `x ← a·x`.
 #[inline]
 pub fn scale(a: f64, x: &mut [f64]) {
-    elementwise(x.len(), x, |_, _, xc| {
+    elementwise::<1>(x.len(), x, |_, _, xc| {
         for xi in xc.iter_mut() {
             *xi *= a;
         }
@@ -205,40 +279,40 @@ pub fn norm2(x: &[f64]) -> f64 {
 /// identical to `norm2(x)` whenever `maxabs == norm_inf(x)`.
 #[inline]
 pub fn norm2_with_max(x: &[f64], maxabs: f64) -> f64 {
-    if maxabs == 0.0 || !maxabs.is_finite() {
-        return maxabs;
+    let [v] = norm2_with_max_block::<1>(x, &[maxabs]);
+    v
+}
+
+/// [`norm2_with_max`] of each of `W` interleaved columns, column `j` with
+/// its own `maxabs[j]`.
+///
+/// # Panics
+/// Panics if the length of `x` is not a multiple of `W`.
+#[inline]
+pub fn norm2_with_max_block<const W: usize>(x: &[f64], maxabs: &[f64; W]) -> [f64; W] {
+    let n = block_rows::<W>(x.len(), "norm2_with_max");
+    let scaled = maxabs.map(|m| m != 0.0 && m.is_finite());
+    if !scaled.contains(&true) {
+        return *maxabs;
     }
-    let inv = 1.0 / maxabs;
-    let n = x.len();
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let sq_chunk = |lo: usize, hi: usize| -> f64 {
-        let mut s = 0.0;
-        for &xi in &x[lo..hi] {
-            let t = xi * inv;
-            s += t * t;
+    let inv = maxabs.map(|m| 1.0 / m);
+    let s = sum_chunks::<W>(n, |lo, hi| {
+        let mut s = [0.0f64; W];
+        for row in x[lo * W..hi * W].chunks_exact(W) {
+            for ((s, xi), inv) in s.iter_mut().zip(row).zip(&inv) {
+                let t = xi * inv;
+                *s += t * t;
+            }
         }
         s
-    };
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    let mut s = 0.0;
-    if threads <= 1 {
-        for c in 0..nchunks {
-            s += sq_chunk(c * chunk, (c * chunk + chunk).min(n));
+    });
+    std::array::from_fn(|j| {
+        if scaled[j] {
+            maxabs[j] * s[j].sqrt()
+        } else {
+            maxabs[j]
         }
-    } else {
-        let mut partials = [0.0f64; par::MAX_PARTIALS];
-        {
-            let ps = par::ParSlice::new(&mut partials);
-            par::for_each_chunk(nchunks, threads, &|c| {
-                // SAFETY: each chunk index is claimed exactly once.
-                unsafe { ps.set(c, sq_chunk(c * chunk, (c * chunk + chunk).min(n))) };
-            });
-        }
-        for &p in &partials[..nchunks] {
-            s += p;
-        }
-    }
-    maxabs * s.sqrt()
+    })
 }
 
 /// Max norm `‖x‖∞` — the norm the paper's convergence test uses
@@ -285,7 +359,7 @@ pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
 pub fn hadamard(x: &[f64], y: &[f64], z: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "hadamard: length mismatch");
     assert_eq!(x.len(), z.len(), "hadamard: output length mismatch");
-    elementwise(x.len(), z, |lo, hi, zc| {
+    elementwise::<1>(x.len(), z, |lo, hi, zc| {
         for ((zi, xi), yi) in zc.iter_mut().zip(&x[lo..hi]).zip(&y[lo..hi]) {
             *zi = xi * yi;
         }
@@ -300,7 +374,7 @@ pub fn hadamard(x: &[f64], y: &[f64], z: &mut [f64]) {
 pub fn sub(x: &[f64], y: &[f64], z: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "sub: length mismatch");
     assert_eq!(x.len(), z.len(), "sub: output length mismatch");
-    elementwise(x.len(), z, |lo, hi, zc| {
+    elementwise::<1>(x.len(), z, |lo, hi, zc| {
         for ((zi, xi), yi) in zc.iter_mut().zip(&x[lo..hi]).zip(&y[lo..hi]) {
             *zi = xi - yi;
         }
@@ -329,32 +403,41 @@ impl FusedUpdateNorms {
     }
 }
 
-/// One chunk of the fused CG update: `u ← u + α·p`, `r ← r + (−α)·kp`,
-/// returning `(max|p|, max|r_new|)` for the chunk. The per-element
-/// arithmetic and max logic replicate [`axpy`] and [`norm_inf`] exactly.
-#[inline]
-fn fused_update_chunk(
-    alpha: f64,
+/// One chunk of the fused CG update on `W` columns: `u_j ← u_j + α_j·p_j`
+/// for every column with an iterate, then `r ← r + (−α)·kp` row by row,
+/// returning per column `(max|p|, max|r_new|)` for the chunk (`max|p|` is
+/// 0 for a column without an iterate). The per-element arithmetic and max
+/// logic replicate [`axpy`] and [`norm_inf`] exactly.
+#[inline(always)]
+fn fused_update_chunk<const W: usize>(
+    alpha: &[f64; W],
     p: &[f64],
     kp: &[f64],
-    u: &mut [f64],
+    u: [Option<&mut [f64]>; W],
     r: &mut [f64],
-) -> (f64, f64) {
-    let mut max_p = 0.0f64;
-    for (ui, pi) in u.iter_mut().zip(p) {
-        *ui += alpha * pi;
-        let a = pi.abs();
-        if a > max_p {
-            max_p = a;
+) -> ([f64; W], [f64; W]) {
+    let mut max_p = [0.0f64; W];
+    for (j, (uj, max_p)) in u.into_iter().zip(&mut max_p).enumerate() {
+        let Some(uj) = uj else { continue };
+        for (ui, pr) in uj.iter_mut().zip(p.chunks_exact(W)) {
+            let pi = pr[j];
+            *ui += alpha[j] * pi;
+            let a = pi.abs();
+            if a > *max_p {
+                *max_p = a;
+            }
         }
     }
-    let neg_alpha = -alpha;
-    let mut max_r = 0.0f64;
-    for (ri, ki) in r.iter_mut().zip(kp) {
-        *ri += neg_alpha * ki;
-        let a = ri.abs();
-        if a > max_r {
-            max_r = a;
+    let neg_alpha = alpha.map(|a| -a);
+    let mut max_r = [0.0f64; W];
+    for (rr, kr) in r.chunks_exact_mut(W).zip(kp.chunks_exact(W)) {
+        let lanes = rr.iter_mut().zip(kr).zip(&neg_alpha).zip(&mut max_r);
+        for (((ri, ki), neg_alpha), max_r) in lanes {
+            *ri += neg_alpha * ki;
+            let a = ri.abs();
+            if a > *max_r {
+                *max_r = a;
+            }
         }
     }
     (max_p, max_r)
@@ -382,62 +465,90 @@ pub fn fused_axpy_axpy_norm(
     u: &mut [f64],
     r: &mut [f64],
 ) -> FusedUpdateNorms {
-    let n = p.len();
-    assert_eq!(kp.len(), n, "fused_axpy_axpy_norm: kp length mismatch");
-    assert_eq!(u.len(), n, "fused_axpy_axpy_norm: u length mismatch");
-    assert_eq!(r.len(), n, "fused_axpy_axpy_norm: r length mismatch");
+    let [norms] = fused_axpy_axpy_norm_block::<1>(&[alpha], p, kp, [Some(u)], r);
+    norms
+}
+
+/// [`fused_axpy_axpy_norm`] on `W` columns, column `j` with its own
+/// `alpha[j]`: `p`, `kp` and `r` are interleaved blocks, and `u[j]` is
+/// column `j`'s iterate as a plain vector of the rows — or `None` for a
+/// column whose iterate must not move, whose `p_norm_inf` then reads 0.
+/// Column `j` of the result and of `r`, and `u[j]`, are bitwise what
+/// `fused_axpy_axpy_norm` gives on that column alone.
+///
+/// # Panics
+/// Panics if `p`, `kp` and `r` differ in length, the length is not a
+/// multiple of `W`, or an iterate is not one row-length long.
+pub fn fused_axpy_axpy_norm_block<const W: usize>(
+    alpha: &[f64; W],
+    p: &[f64],
+    kp: &[f64],
+    u: [Option<&mut [f64]>; W],
+    r: &mut [f64],
+) -> [FusedUpdateNorms; W] {
+    assert_eq!(
+        kp.len(),
+        p.len(),
+        "fused_axpy_axpy_norm: kp length mismatch"
+    );
+    assert_eq!(r.len(), p.len(), "fused_axpy_axpy_norm: r length mismatch");
+    let n = block_rows::<W>(p.len(), "fused_axpy_axpy_norm");
+    assert!(
+        u.iter().flatten().all(|uj| uj.len() == n),
+        "fused_axpy_axpy_norm: u length mismatch"
+    );
     let (chunk, nchunks) = par::reduction_layout(n);
+    let us = u.map(|uj| uj.map(par::ParSlice::new));
+    let rs = par::ParSlice::new(r);
+    let chunk_norms = |c: usize| {
+        let (lo, hi) = (c * chunk, (c * chunk + chunk).min(n));
+        let rows = lo * W..hi * W;
+        // SAFETY: chunks are disjoint and each claimed exactly once.
+        unsafe {
+            let uc = us
+                .each_ref()
+                .map(|uj| uj.as_ref().map(|uj| uj.slice_mut(lo..hi)));
+            let rc = rs.slice_mut(rows.clone());
+            fused_update_chunk::<W>(alpha, &p[rows.clone()], &kp[rows], uc, rc)
+        }
+    };
+    let mut out = [FusedUpdateNorms::default(); W];
+    let mut fold = |max_p: &[f64; W], max_r: &[f64; W]| {
+        for ((o, &mp), &mr) in out.iter_mut().zip(max_p).zip(max_r) {
+            if mp > o.p_norm_inf {
+                o.p_norm_inf = mp;
+            }
+            if mr > o.r_norm_inf {
+                o.r_norm_inf = mr;
+            }
+        }
+    };
     let threads = par::threads_for(n, tuning::par_min_elems());
     if threads <= 1 {
-        let mut out = FusedUpdateNorms::default();
         for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            let (mp, mr) = fused_update_chunk(
-                alpha,
-                &p[lo..hi],
-                &kp[lo..hi],
-                &mut u[lo..hi],
-                &mut r[lo..hi],
-            );
-            if mp > out.p_norm_inf {
-                out.p_norm_inf = mp;
-            }
-            if mr > out.r_norm_inf {
-                out.r_norm_inf = mr;
-            }
+            let (max_p, max_r) = chunk_norms(c);
+            fold(&max_p, &max_r);
         }
         return out;
     }
-    let mut p_partials = [0.0f64; par::MAX_PARTIALS];
-    let mut r_partials = [0.0f64; par::MAX_PARTIALS];
+    let mut p_partials = [[0.0f64; W]; par::MAX_PARTIALS];
+    let mut r_partials = [[0.0f64; W]; par::MAX_PARTIALS];
     {
-        let us = par::ParSlice::new(u);
-        let rs = par::ParSlice::new(r);
-        let pps = par::ParSlice::new(&mut p_partials);
-        let rps = par::ParSlice::new(&mut r_partials);
+        let pps = par::ParSlice::new(p_partials.as_flattened_mut());
+        let rps = par::ParSlice::new(r_partials.as_flattened_mut());
         par::for_each_chunk(nchunks, threads, &|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            // SAFETY: chunks are disjoint and each claimed exactly once;
-            // partial slot `c` is written only by this chunk.
-            unsafe {
-                let uc = us.slice_mut(lo..hi);
-                let rc = rs.slice_mut(lo..hi);
-                let (mp, mr) = fused_update_chunk(alpha, &p[lo..hi], &kp[lo..hi], uc, rc);
-                pps.set(c, mp);
-                rps.set(c, mr);
+            let (max_p, max_r) = chunk_norms(c);
+            for (j, (mp, mr)) in max_p.into_iter().zip(max_r).enumerate() {
+                // SAFETY: chunk `c` alone writes slots `c·W..(c + 1)·W`.
+                unsafe {
+                    pps.set(c * W + j, mp);
+                    rps.set(c * W + j, mr);
+                }
             }
         });
     }
-    let mut out = FusedUpdateNorms::default();
-    for c in 0..nchunks {
-        if p_partials[c] > out.p_norm_inf {
-            out.p_norm_inf = p_partials[c];
-        }
-        if r_partials[c] > out.r_norm_inf {
-            out.r_norm_inf = r_partials[c];
-        }
+    for (max_p, max_r) in p_partials.iter().zip(&r_partials).take(nchunks) {
+        fold(max_p, max_r);
     }
     out
 }
@@ -456,50 +567,40 @@ pub fn fused_axpy_axpy_norm(
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn fused_xpby_dot(x: &[f64], b: f64, y: &mut [f64], w: &[f64]) -> f64 {
-    let n = x.len();
-    assert_eq!(y.len(), n, "fused_xpby_dot: y length mismatch");
-    assert_eq!(w.len(), n, "fused_xpby_dot: w length mismatch");
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let update = |lo: usize, hi: usize, yc: &mut [f64]| {
+    let [d] = fused_xpby_dot_block::<1>(x, b, y, w);
+    d
+}
+
+/// [`fused_xpby_dot`] on `W` interleaved columns sharing one `b`: entry `j`
+/// of the result and column `j` of `y` are bitwise what `fused_xpby_dot`
+/// gives on column `j` alone.
+///
+/// # Panics
+/// Panics if the slices differ in length or the length is not a multiple
+/// of `W`.
+pub fn fused_xpby_dot_block<const W: usize>(
+    x: &[f64],
+    b: f64,
+    y: &mut [f64],
+    w: &[f64],
+) -> [f64; W] {
+    assert_eq!(y.len(), x.len(), "fused_xpby_dot: y length mismatch");
+    assert_eq!(w.len(), x.len(), "fused_xpby_dot: w length mismatch");
+    let n = block_rows::<W>(x.len(), "fused_xpby_dot");
+    let ys = par::ParSlice::new(y);
+    sum_chunks::<W>(n, |lo, hi| {
+        let rows = lo * W..hi * W;
+        // SAFETY: chunks are disjoint and each claimed exactly once.
+        let yc = unsafe { ys.slice_mut(rows.clone()) };
         if b == 0.0 {
-            yc.copy_from_slice(&x[lo..hi]);
+            yc.copy_from_slice(&x[rows.clone()]);
         } else {
-            for (yi, xi) in yc.iter_mut().zip(&x[lo..hi]) {
+            for (yi, xi) in yc.iter_mut().zip(&x[rows.clone()]) {
                 *yi = xi + b * *yi;
             }
         }
-    };
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    if threads <= 1 {
-        let mut acc = 0.0;
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            update(lo, hi, &mut y[lo..hi]);
-            acc += dot_chunk(&y[lo..hi], &w[lo..hi]);
-        }
-        return acc;
-    }
-    let mut partials = [0.0f64; par::MAX_PARTIALS];
-    {
-        let ys = par::ParSlice::new(y);
-        let ps = par::ParSlice::new(&mut partials);
-        par::for_each_chunk(nchunks, threads, &|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            // SAFETY: chunks are disjoint and each claimed exactly once.
-            unsafe {
-                let yc = ys.slice_mut(lo..hi);
-                update(lo, hi, yc);
-                ps.set(c, dot_chunk(yc, &w[lo..hi]));
-            }
-        });
-    }
-    let mut acc = 0.0;
-    for &p in &partials[..nchunks] {
-        acc += p;
-    }
-    acc
+        dot_chunk::<W>(yc, &w[rows])
+    })
 }
 
 /// One chunk of the polynomial-preconditioner seed and step kernels —

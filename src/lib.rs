@@ -57,7 +57,7 @@
 //!   `RecoveryPolicy`, or the operator type the caller builds.
 //! * **One checked-once CSR row kernel** — every CSR row loop a solve
 //!   runs goes through one gather in `mspcg_sparse::csr`: the SpMV range
-//!   kernels behind the pool SpMV, the batch lanes and the polynomial
+//!   kernels behind the pool SpMV, the batch blocks and the polynomial
 //!   msolve, and the SSOR half-sums of both executors (`MulticolorSsor`
 //!   and the SPMD `ParallelMStepPcg` stream one `core::ssor::SweepTable`).
 //!   It checks `x.len() == cols()` once per call, then walks a row's
@@ -182,10 +182,26 @@
 //! * **Batched multi-RHS** — `mspcg::core::multi::pcg_solve_multi` solves
 //!   many load cases against one matrix + preconditioner
 //!   (`MultiRhsWorkspace` holds per-lane scratch, so the shared SSOR
-//!   cache is never a lock point): right-hand sides become the unit of
-//!   parallelism for small matrices, kernels for large ones, with zero
-//!   per-solve allocation after warm-up and bitwise-standalone-identical
-//!   solutions. See `examples/multi_load_cases.rs`.
+//!   cache is never a lock point): kernels become the unit of parallelism
+//!   for large matrices, right-hand sides for small ones. There each lane
+//!   solves its cases in **lockstep blocks** of up to
+//!   `multi::BLOCK_WIDTH` = 8, stored interleaved `n × w`: one block SpMV
+//!   (`SparseOp::mul_block_into`), one block msolve
+//!   (`Preconditioner::apply_block`) and one pass of each vector kernel
+//!   per iteration serve every column, each with its own α, β, stopping
+//!   test and counters. The block kernels are the solver's kernels —
+//!   the CSR gather, `SweepTable::sweep`, the `vecops` updates and
+//!   reductions — made generic over the column count, width 1 being the
+//!   plain kernel, so every column is bitwise its standalone solve;
+//!   operators and preconditioners without a block kernel go column by
+//!   column through the traits' defaults. A column that converges, breaks
+//!   down or runs out of budget leaves the block with the standalone
+//!   solve's outcome; one whose scalar goes non-finite or whose audit
+//!   diverges finishes on its lane's standalone workspace through the
+//!   classic loop's restart. On the a = 24 plate (2-vCPU VM) a width-8
+//!   block runs the SpMV 3.4× and the 2-step SSOR msolve 3.0× faster per
+//!   right-hand side than width 1. Zero per-solve allocation after
+//!   warm-up. See `examples/multi_load_cases.rs`.
 //!
 //! ## Robustness
 //!

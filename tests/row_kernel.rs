@@ -9,6 +9,11 @@
 //!   and the color-phase sweeps **bitwise** against naive loops kept here,
 //!   with `x` holding ±0.0, NaN and ±∞ (a NaN result need only be a NaN:
 //!   see [`same_value`]);
+//! * the same kernels on blocks of 1 to 8 interleaved right-hand sides —
+//!   the CSR block SpMV and the trait's column-by-column default, the
+//!   color-phase sweep and the block msolve, the BLAS-1 updates and
+//!   reductions — give every column bitwise its width-1 result, on the
+//!   same special values;
 //! * an `x` of the wrong length panics instead of being read;
 //! * an operator whose `visit_row` breaks its contract (a column past
 //!   `cols()`, unsorted columns) is refused with a [`SparseError`] by
@@ -16,7 +21,7 @@
 
 use mspcg::coloring::Coloring;
 use mspcg::core::ssor::{owned_chunk, Sweep};
-use mspcg::core::{MulticolorSsor, SweepTable};
+use mspcg::core::{MulticolorSsor, Splitting, SweepTable};
 use mspcg::parallel::ParallelMStepPcg;
 use mspcg::sparse::par::{self, ParSlice};
 use mspcg::sparse::{CooMatrix, CsrMatrix, Partition, SparseError, SparseOp};
@@ -319,7 +324,7 @@ fn sweep_kernel_matches_a_naive_sweep_bitwise() {
                             par::for_each_chunk(parts, parts, &|p| {
                                 let rows = owned_chunk(blk.clone(), p, parts);
                                 // SAFETY: disjoint chunks of one color block.
-                                unsafe { table.sweep(rows, sweep, scale, &b, &x, &y, update) }
+                                unsafe { table.sweep::<1>(rows, sweep, scale, &b, &x, &y, update) }
                             });
                             for i in 0..n {
                                 assert!(
@@ -384,7 +389,7 @@ fn sweep_kernel_rejects_a_short_x() {
     let (x, y) = (ParSlice::new(&mut x), ParSlice::new(&mut y));
     // SAFETY: one thread.
     unsafe {
-        table.sweep(
+        table.sweep::<1>(
             0..4,
             Sweep::Backward,
             1.0,
@@ -496,4 +501,279 @@ fn malformed_operators_are_refused_by_both_ssor_constructors() {
     };
     MulticolorSsor::from_op(&honest, Arc::clone(&colors), 1.0).unwrap();
     ParallelMStepPcg::shared(&honest, colors, vec![1.0; 2]).unwrap();
+}
+
+/// Run `check::<W>(args)` at every block width from 1 to 8.
+macro_rules! at_every_width {
+    ($check:ident($($arg:expr),*)) => {{
+        $check::<1>($($arg),*);
+        $check::<2>($($arg),*);
+        $check::<3>($($arg),*);
+        $check::<4>($($arg),*);
+        $check::<5>($($arg),*);
+        $check::<6>($($arg),*);
+        $check::<7>($($arg),*);
+        $check::<8>($($arg),*);
+    }};
+}
+
+/// Column `j` of a `W`-column interleaved block.
+fn column<const W: usize>(block: &[f64], j: usize) -> Vec<f64> {
+    block.chunks_exact(W).map(|row| row[j]).collect()
+}
+
+/// Every value of `got` is [`same_value`] as `want`'s.
+fn same_values(got: &[f64], want: &[f64]) -> bool {
+    got.len() == want.len() && got.iter().zip(want).all(|(&g, &w)| same_value(g, w))
+}
+
+/// The block SpMV — the CSR kernel, its trait override, and the trait's
+/// column-by-column default on `copy`, another format of `a` — against the
+/// width-1 product of each column. The default leaves inactive columns as
+/// they were.
+fn check_block_spmv<const W: usize>(case: u64, a: &CsrMatrix, copy: &impl SparseOp, rng: &mut Rng) {
+    let (rows, cols) = (a.rows(), a.cols());
+    let special = [0.0, 0.05, 0.3][case as usize % 3];
+    let x: Vec<f64> = (0..W * cols).map(|_| draw(rng, special)).collect();
+    let stale: Vec<f64> = (0..W * rows).map(|_| draw(rng, special)).collect();
+    let active: [bool; W] = std::array::from_fn(|_| rng.unit() < 0.75);
+    let mut y_kernel = stale.clone();
+    a.mul_block_into::<W>(&x, &mut y_kernel);
+    let mut y_trait = stale.clone();
+    SparseOp::mul_block_into(a, &x, &mut y_trait, &active, &mut []);
+    let mut y_default = stale.clone();
+    let mut scratch = vec![0.0; rows + cols];
+    copy.mul_block_into(&x, &mut y_default, &active, &mut scratch);
+    for (j, &active) in active.iter().enumerate() {
+        let xj = column::<W>(&x, j);
+        let want = a.mul_vec(&xj);
+        let what = format!("case {case}, {rows}×{cols}, width {W}, column {j}");
+        assert!(
+            same_values(&column::<W>(&y_kernel, j), &want),
+            "{what}: kernel"
+        );
+        assert!(
+            same_values(&column::<W>(&y_trait, j), &want),
+            "{what}: trait"
+        );
+        let want = if active {
+            copy.mul_vec(&xj)
+        } else {
+            column::<W>(&stale, j)
+        };
+        assert!(
+            same_values(&column::<W>(&y_default, j), &want),
+            "{what}: default, active {active}"
+        );
+    }
+}
+
+#[test]
+fn block_spmv_columns_match_width_one_bitwise() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xB10C + case);
+        let (rows, cols) = SHAPES[case as usize % SHAPES.len()];
+        let a = random_csr(&mut rng, rows, cols);
+        at_every_width!(check_block_spmv(case, &a, &a.to_dense(), &mut rng));
+    }
+    // Past the parallel threshold, so the nnz-weighted chunks of the
+    // block driver run on the pool.
+    let n = 6_000;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 4.0).unwrap();
+        if i + 1 < n {
+            coo.push_sym(i, i + 1, -1.25).unwrap();
+        }
+    }
+    let a = coo.to_csr();
+    assert!(a.nnz() >= mspcg::sparse::tuning::par_min_nnz());
+    let mut rng = Rng::new(0xB10D);
+    let dia = mspcg::sparse::DiaMatrix::from_csr(&a);
+    at_every_width!(check_block_spmv(1, &a, &dia, &mut rng));
+}
+
+/// One color phase of `sweep::<W>` on 1 and 3 participants against
+/// `sweep::<1>` on each column, for every sweep kind, update and ω; and
+/// the multicolor SSOR's block msolve against `msolve_with` per column.
+fn check_block_sweep<const W: usize>(case: u64) {
+    let mut rng = Rng::new(0x5EEB + case);
+    let (a, colors) = random_blocked(&mut rng);
+    let n = a.rows();
+    let special = [0.0, 0.05, 0.3][case as usize % 3];
+    let block = |rng: &mut Rng| -> Vec<f64> { (0..W * n).map(|_| draw(rng, special)).collect() };
+    let (x0, y0, b) = (block(&mut rng), block(&mut rng), block(&mut rng));
+    let scale = rng.unit() * 3.0 - 1.5;
+    let table = SweepTable::new(Arc::new(a.clone()), Arc::new(colors.clone())).unwrap();
+    let sweeps = [
+        Sweep::Forward {
+            cached_upper: false,
+        },
+        Sweep::Forward { cached_upper: true },
+        Sweep::Backward,
+    ];
+    for (c, blk) in colors.iter().enumerate() {
+        for sweep in sweeps {
+            for (name, update) in UPDATES {
+                for w in [1.0, 0.7] {
+                    let update = |x_i, s, inv| update(w, x_i, s, inv);
+                    let mut want = Vec::new();
+                    for j in 0..W {
+                        let (mut xj, mut yj) = (column::<W>(&x0, j), column::<W>(&y0, j));
+                        let bj = column::<W>(&b, j);
+                        let (x, y) = (ParSlice::new(&mut xj), ParSlice::new(&mut yj));
+                        // SAFETY: one thread.
+                        unsafe { table.sweep::<1>(blk.clone(), sweep, scale, &bj, &x, &y, update) };
+                        want.push((xj, yj));
+                    }
+                    for parts in [1usize, 3] {
+                        let (mut got_x, mut got_y) = (x0.clone(), y0.clone());
+                        let (x, y) = (ParSlice::new(&mut got_x), ParSlice::new(&mut got_y));
+                        par::for_each_chunk(parts, parts, &|p| {
+                            let rows = owned_chunk(blk.clone(), p, parts);
+                            // SAFETY: disjoint chunks of one color block.
+                            unsafe { table.sweep::<W>(rows, sweep, scale, &b, &x, &y, update) }
+                        });
+                        for (j, (want_x, want_y)) in want.iter().enumerate() {
+                            assert!(
+                                same_values(&column::<W>(&got_x, j), want_x)
+                                    && same_values(&column::<W>(&got_y, j), want_y),
+                                "case {case} color {c} {sweep:?} {name} ω = {w}, width {W}, \
+                                 {parts} participants, column {j}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for omega in [1.0, 0.7] {
+        let ssor = MulticolorSsor::new(a.clone(), colors.clone(), omega).unwrap();
+        let alphas = [1.0, scale, 0.5];
+        let mut z = x0.clone();
+        let mut scratch = vec![f64::NAN; W * n];
+        ssor.msolve_block(&alphas, &b, &mut z, &[true; W], &mut scratch);
+        for j in 0..W {
+            let mut zj = vec![0.0; n];
+            ssor.msolve_with(&alphas, &column::<W>(&b, j), &mut zj, &mut vec![0.0; n]);
+            assert!(
+                same_values(&column::<W>(&z, j), &zj),
+                "case {case} msolve ω = {omega}, width {W}, column {j}"
+            );
+        }
+    }
+}
+
+#[test]
+fn block_sweep_columns_match_width_one_bitwise() {
+    for case in 0..CASES / 4 {
+        at_every_width!(check_block_sweep(case));
+    }
+}
+
+/// The block BLAS-1 kernels against their width-1 forms, column by
+/// column, on lengths around and past the reduction chunk and the
+/// parallel threshold.
+fn check_block_vecops<const W: usize>(case: u64) {
+    use mspcg::sparse::vecops;
+    let mut rng = Rng::new(0xB1A5 + case);
+    let n = [0, 1, 7, 1030, 9_000][case as usize % 5];
+    let special = [0.0, 0.02, 0.2][case as usize % 3];
+    let mut block = || -> Vec<f64> { (0..W * n).map(|_| draw(&mut rng, special)).collect() };
+    let (x, y, p, kp, r) = (block(), block(), block(), block(), block());
+    let scalars = |rng: &mut Rng| -> [f64; W] {
+        std::array::from_fn(|_| match rng.range(0, 4) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.unit() * 3.0 - 1.5,
+        })
+    };
+    let (b, alpha) = (scalars(&mut rng), scalars(&mut rng));
+    let what =
+        |kernel: &str, j: usize| format!("case {case}, n = {n}, width {W}: {kernel}, column {j}");
+
+    let dots = vecops::dot_block::<W>(&x, &y);
+    let mut xpby = y.clone();
+    vecops::xpby_block::<W>(&x, &b, &mut xpby);
+    let maxabs: [f64; W] = std::array::from_fn(|j| match case % 4 {
+        0 => 0.0,
+        1 => f64::INFINITY,
+        _ => vecops::norm_inf(&column::<W>(&x, j)),
+    });
+    let norms2 = vecops::norm2_with_max_block::<W>(&x, &maxabs);
+    for (j, (&bj, &mj)) in b.iter().zip(&maxabs).enumerate() {
+        let (xj, mut yj) = (column::<W>(&x, j), column::<W>(&y, j));
+        assert!(
+            same_value(dots[j], vecops::dot(&xj, &yj)),
+            "{}",
+            what("dot", j)
+        );
+        assert!(
+            same_value(norms2[j], vecops::norm2_with_max(&xj, mj)),
+            "{}",
+            what("norm2_with_max", j)
+        );
+        vecops::xpby(&xj, bj, &mut yj);
+        assert!(
+            same_values(&column::<W>(&xpby, j), &yj),
+            "{}",
+            what("xpby", j)
+        );
+    }
+
+    for shared_b in [0.0, b[0]] {
+        let mut got = y.clone();
+        let dots = vecops::fused_xpby_dot_block::<W>(&x, shared_b, &mut got, &r);
+        for (j, &d) in dots.iter().enumerate() {
+            let mut yj = column::<W>(&y, j);
+            let want =
+                vecops::fused_xpby_dot(&column::<W>(&x, j), shared_b, &mut yj, &column::<W>(&r, j));
+            assert!(
+                same_value(d, want) && same_values(&column::<W>(&got, j), &yj),
+                "{} (b = {shared_b})",
+                what("fused_xpby_dot", j)
+            );
+        }
+    }
+
+    let mut u: Vec<Vec<f64>> = (0..W)
+        .map(|_| (0..n).map(|_| draw(&mut rng, special)).collect())
+        .collect();
+    let moving: [bool; W] = std::array::from_fn(|j| j % 3 != 1);
+    let u0 = u.clone();
+    let mut got_r = r.clone();
+    let mut cols = u.iter_mut();
+    let u_block: [Option<&mut [f64]>; W] = std::array::from_fn(|j| {
+        let uj = cols.next().unwrap();
+        moving[j].then_some(uj.as_mut_slice())
+    });
+    let norms = vecops::fused_axpy_axpy_norm_block::<W>(&alpha, &p, &kp, u_block, &mut got_r);
+    for j in 0..W {
+        let (mut uj, mut rj) = (u0[j].clone(), column::<W>(&r, j));
+        let want = vecops::fused_axpy_axpy_norm(
+            alpha[j],
+            &column::<W>(&p, j),
+            &column::<W>(&kp, j),
+            &mut uj,
+            &mut rj,
+        );
+        let want_p = if moving[j] { want.p_norm_inf } else { 0.0 };
+        let want_u = if moving[j] { &uj } else { &u0[j] };
+        assert!(
+            same_values(&u[j], want_u)
+                && same_values(&column::<W>(&got_r, j), &rj)
+                && same_value(norms[j].p_norm_inf, want_p)
+                && same_value(norms[j].r_norm_inf, want.r_norm_inf),
+            "{} (moving {})",
+            what("fused_axpy_axpy_norm", j),
+            moving[j]
+        );
+    }
+}
+
+#[test]
+fn block_vecops_columns_match_width_one_bitwise() {
+    for case in 0..15 {
+        at_every_width!(check_block_vecops(case));
+    }
 }
