@@ -5,11 +5,12 @@
 //!     + dot, as four separate sweeps vs one fused kernel, on
 //!     512×512-Poisson-sized vectors (262 144 elements);
 //! (b) **batched multi-RHS solves** — 32 load cases against one plate
-//!     stiffness matrix via `pcg_solve_multi` (RHS-level parallelism in
-//!     lockstep blocks on a small plate, kernel-level on a large one) vs
-//!     the same 32 solves issued sequentially through `pcg_solve_into`.
-//!     Each regime asserts in-run that every batch column is bitwise its
-//!     sequential solve, iteration count included.
+//!     stiffness matrix via `pcg_solve_multi` (lanes of lockstep blocks,
+//!     on a small plate below `tuning::par_min_nnz` stored entries and on
+//!     a large one above it) vs the same 32 solves issued sequentially
+//!     through `pcg_solve_into`, whose kernels fan out on the pool on the
+//!     large plate. Each row asserts in-run that every batch column is
+//!     bitwise its sequential solve, iteration count included.
 //!
 //! Run: `cargo bench -p mspcg-bench --bench multi_rhs` (add `-- --json
 //! FILE` to keep the numbers).
@@ -78,7 +79,7 @@ fn load_cases(rhs: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-fn bench_multi_rhs(results: &mut Vec<BenchResult>, a: usize, regime: &str) {
+fn bench_multi_rhs(results: &mut Vec<BenchResult>, a: usize) {
     let (_, ord) = ordered_plate(a).expect("plate");
     let n = ord.matrix.rows();
     let matrix = Arc::new(ord.matrix);
@@ -95,7 +96,7 @@ fn bench_multi_rhs(results: &mut Vec<BenchResult>, a: usize, regime: &str) {
 
     let mut single_ws = PcgWorkspace::new(n);
     results.push(bench(
-        &format!("multi_rhs_plate{a}_{regime}"),
+        &format!("multi_rhs_plate{a}_lanes"),
         "sequential_into",
         || {
             for i in 0..N_CASES {
@@ -118,7 +119,7 @@ fn bench_multi_rhs(results: &mut Vec<BenchResult>, a: usize, regime: &str) {
 
     let mut ws = MultiRhsWorkspace::new(n, N_CASES);
     results.push(bench(
-        &format!("multi_rhs_plate{a}_{regime}"),
+        &format!("multi_rhs_plate{a}_lanes"),
         &format!("batch_par{}", par::max_threads()),
         || {
             u.fill(0.0);
@@ -130,16 +131,16 @@ fn bench_multi_rhs(results: &mut Vec<BenchResult>, a: usize, regime: &str) {
         assert_eq!(
             bits(got),
             bits(want),
-            "{regime}: case {i} differs from its sequential solve"
+            "plate {a}: case {i} differs from its sequential solve"
         );
         let out = &ws.outcomes()[i];
         assert!(
             out.status.is_converged(),
-            "{regime}: case {i} did not converge"
+            "plate {a}: case {i} did not converge"
         );
         assert_eq!(
             out.report.iterations, iterations[i],
-            "{regime}: case {i} iterations"
+            "plate {a}: case {i} iterations"
         );
     }
 }
@@ -147,10 +148,10 @@ fn bench_multi_rhs(results: &mut Vec<BenchResult>, a: usize, regime: &str) {
 fn main() {
     let mut results = Vec::new();
     bench_fused_vs_unfused(&mut results);
-    // Small plate: below the kernel-parallel nnz threshold, so the batch
-    // distributes whole right-hand sides across the pool.
-    bench_multi_rhs(&mut results, 20, "rhs_level");
-    // Large plate: kernels fan out instead, RHS stay sequential.
-    bench_multi_rhs(&mut results, 60, "kernel_level");
+    // Both plates run the batch in lanes of lockstep blocks; the a = 60
+    // plate is above the nnz threshold of the pool kernels, so there the
+    // sequential solves fan out on the pool instead.
+    bench_multi_rhs(&mut results, 20);
+    bench_multi_rhs(&mut results, 60);
     finish(&results);
 }

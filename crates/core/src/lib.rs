@@ -15,8 +15,10 @@
 //!   [`preconditioner::Preconditioner`], with the paper's
 //!   `‖u^{k+1} − u^k‖∞ < ε` stopping test, running on the fused one-pass
 //!   update kernels of `mspcg_sparse::vecops`,
-//! * [`multi`] — batched multi-RHS solves (many load cases on one
-//!   stiffness matrix) over shared matrix/preconditioner handles,
+//! * [`multi`] — the recurrence's loop, written once for a lockstep block
+//!   of right-hand sides (a standalone solve is the block of width 1), and
+//!   batched multi-RHS solves (many load cases on one stiffness matrix)
+//!   over shared matrix/preconditioner handles,
 //! * [`splitting`] — the [`splitting::Splitting`] abstraction plus Jacobi
 //!   and natural-order SSOR splittings,
 //! * [`ssor`] — the multicolor block SSOR splitting with the

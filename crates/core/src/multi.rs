@@ -1,4 +1,4 @@
-//! Batched multi-RHS PCG: many load cases against one stiffness matrix.
+//! Batched multi-RHS PCG — and the Algorithm 1 loop every solve runs.
 //!
 //! The FEM workloads the paper targets rarely solve one system — a plate
 //! is analysed under many load cases, all sharing the stiffness matrix
@@ -6,60 +6,64 @@
 //! and the preconditioner coefficients. [`pcg_solve_multi`] solves a
 //! whole batch against one `K` and one shared preconditioner:
 //!
-//! * **Two parallel regimes** — a *large* matrix (at or above
-//!   [`tuning::par_min_nnz`] stored entries) keeps the right-hand sides
-//!   sequential and lets every kernel inside the solve fan out across the
-//!   worker pool (kernel-level parallelism), one standalone
-//!   [`pcg_try_solve_into`] after another; a *small* matrix gives each
-//!   worker a contiguous range of right-hand sides (RHS-level
-//!   parallelism), whose nested kernel launches run inline.
-//! * **Lockstep blocks** — in the RHS-level regime a lane solves its range
-//!   in blocks of up to [`BLOCK_WIDTH`] right-hand sides. A block stores
-//!   its residuals, directions and `K·p` / `M⁻¹r` interleaved, `n × w`
-//!   (column `j` of row `i` at `i·w + j`), and its columns run Algorithm 1
-//!   in lockstep: one SpMV ([`SparseOp::mul_block_into`]), one msolve
+//! * **Lanes** — the batch is split into `min(threads, cases)` lanes of
+//!   contiguous cases, balanced to within one; each pool participant runs
+//!   one lane, whose nested kernel launches run inline. A one-case batch
+//!   is one lane on the calling thread, whose kernels fan out on the pool
+//!   as a standalone solve's do.
+//! * **Lockstep blocks** — a lane solves its range in blocks of up to
+//!   [`BLOCK_WIDTH`] right-hand sides. A block stores its residuals,
+//!   directions and `K·p` / `M⁻¹r` interleaved, `n × w` (column `j` of row
+//!   `i` at `i·w + j`), and its columns run Algorithm 1 in lockstep: one
+//!   SpMV ([`SparseOp::mul_block_into`]), one msolve
 //!   ([`Preconditioner::apply_block`]) and one pass of each vector kernel
 //!   per iteration serve every column, so each stored value, column index,
 //!   row pointer and `1/a_ii` is loaded once per block instead of once per
 //!   case, and the `w` row sums are independent dependency chains.
-//!   *Per column* are α, β, the stopping test, the iteration count and
-//!   [`PcgStats`]; *shared* are the matrix, the preconditioner and the
-//!   sweep of the rows. A column leaves the block when it converges, when
-//!   an inner product shows an indefinite operator, when its budget runs
-//!   out (all three recorded exactly as [`pcg_try_solve_into`] records
-//!   them, the budget exit with the true residual), and when a scalar goes
-//!   non-finite or its residual audit diverges: such a column finishes on
-//!   the lane's standalone workspace through the classic loop's restart,
-//!   from its current iterate and counters, so recovery lives in one
-//!   place. Its slots of the block then carry zeros; its iterate, written
-//!   straight into the caller's column, is not touched again.
+//!   *Per column* are α, β, the stopping test, the iteration count, the
+//!   audit schedule and [`PcgStats`]; *shared* are the matrix, the
+//!   preconditioner and the sweep of the rows. A column leaves the block
+//!   when it converges, when an inner product shows an indefinite
+//!   operator, when its budget runs out (the exit with the true residual)
+//!   and when a non-finite value outlasts its replacement budget. Its
+//!   slots of the block then carry zeros; its iterate, written straight
+//!   into the caller's column, is not touched again.
+//! * **Restart in place** — one re-derivation (`r = f − K·u`, `r̂ = M⁻¹r`,
+//!   `p ← r̂`, `(r̂, r)`) starts every column and serves each of its
+//!   restarts: a residual audit that diverged, or a non-finite scalar (see
+//!   [`crate::recovery`]). The restarting columns re-derive together
+//!   before the block's next SpMV, from their own iterates, while the
+//!   other columns keep their state. A column whose `(p, K·p)` went
+//!   non-finite repeats that iteration, so it rejoins the block one step
+//!   later: each column counts iterations, audits and budget on its own,
+//!   and so reports exactly its standalone solve.
 //! * **Width 1 is the plain kernel** — the block kernels are the
 //!   solver's kernels made generic over the column count (the CSR gather,
 //!   `SweepTable::sweep`, the `vecops` updates and reductions in their
 //!   chunk order), so every column of a block is computed by bitwise the
-//!   arithmetic of its standalone solve. Operators and preconditioners
+//!   arithmetic of its standalone solve — which is the block of width 1
+//!   ([`crate::pcg::pcg_try_solve_into`]). Operators and preconditioners
 //!   without a block kernel take the traits' default, one column after
 //!   another through `mul_vec_into` / `apply_with`.
 //! * **Shared system, per-lane scratch** — the matrix and preconditioner
-//!   are borrowed immutably by every lane; each lane owns its block, the
-//!   block kernels' scratch (the interleaved SSOR half-sum cache) and a
-//!   [`PcgWorkspace`], so concurrent lanes never serialize on a lock.
+//!   are borrowed immutably by every lane; each lane is a [`PcgWorkspace`]
+//!   owning its block and the block kernels' scratch (the interleaved
+//!   SSOR half-sum cache), so concurrent lanes never serialize on a lock.
 //! * **Zero per-solve allocation** — after the workspace is warm, a batch
 //!   call performs no heap allocation (`tests/alloc_free_hot_loop.rs`
 //!   extends the counting-allocator proof to 32 right-hand sides).
 //! * **Determinism** — every right-hand side is solved by the same
 //!   chunk-deterministic arithmetic, so each solution, iteration count,
 //!   [`PcgStats`] and [`SolveStatus`] is bitwise that of its standalone
-//!   [`crate::pcg::pcg_solve_into`] run, for any thread count and either
-//!   parallel regime. `record_history` records nothing for a batch.
+//!   [`crate::pcg::pcg_solve_into`] run, for any thread count.
 //!
 //! Budget exhaustion on one right-hand side is recorded in that RHS's
 //! [`RhsOutcome`] (with the *true* recomputed final residual) instead of
 //! aborting the batch — see [`crate::pcg::pcg_try_solve_into`]. So is
 //! recovery: a right-hand side whose solve restarted in place from its
-//! iterate (an audit replacement or a non-finite recovery, see
-//! [`crate::recovery`]) reports [`SolveStatus::Replaced`], and one whose
-//! replacement budget ran out reports [`SolveStatus::Breakdown`].
+//! iterate (an audit replacement or a non-finite recovery) reports
+//! [`SolveStatus::Replaced`], and one whose replacement budget ran out
+//! reports [`SolveStatus::Breakdown`].
 //!
 //! A probe of the block path: `cargo run --release --example
 //! multi_load_cases` prints every case's iteration count and residual,
@@ -67,12 +71,11 @@
 //! asserts in-run that every batch column equals its sequential solve.
 
 use crate::pcg::{
-    audit_deviation2, classic_loop, exit_report, nonfinite_flow, pcg_try_solve_into,
-    validate_inputs, ClassicFlow, PcgOptions, PcgReport, PcgStats, PcgWorkspace, StoppingCriterion,
+    validate_inputs, PcgOptions, PcgReport, PcgStats, PcgWorkspace, StoppingCriterion,
 };
 use crate::preconditioner::{block_scratch_len, Preconditioner};
 use crate::recovery::{audit_due, diverged, AuditPlan};
-use mspcg_sparse::{par, tuning, vecops, SparseError, SparseOp};
+use mspcg_sparse::{par, vecops, SparseError, SparseOp};
 use std::ops::Range;
 
 /// Right-hand sides a lane solves in lockstep: the most columns of one
@@ -129,7 +132,7 @@ impl RhsOutcome {
     }
 
     /// The outcome of one solve's result, classified as
-    /// [`pcg_try_solve_into`] reports it.
+    /// [`crate::pcg::pcg_try_solve_into`] reports it.
     fn of(result: Result<PcgReport, SparseError>) -> Self {
         match result {
             Ok(report) => RhsOutcome {
@@ -179,68 +182,26 @@ pub struct MultiRhsSummary {
     pub max_final_relative_residual: f64,
 }
 
-/// Reusable storage for batched solves: one lane per parallel worker
-/// (its lockstep block and a [`PcgWorkspace`]) plus the per-RHS outcome
-/// table. Like `PcgWorkspace`, an undersized instance is grown on entry
-/// (that path allocates once); after that, batch calls are allocation
-/// free.
+/// Reusable storage for batched solves: one lane ([`PcgWorkspace`]) per
+/// parallel worker plus the per-RHS outcome table. Like `PcgWorkspace`, an
+/// undersized instance is grown on entry (that path allocates once);
+/// after that, batch calls are allocation free.
 #[derive(Debug)]
 pub struct MultiRhsWorkspace {
-    lanes: Vec<Lane>,
+    lanes: Vec<PcgWorkspace>,
     outcomes: Vec<RhsOutcome>,
     n: usize,
 }
 
-/// One lane's storage: the lockstep block — residuals `r`, directions `p`
-/// and `t`, which holds `K·p` and then `M⁻¹r` (never live together), each
-/// `n × w` interleaved, and the block kernels' scratch — and the
-/// standalone workspace a column finishes on when it leaves its block (the
-/// kernel-level regime's solves use it too).
-#[derive(Debug)]
-struct Lane {
-    r: Vec<f64>,
-    p: Vec<f64>,
-    t: Vec<f64>,
-    scratch: Vec<f64>,
-    ws: PcgWorkspace,
-}
-
-impl Lane {
-    fn new(n: usize) -> Self {
-        Lane {
-            r: Vec::new(),
-            p: Vec::new(),
-            t: Vec::new(),
-            scratch: Vec::new(),
-            ws: PcgWorkspace::new(n),
-        }
-    }
-
-    /// Grow the block to `len` values per vector and the scratch to
-    /// `scratch` values (never shrinks, so a warm lane does not allocate).
-    fn reserve_block(&mut self, len: usize, scratch: usize) {
-        for v in [&mut self.r, &mut self.p, &mut self.t] {
-            if v.len() < len {
-                v.resize(len, 0.0);
-            }
-        }
-        if self.scratch.len() < scratch {
-            self.scratch.resize(scratch, 0.0);
-        }
-    }
-}
-
 impl MultiRhsWorkspace {
     /// Workspace for batches of up to `nrhs` right-hand sides of dimension
-    /// `n`. Starts with a single lane and no block — the kernel-level
-    /// regime (large matrices) needs neither more lanes nor a block, so
-    /// eagerly sizing for the pool's full capacity would hold dead storage
-    /// for the lifetime of the batch. The first (warm-up)
-    /// [`pcg_solve_multi`] call grows the lanes to whatever its regime
-    /// requires; calls after it are allocation free.
+    /// `n`. Starts with one lane sized for a width-1 block: the first
+    /// (warm-up) [`pcg_solve_multi`] call adds the lanes its batch runs —
+    /// one per pool participant it uses — and grows each to its block
+    /// width; calls after it are allocation free.
     pub fn new(n: usize, nrhs: usize) -> Self {
         MultiRhsWorkspace {
-            lanes: vec![Lane::new(n)],
+            lanes: vec![PcgWorkspace::new(n)],
             outcomes: vec![RhsOutcome::placeholder(); nrhs],
             n,
         }
@@ -256,27 +217,14 @@ impl MultiRhsWorkspace {
     pub fn outcomes(&self) -> &[RhsOutcome] {
         &self.outcomes
     }
-
-    fn ensure(&mut self, n: usize, nrhs: usize, lanes: usize) {
-        if self.n != n {
-            self.n = n;
-            for lane in &mut self.lanes {
-                lane.ws.resize(n);
-            }
-        }
-        while self.lanes.len() < lanes {
-            self.lanes.push(Lane::new(n));
-        }
-        self.outcomes.resize(nrhs, RhsOutcome::placeholder());
-    }
 }
 
-/// Shared-pointer bundle for the RHS-parallel path: lane `l` exclusively
-/// owns `lanes[l]`, the outcome slots and solution columns of its RHS
-/// range. Exactly the `SharedVec`/`ParSlice` discipline, generalized to
-/// the batch tables.
+/// Shared-pointer bundle for the lanes: lane `l` exclusively owns
+/// `lanes[l]`, the outcome slots and solution columns of its RHS range.
+/// Exactly the `SharedVec`/`ParSlice` discipline, generalized to the batch
+/// tables.
 struct BatchPtrs {
-    lanes: *mut Lane,
+    lanes: *mut PcgWorkspace,
     outcomes: *mut RhsOutcome,
     u: *mut f64,
 }
@@ -292,7 +240,7 @@ impl BatchPtrs {
     ///
     /// # Safety
     /// Lane `l` must be claimed by at most one chunk per parallel region.
-    unsafe fn lane<'a>(&self, l: usize) -> &'a mut Lane {
+    unsafe fn lane<'a>(&self, l: usize) -> &'a mut PcgWorkspace {
         unsafe { &mut *self.lanes.add(l) }
     }
 
@@ -383,72 +331,57 @@ pub fn pcg_solve_multi<A: SparseOp>(
     // side would otherwise burn that lane's whole iteration budget (or its
     // replacement budget) on garbage.
     validate_inputs(opts.tol, &opts.recovery, f, u)?;
-    if n == 0 {
-        ws.ensure(0, 0, 1);
-        return Ok(MultiRhsSummary::default());
-    }
     if !f.len().is_multiple_of(n) {
         return Err(SparseError::ShapeMismatch {
             left: (n, n),
             right: (f.len(), u.len()),
         });
     }
-    let nrhs = f.len() / n;
+    let nrhs = f.len().checked_div(n).unwrap_or(0);
 
-    // Regime selection: a matrix whose kernels would fan out across the
-    // pool keeps the batch sequential (kernel-level parallelism); below
-    // that threshold a whole solve is far cheaper than a pool launch per
-    // kernel, so distinct right-hand sides become the unit of parallel
-    // work instead.
-    if k.nnz() >= tuning::par_min_nnz() {
-        ws.ensure(n, nrhs, 1);
-        let lane = &mut ws.lanes[0].ws;
-        for ((fi, ui), out) in f.chunks(n).zip(u.chunks_mut(n)).zip(&mut ws.outcomes) {
-            *out = RhsOutcome::of(pcg_try_solve_into(k, fi, ui, m, opts, lane));
-        }
-    } else {
-        let lanes = par::max_threads().min(nrhs).max(1);
-        ws.ensure(n, nrhs, lanes);
-        // Contiguous RHS ranges per lane (balanced to within one), each
-        // solved in blocks of up to `BLOCK_WIDTH`.
-        let (base, extra) = (nrhs / lanes, nrhs % lanes);
-        let lane_range = |l: usize| {
-            let start = l * base + l.min(extra);
-            start..start + base + usize::from(l < extra)
-        };
-        let width = lane_range(0).len().min(BLOCK_WIDTH);
-        for lane in &mut ws.lanes[..lanes] {
-            lane.reserve_block(width * n, block_scratch_len(m, width));
-            lane.ws
-                .prepare(n, m.scratch_len(), opts.recovery.replacement);
-        }
-        let ptrs = BatchPtrs {
-            lanes: ws.lanes.as_mut_ptr(),
-            outcomes: ws.outcomes.as_mut_ptr(),
-            u: u.as_mut_ptr(),
-        };
-        par::for_each_chunk(lanes, lanes, &|l| {
-            // SAFETY: lane index `l` is claimed exactly once per region;
-            // `lane_range(l)` ranges are pairwise disjoint, so lane `l`,
-            // the outcome slots and the `u` columns of this range have
-            // exactly one writer, and nothing reads them until the
-            // region's completion barrier.
-            let lane = unsafe { ptrs.lane(l) };
-            let range = lane_range(l);
-            let mut first = range.start;
-            while first < range.end {
-                let cols = first..(first + BLOCK_WIDTH).min(range.end);
-                let (ub, out) = unsafe {
-                    (
-                        ptrs.u(cols.start * n..cols.end * n),
-                        ptrs.outcomes(cols.clone()),
-                    )
-                };
-                solve_block(k, &f[cols.start * n..cols.end * n], ub, m, opts, lane, out);
-                first = cols.end;
-            }
-        });
+    // Contiguous RHS ranges per lane (balanced to within one), each solved
+    // in blocks of up to `BLOCK_WIDTH`.
+    let lanes = par::max_threads().min(nrhs).max(1);
+    let (base, extra) = (nrhs / lanes, nrhs % lanes);
+    let lane_range = |l: usize| {
+        let start = l * base + l.min(extra);
+        start..start + base + usize::from(l < extra)
+    };
+    let width = lane_range(0).len().clamp(1, BLOCK_WIDTH);
+    ws.n = n;
+    ws.outcomes.resize(nrhs, RhsOutcome::placeholder());
+    while ws.lanes.len() < lanes {
+        ws.lanes.push(PcgWorkspace::new(n));
     }
+    for lane in &mut ws.lanes[..lanes] {
+        lane.prepare(n, width, block_scratch_len(m, width));
+    }
+    let ptrs = BatchPtrs {
+        lanes: ws.lanes.as_mut_ptr(),
+        outcomes: ws.outcomes.as_mut_ptr(),
+        u: u.as_mut_ptr(),
+    };
+    par::for_each_chunk(lanes, lanes, &|l| {
+        // SAFETY: lane index `l` is claimed exactly once per region;
+        // `lane_range(l)` ranges are pairwise disjoint, so lane `l`, the
+        // outcome slots and the `u` columns of this range have exactly one
+        // writer, and nothing reads them until the region's completion
+        // barrier.
+        let lane = unsafe { ptrs.lane(l) };
+        let range = lane_range(l);
+        let mut first = range.start;
+        while first < range.end {
+            let cols = first..(first + BLOCK_WIDTH).min(range.end);
+            let (ub, out) = unsafe {
+                (
+                    ptrs.u(cols.start * n..cols.end * n),
+                    ptrs.outcomes(cols.clone()),
+                )
+            };
+            solve_block(k, &f[cols.start * n..cols.end * n], ub, m, opts, lane, out);
+            first = cols.end;
+        }
+    });
 
     let mut summary = MultiRhsSummary {
         solved: nrhs,
@@ -470,33 +403,55 @@ pub fn pcg_solve_multi<A: SparseOp>(
     Ok(summary)
 }
 
-/// [`lockstep`] at the block's width, `out.len()` columns.
+/// [`lockstep`] at the block's width, `out.len()` columns, recording each
+/// column's outcome.
 fn solve_block<A: SparseOp, P: Preconditioner>(
     k: &A,
     f: &[f64],
     u: &mut [f64],
     m: &P,
     opts: &PcgOptions,
-    lane: &mut Lane,
+    lane: &mut PcgWorkspace,
     out: &mut [RhsOutcome],
 ) {
+    fn record<const W: usize>(
+        out: &mut [RhsOutcome],
+        results: [Result<PcgReport, SparseError>; W],
+    ) {
+        for (o, result) in out.iter_mut().zip(results) {
+            *o = RhsOutcome::of(result);
+        }
+    }
     const _: () = assert!(BLOCK_WIDTH == 8, "one arm per block width");
     match out.len() {
-        1 => lockstep::<A, P, 1>(k, f, u, m, opts, lane, out),
-        2 => lockstep::<A, P, 2>(k, f, u, m, opts, lane, out),
-        3 => lockstep::<A, P, 3>(k, f, u, m, opts, lane, out),
-        4 => lockstep::<A, P, 4>(k, f, u, m, opts, lane, out),
-        5 => lockstep::<A, P, 5>(k, f, u, m, opts, lane, out),
-        6 => lockstep::<A, P, 6>(k, f, u, m, opts, lane, out),
-        7 => lockstep::<A, P, 7>(k, f, u, m, opts, lane, out),
-        8 => lockstep::<A, P, 8>(k, f, u, m, opts, lane, out),
+        1 => record(out, lockstep::<A, P, 1>(k, f, u, m, opts, lane)),
+        2 => record(out, lockstep::<A, P, 2>(k, f, u, m, opts, lane)),
+        3 => record(out, lockstep::<A, P, 3>(k, f, u, m, opts, lane)),
+        4 => record(out, lockstep::<A, P, 4>(k, f, u, m, opts, lane)),
+        5 => record(out, lockstep::<A, P, 5>(k, f, u, m, opts, lane)),
+        6 => record(out, lockstep::<A, P, 6>(k, f, u, m, opts, lane)),
+        7 => record(out, lockstep::<A, P, 7>(k, f, u, m, opts, lane)),
+        8 => record(out, lockstep::<A, P, 8>(k, f, u, m, opts, lane)),
         w => unreachable!("block of {w} columns"),
     }
 }
 
-/// One column's state in a lockstep block: the locals a standalone
-/// `classic_pass` keeps for its solve.
+/// Where a column of a lockstep block stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Its `r`, `r̂`, `p` and `(r̂, r)` are to be (re-)derived from its
+    /// iterate before the block's next SpMV.
+    Restart,
+    /// Iterating with the block.
+    Live,
+    /// Left the block with its result.
+    Done,
+}
+
+/// One column's state in a lockstep block: the scalars and counters of its
+/// own solve.
 struct Column {
+    phase: Phase,
     stats: PcgStats,
     audit: AuditPlan,
     f_norm: f64,
@@ -504,121 +459,129 @@ struct Column {
     rz: f64,
     /// The last measured ‖Δu‖∞.
     change: f64,
-    /// Iterations whose step was taken.
+    /// Iterations whose step was taken: the column's next iteration is
+    /// `completed + 1`, and it has budget left while `completed` is below
+    /// the iteration budget.
     completed: usize,
+    /// The iteration of its last restart (0 before any): audits fall due
+    /// counted from here ([`audit_due`]), so an audit-triggered restart
+    /// strictly advances and the restarts terminate on the budget alone.
+    start: usize,
 }
 
-/// The block's shared state: which columns are still in it, the three
-/// interleaved block vectors, and where the outcomes go.
+impl Column {
+    /// Restart in place from the iterate after `completed` iterations.
+    fn restart(&mut self) {
+        self.start = self.completed;
+        self.phase = Phase::Restart;
+    }
+
+    /// Count one msolve and the `(r̂, r)` reduction that follows it.
+    fn count_msolve(&mut self, steps: usize) {
+        self.stats.precond_applications += 1;
+        self.stats.precond_steps += steps;
+        self.stats.inner_products += 1;
+        self.stats.reduction_phases += 1;
+    }
+}
+
+/// The block's three interleaved vectors and its columns' results.
 struct Block<'a, const W: usize> {
-    active: [bool; W],
     r: &'a mut [f64],
     p: &'a mut [f64],
     t: &'a mut [f64],
-    out: &'a mut [RhsOutcome],
+    results: [Option<Result<PcgReport, SparseError>>; W],
 }
 
 impl<const W: usize> Block<'_, W> {
-    fn any_active(&self) -> bool {
-        self.active.contains(&true)
-    }
-
     /// Take column `j` out of the block with its final result, and zero
-    /// its slots of the block vectors: from here on the kernels carry
-    /// exact zeros for it.
-    fn retire(&mut self, j: usize, result: Result<PcgReport, SparseError>) {
-        self.out[j] = RhsOutcome::of(result);
-        self.active[j] = false;
+    /// its slots of the block vectors: from here on the kernels carry exact
+    /// zeros for it.
+    fn retire(&mut self, j: usize, c: &mut Column, result: Result<PcgReport, SparseError>) {
+        c.phase = Phase::Done;
+        self.results[j] = Some(result);
         for v in [&mut *self.r, &mut *self.p, &mut *self.t] {
-            for row in v.chunks_exact_mut(W) {
-                row[j] = 0.0;
-            }
+            set_column::<W>(v, j, std::iter::repeat(0.0));
+        }
+    }
+
+    /// A non-finite scalar of column `j` in `phase` of `iteration`:
+    /// counted, then an in-place restart while the column's replacement
+    /// budget lasts, and the typed error once it is spent.
+    fn fault(&mut self, j: usize, c: &mut Column, phase: &'static str, iteration: usize) {
+        c.stats.faults_detected += 1;
+        if c.stats.replacements < c.audit.max_replacements {
+            c.stats.replacements += 1;
+            c.restart();
+        } else {
+            self.retire(j, c, Err(SparseError::NonFinite { phase, iteration }));
         }
     }
 }
 
-/// Finish a column off its block after `flow`: a restart continues on the
-/// lane's standalone workspace through the classic loop, from the iterate
-/// in `u` and the column's counters, exactly as the standalone solve
-/// restarts; an error is final.
-#[allow(clippy::too_many_arguments)]
-fn finish_standalone<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &mut [f64],
-    m: &impl Preconditioner,
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-    c: &mut Column,
-    flow: Result<ClassicFlow, SparseError>,
-) -> Result<PcgReport, SparseError> {
-    match flow? {
-        ClassicFlow::Done(report) => Ok(report),
-        ClassicFlow::Restart { completed, change } => {
-            ws.prepare(f.len(), m.scratch_len(), opts.recovery.replacement);
-            let Column {
-                stats,
-                audit,
-                f_norm,
-                ..
-            } = c;
-            classic_loop(
-                k, f, u, m, opts, ws, stats, *f_norm, audit, completed, change,
-            )
-        }
+/// Write `values` into column `j` of the interleaved `W`-column block `v`.
+fn set_column<const W: usize>(v: &mut [f64], j: usize, values: impl IntoIterator<Item = f64>) {
+    for (row, x) in v.chunks_exact_mut(W).zip(values) {
+        row[j] = x;
     }
 }
 
-/// Algorithm 1 on the `W` right-hand sides of one block in lockstep. `f`
-/// and `u` hold the block's columns as the caller stores them (`u` is
-/// written in place); `out` receives their outcomes. Every column runs
-/// the statements of the standalone `classic_pass`, in its order, on its
-/// own scalars; the block only shares the passes over the rows.
-fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
+/// Which columns are in `phase`: the mask a block kernel takes.
+fn mask<const W: usize>(cols: &[Column; W], phase: Phase) -> [bool; W] {
+    cols.each_ref().map(|c| c.phase == phase)
+}
+
+/// Algorithm 1 on the `W` right-hand sides of one block in lockstep, on the
+/// block of `lane` (prepared for `W` columns of `k`'s dimension). `f` and
+/// `u` hold the block's columns as the caller stores them (`u` is written
+/// in place); the result of each column is returned in order. Every column
+/// runs the statements of its standalone solve — the width-1 block — in
+/// its order, on its own scalars; the block only shares the passes over
+/// the rows.
+pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
     k: &A,
     f: &[f64],
     u: &mut [f64],
     m: &P,
     opts: &PcgOptions,
-    lane: &mut Lane,
-    out: &mut [RhsOutcome],
-) {
+    lane: &mut PcgWorkspace,
+) -> [Result<PcgReport, SparseError>; W] {
     let n = k.rows();
-    let Lane {
+    let PcgWorkspace {
         r,
         p,
         t,
         scratch,
-        ws,
+        res,
     } = lane;
-    let scratch = &mut scratch[..block_scratch_len(m, W)];
     let mut b = Block::<W> {
-        active: [true; W],
         r: &mut r[..W * n],
         p: &mut p[..W * n],
         t: &mut t[..W * n],
-        out,
+        results: [const { None }; W],
     };
     let col = |j: usize| j * n..(j + 1) * n;
     let steps = m.steps_per_apply();
+    let displacement = opts.criterion == StoppingCriterion::DisplacementChange;
     let mut cols: [Column; W] = std::array::from_fn(|j| {
         let f_norm = vecops::norm2(&f[col(j)]);
         Column {
+            phase: Phase::Restart,
             stats: PcgStats::default(),
             audit: AuditPlan::new(&opts.recovery, opts.tol, f_norm),
             f_norm,
             rz: 0.0,
             change: f64::INFINITY,
             completed: 0,
+            start: 0,
         }
     });
 
-    // r⁰ = f − K·u⁰ column by column, as the standalone solve forms it; a
-    // zero right-hand side is solved by u = 0.
+    // A zero right-hand side is solved by u = 0: for SPD `K`, `K u = 0`
+    // has exactly the zero solution.
     for (j, c) in cols.iter_mut().enumerate() {
-        let uj = &mut u[col(j)];
         if c.f_norm == 0.0 {
-            vecops::zero(uj);
+            vecops::zero(&mut u[col(j)]);
             let report = PcgReport {
                 iterations: 0,
                 converged: true,
@@ -626,165 +589,145 @@ fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
                 final_relative_residual: 0.0,
                 stats: c.stats,
             };
-            b.retire(j, Ok(report));
-            continue;
-        }
-        let res = ws.residual_mut();
-        vecops::copy(&f[col(j)], res);
-        k.mul_vec_axpy(-1.0, uj, res);
-        c.stats.spmv += 1;
-        for (row, &v) in b.r.chunks_exact_mut(W).zip(res.iter()) {
-            row[j] = v;
-        }
-    }
-    if !b.any_active() {
-        return;
-    }
-
-    // r̂⁰ = M⁻¹r⁰, then p⁰ ← r̂⁰ and rz₀ = (r̂⁰, r⁰) in one fused pass.
-    m.apply_block(b.r, b.t, &b.active, scratch);
-    let rz = vecops::fused_xpby_dot_block::<W>(b.t, 0.0, b.p, b.r);
-    for (j, c) in cols.iter_mut().enumerate() {
-        if !b.active[j] {
-            continue;
-        }
-        c.stats.precond_applications += 1;
-        c.stats.precond_steps += steps;
-        c.stats.inner_products += 1;
-        c.stats.reduction_phases += 1;
-        c.rz = rz[j];
-        if !rz[j].is_finite() {
-            let flow = nonfinite_flow(&mut c.stats, &c.audit, "msolve-reduction", 0, 0, c.change);
-            let res = finish_standalone(k, &f[col(j)], &mut u[col(j)], m, opts, ws, c, flow);
-            b.retire(j, res);
-        } else if rz[j] < 0.0 {
-            b.retire(
-                j,
-                Err(SparseError::NotPositiveDefinite {
-                    pivot: 0,
-                    value: rz[j],
-                }),
-            );
+            b.retire(j, c, Ok(report));
         }
     }
 
-    for iter in 1..=opts.max_iterations {
-        // Residual audits: every column still in the block started at
-        // iteration 0 and has spent no replacement, so they fall due
-        // together.
+    loop {
+        // Residual audits, at the top of each live column's iteration
+        // `completed + 1`: the recurrence residual against the true one.
+        // Skipped once the replacement budget is spent — an audit that
+        // cannot act would only burn an SpMV.
         for (j, c) in cols.iter_mut().enumerate() {
-            let due = b.active[j]
+            let due = c.phase == Phase::Live
+                && c.completed < opts.max_iterations
                 && c.audit.enabled
-                && audit_due(iter, 0, c.audit.period)
+                && audit_due(c.completed + 1, c.start, c.audit.period)
                 && c.stats.replacements < c.audit.max_replacements;
-            if !due {
-                continue;
+            if due {
+                let dev2 = audit_deviation2::<_, W>(k, &f[col(j)], &u[col(j)], (b.r, j), res, c);
+                if diverged(dev2, c.audit.bound2) {
+                    c.stats.replacements += 1;
+                    c.restart();
+                }
             }
-            let (fj, uj) = (&f[col(j)], &mut u[col(j)]);
-            let dev2 = audit_deviation2::<_, W>(k, fj, uj, (b.r, j), ws.audit_mut(), &mut c.stats);
-            if diverged(dev2, c.audit.bound2) {
-                c.stats.replacements += 1;
-                let flow = Ok(ClassicFlow::Restart {
-                    completed: iter - 1,
-                    change: c.change,
-                });
-                let res = finish_standalone(k, fj, uj, m, opts, ws, c, flow);
-                b.retire(j, res);
-            }
-        }
-        if !b.any_active() {
-            return;
         }
 
-        k.mul_block_into(b.p, b.t, &b.active, scratch);
+        // (Re-)derive r = f − K·u, r̂ = M⁻¹r, p ← r̂ and (r̂, r) for the
+        // restarting columns, again for one whose own msolve went
+        // non-finite while its budget lasts.
+        loop {
+            let restart = mask(&cols, Phase::Restart);
+            if !restart.contains(&true) {
+                break;
+            }
+            for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| restart[*j]) {
+                residual_into(k, &f[col(j)], &u[col(j)], res, c);
+                set_column::<W>(b.r, j, res.iter().copied());
+            }
+            m.apply_block(b.r, b.t, &restart, scratch);
+            let rz = vecops::dot_block::<W>(b.t, b.r);
+            for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| restart[*j]) {
+                set_column::<W>(b.p, j, b.t.chunks_exact(W).map(|row| row[j]));
+                c.count_msolve(steps);
+                c.rz = rz[j];
+                if !rz[j].is_finite() {
+                    b.fault(j, c, "msolve-reduction", c.start);
+                } else if rz[j] < 0.0 {
+                    let e = SparseError::NotPositiveDefinite {
+                        pivot: c.start,
+                        value: rz[j],
+                    };
+                    b.retire(j, c, Err(e));
+                } else {
+                    c.phase = Phase::Live;
+                }
+            }
+        }
+
+        // The budget ran out: the exit with the true residual. The `change
+        // < tol` arm is meaningful only for the displacement test — under
+        // the relative residual a sub-tolerance step says nothing about the
+        // residual the caller asked to bound.
+        for (j, c) in cols.iter_mut().enumerate() {
+            if c.phase == Phase::Live && c.completed >= opts.max_iterations {
+                let converged = c.rz == 0.0 || (displacement && c.change < opts.tol);
+                let report = exit_report(k, &f[col(j)], &u[col(j)], res, c, converged);
+                b.retire(j, c, Ok(report));
+            }
+        }
+        let live = mask(&cols, Phase::Live);
+        if !live.contains(&true) {
+            break;
+        }
+
+        // t = K·p, α = (r̂, r) / (p, K·p).
+        k.mul_block_into(b.p, b.t, &live, scratch);
         let denom = vecops::dot_block::<W>(b.p, b.t);
         let mut alpha = [0.0; W];
-        for (j, c) in cols.iter_mut().enumerate() {
-            if !b.active[j] {
-                continue;
-            }
+        for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
             c.stats.spmv += 1;
             c.stats.inner_products += 1;
             c.stats.reduction_phases += 1;
-            let (fj, uj) = (&f[col(j)], &mut u[col(j)]);
+            let iter = c.completed + 1;
             if !denom[j].is_finite() {
-                let flow = nonfinite_flow(
-                    &mut c.stats,
-                    &c.audit,
-                    "spmv-reduction",
-                    iter,
-                    iter - 1,
-                    c.change,
-                );
-                let res = finish_standalone(k, fj, uj, m, opts, ws, c, flow);
-                b.retire(j, res);
+                // Checked before the sign guard: NaN fails `<= 0.0` and
+                // would otherwise flow into α. The iterate has not moved
+                // this iteration: the column restarts from it and repeats
+                // the iteration one block step later.
+                b.fault(j, c, "spmv-reduction", iter);
             } else if denom[j] <= 0.0 {
-                let res = if c.rz == 0.0 {
-                    // Exact convergence in fewer than n steps: the
-                    // standalone loop's exit, with the true residual.
-                    let res = ws.residual_mut();
-                    Ok(exit_report(
-                        k,
-                        fj,
-                        uj,
-                        res,
-                        &mut c.stats,
-                        c.f_norm,
-                        c.completed,
-                        true,
-                        c.change,
-                    ))
+                let result = if c.rz == 0.0 {
+                    // Exact convergence in fewer than n steps.
+                    Ok(exit_report(k, &f[col(j)], &u[col(j)], res, c, true))
                 } else {
                     Err(SparseError::NotPositiveDefinite {
                         pivot: iter,
                         value: denom[j],
                     })
                 };
-                b.retire(j, res);
+                b.retire(j, c, result);
             } else {
                 c.completed = iter;
                 alpha[j] = c.rz / denom[j];
             }
         }
-        if !b.any_active() {
-            return;
+        let live = mask(&cols, Phase::Live);
+        if !live.contains(&true) {
+            continue;
         }
 
         // u += α·p into the caller's columns, r −= α·Kp, and the ‖p‖∞ /
-        // ‖r‖∞ partials, in one pass.
+        // ‖r‖∞ partials, in one pass; ‖u^{k+1} − uᵏ‖∞ = |α|·‖p‖∞.
         let mut u_cols: [Option<&mut [f64]>; W] = [const { None }; W];
-        for ((slot, uj), &active) in u_cols.iter_mut().zip(u.chunks_exact_mut(n)).zip(&b.active) {
-            if active {
+        for ((slot, uj), &l) in u_cols.iter_mut().zip(u.chunks_exact_mut(n)).zip(&live) {
+            if l {
                 *slot = Some(uj);
             }
         }
         let norms = vecops::fused_axpy_axpy_norm_block::<W>(&alpha, b.p, b.t, u_cols, b.r);
-        for (j, c) in cols.iter_mut().enumerate() {
-            if !b.active[j] {
-                continue;
-            }
+        for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
             c.change = alpha[j].abs() * norms[j].p_norm_inf;
             if !norms[j].all_finite() {
-                let flow = nonfinite_flow(&mut c.stats, &c.audit, "update", iter, iter, c.change);
-                let res = finish_standalone(k, &f[col(j)], &mut u[col(j)], m, opts, ws, c, flow);
-                b.retire(j, res);
+                // An Inf slipped past the finite dot: `r` is poisoned but
+                // `u` moved by a validated α along a finite `p`, so the
+                // restart's `r = f − K·u` recovers. (A NaN in `r` hides
+                // from the max-based norm and is caught one step later by
+                // the msolve-reduction scalar.)
+                b.fault(j, c, "update", c.completed);
             }
         }
 
         // The stopping tests; the relative residuals of the whole block in
         // one pass, when the criterion or a converging column needs them.
-        let displacement = opts.criterion == StoppingCriterion::DisplacementChange;
-        let needs_residual =
-            !displacement || (0..W).any(|j| b.active[j] && cols[j].change < opts.tol);
+        let live = mask(&cols, Phase::Live);
+        let needs_residual = !displacement || (0..W).any(|j| live[j] && cols[j].change < opts.tol);
         let rel = if needs_residual {
             vecops::norm2_with_max_block::<W>(b.r, &norms.map(|nj| nj.r_norm_inf))
         } else {
             [0.0; W]
         };
-        for (j, c) in cols.iter_mut().enumerate() {
-            if !b.active[j] {
-                continue;
-            }
+        for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
             let final_rel = rel[j] / c.f_norm.max(1e-300);
             let crit = if displacement {
                 c.change
@@ -794,50 +737,37 @@ fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
             };
             if crit < opts.tol {
                 let report = PcgReport {
-                    iterations: iter,
+                    iterations: c.completed,
                     converged: true,
                     final_change: c.change,
                     final_relative_residual: final_rel,
                     stats: c.stats,
                 };
-                b.retire(j, Ok(report));
+                b.retire(j, c, Ok(report));
             }
         }
-        if !b.any_active() {
-            return;
+        let live = mask(&cols, Phase::Live);
+        if !live.contains(&true) {
+            continue;
         }
 
         // r̂ = M⁻¹r, β = (r̂, r)_new / (r̂, r)_old, p ← r̂ + β·p.
-        m.apply_block(b.r, b.t, &b.active, scratch);
+        m.apply_block(b.r, b.t, &live, scratch);
         let rz_new = vecops::dot_block::<W>(b.t, b.r);
         let mut beta = [0.0; W];
-        for (j, c) in cols.iter_mut().enumerate() {
-            if !b.active[j] {
-                continue;
-            }
-            c.stats.precond_applications += 1;
-            c.stats.precond_steps += steps;
-            c.stats.inner_products += 1;
-            c.stats.reduction_phases += 1;
+        for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
+            c.count_msolve(steps);
             if !rz_new[j].is_finite() {
-                let flow = nonfinite_flow(
-                    &mut c.stats,
-                    &c.audit,
-                    "msolve-reduction",
-                    iter,
-                    iter,
-                    c.change,
-                );
-                let res = finish_standalone(k, &f[col(j)], &mut u[col(j)], m, opts, ws, c, flow);
-                b.retire(j, res);
+                // NaN/Inf out of the preconditioner (or a NaN residual the
+                // max-norm swallowed above): detected on the scalar before
+                // β is formed, while `u` is still finite.
+                b.fault(j, c, "msolve-reduction", c.completed);
             } else if rz_new[j] < 0.0 {
-                b.retire(
-                    j,
-                    Err(SparseError::NotPositiveDefinite {
-                        pivot: iter,
-                        value: rz_new[j],
-                    }),
-                );
+                let e = SparseError::NotPositiveDefinite {
+                    pivot: c.completed,
+                    value: rz_new[j],
+                };
+                b.retire(j, c, Err(e));
             } else {
                 beta[j] = rz_new[j] / c.rz.max(1e-300);
                 c.rz = rz_new[j];
@@ -845,33 +775,62 @@ fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
         }
         vecops::xpby_block::<W>(b.t, &beta, b.p);
     }
+    b.results
+        .map(|result| result.expect("every column leaves its block with a result"))
+}
 
-    // The budget ran out: the standalone loop's exit for every column
-    // still in the block, with the true residual of its iterate.
-    for (j, c) in cols.iter_mut().enumerate() {
-        if !b.active[j] {
-            continue;
-        }
-        let converged = c.rz == 0.0
-            || (opts.criterion == StoppingCriterion::DisplacementChange && c.change < opts.tol);
-        let iterations = if converged {
-            c.completed
-        } else {
-            opts.max_iterations
-        };
-        let res = ws.residual_mut();
-        let report = exit_report(
-            k,
-            &f[col(j)],
-            &u[col(j)],
-            res,
-            &mut c.stats,
-            c.f_norm,
-            iterations,
-            converged,
-            c.change,
-        );
-        b.retire(j, Ok(report));
+/// One audit of column `j`: recompute the true residual `f − K·u` into
+/// `res` and return its squared deviation from the recurrence residual,
+/// column `j` of the `W`-column interleaved block `r`. The sum of squares
+/// propagates NaN (unlike a max-based norm, which swallows it), so a
+/// poisoned recurrence residual always reads as divergent.
+fn audit_deviation2<A: SparseOp, const W: usize>(
+    k: &A,
+    f: &[f64],
+    u: &[f64],
+    (r, j): (&[f64], usize),
+    res: &mut [f64],
+    c: &mut Column,
+) -> f64 {
+    c.stats.audits += 1;
+    residual_into(k, f, u, res, c);
+    res.iter()
+        .zip(r.chunks_exact(W).map(|row| row[j]))
+        .map(|(t, ri)| {
+            let d = t - ri;
+            d * d
+        })
+        .sum()
+}
+
+/// `res ← f − K·u` for column `c`: one counted SpMV.
+fn residual_into<A: SparseOp>(k: &A, f: &[f64], u: &[f64], res: &mut [f64], c: &mut Column) {
+    vecops::copy(f, res);
+    k.mul_vec_axpy(-1.0, u, res);
+    c.stats.spmv += 1;
+}
+
+/// The report of a column that stops without its stopping test firing —
+/// its budget ran out, or `(r̂, r) = 0` — after `completed` iterations:
+/// with the TRUE residual `f − K·u` of the exit iterate, recomputed into
+/// `res` (the recursively updated in-loop `r` drifts from it over many
+/// iterations, so reporting its norm would overstate — or understate —
+/// how close the returned iterate actually is).
+fn exit_report<A: SparseOp>(
+    k: &A,
+    f: &[f64],
+    u: &[f64],
+    res: &mut [f64],
+    c: &mut Column,
+    converged: bool,
+) -> PcgReport {
+    residual_into(k, f, u, res, c);
+    PcgReport {
+        iterations: c.completed,
+        converged,
+        final_change: c.change,
+        final_relative_residual: vecops::norm2(res) / c.f_norm.max(1e-300),
+        stats: c.stats,
     }
 }
 

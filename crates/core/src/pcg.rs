@@ -16,28 +16,31 @@
 //!
 //! The two inner products per iteration are the paper's motivating cost on
 //! vector and array machines; [`PcgStats`] counts them so the machine
-//! models in `mspcg-machine` can charge them faithfully. This is the one
-//! recurrence the solver stack runs: the batched driver and the SPMD
-//! executor in `mspcg-parallel` run it too.
+//! models in `mspcg-machine` can charge them faithfully. The loop is
+//! written once, in [`crate::multi`], for a lockstep block of right-hand
+//! sides: a standalone solve ([`pcg_try_solve_into`]) is the block of
+//! width 1, whose kernels are the plain ones. The SPMD executor in
+//! `mspcg-parallel` runs the same recurrence.
 //!
 //! ## Recovery
 //!
 //! Non-finite reduction scalars (a NaN/Inf out of a corrupted SpMV or
 //! preconditioner application) are caught on the scalar before it feeds
 //! `α` or `β`, and the loop restarts in place from the current iterate:
-//! it re-derives `r = f − K·u`, `r̂` and `p`. With auditing on
-//! ([`RecoveryPolicy::replacement`]) the same restart replaces a
-//! recurrence residual that has drifted from the true one. Both are
-//! bounded by [`RecoveryPolicy::max_replacements`] and counted in
-//! [`PcgStats`].
+//! it re-derives `r = f − K·u`, `r̂` and `p`, the derivation that starts
+//! every solve. With auditing on ([`RecoveryPolicy::replacement`]) the
+//! same restart replaces a recurrence residual that has drifted from the
+//! true one. Both are bounded by [`RecoveryPolicy::max_replacements`] and
+//! counted in [`PcgStats`].
 //!
 //! Breakdown guards double as SPD validation: a nonpositive `(p, Kp)`
 //! reveals an indefinite `K`, a nonpositive `(r̂, r)` an indefinite `M`;
 //! both return typed errors instead of silently diverging.
 
-use crate::preconditioner::{IdentityPreconditioner, Preconditioner};
-use crate::recovery::{audit_due, diverged, AuditPlan, RecoveryPolicy};
-use mspcg_sparse::{vecops, SparseError, SparseOp};
+use crate::multi::lockstep;
+use crate::preconditioner::{block_scratch_len, IdentityPreconditioner, Preconditioner};
+use crate::recovery::RecoveryPolicy;
+use mspcg_sparse::{SparseError, SparseOp};
 
 pub use mspcg_sparse::PcgVariant;
 
@@ -62,9 +65,6 @@ pub struct PcgOptions {
     pub max_iterations: usize,
     /// Which convergence test to run.
     pub criterion: StoppingCriterion,
-    /// Record the per-iteration criterion value in
-    /// [`PcgSolution::history`].
-    pub record_history: bool,
     /// The recurrence; [`PcgVariant::Classic`] is the only one. Kept only
     /// so the `perfbench` package, which sets it, still compiles.
     pub variant: PcgVariant,
@@ -80,7 +80,6 @@ impl Default for PcgOptions {
             tol: 1e-6,
             max_iterations: 50_000,
             criterion: StoppingCriterion::DisplacementChange,
-            record_history: false,
             variant: PcgVariant::Classic,
             recovery: RecoveryPolicy::default(),
         }
@@ -134,15 +133,12 @@ pub struct PcgSolution {
     pub final_change: f64,
     /// Final `‖r‖₂ / ‖f‖₂`.
     pub final_relative_residual: f64,
-    /// Per-iteration criterion values (empty unless requested).
-    pub history: Vec<f64>,
     /// Operation counts.
     pub stats: PcgStats,
 }
 
 /// Allocation-free view of a solve's outcome, returned by
-/// [`pcg_solve_into`] (the solution lives in the caller's buffer, the
-/// history — if recorded — in the [`PcgWorkspace`]).
+/// [`pcg_solve_into`] (the solution lives in the caller's buffer).
 #[derive(Debug, Clone, Copy)]
 pub struct PcgReport {
     /// Iterations performed.
@@ -157,33 +153,32 @@ pub struct PcgReport {
     pub stats: PcgStats,
 }
 
-/// Reusable scratch buffers for the PCG loop.
+/// Reusable storage of the PCG loop: one *lane*, which runs a lockstep
+/// block of `w` right-hand sides ([`crate::multi`]); a standalone solve is
+/// the block of width 1.
 ///
-/// Algorithm 1 needs four working vectors (`r`, `r̂`, `p`, `Kp`). The
-/// one-shot entry points ([`pcg_solve`], [`pcg_solve_from`]) allocate them
-/// per call; repeated solves over systems of one size — the ω sweep, the
-/// condition scans, the Table 2/3 m sweeps — should construct one
-/// `PcgWorkspace` and call [`pcg_solve_into`], whose iteration performs
-/// **no heap allocation** after workspace construction (when history
-/// recording is off; with it on, [`PcgWorkspace::reserve_history`]
-/// preallocates the record too). The audit scratch is sized by the first
-/// audited solve — one warm-up allocation, so unaudited workspaces never
-/// pay for it.
+/// A lane holds the block vectors `r`, `p` and `t` (`K·p`, then `M⁻¹r`,
+/// never live together), `w·n` values each, stored interleaved; the block
+/// kernels' scratch ([`block_scratch_len`], at width 1 the
+/// preconditioner's [`Preconditioner::scratch_len`]); and one column of
+/// `n` values for `f − K·u` — a column's initial residual, its residual
+/// audit and its exit report. A standalone solve thus holds `4n` values
+/// plus the preconditioner's scratch, audited or not.
+///
+/// The one-shot entry points ([`pcg_solve`], [`pcg_solve_from`]) allocate
+/// a workspace per call; repeated solves over systems of one size — the ω
+/// sweep, the condition scans, the Table 2/3 m sweeps — should construct
+/// one `PcgWorkspace` and call [`pcg_solve_into`], whose iteration
+/// performs **no heap allocation** once the first solve on the workspace
+/// has sized the preconditioner scratch.
 #[derive(Debug, Clone)]
 pub struct PcgWorkspace {
-    r: Vec<f64>,
-    rhat: Vec<f64>,
-    p: Vec<f64>,
-    kp: Vec<f64>,
-    /// True-residual scratch of the audit pass (`aud = f − K·u`). It
-    /// starts empty and is sized by the first audited solve, so
-    /// non-audited workspaces never pay for it.
-    aud: Vec<f64>,
-    /// Preconditioner scratch (sized on first use from
-    /// [`Preconditioner::scratch_len`]); lets the hot loop call
-    /// [`Preconditioner::apply_with`], bypassing any internal lock.
-    precond_scratch: Vec<f64>,
-    history: Vec<f64>,
+    pub(crate) r: Vec<f64>,
+    pub(crate) p: Vec<f64>,
+    pub(crate) t: Vec<f64>,
+    pub(crate) scratch: Vec<f64>,
+    /// `f − K·u` of one column; its length is the dimension.
+    pub(crate) res: Vec<f64>,
 }
 
 impl PcgWorkspace {
@@ -191,76 +186,37 @@ impl PcgWorkspace {
     pub fn new(n: usize) -> Self {
         PcgWorkspace {
             r: vec![0.0; n],
-            rhat: vec![0.0; n],
             p: vec![0.0; n],
-            kp: vec![0.0; n],
-            aud: Vec::new(),
-            precond_scratch: Vec::new(),
-            history: Vec::new(),
+            t: vec![0.0; n],
+            scratch: Vec::new(),
+            res: vec![0.0; n],
         }
     }
 
     /// Dimension the workspace is sized for.
     pub fn dim(&self) -> usize {
-        self.r.len()
+        self.res.len()
     }
 
     /// Resize for a different dimension (reallocates only when `n` grows
     /// past the current capacity).
     pub fn resize(&mut self, n: usize) {
-        self.r.resize(n, 0.0);
-        self.rhat.resize(n, 0.0);
-        self.p.resize(n, 0.0);
-        self.kp.resize(n, 0.0);
-        // The audit slot tracks the dimension only once in use.
-        if !self.aud.is_empty() {
-            self.ensure_audit(n);
+        self.prepare(n, 1, 0);
+    }
+
+    /// Ready the lane for blocks of up to `w` columns of dimension `n`
+    /// whose kernels need `scratch` values of scratch. Slots only grow, so
+    /// a warm lane does not allocate.
+    pub(crate) fn prepare(&mut self, n: usize, w: usize, scratch: usize) {
+        self.res.resize(n, 0.0);
+        for v in [&mut self.r, &mut self.p, &mut self.t] {
+            if v.len() < w * n {
+                v.resize(w * n, 0.0);
+            }
         }
-    }
-
-    /// Size the audit scratch vector. Called by the first audited solve
-    /// on this workspace (allocates once); afterwards a no-op.
-    fn ensure_audit(&mut self, n: usize) {
-        self.aud.resize(n, 0.0);
-    }
-
-    /// Ready the workspace for solves of dimension `n` with a
-    /// preconditioner scratch of `scratch_len` values, audited or not, and
-    /// clear the history. Allocates only where a slot grows.
-    pub(crate) fn prepare(&mut self, n: usize, scratch_len: usize, audited: bool) {
-        if self.dim() != n {
-            self.resize(n);
+        if self.scratch.len() < scratch {
+            self.scratch.resize(scratch, 0.0);
         }
-        if self.precond_scratch.len() != scratch_len {
-            self.precond_scratch.resize(scratch_len, 0.0);
-        }
-        if audited {
-            self.ensure_audit(n);
-        }
-        self.history.clear();
-    }
-
-    /// The residual slot, scratch for the batched solver's per-column
-    /// initial residuals and exit reports.
-    pub(crate) fn residual_mut(&mut self) -> &mut [f64] {
-        &mut self.r
-    }
-
-    /// The audit slot (sized by [`PcgWorkspace::prepare`] when audited).
-    pub(crate) fn audit_mut(&mut self) -> &mut [f64] {
-        &mut self.aud
-    }
-
-    /// Preallocate the history record so that solves with
-    /// `record_history` stay allocation free up to `iters` iterations.
-    pub fn reserve_history(&mut self, iters: usize) {
-        self.history.reserve(iters);
-    }
-
-    /// Criterion history of the most recent [`pcg_solve_into`] call
-    /// (empty unless `record_history` was set).
-    pub fn history(&self) -> &[f64] {
-        &self.history
     }
 }
 
@@ -323,7 +279,6 @@ pub fn pcg_solve_from<A: SparseOp>(
         converged: rep.converged,
         final_change: rep.final_change,
         final_relative_residual: rep.final_relative_residual,
-        history: std::mem::take(&mut ws.history),
         stats: rep.stats,
     })
 }
@@ -342,11 +297,14 @@ pub fn pcg_solve_from<A: SparseOp>(
 /// results.
 ///
 /// The iteration body runs on **fused kernels**
-/// ([`vecops::fused_axpy_axpy_norm`], [`vecops::fused_xpby_dot`],
-/// [`vecops::norm2_with_max`]): the `u`/`r` updates and the stopping-test
-/// reduction partials are computed in a single pass per iteration instead
-/// of three to four, with bitwise-identical results to the unfused
-/// kernel sequence (`tests/par_determinism.rs`).
+/// ([`vecops::fused_axpy_axpy_norm`], [`vecops::norm2_with_max`]): the
+/// `u`/`r` updates and the stopping-test reduction partials are computed
+/// in a single pass per iteration instead of three to four, with
+/// bitwise-identical results to the unfused kernel sequence
+/// (`tests/par_determinism.rs`, `tests/algorithm1_oracle.rs`).
+///
+/// [`vecops::fused_axpy_axpy_norm`]: mspcg_sparse::vecops::fused_axpy_axpy_norm
+/// [`vecops::norm2_with_max`]: mspcg_sparse::vecops::norm2_with_max
 ///
 /// An undersized workspace is resized on entry (that path allocates once).
 ///
@@ -376,8 +334,12 @@ pub fn pcg_solve_into<A: SparseOp>(
 /// the *true* final relative residual `‖f − K·u‖₂ / ‖f‖₂`, recomputed
 /// from the exit iterate rather than read from the recursively updated
 /// in-loop residual (which drifts from the true one). Batched callers
-/// ([`crate::multi::pcg_solve_multi`]) use this so one stubborn
-/// right-hand side cannot abort a whole batch.
+/// ([`crate::multi::pcg_solve_multi`]) record it the same way, so one
+/// stubborn right-hand side cannot abort a whole batch.
+///
+/// A zero right-hand side is solved by `u = 0` in no iteration (for SPD
+/// `K`, `K u = 0` has exactly the zero solution; a warm-started caller
+/// must not get its stale guess back as "the solution").
 ///
 /// # Errors
 /// Shape violations and inner-product breakdowns only.
@@ -403,39 +365,9 @@ pub fn pcg_try_solve_into<A: SparseOp>(
         });
     }
     validate_inputs(opts.tol, &opts.recovery, f, u)?;
-    ws.prepare(n, m.scratch_len(), opts.recovery.replacement);
-
-    let mut stats = PcgStats::default();
-
-    let f_norm = vecops::norm2(f);
-    if f_norm == 0.0 {
-        // Trivial system: for SPD `K`, `K u = 0` has exactly the zero
-        // solution. Write it — returning with `u` untouched would hand a
-        // warm-started caller back its stale guess as "the solution".
-        vecops::zero(u);
-        return Ok(PcgReport {
-            iterations: 0,
-            converged: true,
-            final_change: 0.0,
-            final_relative_residual: 0.0,
-            stats,
-        });
-    }
-
-    let audit = AuditPlan::new(&opts.recovery, opts.tol, f_norm);
-    classic_loop(
-        k,
-        f,
-        u,
-        m,
-        opts,
-        ws,
-        &mut stats,
-        f_norm,
-        &audit,
-        0,
-        f64::INFINITY,
-    )
+    ws.prepare(n, 1, block_scratch_len(m, 1));
+    let [result] = lockstep::<_, _, 1>(k, f, u, m, opts, ws);
+    result
 }
 
 /// The input checks every solver entry point — [`pcg_try_solve_into`],
@@ -476,326 +408,6 @@ pub fn validate_inputs(
     Ok(())
 }
 
-/// One audit: recompute the true residual `f − K·u` into `aud` and return
-/// its squared deviation from the recurrence residual, column `j` of the
-/// `W`-column interleaved block `r` (width 1: `r` itself). The sum of
-/// squares propagates NaN (unlike a max-based norm, which swallows it),
-/// so a poisoned recurrence residual always reads as divergent.
-pub(crate) fn audit_deviation2<A: SparseOp, const W: usize>(
-    k: &A,
-    f: &[f64],
-    u: &[f64],
-    (r, j): (&[f64], usize),
-    aud: &mut [f64],
-    stats: &mut PcgStats,
-) -> f64 {
-    stats.audits += 1;
-    vecops::copy(f, aud);
-    k.mul_vec_axpy(-1.0, u, aud);
-    stats.spmv += 1;
-    aud.iter()
-        .zip(r.chunks_exact(W).map(|row| row[j]))
-        .map(|(t, ri)| {
-            let d = t - ri;
-            d * d
-        })
-        .sum()
-}
-
-/// Shared no-stopping-test exit: recompute the TRUE residual `f − K·u`
-/// from the exit iterate (the recursively updated in-loop `r` drifts from
-/// it over many iterations, so reporting its norm would overstate — or
-/// understate — how close the returned iterate actually is).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exit_report<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &[f64],
-    r: &mut [f64],
-    stats: &mut PcgStats,
-    f_norm: f64,
-    iterations: usize,
-    converged: bool,
-    change: f64,
-) -> PcgReport {
-    vecops::copy(f, r);
-    k.mul_vec_axpy(-1.0, u, r);
-    stats.spmv += 1;
-    let final_rel = vecops::norm2(r) / f_norm.max(1e-300);
-    PcgReport {
-        iterations,
-        converged,
-        final_change: change,
-        final_relative_residual: final_rel,
-        stats: *stats,
-    }
-}
-
-/// Run [`classic_pass`] from the iterate in `u` until it produces a final
-/// report, re-entering it on every in-place recovery restart (audit
-/// replacement or budgeted non-finite recovery). Each pass re-derives
-/// `r`, `r̂`, `p` from the current iterate `u`, which is exactly the
-/// residual-replacement transformation. Termination: audit restarts
-/// strictly advance `start` ([`audit_due`]) and non-finite restarts spend
-/// the `max_replacements` budget.
-///
-/// `start` iterations are already charged to `stats` and `change` is the
-/// last measured ‖Δu‖∞ — `0` and infinity for a fresh solve; the batched
-/// solver enters here with a column that left its lockstep block, so its
-/// restart continues exactly like the standalone one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn classic_loop<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &mut [f64],
-    m: &impl Preconditioner,
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-    stats: &mut PcgStats,
-    f_norm: f64,
-    audit: &AuditPlan,
-    mut start: usize,
-    mut change: f64,
-) -> Result<PcgReport, SparseError> {
-    loop {
-        match classic_pass(k, f, u, m, opts, ws, stats, f_norm, audit, start, change)? {
-            ClassicFlow::Done(report) => return Ok(report),
-            ClassicFlow::Restart {
-                completed,
-                change: c,
-            } => {
-                start = completed;
-                change = c;
-            }
-        }
-    }
-}
-
-/// Control flow of one classic pass.
-pub(crate) enum ClassicFlow {
-    /// The pass produced a final report.
-    Done(PcgReport),
-    /// In-place recovery after `completed` iterations: re-enter the pass
-    /// from the iterate in `u` (already counted against the replacement
-    /// budget at the emit site).
-    Restart { completed: usize, change: f64 },
-}
-
-/// Shared non-finite handling of the classic pass: count the detection,
-/// then recover in place while the replacement budget lasts, surfacing
-/// the typed error once it is spent.
-pub(crate) fn nonfinite_flow(
-    stats: &mut PcgStats,
-    audit: &AuditPlan,
-    phase: &'static str,
-    iteration: usize,
-    completed: usize,
-    change: f64,
-) -> Result<ClassicFlow, SparseError> {
-    stats.faults_detected += 1;
-    if stats.replacements < audit.max_replacements {
-        stats.replacements += 1;
-        Ok(ClassicFlow::Restart { completed, change })
-    } else {
-        Err(SparseError::NonFinite { phase, iteration })
-    }
-}
-
-/// The Algorithm 1 loop (two serialized inner products per iteration),
-/// starting from the iterate already in `u`. `start_iter` iterations have
-/// been charged against the budget by a preceding pass (0 for the first);
-/// `initial_change` is that pass's last measured ‖Δu‖∞ (infinity for the
-/// first), reported if the loop body never runs — a restart on the final
-/// budgeted iteration must not erase the measured step size.
-///
-/// Non-finite reduction scalars (a NaN/Inf out of a corrupted SpMV or
-/// preconditioner application) are detected on the scalars *before* they
-/// feed `α`/`β` — the iterate is still finite at every detection point,
-/// so the in-place restart recovers from it (see [`nonfinite_flow`]).
-/// When auditing is enabled, every [`AuditPlan::period`] iterations the
-/// true residual is compared against the recurrence residual and
-/// divergence beyond the bound triggers the same restart (which *is* the
-/// replacement: the pass re-derives `r` from `u`). With auditing off and
-/// finite scalars, the arithmetic is bit-for-bit the pre-recovery loop.
-#[allow(clippy::too_many_arguments)]
-fn classic_pass<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &mut [f64],
-    m: &impl Preconditioner,
-    opts: &PcgOptions,
-    ws: &mut PcgWorkspace,
-    stats: &mut PcgStats,
-    f_norm: f64,
-    audit: &AuditPlan,
-    start_iter: usize,
-    initial_change: f64,
-) -> Result<ClassicFlow, SparseError> {
-    let PcgWorkspace {
-        r,
-        rhat,
-        p,
-        kp,
-        aud,
-        precond_scratch,
-        history,
-        ..
-    } = ws;
-
-    // r⁰ = f − K u⁰.
-    vecops::copy(f, r);
-    k.mul_vec_axpy(-1.0, u, r);
-    stats.spmv += 1;
-
-    m.apply_with(r, rhat, precond_scratch);
-    stats.precond_applications += 1;
-    stats.precond_steps += m.steps_per_apply();
-
-    // p⁰ ← r̂⁰ and rz₀ = (r̂⁰, r⁰) in one fused pass (b = 0 is an exact
-    // copy, so stale workspace contents in p cannot leak).
-    let mut rz = vecops::fused_xpby_dot(rhat, 0.0, p, r);
-    stats.inner_products += 1;
-    stats.reduction_phases += 1;
-    if !rz.is_finite() {
-        // A corrupted initial msolve (possible on a restart whose own
-        // re-derivation hits the fault): recover before iterating.
-        return nonfinite_flow(
-            stats,
-            audit,
-            "msolve-reduction",
-            start_iter,
-            start_iter,
-            initial_change,
-        );
-    }
-    if rz < 0.0 {
-        return Err(SparseError::NotPositiveDefinite {
-            pivot: start_iter,
-            value: rz,
-        });
-    }
-
-    let mut change = initial_change;
-    let mut completed = start_iter;
-    for iter in start_iter + 1..=opts.max_iterations {
-        // Residual audit: compare the recurrence residual against the
-        // freshly recomputed true residual (state after iteration
-        // `iter − 1`). Skipped once the replacement budget is spent — an
-        // audit that cannot act would only burn an SpMV.
-        if audit.enabled
-            && audit_due(iter, start_iter, audit.period)
-            && stats.replacements < audit.max_replacements
-        {
-            let dev2 = audit_deviation2::<_, 1>(k, f, u, (r, 0), aud, stats);
-            if diverged(dev2, audit.bound2) {
-                stats.replacements += 1;
-                return Ok(ClassicFlow::Restart {
-                    completed: iter - 1,
-                    change,
-                });
-            }
-        }
-
-        k.mul_vec_into(p, kp);
-        stats.spmv += 1;
-        let denom = vecops::dot(p, kp);
-        stats.inner_products += 1;
-        stats.reduction_phases += 1;
-        if !denom.is_finite() {
-            // Checked before the sign guard: NaN fails `<= 0.0` and would
-            // otherwise flow straight into α. `u` has not been touched
-            // this iteration, so the restart recovers from a clean
-            // iterate.
-            return nonfinite_flow(stats, audit, "spmv-reduction", iter, iter - 1, change);
-        }
-        if denom <= 0.0 {
-            if rz == 0.0 {
-                // Exact convergence in fewer than n steps: residual is 0.
-                break;
-            }
-            return Err(SparseError::NotPositiveDefinite {
-                pivot: iter,
-                value: denom,
-            });
-        }
-        completed = iter;
-        let alpha = rz / denom;
-        // One fused pass: u += αp, r −= α·Kp, and the ‖p‖∞ / ‖r‖∞
-        // partials for both stopping tests.
-        let norms = vecops::fused_axpy_axpy_norm(alpha, p, kp, u, r);
-        // ‖u^{k+1} − uᵏ‖∞ = |α|·‖p‖∞ — no extra vector needed.
-        change = alpha.abs() * norms.p_norm_inf;
-        if !norms.all_finite() {
-            // An Inf slipped past the finite dot (cancelation in the
-            // reduction): `r` is poisoned but `u` was updated with the
-            // already-validated α and a finite `p`, so the restart's
-            // `r = f − K·u` re-derivation recovers. (A NaN in `r` hides
-            // from the max-based norm and is caught one step later by the
-            // msolve-reduction scalar.)
-            return nonfinite_flow(stats, audit, "update", iter, iter, change);
-        }
-
-        let crit_value = match opts.criterion {
-            StoppingCriterion::DisplacementChange => change,
-            StoppingCriterion::RelativeResidual => {
-                stats.inner_products += 1;
-                vecops::norm2_with_max(r, norms.r_norm_inf) / f_norm.max(1e-300)
-            }
-        };
-        if opts.record_history {
-            history.push(crit_value);
-        }
-        if crit_value < opts.tol {
-            let final_rel = vecops::norm2_with_max(r, norms.r_norm_inf) / f_norm.max(1e-300);
-            return Ok(ClassicFlow::Done(PcgReport {
-                iterations: iter,
-                converged: true,
-                final_change: change,
-                final_relative_residual: final_rel,
-                stats: *stats,
-            }));
-        }
-
-        m.apply_with(r, rhat, precond_scratch);
-        stats.precond_applications += 1;
-        stats.precond_steps += m.steps_per_apply();
-        let rz_new = vecops::dot(rhat, r);
-        stats.inner_products += 1;
-        stats.reduction_phases += 1;
-        if !rz_new.is_finite() {
-            // NaN/Inf out of the preconditioner (or a NaN residual the
-            // max-norm swallowed above): detected on the scalar before β
-            // is formed, while `u` is still finite.
-            return nonfinite_flow(stats, audit, "msolve-reduction", iter, iter, change);
-        }
-        if rz_new < 0.0 {
-            return Err(SparseError::NotPositiveDefinite {
-                pivot: iter,
-                value: rz_new,
-            });
-        }
-        let beta = rz_new / rz.max(1e-300);
-        rz = rz_new;
-        vecops::xpby(rhat, beta, p);
-    }
-
-    // rz == 0 exact-breakdown exit lands here with converged status. The
-    // `change < tol` arm is meaningful only for the displacement test:
-    // under RelativeResidual a sub-tolerance *step size* says nothing
-    // about the residual the caller asked to bound (a stagnating solve
-    // must not be reported as converged).
-    let converged =
-        rz == 0.0 || (opts.criterion == StoppingCriterion::DisplacementChange && change < opts.tol);
-    let iterations = if converged {
-        completed
-    } else {
-        opts.max_iterations
-    };
-    Ok(ClassicFlow::Done(exit_report(
-        k, f, u, r, stats, f_norm, iterations, converged, change,
-    )))
-}
-
 /// Plain conjugate gradients (`M = I`) — the paper's `m = 0` baseline rows.
 ///
 /// # Errors
@@ -814,7 +426,7 @@ mod tests {
     use crate::mstep::MStepSsorPreconditioner;
     use crate::preconditioner::DiagonalPreconditioner;
     use mspcg_coloring::Coloring;
-    use mspcg_sparse::CsrMatrix;
+    use mspcg_sparse::{vecops, CsrMatrix};
     use mspcg_sparse::{CooMatrix, Partition};
 
     fn laplacian(n: usize) -> CsrMatrix {
@@ -1022,21 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn history_is_recorded_and_decreasing_overall() {
-        let a = laplacian(32);
-        let b = vec![1.0; 32];
-        let opts = PcgOptions {
-            record_history: true,
-            ..Default::default()
-        };
-        let sol = cg_solve(&a, &b, &opts).unwrap();
-        assert_eq!(sol.history.len(), sol.iterations);
-        let first = sol.history[0];
-        let last = *sol.history.last().unwrap();
-        assert!(last < first);
-    }
-
-    #[test]
     fn diagonal_preconditioner_equals_cg_on_constant_diagonal() {
         // With a constant diagonal, Jacobi scaling is a scalar multiple:
         // identical iterates, identical counts.
@@ -1088,15 +685,11 @@ mod tests {
     }
 
     #[test]
-    fn workspace_records_history_and_resizes() {
+    fn undersized_workspace_resizes_on_entry() {
         let a = laplacian(20);
         let b = vec![1.0; 20];
-        let opts = PcgOptions {
-            record_history: true,
-            ..Default::default()
-        };
+        let opts = PcgOptions::default();
         let mut ws = PcgWorkspace::new(4); // undersized: must self-resize
-        ws.reserve_history(64);
         let mut u = vec![0.0; 20];
         let rep = pcg_solve_into(
             &a,
@@ -1108,9 +701,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ws.dim(), 20);
-        assert_eq!(ws.history().len(), rep.iterations);
         let sol = cg_solve(&a, &b, &opts).unwrap();
-        assert_eq!(sol.history, ws.history());
+        assert_eq!(sol.x, u);
+        assert_eq!(sol.iterations, rep.iterations);
     }
 
     #[test]
@@ -1165,7 +758,7 @@ mod tests {
         let x_true: Vec<f64> = (0..32).map(|i| (i as f64 * 0.2).sin()).collect();
         let b = a.mul_vec(&x_true);
         // NaN out of msolve application 2 (init is application 0, then
-        // one per iteration): the classic loop must detect it on the
+        // one per iteration): the loop must detect it on the
         // (r̂, r) scalar, restart in place, and still converge — no audit
         // and no opt-in needed (non-finite detection is always on).
         let pre = FaultyPreconditioner::new(

@@ -92,13 +92,18 @@ pub trait Preconditioner {
 /// The scratch [`Preconditioner::apply_block`] needs on `w` columns:
 /// `w·s` for a block kernel and `s + 2·dim()` for the column-by-column
 /// default (`s` = [`Preconditioner::scratch_len`]), so the larger of the
-/// two. It also covers [`SparseOp::mul_block_into`]'s default on an
-/// operator of the same dimension.
+/// two — except at width 1, where the default copies no column and `s`
+/// is all either needs. It also covers [`SparseOp::mul_block_into`]'s
+/// default on an operator of the same dimension.
 ///
 /// [`SparseOp::mul_block_into`]: mspcg_sparse::SparseOp::mul_block_into
 pub fn block_scratch_len(m: &impl Preconditioner, w: usize) -> usize {
     let s = m.scratch_len();
-    (w * s).max(s + 2 * m.dim())
+    if w == 1 {
+        s
+    } else {
+        (w * s).max(s + 2 * m.dim())
+    }
 }
 
 /// `M = I`: plain conjugate gradients.

@@ -58,7 +58,7 @@
 //! `f − K·u` audit phase that finds the carried residual drifted, makes
 //! every worker restart in place from the current iterate: recompute the
 //! true residual and re-derive `z`, `p` and `(z, r)`, exactly like the
-//! serial loop, within the policy's replacement budget.
+//! pool path's block loop, within the policy's replacement budget.
 //!
 //! ## Polynomial msolve (barrier-free preconditioning)
 //!
@@ -745,7 +745,8 @@ impl ParallelMStepPcg {
         }
         // In-place recovery from a non-finite reduction scalar: recompute
         // the true residual `r ← f − K·u` and re-derive z, p, (z, r) —
-        // the same restart the serial classic loop performs — looping
+        // the re-derivation `mspcg_core`'s block loop starts and restarts
+        // every column with — looping
         // while the replacement budget lasts, then guard the fresh (z, r)
         // like the init sequence. `rz` holds the fresh scalar afterwards.
         macro_rules! recover_or_return {

@@ -76,9 +76,10 @@
 //!   Chebyshev `plate-auto` benchmark solves ≈ 27 % faster.
 //! * **Fused iteration kernels** — the CG hot loop computes `u += αp`,
 //!   `r −= α·Kp` and the `‖p‖∞`/`‖r‖∞` stopping-test partials in **one
-//!   pass** per iteration (`vecops::fused_axpy_axpy_norm`; the direction
-//!   initialization uses `vecops::fused_xpby_dot`), bitwise identical to
-//!   the unfused sweeps. The SPMD `ParallelMStepPcg` fuses every
+//!   pass** per iteration (`vecops::fused_axpy_axpy_norm`; the relative
+//!   residual reuses its `‖r‖∞` in `vecops::norm2_with_max`), bitwise
+//!   identical to the unfused sweeps (`tests/algorithm1_oracle.rs` replays
+//!   Algorithm 1 on them). The SPMD `ParallelMStepPcg` fuses every
 //!   reduction into the phase producing its operands and replicates the
 //!   scalar reductions across workers: `m·(2C−1) + 3` barriers per
 //!   iteration (C colors, m steps), down from `m·(2C−1) + 9`.
@@ -180,28 +181,30 @@
 //!   counting-allocator test over the ω sweep); `MulticolorSsor` shares
 //!   the matrix/partition via `Arc` instead of deep-cloning.
 //! * **Batched multi-RHS** — `mspcg::core::multi::pcg_solve_multi` solves
-//!   many load cases against one matrix + preconditioner
-//!   (`MultiRhsWorkspace` holds per-lane scratch, so the shared SSOR
-//!   cache is never a lock point): kernels become the unit of parallelism
-//!   for large matrices, right-hand sides for small ones. There each lane
-//!   solves its cases in **lockstep blocks** of up to
-//!   `multi::BLOCK_WIDTH` = 8, stored interleaved `n × w`: one block SpMV
-//!   (`SparseOp::mul_block_into`), one block msolve
-//!   (`Preconditioner::apply_block`) and one pass of each vector kernel
-//!   per iteration serve every column, each with its own α, β, stopping
-//!   test and counters. The block kernels are the solver's kernels —
-//!   the CSR gather, `SweepTable::sweep`, the `vecops` updates and
-//!   reductions — made generic over the column count, width 1 being the
-//!   plain kernel, so every column is bitwise its standalone solve;
-//!   operators and preconditioners without a block kernel go column by
-//!   column through the traits' defaults. A column that converges, breaks
-//!   down or runs out of budget leaves the block with the standalone
-//!   solve's outcome; one whose scalar goes non-finite or whose audit
-//!   diverges finishes on its lane's standalone workspace through the
-//!   classic loop's restart. On the a = 24 plate (2-vCPU VM) a width-8
-//!   block runs the SpMV 3.4× and the 2-step SSOR msolve 3.0× faster per
-//!   right-hand side than width 1. Zero per-solve allocation after
-//!   warm-up. See `examples/multi_load_cases.rs`.
+//!   many load cases against one matrix + preconditioner in
+//!   `min(threads, cases)` lanes of contiguous cases, at every matrix size
+//!   (`MultiRhsWorkspace` holds one `PcgWorkspace` per lane, so the shared
+//!   SSOR cache is never a lock point). Each lane solves its cases in
+//!   **lockstep blocks** of up to `multi::BLOCK_WIDTH` = 8, stored
+//!   interleaved `n × w`: one block SpMV (`SparseOp::mul_block_into`), one
+//!   block msolve (`Preconditioner::apply_block`) and one pass of each
+//!   vector kernel per iteration serve every column, each with its own α,
+//!   β, stopping test, audit schedule and counters. The block kernels are
+//!   the solver's kernels — the CSR gather, `SweepTable::sweep`, the
+//!   `vecops` updates and reductions — made generic over the column
+//!   count, width 1 being the plain kernel, and the block loop is the one
+//!   Algorithm 1 in `mspcg-core`: a standalone `pcg_solve_into` is the
+//!   block of width 1, and a one-case batch runs it on the calling thread
+//!   with its kernels fanned out on the pool. So every column is bitwise
+//!   its standalone solve; operators and preconditioners without a block
+//!   kernel go column by column through the traits' defaults. A column
+//!   that converges, breaks down or runs out of budget leaves the block
+//!   with the standalone solve's outcome; one whose scalar goes non-finite
+//!   or whose audit diverges restarts in place, re-derived from its own
+//!   iterate while the other columns keep iterating. On the a = 24 plate
+//!   (2-vCPU VM) a width-8 block runs the SpMV 3.4× and the 2-step SSOR
+//!   msolve 3.0× faster per right-hand side than width 1. Zero per-solve
+//!   allocation after warm-up. See `examples/multi_load_cases.rs`.
 //!
 //! ## Robustness
 //!
@@ -232,8 +235,9 @@
 //!   compares it to the recurrence residual. Deviation beyond
 //!   `max(10·tol, 10³·ε)·‖f‖` restarts the loop from the current iterate:
 //!   it re-derives `r`, `r̂` and `p` from the recomputed residual (van der
-//!   Vorst/Ye-style replacement). A non-finite reduction scalar triggers
-//!   the same restart whether or not audits run, while the
+//!   Vorst/Ye-style replacement) — the derivation that starts every solve,
+//!   and in a batch only for the column concerned. A non-finite reduction
+//!   scalar triggers the same restart whether or not audits run, while the
 //!   `max_replacements` budget lasts; an exhausted budget surfaces
 //!   `SparseError::NonFinite { phase, iteration }` instead of silent
 //!   garbage. Cost model, asserted by counter tests: the SPMD audit is

@@ -12,11 +12,18 @@
 //! polynomial preconditioner and a SELL-C-σ operator, which take the
 //! traits' column-by-column defaults.
 //!
-//! Faults: a NaN out of one column's msolve and a finite corruption of
-//! one column's SpMV (caught by the audit) each make that column leave its
-//! block. It then reports exactly the counters and iterate of the same
-//! fault in a standalone solve, while the other columns stay bitwise
-//! equal to their clean standalone solves.
+//! Faults: a NaN out of one column's msolve, a finite corruption of one
+//! column's SpMV (caught by the audit), a NaN in one column's SpMV (the
+//! restart that repeats an iteration), a NaN in one column's first msolve
+//! (a restart at iteration 0), two faults in one column (two restarts) and
+//! a fault with no replacement budget (a `Breakdown` column) each hit one
+//! column of a block, which restarts in place or breaks down. It then
+//! reports exactly the counters and iterate of the same fault in a
+//! standalone solve, while the other columns stay bitwise equal to their
+//! clean standalone solves.
+//!
+//! The standalone solve is itself the width-1 block; its independent
+//! reference is the literal Algorithm 1 of `tests/algorithm1_oracle.rs`.
 
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, RhsOutcome, SolveStatus};
@@ -428,4 +435,163 @@ fn an_audited_spmv_corruption_moves_one_column_off_its_block() {
             );
         }
     }
+}
+
+/// Compare every column of a batch of `WIDTH` (`u`, `mws`) with
+/// `standalone(j, f_j, u_j)`, its standalone solve from the same guess. A
+/// standalone solve that fails with a non-finite value must leave the
+/// column `Breakdown` at the same iteration, with the same iterate.
+fn compare_columns(
+    what: &str,
+    (f, u0, u): (&[f64], &[f64], &[f64]),
+    mws: &MultiRhsWorkspace,
+    mut standalone: impl FnMut(usize, &[f64], &mut [f64]) -> Result<PcgReport, SparseError>,
+) {
+    let n = f.len() / WIDTH;
+    for (j, (fj, uj)) in f.chunks(n).zip(u0.chunks(n)).enumerate() {
+        let mut want_u = uj.to_vec();
+        let want = standalone(j, fj, &mut want_u);
+        let (got, out) = (&u[j * n..(j + 1) * n], &mws.outcomes()[j]);
+        match want {
+            Err(SparseError::NonFinite { iteration, .. }) => {
+                assert_eq!(bits(got), bits(&want_u), "{what}, case {j}: solution");
+                assert_eq!(out.status, SolveStatus::Breakdown, "{what}, case {j}");
+                assert_eq!(out.report.iterations, iteration, "{what}, case {j}");
+            }
+            _ => assert_column(what, j, got, out, &want_u, &want),
+        }
+    }
+}
+
+/// A NaN out of `ops` — faults pinned to the block's global applications
+/// `at` — hits one column of the `WIDTH`-column block of `loads`; the same
+/// fault at its standalone applications `standalone_at` hits its
+/// standalone solve. `on_msolve` picks the preconditioner's applications,
+/// otherwise the operator's. Returns the hit column's outcome.
+fn nan_fault_cell(
+    what: &str,
+    on_msolve: bool,
+    (hit, at, standalone_at): (usize, &[usize], &[usize]),
+    opts: &PcgOptions,
+) -> RhsOutcome {
+    let _guard = sweep_lock();
+    let _restore = Threads::save();
+    par::set_max_threads(1);
+    let (k, colors, rhs) = plate(10);
+    let n = k.rows();
+    let ssor = || MStepSsorPreconditioner::unparametrized(&k, &colors, 2).unwrap();
+    let clean = ssor();
+    let (f, u0) = loads(&rhs);
+    let faults = |applications: &[usize]| -> Vec<ApplicationFault> {
+        let nan = |&application| ApplicationFault {
+            application,
+            index: 7,
+            kind: FaultKind::NaN,
+        };
+        applications.iter().map(nan).collect()
+    };
+    let none: &[usize] = &[];
+    let (block_op, block_pre) = if on_msolve {
+        (
+            FaultyOp::new(&k, faults(none)),
+            FaultyPreconditioner::new(ssor(), faults(at)),
+        )
+    } else {
+        (
+            FaultyOp::new(&k, faults(at)),
+            FaultyPreconditioner::new(ssor(), faults(none)),
+        )
+    };
+    let mut mws = MultiRhsWorkspace::new(n, WIDTH);
+    let mut u = u0.clone();
+    pcg_solve_multi(&block_op, &f, &mut u, &block_pre, opts, &mut mws).unwrap();
+    assert_eq!(
+        block_op.injected() + block_pre.injected(),
+        at.len(),
+        "{what}"
+    );
+
+    let mut ws = PcgWorkspace::new(n);
+    compare_columns(what, (&f, &u0, &u), &mws, |j, fj, uj| {
+        if j != hit {
+            return pcg_try_solve_into(&k, fj, uj, &clean, opts, &mut ws);
+        }
+        let (op, pre) = if on_msolve {
+            let pre = FaultyPreconditioner::new(ssor(), faults(standalone_at));
+            (FaultyOp::new(&k, faults(none)), pre)
+        } else {
+            let op = FaultyOp::new(&k, faults(standalone_at));
+            (op, FaultyPreconditioner::new(ssor(), faults(none)))
+        };
+        let rep = pcg_try_solve_into(&op, fj, uj, &pre, opts, &mut ws);
+        assert_eq!(
+            op.injected() + pre.injected(),
+            standalone_at.len(),
+            "{what}"
+        );
+        rep
+    });
+    mws.outcomes()[hit]
+}
+
+fn relative_residual_opts() -> PcgOptions {
+    PcgOptions {
+        tol: 1e-9,
+        criterion: StoppingCriterion::RelativeResidual,
+        ..Default::default()
+    }
+}
+
+/// A NaN in one column's `K·p` poisons its `(p, K·p)` before its step is
+/// taken: the column restarts from its iterate and repeats the iteration.
+#[test]
+fn a_nan_spmv_fault_repeats_one_columns_iteration() {
+    let (hit, at) = (2, 4);
+    let opts = relative_residual_opts();
+    let out = nan_fault_cell("NaN SpMV", false, (hit, &[WIDTH * at + hit], &[at]), &opts);
+    let s = out.report.stats;
+    assert_eq!(out.status, SolveStatus::Replaced);
+    assert_eq!((s.faults_detected, s.replacements, s.fallbacks), (1, 1, 0));
+}
+
+/// A NaN in one column's first msolve: the restart at iteration 0.
+#[test]
+fn a_nan_in_a_columns_first_msolve_restarts_it_at_iteration_zero() {
+    let hit = 3;
+    let opts = relative_residual_opts();
+    let out = nan_fault_cell("NaN first msolve", true, (hit, &[hit], &[0]), &opts);
+    let s = out.report.stats;
+    assert_eq!(out.status, SolveStatus::Replaced);
+    assert_eq!((s.faults_detected, s.replacements, s.fallbacks), (1, 1, 0));
+}
+
+/// Two faults in one column: a NaN msolve at its iteration 3, and another
+/// in the msolve of the restart it triggers (the block's next msolve
+/// application), so the column restarts twice.
+#[test]
+fn two_faults_in_one_column_restart_it_twice() {
+    let (hit, at) = (1, 3);
+    let opts = relative_residual_opts();
+    let block = [WIDTH * at + hit, WIDTH * at + WIDTH];
+    let out = nan_fault_cell("two NaN msolves", true, (hit, &block, &[at, at + 1]), &opts);
+    let s = out.report.stats;
+    assert_eq!(out.status, SolveStatus::Replaced);
+    assert_eq!((s.faults_detected, s.replacements, s.fallbacks), (2, 2, 0));
+}
+
+/// With no replacement budget the faulted column breaks down with the
+/// standalone solve's typed error, beside clean columns.
+#[test]
+fn a_spent_replacement_budget_breaks_down_one_column_beside_clean_ones() {
+    let (hit, at) = (0, 3);
+    let opts = PcgOptions {
+        recovery: RecoveryPolicy {
+            max_replacements: 0,
+            ..RecoveryPolicy::default()
+        },
+        ..relative_residual_opts()
+    };
+    let out = nan_fault_cell("no budget", true, (hit, &[WIDTH * at + hit], &[at]), &opts);
+    assert_eq!(out.status, SolveStatus::Breakdown);
+    assert_eq!(out.report.iterations, at);
 }

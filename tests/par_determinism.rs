@@ -137,11 +137,10 @@ fn fused_kernels_bitwise_equal_unfused_across_thread_counts() {
 }
 
 /// The batched multi-RHS solver must reproduce the standalone solves
-/// bitwise for every thread count. The system is below
-/// `par_min_nnz`, so the batch runs in the RHS-level regime (lanes spread
-/// over the pool, each lane's kernels serial); the kernel-parallel regime
-/// is covered by the multi-RHS leg of
-/// `full_pcg_solve_bitwise_under_both_formats`.
+/// bitwise for every thread count: its lanes spread over the pool, each
+/// lane's kernels serial. The system is below `par_min_nnz`; the
+/// multi-RHS leg of `full_pcg_solve_bitwise_under_both_formats` runs the
+/// same lanes on a matrix above it.
 #[test]
 fn multi_rhs_batch_bitwise_across_thread_counts() {
     let _guard = sweep_lock();
