@@ -194,8 +194,9 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
             assert!(rep.converged, "{group}/{label} did not converge");
             let i = rep.iterations;
             // The degree-k chain must obey the same pinned formula as the
-            // sweeps with `sweep → k`.
-            let expected = msolve_cost + (i - 1) * (msolve_cost + 3) + 2;
+            // sweeps with `sweep → k`; the converging iteration crosses
+            // its SpMV, its update and the `‖r‖₂` of its report.
+            let expected = msolve_cost + (i - 1) * (msolve_cost + 3) + 3;
             assert_eq!(
                 rep.barrier_crossings, expected,
                 "{group}/{label}: barrier schedule changed (threads = {threads})"

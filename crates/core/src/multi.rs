@@ -1,5 +1,14 @@
 //! Batched multi-RHS PCG — and the Algorithm 1 loop every solve runs.
 //!
+//! [`lockstep`] is the only Algorithm 1 in the workspace. It is written
+//! once against [`Executor`], whose methods are the loop's vector phases
+//! and return replicated scalars; the loop keeps every scalar, per-column
+//! state and counter. Two executors run it: the pool path's lane block
+//! (below), and the SPMD worker of `mspcg-parallel`, which runs it at
+//! width 1 on its own rows with a barrier per phase — the paper's
+//! Algorithm 1 on the CYBER pipeline and its Algorithm 3 on the Finite
+//! Element Machine, one loop on two machines.
+//!
 //! The FEM workloads the paper targets rarely solve one system — a plate
 //! is analysed under many load cases, all sharing the stiffness matrix
 //! `K` and therefore the multicolor ordering, the SSOR splitting tables
@@ -75,7 +84,8 @@ use crate::pcg::{
 };
 use crate::preconditioner::{block_scratch_len, Preconditioner};
 use crate::recovery::{audit_due, diverged, AuditPlan};
-use mspcg_sparse::{par, vecops, SparseError, SparseOp};
+use mspcg_sparse::vecops::{self, FusedUpdateNorms};
+use mspcg_sparse::{par, SparseError, SparseOp};
 use std::ops::Range;
 
 /// Right-hand sides a lane solves in lockstep: the most columns of one
@@ -414,25 +424,196 @@ fn solve_block<A: SparseOp, P: Preconditioner>(
     lane: &mut PcgWorkspace,
     out: &mut [RhsOutcome],
 ) {
-    fn record<const W: usize>(
+    fn run<A: SparseOp, P: Preconditioner, const W: usize>(
+        mut block: PoolBlock<'_, A, P, W>,
+        opts: &PcgOptions,
         out: &mut [RhsOutcome],
-        results: [Result<PcgReport, SparseError>; W],
     ) {
-        for (o, result) in out.iter_mut().zip(results) {
+        for (o, result) in out.iter_mut().zip(lockstep(&mut block, opts)) {
             *o = RhsOutcome::of(result);
         }
     }
     const _: () = assert!(BLOCK_WIDTH == 8, "one arm per block width");
     match out.len() {
-        1 => record(out, lockstep::<A, P, 1>(k, f, u, m, opts, lane)),
-        2 => record(out, lockstep::<A, P, 2>(k, f, u, m, opts, lane)),
-        3 => record(out, lockstep::<A, P, 3>(k, f, u, m, opts, lane)),
-        4 => record(out, lockstep::<A, P, 4>(k, f, u, m, opts, lane)),
-        5 => record(out, lockstep::<A, P, 5>(k, f, u, m, opts, lane)),
-        6 => record(out, lockstep::<A, P, 6>(k, f, u, m, opts, lane)),
-        7 => record(out, lockstep::<A, P, 7>(k, f, u, m, opts, lane)),
-        8 => record(out, lockstep::<A, P, 8>(k, f, u, m, opts, lane)),
+        1 => run::<A, P, 1>(PoolBlock::new(k, m, f, u, lane), opts, out),
+        2 => run::<A, P, 2>(PoolBlock::new(k, m, f, u, lane), opts, out),
+        3 => run::<A, P, 3>(PoolBlock::new(k, m, f, u, lane), opts, out),
+        4 => run::<A, P, 4>(PoolBlock::new(k, m, f, u, lane), opts, out),
+        5 => run::<A, P, 5>(PoolBlock::new(k, m, f, u, lane), opts, out),
+        6 => run::<A, P, 6>(PoolBlock::new(k, m, f, u, lane), opts, out),
+        7 => run::<A, P, 7>(PoolBlock::new(k, m, f, u, lane), opts, out),
+        8 => run::<A, P, 8>(PoolBlock::new(k, m, f, u, lane), opts, out),
         w => unreachable!("block of {w} columns"),
+    }
+}
+
+/// The machine [`lockstep`] runs on: the vector phases of Algorithm 1 on
+/// a block of `W` right-hand sides. Each method is one phase over the
+/// block's columns and returns its scalars *replicated* — every
+/// participant of an executor gets bitwise the same values — so every
+/// participant of one solve takes every branch of the loop together. The
+/// loop keeps every scalar, counter and per-column state; the executor
+/// keeps the vectors: per column the right-hand side `f`, the iterate
+/// `u`, the residual `r`, the direction `p`, `K·p` and `r̂ = M⁻¹r`.
+///
+/// Two executors implement it: the pool path's `PoolBlock`, a lane's
+/// interleaved block on the `par` pool's kernels, and the SPMD worker of
+/// `mspcg-parallel`, one column on the worker's own rows with a barrier
+/// per phase.
+pub trait Executor<const W: usize> {
+    /// `‖f‖₂` of every column.
+    fn rhs_norms(&mut self) -> [f64; W];
+    /// Preconditioner steps per msolve, counted in
+    /// [`PcgStats::precond_steps`].
+    fn msolve_steps(&self) -> usize;
+    /// `K·p` of the `live` columns; returns their `(p, K·p)`.
+    fn spmv(&mut self, live: &[bool; W]) -> [f64; W];
+    /// `u += α·p` and `r −= α·K·p` on the `live` columns, returning their
+    /// `‖p‖∞` and updated `‖r‖∞`.
+    fn update(&mut self, alpha: &[f64; W], live: &[bool; W]) -> [FusedUpdateNorms; W];
+    /// `‖r‖₂` of every column, given its `‖r‖∞` from [`Executor::update`].
+    fn residual_norms(&mut self, r_max: &[f64; W]) -> [f64; W];
+    /// `r̂ = M⁻¹r` on the columns `cols`, returning their `(r̂, r)`; on a
+    /// `restart`, also `p ← r̂` for them.
+    fn msolve(&mut self, cols: &[bool; W], restart: bool) -> [f64; W];
+    /// `p ← r̂ + β·p` on every column.
+    fn xpby(&mut self, beta: &[f64; W]);
+    /// `f − K·u` of column `j`, put to `to`'s use.
+    fn true_residual(&mut self, j: usize, to: TrueResidual) -> f64;
+    /// Column `j` left the block with its result: its iterate is final.
+    fn retire(&mut self, j: usize);
+    /// Set column `j`'s iterate to zero: its right-hand side is zero.
+    fn zero_iterate(&mut self, j: usize);
+}
+
+/// What [`Executor::true_residual`] does with `f − K·u`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrueResidual {
+    /// Restart from it: it becomes the column's `r`. Returns 0.
+    Restart,
+    /// Audit the recurrence: returns `‖(f − K·u) − r‖₂²`, NaN when either
+    /// carries one.
+    Audit,
+    /// Certify an exit: returns `‖f − K·u‖₂`.
+    Norm,
+}
+
+/// The pool path's [`Executor`]: one block of `W` columns of the caller's
+/// `f` and `u` (column `j` at `j·n..(j + 1)·n`) on a lane's interleaved
+/// block vectors `r`, `p` and `t` (`K·p`, then `M⁻¹r`), its kernels'
+/// scratch and its column `res` of `f − K·u`, run by the block kernels.
+pub(crate) struct PoolBlock<'a, A, P, const W: usize> {
+    k: &'a A,
+    m: &'a P,
+    f: &'a [f64],
+    u: &'a mut [f64],
+    r: &'a mut [f64],
+    p: &'a mut [f64],
+    t: &'a mut [f64],
+    scratch: &'a mut [f64],
+    res: &'a mut [f64],
+}
+
+impl<'a, A: SparseOp, P: Preconditioner, const W: usize> PoolBlock<'a, A, P, W> {
+    /// The block of `f` and `u` on `lane`, prepared for `W` columns of
+    /// `k`'s dimension.
+    pub(crate) fn new(
+        k: &'a A,
+        m: &'a P,
+        f: &'a [f64],
+        u: &'a mut [f64],
+        lane: &'a mut PcgWorkspace,
+    ) -> Self {
+        let n = k.rows();
+        PoolBlock {
+            k,
+            m,
+            f,
+            u,
+            r: &mut lane.r[..W * n],
+            p: &mut lane.p[..W * n],
+            t: &mut lane.t[..W * n],
+            scratch: &mut lane.scratch,
+            res: &mut lane.res,
+        }
+    }
+
+    /// The range of column `j` in `f` and `u`.
+    fn col(&self, j: usize) -> Range<usize> {
+        let n = self.res.len();
+        j * n..(j + 1) * n
+    }
+}
+
+impl<A: SparseOp, P: Preconditioner, const W: usize> Executor<W> for PoolBlock<'_, A, P, W> {
+    fn rhs_norms(&mut self) -> [f64; W] {
+        std::array::from_fn(|j| vecops::norm2(&self.f[self.col(j)]))
+    }
+
+    fn msolve_steps(&self) -> usize {
+        self.m.steps_per_apply()
+    }
+
+    fn spmv(&mut self, live: &[bool; W]) -> [f64; W] {
+        self.k.mul_block_into(self.p, self.t, live, self.scratch);
+        vecops::dot_block::<W>(self.p, self.t)
+    }
+
+    fn update(&mut self, alpha: &[f64; W], live: &[bool; W]) -> [FusedUpdateNorms; W] {
+        let mut u_cols = self.u.chunks_exact_mut(self.res.len());
+        let u_cols = std::array::from_fn(|j| u_cols.next().filter(|_| live[j]));
+        vecops::fused_axpy_axpy_norm_block::<W>(alpha, self.p, self.t, u_cols, self.r)
+    }
+
+    fn residual_norms(&mut self, r_max: &[f64; W]) -> [f64; W] {
+        vecops::norm2_with_max_block::<W>(self.r, r_max)
+    }
+
+    fn msolve(&mut self, cols: &[bool; W], restart: bool) -> [f64; W] {
+        self.m.apply_block(self.r, self.t, cols, self.scratch);
+        let rz = vecops::dot_block::<W>(self.t, self.r);
+        for j in (0..W).filter(|&j| restart && cols[j]) {
+            set_column::<W>(self.p, j, self.t.chunks_exact(W).map(|row| row[j]));
+        }
+        rz
+    }
+
+    fn xpby(&mut self, beta: &[f64; W]) {
+        vecops::xpby_block::<W>(self.t, beta, self.p);
+    }
+
+    fn true_residual(&mut self, j: usize, to: TrueResidual) -> f64 {
+        let col = self.col(j);
+        vecops::copy(&self.f[col.clone()], self.res);
+        self.k.mul_vec_axpy(-1.0, &self.u[col], self.res);
+        match to {
+            TrueResidual::Restart => {
+                set_column::<W>(self.r, j, self.res.iter().copied());
+                0.0
+            }
+            TrueResidual::Audit => self
+                .res
+                .iter()
+                .zip(self.r.chunks_exact(W).map(|row| row[j]))
+                .map(|(t, ri)| {
+                    let d = t - ri;
+                    d * d
+                })
+                .sum(),
+            TrueResidual::Norm => vecops::norm2(self.res),
+        }
+    }
+
+    /// From here on the kernels carry exact zeros in the column's slots.
+    fn retire(&mut self, j: usize) {
+        for v in [&mut *self.r, &mut *self.p, &mut *self.t] {
+            set_column::<W>(v, j, std::iter::repeat(0.0));
+        }
+    }
+
+    fn zero_iterate(&mut self, j: usize) {
+        let col = self.col(j);
+        vecops::zero(&mut self.u[col]);
     }
 }
 
@@ -467,6 +648,8 @@ struct Column {
     /// counted from here ([`audit_due`]), so an audit-triggered restart
     /// strictly advances and the restarts terminate on the budget alone.
     start: usize,
+    /// Its result, once it left the block.
+    result: Option<Result<PcgReport, SparseError>>,
 }
 
 impl Column {
@@ -483,38 +666,72 @@ impl Column {
         self.stats.inner_products += 1;
         self.stats.reduction_phases += 1;
     }
-}
 
-/// The block's three interleaved vectors and its columns' results.
-struct Block<'a, const W: usize> {
-    r: &'a mut [f64],
-    p: &'a mut [f64],
-    t: &'a mut [f64],
-    results: [Option<Result<PcgReport, SparseError>>; W],
-}
+    /// `f − K·u` of column `j`, counted: one SpMV.
+    fn true_residual<const W: usize>(
+        &mut self,
+        exec: &mut impl Executor<W>,
+        j: usize,
+        to: TrueResidual,
+    ) -> f64 {
+        self.stats.spmv += 1;
+        exec.true_residual(j, to)
+    }
 
-impl<const W: usize> Block<'_, W> {
-    /// Take column `j` out of the block with its final result, and zero
-    /// its slots of the block vectors: from here on the kernels carry exact
-    /// zeros for it.
-    fn retire(&mut self, j: usize, c: &mut Column, result: Result<PcgReport, SparseError>) {
-        c.phase = Phase::Done;
-        self.results[j] = Some(result);
-        for v in [&mut *self.r, &mut *self.p, &mut *self.t] {
-            set_column::<W>(v, j, std::iter::repeat(0.0));
+    /// Its report after `completed` iterations, the last step `change`.
+    fn report(&self, converged: bool, final_relative_residual: f64) -> PcgReport {
+        PcgReport {
+            iterations: self.completed,
+            converged,
+            final_change: self.change,
+            final_relative_residual,
+            stats: self.stats,
         }
+    }
+
+    /// The report of a column that stops without its stopping test firing
+    /// — its budget ran out, or `(r̂, r) = 0` — with the TRUE residual
+    /// `f − K·u` of the exit iterate (the recursively updated in-loop `r`
+    /// drifts from it over many iterations, so its norm would overstate —
+    /// or understate — how close the returned iterate is).
+    fn exit_report<const W: usize>(
+        &mut self,
+        exec: &mut impl Executor<W>,
+        j: usize,
+        converged: bool,
+    ) -> PcgReport {
+        let norm = self.true_residual(exec, j, TrueResidual::Norm);
+        self.report(converged, norm / self.f_norm.max(1e-300))
+    }
+
+    /// Take column `j` out of the block with its final result.
+    fn retire<const W: usize>(
+        &mut self,
+        exec: &mut impl Executor<W>,
+        j: usize,
+        result: Result<PcgReport, SparseError>,
+    ) {
+        self.phase = Phase::Done;
+        self.result = Some(result);
+        exec.retire(j);
     }
 
     /// A non-finite scalar of column `j` in `phase` of `iteration`:
     /// counted, then an in-place restart while the column's replacement
     /// budget lasts, and the typed error once it is spent.
-    fn fault(&mut self, j: usize, c: &mut Column, phase: &'static str, iteration: usize) {
-        c.stats.faults_detected += 1;
-        if c.stats.replacements < c.audit.max_replacements {
-            c.stats.replacements += 1;
-            c.restart();
+    fn fault<const W: usize>(
+        &mut self,
+        exec: &mut impl Executor<W>,
+        j: usize,
+        phase: &'static str,
+        iteration: usize,
+    ) {
+        self.stats.faults_detected += 1;
+        if self.stats.replacements < self.audit.max_replacements {
+            self.stats.replacements += 1;
+            self.restart();
         } else {
-            self.retire(j, c, Err(SparseError::NonFinite { phase, iteration }));
+            self.retire(exec, j, Err(SparseError::NonFinite { phase, iteration }));
         }
     }
 }
@@ -531,65 +748,39 @@ fn mask<const W: usize>(cols: &[Column; W], phase: Phase) -> [bool; W] {
     cols.each_ref().map(|c| c.phase == phase)
 }
 
-/// Algorithm 1 on the `W` right-hand sides of one block in lockstep, on the
-/// block of `lane` (prepared for `W` columns of `k`'s dimension). `f` and
-/// `u` hold the block's columns as the caller stores them (`u` is written
-/// in place); the result of each column is returned in order. Every column
+/// Algorithm 1 on the `W` right-hand sides of one block in lockstep, on
+/// `exec`; the result of each column is returned in order. Every column
 /// runs the statements of its standalone solve — the width-1 block — in
 /// its order, on its own scalars; the block only shares the passes over
-/// the rows.
-pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
-    k: &A,
-    f: &[f64],
-    u: &mut [f64],
-    m: &P,
+/// the rows. Every branch reads only the replicated scalars the
+/// executor's phases return, so every participant of an executor runs
+/// the same schedule of phases.
+pub fn lockstep<E: Executor<W>, const W: usize>(
+    exec: &mut E,
     opts: &PcgOptions,
-    lane: &mut PcgWorkspace,
 ) -> [Result<PcgReport, SparseError>; W] {
-    let n = k.rows();
-    let PcgWorkspace {
-        r,
-        p,
-        t,
-        scratch,
-        res,
-    } = lane;
-    let mut b = Block::<W> {
-        r: &mut r[..W * n],
-        p: &mut p[..W * n],
-        t: &mut t[..W * n],
-        results: [const { None }; W],
-    };
-    let col = |j: usize| j * n..(j + 1) * n;
-    let steps = m.steps_per_apply();
+    let steps = exec.msolve_steps();
     let displacement = opts.criterion == StoppingCriterion::DisplacementChange;
-    let mut cols: [Column; W] = std::array::from_fn(|j| {
-        let f_norm = vecops::norm2(&f[col(j)]);
-        Column {
-            phase: Phase::Restart,
-            stats: PcgStats::default(),
-            audit: AuditPlan::new(&opts.recovery, opts.tol, f_norm),
-            f_norm,
-            rz: 0.0,
-            change: f64::INFINITY,
-            completed: 0,
-            start: 0,
-        }
+    let f_norms = exec.rhs_norms();
+    let mut cols: [Column; W] = f_norms.map(|f_norm| Column {
+        phase: Phase::Restart,
+        stats: PcgStats::default(),
+        audit: AuditPlan::new(&opts.recovery, opts.tol, f_norm),
+        f_norm,
+        rz: 0.0,
+        change: f64::INFINITY,
+        completed: 0,
+        start: 0,
+        result: None,
     });
 
     // A zero right-hand side is solved by u = 0: for SPD `K`, `K u = 0`
     // has exactly the zero solution.
     for (j, c) in cols.iter_mut().enumerate() {
         if c.f_norm == 0.0 {
-            vecops::zero(&mut u[col(j)]);
-            let report = PcgReport {
-                iterations: 0,
-                converged: true,
-                final_change: 0.0,
-                final_relative_residual: 0.0,
-                stats: c.stats,
-            };
-            b.retire(j, c, Ok(report));
+            exec.zero_iterate(j);
+            c.change = 0.0;
+            c.retire(exec, j, Ok(c.report(true, 0.0)));
         }
     }
 
@@ -605,7 +796,8 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
                 && audit_due(c.completed + 1, c.start, c.audit.period)
                 && c.stats.replacements < c.audit.max_replacements;
             if due {
-                let dev2 = audit_deviation2::<_, W>(k, &f[col(j)], &u[col(j)], (b.r, j), res, c);
+                c.stats.audits += 1;
+                let dev2 = c.true_residual(exec, j, TrueResidual::Audit);
                 if diverged(dev2, c.audit.bound2) {
                     c.stats.replacements += 1;
                     c.restart();
@@ -622,23 +814,20 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
                 break;
             }
             for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| restart[*j]) {
-                residual_into(k, &f[col(j)], &u[col(j)], res, c);
-                set_column::<W>(b.r, j, res.iter().copied());
+                c.true_residual(exec, j, TrueResidual::Restart);
             }
-            m.apply_block(b.r, b.t, &restart, scratch);
-            let rz = vecops::dot_block::<W>(b.t, b.r);
+            let rz = exec.msolve(&restart, true);
             for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| restart[*j]) {
-                set_column::<W>(b.p, j, b.t.chunks_exact(W).map(|row| row[j]));
                 c.count_msolve(steps);
                 c.rz = rz[j];
                 if !rz[j].is_finite() {
-                    b.fault(j, c, "msolve-reduction", c.start);
+                    c.fault(exec, j, "msolve-reduction", c.start);
                 } else if rz[j] < 0.0 {
                     let e = SparseError::NotPositiveDefinite {
                         pivot: c.start,
                         value: rz[j],
                     };
-                    b.retire(j, c, Err(e));
+                    c.retire(exec, j, Err(e));
                 } else {
                     c.phase = Phase::Live;
                 }
@@ -652,8 +841,8 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
         for (j, c) in cols.iter_mut().enumerate() {
             if c.phase == Phase::Live && c.completed >= opts.max_iterations {
                 let converged = c.rz == 0.0 || (displacement && c.change < opts.tol);
-                let report = exit_report(k, &f[col(j)], &u[col(j)], res, c, converged);
-                b.retire(j, c, Ok(report));
+                let report = c.exit_report(exec, j, converged);
+                c.retire(exec, j, Ok(report));
             }
         }
         let live = mask(&cols, Phase::Live);
@@ -662,8 +851,7 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
         }
 
         // t = K·p, α = (r̂, r) / (p, K·p).
-        k.mul_block_into(b.p, b.t, &live, scratch);
-        let denom = vecops::dot_block::<W>(b.p, b.t);
+        let denom = exec.spmv(&live);
         let mut alpha = [0.0; W];
         for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
             c.stats.spmv += 1;
@@ -675,18 +863,18 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
                 // would otherwise flow into α. The iterate has not moved
                 // this iteration: the column restarts from it and repeats
                 // the iteration one block step later.
-                b.fault(j, c, "spmv-reduction", iter);
+                c.fault(exec, j, "spmv-reduction", iter);
             } else if denom[j] <= 0.0 {
                 let result = if c.rz == 0.0 {
                     // Exact convergence in fewer than n steps.
-                    Ok(exit_report(k, &f[col(j)], &u[col(j)], res, c, true))
+                    Ok(c.exit_report(exec, j, true))
                 } else {
                     Err(SparseError::NotPositiveDefinite {
                         pivot: iter,
                         value: denom[j],
                     })
                 };
-                b.retire(j, c, result);
+                c.retire(exec, j, result);
             } else {
                 c.completed = iter;
                 alpha[j] = c.rz / denom[j];
@@ -697,15 +885,9 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
             continue;
         }
 
-        // u += α·p into the caller's columns, r −= α·Kp, and the ‖p‖∞ /
-        // ‖r‖∞ partials, in one pass; ‖u^{k+1} − uᵏ‖∞ = |α|·‖p‖∞.
-        let mut u_cols: [Option<&mut [f64]>; W] = [const { None }; W];
-        for ((slot, uj), &l) in u_cols.iter_mut().zip(u.chunks_exact_mut(n)).zip(&live) {
-            if l {
-                *slot = Some(uj);
-            }
-        }
-        let norms = vecops::fused_axpy_axpy_norm_block::<W>(&alpha, b.p, b.t, u_cols, b.r);
+        // u += α·p, r −= α·Kp, and the ‖p‖∞ / ‖r‖∞ partials, in one pass;
+        // ‖u^{k+1} − uᵏ‖∞ = |α|·‖p‖∞.
+        let norms = exec.update(&alpha, &live);
         for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
             c.change = alpha[j].abs() * norms[j].p_norm_inf;
             if !norms[j].all_finite() {
@@ -714,7 +896,7 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
                 // restart's `r = f − K·u` recovers. (A NaN in `r` hides
                 // from the max-based norm and is caught one step later by
                 // the msolve-reduction scalar.)
-                b.fault(j, c, "update", c.completed);
+                c.fault(exec, j, "update", c.completed);
             }
         }
 
@@ -723,7 +905,7 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
         let live = mask(&cols, Phase::Live);
         let needs_residual = !displacement || (0..W).any(|j| live[j] && cols[j].change < opts.tol);
         let rel = if needs_residual {
-            vecops::norm2_with_max_block::<W>(b.r, &norms.map(|nj| nj.r_norm_inf))
+            exec.residual_norms(&norms.map(|nj| nj.r_norm_inf))
         } else {
             [0.0; W]
         };
@@ -736,14 +918,7 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
                 final_rel
             };
             if crit < opts.tol {
-                let report = PcgReport {
-                    iterations: c.completed,
-                    converged: true,
-                    final_change: c.change,
-                    final_relative_residual: final_rel,
-                    stats: c.stats,
-                };
-                b.retire(j, c, Ok(report));
+                c.retire(exec, j, Ok(c.report(true, final_rel)));
             }
         }
         let live = mask(&cols, Phase::Live);
@@ -752,8 +927,7 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
         }
 
         // r̂ = M⁻¹r, β = (r̂, r)_new / (r̂, r)_old, p ← r̂ + β·p.
-        m.apply_block(b.r, b.t, &live, scratch);
-        let rz_new = vecops::dot_block::<W>(b.t, b.r);
+        let rz_new = exec.msolve(&live, false);
         let mut beta = [0.0; W];
         for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
             c.count_msolve(steps);
@@ -761,77 +935,24 @@ pub(crate) fn lockstep<A: SparseOp, P: Preconditioner, const W: usize>(
                 // NaN/Inf out of the preconditioner (or a NaN residual the
                 // max-norm swallowed above): detected on the scalar before
                 // β is formed, while `u` is still finite.
-                b.fault(j, c, "msolve-reduction", c.completed);
+                c.fault(exec, j, "msolve-reduction", c.completed);
             } else if rz_new[j] < 0.0 {
                 let e = SparseError::NotPositiveDefinite {
                     pivot: c.completed,
                     value: rz_new[j],
                 };
-                b.retire(j, c, Err(e));
+                c.retire(exec, j, Err(e));
             } else {
                 beta[j] = rz_new[j] / c.rz.max(1e-300);
                 c.rz = rz_new[j];
             }
         }
-        vecops::xpby_block::<W>(b.t, &beta, b.p);
+        exec.xpby(&beta);
     }
-    b.results
-        .map(|result| result.expect("every column leaves its block with a result"))
-}
-
-/// One audit of column `j`: recompute the true residual `f − K·u` into
-/// `res` and return its squared deviation from the recurrence residual,
-/// column `j` of the `W`-column interleaved block `r`. The sum of squares
-/// propagates NaN (unlike a max-based norm, which swallows it), so a
-/// poisoned recurrence residual always reads as divergent.
-fn audit_deviation2<A: SparseOp, const W: usize>(
-    k: &A,
-    f: &[f64],
-    u: &[f64],
-    (r, j): (&[f64], usize),
-    res: &mut [f64],
-    c: &mut Column,
-) -> f64 {
-    c.stats.audits += 1;
-    residual_into(k, f, u, res, c);
-    res.iter()
-        .zip(r.chunks_exact(W).map(|row| row[j]))
-        .map(|(t, ri)| {
-            let d = t - ri;
-            d * d
-        })
-        .sum()
-}
-
-/// `res ← f − K·u` for column `c`: one counted SpMV.
-fn residual_into<A: SparseOp>(k: &A, f: &[f64], u: &[f64], res: &mut [f64], c: &mut Column) {
-    vecops::copy(f, res);
-    k.mul_vec_axpy(-1.0, u, res);
-    c.stats.spmv += 1;
-}
-
-/// The report of a column that stops without its stopping test firing —
-/// its budget ran out, or `(r̂, r) = 0` — after `completed` iterations:
-/// with the TRUE residual `f − K·u` of the exit iterate, recomputed into
-/// `res` (the recursively updated in-loop `r` drifts from it over many
-/// iterations, so reporting its norm would overstate — or understate —
-/// how close the returned iterate actually is).
-fn exit_report<A: SparseOp>(
-    k: &A,
-    f: &[f64],
-    u: &[f64],
-    res: &mut [f64],
-    c: &mut Column,
-    converged: bool,
-) -> PcgReport {
-    residual_into(k, f, u, res, c);
-    PcgReport {
-        iterations: c.completed,
-        converged,
-        final_change: c.change,
-        final_relative_residual: vecops::norm2(res) / c.f_norm.max(1e-300),
-        stats: c.stats,
-    }
+    cols.map(|c| {
+        c.result
+            .expect("every column leaves its block with a result")
+    })
 }
 
 #[cfg(test)]

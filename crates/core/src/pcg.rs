@@ -17,10 +17,11 @@
 //! The two inner products per iteration are the paper's motivating cost on
 //! vector and array machines; [`PcgStats`] counts them so the machine
 //! models in `mspcg-machine` can charge them faithfully. The loop is
-//! written once, in [`crate::multi`], for a lockstep block of right-hand
-//! sides: a standalone solve ([`pcg_try_solve_into`]) is the block of
-//! width 1, whose kernels are the plain ones. The SPMD executor in
-//! `mspcg-parallel` runs the same recurrence.
+//! written once, [`crate::multi::lockstep`], for a lockstep block of
+//! right-hand sides on an [`crate::multi::Executor`]: a standalone solve
+//! ([`pcg_try_solve_into`]) is the pool path's block of width 1, whose
+//! kernels are the plain ones, and the SPMD executor in `mspcg-parallel`
+//! runs the same loop at width 1 on each worker's rows.
 //!
 //! ## Recovery
 //!
@@ -37,7 +38,7 @@
 //! reveals an indefinite `K`, a nonpositive `(r̂, r)` an indefinite `M`;
 //! both return typed errors instead of silently diverging.
 
-use crate::multi::lockstep;
+use crate::multi::{lockstep, PoolBlock};
 use crate::preconditioner::{block_scratch_len, IdentityPreconditioner, Preconditioner};
 use crate::recovery::RecoveryPolicy;
 use mspcg_sparse::{SparseError, SparseOp};
@@ -366,7 +367,7 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     }
     validate_inputs(opts.tol, &opts.recovery, f, u)?;
     ws.prepare(n, 1, block_scratch_len(m, 1));
-    let [result] = lockstep::<_, _, 1>(k, f, u, m, opts, ws);
+    let [result] = lockstep(&mut PoolBlock::<_, _, 1>::new(k, m, f, u, ws), opts);
     result
 }
 

@@ -4,6 +4,12 @@
 //! modern-hardware counterpart of the Finite Element Machine simulation in
 //! `mspcg-machine`.
 //!
+//! Every worker runs the one Algorithm 1 of the workspace,
+//! `mspcg_core::multi::lockstep` — the loop of every pool-path solve —
+//! with itself as the loop's executor: each vector phase runs on the
+//! worker's own rows and ends at a barrier, and every scalar the loop
+//! reads is replicated, so all workers take every branch together.
+//!
 //! The design mirrors Algorithm 3's structure. Each worker thread owns one
 //! contiguous chunk of **every** color block, the chunks of a block equal
 //! to within one row: the processor node assignment of §3.2, which gives

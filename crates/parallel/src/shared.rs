@@ -153,64 +153,6 @@ impl SharedVec {
     }
 }
 
-/// A tiny shared scalar bank for α, β, reduction results and control
-/// flags, with the same phase discipline (worker 0 writes, everyone reads
-/// after the next barrier).
-pub struct ScalarBank {
-    slots: SharedVec,
-}
-
-/// Indices into the scalar bank.
-pub mod slot {
-    /// α of the current iteration.
-    pub const ALPHA: usize = 0;
-    /// β of the current iteration.
-    pub const BETA: usize = 1;
-    /// (r̂, r) of the current iteration.
-    pub const RZ: usize = 2;
-    /// Convergence flag (1.0 = stop).
-    pub const STOP: usize = 3;
-    /// ‖Δu‖∞ of the current iteration.
-    pub const CHANGE: usize = 4;
-    /// Number of slots.
-    pub const COUNT: usize = 5;
-}
-
-impl ScalarBank {
-    /// Fresh bank, zeroed.
-    pub fn new() -> Self {
-        ScalarBank {
-            slots: SharedVec::zeros(slot::COUNT),
-        }
-    }
-
-    /// Write a slot (single designated writer per phase).
-    ///
-    /// # Safety
-    /// Same single-writer/phase contract as [`SharedVec::write_at`].
-    #[inline]
-    pub unsafe fn set(&self, idx: usize, v: f64) {
-        // SAFETY: forwarded contract.
-        unsafe { self.slots.write_at(idx, v) }
-    }
-
-    /// Read a slot (after the barrier that sequenced the write).
-    ///
-    /// # Safety
-    /// Same no-concurrent-writer contract as [`SharedVec::read`].
-    #[inline]
-    pub unsafe fn get(&self, idx: usize) -> f64 {
-        // SAFETY: forwarded contract.
-        unsafe { self.slots.read()[idx] }
-    }
-}
-
-impl Default for ScalarBank {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,17 +192,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn scalar_bank_slots() {
-        let bank = ScalarBank::new();
-        unsafe {
-            bank.set(slot::ALPHA, 0.5);
-            bank.set(slot::STOP, 1.0);
-            assert_eq!(bank.get(slot::ALPHA), 0.5);
-            assert_eq!(bank.get(slot::STOP), 1.0);
-            assert_eq!(bank.get(slot::BETA), 0.0);
-        }
     }
 }

@@ -18,23 +18,28 @@
 //! `MulticolorSsor` sweeps with. The SPMD executor passes its own update
 //! (ω = 1, no self term) and keeps its fused tail and its barriers.
 //!
+//! ## One loop, two executors
+//!
+//! Every worker runs [`lockstep`], the Algorithm 1 of every pool-path
+//! solve, at block width 1 as the loop's [`Executor`]: each phase is an
+//! own-strip kernel ending at a barrier, and every worker sums the same
+//! per-worker partials in the same order, so all reach bitwise-identical
+//! α, β and stopping decisions and take every branch together, with no
+//! broadcast phase — the sum/max circuit of the Finite Element Machine.
+//! The partials go to two banks in turn, so a fast worker's writes for
+//! one reduction never race a slow worker's reads of the one before.
+//! Each worker returns the loop's typed result through its join handle.
+//!
 //! ## Fused phase schedule
 //!
 //! Each reduction is **fused into the phase that produces its operands**
 //! (the kernel writes its strip, then immediately forms the strip partial
-//! — no extra barrier), and the scalar reductions over the per-worker
-//! partials are **replicated**: every worker sums the same partials in
-//! the same order, so all workers reach bitwise-identical α, β and
-//! stopping decisions without a broadcast phase — the sum/max circuit of
-//! the Finite Element Machine, minus the dedicated round trips. The
-//! partial banks (`dot`, `change`, `rz`) rotate so a fast worker's writes
-//! for phase k+1 can never race a slow worker's reads from phase k.
-//!
-//! Per iteration of Algorithm 1 (`C` colors, `m` steps):
+//! — no extra barrier). Per iteration of Algorithm 1 (`C` colors, `m`
+//! steps):
 //!
 //! ```text
 //! kp ← K·p  ⊕ (p, Kp) partial          1 barrier
-//! u += αp; r −= α·Kp ⊕ ‖Δu‖∞ partial   1 barrier   (fused vecops kernel)
+//! u += αp; r −= α·Kp ⊕ ‖p‖∞, ‖r‖∞      1 barrier   (fused vecops kernel)
 //! preconditioner, `w₀ = 0` start fused
 //!   into the first color sweep and the
 //!   (z, r) partial into the last        m·(2C−1) barriers
@@ -42,23 +47,28 @@
 //! ```
 //!
 //! i.e. `m·(2C−1) + 3` barriers and two reduction phases (`(p, Kp)`, then
-//! `(z, r)`) per iteration, down from the unfused `m·(2C−1) + 9` barriers
-//! (separate dot/stop/reduce/fill phases). Results are bit-identical to
-//! the unfused schedule: the fused kernels perform the same arithmetic in
-//! the same order, only without the barriers.
+//! `(z, r)`) per iteration. A clean solve that converges at iteration `I`
+//! crosses `m·(2C−1)` barriers in its initial msolve, `m·(2C−1) + 3` in
+//! each of the `I − 1` full iterations and 3 in the last: its SpMV, its
+//! update and the `‖r‖₂` its report carries. Plain CG's msolve is one
+//! copy phase, one barrier.
 //!
 //! Both counts are measured, not asserted:
 //! [`ParallelSolveReport::barrier_crossings`] /
 //! [`ParallelSolveReport::reduction_phases`] come from the instrumented
-//! [`SpinBarrier`] and the replicated-reduction counter.
+//! [`SpinBarrier`] and the loop's reduction counter.
 //!
 //! ## Recovery
 //!
-//! A non-finite replicated scalar, or (with auditing on) a fused
-//! `f − K·u` audit phase that finds the carried residual drifted, makes
-//! every worker restart in place from the current iterate: recompute the
-//! true residual and re-derive `z`, `p` and `(z, r)`, exactly like the
-//! pool path's block loop, within the policy's replacement budget.
+//! The loop restarts a column in place here as on the pool path: a
+//! non-finite replicated scalar, or (with auditing on) a fused `f − K·u`
+//! audit phase that finds the carried residual drifted, makes every worker
+//! recompute `r = f − K·u` over its strip and re-derive `z`, `p` and
+//! `(z, r)` from the current iterate, within the policy's replacement
+//! budget. A restart after a non-finite `(p, K·p)` repeats the iteration.
+//! The outcomes are the loop's: a breakdown carries its real pivot and
+//! value, and a budget exit the true relative residual `‖f − K·u‖₂ / ‖f‖₂`
+//! of its iterate (one fused phase).
 //!
 //! ## Polynomial msolve (barrier-free preconditioning)
 //!
@@ -90,15 +100,15 @@
 //! executors resolve bitwise the same coefficients.
 
 use crate::barrier::SpinBarrier;
-use crate::shared::{slot, ScalarBank, SharedVec};
-use mspcg_core::pcg::validate_inputs;
+use crate::shared::SharedVec;
+use mspcg_core::multi::{lockstep, Executor, TrueResidual};
+use mspcg_core::pcg::{validate_inputs, PcgOptions, PcgReport};
 use mspcg_core::poly::{resolve_precond, ResolvedPrecond};
-use mspcg_core::recovery::{
-    audit_due, diverged, perturb, AuditPlan, FaultKind, FaultPlan, FaultTarget, RecoveryPolicy,
-};
+use mspcg_core::recovery::{perturb, FaultKind, FaultPlan, FaultTarget, RecoveryPolicy};
 use mspcg_core::ssor::owned_chunk;
 use mspcg_core::{PolySchedule, SweepTable};
-use mspcg_sparse::{vecops, Partition, PcgVariant, PolyKind, PrecondKind, SparseError, SparseOp};
+use mspcg_sparse::vecops::{self, FusedUpdateNorms};
+use mspcg_sparse::{Partition, PcgVariant, PolyKind, PrecondKind, SparseError, SparseOp};
 use std::sync::Arc;
 
 /// Options for the threaded solver.
@@ -147,9 +157,10 @@ pub struct ParallelSolveReport {
     pub final_change: f64,
     /// Worker threads actually used.
     pub threads: usize,
-    /// Total [`SpinBarrier`] crossings of the run (init + all
-    /// iterations), measured by the instrumented barrier: the
-    /// synchronization cost the `m·(2C−1) + k` model predicts.
+    /// Total [`SpinBarrier`] crossings of the run, measured by the
+    /// instrumented barrier: `S + (I − 1)(S + 3) + 3` for a clean solve
+    /// converging at iteration `I`, `S` being the msolve's barriers (see
+    /// the module docs), plus one per audit.
     pub barrier_crossings: usize,
     /// Replicated dot-product reduction phases feeding α/β: `2I` for a
     /// clean solve converging at iteration `I` (the init phase stands in
@@ -171,19 +182,6 @@ pub struct ParallelSolveReport {
     pub recoveries: usize,
     /// Non-finite reduction scalars detected.
     pub faults_detected: usize,
-}
-
-/// Status codes passed from worker 0 to the main thread. The zeroed bank
-/// (`0.0`) means no outcome was recorded — reachable only with
-/// `max_iterations == 0`, which reports as converged-at-the-start.
-mod status {
-    pub const CONVERGED: f64 = 1.0;
-    pub const INDEFINITE_K: f64 = 2.0;
-    pub const INDEFINITE_M: f64 = 3.0;
-    pub const BUDGET: f64 = 4.0;
-    /// A non-finite reduction scalar outlived the replacement budget:
-    /// surfaces as `SparseError::NonFinite`.
-    pub const NONFINITE: f64 = 6.0;
 }
 
 /// The rows one worker owns: chunk `t` of every color block, in color
@@ -225,25 +223,17 @@ impl OwnedRows {
         self.chunks.iter().any(|rows| rows.contains(&i))
     }
 
-    /// The fused tail of an msolve's final phase: worker `t`'s `(z, r)`
-    /// partial into `rz_partials`, and during initialization (`p0`) the
-    /// copy `p⁰ ← z`, both over the owned rows only — other workers may
-    /// still be writing their rows of `z` in this phase. The partial is
-    /// the chunk dots summed in color order.
+    /// The fused tail of an msolve's final phase: this worker's `(z, r)`
+    /// partial, the chunk dots summed in color order, and on a restart
+    /// (`p0`) the copy `p ← z`, both over the owned rows only — other
+    /// workers may still be writing their rows of `z` in this phase.
     ///
     /// # Safety
     /// This worker wrote every owned row of `z` in this or an earlier
     /// phase, no worker writes `r` in this phase, and no other worker
-    /// touches the owned rows of `p0` or slot `t` of `rz_partials`.
+    /// touches the owned rows of `p0`.
     #[inline]
-    unsafe fn msolve_tail(
-        &self,
-        t: usize,
-        z: &SharedVec,
-        r: &SharedVec,
-        p0: Option<&SharedVec>,
-        rz_partials: &SharedVec,
-    ) {
+    unsafe fn msolve_tail(&self, z: &SharedVec, r: &SharedVec, p0: Option<&SharedVec>) -> f64 {
         let mut acc = 0.0;
         for rows in self.chunks() {
             // SAFETY: by the contract, these rows of `z` are this worker's
@@ -256,49 +246,7 @@ impl OwnedRows {
                 acc += vecops::dot(zc, r.read_range(rows));
             }
         }
-        // SAFETY: slot `t` is this worker's alone.
-        unsafe { rz_partials.write_at(t, acc) };
-    }
-
-    /// Copy the owned rows of `src` into `dst`.
-    ///
-    /// # Safety
-    /// The phase discipline of [`crate::shared`]: `src` is not a view of
-    /// `dst`, and no other worker touches `dst`'s owned rows this phase.
-    #[inline]
-    unsafe fn copy(&self, src: &[f64], dst: &SharedVec) {
-        for rows in self.chunks() {
-            // SAFETY: `rows` is owned, so the caller's contract makes this
-            // worker its only writer and reader this phase.
-            unsafe { dst.write(rows.clone()) }.copy_from_slice(&src[rows]);
-        }
-    }
-
-    /// `u += α·p`, `r −= α·kp` over the owned rows (the fused vecops
-    /// kernel, chunk by chunk), returning this worker's ‖Δu‖∞ partial
-    /// `|α|·max|p|`.
-    ///
-    /// # Safety
-    /// As for [`OwnedRows::copy`], for both `u` and `r`; neither `p` nor
-    /// `kp` is a view of `u` or `r`.
-    #[inline]
-    unsafe fn fused_update(
-        &self,
-        alpha: f64,
-        p: &[f64],
-        kp: &[f64],
-        u: &SharedVec,
-        r: &SharedVec,
-    ) -> f64 {
-        let mut p_max = 0.0f64;
-        for rows in self.chunks() {
-            // SAFETY: `rows` is owned; the caller's contract makes this
-            // worker the only writer and reader of it in `u` and `r`.
-            let (uo, ro) = unsafe { (u.write(rows.clone()), r.write(rows.clone())) };
-            let norms = vecops::fused_axpy_axpy_norm(alpha, &p[rows.clone()], &kp[rows], uo, ro);
-            p_max = p_max.max(norms.p_norm_inf);
-        }
-        alpha.abs() * p_max
+        acc
     }
 }
 
@@ -332,14 +280,6 @@ pub struct ParallelMStepPcg {
 struct ParPoly {
     kind: PolyKind,
     schedule: PolySchedule,
-}
-
-/// Shared scratch of the polynomial msolve (zero-length when the
-/// configuration runs SSOR sweeps or plain CG): the difference carry `d`
-/// and the second iterate bank `zb` of the two-bank rotation.
-struct PolyScratch<'a> {
-    d: &'a SharedVec,
-    zb: &'a SharedVec,
 }
 
 impl ParallelMStepPcg {
@@ -462,37 +402,6 @@ impl ParallelMStepPcg {
         self.table.matrix().rows()
     }
 
-    /// `out ← K·x` over the worker's strip, chunk by chunk in color order.
-    /// A claimed SpMV `fault` perturbs its row of the fresh output, then
-    /// `fuse(rows, out_chunk)` runs while the chunk is still hot: the
-    /// callers' partials ride it, so no partial needs a barrier of its
-    /// own.
-    ///
-    /// # Safety
-    /// The phase discipline of [`crate::shared`]: `x` was finalized
-    /// before the last barrier, and no other worker touches `out`'s owned
-    /// rows this phase.
-    #[inline]
-    unsafe fn own_spmv(
-        &self,
-        own: &OwnedRows,
-        x: &[f64],
-        out: &SharedVec,
-        fault: Option<(usize, FaultKind)>,
-        mut fuse: impl FnMut(std::ops::Range<usize>, &mut [f64]),
-    ) {
-        for rows in own.chunks() {
-            // SAFETY: `rows` is owned; the caller's contract makes this
-            // worker its only writer and reader in `out` this phase.
-            let y = unsafe { out.write(rows.clone()) };
-            self.table.matrix().mul_vec_range_into(x, y, rows.clone());
-            if let Some((index, kind)) = fault.filter(|(index, _)| rows.contains(index)) {
-                y[index - rows.start] = perturb(y[index - rows.start], kind);
-            }
-            fuse(rows, y);
-        }
-    }
-
     fn resolve_threads(&self, requested: usize) -> usize {
         let t = if requested == 0 {
             mspcg_sparse::par::max_threads()
@@ -509,11 +418,12 @@ impl ParallelMStepPcg {
     /// it). When [`ParallelSolverOptions::recovery`] turns auditing on,
     /// every `audit_period` iterations a fused `f − K·u` phase compares the
     /// true residual against the recurrence carry; divergence beyond the
-    /// replacement bound replaces the carry the same way.
+    /// replacement bound restarts the same way.
     ///
     /// # Errors
-    /// [`SparseError::NotPositiveDefinite`] on breakdown,
-    /// [`SparseError::DidNotConverge`] on budget exhaustion,
+    /// [`SparseError::NotPositiveDefinite`] on breakdown, with its pivot
+    /// and value, [`SparseError::DidNotConverge`] on budget exhaustion,
+    /// with the true relative residual of the exit iterate,
     /// [`SparseError::NonFinite`] when a non-finite reduction scalar
     /// outlives the replacement budget (or for a NaN/Inf right-hand
     /// side), [`SparseError::InvalidTolerance`] for a nonpositive or
@@ -531,7 +441,8 @@ impl ParallelMStepPcg {
     /// [`FaultPlan`]: at each planned `(target, iteration)` the worker
     /// owning `index` perturbs its freshly computed kernel output before
     /// the fused partials are formed — deterministic at every thread
-    /// count, so the returned counters prove the recovery path.
+    /// count, so the returned counters prove the recovery path. Each
+    /// planned fault fires once.
     ///
     /// # Errors
     /// Same classes as [`ParallelMStepPcg::solve`].
@@ -558,634 +469,317 @@ impl ParallelMStepPcg {
                 right: (f.len(), 1),
             });
         }
-        let f_norm = f.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let audit = AuditPlan::new(&opts.recovery, opts.tol, f_norm);
         let threads = self.resolve_threads(opts.threads);
-
         let owned = OwnedRows::map(self.table.colors(), threads);
-
-        let u = SharedVec::zeros(n);
-        let r = SharedVec::from_vec(f.to_vec());
-        let z = SharedVec::zeros(n);
-        let p = SharedVec::zeros(n);
-        let kp = SharedVec::zeros(n);
-        let y = SharedVec::zeros(n);
-        // Polynomial msolve scratch: the difference carry `d` (own-strip
-        // only) and the second iterate bank `zb` of the two-bank rotation
-        // (read cross-strip by the chained SpMVs). Zero-length for the
-        // sweep and plain-CG configurations.
-        let poly_d = SharedVec::zeros(if self.poly.is_some() { n } else { 0 });
-        let poly_zb = SharedVec::zeros(if self.poly.is_some() { n } else { 0 });
-        // Rotating partial banks: a phase's partial writes must never
-        // alias a straggler's replicated-reduction reads of the previous
-        // bank (at least one barrier always separates a bank's readers
-        // from its next writer).
-        let dot_partials = SharedVec::zeros(threads);
-        let change_partials = SharedVec::zeros(threads);
-        let rz_partials = SharedVec::zeros(threads);
-        let bank = ScalarBank::new();
+        let v = Vectors::new(f, self.poly.is_some(), threads);
         let barrier = SpinBarrier::new(threads);
-        // Audit scratch: the true-residual vector and the deviation
-        // partial bank, allocated only when the policy resolved auditing
-        // on (their phases never run otherwise).
-        let aud = SharedVec::zeros(if audit.enabled { n } else { 0 });
-        let dev_partials = SharedVec::zeros(if audit.enabled { threads } else { 0 });
-        // [iterations, final_change, reduction_phases, audits,
-        //  replacements, faults_detected]
-        let iters_out = SharedVec::zeros(6);
-
-        let pscr = PolyScratch {
-            d: &poly_d,
-            zb: &poly_zb,
+        let pcg = PcgOptions {
+            tol: opts.tol,
+            max_iterations: opts.max_iterations,
+            recovery: opts.recovery,
+            ..PcgOptions::default()
         };
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let own = &owned[t];
-                let (u, r, z, p, kp, y, bank, barrier, iters_out) =
-                    (&u, &r, &z, &p, &kp, &y, &bank, &barrier, &iters_out);
-                let (dot_partials, change_partials, rz_partials) =
-                    (&dot_partials, &change_partials, &rz_partials);
-                let pscr = &pscr;
-                let (aud, dev_partials) = (&aud, &dev_partials);
-                let this = &*self;
-                // `serialized` pins the shared kernels to this worker:
-                // each strip is small by construction, so nested pool
-                // launches would only add contention.
-                s.spawn(move || {
-                    mspcg_sparse::par::serialized(|| {
-                        this.worker(
-                            t,
-                            own,
-                            u,
-                            r,
-                            z,
-                            p,
-                            kp,
-                            y,
-                            pscr,
-                            dot_partials,
-                            change_partials,
-                            rz_partials,
-                            f,
-                            aud,
-                            dev_partials,
-                            &audit,
-                            plan,
-                            bank,
-                            barrier,
-                            iters_out,
-                            opts,
-                        );
-                    });
-                });
-            }
+
+        let results: Vec<Result<PcgReport, SparseError>> = std::thread::scope(|s| {
+            let workers: Vec<_> = owned
+                .iter()
+                .enumerate()
+                .map(|(t, own)| {
+                    let mut worker = Worker {
+                        solver: self,
+                        t,
+                        own,
+                        v: &v,
+                        barrier: &barrier,
+                        f,
+                        plan,
+                        fired: vec![false; plan.map_or(0, |p| p.faults.len())],
+                        completed: 0,
+                        exchanges: 0,
+                    };
+                    // `serialized` pins the shared kernels to this worker:
+                    // each strip is small by construction, so nested pool
+                    // launches would only add contention.
+                    s.spawn(move || {
+                        mspcg_sparse::par::serialized(|| {
+                            let [result] = lockstep(&mut worker, &pcg);
+                            result
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("an SPMD worker panicked"))
+                .collect()
         });
-
-        let code = unsafe { bank.get(slot::STOP) };
-        let out = iters_out.into_vec();
-        let iterations = out[0] as usize;
-        let final_change = out[1];
-        let reduction_phases = out[2] as usize;
-        let audits = out[3] as usize;
-        let replacements = out[4] as usize;
-        let faults_detected = out[5] as usize;
-        match code {
-            c if c == status::NONFINITE => Err(SparseError::NonFinite {
-                phase: "replicated-reduction",
-                iteration: iterations,
-            }),
-            c if c == status::INDEFINITE_K => Err(SparseError::NotPositiveDefinite {
-                pivot: iterations,
-                value: -1.0,
-            }),
-            c if c == status::INDEFINITE_M => Err(SparseError::NotPositiveDefinite {
-                pivot: iterations,
-                value: -2.0,
-            }),
-            c if c == status::BUDGET => Err(SparseError::DidNotConverge {
-                iterations,
-                residual: final_change,
-            }),
-            _ => Ok(ParallelSolveReport {
-                x: u.into_vec(),
-                iterations,
-                converged: true,
-                final_change,
-                threads,
-                barrier_crossings: barrier.crossings(),
-                reduction_phases,
-                split_crossings: 0,
-                audits,
-                replacements,
-                recoveries: 0,
-                faults_detected,
-            }),
-        }
-    }
-
-    /// The SPMD body of Algorithm 1. All `unsafe` blocks follow the phase discipline documented in [`crate::shared`]: writes
-    /// go only to owned rows (in a sweep phase, only to the owned chunk of
-    /// the current color), reads only touch elements finalized before the
-    /// previous barrier or written by this worker in the current phase.
-    ///
-    /// Scalar reductions (α, β, the stopping test) are **replicated**:
-    /// after the barrier that publishes a partial bank, every worker sums
-    /// it in ascending index order, obtaining bitwise-identical scalars —
-    /// so every control-flow branch below is taken unanimously and no
-    /// broadcast phase is needed. Worker 0 alone records the outcome for
-    /// the main thread.
-    #[allow(clippy::too_many_arguments)]
-    fn worker(
-        &self,
-        t: usize,
-        own: &OwnedRows,
-        u: &SharedVec,
-        r: &SharedVec,
-        z: &SharedVec,
-        p: &SharedVec,
-        kp: &SharedVec,
-        y: &SharedVec,
-        pscr: &PolyScratch<'_>,
-        dot_partials: &SharedVec,
-        change_partials: &SharedVec,
-        rz_partials: &SharedVec,
-        f: &[f64],
-        aud: &SharedVec,
-        dev_partials: &SharedVec,
-        audit: &AuditPlan,
-        plan: Option<&FaultPlan>,
-        bank: &ScalarBank,
-        barrier: &SpinBarrier,
-        iters_out: &SharedVec,
-        opts: &ParallelSolverOptions,
-    ) {
-        // Replicated reduction phases consumed so far (worker 0 publishes
-        // the count at every exit; the ‖Δu‖∞ flag-network max is not a
-        // dot-product phase and is not counted).
-        let mut phases = 0usize;
-        let mut audits = 0usize;
-        let mut replacements = 0usize;
-        let mut faults = 0usize;
-        // Worker-0 outcome publication (every branch below is taken
-        // unanimously — the scalars are replicated).
-        macro_rules! finish {
-            ($code:expr, $iterations:expr, $change:expr) => {
-                if t == 0 {
-                    unsafe {
-                        bank.set(slot::STOP, $code);
-                        iters_out.write_at(0, $iterations as f64);
-                        iters_out.write_at(1, $change);
-                        iters_out.write_at(2, phases as f64);
-                        iters_out.write_at(3, audits as f64);
-                        iters_out.write_at(4, replacements as f64);
-                        iters_out.write_at(5, faults as f64);
-                    }
-                }
-            };
-        }
-        // In-place recovery from a non-finite reduction scalar: recompute
-        // the true residual `r ← f − K·u` and re-derive z, p, (z, r) —
-        // the re-derivation `mspcg_core`'s block loop starts and restarts
-        // every column with — looping
-        // while the replacement budget lasts, then guard the fresh (z, r)
-        // like the init sequence. `rz` holds the fresh scalar afterwards.
-        macro_rules! recover_or_return {
-            ($rz:ident, $completed:expr) => {{
-                faults += 1;
-                loop {
-                    if replacements >= audit.max_replacements {
-                        finish!(status::NONFINITE, $completed, 0.0);
-                        return;
-                    }
-                    replacements += 1;
-                    $rz = self.reinit_phase(
-                        own,
-                        t,
-                        f,
-                        u,
-                        r,
-                        z,
-                        p,
-                        y,
-                        pscr,
-                        rz_partials,
-                        barrier,
-                        None,
-                    );
-                    phases += 1;
-                    if $rz.is_finite() {
-                        break;
-                    }
-                    faults += 1;
-                }
-                if $rz < 0.0 {
-                    finish!(status::INDEFINITE_M, $completed, 0.0);
-                    return;
-                }
-                if $rz == 0.0 {
-                    finish!(status::CONVERGED, $completed, 0.0);
-                    return;
-                }
-                if $completed >= opts.max_iterations {
-                    finish!(status::BUDGET, $completed, f64::INFINITY);
-                    return;
-                }
-            }};
-        }
-
-        // --- init: z = M⁻¹ r, with p ← z and the (z, r) partial fused
-        // into the preconditioner's final color phase — no extra barriers.
-        self.msolve_phases(own, t, r, z, y, pscr, Some(p), rz_partials, barrier);
-        self.inject_msolve_fault(plan, 0, own, z, Some(p), barrier);
-        let mut rz: f64 = unsafe { rz_partials.read().iter().sum() };
-        phases += 1;
-        if !rz.is_finite() {
-            recover_or_return!(rz, 0);
-        }
-        if rz < 0.0 {
-            finish!(status::INDEFINITE_M, 0, 0.0);
-            return;
-        }
-        if rz == 0.0 {
-            finish!(status::CONVERGED, 0, 0.0);
-            return;
-        }
-        if opts.max_iterations == 0 {
-            // A zero budget with a nonzero residual is exhaustion, not
-            // convergence — the serial solver reports the same.
-            finish!(status::BUDGET, 0, f64::INFINITY);
-            return;
-        }
-
-        for iter in 1..=opts.max_iterations {
-            // --- audit: every `period` iterations recompute the true
-            // residual in one fused phase (one barrier, no reduction
-            // phase) and compare it against the carried r; on divergence
-            // beyond the bound, adopt the true residual and re-derive
-            // z, p, (z, r) exactly like the init sequence.
-            if audit.enabled
-                && replacements < audit.max_replacements
-                && audit_due(iter, 0, audit.period)
-            {
-                let dev2 = self.audit_phase(own, t, f, u, r, aud, dev_partials, barrier);
-                audits += 1;
-                // Iterations completed if a guard fires inside the
-                // replacement below (named so the macro's budget test
-                // doesn't expand to clippy's int_plus_one pattern).
-                let completed = iter - 1;
-                // NaN deviation fails `<=` and replaces too.
-                if diverged(dev2, audit.bound2) {
-                    replacements += 1;
-                    rz = self.reinit_phase(
-                        own,
-                        t,
-                        f,
-                        u,
-                        r,
-                        z,
-                        p,
-                        y,
-                        pscr,
-                        rz_partials,
-                        barrier,
-                        Some(aud),
-                    );
-                    phases += 1;
-                    if !rz.is_finite() {
-                        recover_or_return!(rz, completed);
-                    }
-                    if rz < 0.0 {
-                        finish!(status::INDEFINITE_M, iter - 1, 0.0);
-                        return;
-                    }
-                    if rz == 0.0 {
-                        // The adopted true residual is exactly zero.
-                        finish!(status::CONVERGED, iter - 1, 0.0);
-                        return;
-                    }
-                }
-            }
-
-            // --- kp = K p ⊕ (p, Kp) partial: the strip of kp this worker
-            // just wrote is exactly the strip the partial reads, so the
-            // dot needs no barrier of its own.
-            unsafe {
-                let pv = p.read();
-                let fault = claim_fault(plan, FaultTarget::Spmv, iter, own);
-                let mut pkp = 0.0;
-                self.own_spmv(own, pv, kp, fault, |rows, out| {
-                    pkp += vecops::dot(&pv[rows], out);
-                });
-                dot_partials.write_at(t, pkp);
-            }
-            barrier.wait();
-
-            // --- α (replicated) ---------------------------------------------
-            let denom: f64 = unsafe { dot_partials.read().iter().sum() };
-            phases += 1;
-            if !denom.is_finite() {
-                recover_or_return!(rz, iter);
-                continue;
-            }
-            if denom <= 0.0 {
-                finish!(
-                    if rz == 0.0 {
-                        status::CONVERGED
-                    } else {
-                        status::INDEFINITE_K
-                    },
-                    iter - 1,
-                    0.0
-                );
-                return;
-            }
-            let alpha = rz / denom;
-
-            // --- u += αp; r −= α·Kp ⊕ ‖Δu‖∞ partial (fused kernel) ----------
-            unsafe {
-                let dx = own.fused_update(alpha, p.read(), kp.read(), u, r);
-                change_partials.write_at(t, dx);
-            }
-            barrier.wait();
-
-            // --- convergence test (replicated flag network) ------------------
-            let change = unsafe { change_partials.read().iter().fold(0.0f64, |a, &b| a.max(b)) };
-            if !change.is_finite() {
-                // The ∞-norm max swallows NaN, but an Inf step surfaces
-                // here (u may already be poisoned — the restart budget
-                // bounds the damage).
-                recover_or_return!(rz, iter);
-                continue;
-            }
-            if change < opts.tol {
-                finish!(status::CONVERGED, iter, change);
-                return;
-            }
-            if iter == opts.max_iterations {
-                finish!(status::BUDGET, iter, change);
-                return;
-            }
-
-            // --- z = M⁻¹ r, (z, r) partial fused into the final phase --------
-            self.msolve_phases(own, t, r, z, y, pscr, None, rz_partials, barrier);
-            self.inject_msolve_fault(plan, iter, own, z, None, barrier);
-
-            // --- β (replicated) ---------------------------------------------
-            let rz_new: f64 = unsafe { rz_partials.read().iter().sum() };
-            phases += 1;
-            if !rz_new.is_finite() {
-                recover_or_return!(rz, iter);
-                continue;
-            }
-            if rz_new < 0.0 {
-                finish!(status::INDEFINITE_M, iter, change);
-                return;
-            }
-            let beta = rz_new / rz.max(1e-300);
-            rz = rz_new;
-
-            // --- p = z + βp (shared xpby kernel) -----------------------------
-            unsafe {
-                let zv = z.read();
-                for rows in own.chunks() {
-                    vecops::xpby(&zv[rows.clone()], beta, p.write(rows));
-                }
-            }
-            barrier.wait();
-        }
-    }
-
-    /// The restart phase, shared by the audit-replace and non-finite
-    /// recovery paths: refresh `r` to the true residual —
-    /// adopting the audited copy when one is on hand (`fresh`), else
-    /// recomputing `r ← f − K·u` over the strip — then re-derive
-    /// `z = M⁻¹r`, `p ← z` and the `(z, r)` partial exactly like the init
-    /// sequence, returning the replicated fresh scalar.
-    ///
-    /// No barrier precedes the `r` overwrite: every entry point has just
-    /// consumed a replicated scalar (all workers are past its publishing
-    /// barrier), and the sweep msolve never reads `r` cross-strip.
-    /// The polynomial msolve *does* read `r` cross-strip in its fused
-    /// first phase, so one extra barrier separates the overwrite from it.
-    #[allow(clippy::too_many_arguments)]
-    fn reinit_phase(
-        &self,
-        own: &OwnedRows,
-        t: usize,
-        f: &[f64],
-        u: &SharedVec,
-        r: &SharedVec,
-        z: &SharedVec,
-        p: &SharedVec,
-        y: &SharedVec,
-        pscr: &PolyScratch<'_>,
-        rz_partials: &SharedVec,
-        barrier: &SpinBarrier,
-        fresh: Option<&SharedVec>,
-    ) -> f64 {
-        unsafe {
-            match fresh {
-                Some(aud) => own.copy(aud.read(), r),
-                None => self.own_spmv(own, u.read(), r, None, |rows, ro| {
-                    for (k, i) in rows.enumerate() {
-                        ro[k] = f[i] - ro[k];
-                    }
-                }),
-            }
-        }
-        if self.poly.is_some() {
-            barrier.wait();
-        }
-        self.msolve_phases(own, t, r, z, y, pscr, Some(p), rz_partials, barrier);
-        unsafe { rz_partials.read().iter().sum() }
-    }
-
-    /// The fused audit phase: `aud ← f − K·u`
-    /// over the strip ⊕ the squared-deviation partial against the
-    /// recurrence carry `r` — one barrier — then the replicated deviation
-    /// sum. `u` and `r` were finalized by the previous iteration's
-    /// barriers; `aud` and the partial bank are only ever read own-strip
-    /// before the next audit, which is at least a period of barriers
-    /// away.
-    #[allow(clippy::too_many_arguments)]
-    fn audit_phase(
-        &self,
-        own: &OwnedRows,
-        t: usize,
-        f: &[f64],
-        u: &SharedVec,
-        r: &SharedVec,
-        aud: &SharedVec,
-        dev_partials: &SharedVec,
-        barrier: &SpinBarrier,
-    ) -> f64 {
-        unsafe {
-            let rv = r.read();
-            let mut dev2 = 0.0;
-            self.own_spmv(own, u.read(), aud, None, |rows, out| {
-                for (k, i) in rows.enumerate() {
-                    let rt = f[i] - out[k];
-                    out[k] = rt;
-                    let d = rt - rv[i];
-                    dev2 += d * d;
-                }
+        // Every branch of the loop read replicated scalars only, so every
+        // worker ends with worker 0's outcome (the Debug form compares the
+        // f64 fields bit for bit, NaN included).
+        debug_assert!(
+            results
+                .iter()
+                .all(|r| format!("{r:?}") == format!("{:?}", results[0])),
+            "SPMD workers disagree: {results:?}"
+        );
+        let report = results.into_iter().next().expect("at least one worker")?;
+        if !report.converged {
+            return Err(SparseError::DidNotConverge {
+                iterations: report.iterations,
+                residual: report.final_relative_residual,
             });
-            dev_partials.write_at(t, dev2);
         }
-        barrier.wait();
-        unsafe { dev_partials.read().iter().sum() }
+        Ok(ParallelSolveReport {
+            x: v.u.into_vec(),
+            iterations: report.iterations,
+            converged: true,
+            final_change: report.final_change,
+            threads,
+            barrier_crossings: barrier.crossings(),
+            reduction_phases: report.stats.reduction_phases,
+            split_crossings: 0,
+            audits: report.stats.audits,
+            replacements: report.stats.replacements,
+            recoveries: 0,
+            faults_detected: report.stats.faults_detected,
+        })
+    }
+}
+
+/// The vectors of one SPMD solve, shared by its workers under the phase
+/// discipline of [`crate::shared`].
+struct Vectors {
+    u: SharedVec,
+    r: SharedVec,
+    z: SharedVec,
+    p: SharedVec,
+    /// `K·p`; between its update and the next SpMV, the scratch of an
+    /// audit's or an exit's `f − K·u`.
+    kp: SharedVec,
+    /// The SSOR half-sum cache, or the polynomial msolve's `K·z` strip.
+    y: SharedVec,
+    /// The polynomial msolve's difference carry `d` (own-strip only) and
+    /// the second iterate bank `zb` of its two-bank rotation (read
+    /// cross-strip by the chained SpMVs); zero-length for the sweep and
+    /// plain-CG configurations.
+    d: SharedVec,
+    zb: SharedVec,
+    /// Two partial banks of two slots per worker, used in turn: at least
+    /// one barrier separates a bank's readers from its next writer.
+    banks: [SharedVec; 2],
+}
+
+impl Vectors {
+    /// The start of a solve of `K u = f` from `u = 0`: `r = f`.
+    fn new(f: &[f64], poly: bool, threads: usize) -> Self {
+        let n = f.len();
+        let poly_len = if poly { n } else { 0 };
+        Vectors {
+            u: SharedVec::zeros(n),
+            r: SharedVec::from_vec(f.to_vec()),
+            z: SharedVec::zeros(n),
+            p: SharedVec::zeros(n),
+            kp: SharedVec::zeros(n),
+            y: SharedVec::zeros(n),
+            d: SharedVec::zeros(poly_len),
+            zb: SharedVec::zeros(poly_len),
+            banks: [SharedVec::zeros(2 * threads), SharedVec::zeros(2 * threads)],
+        }
+    }
+}
+
+/// One SPMD worker as the [`Executor`] of [`lockstep`]'s width-1 block:
+/// every phase runs on the worker's strip and ends at the barrier, and
+/// every scalar it returns is replicated.
+///
+/// All `unsafe` blocks below follow the phase discipline documented in
+/// [`crate::shared`]: writes go only to owned rows (in a sweep phase,
+/// only to the owned chunk of the current color), reads only touch
+/// elements finalized before the previous barrier or written by this
+/// worker in the current phase.
+struct Worker<'a> {
+    solver: &'a ParallelMStepPcg,
+    t: usize,
+    own: &'a OwnedRows,
+    v: &'a Vectors,
+    barrier: &'a SpinBarrier,
+    f: &'a [f64],
+    plan: Option<&'a FaultPlan>,
+    /// The planned faults that have fired ([`FaultPlan::fire`]).
+    fired: Vec<bool>,
+    /// Iterations completed: the updates so far. Until the first, `u = 0`
+    /// and `r` holds `f`. The fault plan is indexed by it.
+    completed: usize,
+    /// Reductions so far: the next one publishes into bank
+    /// `exchanges % 2`.
+    exchanges: usize,
+}
+
+impl Worker<'_> {
+    /// Publish this worker's `partial`, cross the barrier, and return
+    /// every worker's partials in worker order.
+    fn exchange(&mut self, partial: [f64; 2]) -> impl Iterator<Item = [f64; 2]> + '_ {
+        let bank = &self.v.banks[self.exchanges % 2];
+        self.exchanges += 1;
+        // SAFETY: slots `2t`, `2t + 1` are this worker's alone, and every
+        // read of this bank's last round came before the barrier of the
+        // round in between, which this worker has crossed.
+        unsafe { bank.write(2 * self.t..2 * self.t + 2) }.copy_from_slice(&partial);
+        self.barrier.wait();
+        // SAFETY: every worker wrote its slots before the barrier, and none
+        // writes this bank again before the next round's barrier.
+        unsafe { bank.read() }.chunks_exact(2).map(|s| [s[0], s[1]])
     }
 
-    /// Apply a planned preconditioner-output fault *after* the msolve's
-    /// final barrier: the owner of `index` perturbs the output (and the
-    /// initialized `p⁰` copy, when given — the init fuses `p ← z` into
-    /// the sweep, so the fault must land in both). Because the next phase
-    /// may read the output cross-strip, every worker crosses one extra
-    /// barrier on fault iterations — the lookup is replicated, so the
-    /// decision is unanimous and the crossing count stays in lockstep.
-    fn inject_msolve_fault(
+    /// The replicated sum of every worker's `partial`, in worker order.
+    fn sum(&mut self, partial: f64) -> f64 {
+        self.exchange([partial, 0.0]).map(|[s, _]| s).sum()
+    }
+
+    /// The planned fault at `(target, iteration)` that has not fired yet,
+    /// if any: every worker looks it up and marks it fired, the caller
+    /// acts only on a row it owns.
+    fn fire(&mut self, target: FaultTarget, iteration: usize) -> Option<(usize, FaultKind)> {
+        let fault = self.plan?.fire(target, iteration, &mut self.fired)?;
+        Some((fault.index, fault.kind))
+    }
+
+    /// `out ← K·x` over the worker's strip, chunk by chunk in color order.
+    /// A `fault` on an owned row perturbs the fresh output, then
+    /// `fuse(rows, out_chunk)` runs while the chunk is still hot: the
+    /// callers' partials ride it, so no partial needs a barrier of its
+    /// own.
+    ///
+    /// # Safety
+    /// The phase discipline of [`crate::shared`]: `x` was finalized
+    /// before the last barrier, and no other worker touches `out`'s owned
+    /// rows this phase.
+    #[inline]
+    unsafe fn own_spmv(
         &self,
-        plan: Option<&FaultPlan>,
-        iteration: usize,
-        own: &OwnedRows,
-        z: &SharedVec,
-        p0: Option<&SharedVec>,
-        barrier: &SpinBarrier,
+        x: &[f64],
+        out: &SharedVec,
+        fault: Option<(usize, FaultKind)>,
+        mut fuse: impl FnMut(std::ops::Range<usize>, &mut [f64]),
     ) {
-        if let Some(fault) = plan.and_then(|pl| pl.find(FaultTarget::Msolve, iteration)) {
-            if own.contains(fault.index) {
-                unsafe {
-                    let v = perturb(z.read()[fault.index], fault.kind);
-                    z.write_at(fault.index, v);
-                    if let Some(p) = p0 {
-                        p.write_at(fault.index, v);
-                    }
-                }
+        for rows in self.own.chunks() {
+            // SAFETY: `rows` is owned; the caller's contract makes this
+            // worker its only writer and reader in `out` this phase.
+            let y = unsafe { out.write(rows.clone()) };
+            self.solver
+                .table
+                .matrix()
+                .mul_vec_range_into(x, y, rows.clone());
+            if let Some((index, kind)) = fault.filter(|(index, _)| rows.contains(index)) {
+                y[index - rows.start] = perturb(y[index - rows.start], kind);
             }
-            barrier.wait();
+            fuse(rows, y);
         }
     }
 
     /// Barrier-per-color m-step SSOR solve `z ← M⁻¹ r` (ω = 1), or a plain
-    /// copy when no coefficients are set (plain CG). Each phase of
-    /// [`SweepTable::sweep_schedule`] runs [`SweepTable::sweep`] on this
-    /// worker's chunk of the color, as the pool-path `MulticolorSsor`
-    /// does, here with the ω = 1 update `s/a_ii`, without the self term.
+    /// copy when no coefficients are set (plain CG), up to its final
+    /// phase's barrier; returns this worker's `(z, r)` partial. Each
+    /// phase of [`SweepTable::sweep_schedule`] runs [`SweepTable::sweep`]
+    /// on this worker's chunk of the color, as the pool-path
+    /// `MulticolorSsor` does, here with the ω = 1 update `s/a_ii`, without
+    /// the self term.
     ///
     /// Two fusions remove the surrounding barriers:
     /// * the `w₀ = 0` start is folded into the first forward sweep (step 1
     ///   reads neither `z` outside the current pass nor the `y` cache, so
     ///   no zero-fill phase and barrier precede it), as on the pool path;
     /// * the **final color phase** additionally forms this worker's
-    ///   `(z, r)` strip partial in `rz_partials` — every `z` element of
-    ///   the strip was written by this worker in this or an earlier phase
-    ///   of the solve, so the partial needs no extra barrier — and, during
-    ///   initialization (`p0 = Some`), copies the strip into `p⁰`.
-    #[allow(clippy::too_many_arguments)]
-    fn msolve_phases(
-        &self,
-        own: &OwnedRows,
-        t: usize,
-        r: &SharedVec,
-        z: &SharedVec,
-        y: &SharedVec,
-        pscr: &PolyScratch<'_>,
-        p0: Option<&SharedVec>,
-        rz_partials: &SharedVec,
-        barrier: &SpinBarrier,
-    ) {
-        if let Some(poly) = &self.poly {
-            self.poly_msolve_phases(poly, own, t, r, z, y, pscr, p0, rz_partials, barrier);
-            return;
+    ///   `(z, r)` strip partial — every `z` element of the strip was
+    ///   written by this worker in this or an earlier phase of the solve,
+    ///   so the partial needs no extra barrier — and, on a restart
+    ///   (`p0 = Some`), copies the strip into `p`.
+    fn sweep_phases(&self, p0: Option<&SharedVec>) -> f64 {
+        let (solver, v) = (self.solver, self.v);
+        if solver.alphas.is_empty() {
+            for rows in self.own.chunks() {
+                // SAFETY: `r` was finalized before the msolve began; this
+                // worker alone writes its rows of `z` this phase.
+                unsafe { v.z.write(rows.clone()).copy_from_slice(&v.r.read()[rows]) };
+            }
+        } else {
+            let m = solver.alphas.len();
+            let (zs, ys) = (v.z.par_slice(), v.y.par_slice());
+            // The ω = 1 update, without the self term.
+            let update = |_, s, inv_diag| s * inv_diag;
+            let mut schedule = solver.table.sweep_schedule(m, 1.0).peekable();
+            while let Some((step, c, sweep)) = schedule.next() {
+                let alpha = solver.alphas[m - step];
+                // SAFETY: within a color phase every worker writes only its
+                // own chunk of the color (one writer per row) and reads `z`
+                // only in other colors, finalized before the last barrier —
+                // the multicolor guarantee; `r` was finalized before the
+                // preconditioner began.
+                unsafe {
+                    solver.table.sweep::<1>(
+                        self.own.chunk(c),
+                        sweep,
+                        alpha,
+                        v.r.read(),
+                        &zs,
+                        &ys,
+                        update,
+                    )
+                };
+                if schedule.peek().is_some() {
+                    self.barrier.wait();
+                }
+            }
         }
         // SAFETY of the tail (fused into the final phase, before its
         // barrier): every owned element of z was written by this worker
         // (in color phase `c` it writes its chunk of color `c`), and r was
         // finalized before the preconditioner began.
-        let tail = || unsafe { own.msolve_tail(t, z, r, p0, rz_partials) };
-        if self.alphas.is_empty() {
-            unsafe { own.copy(r.read(), z) };
-            tail();
-            barrier.wait();
-            return;
-        }
-        let m = self.alphas.len();
-        let (zs, ys) = (z.par_slice(), y.par_slice());
-        // The ω = 1 update, without the self term.
-        let update = |_, s, inv_diag| s * inv_diag;
-        let mut schedule = self.table.sweep_schedule(m, 1.0).peekable();
-        while let Some((step, c, sweep)) = schedule.next() {
-            let alpha = self.alphas[m - step];
-            // SAFETY: within a color phase every worker writes only its own
-            // chunk of the color (one writer per row) and reads `z` only in
-            // other colors, finalized before the last barrier — the
-            // multicolor guarantee; `r` was finalized before the
-            // preconditioner began.
-            unsafe {
-                self.table
-                    .sweep::<1>(own.chunk(c), sweep, alpha, r.read(), &zs, &ys, update)
-            };
-            if schedule.peek().is_none() {
-                // The final phase of the solve carries the tail.
-                tail();
-            }
-            barrier.wait();
-        }
+        unsafe { self.own.msolve_tail(&v.z, &v.r, p0) }
     }
 
     /// Barrier-free polynomial msolve `z ← p(G)·D⁻¹r`, `G = D⁻¹K`:
-    /// exactly `degree` fused SpMV phases, one full barrier each, **zero
-    /// color sweeps**.
+    /// exactly `degree` fused SpMV phases, **zero color sweeps**, up to
+    /// the final phase's barrier; returns this worker's `(z, r)` partial.
     ///
     /// Phase 1 folds the recurrence seed (`z₀ = s₀·D⁻¹r`, `d₀ = z₀`) into
     /// the first SpMV: `K·z₀` is accumulated on the fly from the input
-    /// `r` — a cross-strip read, which every call site guarantees is
+    /// `r` — a cross-strip read, which every caller guarantees is
     /// separated from the last write of `r` by a barrier (the sweep
-    /// msolve reads `r` own-strip only, so the restart path inserts one
-    /// extra barrier for the polynomial — counted in the pinned
-    /// formulas). Each phase then applies one difference step own-strip —
-    /// the `vecops::poly_step_chunk` arithmetic, term for term, so the
-    /// chain is bitwise identical to the serial
+    /// msolve reads `r` own-strip only, so a restart that rewrites `r`
+    /// crosses one extra barrier for the polynomial). Each phase then
+    /// applies one difference step own-strip — the
+    /// `vecops::poly_step_chunk` arithmetic, term for term, so the chain
+    /// is bitwise identical to the serial
     /// [`mspcg_core::PolynomialPreconditioner`] on identical inputs.
     ///
-    /// The iterate banks alternate between the caller's `z` and the
-    /// scratch bank `zb`, phased so the **final** step lands in the
-    /// caller's vector (`z` is written by phase `j` iff `k − j` is even).
-    /// A phase's SpMV reads the previous phase's bank cross-strip; the
-    /// next write of that bank is separated from those reads by the
-    /// intervening phase barrier — the same discipline as the rotating
-    /// partial banks. The difference carry `d` and the `K·z` strip (parked
-    /// in the SSOR half-sum cache `y`, which the polynomial path never
-    /// touches) are own-strip only. The `(z, r)`
-    /// partial and the init `p⁰ ← z` copy fuse into the final phase
-    /// before its barrier, exactly like the sweep tail.
-    #[allow(clippy::too_many_arguments)]
-    fn poly_msolve_phases(
-        &self,
-        poly: &ParPoly,
-        own: &OwnedRows,
-        t: usize,
-        r: &SharedVec,
-        z: &SharedVec,
-        y: &SharedVec,
-        pscr: &PolyScratch<'_>,
-        p0: Option<&SharedVec>,
-        rz_partials: &SharedVec,
-        barrier: &SpinBarrier,
-    ) {
+    /// The iterate banks alternate between `z` and the scratch bank `zb`,
+    /// phased so the **final** step lands in `z` (`z` is written by phase
+    /// `j` iff `k − j` is even). A phase's SpMV reads the previous phase's
+    /// bank cross-strip; the next write of that bank is separated from
+    /// those reads by the intervening phase barrier — the same discipline
+    /// as the partial banks. The difference carry `d` and the `K·z` strip
+    /// (parked in the SSOR half-sum cache `y`, which the polynomial path
+    /// never touches) are own-strip only. The `(z, r)` partial and the
+    /// restart's `p ← z` copy fuse into the final phase before its
+    /// barrier, exactly like the sweep tail.
+    fn poly_phases(&self, poly: &ParPoly, p0: Option<&SharedVec>) -> f64 {
         let scale0 = poly.schedule.scale0();
         let steps = poly.schedule.steps();
         let k = steps.len();
-        let (d, zb) = (pscr.d, pscr.zb);
-        let (a, inv_diag) = (self.table.matrix(), self.table.inv_diag());
+        let v = self.v;
+        let (a, inv_diag) = (self.solver.table.matrix(), self.solver.table.inv_diag());
         for (step, &(aj, bj)) in steps.iter().enumerate() {
             let j = step + 1;
             let to_z = (k - j).is_multiple_of(2);
+            // SAFETY: this phase writes only the owned rows of `y`, `d` and
+            // its output bank; it reads `r`, finalized before the msolve
+            // began, and the other bank, finalized by the last barrier.
             unsafe {
-                let rv = r.read();
-                let prev = if to_z { zb.read() } else { z.read() };
-                for rows in own.chunks() {
-                    let kz = y.write(rows.clone());
+                let rv = v.r.read();
+                let prev = if to_z { v.zb.read() } else { v.z.read() };
+                for rows in self.own.chunks() {
+                    let kz = v.y.write(rows.clone());
                     if j == 1 {
                         // kz = K·z₀ with z₀ = scale₀·D⁻¹r formed on the
                         // fly (the same expression as the seed below, so
@@ -1201,11 +795,11 @@ impl ParallelMStepPcg {
                     } else {
                         a.mul_vec_range_into(prev, kz, rows.clone());
                     }
-                    let dv = d.write(rows.clone());
+                    let dv = v.d.write(rows.clone());
                     let out = if to_z {
-                        z.write(rows.clone())
+                        v.z.write(rows.clone())
                     } else {
-                        zb.write(rows.clone())
+                        v.zb.write(rows.clone())
                     };
                     if j == 1 {
                         // Seed and first step in one own-strip pass.
@@ -1225,30 +819,169 @@ impl ParallelMStepPcg {
                         }
                     }
                 }
-                if j == k {
-                    // Fused tail: z was fully written own-strip above.
-                    own.msolve_tail(t, z, r, p0, rz_partials);
-                }
             }
-            barrier.wait();
+            if j < k {
+                self.barrier.wait();
+            }
         }
+        // SAFETY: the fused tail — `z`'s owned rows were written above by
+        // this worker, and nobody writes `r` during the msolve.
+        unsafe { self.own.msolve_tail(&v.z, &v.r, p0) }
     }
 }
 
-/// The fault the worker owning `index` must inject at `(target,
-/// iteration)`, if any. Every worker evaluates the same replicated
-/// lookup; only the owner acts (SpMV faults are applied to the owner's
-/// freshly written strip before its fused partial, so no extra barrier
-/// is needed).
-fn claim_fault(
-    plan: Option<&FaultPlan>,
-    target: FaultTarget,
-    iteration: usize,
-    own: &OwnedRows,
-) -> Option<(usize, FaultKind)> {
-    plan.and_then(|p| p.find(target, iteration))
-        .filter(|fault| own.contains(fault.index))
-        .map(|fault| (fault.index, fault.kind))
+impl Executor<1> for Worker<'_> {
+    fn rhs_norms(&mut self) -> [f64; 1] {
+        [vecops::norm2(self.f)]
+    }
+
+    fn msolve_steps(&self) -> usize {
+        let poly = self.solver.poly.as_ref();
+        poly.map_or(self.solver.alphas.len(), |p| p.schedule.degree())
+    }
+
+    /// `kp ← K·p` ⊕ the `(p, Kp)` partial: the strip of `kp` this worker
+    /// just wrote is exactly the strip the partial reads, so the dot needs
+    /// no barrier of its own.
+    fn spmv(&mut self, _live: &[bool; 1]) -> [f64; 1] {
+        let fault = self.fire(FaultTarget::Spmv, self.completed + 1);
+        let mut pkp = 0.0;
+        // SAFETY: `p` was finalized before the last barrier, and this
+        // worker alone writes its rows of `kp` this phase.
+        unsafe {
+            let p = self.v.p.read();
+            self.own_spmv(p, &self.v.kp, fault, |rows, out| {
+                pkp += vecops::dot(&p[rows], out);
+            });
+        }
+        [self.sum(pkp)]
+    }
+
+    /// `u += α·p`, `r −= α·kp` over the strip (the fused vecops kernel,
+    /// chunk by chunk) ⊕ this worker's `max|p|` and updated `max|r|`.
+    fn update(&mut self, alpha: &[f64; 1], _live: &[bool; 1]) -> [FusedUpdateNorms; 1] {
+        let v = self.v;
+        let mut own = [0.0f64; 2];
+        for rows in self.own.chunks() {
+            // SAFETY: `p` and `kp` were finalized before the last barrier;
+            // this worker alone touches its rows of `u` and `r` this phase.
+            let norms = unsafe {
+                let (p, kp) = (&v.p.read()[rows.clone()], &v.kp.read()[rows.clone()]);
+                let (u, r) = (v.u.write(rows.clone()), v.r.write(rows));
+                vecops::fused_axpy_axpy_norm(alpha[0], p, kp, u, r)
+            };
+            own = [own[0].max(norms.p_norm_inf), own[1].max(norms.r_norm_inf)];
+        }
+        self.completed += 1;
+        let [p_norm_inf, r_norm_inf] = self
+            .exchange(own)
+            .fold([0.0f64; 2], |[p, r], [pt, rt]| [p.max(pt), r.max(rt)]);
+        [FusedUpdateNorms {
+            p_norm_inf,
+            r_norm_inf,
+        }]
+    }
+
+    fn residual_norms(&mut self, _r_max: &[f64; 1]) -> [f64; 1] {
+        let mut s = 0.0;
+        for rows in self.own.chunks() {
+            // SAFETY: `r` was finalized by the update's barrier.
+            let r = unsafe { self.v.r.read_range(rows) };
+            s += vecops::dot(r, r);
+        }
+        [self.sum(s).sqrt()]
+    }
+
+    /// The msolve, its `(z, r)` partial fused into its final phase; then a
+    /// planned msolve fault: the owner of its row perturbs the output (and
+    /// a restart's `p ← z` copy) after the final barrier, and since the
+    /// next phase may read the output cross-strip, every worker crosses
+    /// one extra barrier.
+    fn msolve(&mut self, _cols: &[bool; 1], restart: bool) -> [f64; 1] {
+        let v = self.v;
+        let p0 = restart.then_some(&v.p);
+        let partial = match &self.solver.poly {
+            Some(poly) => self.poly_phases(poly, p0),
+            None => self.sweep_phases(p0),
+        };
+        let rz = self.sum(partial);
+        if let Some((index, kind)) = self.fire(FaultTarget::Msolve, self.completed) {
+            if self.own.contains(index) {
+                // SAFETY: this worker alone owns row `index`, and nobody
+                // reads `z` or `p` until the barrier below.
+                unsafe {
+                    let value = perturb(v.z.read()[index], kind);
+                    v.z.write_at(index, value);
+                    if let Some(p) = p0 {
+                        p.write_at(index, value);
+                    }
+                }
+            }
+            self.barrier.wait();
+        }
+        [rz]
+    }
+
+    fn xpby(&mut self, beta: &[f64; 1]) {
+        // SAFETY: `z` was finalized by the msolve's barrier; this worker
+        // alone touches its rows of `p` this phase.
+        unsafe {
+            let z = self.v.z.read();
+            for rows in self.own.chunks() {
+                vecops::xpby(&z[rows.clone()], beta[0], self.v.p.write(rows));
+            }
+        }
+        self.barrier.wait();
+    }
+
+    /// `f − K·u` over the strip in one fused phase: into `r` for a
+    /// restart, else into the dead `kp` with the audit's squared-deviation
+    /// or the exit's squared-norm partial, then the replicated sum.
+    fn true_residual(&mut self, _j: usize, to: TrueResidual) -> f64 {
+        if to == TrueResidual::Restart && self.completed == 0 {
+            // Before the first update `u = 0`, and `r` holds `f`: bitwise
+            // `f − K·0`, which every row sum of zero products gives.
+            return 0.0;
+        }
+        let (v, f) = (self.v, self.f);
+        let out = if to == TrueResidual::Restart {
+            &v.r
+        } else {
+            &v.kp
+        };
+        let mut acc = 0.0;
+        // SAFETY: `u` was finalized by the update's barrier and an audit
+        // reads `r` own-strip only; a restart writes `r` own-strip only,
+        // and nobody reads `r` cross-strip before the next barrier (the
+        // sweep msolve reads it own-strip, the polynomial one after the
+        // barrier below).
+        unsafe {
+            let r = (to == TrueResidual::Audit).then(|| v.r.read());
+            self.own_spmv(v.u.read(), out, None, |rows, out| {
+                for (o, i) in rows.enumerate() {
+                    out[o] = f[i] - out[o];
+                    let d = out[o] - r.map_or(0.0, |r| r[i]);
+                    acc += d * d;
+                }
+            });
+        }
+        match to {
+            TrueResidual::Restart => {
+                if self.solver.poly.is_some() {
+                    self.barrier.wait();
+                }
+                0.0
+            }
+            TrueResidual::Audit => self.sum(acc),
+            TrueResidual::Norm => self.sum(acc).sqrt(),
+        }
+    }
+
+    /// The solve ends with its only column: nothing to carry.
+    fn retire(&mut self, _j: usize) {}
+
+    /// `u` starts at zero and has not moved.
+    fn zero_iterate(&mut self, _j: usize) {}
 }
 
 #[cfg(test)]
@@ -1482,6 +1215,81 @@ mod tests {
         ));
     }
 
+    /// One loop, one meaning of "budget exhausted": the error carries the
+    /// true relative residual `‖f − K·u‖₂ / ‖f‖₂` of the exit iterate,
+    /// the pool path's figure at the same budget.
+    #[test]
+    fn budget_exit_reports_the_true_relative_residual() {
+        let (a, colors, rhs) = plate(12);
+        let budget = 5;
+        let spmd = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
+        let pre = MStepSsorPreconditioner::unparametrized(&a, &colors, 2).unwrap();
+        let pool = pcg_solve(
+            &a,
+            &rhs,
+            &pre,
+            &PcgOptions {
+                tol: 1e-14,
+                max_iterations: budget,
+                ..Default::default()
+            },
+        );
+        let Err(SparseError::DidNotConverge {
+            iterations,
+            residual: expected,
+        }) = pool
+        else {
+            panic!("the pool path must run out of budget: {pool:?}");
+        };
+        assert_eq!(iterations, budget);
+        for threads in [1usize, 2, 4] {
+            let opts = ParallelSolverOptions {
+                max_iterations: budget,
+                ..pinned_opts(threads, 1e-14)
+            };
+            match spmd.solve(&rhs, &opts) {
+                Err(SparseError::DidNotConverge {
+                    iterations,
+                    residual,
+                }) => {
+                    assert_eq!(iterations, budget);
+                    assert!(
+                        (residual - expected).abs() <= 1e-10 * expected,
+                        "{threads} workers: {residual} vs the pool path's {expected}"
+                    );
+                }
+                other => panic!("{threads} workers: {other:?}"),
+            }
+        }
+    }
+
+    /// An indefinite `K` breaks down with the pool path's pivot and value
+    /// — the iteration whose `(p, K·p)` is nonpositive, and that value.
+    #[test]
+    fn breakdown_carries_the_pool_paths_pivot_and_value() {
+        let mut coo = mspcg_sparse::CooMatrix::new(2, 2);
+        coo.push(0, 0, 1.0).unwrap();
+        coo.push(1, 1, 1.0).unwrap();
+        coo.push_sym(0, 1, 2.0).unwrap();
+        let k = coo.to_csr();
+        let colors = Partition::from_sizes(&[1, 1]).unwrap();
+        let f = [1.0, -1.0];
+        let expected = SparseError::NotPositiveDefinite {
+            pivot: 1,
+            value: -2.0,
+        };
+        let opts = PcgOptions::default();
+        assert_eq!(
+            mspcg_core::cg_solve(&k, &f, &opts).err(),
+            Some(expected.clone())
+        );
+        let spmd = ParallelMStepPcg::new(&k, &colors, vec![]).unwrap();
+        for threads in [1usize, 2] {
+            let opts = pinned_opts(threads, 1e-8);
+            assert_eq!(spmd.solve(&f, &opts).err(), Some(expected.clone()));
+        }
+    }
+
     fn pinned_opts(threads: usize, tol: f64) -> ParallelSolverOptions {
         ParallelSolverOptions {
             threads,
@@ -1495,7 +1303,7 @@ mod tests {
 
     /// The acceptance gate of the fused schedule: the instrumented
     /// barrier proves `m·(2C−1) + 3` barriers per iteration, and the
-    /// replicated-reduction counter proves two reduction phases per
+    /// loop's reduction counter proves two reduction phases per
     /// iteration.
     #[test]
     fn barrier_counter_proves_classic_sweep_schedule() {
@@ -1509,10 +1317,11 @@ mod tests {
                 let k = rep.iterations;
                 assert!(k >= 1);
                 // Init sweep, k−1 full iterations of sweep + 3 barriers,
-                // the converging iteration stops after its second.
+                // the converging iteration stops after its second and
+                // crosses one more for the `‖r‖₂` of its report.
                 assert_eq!(
                     rep.barrier_crossings,
-                    sweep + (k - 1) * (sweep + 3) + 2,
+                    sweep + (k - 1) * (sweep + 3) + 3,
                     "barrier count, m = {m}, threads = {threads}"
                 );
                 // Two reduction phases per iteration (the init phase
@@ -1752,7 +1561,7 @@ mod tests {
     /// degree-`k` application costs exactly `k` full-barrier crossings
     /// (one fused SpMV phase each) — **zero color sweeps** — so the
     /// per-iteration budget is the sweep formula with `sweep → k`:
-    /// `k + (I−1)(k+3) + 2` crossings, `2I` reduction phases.
+    /// `k + (I−1)(k+3) + 3` crossings, `2I` reduction phases.
     #[test]
     fn barrier_counter_proves_polynomial_schedule() {
         let (a, colors, rhs) = plate(8);
@@ -1765,7 +1574,7 @@ mod tests {
                 assert!(i >= 1);
                 assert_eq!(
                     rep.barrier_crossings,
-                    k + (i - 1) * (k + 3) + 2,
+                    k + (i - 1) * (k + 3) + 3,
                     "poly barrier count, k = {k}, threads = {threads}"
                 );
                 assert_eq!(rep.reduction_phases, 2 * i);

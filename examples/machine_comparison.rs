@@ -80,6 +80,9 @@ fn main() {
     }
 
     // --- this machine (real threads) --------------------------------------
+    // Standard output holds what every run reproduces bit for bit: the
+    // solver's iterations and barrier crossings at each worker count. The
+    // real seconds, speedups and core count go to standard error.
     println!("\nhost machine (real threads, SPMD with barriers):");
     let solver = ParallelMStepPcg::new(&ord.matrix, &ord.colors, vec![1.0; m]).expect("solver");
     let mut base = 0.0f64;
@@ -102,20 +105,23 @@ fn main() {
             base = secs;
         }
         println!(
-            "  {threads} thread(s): {:9.4} real s   speedup {:.2}   ({} iterations)",
+            "  {threads} worker(s): {} iterations, {} barrier crossings",
+            rep.iterations, rep.barrier_crossings
+        );
+        eprintln!(
+            "  {threads} worker(s): {:9.4} real s   speedup {:.2}",
             secs,
-            base / secs,
-            rep.iterations
+            base / secs
         );
     }
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    println!("\nNote: this host reports {cores} CPU core(s). Each worker owns an equal");
-    println!("chunk of every color (the §3.2 node assignment), so every color phase");
-    println!("is shared by all workers. Speedup is bounded by the physical cores,");
-    println!("by the memory bandwidth they share, and by one barrier per color phase,");
-    println!("which dominates when a worker's chunk of a color is small (small plates,");
-    println!("many workers) — the surface-to-volume economics of the Finite Element");
-    println!("Machine.");
+    eprintln!("\nNote: this host reports {cores} CPU core(s). Each worker owns an equal");
+    eprintln!("chunk of every color (the §3.2 node assignment), so every color phase");
+    eprintln!("is shared by all workers. Speedup is bounded by the physical cores,");
+    eprintln!("by the memory bandwidth they share, and by one barrier per color phase,");
+    eprintln!("which dominates when a worker's chunk of a color is small (small plates,");
+    eprintln!("many workers) — the surface-to-volume economics of the Finite Element");
+    eprintln!("Machine.");
 }

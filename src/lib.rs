@@ -82,7 +82,12 @@
 //!   Algorithm 1 on them). The SPMD `ParallelMStepPcg` fuses every
 //!   reduction into the phase producing its operands and replicates the
 //!   scalar reductions across workers: `m·(2C−1) + 3` barriers per
-//!   iteration (C colors, m steps), down from `m·(2C−1) + 9`.
+//!   iteration (C colors, m steps), down from `m·(2C−1) + 9`. Both
+//!   executors run one loop, `core::multi::lockstep`, written against the
+//!   `core::multi::Executor` trait, whose methods are the loop's vector
+//!   phases: the pool path's lane block and each SPMD worker implement
+//!   them, and the loop branches only on the replicated scalars they
+//!   return.
 //! * **One recurrence** — every executor runs Algorithm 1, whose two
 //!   inner products per iteration are serialized: `(p, Kp)` before α,
 //!   `(r̂, r)` before β. Per-iteration cost model:
@@ -96,7 +101,11 @@
 //!   Both counts are *measured*, not asserted: `PcgStats` carries
 //!   `reduction_phases`, and the SPMD report carries `barrier_crossings` /
 //!   `reduction_phases` from the instrumented barrier; counter tests pin
-//!   the formulas. A Chronopoulos–Gear single-reduction recurrence (one
+//!   the formulas. A clean SPMD solve that converges at iteration `I`
+//!   crosses `S + (I − 1)(S + 3) + 3` barriers, `S` being the msolve's
+//!   share of the table (`m·(2C−1)`, 1 for plain CG's copy, `k`): its
+//!   initial msolve, `I − 1` full iterations, and the last iteration's
+//!   SpMV, update and the `‖r‖₂` its report carries; each audit adds one. A Chronopoulos–Gear single-reduction recurrence (one
 //!   reduction phase, one barrier fewer per iteration) used to be the
 //!   alternative. On shared memory a reduction is one spin barrier, so
 //!   the saved barrier bought little: on a 2-vCPU VM the 25 barriers of
@@ -227,8 +236,9 @@
 //!   iteration-indexed `FaultPlan` injected deterministically at every
 //!   thread count. `tests/fault_injection.rs` runs executor × family
 //!   under both fault classes with bitwise replay and exact counters: a
-//!   NaN preconditioner fault costs exactly 1 detection, 1 in-place
-//!   replacement and 0 fallbacks.
+//!   NaN preconditioner fault, or a NaN SPMD SpMV fault, costs exactly 1
+//!   detection, 1 in-place replacement and 0 fallbacks. A planned SPMD
+//!   fault fires once, so the iteration a restart repeats runs clean.
 //! * **Audit with in-place replacement** — with
 //!   `RecoveryPolicy::replacement` on, every `audit_period` iterations
 //!   (default 32) the solver recomputes the TRUE residual `f − K·u` and
@@ -247,7 +257,20 @@
 //!   policy resolves once per solve into the `AuditPlan` both executors
 //!   read. All of it lands in `PcgStats` / `ParallelSolveReport`
 //!   (`audits`, `replacements`, `faults_detected`), and per-RHS in
-//!   `multi::SolveStatus::Replaced`.
+//!   `multi::SolveStatus::Replaced`. The default policy audits nothing —
+//!   that pins the exact operation schedule — so a *finite* corruption
+//!   goes unseen: in one probe a bit-62 flip of one SpMV output made the
+//!   a = 24 solve take 49 260 iterations instead of 79 and still report
+//!   `converged`.
+//! * **One set of outcomes** — every executor reports how a solve ended
+//!   through the one loop: `SparseError::NotPositiveDefinite { pivot,
+//!   value }` with the iteration and the nonpositive inner product,
+//!   `SparseError::NonFinite { phase, iteration }` once the replacement
+//!   budget is spent, and on budget exhaustion the true relative residual
+//!   `‖f − K·u‖₂ / ‖f‖₂` of the exit iterate — as data (`converged =
+//!   false`) from the serial and batched entry points, as
+//!   `SparseError::DidNotConverge { residual, .. }` from the SPMD
+//!   `solve`.
 //!
 //! Measure time to solution with the benchmark `BENCHMARK.json` declares,
 //! `cargo run --release --manifest-path perfbench/Cargo.toml --

@@ -16,9 +16,9 @@
 //!   is schedule-determined, `(faults_detected, replacements, fallbacks)`
 //!   is pinned at `(1, 1, 0)`: the non-finite scalar is caught once and
 //!   the solve restarts in place from its current iterate. The SPMD NaN
-//!   cells fault row 3 (first color, worker 0) and the last row (last
-//!   color, last worker), so the fault-owner lookup is checked for a row
-//!   worker 0 does not own.
+//!   cells fault the msolve or the SpMV output at row 3 (first color,
+//!   worker 0) and at the last row (last color, last worker), so the
+//!   fault-owner lookup is checked for a row worker 0 does not own.
 //!
 //! The finite-corruption cells run at a tight tolerance under an explicit
 //! audit policy: drift beyond the replacement bound is caught by the
@@ -240,42 +240,46 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
 
         // --- SPMD at every thread count ------------------------------
         for threads in [1usize, 2, 4, 8] {
-            // NaN out of the iteration-2 preconditioner application,
-            // exact counters — at a first-color row and at the last
-            // row, which lies in the last color and is owned by the
-            // last worker.
-            for index in [3, n - 1] {
-                let label = format!("{}/spmd{threads}/nan-msolve@{index}", family.name);
-                let opts = ParallelSolverOptions {
-                    threads,
-                    tol: TOL,
-                    max_iterations: 50_000,
-                    ..Default::default()
-                };
-                let plan = FaultPlan::new(vec![IterationFault {
-                    target: FaultTarget::Msolve,
-                    iteration: 2,
-                    index,
-                    kind: FaultKind::NaN,
-                }]);
-                let rep = run_cell(
-                    &label,
-                    &mut || {
-                        let rep = spmd
-                            .solve_with_faults(&b, &opts, &plan)
-                            .expect("faulted spmd solve");
-                        assert!(rep.converged, "did not converge");
-                        (rep.x.clone(), rep)
-                    },
-                    a,
-                    &b,
-                );
-                assert_eq!(
-                    (rep.faults_detected, rep.replacements, rep.recoveries),
-                    NAN_COUNTERS,
-                    "{label}"
-                );
-                assert_eq!(rep.audits, 0, "{label}: the default policy audits nothing");
+            // NaN out of the iteration-2 preconditioner application or
+            // SpMV, exact counters — at a first-color row and at the
+            // last row, which lies in the last color and is owned by the
+            // last worker. The NaN `(p, K·p)` restarts the solve before
+            // its iterate moves, and the repeated iteration runs clean:
+            // a planned fault fires once.
+            for (target, what) in [(FaultTarget::Msolve, "msolve"), (FaultTarget::Spmv, "spmv")] {
+                for index in [3, n - 1] {
+                    let label = format!("{}/spmd{threads}/nan-{what}@{index}", family.name);
+                    let opts = ParallelSolverOptions {
+                        threads,
+                        tol: TOL,
+                        max_iterations: 50_000,
+                        ..Default::default()
+                    };
+                    let plan = FaultPlan::new(vec![IterationFault {
+                        target,
+                        iteration: 2,
+                        index,
+                        kind: FaultKind::NaN,
+                    }]);
+                    let rep = run_cell(
+                        &label,
+                        &mut || {
+                            let rep = spmd
+                                .solve_with_faults(&b, &opts, &plan)
+                                .expect("faulted spmd solve");
+                            assert!(rep.converged, "did not converge");
+                            (rep.x.clone(), rep)
+                        },
+                        a,
+                        &b,
+                    );
+                    assert_eq!(
+                        (rep.faults_detected, rep.replacements, rep.recoveries),
+                        NAN_COUNTERS,
+                        "{label}"
+                    );
+                    assert_eq!(rep.audits, 0, "{label}: the default policy audits nothing");
+                }
             }
 
             // Finite SpMV corruption at iteration 2 under an audit
