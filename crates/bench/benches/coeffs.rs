@@ -4,7 +4,7 @@
 //! parametrization is a setup cost, amortized over the whole solve.
 
 use mspcg_bench::timing::{bench, finish};
-use mspcg_core::{least_squares_alphas, minimax_alphas, Weight};
+use mspcg_core::{least_squares_alphas, minimax_alphas};
 use std::hint::black_box;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
             "coefficient_fits",
             &format!("least_squares_m{m}"),
             || {
-                black_box(least_squares_alphas(m, black_box(interval), Weight::Uniform).unwrap());
+                black_box(least_squares_alphas(m, black_box(interval)).unwrap());
             },
         ));
         results.push(bench("coefficient_fits", &format!("minimax_m{m}"), || {

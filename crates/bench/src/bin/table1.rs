@@ -12,7 +12,7 @@
 use mspcg_bench::TextTable;
 use mspcg_core::splitting::Splitting;
 use mspcg_core::ssor::MulticolorSsor;
-use mspcg_core::{least_squares_alphas, minimax_alphas, Weight};
+use mspcg_core::{least_squares_alphas, minimax_alphas};
 use mspcg_fem::plate::PlaneStressProblem;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     for (name, fit) in [
         (
             "least squares (uniform weight)",
-            Box::new(|m: usize| least_squares_alphas(m, (lo, hi), Weight::Uniform).unwrap())
+            Box::new(|m: usize| least_squares_alphas(m, (lo, hi)).unwrap())
                 as Box<dyn Fn(usize) -> Vec<f64>>,
         ),
         (

@@ -13,7 +13,7 @@
 //! particular). Unparametrized means `αᵢ = 1`, i.e. plain m-step stationary
 //! iteration.
 //!
-//! * [`least_squares_alphas`] — minimizes `∫ w(t) (1 − q(t))² dt` by
+//! * [`least_squares_alphas`] — minimizes `∫ (1 − q(t))² dt` by
 //!   solving the (tiny, SPD) normal equations with exact Gauss–Legendre
 //!   quadrature and dense Cholesky,
 //! * [`minimax_alphas`] — the Chebyshev min-max solution
@@ -26,27 +26,7 @@
 use crate::quadrature::gauss_legendre;
 use mspcg_sparse::{DenseMatrix, SparseError};
 
-/// Weight for the least-squares criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Weight {
-    /// `w(t) = 1`.
-    #[default]
-    Uniform,
-    /// `w(t) = t^k` — emphasizes the high end of the spectrum; `k = 1` is
-    /// the classical Jacobi-weighted choice of Johnson–Micchelli–Paul.
-    Power(u32),
-}
-
-impl Weight {
-    fn eval(self, t: f64) -> f64 {
-        match self {
-            Weight::Uniform => 1.0,
-            Weight::Power(k) => t.powi(k as i32),
-        }
-    }
-}
-
-/// Least-squares coefficients: minimize `∫_{λ₁}^{λₙ} w(t)(1 − q(t))² dt`
+/// Least-squares coefficients: minimize `∫_{λ₁}^{λₙ} (1 − q(t))² dt`
 /// over `q(t) = t Σ αᵢ (1−t)ⁱ`, degree `m − 1` polynomial `p`.
 ///
 /// # Errors
@@ -54,16 +34,12 @@ impl Weight {
 ///   interval,
 /// * [`SparseError::NotPositiveDefinite`] if the normal equations are
 ///   numerically singular (interval too small for the requested degree).
-pub fn least_squares_alphas(
-    m: usize,
-    interval: (f64, f64),
-    weight: Weight,
-) -> Result<Vec<f64>, SparseError> {
+pub fn least_squares_alphas(m: usize, interval: (f64, f64)) -> Result<Vec<f64>, SparseError> {
     validate(m, interval)?;
     let (lo, hi) = interval;
     // Basis φᵢ(t) = t(1−t)ⁱ. Normal equations: A αᵃ = b with
-    // A_ik = ∫ w φᵢ φ_k, b_i = ∫ w φᵢ. Integrands are polynomials of degree
-    // ≤ 2m + 2 (+ weight power): exact with enough Gauss points.
+    // A_ik = ∫ φᵢ φ_k, b_i = ∫ φᵢ. Integrands are polynomials of degree
+    // ≤ 2m + 2: exact with enough Gauss points.
     let quad_n = (2 * m + 8).max(16);
     let (nodes, weights) = gauss_legendre(quad_n);
     let c = 0.5 * (lo + hi);
@@ -74,7 +50,7 @@ pub fn least_squares_alphas(
     let mut phi = vec![0.0; m];
     for (x, w) in nodes.iter().zip(&weights) {
         let t = c + h * x;
-        let wt = weight.eval(t) * w * h;
+        let wt = w * h;
         let mut g = 1.0; // (1−t)^i
         for item in phi.iter_mut() {
             *item = t * g;
@@ -218,7 +194,7 @@ mod tests {
         // m = 1: q(t) = α₀ t; minimizing ∫ (1 − α₀t)² dt gives
         // α₀ = ∫t / ∫t² over the interval.
         let (lo, hi) = SSOR_LIKE;
-        let a = least_squares_alphas(1, SSOR_LIKE, Weight::Uniform).unwrap();
+        let a = least_squares_alphas(1, SSOR_LIKE).unwrap();
         let num = (hi * hi - lo * lo) / 2.0;
         let den = (hi * hi * hi - lo * lo * lo) / 3.0;
         assert!((a[0] - num / den).abs() < 1e-12, "{a:?}");
@@ -229,7 +205,7 @@ mod tests {
         // On (0, 1] with uniform weight the m = 2 optimum has the closed
         // form derived from the shifted-Legendre kernel: α₀ = 2/3,
         // α₁ = 10/3 at interval [0, 1]. With lo → 0 we approach it.
-        let a = least_squares_alphas(2, (1e-9, 1.0), Weight::Uniform).unwrap();
+        let a = least_squares_alphas(2, (1e-9, 1.0)).unwrap();
         assert!((a[0] - 2.0 / 3.0).abs() < 1e-5, "{a:?}");
         assert!((a[1] - 10.0 / 3.0).abs() < 1e-4, "{a:?}");
     }
@@ -237,7 +213,7 @@ mod tests {
     #[test]
     fn least_squares_beats_unparametrized_residual() {
         for m in 2..=6 {
-            let a = least_squares_alphas(m, SSOR_LIKE, Weight::Uniform).unwrap();
+            let a = least_squares_alphas(m, SSOR_LIKE).unwrap();
             let ones = vec![1.0; m];
             // Compare the integral of squared residuals by sampling.
             let err = |al: &[f64]| -> f64 {
@@ -266,7 +242,7 @@ mod tests {
     #[test]
     fn minimax_beats_least_squares_in_sup_norm() {
         for m in 2..=6 {
-            let ls = least_squares_alphas(m, JACOBI_LIKE, Weight::Uniform).unwrap();
+            let ls = least_squares_alphas(m, JACOBI_LIKE).unwrap();
             let mm = minimax_alphas(m, JACOBI_LIKE).unwrap();
             assert!(
                 residual_sup(&mm, JACOBI_LIKE) <= residual_sup(&ls, JACOBI_LIKE) + 1e-12,
@@ -289,7 +265,7 @@ mod tests {
     #[test]
     fn spd_margin_positive_for_computed_coefficients() {
         for m in 1..=6 {
-            let ls = least_squares_alphas(m, SSOR_LIKE, Weight::Uniform).unwrap();
+            let ls = least_squares_alphas(m, SSOR_LIKE).unwrap();
             assert!(spd_margin(&ls, SSOR_LIKE) > 0.0, "LS m = {m}");
             let mm = minimax_alphas(m, SSOR_LIKE).unwrap();
             assert!(spd_margin(&mm, SSOR_LIKE) > 0.0, "MM m = {m}");
@@ -314,19 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_fit_moves_accuracy_toward_high_end() {
-        let m = 3;
-        let uni = least_squares_alphas(m, JACOBI_LIKE, Weight::Uniform).unwrap();
-        let pw = least_squares_alphas(m, JACOBI_LIKE, Weight::Power(2)).unwrap();
-        let hi = JACOBI_LIKE.1;
-        assert!(residual_at(&pw, hi).abs() <= residual_at(&uni, hi).abs() + 1e-9);
-    }
-
-    #[test]
     fn rejects_bad_inputs() {
-        assert!(least_squares_alphas(0, SSOR_LIKE, Weight::Uniform).is_err());
-        assert!(least_squares_alphas(3, (0.0, 1.0), Weight::Uniform).is_err());
-        assert!(least_squares_alphas(3, (0.5, 0.4), Weight::Uniform).is_err());
+        assert!(least_squares_alphas(0, SSOR_LIKE).is_err());
+        assert!(least_squares_alphas(3, (0.0, 1.0)).is_err());
+        assert!(least_squares_alphas(3, (0.5, 0.4)).is_err());
         assert!(minimax_alphas(0, SSOR_LIKE).is_err());
     }
 

@@ -19,19 +19,22 @@
 //!   of right-hand sides (a standalone solve is the block of width 1), and
 //!   batched multi-RHS solves (many load cases on one stiffness matrix)
 //!   over shared matrix/preconditioner handles,
-//! * [`splitting`] — the [`splitting::Splitting`] abstraction plus Jacobi
-//!   and natural-order SSOR splittings,
+//! * [`splitting`] — the [`splitting::Splitting`] abstraction plus the
+//!   natural-order SSOR splitting,
 //! * [`ssor`] — the multicolor block SSOR splitting with the
 //!   Conrad–Wallach auxiliary-vector optimization (paper Algorithm 2),
 //!   and the color-phase sweep kernel and row ownership both executors
 //!   share,
 //! * [`mstep`] — the m-step preconditioner (Horner evaluation of the
-//!   polynomial in `G`), parametrized or not,
+//!   polynomial in the SSOR `G`), parametrized or not,
 //! * [`poly`] — the barrier-free **polynomial (Newton–Chebyshev)
 //!   preconditioner** on the Lanczos-estimated spectrum of the
-//!   Jacobi-scaled operator (`k` SpMVs per application, zero color-sweep
-//!   synchronization), and the selection by value that both executors
-//!   share ([`poly::resolve_precond`], [`poly::AutoPreconditioner`]):
+//!   Jacobi-scaled operator `D⁻¹K` (`k` SpMVs per application, zero
+//!   color-sweep synchronization), the one polynomial-in-Jacobi
+//!   preconditioner, whose seed and step arithmetic
+//!   ([`poly::PolySchedule`]) both executors run; and the selection by
+//!   value that both executors share ([`poly::resolve_precond`],
+//!   [`poly::AutoPreconditioner`]):
 //!   `Auto` builds the paper's parametrized m-step SSOR — min-max α on the
 //!   estimated SSOR interval, `m` chosen by Eq. (4.1)/(4.2) with costs from
 //!   the operator's shape ([`analysis::CostModel::from_traffic`]),
@@ -69,9 +72,9 @@ pub mod recovery;
 pub mod splitting;
 pub mod ssor;
 
-pub use coeffs::{least_squares_alphas, minimax_alphas, Weight};
+pub use coeffs::{least_squares_alphas, minimax_alphas};
 pub use ic::IncompleteCholesky;
-pub use mstep::{MStep, MStepJacobiPreconditioner, MStepSsorPreconditioner};
+pub use mstep::{MStep, MStepSsorPreconditioner};
 pub use multi::{pcg_solve_multi, MultiRhsSummary, MultiRhsWorkspace, RhsOutcome, SolveStatus};
 pub use pcg::{
     cg_solve, pcg_solve, pcg_solve_into, pcg_try_solve_into, PcgOptions, PcgReport, PcgSolution,
@@ -83,5 +86,5 @@ pub use recovery::{
     ApplicationFault, FaultKind, FaultPlan, FaultTarget, FaultyOp, FaultyPreconditioner,
     IterationFault, RecoveryPolicy,
 };
-pub use splitting::{JacobiSplitting, NaturalSsorSplitting, Splitting};
+pub use splitting::{NaturalSsorSplitting, Splitting};
 pub use ssor::{MulticolorSsor, SweepTable};

@@ -7,17 +7,22 @@
 //! cost of one SOR sweep per step (Algorithm 2).
 //!
 //! Constructors cover the paper's whole design space:
-//! * **unparametrized** (`αᵢ = 1`): m steps of the stationary method; for
-//!   the Jacobi splitting this is the truncated Neumann series of
-//!   Dubois–Greenbaum–Rodrigue (1979),
+//! * **unparametrized** (`αᵢ = 1`): m steps of the stationary method, the
+//!   truncated Neumann series `Σ Gⁱ` of `(I − G)⁻¹`,
 //! * **parametrized**: least-squares or min-max coefficients on the
 //!   estimated spectral interval of `P⁻¹K` (§2.2). Construction *fails*
 //!   with [`SparseError::NotPositiveDefinite`] if the fitted polynomial is
 //!   not positive on the interval — the §2.1 SPD requirement.
+//!
+//! The splittings are the multicolor SSOR ([`MStepSsorPreconditioner`])
+//! and the natural-order SSOR baseline. A polynomial in the Jacobi
+//! splitting `P = diag(K)` is the space
+//! [`crate::poly::PolynomialPreconditioner`] covers, with a stable
+//! three-term recurrence instead of Horner.
 
-use crate::coeffs::{least_squares_alphas, minimax_alphas, spd_margin, Weight};
+use crate::coeffs::{least_squares_alphas, minimax_alphas, spd_margin};
 use crate::preconditioner::Preconditioner;
-use crate::splitting::{JacobiSplitting, Splitting};
+use crate::splitting::Splitting;
 use crate::ssor::MulticolorSsor;
 use mspcg_sparse::{CsrMatrix, Partition, SparseError, SparseOp};
 use std::sync::Arc;
@@ -77,9 +82,9 @@ impl<S: Splitting> MStep<S> {
     /// Estimation/fit failures, or [`SparseError::NotPositiveDefinite`] if
     /// the fitted symbol is not positive on the interval (M would not be
     /// SPD, violating §2.1).
-    pub fn new_least_squares(splitting: S, m: usize, weight: Weight) -> Result<Self, SparseError> {
+    pub fn new_least_squares(splitting: S, m: usize) -> Result<Self, SparseError> {
         let interval = splitting.spectrum_interval(SPECTRUM_ITERS)?;
-        let alphas = least_squares_alphas(m, interval, weight)?;
+        let alphas = least_squares_alphas(m, interval)?;
         Self::checked(splitting, alphas, interval)
     }
 
@@ -221,21 +226,6 @@ impl MStepSsorPreconditioner {
         Self::new_unparametrized(s, m)
     }
 
-    /// Least-squares parametrized m-step SSOR (ω = 1) from a
-    /// color-blocked operator in any [`SparseOp`] format — the generic
-    /// twin of [`MStepSsorPreconditioner::parametrized`].
-    ///
-    /// # Errors
-    /// Propagates construction, estimation and SPD-check errors.
-    pub fn parametrized_op<A: SparseOp>(
-        a: &A,
-        colors: &Partition,
-        m: usize,
-    ) -> Result<Self, SparseError> {
-        let s = MulticolorSsor::from_op(a, Arc::new(colors.clone()), 1.0)?;
-        Self::new_least_squares(s, m, Weight::Uniform)
-    }
-
     /// Unparametrized m-step SSOR (ω = 1) sharing the system via `Arc` —
     /// no matrix or partition copy.
     ///
@@ -257,21 +247,8 @@ impl MStepSsorPreconditioner {
     /// # Errors
     /// Propagates construction, estimation and SPD-check errors.
     pub fn parametrized(a: &CsrMatrix, colors: &Partition, m: usize) -> Result<Self, SparseError> {
-        Self::parametrized_shared(Arc::new(a.clone()), Arc::new(colors.clone()), m)
-    }
-
-    /// Least-squares parametrized m-step SSOR sharing the system via
-    /// `Arc` — no matrix or partition copy.
-    ///
-    /// # Errors
-    /// Propagates construction, estimation and SPD-check errors.
-    pub fn parametrized_shared(
-        a: Arc<CsrMatrix>,
-        colors: Arc<Partition>,
-        m: usize,
-    ) -> Result<Self, SparseError> {
-        let s = MulticolorSsor::new(a, colors, 1.0)?;
-        Self::new_least_squares(s, m, Weight::Uniform)
+        let s = MulticolorSsor::new(a.clone(), colors.clone(), 1.0)?;
+        Self::new_least_squares(s, m)
     }
 
     /// Parametrized with the min-max (Chebyshev) criterion instead.
@@ -288,21 +265,8 @@ impl MStepSsorPreconditioner {
     }
 
     /// Unparametrized with an explicit relaxation parameter (the ω-sweep
-    /// ablation; the paper fixes ω = 1).
-    ///
-    /// # Errors
-    /// Propagates construction errors (including ω ∉ (0, 2)).
-    pub fn unparametrized_omega(
-        a: &CsrMatrix,
-        colors: &Partition,
-        m: usize,
-        omega: f64,
-    ) -> Result<Self, SparseError> {
-        Self::unparametrized_omega_shared(Arc::new(a.clone()), Arc::new(colors.clone()), m, omega)
-    }
-
-    /// ω-sweep constructor sharing the system via `Arc` — the sweep builds
-    /// one splitting per ω without ever copying the matrix.
+    /// ablation; the paper fixes ω = 1), sharing the system via `Arc` — the
+    /// sweep builds one splitting per ω without ever copying the matrix.
     ///
     /// # Errors
     /// Propagates construction errors (including ω ∉ (0, 2)).
@@ -314,31 +278,6 @@ impl MStepSsorPreconditioner {
     ) -> Result<Self, SparseError> {
         let s = MulticolorSsor::new(a, colors, omega)?;
         Self::new_unparametrized(s, m)
-    }
-}
-
-/// m-step **Jacobi** preconditioner.
-pub type MStepJacobiPreconditioner = MStep<JacobiSplitting>;
-
-impl MStepJacobiPreconditioner {
-    /// Truncated Neumann-series preconditioner
-    /// (Dubois–Greenbaum–Rodrigue 1979): unparametrized m-step Jacobi.
-    ///
-    /// # Errors
-    /// Propagates [`JacobiSplitting::new`] validation errors.
-    pub fn neumann(a: &CsrMatrix, m: usize) -> Result<Self, SparseError> {
-        let s = JacobiSplitting::new(a)?;
-        Self::new_unparametrized(s, m)
-    }
-
-    /// Parametrized m-step Jacobi — the original Johnson–Micchelli–Paul
-    /// polynomial preconditioner (least squares).
-    ///
-    /// # Errors
-    /// Propagates construction, estimation and SPD-check errors.
-    pub fn parametrized_jacobi(a: &CsrMatrix, m: usize) -> Result<Self, SparseError> {
-        let s = JacobiSplitting::new(a)?;
-        Self::new_least_squares(s, m, Weight::Uniform)
     }
 }
 
@@ -402,24 +341,22 @@ mod tests {
 
     #[test]
     fn neumann_matches_manual_series() {
-        // Unparametrized Jacobi m-step: z = Σ_{i<m} (D⁻¹(D−K))ⁱ D⁻¹ r.
-        let (a, _) = rb_system(6);
+        // Unparametrized m-step: z = Σ_{i<m} Gⁱ P⁻¹ r, the truncated
+        // Neumann series of (I − G)⁻¹ = P K⁻¹ applied to P⁻¹ r.
+        let (a, p) = rb_system(6);
         let m = 3;
-        let pre = MStepJacobiPreconditioner::neumann(&a, m).unwrap();
+        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, m).unwrap();
         let r: Vec<f64> = (0..6).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let mut z = vec![0.0; 6];
         pre.apply(&r, &mut z);
 
-        let d = a.diag().unwrap();
-        let dinv_r: Vec<f64> = r.iter().zip(&d).map(|(x, di)| x / di).collect();
-        let mut term = dinv_r.clone();
-        let mut sum = dinv_r.clone();
+        let split = pre.splitting();
+        let mut term = vec![0.0; 6];
+        split.solve_p(&r, &mut term);
+        let mut sum = term.clone();
         for _ in 1..m {
-            // term ← D⁻¹(D−K) term = term − D⁻¹ K term.
-            let kt = a.mul_vec(&term);
-            for i in 0..6 {
-                term[i] -= kt[i] / d[i];
-            }
+            // term ← G term: one stationary step on a zero right-hand side.
+            split.step(0.0, &r, &mut term);
             for i in 0..6 {
                 sum[i] += term[i];
             }
@@ -427,15 +364,6 @@ mod tests {
         for (u, v) in z.iter().zip(&sum) {
             assert!((u - v).abs() < 1e-13, "{u} vs {v}");
         }
-    }
-
-    #[test]
-    fn parametrized_jacobi_constructs_and_is_spd_checked() {
-        let (a, _) = rb_system(12);
-        let pre = MStepJacobiPreconditioner::parametrized_jacobi(&a, 4).unwrap();
-        assert_eq!(pre.m(), 4);
-        let (lo, hi) = pre.interval().unwrap();
-        assert!(lo > 0.0 && hi > 1.0); // Jacobi interval extends past 1
     }
 
     #[test]

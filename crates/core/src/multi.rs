@@ -834,7 +834,8 @@ pub fn lockstep<E: Executor<W>, const W: usize>(
             }
         }
 
-        // The budget ran out: the exit with the true residual. The `change
+        // No budget left at the loop top — a budget of 0, or a restart at
+        // the last iteration: the exit with the true residual. The `change
         // < tol` arm is meaningful only for the displacement test — under
         // the relative residual a sub-tolerance step says nothing about the
         // residual the caller asked to bound.
@@ -902,6 +903,10 @@ pub fn lockstep<E: Executor<W>, const W: usize>(
 
         // The stopping tests; the relative residuals of the whole block in
         // one pass, when the criterion or a converging column needs them.
+        // A column that misses its test on its last budgeted iteration
+        // exits here, before an msolve its iterate would never use, with
+        // the true residual; a recurrence residual of exactly zero is
+        // still exact convergence (`(r̂, r) = 0` for an SPD `M`).
         let live = mask(&cols, Phase::Live);
         let needs_residual = !displacement || (0..W).any(|j| live[j] && cols[j].change < opts.tol);
         let rel = if needs_residual {
@@ -919,6 +924,9 @@ pub fn lockstep<E: Executor<W>, const W: usize>(
             };
             if crit < opts.tol {
                 c.retire(exec, j, Ok(c.report(true, final_rel)));
+            } else if c.completed >= opts.max_iterations {
+                let report = c.exit_report(exec, j, norms[j].r_norm_inf == 0.0);
+                c.retire(exec, j, Ok(report));
             }
         }
         let live = mask(&cols, Phase::Live);

@@ -101,7 +101,10 @@ pub struct PcgStats {
     /// Stopping-test norms are not counted: their partials ride the
     /// update kernels' existing phase (the paper's flag network).
     pub reduction_phases: usize,
-    /// Preconditioner applications (`M r̂ = r` solves).
+    /// Preconditioner applications (`M r̂ = r` solves): the initial one
+    /// and one per iteration that does not end the solve, so a clean solve
+    /// that converges or runs out of budget applies it once per iteration;
+    /// each restart adds one.
     pub precond_applications: usize,
     /// Total stationary steps inside the preconditioner
     /// (`applications × m`).

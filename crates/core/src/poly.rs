@@ -3,13 +3,15 @@
 //!
 //! A polynomial preconditioner `M⁻¹ = p(G)·D⁻¹` in the Jacobi-scaled
 //! operator `G = D⁻¹K` is built from **SpMVs only**: a degree-`k`
-//! application is exactly `k` products `K·z` interleaved with fused BLAS-1
-//! sweeps ([`mspcg_sparse::vecops::fused_poly_seed`] /
-//! [`mspcg_sparse::vecops::fused_poly_step`]) — zero color-sweep
+//! application is exactly `k` products `K·z`, each followed by one fused
+//! pass over the rows ([`PolySchedule::step_rows`]) — zero color-sweep
 //! synchronization, `k` full barriers per application in SPMD
 //! (Bergamaschi–Martinez 2020; D'Ambra et al. 2025 for the Chebyshev-basis
 //! recipe). It is a pinned choice ([`PrecondKind::Poly`]); `Auto` does not
-//! pick it (see [`resolve_precond`]).
+//! pick it (see [`resolve_precond`]). It is the one polynomial in the
+//! Jacobi splitting here: the min-max m-step Jacobi `(Σ αᵢ Gⁱ)·D⁻¹` is the
+//! Chebyshev polynomial of degree `m − 1`, one SpMV cheaper per
+//! application.
 //!
 //! `M⁻¹` is symmetric positive definite in the PCG sense:
 //! `p(D⁻¹K)·D⁻¹ = D^{-1/2}·p(D^{-1/2}K D^{-1/2})·D^{-1/2}` is congruent to
@@ -17,12 +19,13 @@
 //! `p > 0` on the estimated spectral interval (the Chebyshev residual
 //! polynomial satisfies `|1 − t·p(t)| < 1` inside it).
 //!
-//! Both recurrences are expressed by one difference scheme so the serial
-//! and SPMD paths share bitwise-identical scalars ([`PolySchedule`]):
+//! Both recurrences are expressed by one difference scheme, whose scalars
+//! and per-row arithmetic [`PolySchedule`] holds, so the pool path and the
+//! SPMD executor run bitwise-identical applications:
 //!
 //! ```text
 //! z₀ = scale₀·D⁻¹r,        d₀ = z₀,
-//! step j:   resid = D⁻¹(r − K·z),   d ← aⱼ·d + bⱼ·resid,   z ← z + d.
+//! step j:   resid = D⁻¹(r − K·zⱼ),   d ← aⱼ·d + bⱼ·resid,   zⱼ₊₁ = zⱼ + d.
 //! ```
 //!
 //! * **Newton** (scaled Richardson / truncated Neumann): with the optimal
@@ -32,13 +35,15 @@
 //!   `ρ₀ = 1/σ`, and step `j` uses `ρⱼ = 1/(2σ − ρⱼ₋₁)`,
 //!   `(aⱼ, bⱼ) = (ρⱼρⱼ₋₁, 2ρⱼ/δ)`.
 //!
+//! Step `j` reads `zⱼ` from one iterate bank and writes `zⱼ₊₁` to the
+//! other ([`PolySchedule::step_writes_z`]): the SPMD executor's SpMV reads
+//! `zⱼ` across strips while the step writes, and the pool path runs the
+//! same kernel on the same banks.
+//!
 //! The spectral interval comes from [`mspcg_sparse::lanczos`] on the
 //! symmetric similar operator `D^{-1/2}K D^{-1/2}`, safeguarded
 //! *relatively* on both ends ([`jacobi_spectrum`]) so a small `λ₁` keeps
-//! its order of magnitude — the same estimate
-//! [`JacobiSplitting`](crate::splitting::JacobiSplitting)'s
-//! [`Splitting::spectrum_interval`](crate::splitting::Splitting::spectrum_interval)
-//! returns — and is **cached** in the
+//! its order of magnitude, and is **cached** in the
 //! preconditioner: repeated applications (every PCG iteration) and
 //! rebuilt preconditioners over the same matrix
 //! ([`PolynomialPreconditioner::with_interval`]) never re-run Lanczos.
@@ -69,6 +74,7 @@ use crate::mstep::{MStep, MStepSsorPreconditioner, SPECTRUM_ITERS};
 use crate::preconditioner::Preconditioner;
 use crate::ssor::{MulticolorSsor, SweepTable};
 use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
+use mspcg_sparse::par::ParSlice;
 use mspcg_sparse::tuning::{PolyKind, PrecondKind};
 use mspcg_sparse::{vecops, CsrMatrix, Partition, SparseError, SparseOp};
 use std::sync::{Arc, Mutex};
@@ -137,9 +143,10 @@ pub fn jacobi_spectrum<A: SparseOp>(
 
 /// The coefficient schedule of one polynomial preconditioner application:
 /// the seed scale and the per-step `(aⱼ, bⱼ)` pairs of the unified
-/// difference recurrence (module docs). Computed **once** at construction
-/// and shared verbatim by the serial and SPMD evaluators, so both run
-/// bitwise-identical arithmetic.
+/// difference recurrence (module docs), and the arithmetic that applies
+/// them. Computed **once** at construction; the pool-path
+/// [`PolynomialPreconditioner`] and the SPMD executor both evaluate
+/// through it, so both run bitwise-identical arithmetic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolySchedule {
     scale0: f64,
@@ -205,19 +212,83 @@ impl PolySchedule {
         Ok(schedule)
     }
 
-    /// The seed scale `scale₀` (`z₀ = scale₀·D⁻¹r`).
-    pub fn scale0(&self) -> f64 {
-        self.scale0
-    }
-
-    /// The `(aⱼ, bⱼ)` pairs, one per degree (= one per SpMV).
-    pub fn steps(&self) -> &[(f64, f64)] {
-        &self.steps
-    }
-
     /// Polynomial degree = SpMVs per application.
     pub fn degree(&self) -> usize {
         self.steps.len()
+    }
+
+    /// The seed `z₀ = scale₀·D⁻¹r` at one row, from that row's `D⁻¹` and
+    /// `r`. The SPMD executor forms it on the fly inside its first SpMV,
+    /// so both executors seed through this one expression.
+    #[inline(always)]
+    pub fn seed(&self, inv_diag: f64, r: f64) -> f64 {
+        self.scale0 * inv_diag * r
+    }
+
+    /// Whether step `j` (from 0) writes the caller's `z` rather than the
+    /// second iterate bank: the banks alternate, phased so the last step
+    /// lands in `z`.
+    #[inline]
+    pub fn step_writes_z(&self, j: usize) -> bool {
+        (self.degree() - 1 - j).is_multiple_of(2)
+    }
+
+    /// Step `j` (from 0) of the recurrence on a run of rows, given
+    /// `kz = K·zⱼ` on them:
+    ///
+    /// ```text
+    /// d ← aⱼ·d + bⱼ·D⁻¹(r − kz),    next ← zⱼ + d.
+    /// ```
+    ///
+    /// `zⱼ` is read from `prev`; at step 0 `prev` is `None`, and
+    /// `z₀ = d₀` is the [`PolySchedule::seed`] of `r`, so neither `prev`
+    /// nor `d` is read. Rows are independent: each executor runs its own
+    /// partition of them.
+    ///
+    /// # Panics
+    /// If `prev` is `None` exactly when `j > 0`, or the slices differ in
+    /// length.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn step_rows(
+        &self,
+        j: usize,
+        inv_diag: &[f64],
+        r: &[f64],
+        kz: &[f64],
+        prev: Option<&[f64]>,
+        d: &mut [f64],
+        next: &mut [f64],
+    ) {
+        let n = next.len();
+        assert_eq!(prev.is_none(), j == 0, "poly step: z₀ is the seed");
+        let lens = [
+            inv_diag.len(),
+            r.len(),
+            kz.len(),
+            d.len(),
+            prev.map_or(n, <[f64]>::len),
+        ];
+        assert!(lens == [n; 5], "poly step: length mismatch");
+        let (a, b) = self.steps[j];
+        let row = |i: usize, zi: f64, di: f64| {
+            let resid = inv_diag[i] * (r[i] - kz[i]);
+            let di = a * di + b * resid;
+            (di, zi + di)
+        };
+        match prev {
+            None => {
+                for i in 0..n {
+                    let z0 = self.seed(inv_diag[i], r[i]);
+                    (d[i], next[i]) = row(i, z0, z0);
+                }
+            }
+            Some(prev) => {
+                for i in 0..n {
+                    (d[i], next[i]) = row(i, prev[i], d[i]);
+                }
+            }
+        }
     }
 }
 
@@ -303,7 +374,7 @@ impl<A: SparseOp> PolynomialPreconditioner<A> {
             kind,
             interval,
             schedule,
-            scratch: Mutex::new(vec![0.0; 2 * n]),
+            scratch: Mutex::new(vec![0.0; 3 * n]),
         })
     }
 
@@ -328,16 +399,6 @@ impl<A: SparseOp> PolynomialPreconditioner<A> {
     /// The coefficient schedule (shared with the SPMD evaluator).
     pub fn schedule(&self) -> &PolySchedule {
         &self.schedule
-    }
-
-    /// Reciprocal diagonal of `K`.
-    pub fn inv_diag(&self) -> &[f64] {
-        &self.inv_diag
-    }
-
-    /// Borrow the underlying operator.
-    pub fn matrix(&self) -> &A {
-        &self.a
     }
 
     /// Rebuild at another `degree` (same matrix, same kind), reusing the
@@ -394,22 +455,41 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
         self.schedule.degree()
     }
 
+    /// `K·z`, the difference carry `d` and the second iterate bank.
     fn scratch_len(&self) -> usize {
-        2 * self.inv_diag.len()
+        3 * self.inv_diag.len()
     }
 
+    /// Per step one SpMV and one [`PolySchedule::step_rows`] pass; the
+    /// first SpMV reads the seed from `d`, which step 0 writes, not reads.
     fn apply_with(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
         let n = self.inv_diag.len();
         assert_eq!(r.len(), n, "poly apply: r length mismatch");
         assert_eq!(z.len(), n, "poly apply: z length mismatch");
-        assert!(scratch.len() >= 2 * n, "poly apply: scratch too short");
-        let (kz, d) = scratch.split_at_mut(n);
-        let kz = &mut kz[..n];
-        let d = &mut d[..n];
-        vecops::fused_poly_seed(self.schedule.scale0, &self.inv_diag, r, z, d);
-        for &(aj, bj) in self.schedule.steps() {
-            self.a.mul_vec_into(z, kz);
-            vecops::fused_poly_step(aj, bj, &self.inv_diag, r, kz, d, z);
+        assert!(scratch.len() >= 3 * n, "poly apply: scratch too short");
+        let (kz, rest) = scratch.split_at_mut(n);
+        let (d, zb) = rest.split_at_mut(n);
+        let (s, inv_diag, zb) = (&self.schedule, &self.inv_diag[..], &mut zb[..n]);
+        vecops::elementwise::<1>(n, d, |lo, hi, d| {
+            for (di, i) in d.iter_mut().zip(lo..hi) {
+                *di = s.seed(inv_diag[i], r[i]);
+            }
+        });
+        for j in 0..s.degree() {
+            let (prev, next) = if s.step_writes_z(j) {
+                (&*zb, &mut *z)
+            } else {
+                (&*z, &mut *zb)
+            };
+            self.a.mul_vec_into(if j == 0 { d } else { prev }, kz);
+            let (kz, ds) = (&*kz, ParSlice::new(d));
+            vecops::elementwise::<1>(n, next, |lo, hi, next| {
+                let prev = (j > 0).then(|| &prev[lo..hi]);
+                // SAFETY: the chunks are disjoint and each runs once, and
+                // nothing else touches `d` during this launch.
+                let d = unsafe { ds.slice_mut(lo..hi) };
+                s.step_rows(j, &inv_diag[lo..hi], &r[lo..hi], &kz[lo..hi], prev, d, next);
+            });
         }
     }
 
@@ -714,17 +794,17 @@ mod tests {
     fn schedule_shapes_and_validation() {
         let s = PolySchedule::new(PolyKind::Chebyshev, 0.5, 2.0, 4).unwrap();
         assert_eq!(s.degree(), 4);
-        assert_eq!(s.scale0(), 1.0 / 1.25);
+        assert_eq!(s.scale0, 1.0 / 1.25);
         let n = PolySchedule::new(PolyKind::Newton, 0.5, 2.0, 3).unwrap();
-        assert_eq!(n.steps(), &[(0.0, 0.8); 3]);
-        assert_eq!(n.scale0(), 0.8);
+        assert_eq!(n.steps, &[(0.0, 0.8); 3]);
+        assert_eq!(n.scale0, 0.8);
         assert!(PolySchedule::new(PolyKind::Chebyshev, 0.5, 2.0, 0).is_err());
         assert!(PolySchedule::new(PolyKind::Chebyshev, 0.0, 2.0, 2).is_err());
         assert!(PolySchedule::new(PolyKind::Newton, -1.0, 2.0, 2).is_err());
         assert!(PolySchedule::new(PolyKind::Newton, 1.0, f64::INFINITY, 2).is_err());
         // Degenerate interval: both kinds collapse to Richardson at 1/θ.
         let dg = PolySchedule::new(PolyKind::Chebyshev, 2.0, 2.0, 3).unwrap();
-        assert_eq!(dg.steps(), &[(0.0, 0.5); 3]);
+        assert_eq!(dg.steps, &[(0.0, 0.5); 3]);
         assert_eq!(
             dg,
             PolySchedule::new(PolyKind::Newton, 2.0, 2.0, 3).unwrap()
@@ -732,10 +812,99 @@ mod tests {
     }
 
     #[test]
+    fn fused_poly_seed_matches_elementwise() {
+        let n = 533;
+        let s = PolySchedule {
+            scale0: 0.25,
+            steps: vec![(0.375, 1.25)],
+        };
+        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / (2.0 + (i % 5) as f64)).collect();
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+        let kz: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.1 - 0.5).collect();
+        // Overwritten, never read: stale values must not leak.
+        let mut d = vec![f64::NAN; n];
+        let mut z = vec![f64::NAN; n];
+        s.step_rows(0, &inv_diag, &r, &kz, None, &mut d, &mut z);
+        for i in 0..n {
+            let z0 = 0.25 * inv_diag[i] * r[i];
+            assert_eq!(s.seed(inv_diag[i], r[i]).to_bits(), z0.to_bits());
+            let want_d = 0.375 * z0 + 1.25 * (inv_diag[i] * (r[i] - kz[i]));
+            assert_eq!(d[i].to_bits(), want_d.to_bits());
+            assert_eq!(z[i].to_bits(), (z0 + want_d).to_bits());
+        }
+    }
+
+    #[test]
+    fn fused_poly_step_matches_unfused_sweeps() {
+        let n = 321;
+        let (a, b) = (0.375, 1.25);
+        let s = PolySchedule {
+            scale0: 1.0,
+            steps: vec![(a, b), (a, b), (0.0, b)],
+        };
+        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / (3.0 + (i % 3) as f64)).collect();
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let kz: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.1 - 0.5).collect();
+        let d0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).sin()).collect();
+        let z0: Vec<f64> = (0..n).map(|i| 1.0 - (i % 4) as f64 * 0.3).collect();
+        let mut d = d0.clone();
+        let mut z = vec![f64::NAN; n];
+        s.step_rows(1, &inv_diag, &r, &kz, Some(&z0), &mut d, &mut z);
+        for i in 0..n {
+            let resid = inv_diag[i] * (r[i] - kz[i]);
+            let want_d = a * d0[i] + b * resid;
+            let want_z = z0[i] + want_d;
+            assert_eq!(d[i].to_bits(), want_d.to_bits());
+            assert_eq!(z[i].to_bits(), want_z.to_bits());
+        }
+        // Newton instance: a = 0 drops the previous difference entirely
+        // (still multiplied, so finite stale data keeps the check exact).
+        let mut dn = d0.clone();
+        let mut zn = vec![f64::NAN; n];
+        s.step_rows(2, &inv_diag, &r, &kz, Some(&z0), &mut dn, &mut zn);
+        for i in 0..n {
+            let want_d = 0.0 * d0[i] + b * (inv_diag[i] * (r[i] - kz[i]));
+            assert_eq!(dn[i].to_bits(), want_d.to_bits());
+        }
+        // The banks alternate so the last of the three steps writes z.
+        let banks: Vec<bool> = (0..3).map(|j| s.step_writes_z(j)).collect();
+        assert_eq!(banks, [true, false, true]);
+    }
+
+    #[test]
+    fn jacobi_spectrum_interval_of_laplacian() {
+        // D⁻¹K for tridiag(-1,2,-1): eigenvalues 1 − cos(kπ/(n+1)) ∈ (0, 2).
+        let n = 32;
+        let a = laplacian(n);
+        let est = jacobi_spectrum(&a, &checked_inv_diag(&a).unwrap()).unwrap();
+        let (lo, hi) = (est.min, est.max);
+        let h = std::f64::consts::PI / (n as f64 + 1.0);
+        let exact_lo = 1.0 - h.cos();
+        let exact_hi = 1.0 + h.cos();
+        assert!(lo > 0.0 && lo < exact_lo * 2.0, "lo {lo} vs {exact_lo}");
+        assert!(
+            hi > exact_hi * 0.98 && hi < exact_hi * 1.1,
+            "hi {hi} vs {exact_hi}"
+        );
+    }
+
+    #[test]
+    fn jacobi_rejects_zero_diagonal() {
+        let mut c = CooMatrix::new(2, 2);
+        c.push(0, 0, 1.0).unwrap();
+        c.push_sym(0, 1, 1.0).unwrap();
+        c.push(1, 1, 0.0).unwrap();
+        assert!(matches!(
+            PolynomialPreconditioner::chebyshev(c.to_csr(), 2),
+            Err(SparseError::ZeroDiagonal { row: 1 })
+        ));
+    }
+
+    #[test]
     fn newton_apply_matches_manual_richardson() {
         let a = laplacian(24);
         let pre = PolynomialPreconditioner::newton(a.clone(), 3).unwrap();
-        let omega = pre.schedule().scale0();
+        let omega = pre.schedule().scale0;
         let inv_diag: Vec<f64> = a.diag().unwrap().iter().map(|d| 1.0 / d).collect();
         let r: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
         let mut z = vec![0.0; 24];

@@ -6,20 +6,17 @@
 //! on `b` so the m-step Horner recurrence
 //! `w_s = G w_{s−1} + α_{m−s} P⁻¹ r` (§2.2) reuses it directly.
 //!
-//! Implementations here:
-//! * [`JacobiSplitting`] — `P = diag(K)`; unparametrized m-step use
-//!   reproduces the truncated Neumann series preconditioner of
-//!   Dubois–Greenbaum–Rodrigue (1979),
-//! * [`NaturalSsorSplitting`] — SSOR(ω) in the natural (sequential)
-//!   ordering; the baseline the multicolor ordering competes with.
+//! Implemented here by [`NaturalSsorSplitting`] — SSOR(ω) in the natural
+//! (sequential) ordering, the baseline the multicolor ordering competes
+//! with. The multicolor SSOR splitting lives in [`crate::ssor`].
 //!
-//! The multicolor SSOR splitting lives in [`crate::ssor`].
+//! A polynomial in the Jacobi splitting (`P = diag(K)`) is not an m-step
+//! splitting here: [`crate::poly::PolynomialPreconditioner`] evaluates
+//! that space with the Newton or Chebyshev recurrence.
 
-use crate::poly::jacobi_spectrum;
 use mspcg_sparse::lanczos::power_spectral_radius;
 use mspcg_sparse::op::by_column;
-use mspcg_sparse::{CsrMatrix, SparseError, SparseOp};
-use std::cell::RefCell;
+use mspcg_sparse::{CsrMatrix, SparseError};
 
 /// A convergent splitting `K = P − Q` with SPD `P`.
 pub trait Splitting {
@@ -96,95 +93,12 @@ pub trait Splitting {
         });
     }
 
-    /// Estimated interval `[λ₁, λₙ]` containing the spectrum of `P⁻¹K`.
-    ///
-    /// Default: power iteration for `ρ(G)` and the generic bracket
-    /// `[1 − ρ, 1 + ρ]` (eigenvalues of `P⁻¹K = I − G`). Splittings with
-    /// sharper theory (SSOR: `σ(G) ⊆ [0, ρ]` hence `λₙ = 1`) override this.
+    /// Estimated interval `[λ₁, λₙ]` containing the spectrum of `P⁻¹K`,
+    /// from `iters` steps of an eigenvalue estimate.
     ///
     /// # Errors
     /// Propagates eigen-estimation failures.
-    fn spectrum_interval(&self, iters: usize) -> Result<(f64, f64), SparseError> {
-        let n = self.dim();
-        let rho = power_spectral_radius(n, iters, 0x5EED, |x, y| {
-            y.copy_from_slice(x);
-            self.step(0.0, x, y);
-        })?;
-        let rho = rho.min(0.999_999);
-        Ok(((1.0 - rho).max(1e-12), 1.0 + rho))
-    }
-}
-
-/// `P = diag(K)` — the Jacobi (point) splitting, over any operator format
-/// (the step is one SpMV plus a pointwise diagonal solve, so it needs
-/// nothing from the storage beyond [`SparseOp::mul_vec_into`] and the
-/// [`SparseOp::diag_into`] hook).
-#[derive(Debug)]
-pub struct JacobiSplitting<A: SparseOp = CsrMatrix> {
-    a: A,
-    inv_diag: Vec<f64>,
-    scratch: RefCell<Vec<f64>>,
-}
-
-impl<A: SparseOp + Clone> JacobiSplitting<A> {
-    /// Build from an SPD matrix in any [`SparseOp`] format.
-    ///
-    /// # Errors
-    /// [`SparseError::NotSquare`] or [`SparseError::ZeroDiagonal`].
-    pub fn new(a: &A) -> Result<Self, SparseError> {
-        let (rows, cols) = a.dims();
-        if rows != cols {
-            return Err(SparseError::NotSquare { rows, cols });
-        }
-        let mut diag = vec![0.0; rows];
-        a.diag_into(&mut diag);
-        let mut inv_diag = Vec::with_capacity(diag.len());
-        for (i, &d) in diag.iter().enumerate() {
-            if d <= 0.0 || !d.is_finite() {
-                return Err(SparseError::ZeroDiagonal { row: i });
-            }
-            inv_diag.push(1.0 / d);
-        }
-        Ok(JacobiSplitting {
-            a: a.clone(),
-            inv_diag,
-            scratch: RefCell::new(vec![0.0; diag.len()]),
-        })
-    }
-}
-
-impl<A: SparseOp> JacobiSplitting<A> {
-    /// The underlying matrix.
-    pub fn matrix(&self) -> &A {
-        &self.a
-    }
-}
-
-impl<A: SparseOp> Splitting for JacobiSplitting<A> {
-    fn dim(&self) -> usize {
-        self.a.rows()
-    }
-
-    fn step(&self, scale: f64, b: &[f64], x: &mut [f64]) {
-        assert_eq!(b.len(), self.dim(), "jacobi step: b length mismatch");
-        assert_eq!(x.len(), self.dim(), "jacobi step: x length mismatch");
-        let mut t = self.scratch.borrow_mut();
-        // t = K x; x_i ← x_i + (scale·b_i − t_i)/d_i.
-        self.a.mul_vec_into(x, &mut t);
-        for i in 0..x.len() {
-            x[i] += (scale * b[i] - t[i]) * self.inv_diag[i];
-        }
-    }
-
-    /// The interval of `σ(D⁻¹K)` that [`jacobi_spectrum`] estimates: the
-    /// extremes of a [`crate::poly::SPECTRUM_STEPS`]-step Lanczos run on
-    /// the similar symmetric operator `D^{-1/2} K D^{-1/2}`, each end
-    /// widened relative to itself, so a small `λ₁` keeps its order of
-    /// magnitude. That step budget replaces `iters`.
-    fn spectrum_interval(&self, _iters: usize) -> Result<(f64, f64), SparseError> {
-        let est = jacobi_spectrum(&self.a, &self.inv_diag)?;
-        Ok((est.min, est.max))
-    }
+    fn spectrum_interval(&self, iters: usize) -> Result<(f64, f64), SparseError>;
 }
 
 /// SSOR(ω) in the natural ordering — sequential forward + backward
@@ -219,11 +133,6 @@ impl NaturalSsorSplitting {
             diag,
             omega,
         })
-    }
-
-    /// The relaxation parameter.
-    pub fn omega(&self) -> f64 {
-        self.omega
     }
 
     fn sweep(&self, scale: f64, b: &[f64], x: &mut [f64], reverse: bool) {
@@ -296,23 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_iteration_converges_to_solution() {
-        let a = laplacian(8);
-        let x_true: Vec<f64> = (0..8).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b = a.mul_vec(&x_true);
-        let s = JacobiSplitting::new(&a).unwrap();
-        let x = converge(&s, &b, 2000);
-        for (u, v) in x.iter().zip(&x_true) {
-            assert!((u - v).abs() < 1e-8);
-        }
-    }
-
-    #[test]
     fn ssor_iteration_converges_faster_than_jacobi() {
         let a = laplacian(16);
         let x_true: Vec<f64> = (0..16).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let b = a.mul_vec(&x_true);
-        let jac = JacobiSplitting::new(&a).unwrap();
         let ssor = NaturalSsorSplitting::new(&a, 1.0).unwrap();
         let err = |x: &[f64]| -> f64 {
             x.iter()
@@ -320,7 +216,14 @@ mod tests {
                 .map(|(u, v)| (u - v).abs())
                 .fold(0.0, f64::max)
         };
-        let xj = converge(&jac, &b, 100);
+        // Jacobi: x ← x + D⁻¹(b − K x), with D = 2I.
+        let mut xj = vec![0.0; 16];
+        for _ in 0..100 {
+            let kx = a.mul_vec(&xj);
+            for i in 0..16 {
+                xj[i] += (b[i] - kx[i]) / 2.0;
+            }
+        }
         let xs = converge(&ssor, &b, 100);
         assert!(
             err(&xs) < err(&xj),
@@ -345,7 +248,7 @@ mod tests {
     #[test]
     fn msolve_with_unit_alphas_equals_m_steps() {
         let a = laplacian(6);
-        let s = JacobiSplitting::new(&a).unwrap();
+        let s = NaturalSsorSplitting::new(&a, 1.0).unwrap();
         let r: Vec<f64> = (0..6).map(|i| (i as f64).cos()).collect();
         let mut z = vec![0.0; 6];
         s.msolve(&[1.0, 1.0, 1.0], &r, &mut z);
@@ -358,7 +261,7 @@ mod tests {
     #[test]
     fn msolve_single_alpha_scales_p_inverse() {
         let a = laplacian(5);
-        let s = JacobiSplitting::new(&a).unwrap();
+        let s = NaturalSsorSplitting::new(&a, 1.0).unwrap();
         let r = vec![1.0; 5];
         let mut z = vec![0.0; 5];
         s.msolve(&[2.0], &r, &mut z);
@@ -367,23 +270,6 @@ mod tests {
         for (u, v) in z.iter().zip(&p) {
             assert!((u - 2.0 * v).abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn jacobi_spectrum_interval_of_laplacian() {
-        // D⁻¹K for tridiag(-1,2,-1): eigenvalues 1 − cos(kπ/(n+1)) ∈ (0, 2).
-        let n = 32;
-        let a = laplacian(n);
-        let s = JacobiSplitting::new(&a).unwrap();
-        let (lo, hi) = s.spectrum_interval(32).unwrap();
-        let h = std::f64::consts::PI / (n as f64 + 1.0);
-        let exact_lo = 1.0 - h.cos();
-        let exact_hi = 1.0 + h.cos();
-        assert!(lo > 0.0 && lo < exact_lo * 2.0, "lo {lo} vs {exact_lo}");
-        assert!(
-            hi > exact_hi * 0.98 && hi < exact_hi * 1.1,
-            "hi {hi} vs {exact_hi}"
-        );
     }
 
     #[test]
@@ -401,14 +287,5 @@ mod tests {
         assert!(NaturalSsorSplitting::new(&a, 0.0).is_err());
         assert!(NaturalSsorSplitting::new(&a, 2.0).is_err());
         assert!(NaturalSsorSplitting::new(&a, 1.99).is_ok());
-    }
-
-    #[test]
-    fn jacobi_rejects_zero_diagonal() {
-        let mut c = CooMatrix::new(2, 2);
-        c.push(0, 0, 1.0).unwrap();
-        c.push_sym(0, 1, 1.0).unwrap();
-        c.push(1, 1, 0.0).unwrap();
-        assert!(JacobiSplitting::new(&c.to_csr()).is_err());
     }
 }

@@ -78,13 +78,15 @@
 //! (Newton or Chebyshev on the Lanczos-estimated spectrum of the
 //! Jacobi-scaled operator): `z = p(D⁻¹K)·D⁻¹r` evaluated as `k` fused
 //! SpMV phases, **one full barrier each and zero color sweeps** — the
-//! msolve term drops from `m·(2C−1)` to `k`. The recurrence seed is
-//! folded into the first SpMV (accumulated on the fly from the msolve
-//! input), the `(z, r)` partial and `p⁰` copy into the last, and the
-//! iterate banks alternate between the caller's vector and one scratch
-//! bank so a phase's cross-strip SpMV reads never race the next phase's
-//! writes. The exact-formula counter test pins the
-//! resulting schedule: `k + 3` barriers per iteration.
+//! msolve term drops from `m·(2C−1)` to `k`. Each phase runs the pool
+//! path's step kernel, [`PolySchedule::step_rows`], on the worker's
+//! strip. The recurrence seed ([`PolySchedule::seed`]) is folded into the
+//! first SpMV (accumulated on the fly from the msolve input), the
+//! `(z, r)` partial and `p⁰` copy into the last, and the iterate banks
+//! alternate between the caller's vector and one scratch bank
+//! ([`PolySchedule::step_writes_z`]) so a phase's cross-strip SpMV reads
+//! never race the next phase's writes. The exact-formula counter test
+//! pins the resulting schedule: `k + 3` barriers per iteration.
 //!
 //! ## `Auto`: the paper's parametrized m-step SSOR
 //!
@@ -268,18 +270,17 @@ impl OwnedRows {
 pub struct ParallelMStepPcg {
     /// The color-blocked matrix, its partition and the sweep split.
     table: SweepTable,
-    alphas: Vec<f64>,
-    /// Polynomial msolve configuration (barrier-free alternative to the
-    /// SSOR sweeps; mutually exclusive with nonempty `alphas`).
-    poly: Option<ParPoly>,
+    msolve: Msolve,
 }
 
-/// The polynomial msolve's precomputed schedule, replicated read-only
-/// into every worker — the scalars of the serial
-/// [`mspcg_core::PolynomialPreconditioner`] over the same operator.
-struct ParPoly {
-    kind: PolyKind,
-    schedule: PolySchedule,
+/// The msolve of every iteration, read by every worker.
+enum Msolve {
+    /// The m-step SSOR sweeps with these coefficients (`alphas[i]`
+    /// multiplies `Gⁱ P⁻¹`); none is plain CG's copy `z ← r`.
+    Ssor(Vec<f64>),
+    /// The barrier-free polynomial: the schedule of the pool-path
+    /// [`mspcg_core::PolynomialPreconditioner`] over the same operator.
+    Poly(PolyKind, PolySchedule),
 }
 
 impl ParallelMStepPcg {
@@ -312,8 +313,7 @@ impl ParallelMStepPcg {
     ) -> Result<Self, SparseError> {
         Ok(ParallelMStepPcg {
             table: SweepTable::new(Arc::new(matrix.try_csr_copy()?), colors)?,
-            alphas,
-            poly: None,
+            msolve: Msolve::Ssor(alphas),
         })
     }
 
@@ -357,43 +357,44 @@ impl ParallelMStepPcg {
         selection: PrecondKind,
     ) -> Result<Self, SparseError> {
         let mut base = Self::shared(matrix, Arc::new(colors.clone()), Vec::new())?;
-        match resolve_precond(matrix, Some(&base.table), m_default, selection)? {
-            ResolvedPrecond::MStepSsor { alphas, .. } => base.alphas = alphas,
+        base.msolve = match resolve_precond(matrix, Some(&base.table), m_default, selection)? {
+            ResolvedPrecond::MStepSsor { alphas, .. } => Msolve::Ssor(alphas),
             ResolvedPrecond::Poly {
                 kind,
                 degree,
                 interval,
-            } => {
-                let schedule = PolySchedule::new(kind, interval.min, interval.max, degree)?;
-                base.poly = Some(ParPoly { kind, schedule });
-            }
-        }
+            } => Msolve::Poly(
+                kind,
+                PolySchedule::new(kind, interval.min, interval.max, degree)?,
+            ),
+        };
         Ok(base)
     }
 
     /// The preconditioner this instance applies — never
     /// [`PrecondKind::Auto`]; `MStepSsor { m: 0 }` is plain CG.
     pub fn precond(&self) -> PrecondKind {
-        match &self.poly {
-            Some(p) => PrecondKind::Poly {
-                kind: p.kind,
-                degree: p.schedule.degree(),
-            },
-            None => PrecondKind::MStepSsor {
-                m: self.alphas.len(),
+        match &self.msolve {
+            Msolve::Ssor(alphas) => PrecondKind::MStepSsor { m: alphas.len() },
+            Msolve::Poly(kind, schedule) => PrecondKind::Poly {
+                kind: *kind,
+                degree: schedule.degree(),
             },
         }
     }
 
-    /// Number of preconditioner steps (0 = plain CG).
+    /// Number of m-step SSOR steps (0 for plain CG and the polynomial).
     pub fn m(&self) -> usize {
-        self.alphas.len()
+        self.alphas().len()
     }
 
     /// The m-step SSOR coefficients (`alphas[i]` multiplies `Gⁱ P⁻¹`;
     /// empty for plain CG and the polynomial msolve).
     pub fn alphas(&self) -> &[f64] {
-        &self.alphas
+        match &self.msolve {
+            Msolve::Ssor(alphas) => alphas,
+            Msolve::Poly(..) => &[],
+        }
     }
 
     /// System dimension.
@@ -471,7 +472,7 @@ impl ParallelMStepPcg {
         }
         let threads = self.resolve_threads(opts.threads);
         let owned = OwnedRows::map(self.table.colors(), threads);
-        let v = Vectors::new(f, self.poly.is_some(), threads);
+        let v = Vectors::new(f, matches!(self.msolve, Msolve::Poly(..)), threads);
         let barrier = SpinBarrier::new(threads);
         let pcg = PcgOptions {
             tol: opts.tol,
@@ -694,22 +695,22 @@ impl Worker<'_> {
     ///   written by this worker in this or an earlier phase of the solve,
     ///   so the partial needs no extra barrier — and, on a restart
     ///   (`p0 = Some`), copies the strip into `p`.
-    fn sweep_phases(&self, p0: Option<&SharedVec>) -> f64 {
+    fn sweep_phases(&self, alphas: &[f64], p0: Option<&SharedVec>) -> f64 {
         let (solver, v) = (self.solver, self.v);
-        if solver.alphas.is_empty() {
+        if alphas.is_empty() {
             for rows in self.own.chunks() {
                 // SAFETY: `r` was finalized before the msolve began; this
                 // worker alone writes its rows of `z` this phase.
                 unsafe { v.z.write(rows.clone()).copy_from_slice(&v.r.read()[rows]) };
             }
         } else {
-            let m = solver.alphas.len();
+            let m = alphas.len();
             let (zs, ys) = (v.z.par_slice(), v.y.par_slice());
             // The ω = 1 update, without the self term.
             let update = |_, s, inv_diag| s * inv_diag;
             let mut schedule = solver.table.sweep_schedule(m, 1.0).peekable();
             while let Some((step, c, sweep)) = schedule.next() {
-                let alpha = solver.alphas[m - step];
+                let alpha = alphas[m - step];
                 // SAFETY: within a color phase every worker writes only its
                 // own chunk of the color (one writer per row) and reads `z`
                 // only in other colors, finalized before the last barrier —
@@ -742,85 +743,68 @@ impl Worker<'_> {
     /// exactly `degree` fused SpMV phases, **zero color sweeps**, up to
     /// the final phase's barrier; returns this worker's `(z, r)` partial.
     ///
-    /// Phase 1 folds the recurrence seed (`z₀ = s₀·D⁻¹r`, `d₀ = z₀`) into
-    /// the first SpMV: `K·z₀` is accumulated on the fly from the input
-    /// `r` — a cross-strip read, which every caller guarantees is
-    /// separated from the last write of `r` by a barrier (the sweep
-    /// msolve reads `r` own-strip only, so a restart that rewrites `r`
-    /// crosses one extra barrier for the polynomial). Each phase then
-    /// applies one difference step own-strip — the
-    /// `vecops::poly_step_chunk` arithmetic, term for term, so the chain
-    /// is bitwise identical to the serial
-    /// [`mspcg_core::PolynomialPreconditioner`] on identical inputs.
+    /// Each phase computes `K·zⱼ` on the worker's strip and applies
+    /// [`PolySchedule::step_rows`] to it, the pool path's kernel, so the
+    /// chain is bitwise identical to the
+    /// [`mspcg_core::PolynomialPreconditioner`] on identical inputs. Phase
+    /// 0 folds the seed into its SpMV: `K·z₀` is accumulated on the fly
+    /// from [`PolySchedule::seed`] of the input `r` — a cross-strip read,
+    /// which every caller guarantees is separated from the last write of
+    /// `r` by a barrier (the sweep msolve reads `r` own-strip only, so a
+    /// restart that rewrites `r` crosses one extra barrier for the
+    /// polynomial).
     ///
-    /// The iterate banks alternate between `z` and the scratch bank `zb`,
-    /// phased so the **final** step lands in `z` (`z` is written by phase
-    /// `j` iff `k − j` is even). A phase's SpMV reads the previous phase's
-    /// bank cross-strip; the next write of that bank is separated from
-    /// those reads by the intervening phase barrier — the same discipline
-    /// as the partial banks. The difference carry `d` and the `K·z` strip
-    /// (parked in the SSOR half-sum cache `y`, which the polynomial path
-    /// never touches) are own-strip only. The `(z, r)` partial and the
-    /// restart's `p ← z` copy fuse into the final phase before its
-    /// barrier, exactly like the sweep tail.
-    fn poly_phases(&self, poly: &ParPoly, p0: Option<&SharedVec>) -> f64 {
-        let scale0 = poly.schedule.scale0();
-        let steps = poly.schedule.steps();
-        let k = steps.len();
+    /// The iterate banks alternate between `z` and the scratch bank `zb`
+    /// ([`PolySchedule::step_writes_z`]), so the **final** step lands in
+    /// `z`. A phase's SpMV reads the previous phase's bank cross-strip;
+    /// the next write of that bank is separated from those reads by the
+    /// intervening phase barrier — the same discipline as the partial
+    /// banks. The difference carry `d` and the `K·z` strip (parked in the
+    /// SSOR half-sum cache `y`, which the polynomial path never touches)
+    /// are own-strip only. The `(z, r)` partial and the restart's `p ← z`
+    /// copy fuse into the final phase before its barrier, exactly like the
+    /// sweep tail.
+    fn poly_phases(&self, schedule: &PolySchedule, p0: Option<&SharedVec>) -> f64 {
         let v = self.v;
         let (a, inv_diag) = (self.solver.table.matrix(), self.solver.table.inv_diag());
-        for (step, &(aj, bj)) in steps.iter().enumerate() {
-            let j = step + 1;
-            let to_z = (k - j).is_multiple_of(2);
+        let k = schedule.degree();
+        for j in 0..k {
+            let (prev, next) = if schedule.step_writes_z(j) {
+                (&v.zb, &v.z)
+            } else {
+                (&v.z, &v.zb)
+            };
             // SAFETY: this phase writes only the owned rows of `y`, `d` and
-            // its output bank; it reads `r`, finalized before the msolve
-            // began, and the other bank, finalized by the last barrier.
+            // `next`; it reads `r`, finalized before the msolve began, and
+            // `prev`, finalized by the last barrier.
             unsafe {
-                let rv = v.r.read();
-                let prev = if to_z { v.zb.read() } else { v.z.read() };
+                let (rv, prev) = (v.r.read(), prev.read());
                 for rows in self.own.chunks() {
                     let kz = v.y.write(rows.clone());
-                    if j == 1 {
-                        // kz = K·z₀ with z₀ = scale₀·D⁻¹r formed on the
-                        // fly (the same expression as the seed below, so
-                        // the virtual z₀ is consistent across both uses).
+                    if j == 0 {
                         for (o, i) in rows.clone().enumerate() {
                             let mut acc = 0.0;
                             for e in a.row_ptr()[i]..a.row_ptr()[i + 1] {
                                 let c = a.col_idx()[e] as usize;
-                                acc += a.values()[e] * (scale0 * inv_diag[c] * rv[c]);
+                                acc += a.values()[e] * schedule.seed(inv_diag[c], rv[c]);
                             }
                             kz[o] = acc;
                         }
                     } else {
                         a.mul_vec_range_into(prev, kz, rows.clone());
                     }
-                    let dv = v.d.write(rows.clone());
-                    let out = if to_z {
-                        v.z.write(rows.clone())
-                    } else {
-                        v.zb.write(rows.clone())
-                    };
-                    if j == 1 {
-                        // Seed and first step in one own-strip pass.
-                        for (o, i) in rows.enumerate() {
-                            let zi = scale0 * inv_diag[i] * rv[i];
-                            let resid = inv_diag[i] * (rv[i] - kz[o]);
-                            let di = aj * zi + bj * resid;
-                            dv[o] = di;
-                            out[o] = zi + di;
-                        }
-                    } else {
-                        for (o, i) in rows.enumerate() {
-                            let resid = inv_diag[i] * (rv[i] - kz[o]);
-                            let di = aj * dv[o] + bj * resid;
-                            dv[o] = di;
-                            out[o] = prev[i] + di;
-                        }
-                    }
+                    schedule.step_rows(
+                        j,
+                        &inv_diag[rows.clone()],
+                        &rv[rows.clone()],
+                        kz,
+                        (j > 0).then(|| &prev[rows.clone()]),
+                        v.d.write(rows.clone()),
+                        next.write(rows),
+                    );
                 }
             }
-            if j < k {
+            if j + 1 < k {
                 self.barrier.wait();
             }
         }
@@ -836,8 +820,10 @@ impl Executor<1> for Worker<'_> {
     }
 
     fn msolve_steps(&self) -> usize {
-        let poly = self.solver.poly.as_ref();
-        poly.map_or(self.solver.alphas.len(), |p| p.schedule.degree())
+        match &self.solver.msolve {
+            Msolve::Ssor(alphas) => alphas.len(),
+            Msolve::Poly(_, schedule) => schedule.degree(),
+        }
     }
 
     /// `kp ← K·p` ⊕ the `(p, Kp)` partial: the strip of `kp` this worker
@@ -900,9 +886,9 @@ impl Executor<1> for Worker<'_> {
     fn msolve(&mut self, _cols: &[bool; 1], restart: bool) -> [f64; 1] {
         let v = self.v;
         let p0 = restart.then_some(&v.p);
-        let partial = match &self.solver.poly {
-            Some(poly) => self.poly_phases(poly, p0),
-            None => self.sweep_phases(p0),
+        let partial = match &self.solver.msolve {
+            Msolve::Ssor(alphas) => self.sweep_phases(alphas, p0),
+            Msolve::Poly(_, schedule) => self.poly_phases(schedule, p0),
         };
         let rz = self.sum(partial);
         if let Some((index, kind)) = self.fire(FaultTarget::Msolve, self.completed) {
@@ -967,7 +953,7 @@ impl Executor<1> for Worker<'_> {
         }
         match to {
             TrueResidual::Restart => {
-                if self.solver.poly.is_some() {
+                if let Msolve::Poly(..) = self.solver.msolve {
                     self.barrier.wait();
                 }
                 0.0

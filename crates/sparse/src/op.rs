@@ -205,7 +205,7 @@ pub trait SparseOp: Sync {
     }
 
     /// Write the main diagonal into `out` (`0.0` where unstored) — the
-    /// hook Jacobi-type splittings build from.
+    /// hook the Jacobi-scaled polynomial preconditioner builds from.
     ///
     /// # Panics
     /// Panics if `out.len() != rows()`.

@@ -141,9 +141,14 @@ pub fn dot_block<const W: usize>(x: &[f64], y: &[f64]) -> [f64; W] {
 
 /// Distribute an elementwise update of `W` interleaved columns over the
 /// fixed chunk layout of its `n` rows: `body(lo, hi, yc)` updates rows
-/// `lo..hi`, whose elements `yc` holds.
+/// `lo..hi`, whose elements `yc` holds — serially, or chunk by chunk on
+/// the pool from [`tuning::par_min_elems`] rows on. Every elementwise
+/// kernel here and the polynomial preconditioner's passes run through it.
+///
+/// # Panics
+/// If `y` holds fewer than `W·n` values.
 #[inline]
-fn elementwise<const W: usize>(
+pub fn elementwise<const W: usize>(
     n: usize,
     y: &mut [f64],
     body: impl Fn(usize, usize, &mut [f64]) + Sync,
@@ -603,152 +608,6 @@ pub fn fused_xpby_dot_block<const W: usize>(
     })
 }
 
-/// One chunk of the polynomial-preconditioner seed and step kernels —
-/// shared by the serial entry points below and by the SPMD solver's
-/// own-strip phases, so both paths run bitwise-identical per-element
-/// arithmetic.
-#[inline]
-pub fn poly_seed_chunk(scale: f64, inv_diag: &[f64], r: &[f64], z: &mut [f64], d: &mut [f64]) {
-    for i in 0..r.len() {
-        let zi = scale * inv_diag[i] * r[i];
-        z[i] = zi;
-        d[i] = zi;
-    }
-}
-
-/// Seed of the polynomial preconditioner recurrence: in one pass,
-/// `z ← scale·D⁻¹·r` and `d ← z` — the degree-0 iterate and its first
-/// difference. Chunk deterministic like every elementwise kernel here
-/// (disjoint chunk writes, per-element arithmetic independent of the
-/// layout).
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-pub fn fused_poly_seed(scale: f64, inv_diag: &[f64], r: &[f64], z: &mut [f64], d: &mut [f64]) {
-    let n = r.len();
-    assert_eq!(inv_diag.len(), n, "fused_poly_seed: diag length mismatch");
-    assert_eq!(z.len(), n, "fused_poly_seed: z length mismatch");
-    assert_eq!(d.len(), n, "fused_poly_seed: d length mismatch");
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    if threads <= 1 {
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            poly_seed_chunk(
-                scale,
-                &inv_diag[lo..hi],
-                &r[lo..hi],
-                &mut z[lo..hi],
-                &mut d[lo..hi],
-            );
-        }
-        return;
-    }
-    let zs = par::ParSlice::new(z);
-    let ds = par::ParSlice::new(d);
-    par::for_each_chunk(nchunks, threads, &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        // SAFETY: chunks are disjoint and each claimed exactly once.
-        unsafe {
-            poly_seed_chunk(
-                scale,
-                &inv_diag[lo..hi],
-                &r[lo..hi],
-                zs.slice_mut(lo..hi),
-                ds.slice_mut(lo..hi),
-            );
-        }
-    });
-}
-
-/// One chunk of the fused polynomial step — see [`fused_poly_step`].
-#[inline]
-pub fn poly_step_chunk(
-    a: f64,
-    b: f64,
-    inv_diag: &[f64],
-    r: &[f64],
-    kz: &[f64],
-    d: &mut [f64],
-    z: &mut [f64],
-) {
-    for i in 0..r.len() {
-        let resid = inv_diag[i] * (r[i] - kz[i]);
-        let di = a * d[i] + b * resid;
-        d[i] = di;
-        z[i] += di;
-    }
-}
-
-/// One degree of the polynomial preconditioner recurrence, fused into a
-/// single pass: with `kz = K·z` already computed,
-///
-/// ```text
-/// d ← a·d + b·D⁻¹(r − kz),    z ← z + d.
-/// ```
-///
-/// Both the Newton (Richardson: `a = 0`) and Chebyshev (three-term)
-/// recurrences are instances — the polynomial preconditioner application
-/// is exactly `k` SpMVs interleaved with `k` of these sweeps, no other
-/// vector traffic (the `fused_spmv_xpby`-shaped kernel the degree-k chain
-/// needs). Chunk deterministic; disjoint chunk writes, no reductions.
-///
-/// # Panics
-/// Panics if the six slices differ in length.
-pub fn fused_poly_step(
-    a: f64,
-    b: f64,
-    inv_diag: &[f64],
-    r: &[f64],
-    kz: &[f64],
-    d: &mut [f64],
-    z: &mut [f64],
-) {
-    let n = r.len();
-    assert_eq!(inv_diag.len(), n, "fused_poly_step: diag length mismatch");
-    assert_eq!(kz.len(), n, "fused_poly_step: kz length mismatch");
-    assert_eq!(d.len(), n, "fused_poly_step: d length mismatch");
-    assert_eq!(z.len(), n, "fused_poly_step: z length mismatch");
-    let (chunk, nchunks) = par::reduction_layout(n);
-    let threads = par::threads_for(n, tuning::par_min_elems());
-    if threads <= 1 {
-        for c in 0..nchunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            poly_step_chunk(
-                a,
-                b,
-                &inv_diag[lo..hi],
-                &r[lo..hi],
-                &kz[lo..hi],
-                &mut d[lo..hi],
-                &mut z[lo..hi],
-            );
-        }
-        return;
-    }
-    let ds = par::ParSlice::new(d);
-    let zs = par::ParSlice::new(z);
-    par::for_each_chunk(nchunks, threads, &|c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        // SAFETY: chunks are disjoint and each claimed exactly once.
-        unsafe {
-            poly_step_chunk(
-                a,
-                b,
-                &inv_diag[lo..hi],
-                &r[lo..hi],
-                &kz[lo..hi],
-                ds.slice_mut(lo..hi),
-                zs.slice_mut(lo..hi),
-            );
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,52 +858,5 @@ mod tests {
         let mut rr = vec![1.0, f64::INFINITY, 3.0, 4.0];
         let norms = fused_axpy_axpy_norm(alpha, &[1.0; 4], &[1.0; 4], &mut u, &mut rr);
         assert!(!norms.all_finite(), "Inf residual element must surface");
-    }
-
-    #[test]
-    fn fused_poly_seed_matches_elementwise() {
-        let n = 533;
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / (2.0 + (i % 5) as f64)).collect();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut z = vec![f64::NAN; n]; // overwritten, stale values must not leak
-        let mut d = vec![f64::NAN; n];
-        fused_poly_seed(0.25, &inv_diag, &r, &mut z, &mut d);
-        for i in 0..n {
-            let want = 0.25 * inv_diag[i] * r[i];
-            assert_eq!(z[i].to_bits(), want.to_bits());
-            assert_eq!(d[i].to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn fused_poly_step_matches_unfused_sweeps() {
-        let n = 321;
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / (3.0 + (i % 3) as f64)).collect();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let kz: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.1 - 0.5).collect();
-        let d0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).sin()).collect();
-        let z0: Vec<f64> = (0..n).map(|i| 1.0 - (i % 4) as f64 * 0.3).collect();
-        let (a, b) = (0.375, 1.25);
-        let mut d = d0.clone();
-        let mut z = z0.clone();
-        fused_poly_step(a, b, &inv_diag, &r, &kz, &mut d, &mut z);
-        for i in 0..n {
-            let resid = inv_diag[i] * (r[i] - kz[i]);
-            let want_d = a * d0[i] + b * resid;
-            let want_z = z0[i] + want_d;
-            assert_eq!(d[i].to_bits(), want_d.to_bits());
-            assert_eq!(z[i].to_bits(), want_z.to_bits());
-        }
-        // Newton instance: a = 0 drops the previous difference entirely.
-        let mut dn = vec![f64::NAN; n];
-        let mut zn = z0.clone();
-        // NaN·0 would poison; the kernel must still multiply (a·d), so use
-        // finite stale data to check the a = 0 arithmetic stays exact.
-        dn.copy_from_slice(&d0);
-        fused_poly_step(0.0, b, &inv_diag, &r, &kz, &mut dn, &mut zn);
-        for i in 0..n {
-            let want_d = 0.0 * d0[i] + b * (inv_diag[i] * (r[i] - kz[i]));
-            assert_eq!(dn[i].to_bits(), want_d.to_bits());
-        }
     }
 }

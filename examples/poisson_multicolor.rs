@@ -1,16 +1,20 @@
 //! Generality beyond elasticity: the 5-point Poisson problem with a
 //! red/black (2-color) ordering, comparing the m-step SSOR preconditioner
-//! against the m-step Jacobi family — including the truncated Neumann
-//! series of Dubois–Greenbaum–Rodrigue (1979) and the polynomial
-//! preconditioner of Johnson–Micchelli–Paul (1982) that §2.2 builds on.
+//! against polynomials in the Jacobi-scaled operator `D⁻¹K` — the space
+//! of the truncated Neumann series of Dubois–Greenbaum–Rodrigue (1979) and
+//! the polynomial preconditioner of Johnson–Micchelli–Paul (1982) that
+//! §2.2 builds on — as the Newton (damped Neumann) and Chebyshev (min-max)
+//! recurrences at 1, 2 and 4 SpMVs per application.
 //!
 //! ```sh
 //! cargo run --release --example poisson_multicolor [n]
 //! ```
 
-use mspcg::core::mstep::{MStepJacobiPreconditioner, MStepSsorPreconditioner};
+use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::pcg::{cg_solve, pcg_solve, PcgOptions};
+use mspcg::core::poly::PolynomialPreconditioner;
 use mspcg::fem::poisson::poisson5;
+use mspcg::sparse::PolyKind;
 
 fn main() {
     let n = std::env::args()
@@ -36,15 +40,20 @@ fn main() {
     let cg = cg_solve(&matrix, &rhs, &opts).expect("CG");
     println!("none (plain CG)                      {:6}", cg.iterations);
 
-    for m in [1usize, 2, 4] {
-        let neumann = MStepJacobiPreconditioner::neumann(&matrix, m).expect("neumann");
-        let sn = pcg_solve(&matrix, &rhs, &neumann, &opts).expect("PCG");
-        println!("{m}-step Jacobi (truncated Neumann)    {:6}", sn.iterations);
-    }
-    for m in [2usize, 4] {
-        let jmp = MStepJacobiPreconditioner::parametrized_jacobi(&matrix, m).expect("jmp");
-        let sj = pcg_solve(&matrix, &rhs, &jmp, &opts).expect("PCG");
-        println!("{m}-step Jacobi (parametrized, JMP)    {:6}", sj.iterations);
+    // One Lanczos estimate of σ(D⁻¹K) serves every polynomial below.
+    let first = PolynomialPreconditioner::newton(matrix.clone(), 1).expect("newton");
+    for (kind, name) in [
+        (PolyKind::Newton, "Newton"),
+        (PolyKind::Chebyshev, "Chebyshev"),
+    ] {
+        for k in [1usize, 2, 4] {
+            let poly =
+                PolynomialPreconditioner::with_interval(matrix.clone(), kind, k, first.interval())
+                    .expect("polynomial");
+            let sp = pcg_solve(&matrix, &rhs, &poly, &opts).expect("PCG");
+            let label = format!("{k}-SpMV {name} polynomial (Jacobi)");
+            println!("{label:<37}{:6}", sp.iterations);
+        }
     }
     for m in [1usize, 2, 4] {
         let ssor =

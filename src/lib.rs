@@ -117,9 +117,11 @@
 //!   *color structure itself* is the synchronization bill.
 //!   `mspcg::core::poly::PolynomialPreconditioner` replaces the sweeps
 //!   with `z = p(G)·D⁻¹r`, `G = D⁻¹K`, evaluated as a degree-`k` chain of
-//!   fused SpMV + BLAS-1 kernels (`vecops::fused_poly_seed` /
-//!   `fused_poly_step`): **`k` barriers per application, zero color
-//!   sweeps**, allocation-free after setup (`scratch_len`/`apply_with`),
+//!   SpMVs, each followed by one fused pass over the rows
+//!   (`core::poly::PolySchedule::step_rows`, the one definition of the
+//!   seed and step arithmetic, which the SPMD workers run on their strips
+//!   too): **`k` barriers per application, zero color sweeps**,
+//!   allocation-free after setup (`scratch_len`/`apply_with`),
 //!   generic over `SparseOp`, and bitwise identical across thread counts
 //!   and storage formats. The coefficient schedule (Chebyshev min-max on
 //!   the estimated interval, or Newton/scaled-Richardson) is built once
@@ -129,7 +131,12 @@
 //!   SPMD `ParallelMStepPcg::poly` msolve — `k` fused SpMV phases, whose
 //!   exact barrier and reduction formulas (table above) are pinned by
 //!   counter tests. The conformance and fault harnesses run the
-//!   polynomial msolve on both executors.
+//!   polynomial msolve on both executors. It is the one polynomial in the
+//!   Jacobi splitting: the m-step Jacobi family (truncated Neumann,
+//!   least-squares) spanned the same space in Horner form and is gone —
+//!   min-max m-step Jacobi at m = 4 took exactly the iterations of
+//!   Chebyshev degree 3 for one more SpMV per application, and Neumann
+//!   m = 2 is indefinite on the plates.
 //! * **`Auto` is the paper's parametrized m-step SSOR** — selection is
 //!   `PrecondKind::{Auto, MStepSsor, Poly}` on the auto constructors
 //!   (`core::poly::auto_preconditioner`, `ParallelMStepPcg::auto`), which

@@ -6,7 +6,7 @@
 //! entry point shares.
 
 use mspcg::coloring::Coloring;
-use mspcg::core::mstep::{MStepJacobiPreconditioner, MStepSsorPreconditioner};
+use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, SolveStatus};
 use mspcg::core::pcg::{
     pcg_solve, pcg_solve_into, pcg_try_solve_into, PcgOptions, PcgWorkspace, StoppingCriterion,
@@ -290,7 +290,6 @@ fn spectrum_fits_on_an_empty_system_are_errors_and_auto_falls_back() {
     // operator has none.
     no_spectrum(MStepSsorPreconditioner::parametrized(&a, &colors, 2).map(drop));
     no_spectrum(MStepSsorPreconditioner::parametrized_minimax(&a, &colors, 2).map(drop));
-    no_spectrum(MStepJacobiPreconditioner::parametrized_jacobi(&a, 2).map(drop));
     no_spectrum(PolynomialPreconditioner::chebyshev(a.clone(), 2).map(drop));
     let chebyshev = PrecondKind::Poly {
         kind: PolyKind::Chebyshev,

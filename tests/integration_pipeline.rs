@@ -2,12 +2,19 @@
 //! PCG → solution, validated against dense direct solves and against each
 //! other across orderings and preconditioners.
 
-use mspcg::core::mstep::{MStep, MStepJacobiPreconditioner, MStepSsorPreconditioner};
-use mspcg::core::pcg::{cg_solve, pcg_solve, PcgOptions, StoppingCriterion};
-use mspcg::core::preconditioner::Preconditioner;
-use mspcg::core::splitting::{JacobiSplitting, NaturalSsorSplitting, Splitting};
+use mspcg::core::mstep::{MStep, MStepSsorPreconditioner};
+use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, SolveStatus};
+use mspcg::core::pcg::{
+    cg_solve, pcg_solve, pcg_try_solve_into, PcgOptions, PcgWorkspace, StoppingCriterion,
+};
+use mspcg::core::poly::PolynomialPreconditioner;
+use mspcg::core::preconditioner::{DiagonalPreconditioner, Preconditioner};
+use mspcg::core::splitting::{NaturalSsorSplitting, Splitting};
+use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
-use mspcg::sparse::vecops;
+use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
+use mspcg::sparse::{vecops, PolyKind, SparseError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn opts(tol: f64) -> PcgOptions {
     PcgOptions {
@@ -40,16 +47,15 @@ fn all_preconditioners_reach_the_same_solution() {
             pcg_solve(&ord.matrix, &ord.rhs, &pre, &o).unwrap().x,
         ));
     }
-    // Truncated Neumann (Jacobi) only with odd m: for this matrix
-    // λ_max(D⁻¹K) > 2, so even-m Neumann is indefinite — the
-    // Dubois–Greenbaum–Rodrigue caveat (§2.1). PCG's breakdown guard
-    // detects that; `even_neumann_is_rejected_as_indefinite` below pins it.
-    for m in [1usize, 3] {
-        let jac = MStepJacobiPreconditioner::neumann(&ord.matrix, m).unwrap();
-        solutions.push((
-            "jacobi",
-            pcg_solve(&ord.matrix, &ord.rhs, &jac, &o).unwrap().x,
-        ));
+    // Polynomials in the Jacobi-scaled D⁻¹K, both recurrences.
+    for kind in [PolyKind::Newton, PolyKind::Chebyshev] {
+        for k in [1usize, 3] {
+            let pre = PolynomialPreconditioner::new(ord.matrix.clone(), kind, k).unwrap();
+            solutions.push((
+                "poly",
+                pcg_solve(&ord.matrix, &ord.rhs, &pre, &o).unwrap().x,
+            ));
+        }
     }
     for (name, x) in &solutions {
         let err = x
@@ -62,49 +68,100 @@ fn all_preconditioners_reach_the_same_solution() {
 }
 
 #[test]
-fn even_neumann_is_rejected_as_indefinite() {
-    // λ_max(D⁻¹K) > 2 for the plate stiffness matrix, so the 2-step
-    // truncated Neumann preconditioner is indefinite; the solver must
-    // report it as a typed error rather than silently diverge.
+fn negative_alpha_is_rejected_as_indefinite_on_both_executors() {
+    // α = [−1] makes M⁻¹ = −P⁻¹: (r̂, r) < 0 from the start, so every
+    // executor must stop at pivot 0 with a typed error rather than iterate.
     let asm = PlaneStressProblem::unit_square(8).assemble().unwrap();
     let ord = asm.multicolor().unwrap();
-    let jac = MStepJacobiPreconditioner::neumann(&ord.matrix, 2).unwrap();
-    let err = pcg_solve(&ord.matrix, &ord.rhs, &jac, &opts(1e-10));
-    assert!(
-        matches!(
-            err,
-            Err(mspcg::sparse::SparseError::NotPositiveDefinite { .. })
-        ),
-        "expected indefiniteness detection, got {err:?}"
-    );
-    // The parametrized constructor refuses to build it in the first place
-    // (SPD margin check): either an error, or a positive-margin fit.
-    if let Ok(pre) = MStepJacobiPreconditioner::parametrized_jacobi(&ord.matrix, 2) {
-        let sol = pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts(1e-10)).unwrap();
-        assert!(sol.converged);
+    let indefinite = |r: Result<usize, SparseError>| {
+        assert!(
+            matches!(r, Err(SparseError::NotPositiveDefinite { pivot: 0, value }) if value < 0.0),
+            "expected a breakdown at pivot 0, got {r:?}"
+        );
+    };
+    let ssor = MulticolorSsor::new(ord.matrix.clone(), ord.colors.clone(), 1.0).unwrap();
+    let pre = MStep::new_with_coefficients(ssor, vec![-1.0]).unwrap();
+    indefinite(pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts(1e-10)).map(|s| s.iterations));
+    let spmd = ParallelMStepPcg::new(&ord.matrix, &ord.colors, vec![-1.0]).unwrap();
+    for threads in [1, 2] {
+        let o = ParallelSolverOptions {
+            threads,
+            tol: 1e-10,
+            ..Default::default()
+        };
+        indefinite(spmd.solve(&ord.rhs, &o).map(|r| r.iterations));
+    }
+    // A batch reports the breakdown per column.
+    let n = ord.rhs.len();
+    let f: Vec<f64> = ord.rhs.iter().chain(&ord.rhs).copied().collect();
+    let mut u = vec![0.0; 2 * n];
+    let mut ws = MultiRhsWorkspace::new(n, 2);
+    let sum = pcg_solve_multi(&ord.matrix, &f, &mut u, &pre, &opts(1e-10), &mut ws).unwrap();
+    assert_eq!(sum.converged, 0);
+    for out in ws.outcomes() {
+        assert_eq!(out.status, SolveStatus::Breakdown);
+        assert_eq!(out.report.iterations, 0);
+    }
+}
+
+/// Diagonal scaling for its first application, its negative after that.
+struct TurnsIndefinite {
+    inner: DiagonalPreconditioner,
+    applied: AtomicUsize,
+}
+
+impl Preconditioner for TurnsIndefinite {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.inner.apply(r, z);
+        if self.applied.fetch_add(1, Ordering::Relaxed) > 0 {
+            z.iter_mut().for_each(|v| *v = -*v);
+        }
     }
 }
 
 #[test]
+fn preconditioner_turning_indefinite_breaks_down_at_that_iteration() {
+    // The first msolve is SPD; the one after iteration 1 yields
+    // (r̂, r) < 0, so the solve stops with pivot = iteration 1.
+    let asm = PlaneStressProblem::unit_square(8).assemble().unwrap();
+    let ord = asm.multicolor().unwrap();
+    let pre = TurnsIndefinite {
+        inner: DiagonalPreconditioner::from_diag(&ord.matrix.diag().unwrap()).unwrap(),
+        applied: AtomicUsize::new(0),
+    };
+    let err = pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts(1e-10)).map(|s| s.iterations);
+    assert!(
+        matches!(err, Err(SparseError::NotPositiveDefinite { pivot: 1, value }) if value < 0.0),
+        "expected a breakdown at pivot 1, got {err:?}"
+    );
+    assert_eq!(pre.applied.load(Ordering::Relaxed), 2);
+}
+
+#[test]
 fn minimax_jacobi_needs_fewer_iterations_than_plain_cg_on_the_plate() {
-    // The min-max fit is only as good as its interval. Widening the
-    // Lanczos extremes by a share of the span pushed the plate's lower
-    // end below zero; floored at 1e-12, the fit still passed the SPD
-    // check but built a near-singular preconditioner that needed ~7×
-    // the iterations of no preconditioner at all.
+    // The min-max polynomial in D⁻¹K — Chebyshev at degree 3, the
+    // polynomial of min-max m = 4 Jacobi — is only as good as its
+    // interval. Widening the Lanczos extremes by a share of the span
+    // pushed the plate's lower end below zero; floored at 1e-12, the fit
+    // still passed the SPD check but built a near-singular
+    // preconditioner that needed ~7× the iterations of no preconditioner
+    // at all.
     let asm = PlaneStressProblem::unit_square(24).assemble().unwrap();
     let ord = asm.multicolor().unwrap();
     let o = opts(1e-8);
     let cg = cg_solve(&ord.matrix, &ord.rhs, &o).unwrap();
-    let pre = MStep::new_minimax(JacobiSplitting::new(&ord.matrix).unwrap(), 4).unwrap();
+    let pre = PolynomialPreconditioner::chebyshev(ord.matrix.clone(), 3).unwrap();
     let sol = pcg_solve(&ord.matrix, &ord.rhs, &pre, &o).unwrap();
     assert!(
         sol.iterations < cg.iterations,
-        "min-max m = 4 Jacobi {} vs plain CG {}",
+        "degree-3 Chebyshev {} vs plain CG {}",
         sol.iterations,
         cg.iterations
     );
-    let (lo, _) = pre.interval().expect("a fitted interval");
+    let lo = pre.interval().min;
     assert!(lo > 1e-6, "lower interval end {lo:e} sits on the floor");
 }
 
@@ -207,4 +264,40 @@ fn preconditioner_applications_match_iteration_count() {
         sol.iterations
     );
     assert_eq!(sol.stats.precond_steps, apps * m);
+}
+
+#[test]
+fn budget_exit_applies_the_preconditioner_once_per_iteration() {
+    // A solve that runs out of budget stops right after its last stopping
+    // test: no msolve, (r̂, r), β or direction update for an iteration it
+    // will not take — standalone and as a batch column alike.
+    let asm = PlaneStressProblem::unit_square(12).assemble().unwrap();
+    let ord = asm.multicolor().unwrap();
+    let pre = MStepSsorPreconditioner::unparametrized(&ord.matrix, &ord.colors, 2).unwrap();
+    let n = ord.rhs.len();
+    let f: Vec<f64> = ord.rhs.iter().chain(&ord.rhs).copied().collect();
+    for budget in [1usize, 5] {
+        let o = PcgOptions {
+            max_iterations: budget,
+            ..opts(1e-12)
+        };
+        let mut u = vec![0.0; n];
+        let mut ws = PcgWorkspace::new(n);
+        let alone = pcg_try_solve_into(&ord.matrix, &ord.rhs, &mut u, &pre, &o, &mut ws).unwrap();
+        let mut u = vec![0.0; 2 * n];
+        let mut ws = MultiRhsWorkspace::new(n, 2);
+        pcg_solve_multi(&ord.matrix, &f, &mut u, &pre, &o, &mut ws).unwrap();
+        assert!(ws
+            .outcomes()
+            .iter()
+            .all(|out| out.status == SolveStatus::BudgetExhausted));
+        for report in std::iter::once(&alone).chain(ws.outcomes().iter().map(|out| &out.report)) {
+            assert!(!report.converged);
+            assert_eq!(report.iterations, budget);
+            let stats = &report.stats;
+            assert_eq!(stats.precond_applications, budget, "budget {budget}");
+            assert_eq!(stats.precond_steps, 2 * budget);
+            assert_eq!(stats.reduction_phases, 2 * budget);
+        }
+    }
 }

@@ -9,7 +9,7 @@
 //! keeps failures reproducible by construction.
 
 use mspcg::coloring::{greedy_coloring, GreedyStrategy};
-use mspcg::core::coeffs::{least_squares_alphas, residual_sup, spd_margin, Weight};
+use mspcg::core::coeffs::{least_squares_alphas, residual_sup, spd_margin};
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::pcg::{pcg_solve, PcgOptions, StoppingCriterion};
 use mspcg::core::preconditioner::Preconditioner;
@@ -283,8 +283,8 @@ fn least_squares_residual_improves_with_m() {
         let lo = 0.01 + (rng.next() % 490) as f64 * 1e-3; // 0.01..0.5
         let m = rng.range(2, 7);
         let interval = (lo, 1.0);
-        let a_small = least_squares_alphas(m - 1, interval, Weight::Uniform).unwrap();
-        let a_large = least_squares_alphas(m, interval, Weight::Uniform).unwrap();
+        let a_small = least_squares_alphas(m - 1, interval).unwrap();
+        let a_large = least_squares_alphas(m, interval).unwrap();
         // The sup-norm proxy should not get (much) worse with higher degree.
         assert!(
             residual_sup(&a_large, interval) <= residual_sup(&a_small, interval) * 1.01,
