@@ -18,7 +18,6 @@
 use mspcg_bench::experiments::{ordered_plate, ordered_poisson};
 use mspcg_bench::timing::{bench, finish, BenchResult};
 use mspcg_core::preconditioner::Preconditioner;
-use mspcg_core::splitting::Splitting;
 use mspcg_core::ssor::MulticolorSsor;
 use mspcg_core::PolynomialPreconditioner;
 use mspcg_parallel::{ParallelMStepPcg, ParallelSolverOptions};

@@ -5,9 +5,12 @@
 //!
 //! Usage: `cargo run --release -p mspcg-bench --bin criteria [a]`
 
-use mspcg_bench::experiments::ordered_plate;
+use mspcg_bench::experiments::{ordered_plate, ssor_interval};
 use mspcg_bench::TextTable;
-use mspcg_core::{pcg_solve, IncompleteCholesky, MStepSsorPreconditioner, PcgOptions};
+use mspcg_core::{
+    least_squares_alphas, minimax_alphas, pcg_solve, IncompleteCholesky, MStepSsorPreconditioner,
+    PcgOptions,
+};
 
 fn main() {
     let a = std::env::args()
@@ -15,6 +18,11 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(24usize);
     let (_, ord) = ordered_plate(a).expect("plate");
+    // Both criteria fit every m on one SSOR estimate of the plate.
+    let interval = ssor_interval(&ord).expect("spectrum");
+    let fitted = |m, fit| {
+        MStepSsorPreconditioner::with_interval(&ord.matrix, &ord.colors, m, interval, fit).unwrap()
+    };
     let opts = PcgOptions {
         tol: 1e-6,
         ..Default::default()
@@ -30,9 +38,8 @@ fn main() {
             .unwrap()
             .iterations;
         let (ils, imm) = if m >= 2 {
-            let ls = MStepSsorPreconditioner::parametrized(&ord.matrix, &ord.colors, m).unwrap();
-            let mm =
-                MStepSsorPreconditioner::parametrized_minimax(&ord.matrix, &ord.colors, m).unwrap();
+            let ls = fitted(m, least_squares_alphas);
+            let mm = fitted(m, minimax_alphas);
             (
                 pcg_solve(&ord.matrix, &ord.rhs, &ls, &opts)
                     .unwrap()

@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run --release -p mspcg-bench --bin ineq42 [--quick]`
 
-use mspcg_bench::experiments::{cyber_cost_model, iterations_on, ordered_plate};
+use mspcg_bench::experiments::{cyber_cost_model, iterations_on, ordered_plate, ssor_interval};
 use mspcg_bench::{table2_sizes, TextTable};
 use mspcg_core::analysis::{optimal_m, step_increase_beneficial};
 use mspcg_machine::VectorMachineParams;
@@ -28,10 +28,12 @@ fn main() {
             model.b,
             model.b_over_a()
         );
-        // Parametrized iteration counts N_m for m = 1..max_m.
+        // Parametrized iteration counts N_m for m = 1..max_m, fitted on
+        // one SSOR estimate of the plate.
+        let interval = ssor_interval(&ord).expect("spectrum");
         let mut counts = Vec::new();
         for m in 1..=max_m {
-            let n = iterations_on(&ord, m, m >= 2, tol).expect("solve");
+            let n = iterations_on(&ord, m, (m >= 2).then_some(interval), tol).expect("solve");
             counts.push((m, n));
         }
         let mut t = TextTable::new(vec![

@@ -10,7 +10,6 @@
 //! that comparison end to end).
 
 use mspcg_bench::TextTable;
-use mspcg_core::splitting::Splitting;
 use mspcg_core::ssor::MulticolorSsor;
 use mspcg_core::{least_squares_alphas, minimax_alphas};
 use mspcg_fem::plate::PlaneStressProblem;
@@ -25,7 +24,8 @@ fn main() {
         .expect("assembly");
     let ord = asm.multicolor().expect("ordering");
     let ssor = MulticolorSsor::new(ord.matrix.clone(), ord.colors.clone(), 1.0).expect("splitting");
-    let (lo, hi) = ssor.spectrum_interval(80).expect("spectrum");
+    let est = ssor.table().ssor_spectrum(1.0, 80).expect("spectrum");
+    let (lo, hi) = (est.min, est.max);
     println!("Table 1: alpha values for the m-step SSOR PCG method");
     println!("plate a = {a}, sigma(P^-1 K) in [{lo:.4}, {hi:.4}]\n");
 

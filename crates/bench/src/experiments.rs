@@ -2,15 +2,17 @@
 //! benches.
 
 use mspcg_core::analysis::{preconditioned_condition_number, CostModel};
+use mspcg_core::poly::SPECTRUM_STEPS;
 use mspcg_core::{
-    cg_solve, pcg_solve, pcg_solve_into, MStepSsorPreconditioner, PcgOptions, PcgWorkspace,
-    StoppingCriterion,
+    cg_solve, least_squares_alphas, pcg_solve, pcg_solve_into, MStepSsorPreconditioner, PcgOptions,
+    PcgWorkspace, StoppingCriterion, SweepTable,
 };
 use mspcg_fem::plate::{AssembledProblem, OrderedProblem, PlaneStressProblem};
 use mspcg_fem::poisson::poisson5;
 use mspcg_machine::array::{run_fem_machine, ArrayBreakdown};
 use mspcg_machine::vector::{run_cyber_pcg, CoefficientChoice};
 use mspcg_machine::{ArrayMachineParams, VectorMachineParams};
+use mspcg_sparse::lanczos::SpectralInterval;
 use mspcg_sparse::{CsrMatrix, Partition, SparseError};
 use std::sync::Arc;
 
@@ -223,27 +225,30 @@ pub struct ConditionRow {
 }
 
 /// Exact condition numbers of the preconditioned operator for a small
-/// plate, for m in `ms`, both unparametrized and parametrized.
+/// plate, for m in `ms`, both unparametrized and parametrized (least
+/// squares, on one SSOR estimate of the plate).
 ///
 /// # Errors
-/// Propagates dense eigensolver failures.
+/// Propagates estimation and dense eigensolver failures.
 pub fn condition_study(a: usize, ms: &[usize]) -> Result<Vec<ConditionRow>, SparseError> {
     let asm = PlaneStressProblem::unit_square(a).assemble()?;
     let ord = asm.multicolor()?;
+    let (k, colors, interval) = (&ord.matrix, &ord.colors, ssor_interval(&ord)?);
     let mut rows = Vec::new();
     for &m in ms {
-        let un = MStepSsorPreconditioner::unparametrized(&ord.matrix, &ord.colors, m)?;
+        let un = MStepSsorPreconditioner::unparametrized(k, colors, m)?;
         rows.push(ConditionRow {
             m,
             parametrized: false,
-            kappa: preconditioned_condition_number(&ord.matrix, &un)?,
+            kappa: preconditioned_condition_number(k, &un)?,
         });
         if m >= 2 {
-            let pa = MStepSsorPreconditioner::parametrized(&ord.matrix, &ord.colors, m)?;
+            let fit = least_squares_alphas;
+            let pa = MStepSsorPreconditioner::with_interval(k, colors, m, interval, fit)?;
             rows.push(ConditionRow {
                 m,
                 parametrized: true,
-                kappa: preconditioned_condition_number(&ord.matrix, &pa)?,
+                kappa: preconditioned_condition_number(k, &pa)?,
             });
         }
     }
@@ -302,15 +307,27 @@ pub fn ordered_poisson(n: usize) -> Result<(CsrMatrix, Partition, Vec<f64>), Spa
     Ok((matrix, ord.partition, rhs))
 }
 
+/// The SSOR spectral interval of an ordered problem, the estimate
+/// [`MStepSsorPreconditioner::parametrized`] runs: a parametrized m-sweep
+/// estimates it once and fits every m on it.
+///
+/// # Errors
+/// Propagates sweep-table and estimation failures.
+pub fn ssor_interval(ord: &OrderedProblem) -> Result<SpectralInterval, SparseError> {
+    let table = SweepTable::new(Arc::new(ord.matrix.clone()), Arc::new(ord.colors.clone()))?;
+    table.ssor_spectrum(1.0, SPECTRUM_STEPS)
+}
+
 /// Iteration count for a given configuration on the ordered problem
-/// (used by the Criterion benches and by `ineq42`).
+/// (used by the Criterion benches and by `ineq42`): least-squares α fitted
+/// on `interval` when one is given, α = 1 otherwise.
 ///
 /// # Errors
 /// Propagates solver failures.
 pub fn iterations_on(
     ord: &OrderedProblem,
     m: usize,
-    parametrized: bool,
+    interval: Option<SpectralInterval>,
     tol: f64,
 ) -> Result<usize, SparseError> {
     let opts = PcgOptions {
@@ -320,10 +337,10 @@ pub fn iterations_on(
     if m == 0 {
         return Ok(cg_solve(&ord.matrix, &ord.rhs, &opts)?.iterations);
     }
-    let pre = if parametrized {
-        MStepSsorPreconditioner::parametrized(&ord.matrix, &ord.colors, m)?
-    } else {
-        MStepSsorPreconditioner::unparametrized(&ord.matrix, &ord.colors, m)?
+    let (a, colors) = (&ord.matrix, &ord.colors);
+    let pre = match interval {
+        Some(iv) => MStepSsorPreconditioner::with_interval(a, colors, m, iv, least_squares_alphas)?,
+        None => MStepSsorPreconditioner::unparametrized(a, colors, m)?,
     };
     Ok(pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts)?.iterations)
 }

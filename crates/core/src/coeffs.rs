@@ -21,10 +21,34 @@
 //!   basis by interpolation,
 //! * [`residual_at`] / [`spd_margin`] — evaluation helpers used by tests
 //!   and by the SPD validity check of §2.1 (necessary and sufficient: the
-//!   symbol `σ(g) = Σ αᵢ gⁱ` must stay positive on the spectrum of `G`).
+//!   symbol `σ(g) = Σ αᵢ gⁱ` must stay positive on the spectrum of `G`),
+//! * `fit_alphas` — the one fit every parametrized m-step preconditioner
+//!   runs, `Auto`'s included: a criterion, then that check.
 
 use crate::quadrature::gauss_legendre;
 use mspcg_sparse::{DenseMatrix, SparseError};
+
+/// A fit criterion of §2.2: [`least_squares_alphas`] or [`minimax_alphas`].
+pub type Fit = fn(usize, (f64, f64)) -> Result<Vec<f64>, SparseError>;
+
+/// Fit `m` coefficients by `fit` on the interval `ends`, then check §2.1:
+/// `M` is SPD iff the symbol is positive on the spectrum of `G`
+/// ([`spd_margin`]).
+///
+/// # Errors
+/// The fit's, and [`SparseError::NotPositiveDefinite`] (pivot 0, the margin
+/// as value) for a nonpositive margin.
+pub(crate) fn fit_alphas(m: usize, ends: (f64, f64), fit: Fit) -> Result<Vec<f64>, SparseError> {
+    let alphas = fit(m, ends)?;
+    let margin = spd_margin(&alphas, ends);
+    if margin <= 0.0 {
+        return Err(SparseError::NotPositiveDefinite {
+            pivot: 0,
+            value: margin,
+        });
+    }
+    Ok(alphas)
+}
 
 /// Least-squares coefficients: minimize `∫_{λ₁}^{λₙ} (1 − q(t))² dt`
 /// over `q(t) = t Σ αᵢ (1−t)ⁱ`, degree `m − 1` polynomial `p`.

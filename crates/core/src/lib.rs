@@ -19,14 +19,16 @@
 //!   of right-hand sides (a standalone solve is the block of width 1), and
 //!   batched multi-RHS solves (many load cases on one stiffness matrix)
 //!   over shared matrix/preconditioner handles,
-//! * [`splitting`] — the [`splitting::Splitting`] abstraction plus the
-//!   natural-order SSOR splitting,
+//! * [`splitting`] — the natural-order SSOR splitting, the sequential
+//!   reference the multicolor sweeps are tested against,
 //! * [`ssor`] — the multicolor block SSOR splitting with the
 //!   Conrad–Wallach auxiliary-vector optimization (paper Algorithm 2),
-//!   and the color-phase sweep kernel and row ownership both executors
-//!   share,
-//! * [`mstep`] — the m-step preconditioner (Horner evaluation of the
-//!   polynomial in the SSOR `G`), parametrized or not,
+//!   the color-phase sweep kernel and row ownership both executors
+//!   share, and the one SSOR spectrum estimate
+//!   ([`ssor::SweepTable::ssor_spectrum`]),
+//! * [`mstep`] — the m-step multicolor SSOR preconditioner (Horner
+//!   evaluation of the polynomial in the SSOR `G`), unparametrized,
+//!   parametrized on an estimated or kept interval, or with explicit α,
 //! * [`poly`] — the barrier-free **polynomial (Newton–Chebyshev)
 //!   preconditioner** on the Lanczos-estimated spectrum of the
 //!   Jacobi-scaled operator `D⁻¹K` (`k` SpMVs per application, zero
@@ -39,7 +41,8 @@
 //!   estimated SSOR interval, `m` chosen by Eq. (4.1)/(4.2) with costs from
 //!   the operator's shape ([`analysis::CostModel::from_traffic`]),
 //! * [`coeffs`] — least-squares and min-max α coefficients
-//!   (Johnson–Micchelli–Paul parametrization, §2.2, Table 1),
+//!   (Johnson–Micchelli–Paul parametrization, §2.2, Table 1) and the one
+//!   fit with its §2.1 SPD check,
 //! * [`quadrature`] — Gauss–Legendre rules used by the least-squares fit,
 //! * [`analysis`] — Eq. (4.1)/(4.2) cost model, optimal-m prediction,
 //!   iteration prediction from a fitted polynomial and condition-number
@@ -74,7 +77,7 @@ pub mod ssor;
 
 pub use coeffs::{least_squares_alphas, minimax_alphas};
 pub use ic::IncompleteCholesky;
-pub use mstep::{MStep, MStepSsorPreconditioner};
+pub use mstep::MStepSsorPreconditioner;
 pub use multi::{pcg_solve_multi, MultiRhsSummary, MultiRhsWorkspace, RhsOutcome, SolveStatus};
 pub use pcg::{
     cg_solve, pcg_solve, pcg_solve_into, pcg_try_solve_into, PcgOptions, PcgReport, PcgSolution,
@@ -86,5 +89,5 @@ pub use recovery::{
     ApplicationFault, FaultKind, FaultPlan, FaultTarget, FaultyOp, FaultyPreconditioner,
     IterationFault, RecoveryPolicy,
 };
-pub use splitting::{NaturalSsorSplitting, Splitting};
+pub use splitting::NaturalSsorSplitting;
 pub use ssor::{MulticolorSsor, SweepTable};

@@ -1,136 +1,186 @@
 //! The m-step preconditioner — the paper's contribution, packaged.
 //!
-//! `M_m⁻¹ = (Σ_{i<m} αᵢ Gⁱ) P⁻¹` for a splitting `K = P − Q`, evaluated by
-//! the Horner recurrence `w_s = G w_{s−1} + α_{m−s} P⁻¹ r` (`w_0 = 0`),
-//! which the [`crate::splitting::Splitting::msolve`] implementations
-//! perform — for the multicolor SSOR splitting, with the Conrad–Wallach
-//! cost of one SOR sweep per step (Algorithm 2).
-//!
-//! Constructors cover the paper's whole design space:
+//! `M_m⁻¹ = (Σ_{i<m} αᵢ Gⁱ) P⁻¹` for the multicolor SSOR splitting
+//! `K = P − Q`, evaluated by the Horner recurrence
+//! `w_s = G w_{s−1} + α_{m−s} P⁻¹ r` (`w_0 = 0`) at the Conrad–Wallach
+//! cost of one SOR sweep per step ([`MulticolorSsor::msolve`],
+//! Algorithm 2). Constructors cover the paper's design space:
 //! * **unparametrized** (`αᵢ = 1`): m steps of the stationary method, the
 //!   truncated Neumann series `Σ Gⁱ` of `(I − G)⁻¹`,
 //! * **parametrized**: least-squares or min-max coefficients on the
-//!   estimated spectral interval of `P⁻¹K` (§2.2). Construction *fails*
-//!   with [`SparseError::NotPositiveDefinite`] if the fitted polynomial is
-//!   not positive on the interval — the §2.1 SPD requirement.
+//!   spectral interval of `P⁻¹K` (§2.2), from the one SSOR estimate
+//!   ([`crate::ssor::SweepTable::ssor_spectrum`]) or from an interval the
+//!   caller kept ([`MStepSsorPreconditioner::with_interval`]), so a sweep
+//!   over m estimates once. Every fit *fails* with
+//!   [`SparseError::NotPositiveDefinite`] if the fitted polynomial is not
+//!   positive on the interval — the §2.1 SPD requirement,
+//! * **explicit** coefficients, unchecked
+//!   ([`MStepSsorPreconditioner::with_coefficients`]).
 //!
-//! The splittings are the multicolor SSOR ([`MStepSsorPreconditioner`])
-//! and the natural-order SSOR baseline. A polynomial in the Jacobi
-//! splitting `P = diag(K)` is the space
+//! A polynomial in the Jacobi splitting `P = diag(K)` is the space
 //! [`crate::poly::PolynomialPreconditioner`] covers, with a stable
 //! three-term recurrence instead of Horner.
 
-use crate::coeffs::{least_squares_alphas, minimax_alphas, spd_margin};
+use crate::coeffs::{fit_alphas, least_squares_alphas, minimax_alphas, Fit};
+use crate::poly::SPECTRUM_STEPS;
 use crate::preconditioner::Preconditioner;
-use crate::splitting::Splitting;
 use crate::ssor::MulticolorSsor;
+use mspcg_sparse::lanczos::SpectralInterval;
 use mspcg_sparse::{CsrMatrix, Partition, SparseError, SparseOp};
 use std::sync::Arc;
 
-/// Power-iteration budget used when a constructor must estimate the
-/// spectral interval itself (and by `Auto`'s SSOR estimate, so both fit
-/// on bitwise the same interval).
-pub(crate) const SPECTRUM_ITERS: usize = 60;
-
-/// An m-step preconditioner over any splitting.
+/// The paper's headline configuration: m-step **multicolor SSOR**, with
+/// its coefficients and the interval they were fitted on.
 #[derive(Debug)]
-pub struct MStep<S: Splitting> {
-    splitting: S,
+pub struct MStepSsorPreconditioner {
+    ssor: MulticolorSsor,
     alphas: Vec<f64>,
-    interval: Option<(f64, f64)>,
+    interval: Option<SpectralInterval>,
 }
 
-impl<S: Splitting> MStep<S> {
-    /// Unparametrized m-step preconditioner (`αᵢ = 1`).
-    ///
-    /// # Errors
-    /// [`SparseError::InvalidPartition`] if `m == 0`.
-    pub fn new_unparametrized(splitting: S, m: usize) -> Result<Self, SparseError> {
-        if m == 0 {
-            return Err(SparseError::InvalidPartition {
-                reason: "m must be at least 1".into(),
-            });
-        }
-        Ok(MStep {
-            splitting,
-            alphas: vec![1.0; m],
-            interval: None,
-        })
-    }
-
-    /// Explicit coefficients (`alphas[i]` multiplies `Gⁱ P⁻¹`).
+impl MStepSsorPreconditioner {
+    /// Explicit coefficients over a built splitting (`alphas[i]`
+    /// multiplies `Gⁱ P⁻¹`), unchecked: an indefinite choice such as
+    /// α = [−1] builds, and PCG reports it at its first iteration.
     ///
     /// # Errors
     /// [`SparseError::InvalidPartition`] for an empty coefficient vector.
-    pub fn new_with_coefficients(splitting: S, alphas: Vec<f64>) -> Result<Self, SparseError> {
-        if alphas.is_empty() {
-            return Err(SparseError::InvalidPartition {
-                reason: "coefficient vector must be nonempty".into(),
-            });
-        }
-        Ok(MStep {
-            splitting,
-            alphas,
-            interval: None,
-        })
+    pub fn with_coefficients(ssor: MulticolorSsor, alphas: Vec<f64>) -> Result<Self, SparseError> {
+        Self::from_parts(ssor, alphas, None)
     }
 
-    /// Least-squares parametrized preconditioner; the spectral interval of
-    /// `P⁻¹K` is estimated from the splitting.
-    ///
-    /// # Errors
-    /// Estimation/fit failures, or [`SparseError::NotPositiveDefinite`] if
-    /// the fitted symbol is not positive on the interval (M would not be
-    /// SPD, violating §2.1).
-    pub fn new_least_squares(splitting: S, m: usize) -> Result<Self, SparseError> {
-        let interval = splitting.spectrum_interval(SPECTRUM_ITERS)?;
-        let alphas = least_squares_alphas(m, interval)?;
-        Self::checked(splitting, alphas, interval)
-    }
-
-    /// Min-max (Chebyshev) parametrized preconditioner.
-    ///
-    /// # Errors
-    /// Same classes as [`MStep::new_least_squares`].
-    pub fn new_minimax(splitting: S, m: usize) -> Result<Self, SparseError> {
-        let interval = splitting.spectrum_interval(SPECTRUM_ITERS)?;
-        let alphas = minimax_alphas(m, interval)?;
-        Self::checked(splitting, alphas, interval)
-    }
-
-    fn checked(splitting: S, alphas: Vec<f64>, interval: (f64, f64)) -> Result<Self, SparseError> {
-        let margin = spd_margin(&alphas, interval);
-        if margin <= 0.0 {
-            return Err(SparseError::NotPositiveDefinite {
-                pivot: 0,
-                value: margin,
-            });
-        }
-        Self::fitted(splitting, alphas, Some(interval))
-    }
-
-    /// Coefficients fitted and checked elsewhere: `interval` is the
-    /// spectral interval they were fitted on, `None` for coefficients
-    /// that need none (α = 1) — what [`crate::poly::resolve_precond`]
-    /// hands back.
-    ///
-    /// # Errors
-    /// [`SparseError::InvalidPartition`] if `alphas` is empty (`m == 0`).
-    pub(crate) fn fitted(
-        splitting: S,
+    /// Coefficients and the interval they were fitted on (`None` for
+    /// α = 1), as [`crate::poly::resolve_precond`] hands them back.
+    pub(crate) fn from_parts(
+        ssor: MulticolorSsor,
         alphas: Vec<f64>,
-        interval: Option<(f64, f64)>,
+        interval: Option<SpectralInterval>,
     ) -> Result<Self, SparseError> {
         if alphas.is_empty() {
             return Err(SparseError::InvalidPartition {
                 reason: "m must be at least 1".into(),
             });
         }
-        Ok(MStep {
-            splitting,
+        Ok(MStepSsorPreconditioner {
+            ssor,
             alphas,
             interval,
         })
+    }
+
+    /// Unparametrized m-step SSOR (ω = 1) on a color-blocked matrix. Clones
+    /// the matrix and partition once; callers building many
+    /// preconditioners over one system should use
+    /// [`MStepSsorPreconditioner::unparametrized_shared`].
+    ///
+    /// # Errors
+    /// [`MulticolorSsor::new`] validation errors, and
+    /// [`SparseError::InvalidPartition`] if `m == 0`.
+    pub fn unparametrized(
+        a: &CsrMatrix,
+        colors: &Partition,
+        m: usize,
+    ) -> Result<Self, SparseError> {
+        Self::unparametrized_shared(Arc::new(a.clone()), Arc::new(colors.clone()), m)
+    }
+
+    /// Unparametrized m-step SSOR (ω = 1) from a color-blocked operator in
+    /// **any** [`SparseOp`] format ([`MulticolorSsor::from_op`]): a solver
+    /// driving its SpMV through SELL-C-σ gets a preconditioner bitwise
+    /// identical to the CSR-built one.
+    ///
+    /// # Errors
+    /// As [`MStepSsorPreconditioner::unparametrized`].
+    pub fn unparametrized_op<A: SparseOp>(
+        a: &A,
+        colors: &Partition,
+        m: usize,
+    ) -> Result<Self, SparseError> {
+        let ssor = MulticolorSsor::from_op(a, Arc::new(colors.clone()), 1.0)?;
+        Self::with_coefficients(ssor, vec![1.0; m])
+    }
+
+    /// Unparametrized m-step SSOR (ω = 1) sharing the system via `Arc` —
+    /// no matrix or partition copy.
+    ///
+    /// # Errors
+    /// As [`MStepSsorPreconditioner::unparametrized`].
+    pub fn unparametrized_shared(
+        a: Arc<CsrMatrix>,
+        colors: Arc<Partition>,
+        m: usize,
+    ) -> Result<Self, SparseError> {
+        Self::unparametrized_omega_shared(a, colors, m, 1.0)
+    }
+
+    /// Unparametrized with an explicit relaxation parameter (the ω-sweep
+    /// ablation; the paper fixes ω = 1), sharing the system via `Arc`.
+    ///
+    /// # Errors
+    /// As [`MStepSsorPreconditioner::unparametrized`], and for
+    /// ω ∉ (0, 2).
+    pub fn unparametrized_omega_shared(
+        a: Arc<CsrMatrix>,
+        colors: Arc<Partition>,
+        m: usize,
+        omega: f64,
+    ) -> Result<Self, SparseError> {
+        Self::with_coefficients(MulticolorSsor::new(a, colors, omega)?, vec![1.0; m])
+    }
+
+    /// Parametrized m-step SSOR (ω = 1) with least-squares coefficients on
+    /// the estimated `σ(P⁻¹K)` interval — the paper's `mP` rows of
+    /// Tables 2 and 3.
+    ///
+    /// # Errors
+    /// Construction errors, the estimate's (a lower end on its clamp among
+    /// them) and the fit's.
+    pub fn parametrized(a: &CsrMatrix, colors: &Partition, m: usize) -> Result<Self, SparseError> {
+        Self::estimated(a, colors, m, least_squares_alphas)
+    }
+
+    /// Parametrized with the min-max (Chebyshev) criterion instead.
+    ///
+    /// # Errors
+    /// As [`MStepSsorPreconditioner::parametrized`].
+    pub fn parametrized_minimax(
+        a: &CsrMatrix,
+        colors: &Partition,
+        m: usize,
+    ) -> Result<Self, SparseError> {
+        Self::estimated(a, colors, m, minimax_alphas)
+    }
+
+    /// Parametrized m-step SSOR (ω = 1) fitted by `fit` on a kept interval
+    /// (an earlier [`MStepSsorPreconditioner::interval`], or
+    /// [`crate::ssor::SweepTable::ssor_spectrum`]) without estimating
+    /// again: bitwise what `parametrized` (`fit` = [`least_squares_alphas`])
+    /// or `parametrized_minimax` builds on that interval.
+    ///
+    /// # Errors
+    /// Construction errors and the fit's.
+    pub fn with_interval(
+        a: &CsrMatrix,
+        colors: &Partition,
+        m: usize,
+        interval: SpectralInterval,
+        fit: Fit,
+    ) -> Result<Self, SparseError> {
+        let ssor = MulticolorSsor::new(a.clone(), colors.clone(), 1.0)?;
+        let alphas = fit_alphas(m, (interval.min, interval.max), fit)?;
+        Self::from_parts(ssor, alphas, Some(interval))
+    }
+
+    fn estimated(
+        a: &CsrMatrix,
+        colors: &Partition,
+        m: usize,
+        fit: Fit,
+    ) -> Result<Self, SparseError> {
+        let ssor = MulticolorSsor::new(a.clone(), colors.clone(), 1.0)?;
+        let interval = ssor.table().ssor_spectrum(1.0, SPECTRUM_STEPS)?;
+        let alphas = fit_alphas(m, (interval.min, interval.max), fit)?;
+        Self::from_parts(ssor, alphas, Some(interval))
     }
 
     /// Number of steps `m`.
@@ -143,141 +193,44 @@ impl<S: Splitting> MStep<S> {
         &self.alphas
     }
 
-    /// The spectral interval used for fitting, when one was estimated;
-    /// `None` for α = 1, including an `Auto` resolution that fell back to
-    /// it.
-    pub fn interval(&self) -> Option<(f64, f64)> {
+    /// The SSOR interval the coefficients were fitted on; `None` for
+    /// explicit coefficients and α = 1 (an `Auto` fallback included).
+    pub fn interval(&self) -> Option<SpectralInterval> {
         self.interval
-    }
-
-    /// Borrow the underlying splitting.
-    pub fn splitting(&self) -> &S {
-        &self.splitting
     }
 }
 
-impl<S: Splitting> Preconditioner for MStep<S> {
+impl Preconditioner for MStepSsorPreconditioner {
     fn dim(&self) -> usize {
-        self.splitting.dim()
+        self.ssor.dim()
     }
 
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.splitting.msolve(&self.alphas, r, z);
+        self.ssor.msolve(&self.alphas, r, z);
     }
 
     fn steps_per_apply(&self) -> usize {
         self.alphas.len()
     }
 
+    /// The Conrad–Wallach half-sum cache: one `f64` per unknown.
     fn scratch_len(&self) -> usize {
-        self.splitting.msolve_scratch_len()
+        self.ssor.dim()
     }
 
     fn apply_with(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
-        self.splitting.msolve_with(&self.alphas, r, z, scratch);
+        self.ssor.msolve_block::<1>(&self.alphas, r, z, scratch);
     }
 
+    /// Every column, active or not, in one block msolve.
     fn apply_block<const W: usize>(
         &self,
         r: &[f64],
         z: &mut [f64],
-        active: &[bool; W],
+        _active: &[bool; W],
         scratch: &mut [f64],
     ) {
-        self.splitting
-            .msolve_block(&self.alphas, r, z, active, scratch);
-    }
-}
-
-/// The paper's headline configuration: m-step **multicolor SSOR** PCG.
-pub type MStepSsorPreconditioner = MStep<MulticolorSsor>;
-
-impl MStepSsorPreconditioner {
-    /// Unparametrized m-step SSOR (ω = 1) on a color-blocked matrix.
-    ///
-    /// Clones the matrix and partition once; sweep-style callers building
-    /// many preconditioners over one system should use
-    /// [`MStepSsorPreconditioner::unparametrized_shared`].
-    ///
-    /// # Errors
-    /// Propagates [`MulticolorSsor::new`] validation errors.
-    pub fn unparametrized(
-        a: &CsrMatrix,
-        colors: &Partition,
-        m: usize,
-    ) -> Result<Self, SparseError> {
-        Self::unparametrized_shared(Arc::new(a.clone()), Arc::new(colors.clone()), m)
-    }
-
-    /// Unparametrized m-step SSOR (ω = 1) from a color-blocked operator in
-    /// **any** [`SparseOp`] format: the SSOR sweep structure is
-    /// materialized via [`MulticolorSsor::from_op`], so a solver driving
-    /// its SpMV through SELL-C-σ (or any future format) gets a
-    /// preconditioner bitwise identical to the CSR-built one.
-    ///
-    /// # Errors
-    /// Propagates [`MulticolorSsor::new`] validation errors.
-    pub fn unparametrized_op<A: SparseOp>(
-        a: &A,
-        colors: &Partition,
-        m: usize,
-    ) -> Result<Self, SparseError> {
-        let s = MulticolorSsor::from_op(a, Arc::new(colors.clone()), 1.0)?;
-        Self::new_unparametrized(s, m)
-    }
-
-    /// Unparametrized m-step SSOR (ω = 1) sharing the system via `Arc` —
-    /// no matrix or partition copy.
-    ///
-    /// # Errors
-    /// Propagates [`MulticolorSsor::new`] validation errors.
-    pub fn unparametrized_shared(
-        a: Arc<CsrMatrix>,
-        colors: Arc<Partition>,
-        m: usize,
-    ) -> Result<Self, SparseError> {
-        let s = MulticolorSsor::new(a, colors, 1.0)?;
-        Self::new_unparametrized(s, m)
-    }
-
-    /// Parametrized m-step SSOR (ω = 1) with least-squares coefficients on
-    /// the estimated `σ(P⁻¹K)` interval — the paper's `mP` rows of
-    /// Tables 2 and 3.
-    ///
-    /// # Errors
-    /// Propagates construction, estimation and SPD-check errors.
-    pub fn parametrized(a: &CsrMatrix, colors: &Partition, m: usize) -> Result<Self, SparseError> {
-        let s = MulticolorSsor::new(a.clone(), colors.clone(), 1.0)?;
-        Self::new_least_squares(s, m)
-    }
-
-    /// Parametrized with the min-max (Chebyshev) criterion instead.
-    ///
-    /// # Errors
-    /// Propagates construction, estimation and SPD-check errors.
-    pub fn parametrized_minimax(
-        a: &CsrMatrix,
-        colors: &Partition,
-        m: usize,
-    ) -> Result<Self, SparseError> {
-        let s = MulticolorSsor::new(a.clone(), colors.clone(), 1.0)?;
-        Self::new_minimax(s, m)
-    }
-
-    /// Unparametrized with an explicit relaxation parameter (the ω-sweep
-    /// ablation; the paper fixes ω = 1), sharing the system via `Arc` — the
-    /// sweep builds one splitting per ω without ever copying the matrix.
-    ///
-    /// # Errors
-    /// Propagates construction errors (including ω ∉ (0, 2)).
-    pub fn unparametrized_omega_shared(
-        a: Arc<CsrMatrix>,
-        colors: Arc<Partition>,
-        m: usize,
-        omega: f64,
-    ) -> Result<Self, SparseError> {
-        let s = MulticolorSsor::new(a, colors, omega)?;
-        Self::new_unparametrized(s, m)
+        self.ssor.msolve_block::<W>(&self.alphas, r, z, scratch);
     }
 }
 
@@ -311,8 +264,8 @@ mod tests {
     fn parametrized_records_interval() {
         let (a, p) = rb_system(10);
         let pre = MStepSsorPreconditioner::parametrized(&a, &p, 3).unwrap();
-        let (lo, hi) = pre.interval().unwrap();
-        assert!(lo > 0.0 && hi == 1.0);
+        let interval = pre.interval().unwrap();
+        assert!(interval.min > 0.0 && interval.max == 1.0);
         assert_eq!(pre.m(), 3);
         assert_eq!(pre.steps_per_apply(), 3);
     }
@@ -333,7 +286,8 @@ mod tests {
         let mut z1 = vec![0.0; 8];
         pre.apply(&r, &mut z1);
         let mut z2 = vec![0.0; 8];
-        pre.splitting().solve_p(&r, &mut z2);
+        let split = MulticolorSsor::new(a, p, 1.0).unwrap();
+        split.step(1.0, &r, &mut z2);
         for (u, v) in z1.iter().zip(&z2) {
             assert!((u - v).abs() < 1e-14);
         }
@@ -350,9 +304,9 @@ mod tests {
         let mut z = vec![0.0; 6];
         pre.apply(&r, &mut z);
 
-        let split = pre.splitting();
+        let split = MulticolorSsor::new(a, p, 1.0).unwrap();
         let mut term = vec![0.0; 6];
-        split.solve_p(&r, &mut term);
+        split.step(1.0, &r, &mut term);
         let mut sum = term.clone();
         for _ in 1..m {
             // term ← G term: one stationary step on a zero right-hand side.
@@ -370,12 +324,13 @@ mod tests {
     fn explicit_coefficients_are_used_verbatim() {
         let (a, p) = rb_system(6);
         let s = MulticolorSsor::new(a.clone(), p.clone(), 1.0).unwrap();
-        let pre = MStep::new_with_coefficients(s, vec![2.0]).unwrap();
+        let pre = MStepSsorPreconditioner::with_coefficients(s, vec![2.0]).unwrap();
         let r = vec![1.0; 6];
         let mut z = vec![0.0; 6];
         pre.apply(&r, &mut z);
         let mut half = vec![0.0; 6];
-        pre.splitting().solve_p(&r, &mut half);
+        let split = MulticolorSsor::new(a, p, 1.0).unwrap();
+        split.step(1.0, &r, &mut half);
         for (u, v) in z.iter().zip(&half) {
             assert!((u - 2.0 * v).abs() < 1e-14);
         }
@@ -385,6 +340,42 @@ mod tests {
     fn empty_coefficients_rejected() {
         let (a, p) = rb_system(6);
         let s = MulticolorSsor::new(a.clone(), p.clone(), 1.0).unwrap();
-        assert!(MStep::new_with_coefficients(s, vec![]).is_err());
+        assert!(MStepSsorPreconditioner::with_coefficients(s, vec![]).is_err());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn m_sweep_fits_on_one_kept_interval() {
+        // The m-step counterpart of the polynomial degree sweep: one
+        // estimate, kept, serves every m. Each fit reports the kept
+        // interval bit for bit and the α a fresh estimate fits.
+        let (a, p) = rb_system(24);
+        let first = MStepSsorPreconditioner::parametrized(&a, &p, 2).unwrap();
+        let kept = first.interval().unwrap();
+        let table = MulticolorSsor::new(a.clone(), p.clone(), 1.0).unwrap();
+        assert_eq!(
+            kept,
+            table.table().ssor_spectrum(1.0, SPECTRUM_STEPS).unwrap()
+        );
+        let ends = |i: SpectralInterval| (i.min.to_bits(), i.max.to_bits(), i.steps);
+        for m in 2..=6 {
+            for (fit, fresh) in [
+                (
+                    least_squares_alphas as Fit,
+                    MStepSsorPreconditioner::parametrized(&a, &p, m).unwrap(),
+                ),
+                (
+                    minimax_alphas,
+                    MStepSsorPreconditioner::parametrized_minimax(&a, &p, m).unwrap(),
+                ),
+            ] {
+                let swept = MStepSsorPreconditioner::with_interval(&a, &p, m, kept, fit).unwrap();
+                assert_eq!(ends(swept.interval().unwrap()), ends(kept), "m = {m}");
+                assert_eq!(bits(swept.alphas()), bits(fresh.alphas()), "m = {m}");
+            }
+        }
     }
 }

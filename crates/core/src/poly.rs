@@ -47,6 +47,9 @@
 //! preconditioner: repeated applications (every PCG iteration) and
 //! rebuilt preconditioners over the same matrix
 //! ([`PolynomialPreconditioner::with_interval`]) never re-run Lanczos.
+//! The m-step SSOR keeps its one estimate ([`SweepTable::ssor_spectrum`])
+//! the same way ([`MStepSsorPreconditioner::with_interval`]). Neither
+//! estimate returns a lower end that sits on its clamp.
 //!
 //! ## `Auto`: the paper's parametrized m-step SSOR
 //!
@@ -69,9 +72,9 @@
 //! far fewer iterations (94 against 249 at relative residual 1e-8).
 
 use crate::analysis::{predicted_iterations, step_increase_beneficial, CostModel};
-use crate::coeffs::{minimax_alphas, spd_margin};
-use crate::mstep::{MStep, MStepSsorPreconditioner, SPECTRUM_ITERS};
-use crate::preconditioner::Preconditioner;
+use crate::coeffs::{fit_alphas, minimax_alphas};
+use crate::mstep::MStepSsorPreconditioner;
+use crate::preconditioner::{checked_recip, Preconditioner};
 use crate::ssor::{MulticolorSsor, SweepTable};
 use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
 use mspcg_sparse::par::ParSlice;
@@ -79,9 +82,9 @@ use mspcg_sparse::tuning::{PolyKind, PrecondKind};
 use mspcg_sparse::{vecops, CsrMatrix, Partition, SparseError, SparseOp};
 use std::sync::{Arc, Mutex};
 
-/// Lanczos step budget when a constructor must estimate the spectral
-/// interval itself (matches the m-step constructors' power-iteration
-/// budget; `lanczos_extremes` clamps it to the operator dimension).
+/// Step budget of both spectrum estimates, [`jacobi_spectrum`]'s Lanczos
+/// (clamped to the operator dimension) and the SSOR power iteration
+/// ([`SweepTable::ssor_spectrum`]) the fitted constructors and `Auto` run.
 pub const SPECTRUM_STEPS: usize = 60;
 
 /// Relative safeguard on the **upper** interval end (Ritz values
@@ -109,11 +112,13 @@ pub const LOWER_MARGIN: f64 = 0.1;
 /// Estimate the spectral interval of the Jacobi-scaled operator `D⁻¹K`
 /// via Lanczos on the similar symmetric operator `D^{-1/2}K D^{-1/2}`,
 /// safeguarded relatively on both ends ([`LOWER_MARGIN`] /
-/// [`UPPER_MARGIN`]) with the lower end clamped positive.
+/// [`UPPER_MARGIN`]). It is the polynomial family's one estimate.
 ///
 /// # Errors
 /// Propagates [`lanczos_extremes`] failures, among them the
-/// [`SparseError::DidNotConverge`] of an empty operator.
+/// [`SparseError::DidNotConverge`] of an empty operator, and
+/// [`SparseError::NotPositiveDefinite`] (pivot 0, the lower end as value)
+/// when an end is not finite or the lower one is not above `1e-12`.
 ///
 /// # Panics
 /// Panics if `inv_diag.len() != a.rows()`.
@@ -134,9 +139,17 @@ pub fn jacobi_spectrum<A: SparseOp>(
             y[i] *= dhalf[i];
         }
     })?;
+    let min = est.min * (1.0 - LOWER_MARGIN);
+    let max = est.max * (1.0 + UPPER_MARGIN);
+    if !(min > 1e-12 && max.is_finite()) {
+        return Err(SparseError::NotPositiveDefinite {
+            pivot: 0,
+            value: min,
+        });
+    }
     Ok(SpectralInterval {
-        min: (est.min * (1.0 - LOWER_MARGIN)).max(1e-12),
-        max: est.max * (1.0 + UPPER_MARGIN),
+        min,
+        max,
         steps: est.steps,
     })
 }
@@ -429,14 +442,7 @@ pub(crate) fn checked_inv_diag<A: SparseOp>(a: &A) -> Result<Vec<f64>, SparseErr
     }
     let mut diag = vec![0.0; rows];
     a.diag_into(&mut diag);
-    let mut inv = Vec::with_capacity(rows);
-    for (i, &d) in diag.iter().enumerate() {
-        if d <= 0.0 || !d.is_finite() {
-            return Err(SparseError::ZeroDiagonal { row: i });
-        }
-        inv.push(1.0 / d);
-    }
-    Ok(inv)
+    checked_recip(&diag)
 }
 
 impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
@@ -506,7 +512,8 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
 /// choose per matrix.
 pub enum AutoPreconditioner<A: SparseOp = CsrMatrix> {
     /// The paper's m-step multicolor SSOR; its
-    /// [`MStep::alphas`] and [`MStep::interval`] tell a fitted `Auto`
+    /// [`MStepSsorPreconditioner::alphas`] and
+    /// [`MStepSsorPreconditioner::interval`] tell a fitted `Auto`
     /// resolution from α = 1.
     MStepSsor(MStepSsorPreconditioner),
     /// The degree-k polynomial alternative.
@@ -596,7 +603,7 @@ pub enum ResolvedPrecond {
         alphas: Vec<f64>,
         /// The SSOR interval the coefficients were fitted on; `None` for
         /// α = 1.
-        interval: Option<(f64, f64)>,
+        interval: Option<SpectralInterval>,
     },
     /// A polynomial on the safeguarded Jacobi spectrum.
     Poly {
@@ -626,8 +633,8 @@ pub const AUTO_PREDICTION_EPS: f64 = 1e-8;
 ///   walked up from `m_default` by inequality (4.2). It falls back to
 ///   α = 1 at `m_default` — [`ResolvedPrecond::MStepSsor`] with no
 ///   interval — when the estimate errs (an empty operator, before any
-///   step; `G = 0`, a diagonal `K`) and when the fit fails
-///   [`spd_margin`];
+///   step; `G = 0`, a diagonal `K`; a lower end on its clamp) and when
+///   the fit fails the SPD check;
 /// * a pinned `MStepSsor { m }` → α = 1, no estimate;
 /// * a pinned `Poly` → ONE Lanczos estimate of the Jacobi spectrum of `a`
 ///   ([`jacobi_spectrum`]).
@@ -638,7 +645,7 @@ pub const AUTO_PREDICTION_EPS: f64 = 1e-8;
 /// # Errors
 /// [`SparseError::InvalidPartition`] for `Auto` without a table;
 /// [`SparseError::NotSquare`] / [`SparseError::ZeroDiagonal`] for a
-/// defective matrix and spectrum-estimation failures on the `Poly` path.
+/// defective matrix and [`jacobi_spectrum`] failures on the `Poly` path.
 pub fn resolve_precond<A: SparseOp>(
     a: &A,
     table: Option<&SweepTable>,
@@ -672,7 +679,7 @@ fn auto_ssor(table: &SweepTable, m_default: usize) -> ResolvedPrecond {
         interval: None,
     };
     // An empty operator errs here too, before any step is taken.
-    let Ok(interval) = table.ssor_spectrum(1.0, SPECTRUM_ITERS) else {
+    let Ok(interval) = table.ssor_spectrum(1.0, SPECTRUM_STEPS) else {
         return unit;
     };
     let Some((mut alphas, mut n_m)) = minimax_fit(m, interval) else {
@@ -697,14 +704,11 @@ fn auto_ssor(table: &SweepTable, m_default: usize) -> ResolvedPrecond {
 }
 
 /// Min-max α at `m` on `interval` and the iterations they predict, or
-/// `None` when the fit errs, fails [`spd_margin`] or bounds no condition
-/// number.
-fn minimax_fit(m: usize, interval: (f64, f64)) -> Option<(Vec<f64>, usize)> {
-    let alphas = minimax_alphas(m, interval).ok()?;
-    if spd_margin(&alphas, interval) <= 0.0 {
-        return None;
-    }
-    let n = predicted_iterations(&alphas, interval, AUTO_PREDICTION_EPS)?;
+/// `None` when `fit_alphas` errs or the fit bounds no condition number.
+fn minimax_fit(m: usize, interval: SpectralInterval) -> Option<(Vec<f64>, usize)> {
+    let ends = (interval.min, interval.max);
+    let alphas = fit_alphas(m, ends, minimax_alphas).ok()?;
+    let n = predicted_iterations(&alphas, ends, AUTO_PREDICTION_EPS)?;
     Some((alphas, n))
 }
 
@@ -733,7 +737,9 @@ pub fn auto_preconditioner<A: SparseOp + Clone>(
     Ok(match resolved {
         ResolvedPrecond::MStepSsor { alphas, interval } => {
             let ssor = ssor.expect("only a polynomial selection skips the splitting");
-            AutoPreconditioner::MStepSsor(MStep::fitted(ssor, alphas, interval)?)
+            AutoPreconditioner::MStepSsor(MStepSsorPreconditioner::from_parts(
+                ssor, alphas, interval,
+            )?)
         }
         ResolvedPrecond::Poly {
             kind,
@@ -753,7 +759,6 @@ mod tests {
     use super::*;
     use crate::pcg::{pcg_solve, PcgOptions};
     use crate::preconditioner::DiagonalPreconditioner;
-    use crate::splitting::Splitting;
     use mspcg_sparse::{CooMatrix, SellCsMatrix};
 
     fn laplacian(n: usize) -> CsrMatrix {
@@ -898,6 +903,22 @@ mod tests {
             PolynomialPreconditioner::chebyshev(c.to_csr(), 2),
             Err(SparseError::ZeroDiagonal { row: 1 })
         ));
+        // A negative diagonal entry: the polynomial, the diagonal scaling
+        // and the natural-order SSOR reject it through one check.
+        let mut c = CooMatrix::new(2, 2);
+        c.push(0, 0, 2.0).unwrap();
+        c.push_sym(0, 1, 0.5).unwrap();
+        c.push(1, 1, -1.0).unwrap();
+        let a = c.to_csr();
+        let rejected = |r: Result<(), SparseError>| {
+            assert!(
+                matches!(r, Err(SparseError::ZeroDiagonal { row: 1 })),
+                "{r:?}"
+            );
+        };
+        rejected(PolynomialPreconditioner::chebyshev(a.clone(), 2).map(drop));
+        rejected(DiagonalPreconditioner::from_diag(&a.diag().unwrap()).map(drop));
+        rejected(crate::splitting::NaturalSsorSplitting::new(&a, 1.0).map(drop));
     }
 
     #[test]
@@ -1081,11 +1102,14 @@ mod tests {
         };
         let interval = p.interval().expect("a fitted Auto reports its interval");
         let ssor = MulticolorSsor::new(pa.clone(), colors.clone(), 1.0).unwrap();
-        assert_eq!(interval, ssor.spectrum_interval(SPECTRUM_ITERS).unwrap());
+        assert_eq!(
+            interval,
+            ssor.table().ssor_spectrum(1.0, SPECTRUM_STEPS).unwrap()
+        );
         assert!((2..=AUTO_MAX_M).contains(&p.m()), "m = {}", p.m());
         assert_eq!(
             bits(p.alphas()),
-            bits(&minimax_alphas(p.m(), interval).unwrap())
+            bits(&minimax_alphas(p.m(), (interval.min, interval.max)).unwrap())
         );
         assert_eq!(auto.selected(), PrecondKind::MStepSsor { m: p.m() });
         // A pinned m-step SSOR is α = 1, with no estimate.

@@ -58,7 +58,7 @@ pub trait Preconditioner {
     /// ([`by_column`]), so every column is one application, as call
     /// counting and fault injection expect. The m-step multicolor SSOR
     /// overrides it, through
-    /// [`Splitting::msolve_block`](crate::splitting::Splitting::msolve_block),
+    /// [`MulticolorSsor::msolve_block`](crate::ssor::MulticolorSsor::msolve_block),
     /// with sweeps that load each stored entry once per block.
     ///
     /// # Panics
@@ -144,17 +144,23 @@ impl DiagonalPreconditioner {
     /// Build from the matrix diagonal.
     ///
     /// # Errors
-    /// [`SparseError::ZeroDiagonal`] if any entry is zero or not positive
-    /// (an SPD matrix has a strictly positive diagonal).
+    /// [`SparseError::ZeroDiagonal`] at the first entry that is not
+    /// positive and finite.
     pub fn from_diag(diag: &[f64]) -> Result<Self, SparseError> {
-        let mut inv = Vec::with_capacity(diag.len());
-        for (i, &d) in diag.iter().enumerate() {
-            if d <= 0.0 || !d.is_finite() {
-                return Err(SparseError::ZeroDiagonal { row: i });
-            }
-            inv.push(1.0 / d);
-        }
-        Ok(DiagonalPreconditioner { inv_diag: inv })
+        Ok(DiagonalPreconditioner {
+            inv_diag: checked_recip(diag)?,
+        })
+    }
+}
+
+/// `1/dᵢ` for a matrix diagonal, or [`SparseError::ZeroDiagonal`] at its
+/// first entry that is not positive and finite (an SPD matrix has a
+/// strictly positive diagonal) — the one check the diagonal scaling, the
+/// polynomial and the natural-order SSOR share.
+pub(crate) fn checked_recip(diag: &[f64]) -> Result<Vec<f64>, SparseError> {
+    match diag.iter().position(|&d| !(d > 0.0 && d.is_finite())) {
+        Some(row) => Err(SparseError::ZeroDiagonal { row }),
+        None => Ok(diag.iter().map(|d| 1.0 / d).collect()),
     }
 }
 

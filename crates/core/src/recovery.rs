@@ -184,9 +184,11 @@ pub fn perturb(v: f64, kind: FaultKind) -> f64 {
 
 /// A fault pinned to one *application* of a wrapped kernel: the
 /// `application`-th top-level product (or preconditioner solve) since
-/// construction perturbs output element `index`. Application counting is
-/// global and deterministic — the serial solvers call the wrapped kernels
-/// in a fixed order, so a plan replays bitwise.
+/// construction perturbs output element `index`, counted over every
+/// thread. A plan replays bitwise when one thread drives the wrapper (a
+/// standalone solve, or a one-lane `pcg_solve_multi` batch), which calls
+/// it in a fixed order; the lanes of a wider batch race for the count, so
+/// the fault lands on whichever case gets there first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApplicationFault {
     /// 0-based application (top-level `mul_vec_into`/`mul_vec_axpy` or
@@ -271,9 +273,10 @@ impl InjectionState {
 /// delegate untouched, so construction paths (splitting extraction, sweep
 /// tables) see the clean matrix and only the solver-facing applications
 /// are corrupted. Counters use atomics so the wrapper stays `Sync` like
-/// every operator. Block products take the trait's default, column by
-/// column through the injecting `mul_vec_into`, so each column of a
-/// batched block counts as one application.
+/// every operator; a plan replays only when one thread drives the wrapper
+/// ([`ApplicationFault`]). Block products take the trait's default,
+/// column by column through the injecting `mul_vec_into`, so each column
+/// of a batched block counts as one application.
 #[derive(Debug)]
 pub struct FaultyOp<A> {
     inner: A,
@@ -348,7 +351,8 @@ impl<A: SparseOp> SparseOp for FaultyOp<A> {
 /// A [`Preconditioner`] wrapper injecting planned perturbations into the
 /// output of chosen `apply`/`apply_with` calls — the msolve analog of
 /// [`FaultyOp`]. Like it, block applications go column by column through
-/// the injecting `apply_with`.
+/// the injecting `apply_with`, and a plan replays only when one thread
+/// drives the wrapper ([`ApplicationFault`]).
 #[derive(Debug)]
 pub struct FaultyPreconditioner<P> {
     inner: P,

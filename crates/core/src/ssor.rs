@@ -22,7 +22,7 @@
 //!
 //! The kernel is generic over a column count `W`: the batched solver's
 //! lockstep blocks sweep `W` interleaved right-hand sides at once
-//! (`Splitting::msolve_block`), loading each stored entry, `diag_at` and
+//! ([`MulticolorSsor::msolve_block`]), loading each stored entry, `diag_at` and
 //! `1/a_ii` once for all of them. Every column is bitwise its width-1
 //! sweep, and both executors' solves are width 1.
 //!
@@ -62,8 +62,7 @@
 //! With `ω ≠ 1` the last color's backward update has a genuine `(1−ω)x`
 //! self-term, so the full backward sweep is performed.
 
-use crate::splitting::Splitting;
-use mspcg_sparse::lanczos::power_spectral_radius;
+use mspcg_sparse::lanczos::{power_spectral_radius, SpectralInterval};
 use mspcg_sparse::par::{self, ParSlice};
 use mspcg_sparse::{tuning, CsrMatrix, Partition, SparseError, SparseOp};
 use std::ops::Range;
@@ -344,14 +343,6 @@ impl SweepTable {
         }
     }
 
-    /// The SOR(ω) update of row `i` from its right-hand side minus both
-    /// half-sums.
-    #[inline]
-    fn relax(&self, omega: f64, i: usize, rhs_minus_sums: f64, x: &mut [f64]) {
-        let xi = x[i];
-        x[i] = (1.0 - omega) * xi + omega * rhs_minus_sums * self.inv_diag[i];
-    }
-
     /// One past the block the backward sweep starts from: with ω = 1 the
     /// last color's backward update is the identity and is skipped (paper's
     /// `c = 5 down to 2` optimization); otherwise it is required. The
@@ -390,42 +381,55 @@ impl SweepTable {
     }
 
     /// One full SSOR(ω) step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
-    /// starting vector: both half-sums are computed fresh (no cache
-    /// assumption), serially. The step the spectrum estimate iterates.
+    /// starting vector, serially, both half-sums computed fresh: the step
+    /// the spectrum estimate iterates. One row range per block; a single
+    /// `flat_map` over all rows ran it 14 % slower at a = 100.
     fn ssor_step(&self, omega: f64, scale: f64, b: &[f64], x: &mut [f64]) {
-        // Forward: fresh lower AND upper sums.
-        for blk in self.colors.iter() {
-            for i in blk {
-                let s = self.lower_sum(i, x) + self.upper_sum(i, x);
-                self.relax(omega, i, scale * b[i] - s, x);
-            }
-        }
-        // Backward: skip the last color when ω = 1 (identity update).
-        for c in (0..self.backward_end(omega)).rev() {
-            for i in self.colors.range(c) {
-                let s = self.lower_sum(i, x) + self.upper_sum(i, x);
-                self.relax(omega, i, scale * b[i] - s, x);
+        let backward = (0..self.backward_end(omega)).rev();
+        for rows in self
+            .colors
+            .iter()
+            .chain(backward.map(|c| self.colors.range(c)))
+        {
+            for i in rows {
+                let s = scale * b[i] - (self.lower_sum(i, x) + self.upper_sum(i, x));
+                x[i] = (1.0 - omega) * x[i] + omega * s * self.inv_diag[i];
             }
         }
     }
 
     /// The interval `[1 − ρ, 1]` containing `σ(P⁻¹K)` of the SSOR(ω)
     /// splitting: `σ(G_SSOR) ⊆ [0, ρ]` for SPD `K` and ω ∈ (0, 2), with `ρ`
-    /// from `iters` power-iteration steps on `G` (capped below 1, the
-    /// lower end floored at `1e-12`). Both executors estimate here: the
-    /// serial splitting on its own table, the SPMD solver on the table it
-    /// streams, so no second copy of the matrix is made.
+    /// from `iters` power-iteration steps on `G`. The one SSOR estimate:
+    /// the fitted constructors and `Auto` on both executors estimate here
+    /// (the SPMD solver on the table it streams, so no second copy of the
+    /// matrix is made), and a kept interval fits any `m` again
+    /// ([`crate::mstep::MStepSsorPreconditioner::with_interval`]).
     ///
     /// # Errors
-    /// [`SparseError::DidNotConverge`] for an empty operator and when `G`
-    /// annihilates the start vector (`G = 0`, e.g. a diagonal `K`).
-    pub fn ssor_spectrum(&self, omega: f64, iters: usize) -> Result<(f64, f64), SparseError> {
+    /// * [`SparseError::DidNotConverge`] for an empty operator and when `G`
+    ///   annihilates the start vector (`G = 0`, e.g. a diagonal `K`),
+    /// * [`SparseError::NotPositiveDefinite`] (pivot 0, the lower end
+    ///   `1 − ρ` as value) when `ρ` is not finite or reaches its cap
+    ///   0.999999: no fit can use a lower end that close to 0 (or below it,
+    ///   for an indefinite `K`).
+    pub fn ssor_spectrum(&self, omega: f64, iters: usize) -> Result<SpectralInterval, SparseError> {
         let rho = power_spectral_radius(self.a.rows(), iters, 0x5EED, |x, y| {
             y.copy_from_slice(x);
             self.ssor_step(omega, 0.0, x, y);
         })?;
-        let rho = rho.min(0.999_999);
-        Ok(((1.0 - rho).max(1e-12), 1.0))
+        let min = 1.0 - rho;
+        if !(rho.is_finite() && rho < 0.999_999) {
+            return Err(SparseError::NotPositiveDefinite {
+                pivot: 0,
+                value: min,
+            });
+        }
+        Ok(SpectralInterval {
+            min,
+            max: 1.0,
+            steps: iters,
+        })
     }
 }
 
@@ -449,11 +453,8 @@ pub struct MulticolorSsor {
 impl MulticolorSsor {
     /// Build from a color-blocked matrix. `ω = 1` is the paper's choice
     /// (§5: for multicolor orderings with few colors, `ω = 1` is good).
-    ///
-    /// Accepts anything convertible into shared handles: pass `Arc`s to
-    /// share one system across many splittings (no copy), or owned values
-    /// to move them in. Borrowing callers can clone explicitly — the old
-    /// implicit deep copy of both matrix and partition is gone.
+    /// Pass `Arc`s to share one system across many splittings (no copy),
+    /// or owned values to move them in.
     ///
     /// # Errors
     /// * [`SparseError::InvalidPartition`] for ω outside `(0, 2)`,
@@ -498,34 +499,15 @@ impl MulticolorSsor {
         Self::new(Arc::new(a.try_csr_copy()?), colors, omega)
     }
 
-    /// The relaxation parameter.
-    pub fn omega(&self) -> f64 {
-        self.omega
-    }
-
-    /// The color partition.
-    pub fn colors(&self) -> &Partition {
-        &self.table.colors
-    }
-
-    /// Shared handle to the color partition.
-    pub fn colors_arc(&self) -> &Arc<Partition> {
-        &self.table.colors
-    }
-
-    /// The (color-blocked) matrix.
-    pub fn matrix(&self) -> &CsrMatrix {
-        &self.table.a
-    }
-
-    /// Shared handle to the matrix.
-    pub fn matrix_arc(&self) -> &Arc<CsrMatrix> {
-        &self.table.a
-    }
-
-    /// The sweep table this splitting streams.
-    pub(crate) fn table(&self) -> &SweepTable {
+    /// The sweep table this splitting streams, and the one it estimates
+    /// its spectrum on ([`SweepTable::ssor_spectrum`]).
+    pub fn table(&self) -> &SweepTable {
         &self.table
+    }
+
+    /// Operator dimension.
+    pub fn dim(&self) -> usize {
+        self.table.a.rows()
     }
 
     /// Count of off-diagonal multiply–adds per SSOR step (the Conrad–Wallach
@@ -534,17 +516,52 @@ impl MulticolorSsor {
         self.table.a.nnz() - self.table.a.rows()
     }
 
-    /// Algorithm 2 on `W` interleaved right-hand sides (width 1: a plain
-    /// vector), with the half-sum cache `y` of the same shape: the phases
-    /// of [`SweepTable::sweep_schedule`], each run as one pool launch.
-    fn sweeps<const W: usize>(&self, alphas: &[f64], r: &[f64], z: &mut [f64], y: &mut [f64]) {
-        let t = &self.table;
-        let (m, omega) = (alphas.len(), self.omega);
+    /// One full SSOR step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
+    /// starting vector, both half-sums computed fresh: the step the
+    /// spectrum estimate iterates, and the reference the cached msolve is
+    /// tested against.
+    pub fn step(&self, scale: f64, b: &[f64], x: &mut [f64]) {
+        assert_eq!(b.len(), self.dim(), "mc-ssor step: b length mismatch");
+        assert_eq!(x.len(), self.dim(), "mc-ssor step: x length mismatch");
+        self.table.ssor_step(self.omega, scale, b, x);
+    }
+
+    /// Algorithm 2: the m-step solve `z ← (Σᵢ αᵢ Gⁱ) P⁻¹ r` by the Horner
+    /// recurrence `w_s = G w_{s−1} + α_{m−s} P⁻¹ r`, `w_0 = 0`, with the
+    /// Conrad–Wallach cache carried across steps (the final backward
+    /// color-1 update runs with `α₀`, the paper's trailing step (3)). The
+    /// `w_0 = 0`, `y = 0` start is fused into the first forward sweep — no
+    /// zero-fill passes, each color block swept once per step. It borrows
+    /// the internal mutex-guarded cache; concurrent callers sharing one
+    /// splitting pass their own to [`MulticolorSsor::msolve_block`].
+    pub fn msolve(&self, alphas: &[f64], r: &[f64], z: &mut [f64]) {
+        let mut y = self.y.lock().unwrap_or_else(|e| e.into_inner());
+        self.msolve_block::<1>(alphas, r, z, y.as_mut_slice());
+    }
+
+    /// [`MulticolorSsor::msolve`] on `W` right-hand sides stored
+    /// interleaved (column `j` of row `i` at `i·W + j`), with a caller-owned
+    /// half-sum cache in the first `W·dim()` values of `scratch`, which the
+    /// fused first sweep writes before reading. Each color phase is one
+    /// pool launch streaming the sweep table once for all `W` columns, and
+    /// every column is bitwise its width-1 solve.
+    pub fn msolve_block<const W: usize>(
+        &self,
+        alphas: &[f64],
+        r: &[f64],
+        z: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        assert!(!alphas.is_empty(), "msolve needs at least one coefficient");
+        let n = W * self.dim();
+        assert_eq!(r.len(), n, "mc-ssor msolve: r length mismatch");
+        assert_eq!(z.len(), n, "mc-ssor msolve: z length mismatch");
+        let (t, m, omega) = (&self.table, alphas.len(), self.omega);
         // One participant count for the whole msolve, so every color phase
         // keeps the same owners: one launch per phase, participant `p`
         // sweeping chunk `p` of the block.
         let threads = par::threads_for(t.a.nnz(), tuning::par_min_nnz());
-        let (x, y) = (ParSlice::new(z), ParSlice::new(y));
+        let (x, y) = (ParSlice::new(z), ParSlice::new(&mut scratch[..n]));
         for (step, c, sweep) in t.sweep_schedule(m, omega) {
             let (blk, alpha) = (t.colors.range(c), alphas[m - step]);
             // The first forward pass starts from `x = 0`: no self term.
@@ -564,81 +581,6 @@ impl MulticolorSsor {
                 }
             });
         }
-    }
-}
-
-impl Splitting for MulticolorSsor {
-    fn dim(&self) -> usize {
-        self.table.a.rows()
-    }
-
-    /// One full SSOR step from an *arbitrary* starting vector: both
-    /// half-sums are computed fresh (no cache assumption). Used by generic
-    /// spectrum estimation; `msolve` below uses the cached fast path.
-    fn step(&self, scale: f64, b: &[f64], x: &mut [f64]) {
-        assert_eq!(b.len(), self.dim(), "mc-ssor step: b length mismatch");
-        assert_eq!(x.len(), self.dim(), "mc-ssor step: x length mismatch");
-        self.table.ssor_step(self.omega, scale, b, x);
-    }
-
-    /// Algorithm 2: m-step multicolor SSOR solve of `M r̂ = r` with the
-    /// Conrad–Wallach cache carried across steps. Step `s` uses coefficient
-    /// `α_{m−s}` on the right-hand side (the final backward color-1 update
-    /// runs with `α₀`, which is the paper's trailing step (3)). The
-    /// `r̂ = 0`, `y = 0` start is fused into the first forward sweep — no
-    /// zero-fill passes, each color block swept once per step. This entry
-    /// point borrows the internal mutex-guarded cache; concurrent callers
-    /// sharing one splitting should use [`Splitting::msolve_with`].
-    fn msolve(&self, alphas: &[f64], r: &[f64], z: &mut [f64]) {
-        let mut y = self.y.lock().unwrap_or_else(|e| e.into_inner());
-        self.msolve_with(alphas, r, z, y.as_mut_slice());
-    }
-
-    /// The Conrad–Wallach half-sum cache: one `f64` per unknown.
-    fn msolve_scratch_len(&self) -> usize {
-        self.dim()
-    }
-
-    /// Algorithm 2 with a **caller-owned** half-sum cache instead of the
-    /// internal mutex-guarded one, so concurrent solves sharing one
-    /// splitting (the batched multi-RHS workload) never serialize on a
-    /// lock. Numerically identical to [`Splitting::msolve`]; the cache
-    /// contents on entry are irrelevant (the `w₀ = 0` start is fused into
-    /// the first forward sweep, which writes the cache before reading it).
-    fn msolve_with(&self, alphas: &[f64], r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
-        assert!(!alphas.is_empty(), "msolve needs at least one coefficient");
-        assert_eq!(r.len(), self.dim(), "mc-ssor msolve: r length mismatch");
-        assert_eq!(z.len(), self.dim(), "mc-ssor msolve: z length mismatch");
-        assert_eq!(
-            scratch.len(),
-            self.dim(),
-            "mc-ssor msolve: scratch length mismatch"
-        );
-        self.sweeps::<1>(alphas, r, z, scratch);
-    }
-
-    /// Algorithm 2 on every column of the block — active or not — with an
-    /// interleaved half-sum cache in the first `W·dim()` values of
-    /// `scratch`: each color phase streams the sweep table once for all `W`
-    /// columns.
-    fn msolve_block<const W: usize>(
-        &self,
-        alphas: &[f64],
-        r: &[f64],
-        z: &mut [f64],
-        _active: &[bool; W],
-        scratch: &mut [f64],
-    ) {
-        assert!(!alphas.is_empty(), "msolve needs at least one coefficient");
-        let n = W * self.dim();
-        assert_eq!(r.len(), n, "mc-ssor msolve: r length mismatch");
-        assert_eq!(z.len(), n, "mc-ssor msolve: z length mismatch");
-        self.sweeps::<W>(alphas, r, z, &mut scratch[..n]);
-    }
-
-    /// [`SweepTable::ssor_spectrum`] at this splitting's ω.
-    fn spectrum_interval(&self, iters: usize) -> Result<(f64, f64), SparseError> {
-        self.table.ssor_spectrum(self.omega, iters)
     }
 }
 
@@ -703,11 +645,11 @@ mod tests {
         let a = Arc::new(a);
         let p = Arc::new(p);
         let mc = MulticolorSsor::new(Arc::clone(&a), Arc::clone(&p), 1.0).unwrap();
-        assert!(Arc::ptr_eq(mc.matrix_arc(), &a));
-        assert!(Arc::ptr_eq(mc.colors_arc(), &p));
+        assert!(std::ptr::eq(mc.table().matrix(), &*a));
+        assert!(std::ptr::eq(mc.table().colors(), &*p));
         // Two splittings over the same system share the same storage.
         let mc2 = MulticolorSsor::new(Arc::clone(&a), Arc::clone(&p), 1.5).unwrap();
-        assert!(Arc::ptr_eq(mc.matrix_arc(), mc2.matrix_arc()));
+        assert!(std::ptr::eq(mc.table().matrix(), mc2.table().matrix()));
     }
 
     #[test]
@@ -756,7 +698,7 @@ mod tests {
             for alphas in [vec![1.0], vec![1.0, 1.0, 1.0], vec![0.5, 2.0, -0.25, 1.25]] {
                 let mut z_fast = vec![0.0; 10];
                 mc.msolve(&alphas, &r, &mut z_fast);
-                // Generic path: default trait implementation via step().
+                // Reference path: m independent full steps.
                 let mut z_ref = vec![0.0; 10];
                 let m = alphas.len();
                 for s in 1..=m {
@@ -858,9 +800,9 @@ mod tests {
     fn spectrum_interval_upper_is_one() {
         let (a, p) = rb_laplacian(16);
         let mc = MulticolorSsor::new(a, p, 1.0).unwrap();
-        let (lo, hi) = mc.spectrum_interval(80).unwrap();
-        assert_eq!(hi, 1.0);
-        assert!(lo > 0.0 && lo < 1.0);
+        let est = mc.table().ssor_spectrum(1.0, 80).unwrap();
+        assert_eq!((est.max, est.steps), (1.0, 80));
+        assert!(est.min > 0.0 && est.min < 1.0);
     }
 
     /// The shared ownership rule: for every block length and participant

@@ -20,9 +20,7 @@
 
 use crate::assign::ProcessorAssignment;
 use crate::params::ArrayMachineParams;
-use mspcg_core::{
-    cg_solve, pcg_solve, MStepSsorPreconditioner, PcgOptions, PcgSolution, StoppingCriterion,
-};
+use mspcg_core::PcgSolution;
 use mspcg_fem::plate::{AssembledProblem, OrderedProblem};
 use mspcg_sparse::SparseError;
 
@@ -121,26 +119,7 @@ pub fn run_fem_machine_assigned(
     tol: f64,
 ) -> Result<ArrayReport, SparseError> {
     let p = assignment.num_processors();
-    let opts = PcgOptions {
-        tol,
-        max_iterations: 100_000,
-        criterion: StoppingCriterion::DisplacementChange,
-        ..Default::default()
-    };
-    let solution = if m == 0 {
-        cg_solve(&ord.matrix, &ord.rhs, &opts)?
-    } else {
-        match choice {
-            CoefficientChoice::Unparametrized => {
-                let pre = MStepSsorPreconditioner::unparametrized(&ord.matrix, &ord.colors, m)?;
-                pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts)?
-            }
-            CoefficientChoice::Parametrized => {
-                let pre = MStepSsorPreconditioner::parametrized(&ord.matrix, &ord.colors, m)?;
-                pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts)?
-            }
-        }
-    };
+    let solution = choice.solve(ord, m, tol)?;
 
     // ---- per-processor structural counts ---------------------------------
     // Equations and stored nonzeros owned by each processor (from the

@@ -31,6 +31,34 @@ pub enum CoefficientChoice {
     Parametrized,
 }
 
+impl CoefficientChoice {
+    /// The solve both simulators time: plain CG at `m = 0` (the paper's
+    /// baseline row), otherwise m-step SSOR PCG with this coefficient set,
+    /// both stopping at ‖Δu‖∞ < `tol`.
+    pub(crate) fn solve(
+        self,
+        ord: &OrderedProblem,
+        m: usize,
+        tol: f64,
+    ) -> Result<PcgSolution, SparseError> {
+        let opts = PcgOptions {
+            tol,
+            max_iterations: 100_000,
+            criterion: StoppingCriterion::DisplacementChange,
+            ..Default::default()
+        };
+        let (a, colors, f) = (&ord.matrix, &ord.colors, &ord.rhs);
+        if m == 0 {
+            return cg_solve(a, f, &opts);
+        }
+        let pre = match self {
+            Self::Unparametrized => MStepSsorPreconditioner::unparametrized(a, colors, m),
+            Self::Parametrized => MStepSsorPreconditioner::parametrized(a, colors, m),
+        }?;
+        pcg_solve(a, f, &pre, &opts)
+    }
+}
+
 /// Timing breakdown of one simulated run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CyberBreakdown {
@@ -151,26 +179,7 @@ pub fn run_cyber_pcg(
     params: &VectorMachineParams,
     tol: f64,
 ) -> Result<CyberReport, SparseError> {
-    let opts = PcgOptions {
-        tol,
-        max_iterations: 100_000,
-        criterion: StoppingCriterion::DisplacementChange,
-        ..Default::default()
-    };
-    let solution = if m == 0 {
-        cg_solve(&ord.matrix, &ord.rhs, &opts)?
-    } else {
-        match choice {
-            CoefficientChoice::Unparametrized => {
-                let pre = MStepSsorPreconditioner::unparametrized(&ord.matrix, &ord.colors, m)?;
-                pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts)?
-            }
-            CoefficientChoice::Parametrized => {
-                let pre = MStepSsorPreconditioner::parametrized(&ord.matrix, &ord.colors, m)?;
-                pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts)?
-            }
-        }
-    };
+    let solution = choice.solve(ord, m, tol)?;
 
     // ---- clock model -----------------------------------------------------
     let structure = BlockDiagonalStructure::analyze(&ord.matrix, &ord.colors);

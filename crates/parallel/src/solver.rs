@@ -1599,7 +1599,10 @@ mod tests {
     }
 
     /// The serial `Auto` resolution's coefficients and interval.
-    fn serial_auto(a: &CsrMatrix, colors: &Partition) -> (Vec<f64>, Option<(f64, f64)>) {
+    fn serial_auto(
+        a: &CsrMatrix,
+        colors: &Partition,
+    ) -> (Vec<f64>, Option<mspcg_sparse::lanczos::SpectralInterval>) {
         match mspcg_core::auto_preconditioner(a, colors, 2, PrecondKind::Auto).unwrap() {
             AutoPreconditioner::MStepSsor(p) => (p.alphas().to_vec(), p.interval()),
             AutoPreconditioner::Poly(_) => panic!("Auto must build the m-step SSOR"),
@@ -1648,6 +1651,7 @@ mod tests {
             let (a, colors, _) = plate(size);
             let (alphas, interval) = serial_auto(&a, &colors);
             let interval = interval.expect("the plate has an SSOR spectrum to fit");
+            let interval = (interval.min, interval.max);
             let model = CostModel::from_traffic(a.rows(), a.nnz());
             let n = |m: usize| {
                 predicted_iterations(

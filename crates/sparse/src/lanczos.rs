@@ -16,14 +16,14 @@ use crate::dense::DenseMatrix;
 use crate::error::SparseError;
 use crate::vecops;
 
-/// Result of a Lanczos spectral estimation.
+/// Result of a spectral estimation: Lanczos, or the SSOR power iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectralInterval {
     /// Estimated smallest eigenvalue.
     pub min: f64,
     /// Estimated largest eigenvalue.
     pub max: f64,
-    /// Lanczos steps actually performed.
+    /// Lanczos steps performed, or the SSOR power iteration's budget.
     pub steps: usize,
 }
 

@@ -48,13 +48,16 @@ fn main() {
 
     let pa = MStepSsorPreconditioner::parametrized(&ordered.matrix, &ordered.colors, 3)
         .expect("preconditioner");
+    let interval = pa
+        .interval()
+        .expect("a fitted preconditioner keeps its interval");
     println!(
         "fitted alphas       : {:?} on sigma(P^-1 K) in {:?}",
         pa.alphas()
             .iter()
             .map(|a| (a * 1000.0).round() / 1000.0)
             .collect::<Vec<_>>(),
-        pa.interval().unwrap()
+        (interval.min, interval.max)
     );
     let sol_pa = pcg_solve(&ordered.matrix, &ordered.rhs, &pa, &opts).expect("PCG");
     println!("3-step SSOR (param) : {:4} iterations", sol_pa.iterations);

@@ -148,8 +148,12 @@
 //!   iteration and an SSOR step stream (`analysis::CostModel::from_traffic`,
 //!   ≈ 0.81 on the Table-3 plate). No timer is read, so the choice is
 //!   deterministic and both executors fit bitwise the same coefficients.
-//!   An empty operator, a failed estimate (a diagonal `K`) or a fit failing
-//!   the SPD check keeps α = 1 at the default `m`. Barrier counts do not
+//!   A kept interval fits another `m` without estimating again
+//!   (`MStepSsorPreconditioner::with_interval`), and every fit runs the
+//!   one SPD check. An empty operator, a failed
+//!   estimate (a diagonal `K`; a lower end on its clamp, which is
+//!   `NotPositiveDefinite { pivot: 0, .. }` on both families) or a fit
+//!   failing the SPD check keeps α = 1 at the default `m`. Barrier counts do not
 //!   decide it: on a 2-vCPU VM the Table-3 plate's 25 SPMD barriers per
 //!   iteration cost under 1 % of solve time, one Chebyshev degree costs
 //!   ≈ 165 µs against ≈ 300 µs for one SSOR step at a = 100 and 2
@@ -239,7 +243,10 @@
 //! * **Fault injection, first-class** — `FaultyOp` /
 //!   `FaultyPreconditioner` wrap any operator/preconditioner with
 //!   application-indexed faults (bit-flips, NaN/Inf, scaled noise) for
-//!   the serial stack; `ParallelMStepPcg::solve_with_faults` takes an
+//!   the serial stack. They count applications across threads, so a plan
+//!   replays bitwise when one thread drives the wrapper: a standalone
+//!   solve, or a one-lane batch (the lanes of a wider batch race for the
+//!   count). `ParallelMStepPcg::solve_with_faults` takes an
 //!   iteration-indexed `FaultPlan` injected deterministically at every
 //!   thread count. `tests/fault_injection.rs` runs executor × family
 //!   under both fault classes with bitwise replay and exact counters: a

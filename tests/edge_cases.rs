@@ -2,8 +2,9 @@
 //! systems, zero right-hand sides, a zero iteration budget, and the
 //! honest-residual contract of the `max_iterations` exit path; plus the
 //! multicolor SSOR splitting, the spectrum-fitted constructors and the
-//! `Auto` selection on an empty system, and the audit-period check every
-//! entry point shares.
+//! `Auto` selection on an empty system, both spectrum estimates on
+//! matrices whose lower end they cannot express, and the audit-period
+//! check every entry point shares.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
@@ -11,10 +12,12 @@ use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, SolveStatus};
 use mspcg::core::pcg::{
     pcg_solve, pcg_solve_into, pcg_try_solve_into, PcgOptions, PcgWorkspace, StoppingCriterion,
 };
-use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner, PolynomialPreconditioner};
+use mspcg::core::poly::{
+    auto_preconditioner, jacobi_spectrum, AutoPreconditioner, PolynomialPreconditioner,
+};
 use mspcg::core::preconditioner::{IdentityPreconditioner, Preconditioner};
 use mspcg::core::recovery::RecoveryPolicy;
-use mspcg::core::{MulticolorSsor, Splitting};
+use mspcg::core::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, PrecondKind, SparseError};
@@ -270,7 +273,7 @@ fn empty_multicolor_ssor_sweeps_nothing() {
         assert_eq!(ssor.dim(), 0);
         let mut z: Vec<f64> = vec![];
         ssor.msolve(&[1.0, 0.5], &[], &mut z);
-        ssor.msolve_with(&[1.0], &[], &mut z, &mut []);
+        ssor.msolve_block::<1>(&[1.0], &[], &mut z, &mut []);
         ssor.step(1.0, &[], &mut z);
         assert!(z.is_empty(), "omega {omega}");
     }
@@ -313,6 +316,69 @@ fn spectrum_fits_on_an_empty_system_are_errors_and_auto_falls_back() {
     assert_eq!(spmd.alphas(), &[1.0, 1.0]);
     let rep = spmd.solve(&[], &ParallelSolverOptions::default()).unwrap();
     assert!(rep.converged && rep.x.is_empty());
+}
+
+/// `[[1, c], [c, 1]]` with one row per color.
+fn two_by_two(c: f64) -> (CsrMatrix, Partition) {
+    let mut k = CooMatrix::new(2, 2);
+    k.push(0, 0, 1.0).unwrap();
+    k.push(1, 1, 1.0).unwrap();
+    k.push_sym(0, 1, c).unwrap();
+    (k.to_csr(), Partition::from_sizes(&[1, 1]).unwrap())
+}
+
+#[test]
+fn ssor_estimate_on_its_clamp_is_an_error_and_auto_falls_back() {
+    // c = −(1 − 1e-9): σ(P⁻¹K) reaches down to 1 − c² ≈ 2e-9, below the
+    // 1e-6 the cap on the power iteration's ρ leaves. The estimate refuses
+    // the interval instead of fitting on [1e-6, 1].
+    let (a, colors) = two_by_two(-(1.0 - 1e-9));
+    let clamped = |r: Result<(), SparseError>| {
+        assert!(
+            matches!(r, Err(SparseError::NotPositiveDefinite { pivot: 0, value })
+                if value > 1e-9 && value < 3e-9),
+            "{r:?}"
+        );
+    };
+    let ssor = MulticolorSsor::new(a.clone(), colors.clone(), 1.0).unwrap();
+    clamped(ssor.table().ssor_spectrum(1.0, 60).map(drop));
+    clamped(MStepSsorPreconditioner::parametrized(&a, &colors, 2).map(drop));
+    clamped(MStepSsorPreconditioner::parametrized_minimax(&a, &colors, 2).map(drop));
+    // Auto falls back to α = 1 at m_default on both executors.
+    let serial = auto_preconditioner(&a, &colors, 3, PrecondKind::Auto).unwrap();
+    let AutoPreconditioner::MStepSsor(p) = &serial else {
+        panic!("Auto must build the m-step SSOR");
+    };
+    assert_eq!(p.alphas(), &[1.0; 3]);
+    assert_eq!(p.interval(), None);
+    let spmd = ParallelMStepPcg::auto(&a, &colors, 3, PrecondKind::Auto).unwrap();
+    assert_eq!(spmd.alphas(), &[1.0; 3]);
+    // Away from the clamp the same system estimates and fits.
+    let (a, colors) = two_by_two(-0.5);
+    let fitted = MStepSsorPreconditioner::parametrized(&a, &colors, 2).unwrap();
+    assert_eq!(fitted.interval().unwrap().max, 1.0);
+}
+
+#[test]
+fn jacobi_estimate_of_an_indefinite_matrix_is_an_error_on_every_path() {
+    // Eigenvalues 3 and −1 behind a positive diagonal: the Lanczos lower
+    // end is negative. Floored at 1e-12 it built a Chebyshev
+    // preconditioner that PCG rejected only at iteration 1.
+    let (a, colors) = two_by_two(2.0);
+    let indefinite = |r: Result<(), SparseError>| {
+        assert!(
+            matches!(r, Err(SparseError::NotPositiveDefinite { pivot: 0, value }) if value < 0.0),
+            "{r:?}"
+        );
+    };
+    indefinite(jacobi_spectrum(&a, &[1.0, 1.0]).map(drop));
+    indefinite(PolynomialPreconditioner::new(a.clone(), PolyKind::Chebyshev, 2).map(drop));
+    let chebyshev = PrecondKind::Poly {
+        kind: PolyKind::Chebyshev,
+        degree: 2,
+    };
+    indefinite(auto_preconditioner(&a, &colors, 2, chebyshev).map(drop));
+    indefinite(ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, 2).map(drop));
 }
 
 /// An audit period of 0 iterations has no meaning: the same input check

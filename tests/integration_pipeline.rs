@@ -2,14 +2,14 @@
 //! PCG → solution, validated against dense direct solves and against each
 //! other across orderings and preconditioners.
 
-use mspcg::core::mstep::{MStep, MStepSsorPreconditioner};
+use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, SolveStatus};
 use mspcg::core::pcg::{
     cg_solve, pcg_solve, pcg_try_solve_into, PcgOptions, PcgWorkspace, StoppingCriterion,
 };
 use mspcg::core::poly::PolynomialPreconditioner;
 use mspcg::core::preconditioner::{DiagonalPreconditioner, Preconditioner};
-use mspcg::core::splitting::{NaturalSsorSplitting, Splitting};
+use mspcg::core::splitting::NaturalSsorSplitting;
 use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
@@ -80,7 +80,7 @@ fn negative_alpha_is_rejected_as_indefinite_on_both_executors() {
         );
     };
     let ssor = MulticolorSsor::new(ord.matrix.clone(), ord.colors.clone(), 1.0).unwrap();
-    let pre = MStep::new_with_coefficients(ssor, vec![-1.0]).unwrap();
+    let pre = MStepSsorPreconditioner::with_coefficients(ssor, vec![-1.0]).unwrap();
     indefinite(pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts(1e-10)).map(|s| s.iterations));
     let spmd = ParallelMStepPcg::new(&ord.matrix, &ord.colors, vec![-1.0]).unwrap();
     for threads in [1, 2] {
@@ -174,16 +174,17 @@ fn ordering_does_not_change_the_physics() {
 
     // Natural ordering path.
     let nat_split = NaturalSsorSplitting::new(&asm.matrix, 1.0).unwrap();
-    struct NatPre(NaturalSsorSplitting);
+    struct NatPre(NaturalSsorSplitting, usize);
     impl Preconditioner for NatPre {
         fn dim(&self) -> usize {
-            self.0.dim()
+            self.1
         }
         fn apply(&self, r: &[f64], z: &mut [f64]) {
             self.0.msolve(&[1.0, 1.0], r, z);
         }
     }
-    let nat = pcg_solve(&asm.matrix, &asm.rhs, &NatPre(nat_split), &o).unwrap();
+    let nat_pre = NatPre(nat_split, asm.matrix.rows());
+    let nat = pcg_solve(&asm.matrix, &asm.rhs, &nat_pre, &o).unwrap();
 
     // Multicolor path.
     let ord = asm.multicolor().unwrap();

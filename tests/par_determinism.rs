@@ -9,7 +9,6 @@ use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace};
 use mspcg::core::pcg::{pcg_solve_into, PcgOptions, PcgWorkspace};
 use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner};
 use mspcg::core::recovery::RecoveryPolicy;
-use mspcg::core::splitting::Splitting;
 use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;

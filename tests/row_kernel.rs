@@ -21,7 +21,7 @@
 
 use mspcg::coloring::Coloring;
 use mspcg::core::ssor::{owned_chunk, Sweep};
-use mspcg::core::{MulticolorSsor, Splitting, SweepTable};
+use mspcg::core::{MulticolorSsor, SweepTable};
 use mspcg::parallel::ParallelMStepPcg;
 use mspcg::sparse::par::{self, ParSlice};
 use mspcg::sparse::{CooMatrix, CsrMatrix, Partition, SparseError, SparseOp};
@@ -595,7 +595,7 @@ fn block_spmv_columns_match_width_one_bitwise() {
 
 /// One color phase of `sweep::<W>` on 1 and 3 participants against
 /// `sweep::<1>` on each column, for every sweep kind, update and ω; and
-/// the multicolor SSOR's block msolve against `msolve_with` per column.
+/// the multicolor SSOR's block msolve against `msolve` per column.
 fn check_block_sweep<const W: usize>(case: u64) {
     let mut rng = Rng::new(0x5EEB + case);
     let (a, colors) = random_blocked(&mut rng);
@@ -652,10 +652,10 @@ fn check_block_sweep<const W: usize>(case: u64) {
         let alphas = [1.0, scale, 0.5];
         let mut z = x0.clone();
         let mut scratch = vec![f64::NAN; W * n];
-        ssor.msolve_block(&alphas, &b, &mut z, &[true; W], &mut scratch);
+        ssor.msolve_block::<W>(&alphas, &b, &mut z, &mut scratch);
         for j in 0..W {
             let mut zj = vec![0.0; n];
-            ssor.msolve_with(&alphas, &column::<W>(&b, j), &mut zj, &mut vec![0.0; n]);
+            ssor.msolve(&alphas, &column::<W>(&b, j), &mut zj);
             assert!(
                 same_values(&column::<W>(&z, j), &zj),
                 "case {case} msolve ω = {omega}, width {W}, column {j}"
