@@ -1,9 +1,9 @@
 //! Bench for PR 2's two hot paths:
 //!
 //! (a) **fused vs unfused per-iteration vector work** — the CG update
-//!     (`u += αp`, `r −= α·Kp`, `‖p‖∞`, `‖r‖∞`) and the direction update
-//!     + dot, as four separate sweeps vs one fused kernel, on
-//!     512×512-Poisson-sized vectors (262 144 elements);
+//!     (`u += αp`, `r −= α·Kp`, `‖p‖∞`, `‖r‖∞`) as four separate sweeps
+//!     vs one fused kernel, on 512×512-Poisson-sized vectors (262 144
+//!     elements);
 //! (b) **batched multi-RHS solves** — 32 load cases against one plate
 //!     stiffness matrix via `pcg_solve_multi` (lanes of lockstep blocks,
 //!     on a small plate below `tuning::par_min_nnz` stored entries and on
@@ -52,20 +52,6 @@ fn bench_fused_vs_unfused(results: &mut Vec<BenchResult>) {
         let norms =
             vecops::fused_axpy_axpy_norm(alpha, black_box(&p), black_box(&kp), &mut u, &mut r);
         black_box(norms);
-    }));
-
-    let mut y = vec![0.5f64; N_VEC];
-    results.push(bench("pcg_direction_dot", "unfused", || {
-        vecops::xpby(black_box(&p), 0.37, black_box(&mut y));
-        black_box(vecops::dot(black_box(&y), black_box(&kp)));
-    }));
-    results.push(bench("pcg_direction_dot", "fused", || {
-        black_box(vecops::fused_xpby_dot(
-            black_box(&p),
-            0.37,
-            &mut y,
-            black_box(&kp),
-        ));
     }));
 }
 

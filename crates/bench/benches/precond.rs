@@ -29,12 +29,12 @@ fn bench_msolve_scaling(results: &mut Vec<BenchResult>) {
     let n = ord.matrix.rows();
     let ssor = MulticolorSsor::new(ord.matrix.clone(), ord.colors.clone(), 1.0).expect("splitting");
     let r: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
-    let mut z = vec![0.0; n];
+    let (mut z, mut y) = (vec![0.0; n], vec![0.0; n]);
 
     for m in [1usize, 2, 4, 8] {
         let alphas = vec![1.0; m];
         results.push(bench("msolve_vs_m", &format!("m{m}"), || {
-            ssor.msolve(black_box(&alphas), black_box(&r), black_box(&mut z));
+            ssor.msolve_block::<1>(black_box(&alphas), black_box(&r), black_box(&mut z), &mut y);
         }));
     }
 }
@@ -44,12 +44,12 @@ fn bench_conrad_wallach(results: &mut Vec<BenchResult>) {
     let n = ord.matrix.rows();
     let ssor = MulticolorSsor::new(ord.matrix.clone(), ord.colors.clone(), 1.0).expect("splitting");
     let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.03).cos()).collect();
-    let mut z = vec![0.0; n];
+    let (mut z, mut y) = (vec![0.0; n], vec![0.0; n]);
     let m = 4usize;
     let alphas = vec![1.0; m];
 
     results.push(bench("conrad_wallach_ablation", "cached_msolve", || {
-        ssor.msolve(black_box(&alphas), black_box(&r), black_box(&mut z));
+        ssor.msolve_block::<1>(black_box(&alphas), black_box(&r), black_box(&mut z), &mut y);
     }));
     results.push(bench(
         "conrad_wallach_ablation",
@@ -70,14 +70,14 @@ fn bench_serial_vs_parallel_msolve(results: &mut Vec<BenchResult>) {
     let r: Vec<f64> = (0..n)
         .map(|i| ((i * 13 + 5) % 89) as f64 * 0.02 - 0.9)
         .collect();
-    let mut z = vec![0.0; n];
+    let (mut z, mut y) = (vec![0.0; n], vec![0.0; n]);
 
     let hw = par::max_threads();
     for m in [2usize, 4] {
         let alphas = vec![1.0; m];
         par::set_max_threads(1);
         let serial = bench("msolve_poisson512", &format!("m{m}_serial"), || {
-            ssor.msolve(black_box(&alphas), black_box(&r), black_box(&mut z));
+            ssor.msolve_block::<1>(black_box(&alphas), black_box(&r), black_box(&mut z), &mut y);
         });
         let serial_mean = serial.mean_ns;
         results.push(serial);
@@ -87,7 +87,12 @@ fn bench_serial_vs_parallel_msolve(results: &mut Vec<BenchResult>) {
             }
             par::set_max_threads(t);
             let rp = bench("msolve_poisson512", &format!("m{m}_par{t}"), || {
-                ssor.msolve(black_box(&alphas), black_box(&r), black_box(&mut z));
+                ssor.msolve_block::<1>(
+                    black_box(&alphas),
+                    black_box(&r),
+                    black_box(&mut z),
+                    &mut y,
+                );
             });
             println!(
                 "    speedup vs serial at {t} threads: {:.2}x",
@@ -111,7 +116,7 @@ fn bench_poly_vs_mstep_apply(results: &mut Vec<BenchResult>) {
     let r: Vec<f64> = (0..n)
         .map(|i| ((i * 7 + 3) % 23) as f64 * 0.05 - 0.5)
         .collect();
-    let mut z = vec![0.0; n];
+    let (mut z, mut y) = (vec![0.0; n], vec![0.0; n]);
     // One Lanczos run serves the whole degree sweep: rebuild at each
     // degree with `with_degree`, which reuses the cached interval and
     // the checked reciprocal diagonal.
@@ -119,7 +124,7 @@ fn bench_poly_vs_mstep_apply(results: &mut Vec<BenchResult>) {
     for m in [1usize, 2, 4] {
         let alphas = vec![1.0; m];
         results.push(bench("poly_vs_mstep_apply", &format!("mstep_m{m}"), || {
-            ssor.msolve(black_box(&alphas), black_box(&r), black_box(&mut z));
+            ssor.msolve_block::<1>(black_box(&alphas), black_box(&r), black_box(&mut z), &mut y);
         }));
         let k = 2 * m;
         let pre = base.with_degree(k).expect("poly");

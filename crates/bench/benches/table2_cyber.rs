@@ -3,7 +3,7 @@
 //! simulated-CYBER seconds are produced by the `table2` binary; this bench
 //! shows the same U-shape (time vs m) on modern hardware.
 
-use mspcg_bench::experiments::{iterations_on, ordered_plate, ssor_interval};
+use mspcg_bench::experiments::{ordered_plate, solve_row, ssor_interval};
 use mspcg_bench::timing::{bench, finish};
 use std::hint::black_box;
 
@@ -30,7 +30,7 @@ fn main() {
         };
         results.push(bench("table2_solve_wall_clock", &label, || {
             let fit_on = parametrized.then_some(interval);
-            black_box(iterations_on(black_box(&ord), m, fit_on, 1e-6).expect("solve"));
+            black_box(solve_row(black_box(&ord), m, fit_on, 1e-6).expect("solve"));
         }));
     }
     finish(&results);

@@ -1,5 +1,5 @@
-//! The §2.1 condition-number study (experiment E9): κ(M_m⁻¹K) as a
-//! function of m, computed exactly with the dense symmetric eigensolver.
+//! The §2.1 condition-number study: κ(M_m⁻¹K) as a function of m,
+//! computed exactly with the dense symmetric eigensolver.
 //!
 //! Verifies the two theoretical claims the paper cites from Adams (1982):
 //! κ decreases monotonically with m, and the improvement over one step is

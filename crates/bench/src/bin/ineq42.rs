@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run --release -p mspcg-bench --bin ineq42 [--quick]`
 
-use mspcg_bench::experiments::{cyber_cost_model, iterations_on, ordered_plate, ssor_interval};
+use mspcg_bench::experiments::{cyber_cost_model, ordered_plate, solve_row, ssor_interval};
 use mspcg_bench::{table2_sizes, TextTable};
 use mspcg_core::analysis::{optimal_m, step_increase_beneficial};
 use mspcg_machine::VectorMachineParams;
@@ -21,7 +21,7 @@ fn main() {
 
     for a in table2_sizes(quick) {
         let (asm, ord) = ordered_plate(a).expect("plate");
-        let model = cyber_cost_model(&asm, &ord, &params).expect("cost model");
+        let model = cyber_cost_model(&asm, &ord, &params);
         println!(
             "a = {a}: cost model A = {:.3e} s/iter, B = {:.3e} s/step, B/A = {:.3}",
             model.a,
@@ -33,8 +33,8 @@ fn main() {
         let interval = ssor_interval(&ord).expect("spectrum");
         let mut counts = Vec::new();
         for m in 1..=max_m {
-            let n = iterations_on(&ord, m, (m >= 2).then_some(interval), tol).expect("solve");
-            counts.push((m, n));
+            let sol = solve_row(&ord, m, (m >= 2).then_some(interval), tol).expect("solve");
+            counts.push((m, sol.iterations));
         }
         let mut t = TextTable::new(vec![
             "m -> m+1",

@@ -1,7 +1,6 @@
-//! The §5 remark, tested (experiment E10): for multicolor orderings with
-//! few colors, ω = 1 is a good SSOR relaxation parameter — the method
-//! "does not face the usual difficulty in choosing the optimal relaxation
-//! parameter".
+//! The §5 remark, tested: for multicolor orderings with few colors,
+//! ω = 1 is a good SSOR relaxation parameter — the method "does not face
+//! the usual difficulty in choosing the optimal relaxation parameter".
 //!
 //! Usage: `cargo run --release -p mspcg-bench --bin omega_sweep [a]`
 

@@ -1,17 +1,17 @@
-//! Experiment runners shared by the table binaries and the Criterion
-//! benches.
+//! Experiment runners shared by the table binaries and the in-repo
+//! `timing` benches.
 
 use mspcg_core::analysis::{preconditioned_condition_number, CostModel};
 use mspcg_core::poly::SPECTRUM_STEPS;
 use mspcg_core::{
     cg_solve, least_squares_alphas, pcg_solve, pcg_solve_into, MStepSsorPreconditioner, PcgOptions,
-    PcgWorkspace, StoppingCriterion, SweepTable,
+    PcgSolution, PcgWorkspace, StoppingCriterion, SweepTable,
 };
 use mspcg_fem::plate::{AssembledProblem, OrderedProblem, PlaneStressProblem};
 use mspcg_fem::poisson::poisson5;
 use mspcg_machine::array::{run_fem_machine, ArrayBreakdown};
-use mspcg_machine::vector::{run_cyber_pcg, CoefficientChoice};
-use mspcg_machine::{ArrayMachineParams, VectorMachineParams};
+use mspcg_machine::vector::run_cyber_pcg;
+use mspcg_machine::{ArrayMachineParams, ProcessorAssignment, VectorMachineParams};
 use mspcg_sparse::lanczos::SpectralInterval;
 use mspcg_sparse::{CsrMatrix, Partition, SparseError};
 use std::sync::Arc;
@@ -98,10 +98,12 @@ impl Table2Data {
     }
 }
 
-/// Run one plate size of Table 2 on the simulated CYBER.
+/// Run one plate size of Table 2: solve each row once (the parametrized
+/// rows fitted on one SSOR estimate of the plate) and price it on the
+/// simulated CYBER.
 ///
 /// # Errors
-/// Propagates assembly/solver failures.
+/// Propagates assembly, estimation and solver failures.
 pub fn run_table2(
     a: usize,
     rows: &[(usize, bool)],
@@ -110,19 +112,14 @@ pub fn run_table2(
 ) -> Result<Table2Data, SparseError> {
     let asm = PlaneStressProblem::unit_square(a).assemble()?;
     let ord = asm.multicolor()?;
+    let interval = ssor_interval(&ord)?;
     let mut cells = Vec::with_capacity(rows.len());
-    let mut max_v = 0;
     for &(m, parametrized) in rows {
-        let choice = if parametrized {
-            CoefficientChoice::Parametrized
-        } else {
-            CoefficientChoice::Unparametrized
-        };
-        let rep = run_cyber_pcg(&asm, &ord, m, choice, params, tol)?;
-        max_v = rep.max_vector_length;
+        let sol = solve_row(&ord, m, parametrized.then_some(interval), tol)?;
+        let rep = run_cyber_pcg(&asm, &ord, sol.iterations, sol.stats.precond_steps, params);
         cells.push(Table2Cell {
             m,
-            parametrized: rep.parametrized,
+            parametrized: parametrized && m > 0,
             iterations: rep.iterations,
             seconds: rep.seconds,
             a_cost: rep.a_per_iteration,
@@ -132,7 +129,7 @@ pub fn run_table2(
     Ok(Table2Data {
         a,
         n: asm.num_unknowns(),
-        max_vector_length: max_v,
+        max_vector_length: asm.max_vector_length(),
         cells,
     })
 }
@@ -165,10 +162,12 @@ pub struct Table3Data {
     pub rows: Vec<Table3Row>,
 }
 
-/// Run Table 3 on the simulated Finite Element Machine.
+/// Run Table 3: solve each row once (the parametrized rows fitted on one
+/// SSOR estimate of the plate) and price it on the simulated Finite
+/// Element Machine at every processor count, on balanced strips.
 ///
 /// # Errors
-/// Propagates assembly/solver/assignment failures.
+/// Propagates assembly, assignment, estimation and solver failures.
 pub fn run_table3(
     a: usize,
     rows: &[(usize, bool)],
@@ -178,20 +177,20 @@ pub fn run_table3(
 ) -> Result<Table3Data, SparseError> {
     let asm = PlaneStressProblem::unit_square(a).assemble()?;
     let ord = asm.multicolor()?;
+    let strips = procs
+        .iter()
+        .map(|&p| ProcessorAssignment::strips(&asm, p))
+        .collect::<Result<Vec<_>, _>>()?;
+    let interval = ssor_interval(&ord)?;
     let mut out = Vec::with_capacity(rows.len());
     for &(m, parametrized) in rows {
-        let choice = if parametrized {
-            CoefficientChoice::Parametrized
-        } else {
-            CoefficientChoice::Unparametrized
-        };
+        let sol = solve_row(&ord, m, parametrized.then_some(interval), tol)?;
+        let (iterations, steps) = (sol.iterations, sol.stats.precond_steps);
         let mut seconds = Vec::with_capacity(procs.len());
         let mut overhead = Vec::with_capacity(procs.len());
-        let mut iterations = 0;
         let mut breakdown_last = ArrayBreakdown::default();
-        for &p in procs {
-            let rep = run_fem_machine(&asm, &ord, m, choice, p, params, tol)?;
-            iterations = rep.iterations;
+        for assignment in &strips {
+            let rep = run_fem_machine(&asm, &ord, iterations, steps, assignment, params);
             seconds.push(rep.seconds);
             overhead.push(rep.breakdown.overhead_fraction());
             breakdown_last = rep.breakdown;
@@ -213,7 +212,7 @@ pub fn run_table3(
     })
 }
 
-/// One row of the condition-number study (§2.1 / E9).
+/// One row of the condition-number study (§2.1).
 #[derive(Debug, Clone, Copy)]
 pub struct ConditionRow {
     /// Steps.
@@ -318,31 +317,33 @@ pub fn ssor_interval(ord: &OrderedProblem) -> Result<SpectralInterval, SparseErr
     table.ssor_spectrum(1.0, SPECTRUM_STEPS)
 }
 
-/// Iteration count for a given configuration on the ordered problem
-/// (used by the Criterion benches and by `ineq42`): least-squares α fitted
-/// on `interval` when one is given, α = 1 otherwise.
+/// The one m-row solve of Tables 2 and 3, `ineq42` and the `table2_cyber`
+/// bench: plain CG at `m = 0`, otherwise the m-step SSOR PCG with
+/// least-squares α fitted on `interval` when one is given (bitwise
+/// [`MStepSsorPreconditioner::parametrized`] on that estimate), α = 1
+/// otherwise — stopping at ‖Δu‖∞ < `tol`.
 ///
 /// # Errors
-/// Propagates solver failures.
-pub fn iterations_on(
+/// Propagates fit and solver failures.
+pub fn solve_row(
     ord: &OrderedProblem,
     m: usize,
     interval: Option<SpectralInterval>,
     tol: f64,
-) -> Result<usize, SparseError> {
+) -> Result<PcgSolution, SparseError> {
     let opts = PcgOptions {
         tol,
         ..Default::default()
     };
     if m == 0 {
-        return Ok(cg_solve(&ord.matrix, &ord.rhs, &opts)?.iterations);
+        return cg_solve(&ord.matrix, &ord.rhs, &opts);
     }
     let (a, colors) = (&ord.matrix, &ord.colors);
     let pre = match interval {
         Some(iv) => MStepSsorPreconditioner::with_interval(a, colors, m, iv, least_squares_alphas)?,
         None => MStepSsorPreconditioner::unparametrized(a, colors, m)?,
     };
-    Ok(pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts)?.iterations)
+    pcg_solve(&ord.matrix, &ord.rhs, &pre, &opts)
 }
 
 /// Assemble + order a plate (convenience for benches).
@@ -355,21 +356,19 @@ pub fn ordered_plate(a: usize) -> Result<(AssembledProblem, OrderedProblem), Spa
     Ok((asm, ord))
 }
 
-/// Cost model of the simulated CYBER for a given plate (from a 1-step
-/// probe run), for the Eq. (4.2) analysis.
-///
-/// # Errors
-/// Propagates simulator failures.
+/// Cost model of the simulated CYBER for a given plate, for the
+/// Eq. (4.2) analysis: `A` and `B` read off its clock, which needs no
+/// solve.
 pub fn cyber_cost_model(
     asm: &AssembledProblem,
     ord: &OrderedProblem,
     params: &VectorMachineParams,
-) -> Result<CostModel, SparseError> {
-    let rep = run_cyber_pcg(asm, ord, 1, CoefficientChoice::Unparametrized, params, 1e-3)?;
-    Ok(CostModel {
-        a: rep.a_per_iteration,
-        b: rep.b_per_step,
-    })
+) -> CostModel {
+    let clock = run_cyber_pcg(asm, ord, 0, 0, params);
+    CostModel {
+        a: clock.a_per_iteration,
+        b: clock.b_per_step,
+    }
 }
 
 #[cfg(test)]

@@ -140,7 +140,7 @@ impl Preconditioner for IncompleteCholesky {
     /// Solve `L Lᵀ z = r`: a forward then a backward substitution — the
     /// inherently *sequential* recurrences the paper's multicolor design
     /// avoids.
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
+    fn apply_with(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
         let n = self.dim();
         assert_eq!(r.len(), n, "ic apply: r length mismatch");
         assert_eq!(z.len(), n, "ic apply: z length mismatch");

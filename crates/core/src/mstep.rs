@@ -3,7 +3,7 @@
 //! `M_m⁻¹ = (Σ_{i<m} αᵢ Gⁱ) P⁻¹` for the multicolor SSOR splitting
 //! `K = P − Q`, evaluated by the Horner recurrence
 //! `w_s = G w_{s−1} + α_{m−s} P⁻¹ r` (`w_0 = 0`) at the Conrad–Wallach
-//! cost of one SOR sweep per step ([`MulticolorSsor::msolve`],
+//! cost of one SOR sweep per step ([`MulticolorSsor::msolve_block`],
 //! Algorithm 2). Constructors cover the paper's design space:
 //! * **unparametrized** (`αᵢ = 1`): m steps of the stationary method, the
 //!   truncated Neumann series `Σ Gⁱ` of `(I − G)⁻¹`,
@@ -203,10 +203,6 @@ impl MStepSsorPreconditioner {
 impl Preconditioner for MStepSsorPreconditioner {
     fn dim(&self) -> usize {
         self.ssor.dim()
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.ssor.msolve(&self.alphas, r, z);
     }
 
     fn steps_per_apply(&self) -> usize {

@@ -80,7 +80,7 @@ use mspcg_sparse::lanczos::{lanczos_extremes, SpectralInterval};
 use mspcg_sparse::par::ParSlice;
 use mspcg_sparse::tuning::{PolyKind, PrecondKind};
 use mspcg_sparse::{vecops, CsrMatrix, Partition, SparseError, SparseOp};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Step budget of both spectrum estimates, [`jacobi_spectrum`]'s Lanczos
 /// (clamped to the operator dimension) and the SSOR power iteration
@@ -309,16 +309,15 @@ impl PolySchedule {
 /// over the operator storage ([`SparseOp`]): CSR, SELL-C-σ and `AutoOp`
 /// all evaluate through the same fused kernels and produce bitwise
 /// identical applications (the SpMV determinism contract). Allocation-free
-/// after setup via [`Preconditioner::scratch_len`] /
-/// [`Preconditioner::apply_with`]; plain [`Preconditioner::apply`] uses an
-/// internal locked scratch.
+/// after setup: an application runs on the caller's
+/// [`Preconditioner::scratch_len`] values
+/// ([`Preconditioner::apply_with`]).
 pub struct PolynomialPreconditioner<A: SparseOp = CsrMatrix> {
     a: A,
     inv_diag: Vec<f64>,
     kind: PolyKind,
     interval: SpectralInterval,
     schedule: PolySchedule,
-    scratch: Mutex<Vec<f64>>,
 }
 
 impl<A: SparseOp> PolynomialPreconditioner<A> {
@@ -380,14 +379,12 @@ impl<A: SparseOp> PolynomialPreconditioner<A> {
         interval: SpectralInterval,
     ) -> Result<Self, SparseError> {
         let schedule = PolySchedule::new(kind, interval.min, interval.max, degree)?;
-        let n = inv_diag.len();
         Ok(PolynomialPreconditioner {
             a,
             inv_diag,
             kind,
             interval,
             schedule,
-            scratch: Mutex::new(vec![0.0; 3 * n]),
         })
     }
 
@@ -448,12 +445,6 @@ pub(crate) fn checked_inv_diag<A: SparseOp>(a: &A) -> Result<Vec<f64>, SparseErr
 impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
     fn dim(&self) -> usize {
         self.inv_diag.len()
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut guard = self.scratch.lock().expect("poly scratch poisoned");
-        let scratch = &mut *guard;
-        self.apply_with(r, z, scratch);
     }
 
     /// One SpMV per degree: the polynomial degree `k`.
@@ -540,13 +531,6 @@ impl<A: SparseOp> Preconditioner for AutoPreconditioner<A> {
         match self {
             AutoPreconditioner::MStepSsor(p) => p.dim(),
             AutoPreconditioner::Poly(p) => p.dim(),
-        }
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        match self {
-            AutoPreconditioner::MStepSsor(p) => p.apply(r, z),
-            AutoPreconditioner::Poly(p) => p.apply(r, z),
         }
     }
 

@@ -11,16 +11,35 @@ use mspcg_sparse::op::by_column;
 use mspcg_sparse::SparseError;
 
 /// Application of `M⁻¹`: `z ← M⁻¹ r`.
+///
+/// [`Preconditioner::apply_with`] is the one application an implementation
+/// writes: every solve reaches it, through [`Preconditioner::apply_block`]
+/// (whose default runs it column by column) or through a block override
+/// that is bitwise the same per column. It works on scratch the caller
+/// owns, so an implementation holds no per-application state and the
+/// concurrent solves of a batch share one preconditioner without a lock.
+/// [`Preconditioner::apply`] is `apply_with` on freshly allocated scratch.
 pub trait Preconditioner {
     /// Dimension of the operator.
     fn dim(&self) -> usize;
 
-    /// Solve `M z = r`.
+    /// Solve `M z = r` with caller-owned scratch of at least
+    /// [`Preconditioner::scratch_len`] values, whose contents on entry do
+    /// not matter.
     ///
     /// # Panics
-    /// Implementations may panic if `r.len() != dim()` or
-    /// `z.len() != dim()`.
-    fn apply(&self, r: &[f64], z: &mut [f64]);
+    /// Implementations may panic if `r.len() != dim()`,
+    /// `z.len() != dim()` or the scratch is too short.
+    fn apply_with(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]);
+
+    /// Solve `M z = r`: [`Preconditioner::apply_with`] on a scratch it
+    /// allocates, for one-off applications (the dense analyses, tests).
+    ///
+    /// # Panics
+    /// As [`Preconditioner::apply_with`].
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_with(r, z, &mut vec![0.0; self.scratch_len()]);
+    }
 
     /// Cost of one application in *preconditioner steps* (the `m` of the
     /// paper's Eq. (4.1) cost model `T_m = N_m (A + mB)`). Identity returns
@@ -30,20 +49,9 @@ pub trait Preconditioner {
     }
 
     /// Length of the caller-provided scratch [`Preconditioner::apply_with`]
-    /// needs; `0` when the implementation keeps no per-apply state.
+    /// needs; `0` when the implementation needs none.
     fn scratch_len(&self) -> usize {
         0
-    }
-
-    /// Solve `M z = r` with caller-owned scratch of length
-    /// [`Preconditioner::scratch_len`]. Numerically identical to
-    /// [`Preconditioner::apply`], but implementations with internal locked
-    /// buffers (the multicolor SSOR half-sum cache) use the scratch
-    /// instead, so concurrent solves sharing one preconditioner — the
-    /// batched multi-RHS workload — never serialize on a lock. The default
-    /// ignores the scratch.
-    fn apply_with(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
-        self.apply(r, z);
     }
 
     /// [`Preconditioner::apply_with`] on `W` right-hand sides stored
@@ -124,7 +132,7 @@ impl Preconditioner for IdentityPreconditioner {
         self.n
     }
 
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
+    fn apply_with(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
         assert_eq!(r.len(), self.n, "identity: length mismatch");
         z.copy_from_slice(r);
     }
@@ -169,7 +177,7 @@ impl Preconditioner for DiagonalPreconditioner {
         self.inv_diag.len()
     }
 
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
+    fn apply_with(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
         assert_eq!(r.len(), self.inv_diag.len(), "diagonal: length mismatch");
         for i in 0..r.len() {
             z[i] = r[i] * self.inv_diag[i];

@@ -200,44 +200,6 @@ pub struct ApplicationFault {
     pub kind: FaultKind,
 }
 
-/// Deterministic seeded fault set: `count` faults at xorshift-derived
-/// applications in `0..max_application` and indices in `0..n`, cycling
-/// through the perturbation kinds. Purely a convenience for randomized
-/// campaign tests — explicit [`ApplicationFault`] lists stay the precise
-/// tool.
-pub fn seeded_faults(
-    seed: u64,
-    count: usize,
-    n: usize,
-    max_application: usize,
-) -> Vec<ApplicationFault> {
-    // Odd-constant multiply is a bijection on u64, so distinct seeds give
-    // distinct streams (plain `seed | 1` would collapse even/odd pairs).
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    if state == 0 {
-        state = 0x9E37_79B9_7F4A_7C15;
-    }
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let kinds = [
-        FaultKind::BitFlip(55),
-        FaultKind::NaN,
-        FaultKind::Inf,
-        FaultKind::ScaledNoise(1e6),
-    ];
-    (0..count)
-        .map(|k| ApplicationFault {
-            application: (next() as usize) % max_application.max(1),
-            index: (next() as usize) % n.max(1),
-            kind: kinds[k % kinds.len()],
-        })
-        .collect()
-}
-
 /// Shared injection bookkeeping of the two wrappers.
 #[derive(Debug)]
 struct InjectionState {
@@ -387,11 +349,6 @@ impl<P: Preconditioner> FaultyPreconditioner<P> {
 impl<P: Preconditioner> Preconditioner for FaultyPreconditioner<P> {
     fn dim(&self) -> usize {
         self.inner.dim()
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.inner.apply(r, z);
-        self.state.inject(z);
     }
 
     fn steps_per_apply(&self) -> usize {
@@ -579,16 +536,6 @@ mod tests {
         assert!(audit_due(13, 8, 4));
         // Degenerate period never divides by zero.
         assert!(audit_due(3, 1, 0));
-    }
-
-    #[test]
-    fn seeded_faults_replay() {
-        let a = seeded_faults(42, 8, 100, 50);
-        let b = seeded_faults(42, 8, 100, 50);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
-        assert!(a.iter().all(|f| f.index < 100 && f.application < 50));
-        assert_ne!(seeded_faults(43, 8, 100, 50), a);
     }
 
     #[test]

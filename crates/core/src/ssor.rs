@@ -39,7 +39,7 @@
 //! SSOR step**, which is the paper's claim that the m-step SSOR
 //! preconditioner costs only m multicolor SOR sweeps.
 //!
-//! The m-step `msolve` additionally *fuses* the `w_0 = 0` initialization
+//! The m-step msolve additionally *fuses* the `w_0 = 0` initialization
 //! into the first forward sweep: since every lower half-sum of step 1 reads
 //! only rows already updated in that same pass and every upper half-sum is
 //! structurally zero, the first sweep writes every element of `z` and of
@@ -66,7 +66,7 @@ use mspcg_sparse::lanczos::{power_spectral_radius, SpectralInterval};
 use mspcg_sparse::par::{self, ParSlice};
 use mspcg_sparse::{tuning, CsrMatrix, Partition, SparseError, SparseOp};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The half-sum a color phase of [`SweepTable::sweep`] computes fresh,
 /// and where the other half comes from.
@@ -444,10 +444,6 @@ impl SweepTable {
 pub struct MulticolorSsor {
     table: SweepTable,
     omega: f64,
-    /// Conrad–Wallach half-sum cache (valid only inside one msolve call;
-    /// a mutex rather than a `RefCell` so the splitting stays `Sync` and
-    /// can be shared with the worker pool and across solver threads).
-    y: Mutex<Vec<f64>>,
 }
 
 impl MulticolorSsor {
@@ -471,12 +467,7 @@ impl MulticolorSsor {
             });
         }
         let table = SweepTable::new(a.into(), colors.into())?;
-        let n = table.a.rows();
-        Ok(MulticolorSsor {
-            table,
-            omega,
-            y: Mutex::new(vec![0.0; n]),
-        })
+        Ok(MulticolorSsor { table, omega })
     }
 
     /// Build from a color-blocked operator in **any** [`SparseOp`]
@@ -510,12 +501,6 @@ impl MulticolorSsor {
         self.table.a.rows()
     }
 
-    /// Count of off-diagonal multiply–adds per SSOR step (the Conrad–Wallach
-    /// cost: each off-diagonal entry exactly once).
-    pub fn offdiag_ops_per_step(&self) -> usize {
-        self.table.a.nnz() - self.table.a.rows()
-    }
-
     /// One full SSOR step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
     /// starting vector, both half-sums computed fresh: the step the
     /// spectrum estimate iterates, and the reference the cached msolve is
@@ -529,22 +514,16 @@ impl MulticolorSsor {
     /// Algorithm 2: the m-step solve `z ← (Σᵢ αᵢ Gⁱ) P⁻¹ r` by the Horner
     /// recurrence `w_s = G w_{s−1} + α_{m−s} P⁻¹ r`, `w_0 = 0`, with the
     /// Conrad–Wallach cache carried across steps (the final backward
-    /// color-1 update runs with `α₀`, the paper's trailing step (3)). The
-    /// `w_0 = 0`, `y = 0` start is fused into the first forward sweep — no
-    /// zero-fill passes, each color block swept once per step. It borrows
-    /// the internal mutex-guarded cache; concurrent callers sharing one
-    /// splitting pass their own to [`MulticolorSsor::msolve_block`].
-    pub fn msolve(&self, alphas: &[f64], r: &[f64], z: &mut [f64]) {
-        let mut y = self.y.lock().unwrap_or_else(|e| e.into_inner());
-        self.msolve_block::<1>(alphas, r, z, y.as_mut_slice());
-    }
-
-    /// [`MulticolorSsor::msolve`] on `W` right-hand sides stored
-    /// interleaved (column `j` of row `i` at `i·W + j`), with a caller-owned
-    /// half-sum cache in the first `W·dim()` values of `scratch`, which the
-    /// fused first sweep writes before reading. Each color phase is one
-    /// pool launch streaming the sweep table once for all `W` columns, and
-    /// every column is bitwise its width-1 solve.
+    /// color-1 update runs with `α₀`, the paper's trailing step (3)), on
+    /// `W` right-hand sides stored interleaved (column `j` of row `i` at
+    /// `i·W + j`; a single solve is `W = 1`). The cache is the first
+    /// `W·dim()` values of the caller's `scratch`, so concurrent callers
+    /// sharing one splitting never contend. The `w_0 = 0`, `y = 0` start
+    /// is fused into the first forward sweep, which writes `z` and the
+    /// cache before reading them — no zero-fill passes, each color block
+    /// swept once per step. Each color phase is one pool launch streaming
+    /// the sweep table once for all `W` columns, and every column is
+    /// bitwise its width-1 solve.
     pub fn msolve_block<const W: usize>(
         &self,
         alphas: &[f64],
@@ -606,6 +585,11 @@ mod tests {
         let ord = coloring.ordering();
         let b = ord.permute_matrix(&a).unwrap();
         (b, ord.partition)
+    }
+
+    /// One m-step solve on a half-sum cache of its own.
+    fn msolve(mc: &MulticolorSsor, alphas: &[f64], r: &[f64], z: &mut [f64]) {
+        mc.msolve_block::<1>(alphas, r, z, &mut vec![0.0; mc.dim()]);
     }
 
     #[test]
@@ -697,7 +681,7 @@ mod tests {
             let r: Vec<f64> = (0..10).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
             for alphas in [vec![1.0], vec![1.0, 1.0, 1.0], vec![0.5, 2.0, -0.25, 1.25]] {
                 let mut z_fast = vec![0.0; 10];
-                mc.msolve(&alphas, &r, &mut z_fast);
+                msolve(&mc, &alphas, &r, &mut z_fast);
                 // Reference path: m independent full steps.
                 let mut z_ref = vec![0.0; 10];
                 let m = alphas.len();
@@ -723,10 +707,9 @@ mod tests {
         let r: Vec<f64> = (0..10).map(|i| (i as f64 * 0.9).cos()).collect();
         let alphas = [1.0, -0.5, 2.0];
         let mut z1 = vec![0.0; 10];
-        mc.msolve(&alphas, &r, &mut z1);
+        mc.msolve_block::<1>(&alphas, &r, &mut z1, &mut [0.0; 10]);
         let mut z2 = vec![f64::MAX; 10];
-        mc.y.lock().unwrap().fill(f64::NAN);
-        mc.msolve(&alphas, &r, &mut z2);
+        mc.msolve_block::<1>(&alphas, &r, &mut z2, &mut [f64::NAN; 10]);
         assert_eq!(z1, z2);
     }
 
@@ -741,9 +724,9 @@ mod tests {
         let mut z1 = vec![0.0; 8];
         let mut z2 = vec![0.0; 8];
         let mut zs = vec![0.0; 8];
-        mc.msolve(&alphas, &r1, &mut z1);
-        mc.msolve(&alphas, &r2, &mut z2);
-        mc.msolve(&alphas, &rsum, &mut zs);
+        msolve(&mc, &alphas, &r1, &mut z1);
+        msolve(&mc, &alphas, &r2, &mut z2);
+        msolve(&mc, &alphas, &rsum, &mut zs);
         for i in 0..8 {
             assert!((zs[i] - z1[i] - z2[i]).abs() < 1e-12);
         }
@@ -761,7 +744,7 @@ mod tests {
             let mut e = vec![0.0; n];
             e[j] = 1.0;
             let mut z = vec![0.0; n];
-            mc.msolve(&alphas, &e, &mut z);
+            msolve(&mc, &alphas, &e, &mut z);
             for i in 0..n {
                 minv[i][j] = z[i];
             }
@@ -784,7 +767,7 @@ mod tests {
         let r = a.mul_vec(&x_true);
         let err = |m: usize| -> f64 {
             let mut z = vec![0.0; 12];
-            mc.msolve(&vec![1.0; m], &r, &mut z);
+            msolve(&mc, &vec![1.0; m], &r, &mut z);
             z.iter()
                 .zip(&x_true)
                 .map(|(u, v)| (u - v).abs())
@@ -829,14 +812,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn offdiag_ops_count() {
-        let (a, p) = rb_laplacian(8);
-        let nnz = a.nnz();
-        let mc = MulticolorSsor::new(a, p, 1.0).unwrap();
-        assert_eq!(mc.offdiag_ops_per_step(), nnz - 8);
-    }
-
     /// Parallel sweeps must agree bitwise with the serial path across
     /// thread counts — the SSOR leg of the determinism contract. The
     /// problem is sized past the parallel threshold.
@@ -851,11 +826,11 @@ mod tests {
         let before = par::max_threads();
         par::set_max_threads(1);
         let mut z1 = vec![0.0; 40_000];
-        mc.msolve(&alphas, &r, &mut z1);
+        msolve(&mc, &alphas, &r, &mut z1);
         for t in [2usize, 4, 8] {
             par::set_max_threads(t);
             let mut zt = vec![0.0; 40_000];
-            mc.msolve(&alphas, &r, &mut zt);
+            msolve(&mc, &alphas, &r, &mut zt);
             assert!(
                 z1.iter().zip(&zt).all(|(u, v)| u.to_bits() == v.to_bits()),
                 "msolve differs at t = {t}"

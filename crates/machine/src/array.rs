@@ -1,8 +1,9 @@
-//! Finite Element Machine execution of Algorithm 3 (§3.2, Table 3).
+//! Finite Element Machine clock of Algorithm 3 (§3.2, Table 3).
 //!
-//! The machine is simulated phase by phase in lock step; each phase's time
-//! is the maximum over processors (the paper's processors synchronize at
-//! communications and at the flag network). Per CG iteration:
+//! A finished solve — its iteration and preconditioner-step counts — is
+//! priced phase by phase in lock step; each phase's time is the maximum
+//! over processors (the paper's processors synchronize at communications
+//! and at the flag network). Per CG iteration:
 //!
 //! 1. **border exchange** of `p` components with neighbour processors
 //!    (one packed record per neighbour per direction),
@@ -20,11 +21,7 @@
 
 use crate::assign::ProcessorAssignment;
 use crate::params::ArrayMachineParams;
-use mspcg_core::PcgSolution;
 use mspcg_fem::plate::{AssembledProblem, OrderedProblem};
-use mspcg_sparse::SparseError;
-
-pub use crate::vector::CoefficientChoice;
 
 /// Per-phase time totals of one simulated run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -58,24 +55,17 @@ impl ArrayBreakdown {
     }
 }
 
-/// Result of one simulated Finite Element Machine run.
+/// A solve priced on the simulated Finite Element Machine.
 #[derive(Debug, Clone)]
 pub struct ArrayReport {
     /// Processor count.
     pub processors: usize,
-    /// m (0 = plain CG).
-    pub m: usize,
-    /// Parametrized coefficients?
-    pub parametrized: bool,
-    /// Exact iteration count (identical across processor counts — the
-    /// algorithm is deterministic; Table 3 shows the same property).
+    /// The solve's iteration count (Table 3 column `I`).
     pub iterations: usize,
     /// Modelled wall time in seconds.
     pub seconds: f64,
     /// Phase breakdown.
     pub breakdown: ArrayBreakdown,
-    /// Solver output.
-    pub solution: PcgSolution,
 }
 
 impl ArrayReport {
@@ -85,41 +75,22 @@ impl ArrayReport {
     }
 }
 
-/// Simulate the m-step SSOR PCG on `p` processors of the Finite Element
-/// Machine, with the balanced-strips node assignment (the paper's Fig. 5
-/// configuration for the 6×6 plate).
-///
-/// # Errors
-/// Propagates solver, preconditioner and assignment construction errors.
+/// Price a finished m-step SSOR PCG solve of the plate — `iterations`
+/// outer iterations and `precond_steps` preconditioner steps in all (the
+/// solve's `PcgStats::precond_steps`; 0 for plain CG) — on the Finite
+/// Element Machine under a node-to-processor `assignment`: the
+/// balanced strips of the paper's Fig. 5
+/// ([`ProcessorAssignment::strips`]) or the 2-D blocks of Fig. 3
+/// ([`ProcessorAssignment::blocks`]).
 pub fn run_fem_machine(
     asm: &AssembledProblem,
     ord: &OrderedProblem,
-    m: usize,
-    choice: CoefficientChoice,
-    p: usize,
-    params: &ArrayMachineParams,
-    tol: f64,
-) -> Result<ArrayReport, SparseError> {
-    let assignment = ProcessorAssignment::strips(asm, p)?;
-    run_fem_machine_assigned(asm, ord, m, choice, &assignment, params, tol)
-}
-
-/// Simulate with an explicit node-to-processor assignment (e.g. the 2-D
-/// block layout of Fig. 3, built with [`ProcessorAssignment::blocks`]).
-///
-/// # Errors
-/// Propagates solver and preconditioner construction errors.
-pub fn run_fem_machine_assigned(
-    asm: &AssembledProblem,
-    ord: &OrderedProblem,
-    m: usize,
-    choice: CoefficientChoice,
+    iterations: usize,
+    precond_steps: usize,
     assignment: &ProcessorAssignment,
     params: &ArrayMachineParams,
-    tol: f64,
-) -> Result<ArrayReport, SparseError> {
+) -> ArrayReport {
     let p = assignment.num_processors();
-    let solution = choice.solve(ord, m, tol)?;
 
     // ---- per-processor structural counts ---------------------------------
     // Equations and stored nonzeros owned by each processor (from the
@@ -189,8 +160,8 @@ pub fn run_fem_machine_assigned(
         })
         .fold(0.0, f64::max);
 
-    let iters = solution.iterations as f64;
-    let steps = solution.stats.precond_steps as f64;
+    let iters = iterations as f64;
+    let steps = precond_steps as f64;
     let breakdown = ArrayBreakdown {
         compute: iters * cg_compute + steps * precond_compute_per_step,
         cg_comm: if p > 1 { iters * cg_comm_per_iter } else { 0.0 },
@@ -203,89 +174,41 @@ pub fn run_fem_machine_assigned(
         flag: iters * flag_per_iter,
     };
 
-    Ok(ArrayReport {
+    ArrayReport {
         processors: p,
-        m,
-        parametrized: matches!(choice, CoefficientChoice::Parametrized) && m > 0,
-        iterations: solution.iterations,
+        iterations,
         seconds: breakdown.total(),
         breakdown,
-        solution,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mspcg_fem::plate::PlaneStressProblem;
+    use crate::test_solve::{counters, plate};
 
-    fn plate6() -> (AssembledProblem, OrderedProblem) {
-        let asm = PlaneStressProblem::unit_square(6).assemble().unwrap();
-        let ord = asm.multicolor().unwrap();
-        (asm, ord)
-    }
-
-    #[test]
-    fn iteration_count_is_processor_independent() {
-        let (asm, ord) = plate6();
-        let params = ArrayMachineParams::default();
-        let runs: Vec<ArrayReport> = [1usize, 2, 5]
-            .iter()
-            .map(|&p| {
-                run_fem_machine(
-                    &asm,
-                    &ord,
-                    2,
-                    CoefficientChoice::Unparametrized,
-                    p,
-                    &params,
-                    1e-6,
-                )
-                .unwrap()
-            })
-            .collect();
-        assert_eq!(runs[0].iterations, runs[1].iterations);
-        assert_eq!(runs[1].iterations, runs[2].iterations);
+    /// Price the α = 1, m-step solve of the plate on `p` strips.
+    fn priced(
+        asm: &AssembledProblem,
+        ord: &OrderedProblem,
+        m: usize,
+        p: usize,
+        params: &ArrayMachineParams,
+    ) -> ArrayReport {
+        let (iterations, steps) = counters(ord, m);
+        let strips = ProcessorAssignment::strips(asm, p).unwrap();
+        run_fem_machine(asm, ord, iterations, steps, &strips, params)
     }
 
     #[test]
     fn speedups_are_in_the_papers_band() {
         // Table 3: speedup ≈ 1.8–1.95 on 2 processors, ≈ 3.0–3.7 on 5.
-        let (asm, ord) = plate6();
+        let (asm, ord) = plate(6);
         let params = ArrayMachineParams::default();
         for m in [0usize, 1, 2] {
-            let r1 = run_fem_machine(
-                &asm,
-                &ord,
-                m,
-                CoefficientChoice::Unparametrized,
-                1,
-                &params,
-                1e-6,
-            )
-            .unwrap();
-            let r2 = run_fem_machine(
-                &asm,
-                &ord,
-                m,
-                CoefficientChoice::Unparametrized,
-                2,
-                &params,
-                1e-6,
-            )
-            .unwrap();
-            let r5 = run_fem_machine(
-                &asm,
-                &ord,
-                m,
-                CoefficientChoice::Unparametrized,
-                5,
-                &params,
-                1e-6,
-            )
-            .unwrap();
-            let s2 = r2.speedup_over(&r1);
-            let s5 = r5.speedup_over(&r1);
+            let r1 = priced(&asm, &ord, m, 1, &params);
+            let s2 = priced(&asm, &ord, m, 2, &params).speedup_over(&r1);
+            let s5 = priced(&asm, &ord, m, 5, &params).speedup_over(&r1);
             assert!(s2 > 1.5 && s2 < 2.0, "m = {m}: speedup(2) = {s2}");
             assert!(s5 > 2.5 && s5 < 5.0, "m = {m}: speedup(5) = {s5}");
         }
@@ -295,18 +218,8 @@ mod tests {
     fn preconditioner_comm_dominates_cg_overhead() {
         // Paper observation (3): for multi-step runs the preconditioner
         // communication exceeds the inner-product overhead.
-        let (asm, ord) = plate6();
-        let params = ArrayMachineParams::default();
-        let r = run_fem_machine(
-            &asm,
-            &ord,
-            3,
-            CoefficientChoice::Unparametrized,
-            5,
-            &params,
-            1e-6,
-        )
-        .unwrap();
+        let (asm, ord) = plate(6);
+        let r = priced(&asm, &ord, 3, 5, &ArrayMachineParams::default());
         assert!(
             r.breakdown.precond_comm > r.breakdown.reductions + r.breakdown.flag,
             "{:?}",
@@ -316,18 +229,8 @@ mod tests {
 
     #[test]
     fn single_processor_has_no_overhead() {
-        let (asm, ord) = plate6();
-        let params = ArrayMachineParams::default();
-        let r = run_fem_machine(
-            &asm,
-            &ord,
-            2,
-            CoefficientChoice::Parametrized,
-            1,
-            &params,
-            1e-6,
-        )
-        .unwrap();
+        let (asm, ord) = plate(6);
+        let r = priced(&asm, &ord, 2, 1, &ArrayMachineParams::default());
         assert_eq!(r.breakdown.cg_comm, 0.0);
         assert_eq!(r.breakdown.precond_comm, 0.0);
         assert_eq!(r.breakdown.reductions, 0.0);
@@ -339,30 +242,11 @@ mod tests {
     fn speedup_decreases_with_m() {
         // Paper Table 3: speedup drifts down as m grows (communication of
         // the preconditioner).
-        let (asm, ord) = plate6();
+        let (asm, ord) = plate(6);
         let params = ArrayMachineParams::default();
         let speedup = |m: usize| {
-            let r1 = run_fem_machine(
-                &asm,
-                &ord,
-                m,
-                CoefficientChoice::Unparametrized,
-                1,
-                &params,
-                1e-6,
-            )
-            .unwrap();
-            let r2 = run_fem_machine(
-                &asm,
-                &ord,
-                m,
-                CoefficientChoice::Unparametrized,
-                2,
-                &params,
-                1e-6,
-            )
-            .unwrap();
-            r2.speedup_over(&r1)
+            let r1 = priced(&asm, &ord, m, 1, &params);
+            priced(&asm, &ord, m, 2, &params).speedup_over(&r1)
         };
         let s0 = speedup(0);
         let s4 = speedup(4);
@@ -375,40 +259,18 @@ mod tests {
         // words than 1-D strips, but they talk to more neighbours (up to 6
         // links vs 2). Which layout wins therefore depends on the
         // startup/bandwidth ratio of the links — measure both regimes.
-        let asm = PlaneStressProblem::unit_square(16).assemble().unwrap();
-        let ord = asm.multicolor().unwrap();
-        let blocks_assign = ProcessorAssignment::blocks(&asm, 3, 3).unwrap();
-        let run = |params: &ArrayMachineParams, blocks: bool| {
-            if blocks {
-                run_fem_machine_assigned(
-                    &asm,
-                    &ord,
-                    2,
-                    CoefficientChoice::Unparametrized,
-                    &blocks_assign,
-                    params,
-                    1e-6,
-                )
-                .unwrap()
-            } else {
-                run_fem_machine(
-                    &asm,
-                    &ord,
-                    2,
-                    CoefficientChoice::Unparametrized,
-                    9,
-                    params,
-                    1e-6,
-                )
-                .unwrap()
-            }
+        let (asm, ord) = plate(16);
+        let (iterations, steps) = counters(&ord, 2);
+        let blocks = ProcessorAssignment::blocks(&asm, 3, 3).unwrap();
+        let strips = ProcessorAssignment::strips(&asm, 9).unwrap();
+        let run = |params: &ArrayMachineParams, assignment: &ProcessorAssignment| {
+            run_fem_machine(&asm, &ord, iterations, steps, assignment, params)
         };
         // Startup-dominated links (the 1983 defaults): strips win — fewer,
         // larger messages.
         let startup_heavy = ArrayMachineParams::default();
-        let s1 = run(&startup_heavy, false);
-        let b1 = run(&startup_heavy, true);
-        assert_eq!(s1.iterations, b1.iterations);
+        let s1 = run(&startup_heavy, &strips);
+        let b1 = run(&startup_heavy, &blocks);
         assert!(s1.breakdown.precond_comm <= b1.breakdown.precond_comm);
         // Bandwidth-dominated links: blocks win — shorter borders.
         let bandwidth_heavy = ArrayMachineParams {
@@ -416,33 +278,13 @@ mod tests {
             comm_per_word: 2e-3,
             ..Default::default()
         };
-        let s2 = run(&bandwidth_heavy, false);
-        let b2 = run(&bandwidth_heavy, true);
+        let s2 = run(&bandwidth_heavy, &strips);
+        let b2 = run(&bandwidth_heavy, &blocks);
         assert!(
             b2.breakdown.precond_comm < s2.breakdown.precond_comm,
             "blocks {:?} vs strips {:?}",
             b2.breakdown,
             s2.breakdown
         );
-    }
-
-    #[test]
-    fn solution_matches_direct_solve() {
-        let (asm, ord) = plate6();
-        let params = ArrayMachineParams::default();
-        let r = run_fem_machine(
-            &asm,
-            &ord,
-            2,
-            CoefficientChoice::Parametrized,
-            5,
-            &params,
-            1e-8,
-        )
-        .unwrap();
-        let exact = ord.matrix.to_dense().cholesky().unwrap().solve(&ord.rhs);
-        for (u, v) in r.solution.x.iter().zip(&exact) {
-            assert!((u - v).abs() < 1e-5);
-        }
     }
 }

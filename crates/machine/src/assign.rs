@@ -232,11 +232,6 @@ impl ProcessorAssignment {
         }
         out
     }
-
-    /// Per-processor equation counts (2 dofs per owned node).
-    pub fn equations_of(&self, q: usize) -> usize {
-        2 * self.nodes_of(q).len()
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! CYBER 203/205 execution of the m-step SSOR PCG (§3.1, Table 2).
+//! CYBER 203/205 clock of the m-step SSOR PCG (§3.1, Table 2).
 //!
-//! The simulator runs the *real* solver on the color-ordered system for
-//! exact iteration counts and then charges the pipeline clock analytically
-//! from the matrix structure:
+//! The simulator prices a finished solve of the color-ordered system —
+//! its iteration and preconditioner-step counts — analytically from the
+//! matrix structure:
 //!
 //! * `K·p` is performed **by diagonals** (Madsen–Rodrigue–Karush): one
 //!   fused multiply–add vector instruction per occupied diagonal of the
@@ -16,48 +16,8 @@
 //!   node counts, matching the `v` column of Table 2.
 
 use crate::params::VectorMachineParams;
-use mspcg_core::{
-    cg_solve, pcg_solve, MStepSsorPreconditioner, PcgOptions, PcgSolution, StoppingCriterion,
-};
 use mspcg_fem::plate::{AssembledProblem, OrderedProblem};
-use mspcg_sparse::{CsrMatrix, DiaMatrix, Partition, SparseError};
-
-/// Which coefficient set to run (Table 2 rows `m` vs `mP`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoefficientChoice {
-    /// `αᵢ = 1` (rows `1, 2, 3, 4` of Table 2).
-    Unparametrized,
-    /// Least-squares parametrized (rows `2P … 10P`).
-    Parametrized,
-}
-
-impl CoefficientChoice {
-    /// The solve both simulators time: plain CG at `m = 0` (the paper's
-    /// baseline row), otherwise m-step SSOR PCG with this coefficient set,
-    /// both stopping at ‖Δu‖∞ < `tol`.
-    pub(crate) fn solve(
-        self,
-        ord: &OrderedProblem,
-        m: usize,
-        tol: f64,
-    ) -> Result<PcgSolution, SparseError> {
-        let opts = PcgOptions {
-            tol,
-            max_iterations: 100_000,
-            criterion: StoppingCriterion::DisplacementChange,
-            ..Default::default()
-        };
-        let (a, colors, f) = (&ord.matrix, &ord.colors, &ord.rhs);
-        if m == 0 {
-            return cg_solve(a, f, &opts);
-        }
-        let pre = match self {
-            Self::Unparametrized => MStepSsorPreconditioner::unparametrized(a, colors, m),
-            Self::Parametrized => MStepSsorPreconditioner::parametrized(a, colors, m),
-        }?;
-        pcg_solve(a, f, &pre, &opts)
-    }
-}
+use mspcg_sparse::{CsrMatrix, DiaMatrix, Partition};
 
 /// Timing breakdown of one simulated run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -81,14 +41,10 @@ impl CyberBreakdown {
     }
 }
 
-/// Result of a simulated CYBER run.
+/// A solve priced on the simulated CYBER.
 #[derive(Debug, Clone)]
 pub struct CyberReport {
-    /// m (0 = plain CG).
-    pub m: usize,
-    /// Parametrized or not (meaningless for m = 0).
-    pub parametrized: bool,
-    /// Exact iteration count (Table 2 column `I`).
+    /// The solve's iteration count (Table 2 column `I`).
     pub iterations: usize,
     /// Modelled wall time in seconds (Table 2 column `T`).
     pub seconds: f64,
@@ -100,8 +56,6 @@ pub struct CyberReport {
     pub a_per_iteration: f64,
     /// `B` = seconds per preconditioner step.
     pub b_per_step: f64,
-    /// The solver output (solution vector, stats, convergence data).
-    pub solution: PcgSolution,
 }
 
 /// Structural analysis of the color-blocked matrix used by the clock
@@ -146,42 +100,24 @@ impl BlockDiagonalStructure {
             block_sizes: (0..nb).map(|b| colors.block_len(b)).collect(),
         }
     }
-
-    /// Total off-diagonal-block diagonal count (the vector-op count of one
-    /// full set of block products).
-    pub fn offdiag_block_diagonals(&self) -> usize {
-        let nb = self.block_sizes.len();
-        let mut s = 0;
-        for i in 0..nb {
-            for j in 0..nb {
-                if i != j {
-                    s += self.block_diagonals[i][j];
-                }
-            }
-        }
-        s
-    }
 }
 
-/// Run the m-step SSOR PCG for the plate problem on the simulated CYBER.
+/// Price a finished m-step SSOR PCG solve of the plate on the simulated
+/// CYBER: `iterations` outer iterations and `precond_steps`
+/// preconditioner steps in all (the solve's `PcgStats::precond_steps`;
+/// 0 for plain CG). The clock constants `A` and `B` do not depend on
+/// either count, so zero counts read them without a solve.
 ///
-/// `m == 0` runs plain CG (the paper's baseline row). Padded vector
-/// lengths come from `asm` (constrained nodes included in the layout);
-/// the solve itself runs on the reduced ordered system `ord`.
-///
-/// # Errors
-/// Propagates solver and preconditioner construction failures.
+/// Padded vector lengths come from `asm` (constrained nodes included in
+/// the layout); the block structure from the reduced ordered system
+/// `ord` the solve ran on.
 pub fn run_cyber_pcg(
     asm: &AssembledProblem,
     ord: &OrderedProblem,
-    m: usize,
-    choice: CoefficientChoice,
+    iterations: usize,
+    precond_steps: usize,
     params: &VectorMachineParams,
-    tol: f64,
-) -> Result<CyberReport, SparseError> {
-    let solution = choice.solve(ord, m, tol)?;
-
-    // ---- clock model -----------------------------------------------------
+) -> CyberReport {
     let structure = BlockDiagonalStructure::analyze(&ord.matrix, &ord.colors);
     // Padded (control-vector) lengths: constrained nodes are stored too.
     let padded_blocks = asm.cyber_color_lengths();
@@ -218,39 +154,29 @@ pub fn run_cyber_pcg(
         b_per_step += params.scalar(2);
     }
 
-    let iterations = solution.iterations;
-    let precond_time = solution.stats.precond_steps as f64 * b_per_step;
+    let iters = iterations as f64;
     let breakdown = CyberBreakdown {
-        spmv: iterations as f64 * spmv_time,
-        dots: iterations as f64 * dots_time,
-        updates: iterations as f64 * updates_time,
-        convergence: iterations as f64 * convergence_time,
-        preconditioner: precond_time,
+        spmv: iters * spmv_time,
+        dots: iters * dots_time,
+        updates: iters * updates_time,
+        convergence: iters * convergence_time,
+        preconditioner: precond_steps as f64 * b_per_step,
     };
 
-    Ok(CyberReport {
-        m,
-        parametrized: matches!(choice, CoefficientChoice::Parametrized) && m > 0,
+    CyberReport {
         iterations,
         seconds: breakdown.total(),
         max_vector_length: max_len,
         breakdown,
         a_per_iteration,
         b_per_step,
-        solution,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mspcg_fem::plate::PlaneStressProblem;
-
-    fn plate(a: usize) -> (AssembledProblem, OrderedProblem) {
-        let asm = PlaneStressProblem::unit_square(a).assemble().unwrap();
-        let ord = asm.multicolor().unwrap();
-        (asm, ord)
-    }
+    use crate::test_solve::{counters, plate};
 
     #[test]
     fn blocked_matrix_has_bounded_diagonal_count() {
@@ -265,103 +191,39 @@ mod tests {
     }
 
     #[test]
-    fn cg_report_matches_direct_solver() {
-        let (asm, ord) = plate(6);
-        let r = run_cyber_pcg(
-            &asm,
-            &ord,
-            0,
-            CoefficientChoice::Unparametrized,
-            &VectorMachineParams::default(),
-            1e-6,
-        )
-        .unwrap();
-        assert!(r.solution.converged);
-        assert!(r.iterations > 0);
-        assert!(r.seconds > 0.0);
-        assert_eq!(r.breakdown.preconditioner, 0.0);
-        // Solution correctness against dense Cholesky.
-        let exact = ord.matrix.to_dense().cholesky().unwrap().solve(&ord.rhs);
-        for (u, v) in r.solution.x.iter().zip(&exact) {
-            assert!((u - v).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn preconditioning_reduces_iterations_and_adds_precond_time() {
         let (asm, ord) = plate(8);
         let params = VectorMachineParams::default();
-        let cg = run_cyber_pcg(
-            &asm,
-            &ord,
-            0,
-            CoefficientChoice::Unparametrized,
-            &params,
-            1e-6,
-        )
-        .unwrap();
-        let m1 = run_cyber_pcg(
-            &asm,
-            &ord,
-            1,
-            CoefficientChoice::Unparametrized,
-            &params,
-            1e-6,
-        )
-        .unwrap();
+        let price = |m: usize| {
+            let (iterations, steps) = counters(&ord, m);
+            run_cyber_pcg(&asm, &ord, iterations, steps, &params)
+        };
+        let (cg, m1) = (price(0), price(1));
         assert!(m1.iterations < cg.iterations);
+        assert_eq!(cg.breakdown.preconditioner, 0.0);
         assert!(m1.breakdown.preconditioner > 0.0);
-    }
-
-    #[test]
-    fn parametrized_flag_recorded() {
-        let (asm, ord) = plate(6);
-        let params = VectorMachineParams::default();
-        let r = run_cyber_pcg(
-            &asm,
-            &ord,
-            2,
-            CoefficientChoice::Parametrized,
-            &params,
-            1e-6,
-        )
-        .unwrap();
-        assert!(r.parametrized);
-        assert_eq!(r.m, 2);
     }
 
     #[test]
     fn max_vector_length_matches_formula() {
         let (asm, ord) = plate(9);
-        let params = VectorMachineParams::default();
-        let r = run_cyber_pcg(
-            &asm,
-            &ord,
-            0,
-            CoefficientChoice::Unparametrized,
-            &params,
-            1e-4,
-        )
-        .unwrap();
+        let r = run_cyber_pcg(&asm, &ord, 0, 0, &VectorMachineParams::default());
         assert_eq!(r.max_vector_length, (9 * 9usize).div_ceil(3));
     }
 
     #[test]
     fn cost_constants_are_positive_and_consistent() {
         let (asm, ord) = plate(6);
-        let params = VectorMachineParams::default();
+        let (iterations, steps) = counters(&ord, 3);
         let r = run_cyber_pcg(
             &asm,
             &ord,
-            3,
-            CoefficientChoice::Unparametrized,
-            &params,
-            1e-6,
-        )
-        .unwrap();
+            iterations,
+            steps,
+            &VectorMachineParams::default(),
+        );
         assert!(r.a_per_iteration > 0.0 && r.b_per_step > 0.0);
-        let predicted = r.iterations as f64 * r.a_per_iteration
-            + r.solution.stats.precond_steps as f64 * r.b_per_step;
+        let predicted = iterations as f64 * r.a_per_iteration + steps as f64 * r.b_per_step;
         assert!((predicted - r.seconds).abs() / r.seconds < 1e-9);
     }
 }

@@ -46,11 +46,6 @@ impl CooMatrix {
         self.cols
     }
 
-    /// Number of raw (possibly duplicated) triplets pushed so far.
-    pub fn triplet_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Add `value` at `(row, col)`. Duplicates accumulate on compression.
     ///
     /// # Errors
@@ -187,7 +182,6 @@ mod tests {
     #[test]
     fn with_capacity_reserves() {
         let a = CooMatrix::with_capacity(2, 2, 64);
-        assert_eq!(a.triplet_count(), 0);
         assert_eq!(a.rows(), 2);
         assert_eq!(a.cols(), 2);
     }

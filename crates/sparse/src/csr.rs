@@ -596,11 +596,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Dense copy (row-major) — for tests and small-problem eigenanalysis.
     pub fn to_dense(&self) -> crate::dense::DenseMatrix {
         let mut d = crate::dense::DenseMatrix::zeros(self.rows, self.cols);
@@ -623,30 +618,6 @@ impl CsrMatrix {
             }
         }
         seen.into_iter().collect()
-    }
-
-    /// Remove stored entries with `|value| <= threshold` (structure pruning;
-    /// never drops diagonal entries).
-    pub fn prune(&self, threshold: f64) -> CsrMatrix {
-        let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        for i in 0..self.rows {
-            for (j, v) in self.row_entries(i) {
-                if v.abs() > threshold || i == j {
-                    col_idx.push(j as u32);
-                    values.push(v);
-                }
-            }
-            row_ptr[i + 1] = col_idx.len();
-        }
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
     }
 }
 
@@ -789,17 +760,6 @@ mod tests {
         let s = a.scale_sym(&[0.5, 0.5, 0.5]);
         assert_eq!(s.get(0, 0), 1.0);
         assert_eq!(s.get(0, 1), -0.25);
-    }
-
-    #[test]
-    fn prune_drops_small_but_keeps_diagonal() {
-        let mut c = CooMatrix::new(2, 2);
-        c.push(0, 0, 0.0).unwrap();
-        c.push(0, 1, 1e-20).unwrap();
-        c.push(1, 1, 3.0).unwrap();
-        let a = c.to_csr().prune(1e-12);
-        assert_eq!(a.nnz(), 2); // both diagonals kept, tiny off-diagonal gone
-        assert_eq!(a.get(0, 1), 0.0);
     }
 
     #[test]

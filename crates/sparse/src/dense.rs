@@ -6,9 +6,10 @@
 //!    results against a dense Cholesky direct solve.
 //! 2. **Coefficient fitting** — the least-squares α system of §2.2 is a tiny
 //!    SPD normal-equations system solved by Cholesky.
-//! 3. **Condition-number experiments** (E9 in DESIGN.md) — the cyclic Jacobi
-//!    eigensolver computes the full spectrum of `M_m^{-1}K` on small plates
-//!    to verify that κ decreases with m.
+//! 3. **Condition-number experiments** (the `condition` binary of
+//!    `mspcg-bench`) — the cyclic Jacobi eigensolver computes the full
+//!    spectrum of `M_m^{-1}K` on small plates to verify that κ decreases
+//!    with m.
 
 use crate::error::SparseError;
 use std::ops::{Index, IndexMut};
@@ -378,13 +379,6 @@ impl Cholesky {
     pub fn dim(&self) -> usize {
         self.n
     }
-
-    /// log₁₀ of the determinant of `A` (sum of log pivots ×2) — handy for
-    /// verifying positive definiteness margins in tests.
-    pub fn log10_det(&self) -> f64 {
-        let n = self.n;
-        2.0 * (0..n).map(|i| self.l[i * n + i].log10()).sum::<f64>()
-    }
 }
 
 /// LU factors with partial pivoting.
@@ -503,13 +497,6 @@ mod tests {
         assert_eq!(ab[(1, 1)], 3.0);
         let at = a.transpose();
         assert_eq!(at[(0, 1)], 3.0);
-    }
-
-    #[test]
-    fn log10_det_of_diagonal() {
-        let a = DenseMatrix::from_rows(&[&[100.0, 0.0], &[0.0, 10.0]]);
-        let c = a.cholesky().unwrap();
-        assert!((c.log10_det() - 3.0).abs() < 1e-12);
     }
 
     #[test]

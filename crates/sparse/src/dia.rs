@@ -78,17 +78,6 @@ impl DiaMatrix {
         &self.diagonals[k]
     }
 
-    /// The length of the *useful* (in-bounds) part of diagonal `k` — the
-    /// vector length the pipeline machine would issue for it.
-    pub fn diagonal_vector_len(&self, k: usize) -> usize {
-        let d = self.offsets[k];
-        if d >= 0 {
-            self.rows.min(self.cols.saturating_sub(d as usize))
-        } else {
-            self.cols.min(self.rows.saturating_sub((-d) as usize))
-        }
-    }
-
     /// `y ← A x` by diagonals: for each offset `d`,
     /// `y[i] += diag_d[i] · x[i + d]` over the in-bounds range. One fused
     /// multiply-add of a long contiguous vector per diagonal.
@@ -200,15 +189,6 @@ mod tests {
         let a = tridiag(6);
         let d = DiaMatrix::from_csr(&a);
         assert_eq!(d.to_csr().unwrap(), a);
-    }
-
-    #[test]
-    fn diagonal_vector_lengths() {
-        let d = DiaMatrix::from_csr(&tridiag(5));
-        // offsets -1, 0, 1 on a 5x5: lengths 4, 5, 4.
-        assert_eq!(d.diagonal_vector_len(0), 4);
-        assert_eq!(d.diagonal_vector_len(1), 5);
-        assert_eq!(d.diagonal_vector_len(2), 4);
     }
 
     #[test]

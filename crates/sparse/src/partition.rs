@@ -37,27 +37,6 @@ impl Partition {
         Ok(Partition { offsets })
     }
 
-    /// Build from explicit boundaries `0 = o₀ ≤ o₁ ≤ … ≤ o_b = n`.
-    ///
-    /// # Errors
-    /// [`SparseError::InvalidPartition`] if boundaries are not strictly
-    /// increasing or do not start at zero.
-    pub fn from_offsets(offsets: Vec<usize>) -> Result<Self, SparseError> {
-        if offsets.is_empty() || offsets[0] != 0 {
-            return Err(SparseError::InvalidPartition {
-                reason: "offsets must start at 0".into(),
-            });
-        }
-        for w in offsets.windows(2) {
-            if w[1] <= w[0] {
-                return Err(SparseError::InvalidPartition {
-                    reason: format!("non-increasing boundary {} after {}", w[1], w[0]),
-                });
-            }
-        }
-        Ok(Partition { offsets })
-    }
-
     /// Single block covering `0..n`.
     pub fn single(n: usize) -> Self {
         Partition {
@@ -107,14 +86,6 @@ impl Partition {
     pub fn iter(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         (0..self.num_blocks()).map(move |b| self.range(b))
     }
-
-    /// Largest block size — the max vector length the CYBER layout achieves.
-    pub fn max_block_len(&self) -> usize {
-        (0..self.num_blocks())
-            .map(|b| self.block_len(b))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -136,13 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn from_offsets_validates_monotonicity() {
-        assert!(Partition::from_offsets(vec![0, 2, 2]).is_err());
-        assert!(Partition::from_offsets(vec![1, 2]).is_err());
-        assert!(Partition::from_offsets(vec![0, 2, 5]).is_ok());
-    }
-
-    #[test]
     fn block_of_finds_correct_block() {
         let p = Partition::from_sizes(&[3, 2, 4]).unwrap();
         assert_eq!(p.block_of(0), 0);
@@ -158,11 +122,5 @@ mod tests {
         let p = Partition::from_sizes(&[1, 1, 1]).unwrap();
         let all: Vec<usize> = p.iter().flatten().collect();
         assert_eq!(all, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn max_block_len() {
-        let p = Partition::from_sizes(&[3, 7, 2]).unwrap();
-        assert_eq!(p.max_block_len(), 7);
     }
 }

@@ -39,25 +39,6 @@ impl Permutation {
         Ok(Permutation { order })
     }
 
-    /// Build from an old→new map (scatter form), validating bijectivity.
-    ///
-    /// # Errors
-    /// [`SparseError::InvalidPermutation`] on non-bijective input.
-    pub fn from_old_to_new(map: Vec<usize>) -> Result<Self, SparseError> {
-        let n = map.len();
-        let mut order = vec![usize::MAX; n];
-        for (old, &new) in map.iter().enumerate() {
-            if new >= n || order[new] != usize::MAX {
-                return Err(SparseError::InvalidPermutation {
-                    len: n,
-                    culprit: new,
-                });
-            }
-            order[new] = old;
-        }
-        Ok(Permutation { order })
-    }
-
     /// Length of the permuted index set.
     #[inline]
     pub fn len(&self) -> usize {
@@ -159,7 +140,6 @@ mod tests {
     #[test]
     fn rejects_duplicate_indices() {
         assert!(Permutation::from_new_to_old(vec![0, 0, 1]).is_err());
-        assert!(Permutation::from_old_to_new(vec![2, 2, 0]).is_err());
     }
 
     #[test]
@@ -183,15 +163,6 @@ mod tests {
         for old in 0..3 {
             assert_eq!(inv.old_to_new(old), p.old_to_new(old));
         }
-    }
-
-    #[test]
-    fn from_old_to_new_matches_manual_inverse() {
-        let p = Permutation::from_old_to_new(vec![1, 2, 0]).unwrap();
-        // old 0 -> new 1, old 1 -> new 2, old 2 -> new 0
-        assert_eq!(p.new_to_old(0), 2);
-        assert_eq!(p.new_to_old(1), 0);
-        assert_eq!(p.new_to_old(2), 1);
     }
 
     #[test]

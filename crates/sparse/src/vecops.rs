@@ -336,56 +336,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     })
 }
 
-/// `‖x − y‖∞` without forming the difference vector; used by the
-/// displacement-change stopping test.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "max_abs_diff: length mismatch");
-    max_reduce(x.len(), |lo, hi| {
-        let mut m = 0.0f64;
-        for (xi, yi) in x[lo..hi].iter().zip(&y[lo..hi]) {
-            let a = (xi - yi).abs();
-            if a > m {
-                m = a;
-            }
-        }
-        m
-    })
-}
-
-/// Elementwise product `z ← x ⊙ y` (used by diagonal scaling).
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn hadamard(x: &[f64], y: &[f64], z: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "hadamard: length mismatch");
-    assert_eq!(x.len(), z.len(), "hadamard: output length mismatch");
-    elementwise::<1>(x.len(), z, |lo, hi, zc| {
-        for ((zi, xi), yi) in zc.iter_mut().zip(&x[lo..hi]).zip(&y[lo..hi]) {
-            *zi = xi * yi;
-        }
-    });
-}
-
-/// `z ← x − y`.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn sub(x: &[f64], y: &[f64], z: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "sub: length mismatch");
-    assert_eq!(x.len(), z.len(), "sub: output length mismatch");
-    elementwise::<1>(x.len(), z, |lo, hi, zc| {
-        for ((zi, xi), yi) in zc.iter_mut().zip(&x[lo..hi]).zip(&y[lo..hi]) {
-            *zi = xi - yi;
-        }
-    });
-}
-
 /// Reduction partials of [`fused_axpy_axpy_norm`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FusedUpdateNorms {
@@ -558,56 +508,6 @@ pub fn fused_axpy_axpy_norm_block<const W: usize>(
     out
 }
 
-/// Fused direction update + inner product: `y ← x + b·y`, returning
-/// `yᵀw` of the **updated** `y` — one pass instead of an [`xpby`] sweep
-/// followed by a [`dot`] sweep. With `b == 0.0` the update is an exact
-/// copy (`y ← x`), so stale or non-finite values in `y` cannot leak
-/// through a `0·y` product — this is the PCG initialization
-/// `p⁰ ← r̂⁰, (r̂⁰, r⁰)` path.
-///
-/// Chunk deterministic and bitwise identical to the unfused
-/// `xpby(x, b, y); dot(y, w)` sequence (same layout, same per-chunk dot
-/// kernel, partials combined in ascending chunk order).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn fused_xpby_dot(x: &[f64], b: f64, y: &mut [f64], w: &[f64]) -> f64 {
-    let [d] = fused_xpby_dot_block::<1>(x, b, y, w);
-    d
-}
-
-/// [`fused_xpby_dot`] on `W` interleaved columns sharing one `b`: entry `j`
-/// of the result and column `j` of `y` are bitwise what `fused_xpby_dot`
-/// gives on column `j` alone.
-///
-/// # Panics
-/// Panics if the slices differ in length or the length is not a multiple
-/// of `W`.
-pub fn fused_xpby_dot_block<const W: usize>(
-    x: &[f64],
-    b: f64,
-    y: &mut [f64],
-    w: &[f64],
-) -> [f64; W] {
-    assert_eq!(y.len(), x.len(), "fused_xpby_dot: y length mismatch");
-    assert_eq!(w.len(), x.len(), "fused_xpby_dot: w length mismatch");
-    let n = block_rows::<W>(x.len(), "fused_xpby_dot");
-    let ys = par::ParSlice::new(y);
-    sum_chunks::<W>(n, |lo, hi| {
-        let rows = lo * W..hi * W;
-        // SAFETY: chunks are disjoint and each claimed exactly once.
-        let yc = unsafe { ys.slice_mut(rows.clone()) };
-        if b == 0.0 {
-            yc.copy_from_slice(&x[rows.clone()]);
-        } else {
-            for (yi, xi) in yc.iter_mut().zip(&x[rows.clone()]) {
-                *yi = xi + b * *yi;
-            }
-        }
-        dot_chunk::<W>(yc, &w[rows])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,31 +589,12 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_diff_matches_sub_norm() {
-        let x = [1.0, -2.0, 5.0];
-        let y = [0.5, 2.0, 5.5];
-        let mut z = [0.0; 3];
-        sub(&x, &y, &mut z);
-        assert_eq!(max_abs_diff(&x, &y), norm_inf(&z));
-        assert_eq!(max_abs_diff(&x, &y), 4.0);
-    }
-
-    #[test]
     fn scale_and_zero() {
         let mut x = [1.0, 2.0];
         scale(3.0, &mut x);
         assert_eq!(x, [3.0, 6.0]);
         zero(&mut x);
         assert_eq!(x, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn hadamard_multiplies_elementwise() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [2.0, 0.5, -1.0];
-        let mut z = [0.0; 3];
-        hadamard(&x, &y, &mut z);
-        assert_eq!(z, [2.0, 1.0, -3.0]);
     }
 
     /// Fused CG update == unfused kernel sequence, bitwise, on a vector
@@ -762,47 +643,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_xpby_dot_matches_unfused_sequence() {
-        let n = crate::par::MIN_REDUCTION_CHUNK + 77;
-        let x: Vec<f64> = (0..n).map(|i| ((i * 17 + 5) % 151) as f64 * 0.01).collect();
-        let w: Vec<f64> = (0..n)
-            .map(|i| ((i * 23 + 9) % 131) as f64 * 0.02 - 1.0)
-            .collect();
-        let y0: Vec<f64> = (0..n)
-            .map(|i| ((i * 5 + 1) % 61) as f64 * 0.1 - 3.0)
-            .collect();
-        for b in [0.42, -1.3] {
-            let mut y_ref = y0.clone();
-            xpby(&x, b, &mut y_ref);
-            let d_ref = dot(&y_ref, &w);
-            let mut y = y0.clone();
-            let d = fused_xpby_dot(&x, b, &mut y, &w);
-            assert_eq!(d.to_bits(), d_ref.to_bits(), "b = {b}");
-            assert!(y
-                .iter()
-                .zip(&y_ref)
-                .all(|(a, c)| a.to_bits() == c.to_bits()));
-        }
-    }
-
-    #[test]
-    fn fused_xpby_dot_zero_b_is_exact_copy() {
-        // Stale NaN in y must not survive b = 0 (copy semantics, not 0·y).
-        let x = [1.0, 2.0, 3.0];
-        let w = [1.0, 1.0, 1.0];
-        let mut y = [f64::NAN, f64::INFINITY, -0.0];
-        let d = fused_xpby_dot(&x, 0.0, &mut y, &w);
-        assert_eq!(y, x);
-        assert_eq!(d, 6.0);
-    }
-
-    #[test]
     fn fused_kernels_handle_empty_and_tiny() {
         let mut e: [f64; 0] = [];
         let mut e2: [f64; 0] = [];
         let norms = fused_axpy_axpy_norm(2.0, &[], &[], &mut e, &mut e2);
         assert_eq!(norms, FusedUpdateNorms::default());
-        assert_eq!(fused_xpby_dot(&[], 1.0, &mut e, &[]), 0.0);
         let mut u = [1.0];
         let mut r = [4.0];
         let norms = fused_axpy_axpy_norm(0.5, &[2.0], &[6.0], &mut u, &mut r);

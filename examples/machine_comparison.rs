@@ -1,16 +1,17 @@
-//! Three machines, one algorithm: run the same m-step SSOR PCG solve on
-//! the simulated CYBER 203 pipeline, the simulated Finite Element Machine
-//! array, and the host machine's real threads — and compare where each
-//! spends its time.
+//! Three machines, one algorithm: solve with the m-step SSOR PCG once,
+//! price that solve on the simulated CYBER 203 pipeline and the simulated
+//! Finite Element Machine array, run it on the host machine's real
+//! threads — and compare where each spends its time.
 //!
 //! ```sh
 //! cargo run --release --example machine_comparison [a]
 //! ```
 
+use mspcg::core::{pcg_solve, MStepSsorPreconditioner, PcgOptions};
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::machine::array::run_fem_machine;
-use mspcg::machine::vector::{run_cyber_pcg, CoefficientChoice};
-use mspcg::machine::{ArrayMachineParams, VectorMachineParams};
+use mspcg::machine::vector::run_cyber_pcg;
+use mspcg::machine::{ArrayMachineParams, ProcessorAssignment, VectorMachineParams};
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
 use std::time::Instant;
 
@@ -29,17 +30,20 @@ fn main() {
         asm.num_unknowns()
     );
 
+    // One solve (the default options stop at ‖Δu‖∞ < 1e-6), priced on
+    // both 1983 machines.
+    let pre = MStepSsorPreconditioner::parametrized(&ord.matrix, &ord.colors, m).expect("fit");
+    let sol = pcg_solve(&ord.matrix, &ord.rhs, &pre, &PcgOptions::default()).expect("solve");
+    let (iterations, steps) = (sol.iterations, sol.stats.precond_steps);
+
     // --- CYBER 203 (simulated pipeline) ---------------------------------
-    let vparams = VectorMachineParams::default();
     let cyber = run_cyber_pcg(
         &asm,
         &ord,
-        m,
-        CoefficientChoice::Parametrized,
-        &vparams,
-        1e-6,
-    )
-    .expect("cyber run");
+        iterations,
+        steps,
+        &VectorMachineParams::default(),
+    );
     println!("CYBER 203 (simulated):");
     println!(
         "  {} iterations, {:.4} modelled s (max vector length {})",
@@ -58,16 +62,8 @@ fn main() {
     println!("\nFinite Element Machine (simulated):");
     let mut t1 = 0.0;
     for p in [1usize, 2, 5] {
-        let rep = run_fem_machine(
-            &asm,
-            &ord,
-            m,
-            CoefficientChoice::Parametrized,
-            p,
-            &aparams,
-            1e-6,
-        )
-        .expect("fem run");
+        let strips = ProcessorAssignment::strips(&asm, p).expect("assignment");
+        let rep = run_fem_machine(&asm, &ord, iterations, steps, &strips, &aparams);
         if p == 1 {
             t1 = rep.seconds;
         }

@@ -9,7 +9,8 @@
 //! * [`coloring`] — multicolor orderings (Adams–Ortega),
 //! * [`fem`] — plane-stress finite-element model problems,
 //! * [`core`] — PCG, splittings and the m-step parametrized preconditioners,
-//! * [`machine`] — CYBER 203/205 and Finite Element Machine simulators,
+//! * [`machine`] — CYBER 203/205 and Finite Element Machine clock models
+//!   that price a finished solve's iteration and step counts,
 //! * [`parallel`] — real threaded executor for the multicolor method.
 //!
 //! ## Quickstart
@@ -203,8 +204,9 @@
 //! * **Batched multi-RHS** — `mspcg::core::multi::pcg_solve_multi` solves
 //!   many load cases against one matrix + preconditioner in
 //!   `min(threads, cases)` lanes of contiguous cases, at every matrix size
-//!   (`MultiRhsWorkspace` holds one `PcgWorkspace` per lane, so the shared
-//!   SSOR cache is never a lock point). Each lane solves its cases in
+//!   (`MultiRhsWorkspace` holds one `PcgWorkspace` per lane, with the
+//!   lane's own preconditioner scratch, so no lane waits on a lock). Each
+//!   lane solves its cases in
 //!   **lockstep blocks** of up to `multi::BLOCK_WIDTH` = 8, stored
 //!   interleaved `n × w`: one block SpMV (`SparseOp::mul_block_into`), one
 //!   block msolve (`Preconditioner::apply_block`) and one pass of each

@@ -272,7 +272,7 @@ fn empty_multicolor_ssor_sweeps_nothing() {
         .unwrap();
         assert_eq!(ssor.dim(), 0);
         let mut z: Vec<f64> = vec![];
-        ssor.msolve(&[1.0, 0.5], &[], &mut z);
+        ssor.msolve_block::<1>(&[1.0, 0.5], &[], &mut z, &mut []);
         ssor.msolve_block::<1>(&[1.0], &[], &mut z, &mut []);
         ssor.step(1.0, &[], &mut z);
         assert!(z.is_empty(), "omega {omega}");

@@ -2,18 +2,20 @@
 //! PCG → solution, validated against dense direct solves and against each
 //! other across orderings and preconditioners.
 
+use mspcg::core::ic::IncompleteCholesky;
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, SolveStatus};
 use mspcg::core::pcg::{
     cg_solve, pcg_solve, pcg_try_solve_into, PcgOptions, PcgWorkspace, StoppingCriterion,
 };
-use mspcg::core::poly::PolynomialPreconditioner;
-use mspcg::core::preconditioner::{DiagonalPreconditioner, Preconditioner};
+use mspcg::core::poly::{AutoPreconditioner, PolynomialPreconditioner};
+use mspcg::core::preconditioner::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
+use mspcg::core::recovery::FaultyPreconditioner;
 use mspcg::core::splitting::NaturalSsorSplitting;
 use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
-use mspcg::sparse::{vecops, PolyKind, SparseError};
+use mspcg::sparse::{vecops, CsrMatrix, PolyKind, SparseError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn opts(tol: f64) -> PcgOptions {
@@ -114,8 +116,8 @@ impl Preconditioner for TurnsIndefinite {
     fn dim(&self) -> usize {
         self.inner.dim()
     }
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.inner.apply(r, z);
+    fn apply_with(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
+        self.inner.apply_with(r, z, scratch);
         if self.applied.fetch_add(1, Ordering::Relaxed) > 0 {
             z.iter_mut().for_each(|v| *v = -*v);
         }
@@ -179,7 +181,7 @@ fn ordering_does_not_change_the_physics() {
         fn dim(&self) -> usize {
             self.1
         }
-        fn apply(&self, r: &[f64], z: &mut [f64]) {
+        fn apply_with(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
             self.0.msolve(&[1.0, 1.0], r, z);
         }
     }
@@ -301,4 +303,47 @@ fn budget_exit_applies_the_preconditioner_once_per_iteration() {
             assert_eq!(stats.reduction_phases, 2 * budget);
         }
     }
+}
+
+/// The provided `apply` (on scratch it allocates) is bitwise `apply_with`
+/// on a caller's scratch, whatever that scratch held, for every
+/// preconditioner the library implements.
+#[test]
+fn provided_apply_equals_apply_with_for_every_preconditioner() {
+    fn check(name: &str, pre: &impl Preconditioner, r: &[f64]) {
+        let mut via_apply = vec![0.0; r.len()];
+        pre.apply(r, &mut via_apply);
+        let mut via_with = vec![f64::MAX; r.len()];
+        pre.apply_with(r, &mut via_with, &mut vec![f64::NAN; pre.scratch_len()]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&via_apply), bits(&via_with), "{name}");
+    }
+    let asm = PlaneStressProblem::unit_square(8).assemble().unwrap();
+    let ord = asm.multicolor().unwrap();
+    let (k, colors, n) = (&ord.matrix, &ord.colors, ord.matrix.rows());
+    let r: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
+    let unit = || MStepSsorPreconditioner::unparametrized(k, colors, 3).unwrap();
+    let fitted = || MStepSsorPreconditioner::parametrized(k, colors, 3).unwrap();
+    let newton = || PolynomialPreconditioner::newton(k.clone(), 3).unwrap();
+    check("identity", &IdentityPreconditioner::new(n), &r);
+    let diagonal = DiagonalPreconditioner::from_diag(&k.diag().unwrap()).unwrap();
+    check("diagonal", &diagonal, &r);
+    check("IC(0)", &IncompleteCholesky::new(k).unwrap(), &r);
+    check("m-step SSOR, α = 1", &unit(), &r);
+    check("m-step SSOR, fitted", &fitted(), &r);
+    check("Newton", &newton(), &r);
+    let chebyshev = PolynomialPreconditioner::chebyshev(k.clone(), 3).unwrap();
+    check("Chebyshev", &chebyshev, &r);
+    let auto_ssor = AutoPreconditioner::<CsrMatrix>::MStepSsor(fitted());
+    check("Auto, SSOR arm", &auto_ssor, &r);
+    check(
+        "Auto, polynomial arm",
+        &AutoPreconditioner::Poly(newton()),
+        &r,
+    );
+    check(
+        "faulty, empty plan",
+        &FaultyPreconditioner::new(unit(), vec![]),
+        &r,
+    );
 }

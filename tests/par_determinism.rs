@@ -95,9 +95,6 @@ fn fused_kernels_bitwise_equal_unfused_across_thread_counts() {
     let r0: Vec<f64> = (0..n)
         .map(|i| ((i * 19 + 11) % 113) as f64 * 0.02 - 1.0)
         .collect();
-    let w: Vec<f64> = (0..n)
-        .map(|i| ((i * 59 + 23) % 89) as f64 * 0.01 - 0.4)
-        .collect();
 
     let before = par::max_threads();
     // Unfused reference at 1 thread.
@@ -109,9 +106,6 @@ fn fused_kernels_bitwise_equal_unfused_across_thread_counts() {
     vecops::axpy(-alpha, &kp, &mut r_ref);
     let r_norm_ref = vecops::norm_inf(&r_ref);
     let r2_ref = vecops::norm2(&r_ref);
-    let mut y_ref = r0.clone();
-    vecops::xpby(&p, -0.37, &mut y_ref);
-    let d_ref = vecops::dot(&y_ref, &w);
 
     for t in [1usize, 2, 4, 8] {
         par::set_max_threads(t);
@@ -127,10 +121,6 @@ fn fused_kernels_bitwise_equal_unfused_across_thread_counts() {
             r2_ref.to_bits(),
             "fused norm2, t = {t}"
         );
-        let mut y = r0.clone();
-        let d = vecops::fused_xpby_dot(&p, -0.37, &mut y, &w);
-        assert_eq!(bits(&y), bits(&y_ref), "fused xpby, t = {t}");
-        assert_eq!(d.to_bits(), d_ref.to_bits(), "fused dot, t = {t}");
     }
     par::set_max_threads(before);
 }
@@ -248,14 +238,14 @@ fn spmv_and_ssor_sweeps_bitwise_across_thread_counts() {
     let before = par::max_threads();
     par::set_max_threads(1);
     let spmv1 = matrix.mul_vec(&rhs);
-    let mut z1 = vec![0.0; matrix.rows()];
-    ssor.msolve(&alphas, &rhs, &mut z1);
+    let (mut z1, mut y) = (vec![0.0; matrix.rows()], vec![0.0; matrix.rows()]);
+    ssor.msolve_block::<1>(&alphas, &rhs, &mut z1, &mut y);
 
     for t in [2usize, 4, 8] {
         par::set_max_threads(t);
         assert_eq!(bits(&spmv1), bits(&matrix.mul_vec(&rhs)), "spmv, t = {t}");
         let mut zt = vec![0.0; matrix.rows()];
-        ssor.msolve(&alphas, &rhs, &mut zt);
+        ssor.msolve_block::<1>(&alphas, &rhs, &mut zt, &mut y);
         assert_eq!(bits(&z1), bits(&zt), "msolve, t = {t}");
     }
     par::set_max_threads(before);

@@ -655,7 +655,7 @@ fn check_block_sweep<const W: usize>(case: u64) {
         ssor.msolve_block::<W>(&alphas, &b, &mut z, &mut scratch);
         for j in 0..W {
             let mut zj = vec![0.0; n];
-            ssor.msolve(&alphas, &column::<W>(&b, j), &mut zj);
+            ssor.msolve_block::<1>(&alphas, &column::<W>(&b, j), &mut zj, &mut vec![0.0; n]);
             assert!(
                 same_values(&column::<W>(&z, j), &zj),
                 "case {case} msolve ω = {omega}, width {W}, column {j}"
@@ -719,21 +719,6 @@ fn check_block_vecops<const W: usize>(case: u64) {
             "{}",
             what("xpby", j)
         );
-    }
-
-    for shared_b in [0.0, b[0]] {
-        let mut got = y.clone();
-        let dots = vecops::fused_xpby_dot_block::<W>(&x, shared_b, &mut got, &r);
-        for (j, &d) in dots.iter().enumerate() {
-            let mut yj = column::<W>(&y, j);
-            let want =
-                vecops::fused_xpby_dot(&column::<W>(&x, j), shared_b, &mut yj, &column::<W>(&r, j));
-            assert!(
-                same_value(d, want) && same_values(&column::<W>(&got, j), &yj),
-                "{} (b = {shared_b})",
-                what("fused_xpby_dot", j)
-            );
-        }
     }
 
     let mut u: Vec<Vec<f64>> = (0..W)
