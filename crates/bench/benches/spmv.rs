@@ -1,6 +1,5 @@
-//! Kernel bench: (a) CSR row-wise SpMV vs DIA multiplication-by-diagonals
-//! on the color-blocked plate matrix — the §3.1 storage decision, measured
-//! on modern hardware; (b) serial vs pool-parallel CSR SpMV on a 512×512
+//! Kernel bench: (a) CSR row-wise SpMV on the color-blocked plate matrix
+//! at three sizes; (b) serial vs pool-parallel CSR SpMV on a 512×512
 //! red/black Poisson problem (262 144 unknowns, ~1.3 M stored entries) —
 //! the data-parallel kernel layer's headline speedup; (c) CSR vs SELL-C-σ
 //! on the wide-row (arrow) family — the row-length-irregular shapes the
@@ -11,22 +10,18 @@
 
 use mspcg_bench::experiments::{ordered_plate, ordered_poisson};
 use mspcg_bench::timing::{bench, finish, BenchResult};
-use mspcg_sparse::{par, CooMatrix, DiaMatrix, SellCsMatrix, SparseOp};
+use mspcg_sparse::{par, CooMatrix, SellCsMatrix, SparseOp};
 use std::hint::black_box;
 
-fn bench_csr_vs_dia(results: &mut Vec<BenchResult>) {
+fn bench_plate(results: &mut Vec<BenchResult>) {
     for a in [20usize, 40, 60] {
         let (_, ord) = ordered_plate(a).expect("plate");
         let n = ord.matrix.rows();
-        let dia = DiaMatrix::from_csr(&ord.matrix);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
         let mut y = vec![0.0; n];
 
         results.push(bench("spmv_plate", &format!("csr_n{n}"), || {
             ord.matrix.mul_vec_into(black_box(&x), black_box(&mut y));
-        }));
-        results.push(bench("spmv_plate", &format!("dia_n{n}"), || {
-            dia.mul_vec_into(black_box(&x), black_box(&mut y));
         }));
     }
 }
@@ -157,7 +152,7 @@ fn bench_csr_vs_sellcs_wide_rows(results: &mut Vec<BenchResult>) {
 
 fn main() {
     let mut results = Vec::new();
-    bench_csr_vs_dia(&mut results);
+    bench_plate(&mut results);
     bench_serial_vs_parallel(&mut results);
     bench_csr_vs_sellcs_wide_rows(&mut results);
     finish(&results);

@@ -49,12 +49,13 @@
 //!   studies (the κ(M⁻¹K) vs m experiments),
 //! * [`ic`] — the IC(0) incomplete-Cholesky baseline the m-step method
 //!   competes with (effective per iteration, but inherently sequential),
-//! * [`recovery`] — the two robustness layers: fault injection
-//!   ([`recovery::FaultyOp`], [`recovery::FaultyPreconditioner`],
-//!   [`recovery::FaultPlan`]), and residual auditing with in-place
-//!   replacement ([`recovery::AuditPlan`]), whose restart from the current
-//!   iterate also recovers from a non-finite reduction scalar — one
-//!   definition each, shared by the serial and SPMD executors.
+//! * [`recovery`] — the two robustness layers: fault injection (one
+//!   [`recovery::FaultPlan`] per solve, indexed by right-hand side, kernel
+//!   call and iteration, which [`multi::lockstep`] hands to the kernel
+//!   call it corrupts), and residual auditing with in-place replacement
+//!   ([`recovery::AuditPlan`]), whose restart from the current iterate also
+//!   recovers from a non-finite reduction scalar — one definition each,
+//!   shared by the serial and SPMD executors.
 
 // Indexed `for i in 0..n` loops are deliberate throughout the numeric
 // kernels: they address several parallel arrays (CSR structure, split
@@ -78,16 +79,16 @@ pub mod ssor;
 pub use coeffs::{least_squares_alphas, minimax_alphas};
 pub use ic::IncompleteCholesky;
 pub use mstep::MStepSsorPreconditioner;
-pub use multi::{pcg_solve_multi, MultiRhsSummary, MultiRhsWorkspace, RhsOutcome, SolveStatus};
+pub use multi::{
+    pcg_solve_multi, pcg_solve_multi_with_faults, MultiRhsSummary, MultiRhsWorkspace, RhsOutcome,
+    SolveStatus,
+};
 pub use pcg::{
-    cg_solve, pcg_solve, pcg_solve_into, pcg_try_solve_into, PcgOptions, PcgReport, PcgSolution,
-    PcgVariant, PcgWorkspace, StoppingCriterion,
+    cg_solve, pcg_solve, pcg_solve_into, pcg_try_solve_into, pcg_try_solve_into_with_faults,
+    PcgOptions, PcgReport, PcgSolution, PcgVariant, PcgWorkspace, StoppingCriterion,
 };
 pub use poly::{auto_preconditioner, AutoPreconditioner, PolySchedule, PolynomialPreconditioner};
 pub use preconditioner::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
-pub use recovery::{
-    ApplicationFault, FaultKind, FaultPlan, FaultTarget, FaultyOp, FaultyPreconditioner,
-    IterationFault, RecoveryPolicy,
-};
+pub use recovery::{FaultKind, FaultPlan, FaultTarget, IterationFault, RecoveryPolicy};
 pub use splitting::NaturalSsorSplitting;
 pub use ssor::{MulticolorSsor, SweepTable};

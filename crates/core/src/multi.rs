@@ -83,7 +83,9 @@ use crate::pcg::{
     validate_inputs, PcgOptions, PcgReport, PcgStats, PcgWorkspace, StoppingCriterion,
 };
 use crate::preconditioner::{block_scratch_len, Preconditioner};
-use crate::recovery::{audit_due, diverged, AuditPlan};
+use crate::recovery::{
+    audit_due, diverged, perturb, AuditPlan, FaultPlan, FaultTarget, IterationFault,
+};
 use mspcg_sparse::vecops::{self, FusedUpdateNorms};
 use mspcg_sparse::{par, SparseError, SparseOp};
 use std::ops::Range;
@@ -323,6 +325,26 @@ pub fn pcg_solve_multi<A: SparseOp>(
     opts: &PcgOptions,
     ws: &mut MultiRhsWorkspace,
 ) -> Result<MultiRhsSummary, SparseError> {
+    pcg_solve_multi_with_faults(k, f, u, m, opts, ws, &FaultPlan::default())
+}
+
+/// [`pcg_solve_multi`] under a [`FaultPlan`]: fault `rhs` indexes the
+/// batch, and each case's faults land on that case alone, at any thread
+/// count — the case reports exactly its standalone
+/// [`crate::pcg::pcg_try_solve_into_with_faults`] under the same faults
+/// at `rhs` 0.
+///
+/// # Errors
+/// Same classes as [`pcg_solve_multi`].
+pub fn pcg_solve_multi_with_faults<A: SparseOp>(
+    k: &A,
+    f: &[f64],
+    u: &mut [f64],
+    m: &(impl Preconditioner + Sync),
+    opts: &PcgOptions,
+    ws: &mut MultiRhsWorkspace,
+    plan: &FaultPlan,
+) -> Result<MultiRhsSummary, SparseError> {
     let n = k.rows();
     if k.cols() != n {
         return Err(SparseError::NotSquare {
@@ -388,7 +410,8 @@ pub fn pcg_solve_multi<A: SparseOp>(
                     ptrs.outcomes(cols.clone()),
                 )
             };
-            solve_block(k, &f[cols.start * n..cols.end * n], ub, m, opts, lane, out);
+            let fb = &f[cols.start * n..cols.end * n];
+            solve_block(k, fb, ub, m, opts, (plan, cols.start), lane, out);
             first = cols.end;
         }
     });
@@ -414,35 +437,39 @@ pub fn pcg_solve_multi<A: SparseOp>(
 }
 
 /// [`lockstep`] at the block's width, `out.len()` columns, recording each
-/// column's outcome.
+/// column's outcome; `faults` is the batch's plan and the batch index of
+/// the block's first column.
+#[allow(clippy::too_many_arguments)]
 fn solve_block<A: SparseOp, P: Preconditioner>(
     k: &A,
     f: &[f64],
     u: &mut [f64],
     m: &P,
     opts: &PcgOptions,
+    faults: (&FaultPlan, usize),
     lane: &mut PcgWorkspace,
     out: &mut [RhsOutcome],
 ) {
     fn run<A: SparseOp, P: Preconditioner, const W: usize>(
         mut block: PoolBlock<'_, A, P, W>,
         opts: &PcgOptions,
+        (plan, first): (&FaultPlan, usize),
         out: &mut [RhsOutcome],
     ) {
-        for (o, result) in out.iter_mut().zip(lockstep(&mut block, opts)) {
+        for (o, result) in out.iter_mut().zip(lockstep(&mut block, opts, plan, first)) {
             *o = RhsOutcome::of(result);
         }
     }
     const _: () = assert!(BLOCK_WIDTH == 8, "one arm per block width");
     match out.len() {
-        1 => run::<A, P, 1>(PoolBlock::new(k, m, f, u, lane), opts, out),
-        2 => run::<A, P, 2>(PoolBlock::new(k, m, f, u, lane), opts, out),
-        3 => run::<A, P, 3>(PoolBlock::new(k, m, f, u, lane), opts, out),
-        4 => run::<A, P, 4>(PoolBlock::new(k, m, f, u, lane), opts, out),
-        5 => run::<A, P, 5>(PoolBlock::new(k, m, f, u, lane), opts, out),
-        6 => run::<A, P, 6>(PoolBlock::new(k, m, f, u, lane), opts, out),
-        7 => run::<A, P, 7>(PoolBlock::new(k, m, f, u, lane), opts, out),
-        8 => run::<A, P, 8>(PoolBlock::new(k, m, f, u, lane), opts, out),
+        1 => run::<A, P, 1>(PoolBlock::new(k, m, f, u, lane), opts, faults, out),
+        2 => run::<A, P, 2>(PoolBlock::new(k, m, f, u, lane), opts, faults, out),
+        3 => run::<A, P, 3>(PoolBlock::new(k, m, f, u, lane), opts, faults, out),
+        4 => run::<A, P, 4>(PoolBlock::new(k, m, f, u, lane), opts, faults, out),
+        5 => run::<A, P, 5>(PoolBlock::new(k, m, f, u, lane), opts, faults, out),
+        6 => run::<A, P, 6>(PoolBlock::new(k, m, f, u, lane), opts, faults, out),
+        7 => run::<A, P, 7>(PoolBlock::new(k, m, f, u, lane), opts, faults, out),
+        8 => run::<A, P, 8>(PoolBlock::new(k, m, f, u, lane), opts, faults, out),
         w => unreachable!("block of {w} columns"),
     }
 }
@@ -456,6 +483,11 @@ fn solve_block<A: SparseOp, P: Preconditioner>(
 /// keeps the vectors: per column the right-hand side `f`, the iterate
 /// `u`, the residual `r`, the direction `p`, `K·p` and `r̂ = M⁻¹r`.
 ///
+/// A planned fault reaches the [`Executor::spmv`] or [`Executor::msolve`]
+/// call it corrupts, one slot per column: the executor perturbs that
+/// element of the column's fresh output before the phase's fused
+/// reduction, so a fault means the same thing on every executor.
+///
 /// Two executors implement it: the pool path's `PoolBlock`, a lane's
 /// interleaved block on the `par` pool's kernels, and the SPMD worker of
 /// `mspcg-parallel`, one column on the worker's own rows with a barrier
@@ -466,16 +498,23 @@ pub trait Executor<const W: usize> {
     /// Preconditioner steps per msolve, counted in
     /// [`PcgStats::precond_steps`].
     fn msolve_steps(&self) -> usize;
-    /// `K·p` of the `live` columns; returns their `(p, K·p)`.
-    fn spmv(&mut self, live: &[bool; W]) -> [f64; W];
+    /// `K·p` of the `live` columns, `faults[j]` perturbing its element of
+    /// column `j`'s product; returns their `(p, K·p)`.
+    fn spmv(&mut self, live: &[bool; W], faults: &[Option<IterationFault>; W]) -> [f64; W];
     /// `u += α·p` and `r −= α·K·p` on the `live` columns, returning their
     /// `‖p‖∞` and updated `‖r‖∞`.
     fn update(&mut self, alpha: &[f64; W], live: &[bool; W]) -> [FusedUpdateNorms; W];
     /// `‖r‖₂` of every column, given its `‖r‖∞` from [`Executor::update`].
     fn residual_norms(&mut self, r_max: &[f64; W]) -> [f64; W];
-    /// `r̂ = M⁻¹r` on the columns `cols`, returning their `(r̂, r)`; on a
+    /// `r̂ = M⁻¹r` on the columns `cols`, `faults[j]` perturbing its
+    /// element of column `j`'s `r̂`, returning their `(r̂, r)`; on a
     /// `restart`, also `p ← r̂` for them.
-    fn msolve(&mut self, cols: &[bool; W], restart: bool) -> [f64; W];
+    fn msolve(
+        &mut self,
+        cols: &[bool; W],
+        restart: bool,
+        faults: &[Option<IterationFault>; W],
+    ) -> [f64; W];
     /// `p ← r̂ + β·p` on every column.
     fn xpby(&mut self, beta: &[f64; W]);
     /// `f − K·u` of column `j`, put to `to`'s use.
@@ -554,8 +593,9 @@ impl<A: SparseOp, P: Preconditioner, const W: usize> Executor<W> for PoolBlock<'
         self.m.steps_per_apply()
     }
 
-    fn spmv(&mut self, live: &[bool; W]) -> [f64; W] {
+    fn spmv(&mut self, live: &[bool; W], faults: &[Option<IterationFault>; W]) -> [f64; W] {
         self.k.mul_block_into(self.p, self.t, live, self.scratch);
+        inject::<W>(self.t, faults);
         vecops::dot_block::<W>(self.p, self.t)
     }
 
@@ -569,8 +609,14 @@ impl<A: SparseOp, P: Preconditioner, const W: usize> Executor<W> for PoolBlock<'
         vecops::norm2_with_max_block::<W>(self.r, r_max)
     }
 
-    fn msolve(&mut self, cols: &[bool; W], restart: bool) -> [f64; W] {
+    fn msolve(
+        &mut self,
+        cols: &[bool; W],
+        restart: bool,
+        faults: &[Option<IterationFault>; W],
+    ) -> [f64; W] {
         self.m.apply_block(self.r, self.t, cols, self.scratch);
+        inject::<W>(self.t, faults);
         let rz = vecops::dot_block::<W>(self.t, self.r);
         for j in (0..W).filter(|&j| restart && cols[j]) {
             set_column::<W>(self.p, j, self.t.chunks_exact(W).map(|row| row[j]));
@@ -736,6 +782,17 @@ impl Column {
     }
 }
 
+/// Perturb, for each `faults[j]`, its element of column `j` of the fresh
+/// interleaved `W`-column block output `v`.
+fn inject<const W: usize>(v: &mut [f64], faults: &[Option<IterationFault>; W]) {
+    for (j, fault) in faults.iter().enumerate() {
+        if let Some(f) = fault.filter(|f| f.index < v.len() / W) {
+            let x = &mut v[f.index * W + j];
+            *x = perturb(*x, f.kind);
+        }
+    }
+}
+
 /// Write `values` into column `j` of the interleaved `W`-column block `v`.
 fn set_column<const W: usize>(v: &mut [f64], j: usize, values: impl IntoIterator<Item = f64>) {
     for (row, x) in v.chunks_exact_mut(W).zip(values) {
@@ -755,10 +812,32 @@ fn mask<const W: usize>(cols: &[Column; W], phase: Phase) -> [bool; W] {
 /// the rows. Every branch reads only the replicated scalars the
 /// executor's phases return, so every participant of an executor runs
 /// the same schedule of phases.
+///
+/// Column `j` is right-hand side `first + j` of `plan`: before each SpMV
+/// and msolve the loop looks up the faults due on its columns
+/// ([`FaultPlan::fire`]) and hands them to that call.
 pub fn lockstep<E: Executor<W>, const W: usize>(
     exec: &mut E,
     opts: &PcgOptions,
+    plan: &FaultPlan,
+    first: usize,
 ) -> [Result<PcgReport, SparseError>; W] {
+    // The faults due on the columns of `mask` at their `target` call: the
+    // `K·p` of iteration `completed + 1`, or the `r̂` after `completed`
+    // iterations.
+    let mut fired = vec![false; plan.faults.len()];
+    let mut due = |target, cols: &[Column; W], mask: &[bool; W]| {
+        if plan.faults.is_empty() {
+            return [None; W];
+        }
+        std::array::from_fn(|j| {
+            if !mask[j] {
+                return None;
+            }
+            let iteration = cols[j].completed + usize::from(target == FaultTarget::Spmv);
+            plan.fire(first + j, target, iteration, &mut fired)
+        })
+    };
     let steps = exec.msolve_steps();
     let displacement = opts.criterion == StoppingCriterion::DisplacementChange;
     let f_norms = exec.rhs_norms();
@@ -816,7 +895,7 @@ pub fn lockstep<E: Executor<W>, const W: usize>(
             for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| restart[*j]) {
                 c.true_residual(exec, j, TrueResidual::Restart);
             }
-            let rz = exec.msolve(&restart, true);
+            let rz = exec.msolve(&restart, true, &due(FaultTarget::Msolve, &cols, &restart));
             for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| restart[*j]) {
                 c.count_msolve(steps);
                 c.rz = rz[j];
@@ -852,7 +931,7 @@ pub fn lockstep<E: Executor<W>, const W: usize>(
         }
 
         // t = K·p, α = (r̂, r) / (p, K·p).
-        let denom = exec.spmv(&live);
+        let denom = exec.spmv(&live, &due(FaultTarget::Spmv, &cols, &live));
         let mut alpha = [0.0; W];
         for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
             c.stats.spmv += 1;
@@ -935,7 +1014,7 @@ pub fn lockstep<E: Executor<W>, const W: usize>(
         }
 
         // r̂ = M⁻¹r, β = (r̂, r)_new / (r̂, r)_old, p ← r̂ + β·p.
-        let rz_new = exec.msolve(&live, false);
+        let rz_new = exec.msolve(&live, false, &due(FaultTarget::Msolve, &cols, &live));
         let mut beta = [0.0; W];
         for (j, c) in cols.iter_mut().enumerate().filter(|(j, _)| live[*j]) {
             c.count_msolve(steps);
@@ -1166,28 +1245,26 @@ mod tests {
     fn in_place_recovery_surfaces_as_replaced_status() {
         use crate::pcg::StoppingCriterion;
         use crate::preconditioner::IdentityPreconditioner;
-        use crate::recovery::{ApplicationFault, FaultKind, FaultyPreconditioner};
+        use crate::recovery::FaultKind;
 
         let (a, _p) = rb_laplacian(32);
-        // One RHS so the shared application counter is deterministic.
         let f = batch_rhs(32, 1);
         let mut u = vec![0.0; 32];
-        let pre = FaultyPreconditioner::new(
-            IdentityPreconditioner::new(32),
-            vec![ApplicationFault {
-                application: 2,
-                index: 5,
-                kind: FaultKind::NaN,
-            }],
-        );
+        let pre = IdentityPreconditioner::new(32);
+        let plan = FaultPlan::new(vec![IterationFault {
+            rhs: 0,
+            target: FaultTarget::Msolve,
+            iteration: 2,
+            index: 5,
+            kind: FaultKind::NaN,
+        }]);
         let opts = PcgOptions {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
             ..Default::default()
         };
         let mut ws = MultiRhsWorkspace::new(32, 1);
-        let sum = pcg_solve_multi(&a, &f, &mut u, &pre, &opts, &mut ws).unwrap();
-        assert_eq!(pre.injected(), 1);
+        let sum = pcg_solve_multi_with_faults(&a, &f, &mut u, &pre, &opts, &mut ws, &plan).unwrap();
         let out = &ws.outcomes()[0];
         // The solve recovers in place: one replacement.
         assert_eq!(out.status, SolveStatus::Replaced);
@@ -1197,5 +1274,56 @@ mod tests {
         assert_eq!(out.report.stats.faults_detected, 1);
         assert_eq!(sum.converged, 1);
         assert_eq!(sum.rescued, 1);
+    }
+
+    /// A planned fault perturbs one element of its column's fresh output —
+    /// a restart's `p ← r̂` copy included — before the phase's reduction,
+    /// and nothing else.
+    #[test]
+    fn planned_faults_perturb_one_element_of_their_column() {
+        use crate::recovery::FaultKind;
+        let (a, p) = rb_laplacian(16);
+        let pre = MStepSsorPreconditioner::unparametrized(&a, &p, 2).unwrap();
+        let f = batch_rhs(16, 2);
+        let mut u = vec![0.0; 32];
+        let mut lane = PcgWorkspace::new(16);
+        lane.prepare(16, 2, block_scratch_len(&pre, 2));
+        let mut block = PoolBlock::<_, _, 2>::new(&a, &pre, &f, &mut u, &mut lane);
+        let fault = |target, index, kind| IterationFault {
+            rhs: 0,
+            target,
+            iteration: 0,
+            index,
+            kind,
+        };
+        let changed = |clean: &[f64], got: &[f64]| -> Vec<usize> {
+            let bits = |v: f64| v.to_bits();
+            (0..clean.len())
+                .filter(|&e| bits(clean[e]) != bits(got[e]))
+                .collect()
+        };
+        for j in 0..2 {
+            block.true_residual(j, TrueResidual::Restart);
+        }
+
+        let rz = block.msolve(&[true; 2], true, &[None; 2]);
+        let z = block.t.to_vec();
+        let noise = fault(FaultTarget::Msolve, 4, FaultKind::ScaledNoise(1.0));
+        let rz_hit = block.msolve(&[true; 2], true, &[None, Some(noise)]);
+        // Element 4 of column 1, at `4·W + 1`, in `r̂` and in `p`.
+        assert_eq!(changed(&z, block.t), [9]);
+        assert_eq!(changed(&z, block.p), [9]);
+        assert_eq!(rz_hit[0].to_bits(), rz[0].to_bits());
+        assert_ne!(rz_hit[1].to_bits(), rz[1].to_bits());
+
+        block.msolve(&[true; 2], true, &[None; 2]);
+        let pkp = block.spmv(&[true; 2], &[None; 2]);
+        let kp = block.t.to_vec();
+        let nan = fault(FaultTarget::Spmv, 3, FaultKind::NaN);
+        let past_the_end = fault(FaultTarget::Spmv, 16, FaultKind::NaN);
+        let pkp_hit = block.spmv(&[true; 2], &[Some(nan), Some(past_the_end)]);
+        assert_eq!(changed(&kp, block.t), [6]);
+        assert!(pkp_hit[0].is_nan());
+        assert_eq!(pkp_hit[1].to_bits(), pkp[1].to_bits());
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::multi::{lockstep, PoolBlock};
 use crate::preconditioner::{block_scratch_len, IdentityPreconditioner, Preconditioner};
-use crate::recovery::RecoveryPolicy;
+use crate::recovery::{FaultPlan, RecoveryPolicy};
 use mspcg_sparse::{SparseError, SparseOp};
 
 pub use mspcg_sparse::PcgVariant;
@@ -355,6 +355,26 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     opts: &PcgOptions,
     ws: &mut PcgWorkspace,
 ) -> Result<PcgReport, SparseError> {
+    pcg_try_solve_into_with_faults(k, f, u, m, opts, ws, &FaultPlan::default())
+}
+
+/// [`pcg_try_solve_into`] under a [`FaultPlan`] (its faults at `rhs` 0):
+/// each planned fault perturbs its element of the `K·p` or `r̂` it names
+/// before that phase's reduction, so the returned counters show the
+/// detection and recovery path it took. A plan replays bitwise at any
+/// thread count.
+///
+/// # Errors
+/// Same classes as [`pcg_try_solve_into`].
+pub fn pcg_try_solve_into_with_faults<A: SparseOp>(
+    k: &A,
+    f: &[f64],
+    u: &mut [f64],
+    m: &impl Preconditioner,
+    opts: &PcgOptions,
+    ws: &mut PcgWorkspace,
+    plan: &FaultPlan,
+) -> Result<PcgReport, SparseError> {
     let n = k.rows();
     if k.cols() != n {
         return Err(SparseError::NotSquare {
@@ -370,7 +390,12 @@ pub fn pcg_try_solve_into<A: SparseOp>(
     }
     validate_inputs(opts.tol, &opts.recovery, f, u)?;
     ws.prepare(n, 1, block_scratch_len(m, 1));
-    let [result] = lockstep(&mut PoolBlock::<_, _, 1>::new(k, m, f, u, ws), opts);
+    let [result] = lockstep(
+        &mut PoolBlock::<_, _, 1>::new(k, m, f, u, ws),
+        opts,
+        plan,
+        0,
+    );
     result
 }
 
@@ -429,6 +454,7 @@ mod tests {
     use super::*;
     use crate::mstep::MStepSsorPreconditioner;
     use crate::preconditioner::DiagonalPreconditioner;
+    use crate::recovery::{FaultKind, FaultTarget, IterationFault};
     use mspcg_coloring::Coloring;
     use mspcg_sparse::{vecops, CsrMatrix};
     use mspcg_sparse::{CooMatrix, Partition};
@@ -755,57 +781,66 @@ mod tests {
         }
     }
 
+    /// `pcg_try_solve_into_with_faults` from the zero guess, on a fresh
+    /// workspace, under `faults` (at `rhs` 0).
+    fn faulted_solve(
+        a: &CsrMatrix,
+        b: &[f64],
+        pre: &impl Preconditioner,
+        opts: &PcgOptions,
+        faults: Vec<IterationFault>,
+    ) -> (Vec<f64>, Result<PcgReport, SparseError>) {
+        let mut u = vec![0.0; b.len()];
+        let plan = FaultPlan::new(faults);
+        let mut ws = PcgWorkspace::new(b.len());
+        let rep = pcg_try_solve_into_with_faults(a, b, &mut u, pre, opts, &mut ws, &plan);
+        (u, rep)
+    }
+
+    fn nan_msolve(iteration: usize, index: usize) -> IterationFault {
+        IterationFault {
+            rhs: 0,
+            target: FaultTarget::Msolve,
+            iteration,
+            index,
+            kind: FaultKind::NaN,
+        }
+    }
+
     #[test]
     fn classic_recovers_in_place_from_injected_nan_in_msolve() {
-        use crate::recovery::{ApplicationFault, FaultKind, FaultyPreconditioner};
         let a = laplacian(32);
         let x_true: Vec<f64> = (0..32).map(|i| (i as f64 * 0.2).sin()).collect();
         let b = a.mul_vec(&x_true);
-        // NaN out of msolve application 2 (init is application 0, then
-        // one per iteration): the loop must detect it on the
-        // (r̂, r) scalar, restart in place, and still converge — no audit
-        // and no opt-in needed (non-finite detection is always on).
-        let pre = FaultyPreconditioner::new(
-            IdentityPreconditioner::new(32),
-            vec![ApplicationFault {
-                application: 2,
-                index: 7,
-                kind: FaultKind::NaN,
-            }],
-        );
+        // NaN out of the msolve after 2 iterations: the loop must detect
+        // it on the (r̂, r) scalar, restart in place, and still converge —
+        // no audit and no opt-in needed (non-finite detection is always
+        // on).
+        let pre = IdentityPreconditioner::new(32);
         let opts = PcgOptions {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
             ..Default::default()
         };
-        let sol = pcg_solve(&a, &b, &pre, &opts).unwrap();
+        let (x, sol) = faulted_solve(&a, &b, &pre, &opts, vec![nan_msolve(2, 7)]);
+        let sol = sol.unwrap();
         assert!(sol.converged);
         assert!(sol.final_relative_residual < 1e-10);
-        assert_eq!(pre.injected(), 1);
         // Exact counters: one detection, one in-place recovery, no audits
         // (the default policy runs none).
         assert_eq!(sol.stats.faults_detected, 1);
         assert_eq!(sol.stats.replacements, 1);
         assert_eq!(sol.stats.fallbacks, 0);
         assert_eq!(sol.stats.audits, 0);
-        for (x, y) in sol.x.iter().zip(&x_true) {
+        for (x, y) in x.iter().zip(&x_true) {
             assert!((x - y).abs() < 1e-6);
         }
     }
 
     #[test]
     fn exhausted_replacement_budget_surfaces_typed_nonfinite_error() {
-        use crate::recovery::{ApplicationFault, FaultKind, FaultyPreconditioner, RecoveryPolicy};
         let a = laplacian(16);
         let b = vec![1.0; 16];
-        let pre = FaultyPreconditioner::new(
-            IdentityPreconditioner::new(16),
-            vec![ApplicationFault {
-                application: 1,
-                index: 0,
-                kind: FaultKind::NaN,
-            }],
-        );
         let opts = PcgOptions {
             recovery: RecoveryPolicy {
                 max_replacements: 0,
@@ -813,35 +848,35 @@ mod tests {
             },
             ..Default::default()
         };
+        let pre = IdentityPreconditioner::new(16);
+        let (_, rep) = faulted_solve(&a, &b, &pre, &opts, vec![nan_msolve(1, 0)]);
         assert!(matches!(
-            pcg_solve(&a, &b, &pre, &opts),
+            rep,
             Err(SparseError::NonFinite {
                 phase: "msolve-reduction",
-                ..
+                iteration: 1
             })
         ));
     }
 
     #[test]
     fn audit_catches_silent_spmv_corruption_and_replaces() {
-        use crate::recovery::{ApplicationFault, FaultKind, FaultyOp, RecoveryPolicy};
         let a = laplacian(64);
         let x_true: Vec<f64> = (0..64).map(|i| (i as f64 * 0.13).cos()).collect();
         let b = SparseOp::mul_vec(&a, &x_true);
-        // A moderate, FINITE corruption of one SpMV output: the poisoned
-        // `Kp` feeds `r −= α·Kp` while `u += α·p` uses the clean `p`, so
-        // the recurrence residual silently drifts from `f − K·u`. The
-        // perturbation is kept small enough that every reduction scalar
-        // stays finite and plausible (a huge one would trip the
+        // A moderate, FINITE corruption of iteration 4's SpMV output: the
+        // poisoned `Kp` feeds `r −= α·Kp` while `u += α·p` uses the clean
+        // `p`, so the recurrence residual silently drifts from `f − K·u`.
+        // The perturbation is kept small enough that every reduction
+        // scalar stays finite and plausible (a huge one would trip the
         // breakdown guards instead), so only the audit can catch it.
-        let op = FaultyOp::new(
-            a.clone(),
-            vec![ApplicationFault {
-                application: 4,
-                index: 20,
-                kind: FaultKind::ScaledNoise(0.01),
-            }],
-        );
+        let noise = IterationFault {
+            rhs: 0,
+            target: FaultTarget::Spmv,
+            iteration: 4,
+            index: 20,
+            kind: FaultKind::ScaledNoise(0.01),
+        };
         let opts = PcgOptions {
             tol: 1e-10,
             criterion: StoppingCriterion::RelativeResidual,
@@ -851,9 +886,16 @@ mod tests {
             },
             ..Default::default()
         };
-        let sol = pcg_solve(&op, &b, &IdentityPreconditioner::new(64), &opts).unwrap();
+        let pre = IdentityPreconditioner::new(64);
+        let (x, sol) = faulted_solve(&a, &b, &pre, &opts, vec![noise]);
+        let sol = sol.unwrap();
         assert!(sol.converged, "replacement did not rescue the solve");
-        assert_eq!(op.injected(), 1);
+        // The fault landed: the iterate differs from the clean solve's.
+        let (clean, _) = faulted_solve(&a, &b, &pre, &opts, vec![]);
+        assert_ne!(
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            clean.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
         assert!(sol.stats.audits >= 1, "no audit ran");
         assert!(
             sol.stats.replacements >= 1,
@@ -865,7 +907,7 @@ mod tests {
         // Converged to the TRUE residual tolerance: verify from scratch
         // against the clean matrix.
         let mut rt = b.clone();
-        SparseOp::mul_vec_axpy(&a, -1.0, &sol.x, &mut rt);
+        SparseOp::mul_vec_axpy(&a, -1.0, &x, &mut rt);
         let rel = vecops::norm2(&rt) / vecops::norm2(&b);
         assert!(rel < 1e-9, "true relative residual {rel:e}");
     }

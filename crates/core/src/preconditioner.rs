@@ -63,9 +63,7 @@ pub trait Preconditioner {
     ///
     /// `scratch` holds at least [`block_scratch_len`]`(self, W)` values.
     /// The default goes column by column through `apply_with`
-    /// ([`by_column`]), so every column is one application, as call
-    /// counting and fault injection expect. The m-step multicolor SSOR
-    /// overrides it, through
+    /// ([`by_column`]). The m-step multicolor SSOR overrides it, through
     /// [`MulticolorSsor::msolve_block`](crate::ssor::MulticolorSsor::msolve_block),
     /// with sweeps that load each stored entry once per block.
     ///

@@ -4,15 +4,19 @@
 //! true residual `f − Ku`; a silent data corruption (a flipped bit in an
 //! SpMV output, a NaN out of a preconditioner application) is the same
 //! failure mode in concentrated form. This module supplies the two
-//! robustness layers both executors thread through every entry point:
+//! robustness layers every executor threads through every entry point:
 //!
-//! 1. **Fault injection** — [`FaultyOp`] / [`FaultyPreconditioner`] wrap
-//!    any operator/preconditioner and perturb chosen *applications*
-//!    deterministically ([`FaultKind`]: bit flips, NaN/Inf, scaled noise),
-//!    and [`FaultPlan`] describes iteration-indexed faults for the SPMD
-//!    solver (whose sweep table never calls back into the operator). Every
-//!    detection and recovery path below is exercised under injection by
-//!    `tests/fault_injection.rs` instead of being trusted.
+//! 1. **Fault injection** — a [`FaultPlan`] names each fault by the
+//!    right-hand side it hits, the kernel call ([`FaultTarget`]: the
+//!    iteration's `K·p`, or its `r̂ = M⁻¹r`), the iteration, the element
+//!    and the perturbation ([`FaultKind`]: bit flips, NaN/Inf, scaled
+//!    noise). [`crate::multi::lockstep`], the one Algorithm 1, looks the
+//!    plan up for each column and hands each due fault to the kernel call
+//!    it corrupts; the executor perturbs that element of the call's fresh
+//!    output before the phase's fused reduction, so a fault means the
+//!    same thing on the pool path, in a batch and on the SPMD workers.
+//!    Every detection and recovery path below is exercised under
+//!    injection by `tests/fault_injection.rs` instead of being trusted.
 //! 2. **Residual audit + replacement** — with
 //!    [`RecoveryPolicy::replacement`] on, every
 //!    [`RecoveryPolicy::audit_period`] iterations the solver recomputes the
@@ -26,14 +30,9 @@
 //!    only once the [`RecoveryPolicy::max_replacements`] budget is spent.
 //!    Both executors read the decision from one [`AuditPlan`].
 //!
-//! Everything is *measured*: audits, replacements and detected/injected
-//! faults are counted in `PcgStats` and `ParallelSolveReport`, exactly
-//! like the barrier/reduction counters.
-
-use crate::preconditioner::Preconditioner;
-use mspcg_sparse::SparseOp;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Everything is *measured*: audits, replacements and detected faults are
+//! counted in `PcgStats` and `ParallelSolveReport`, exactly like the
+//! barrier/reduction counters.
 
 /// Default replacement budget: enough for persistent-fault scenarios
 /// (a fault re-injected after every restart) while still bounding a
@@ -182,211 +181,28 @@ pub fn perturb(v: f64, kind: FaultKind) -> f64 {
     }
 }
 
-/// A fault pinned to one *application* of a wrapped kernel: the
-/// `application`-th top-level product (or preconditioner solve) since
-/// construction perturbs output element `index`, counted over every
-/// thread. A plan replays bitwise when one thread drives the wrapper (a
-/// standalone solve, or a one-lane `pcg_solve_multi` batch), which calls
-/// it in a fixed order; the lanes of a wider batch race for the count, so
-/// the fault lands on whichever case gets there first.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApplicationFault {
-    /// 0-based application (top-level `mul_vec_into`/`mul_vec_axpy` or
-    /// `apply`/`apply_with` call) at which to inject.
-    pub application: usize,
-    /// Output element to perturb.
-    pub index: usize,
-    /// The perturbation.
-    pub kind: FaultKind,
-}
-
-/// Shared injection bookkeeping of the two wrappers.
-#[derive(Debug)]
-struct InjectionState {
-    faults: Vec<ApplicationFault>,
-    applications: AtomicUsize,
-    injected: AtomicUsize,
-}
-
-impl InjectionState {
-    fn new(faults: Vec<ApplicationFault>) -> Self {
-        InjectionState {
-            faults,
-            applications: AtomicUsize::new(0),
-            injected: AtomicUsize::new(0),
-        }
-    }
-
-    /// Count one application and perturb `out` if a fault is due.
-    fn inject(&self, out: &mut [f64]) {
-        let app = self.applications.fetch_add(1, Ordering::Relaxed);
-        for f in &self.faults {
-            if f.application == app && f.index < out.len() {
-                out[f.index] = perturb(out[f.index], f.kind);
-                self.injected.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// A [`SparseOp`] whose **top-level products** (`mul_vec_into` /
-/// `mul_vec_axpy`) inject the planned perturbations into their output
-/// *after* the clean product — the range kernels and structure hooks
-/// delegate untouched, so construction paths (splitting extraction, sweep
-/// tables) see the clean matrix and only the solver-facing applications
-/// are corrupted. Counters use atomics so the wrapper stays `Sync` like
-/// every operator; a plan replays only when one thread drives the wrapper
-/// ([`ApplicationFault`]). Block products take the trait's default,
-/// column by column through the injecting `mul_vec_into`, so each column
-/// of a batched block counts as one application.
-#[derive(Debug)]
-pub struct FaultyOp<A> {
-    inner: A,
-    state: InjectionState,
-}
-
-impl<A: SparseOp> FaultyOp<A> {
-    /// Wrap `inner` with a fault plan.
-    pub fn new(inner: A, faults: Vec<ApplicationFault>) -> Self {
-        FaultyOp {
-            inner,
-            state: InjectionState::new(faults),
-        }
-    }
-
-    /// Top-level applications counted so far.
-    pub fn applications(&self) -> usize {
-        self.state.applications.load(Ordering::Relaxed)
-    }
-
-    /// Faults actually injected so far.
-    pub fn injected(&self) -> usize {
-        self.state.injected.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped (clean) operator.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-}
-
-impl<A: SparseOp> SparseOp for FaultyOp<A> {
-    fn rows(&self) -> usize {
-        self.inner.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.inner.cols()
-    }
-
-    fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    fn mul_vec_range_into(&self, x: &[f64], y: &mut [f64], rows: Range<usize>) {
-        self.inner.mul_vec_range_into(x, y, rows)
-    }
-
-    fn mul_vec_axpy_range(&self, a: f64, x: &[f64], y: &mut [f64], rows: Range<usize>) {
-        self.inner.mul_vec_axpy_range(a, x, y, rows)
-    }
-
-    fn visit_row(&self, i: usize, visit: &mut dyn FnMut(usize, f64)) {
-        self.inner.visit_row(i, visit)
-    }
-
-    fn chunk_rows(&self, chunk_nnz: usize, c: usize) -> Range<usize> {
-        self.inner.chunk_rows(chunk_nnz, c)
-    }
-
-    fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.mul_vec_into(x, y);
-        self.state.inject(y);
-    }
-
-    fn mul_vec_axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
-        self.inner.mul_vec_axpy(a, x, y);
-        self.state.inject(y);
-    }
-}
-
-/// A [`Preconditioner`] wrapper injecting planned perturbations into the
-/// output of chosen `apply`/`apply_with` calls — the msolve analog of
-/// [`FaultyOp`]. Like it, block applications go column by column through
-/// the injecting `apply_with`, and a plan replays only when one thread
-/// drives the wrapper ([`ApplicationFault`]).
-#[derive(Debug)]
-pub struct FaultyPreconditioner<P> {
-    inner: P,
-    state: InjectionState,
-}
-
-impl<P: Preconditioner> FaultyPreconditioner<P> {
-    /// Wrap `inner` with a fault plan.
-    pub fn new(inner: P, faults: Vec<ApplicationFault>) -> Self {
-        FaultyPreconditioner {
-            inner,
-            state: InjectionState::new(faults),
-        }
-    }
-
-    /// Applications counted so far.
-    pub fn applications(&self) -> usize {
-        self.state.applications.load(Ordering::Relaxed)
-    }
-
-    /// Faults actually injected so far.
-    pub fn injected(&self) -> usize {
-        self.state.injected.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped (clean) preconditioner.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-}
-
-impl<P: Preconditioner> Preconditioner for FaultyPreconditioner<P> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn steps_per_apply(&self) -> usize {
-        self.inner.steps_per_apply()
-    }
-
-    fn scratch_len(&self) -> usize {
-        self.inner.scratch_len()
-    }
-
-    fn apply_with(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
-        self.inner.apply_with(r, z, scratch);
-        self.state.inject(z);
-    }
-}
-
-/// The kernel a [`FaultPlan`] fault targets inside the SPMD solver.
+/// The kernel call a [`FaultPlan`] fault corrupts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// The iteration's SpMV product `K·p`.
     Spmv,
-    /// The iteration's preconditioner output `z`.
+    /// The preconditioner output `r̂ = M⁻¹r`.
     Msolve,
 }
 
-/// A fault pinned to one *iteration* of the SPMD schedule. The
-/// `ParallelMStepPcg` extracts a private sweep table at construction and
-/// never calls back into the operator, so wrapper injection cannot reach
-/// it; instead the workers consult the plan at fixed schedule points —
-/// every worker evaluates the (replicated) lookup, only the worker owning
-/// `index` writes, so injection is deterministic across thread counts.
+/// One planned fault: element `index` of one kernel call's fresh output,
+/// on one right-hand side, perturbed by `kind`. An `index` past the
+/// dimension perturbs nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationFault {
+    /// The right-hand side's index in the batch: 0 for a standalone or an
+    /// SPMD solve.
+    pub rhs: usize,
     /// Which kernel's output to perturb.
     pub target: FaultTarget,
     /// The iteration: for [`FaultTarget::Spmv`] the 1-based iteration
     /// whose `K·p` it corrupts, for [`FaultTarget::Msolve`] the iterations
-    /// completed before the msolve (0 for the initial one).
+    /// completed before the msolve (0 for the first).
     pub iteration: usize,
     /// Vector element to perturb.
     pub index: usize,
@@ -394,11 +210,12 @@ pub struct IterationFault {
     pub kind: FaultKind,
 }
 
-/// An iteration-indexed fault plan for the SPMD solver
-/// (`ParallelMStepPcg::solve_with_faults`). Each planned fault fires
-/// once per solve, at the solve's first arrival at its `(target,
-/// iteration)`: an in-place restart repeats the iteration of a
-/// non-finite `(p, K·p)`, and the repeat runs clean.
+/// The fault plan of a solve: every entry point takes one (the plain ones
+/// an empty plan). Each planned fault fires once per solve, at the
+/// solve's first arrival at its `(rhs, target, iteration)`: an in-place
+/// restart repeats the iteration of a non-finite `(p, K·p)`, and the
+/// repeat runs clean; a second fault at the same point fires at the
+/// second arrival.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// The planned faults.
@@ -411,43 +228,31 @@ impl FaultPlan {
         FaultPlan { faults }
     }
 
-    /// The first fault due at `(target, iteration)` whose flag in `fired`
-    /// (one per planned fault) is unset; its flag is set on the way out,
-    /// so it fires once.
+    /// The first fault due at `(rhs, target, iteration)` whose flag in
+    /// `fired` (one per planned fault) is unset; its flag is set on the
+    /// way out, so it fires once.
     ///
     /// # Panics
     /// Panics if `fired` is shorter than the plan.
     pub fn fire(
         &self,
+        rhs: usize,
         target: FaultTarget,
         iteration: usize,
         fired: &mut [bool],
-    ) -> Option<&IterationFault> {
+    ) -> Option<IterationFault> {
         let k = (0..self.faults.len()).find(|&k| {
             let f = &self.faults[k];
-            !fired[k] && f.target == target && f.iteration == iteration
+            !fired[k] && f.rhs == rhs && f.target == target && f.iteration == iteration
         })?;
         fired[k] = true;
-        Some(&self.faults[k])
+        Some(self.faults[k])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preconditioner::IdentityPreconditioner;
-    use mspcg_sparse::CooMatrix;
-
-    fn sample() -> mspcg_sparse::CsrMatrix {
-        let mut a = CooMatrix::new(4, 4);
-        for i in 0..4 {
-            a.push(i, i, 4.0).unwrap();
-            if i + 1 < 4 {
-                a.push_sym(i, i + 1, -1.0).unwrap();
-            }
-        }
-        a.to_csr()
-    }
 
     #[test]
     fn perturbations_are_deterministic_and_typed() {
@@ -464,56 +269,6 @@ mod tests {
         assert!(perturb(v, FaultKind::Inf).is_infinite());
         assert_eq!(perturb(v, FaultKind::ScaledNoise(2.0)), 1.5 + 2.0 * 1.5);
         assert_eq!(perturb(0.0, FaultKind::ScaledNoise(2.0)), 2.0);
-    }
-
-    #[test]
-    fn faulty_op_injects_only_at_planned_applications() {
-        let a = sample();
-        let clean = a.clone();
-        let op = FaultyOp::new(
-            a,
-            vec![ApplicationFault {
-                application: 1,
-                index: 2,
-                kind: FaultKind::NaN,
-            }],
-        );
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let mut y = vec![0.0; 4];
-        // Application 0: clean.
-        SparseOp::mul_vec_into(&op, &x, &mut y);
-        assert_eq!(y, SparseOp::mul_vec(&clean, &x));
-        assert_eq!(op.injected(), 0);
-        // Application 1: element 2 poisoned, the rest clean.
-        SparseOp::mul_vec_into(&op, &x, &mut y);
-        assert!(y[2].is_nan());
-        assert_eq!(y[0], SparseOp::mul_vec(&clean, &x)[0]);
-        assert_eq!(op.injected(), 1);
-        assert_eq!(op.applications(), 2);
-        // Range kernels and structure hooks stay clean (not applications).
-        let mut yr = vec![0.0; 4];
-        op.mul_vec_range_into(&x, &mut yr, 0..4);
-        assert_eq!(yr, SparseOp::mul_vec(&clean, &x));
-        assert_eq!(op.applications(), 2);
-    }
-
-    #[test]
-    fn faulty_preconditioner_counts_and_injects() {
-        let p = FaultyPreconditioner::new(
-            IdentityPreconditioner::new(3),
-            vec![ApplicationFault {
-                application: 0,
-                index: 1,
-                kind: FaultKind::ScaledNoise(10.0),
-            }],
-        );
-        let mut z = vec![0.0; 3];
-        p.apply(&[1.0, 1.0, 1.0], &mut z);
-        assert_eq!(z, vec![1.0, 11.0, 1.0]);
-        p.apply(&[1.0, 1.0, 1.0], &mut z);
-        assert_eq!(z, vec![1.0, 1.0, 1.0]);
-        assert_eq!(p.injected(), 1);
-        assert_eq!(p.applications(), 2);
     }
 
     #[test]
@@ -550,12 +305,14 @@ mod tests {
     fn fault_plan_lookup_is_by_target_and_iteration() {
         let plan = FaultPlan::new(vec![
             IterationFault {
+                rhs: 0,
                 target: FaultTarget::Spmv,
                 iteration: 3,
                 index: 5,
                 kind: FaultKind::BitFlip(55),
             },
             IterationFault {
+                rhs: 2,
                 target: FaultTarget::Msolve,
                 iteration: 2,
                 index: 1,
@@ -563,20 +320,26 @@ mod tests {
             },
         ]);
         let mut fired = [false; 2];
-        assert!(plan.fire(FaultTarget::Spmv, 2, &mut fired).is_none());
-        assert!(plan.fire(FaultTarget::Msolve, 3, &mut fired).is_none());
+        assert!(plan.fire(0, FaultTarget::Spmv, 2, &mut fired).is_none());
+        assert!(plan.fire(0, FaultTarget::Msolve, 3, &mut fired).is_none());
+        assert!(plan.fire(1, FaultTarget::Spmv, 3, &mut fired).is_none());
+        assert!(plan.fire(0, FaultTarget::Msolve, 2, &mut fired).is_none());
         assert_eq!(fired, [false, false]);
         assert_eq!(
-            plan.fire(FaultTarget::Spmv, 3, &mut fired).unwrap().index,
+            plan.fire(0, FaultTarget::Spmv, 3, &mut fired)
+                .unwrap()
+                .index,
             5
         );
         assert_eq!(
-            plan.fire(FaultTarget::Msolve, 2, &mut fired).unwrap().index,
+            plan.fire(2, FaultTarget::Msolve, 2, &mut fired)
+                .unwrap()
+                .index,
             1
         );
         // Each fault fires once: a repeated iteration runs clean.
         assert_eq!(fired, [true, true]);
-        assert!(plan.fire(FaultTarget::Spmv, 3, &mut fired).is_none());
-        assert!(plan.fire(FaultTarget::Msolve, 2, &mut fired).is_none());
+        assert!(plan.fire(0, FaultTarget::Spmv, 3, &mut fired).is_none());
+        assert!(plan.fire(2, FaultTarget::Msolve, 2, &mut fired).is_none());
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::params::VectorMachineParams;
 use mspcg_fem::plate::{AssembledProblem, OrderedProblem};
-use mspcg_sparse::{CsrMatrix, DiaMatrix, Partition};
+use mspcg_sparse::{CsrMatrix, Partition};
 
 /// Timing breakdown of one simulated run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -76,7 +76,7 @@ impl BlockDiagonalStructure {
     /// Analyze a color-blocked matrix.
     pub fn analyze(a: &CsrMatrix, colors: &Partition) -> Self {
         let nb = colors.num_blocks();
-        let full = DiaMatrix::from_csr(a).num_diagonals();
+        let full = a.diagonal_offsets().len();
         let mut block_diagonals = vec![vec![0usize; nb]; nb];
         let offsets = colors.offsets();
         for (bi, row_range) in colors.iter().enumerate() {
@@ -181,7 +181,8 @@ mod tests {
     #[test]
     fn blocked_matrix_has_bounded_diagonal_count() {
         // The 6-color block structure keeps the diagonal count small and
-        // n-independent (structure (3.2) is what makes DIA storage viable).
+        // n-independent (structure (3.2) is what makes storage by diagonals
+        // viable).
         let (_, ord1) = plate(6);
         let (_, ord2) = plate(9);
         let s1 = BlockDiagonalStructure::analyze(&ord1.matrix, &ord1.colors);

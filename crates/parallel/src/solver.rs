@@ -106,7 +106,7 @@ use crate::shared::SharedVec;
 use mspcg_core::multi::{lockstep, Executor, TrueResidual};
 use mspcg_core::pcg::{validate_inputs, PcgOptions, PcgReport};
 use mspcg_core::poly::{resolve_precond, ResolvedPrecond};
-use mspcg_core::recovery::{perturb, FaultKind, FaultPlan, FaultTarget, RecoveryPolicy};
+use mspcg_core::recovery::{perturb, FaultPlan, IterationFault, RecoveryPolicy};
 use mspcg_core::ssor::owned_chunk;
 use mspcg_core::{PolySchedule, SweepTable};
 use mspcg_sparse::vecops::{self, FusedUpdateNorms};
@@ -435,15 +435,17 @@ impl ParallelMStepPcg {
         f: &[f64],
         opts: &ParallelSolverOptions,
     ) -> Result<ParallelSolveReport, SparseError> {
-        self.solve_impl(f, opts, None)
+        self.solve_with_faults(f, opts, &FaultPlan::default())
     }
 
-    /// [`ParallelMStepPcg::solve`] under an iteration-indexed
-    /// [`FaultPlan`]: at each planned `(target, iteration)` the worker
-    /// owning `index` perturbs its freshly computed kernel output before
-    /// the fused partials are formed — deterministic at every thread
-    /// count, so the returned counters prove the recovery path. Each
-    /// planned fault fires once.
+    /// [`ParallelMStepPcg::solve`] under a [`FaultPlan`] (its faults at
+    /// `rhs` 0), which the loop consults as on the pool path: the worker
+    /// owning a fault's row perturbs the fresh `K·p` or `z` before the
+    /// phase's fused partials are formed, so a fault ends where it ends in
+    /// a pool-path solve, at every worker count. Each planned fault fires
+    /// once. A faulted m-step SSOR msolve crosses one extra barrier,
+    /// because other workers read `z` across strips in its final color
+    /// phase.
     ///
     /// # Errors
     /// Same classes as [`ParallelMStepPcg::solve`].
@@ -452,15 +454,6 @@ impl ParallelMStepPcg {
         f: &[f64],
         opts: &ParallelSolverOptions,
         plan: &FaultPlan,
-    ) -> Result<ParallelSolveReport, SparseError> {
-        self.solve_impl(f, opts, Some(plan))
-    }
-
-    fn solve_impl(
-        &self,
-        f: &[f64],
-        opts: &ParallelSolverOptions,
-        plan: Option<&FaultPlan>,
     ) -> Result<ParallelSolveReport, SparseError> {
         validate_inputs(opts.tol, &opts.recovery, f, &[])?;
         let n = self.dim();
@@ -493,8 +486,6 @@ impl ParallelMStepPcg {
                         v: &v,
                         barrier: &barrier,
                         f,
-                        plan,
-                        fired: vec![false; plan.map_or(0, |p| p.faults.len())],
                         completed: 0,
                         exchanges: 0,
                     };
@@ -503,7 +494,7 @@ impl ParallelMStepPcg {
                     // launches would only add contention.
                     s.spawn(move || {
                         mspcg_sparse::par::serialized(|| {
-                            let [result] = lockstep(&mut worker, &pcg);
+                            let [result] = lockstep(&mut worker, &pcg, plan, 0);
                             result
                         })
                     })
@@ -605,11 +596,8 @@ struct Worker<'a> {
     v: &'a Vectors,
     barrier: &'a SpinBarrier,
     f: &'a [f64],
-    plan: Option<&'a FaultPlan>,
-    /// The planned faults that have fired ([`FaultPlan::fire`]).
-    fired: Vec<bool>,
     /// Iterations completed: the updates so far. Until the first, `u = 0`
-    /// and `r` holds `f`. The fault plan is indexed by it.
+    /// and `r` holds `f`.
     completed: usize,
     /// Reductions so far: the next one publishes into bank
     /// `exchanges % 2`.
@@ -637,14 +625,6 @@ impl Worker<'_> {
         self.exchange([partial, 0.0]).map(|[s, _]| s).sum()
     }
 
-    /// The planned fault at `(target, iteration)` that has not fired yet,
-    /// if any: every worker looks it up and marks it fired, the caller
-    /// acts only on a row it owns.
-    fn fire(&mut self, target: FaultTarget, iteration: usize) -> Option<(usize, FaultKind)> {
-        let fault = self.plan?.fire(target, iteration, &mut self.fired)?;
-        Some((fault.index, fault.kind))
-    }
-
     /// `out ← K·x` over the worker's strip, chunk by chunk in color order.
     /// A `fault` on an owned row perturbs the fresh output, then
     /// `fuse(rows, out_chunk)` runs while the chunk is still hot: the
@@ -660,7 +640,7 @@ impl Worker<'_> {
         &self,
         x: &[f64],
         out: &SharedVec,
-        fault: Option<(usize, FaultKind)>,
+        fault: Option<IterationFault>,
         mut fuse: impl FnMut(std::ops::Range<usize>, &mut [f64]),
     ) {
         for rows in self.own.chunks() {
@@ -671,8 +651,8 @@ impl Worker<'_> {
                 .table
                 .matrix()
                 .mul_vec_range_into(x, y, rows.clone());
-            if let Some((index, kind)) = fault.filter(|(index, _)| rows.contains(index)) {
-                y[index - rows.start] = perturb(y[index - rows.start], kind);
+            if let Some(f) = fault.filter(|f| rows.contains(&f.index)) {
+                y[f.index - rows.start] = perturb(y[f.index - rows.start], f.kind);
             }
             fuse(rows, y);
         }
@@ -680,22 +660,15 @@ impl Worker<'_> {
 
     /// Barrier-per-color m-step SSOR solve `z ← M⁻¹ r` (ω = 1), or a plain
     /// copy when no coefficients are set (plain CG), up to its final
-    /// phase's barrier; returns this worker's `(z, r)` partial. Each
-    /// phase of [`SweepTable::sweep_schedule`] runs [`SweepTable::sweep`]
-    /// on this worker's chunk of the color, as the pool-path
-    /// `MulticolorSsor` does, here with the ω = 1 update `s/a_ii`, without
-    /// the self term.
-    ///
-    /// Two fusions remove the surrounding barriers:
-    /// * the `w₀ = 0` start is folded into the first forward sweep (step 1
-    ///   reads neither `z` outside the current pass nor the `y` cache, so
-    ///   no zero-fill phase and barrier precede it), as on the pool path;
-    /// * the **final color phase** additionally forms this worker's
-    ///   `(z, r)` strip partial — every `z` element of the strip was
-    ///   written by this worker in this or an earlier phase of the solve,
-    ///   so the partial needs no extra barrier — and, on a restart
-    ///   (`p0 = Some`), copies the strip into `p`.
-    fn sweep_phases(&self, alphas: &[f64], p0: Option<&SharedVec>) -> f64 {
+    /// phase, into which [`Executor::msolve`] fuses the `(z, r)` tail.
+    /// Each phase of [`SweepTable::sweep_schedule`] runs
+    /// [`SweepTable::sweep`] on this worker's chunk of the color, as the
+    /// pool-path `MulticolorSsor` does, here with the ω = 1 update
+    /// `s/a_ii`, without the self term. The `w₀ = 0` start is folded into
+    /// the first forward sweep (step 1 reads neither `z` outside the
+    /// current pass nor the `y` cache, so no zero-fill phase and barrier
+    /// precede it), as on the pool path.
+    fn sweep_phases(&self, alphas: &[f64]) {
         let (solver, v) = (self.solver, self.v);
         if alphas.is_empty() {
             for rows in self.own.chunks() {
@@ -732,16 +705,12 @@ impl Worker<'_> {
                 }
             }
         }
-        // SAFETY of the tail (fused into the final phase, before its
-        // barrier): every owned element of z was written by this worker
-        // (in color phase `c` it writes its chunk of color `c`), and r was
-        // finalized before the preconditioner began.
-        unsafe { self.own.msolve_tail(&v.z, &v.r, p0) }
     }
 
     /// Barrier-free polynomial msolve `z ← p(G)·D⁻¹r`, `G = D⁻¹K`:
     /// exactly `degree` fused SpMV phases, **zero color sweeps**, up to
-    /// the final phase's barrier; returns this worker's `(z, r)` partial.
+    /// the final phase, into which [`Executor::msolve`] fuses the `(z, r)`
+    /// tail.
     ///
     /// Each phase computes `K·zⱼ` on the worker's strip and applies
     /// [`PolySchedule::step_rows`] to it, the pool path's kernel, so the
@@ -761,10 +730,8 @@ impl Worker<'_> {
     /// intervening phase barrier — the same discipline as the partial
     /// banks. The difference carry `d` and the `K·z` strip (parked in the
     /// SSOR half-sum cache `y`, which the polynomial path never touches)
-    /// are own-strip only. The `(z, r)` partial and the restart's `p ← z`
-    /// copy fuse into the final phase before its barrier, exactly like the
-    /// sweep tail.
-    fn poly_phases(&self, schedule: &PolySchedule, p0: Option<&SharedVec>) -> f64 {
+    /// are own-strip only. The final phase reads no `z` across strips.
+    fn poly_phases(&self, schedule: &PolySchedule) {
         let v = self.v;
         let (a, inv_diag) = (self.solver.table.matrix(), self.solver.table.inv_diag());
         let k = schedule.degree();
@@ -808,9 +775,6 @@ impl Worker<'_> {
                 self.barrier.wait();
             }
         }
-        // SAFETY: the fused tail — `z`'s owned rows were written above by
-        // this worker, and nobody writes `r` during the msolve.
-        unsafe { self.own.msolve_tail(&v.z, &v.r, p0) }
     }
 }
 
@@ -829,14 +793,13 @@ impl Executor<1> for Worker<'_> {
     /// `kp ← K·p` ⊕ the `(p, Kp)` partial: the strip of `kp` this worker
     /// just wrote is exactly the strip the partial reads, so the dot needs
     /// no barrier of its own.
-    fn spmv(&mut self, _live: &[bool; 1]) -> [f64; 1] {
-        let fault = self.fire(FaultTarget::Spmv, self.completed + 1);
+    fn spmv(&mut self, _live: &[bool; 1], faults: &[Option<IterationFault>; 1]) -> [f64; 1] {
         let mut pkp = 0.0;
         // SAFETY: `p` was finalized before the last barrier, and this
         // worker alone writes its rows of `kp` this phase.
         unsafe {
             let p = self.v.p.read();
-            self.own_spmv(p, &self.v.kp, fault, |rows, out| {
+            self.own_spmv(p, &self.v.kp, faults[0], |rows, out| {
                 pkp += vecops::dot(&p[rows], out);
             });
         }
@@ -878,34 +841,42 @@ impl Executor<1> for Worker<'_> {
         [self.sum(s).sqrt()]
     }
 
-    /// The msolve, its `(z, r)` partial fused into its final phase; then a
-    /// planned msolve fault: the owner of its row perturbs the output (and
-    /// a restart's `p ← z` copy) after the final barrier, and since the
-    /// next phase may read the output cross-strip, every worker crosses
-    /// one extra barrier.
-    fn msolve(&mut self, _cols: &[bool; 1], restart: bool) -> [f64; 1] {
+    /// The msolve, then its tail fused into the final phase: the owner of
+    /// a planned fault's row perturbs the fresh `z`, and each worker forms
+    /// its `(z, r)` partial (and a restart's `p ← z` copy) on its own
+    /// rows. The m-step SSOR's final color phase reads `z` across strips,
+    /// so a faulted sweep msolve first crosses one extra barrier; the
+    /// plain copy and the polynomial read no `z` across strips in theirs.
+    fn msolve(
+        &mut self,
+        _cols: &[bool; 1],
+        restart: bool,
+        faults: &[Option<IterationFault>; 1],
+    ) -> [f64; 1] {
         let v = self.v;
-        let p0 = restart.then_some(&v.p);
-        let partial = match &self.solver.msolve {
-            Msolve::Ssor(alphas) => self.sweep_phases(alphas, p0),
-            Msolve::Poly(_, schedule) => self.poly_phases(schedule, p0),
-        };
-        let rz = self.sum(partial);
-        if let Some((index, kind)) = self.fire(FaultTarget::Msolve, self.completed) {
-            if self.own.contains(index) {
-                // SAFETY: this worker alone owns row `index`, and nobody
-                // reads `z` or `p` until the barrier below.
-                unsafe {
-                    let value = perturb(v.z.read()[index], kind);
-                    v.z.write_at(index, value);
-                    if let Some(p) = p0 {
-                        p.write_at(index, value);
-                    }
+        match &self.solver.msolve {
+            Msolve::Ssor(alphas) => {
+                self.sweep_phases(alphas);
+                if faults[0].is_some() && !alphas.is_empty() {
+                    self.barrier.wait();
                 }
             }
-            self.barrier.wait();
+            Msolve::Poly(_, schedule) => self.poly_phases(schedule),
         }
-        [rz]
+        if let Some(fault) = faults[0].filter(|f| self.own.contains(f.index)) {
+            // SAFETY: this worker alone writes row `index` of `z`, in this
+            // phase or an earlier one, and no other worker reads it before
+            // the next barrier.
+            unsafe {
+                let z = v.z.read_range(fault.index..fault.index + 1)[0];
+                v.z.write_at(fault.index, perturb(z, fault.kind));
+            }
+        }
+        // SAFETY: every owned row of `z` was written by this worker in this
+        // or an earlier phase, `r` was finalized before the msolve began,
+        // and only this worker touches its rows of `p`.
+        let partial = unsafe { self.own.msolve_tail(&v.z, &v.r, restart.then_some(&v.p)) };
+        [self.sum(partial)]
     }
 
     fn xpby(&mut self, beta: &[f64; 1]) {
@@ -973,6 +944,7 @@ impl Executor<1> for Worker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mspcg_core::recovery::{FaultKind, FaultTarget};
     use mspcg_core::{pcg_solve, AutoPreconditioner, MStepSsorPreconditioner, PcgOptions};
     use mspcg_fem::plate::PlaneStressProblem;
     use mspcg_sparse::CsrMatrix;
@@ -1412,7 +1384,8 @@ mod tests {
     }
 
     fn nan_msolve_at(iteration: usize) -> FaultPlan {
-        FaultPlan::new(vec![mspcg_core::recovery::IterationFault {
+        FaultPlan::new(vec![IterationFault {
+            rhs: 0,
             target: FaultTarget::Msolve,
             iteration,
             index: 3,
@@ -1456,7 +1429,8 @@ mod tests {
             audit_period: 4,
             ..RecoveryPolicy::on()
         };
-        let plan = FaultPlan::new(vec![mspcg_core::recovery::IterationFault {
+        let plan = FaultPlan::new(vec![IterationFault {
+            rhs: 0,
             target: FaultTarget::Spmv,
             iteration: 2,
             index: 3,

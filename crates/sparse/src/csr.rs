@@ -755,6 +755,25 @@ mod tests {
     }
 
     #[test]
+    fn multicolor_structure_has_few_diagonals() {
+        // A block matrix with diagonal blocks (multicolor structure (3.2))
+        // keeps the diagonal count at (#blocks)² worst case, independent of n.
+        let n = 12;
+        let b = 3;
+        let mut c = CooMatrix::new(n, n);
+        let bs = n / b;
+        for bi in 0..b {
+            for bj in 0..b {
+                for k in 0..bs {
+                    let (i, j) = (bi * bs + k, bj * bs + k);
+                    c.push(i, j, 1.0 + (i * n + j) as f64 * 0.01).unwrap();
+                }
+            }
+        }
+        assert!(c.to_csr().diagonal_offsets().len() <= b * b);
+    }
+
+    #[test]
     fn scale_sym_scales_quadratically() {
         let a = sample();
         let s = a.scale_sym(&[0.5, 0.5, 0.5]);

@@ -17,9 +17,6 @@
 //! * [`sellcs::SellCsMatrix`] — SELL-C-σ (sliced ELL with sorting): the
 //!   wide-row SpMV layout, lossless CSR round trip, bitwise-identical
 //!   products,
-//! * [`dia::DiaMatrix`] — storage *by diagonals* and the
-//!   Madsen–Rodrigue–Karush diagonal-wise product the CYBER implementation
-//!   relies on (§3.1 of the paper),
 //! * [`dense::DenseMatrix`] — small dense fallback with Cholesky, LU and a
 //!   cyclic Jacobi symmetric eigensolver (used for validation and for the
 //!   condition-number experiments),
@@ -91,7 +88,6 @@
 pub mod coo;
 pub mod csr;
 pub mod dense;
-pub mod dia;
 pub mod error;
 pub mod lanczos;
 pub mod op;
@@ -105,7 +101,6 @@ pub mod vecops;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use dia::DiaMatrix;
 pub use error::SparseError;
 pub use op::{AutoOp, SparseOp};
 pub use partition::Partition;

@@ -242,19 +242,21 @@
 //!   `SparseError::ZeroAuditPeriod`, before any kernel runs — by one
 //!   function (`core::pcg::validate_inputs`) that the serial, multi-RHS
 //!   and SPMD entry points all call.
-//! * **Fault injection, first-class** — `FaultyOp` /
-//!   `FaultyPreconditioner` wrap any operator/preconditioner with
-//!   application-indexed faults (bit-flips, NaN/Inf, scaled noise) for
-//!   the serial stack. They count applications across threads, so a plan
-//!   replays bitwise when one thread drives the wrapper: a standalone
-//!   solve, or a one-lane batch (the lanes of a wider batch race for the
-//!   count). `ParallelMStepPcg::solve_with_faults` takes an
-//!   iteration-indexed `FaultPlan` injected deterministically at every
-//!   thread count. `tests/fault_injection.rs` runs executor × family
-//!   under both fault classes with bitwise replay and exact counters: a
-//!   NaN preconditioner fault, or a NaN SPMD SpMV fault, costs exactly 1
-//!   detection, 1 in-place replacement and 0 fallbacks. A planned SPMD
-//!   fault fires once, so the iteration a restart repeats runs clean.
+//! * **Fault injection, first-class** — one `FaultPlan` serves every
+//!   executor: each fault names its right-hand side, the kernel call
+//!   (the `K·p` of an iteration, or the `r̂` after one) and the element
+//!   it perturbs (bit-flips, NaN/Inf, scaled noise). The one Algorithm 1
+//!   loop looks the plan up and hands each due fault to the call it
+//!   corrupts, which perturbs the fresh output before the phase's
+//!   reduction — `pcg_try_solve_into_with_faults`,
+//!   `pcg_solve_multi_with_faults` (a fault lands on its planned case at
+//!   any lane count) and `ParallelMStepPcg::solve_with_faults`, so a
+//!   fault ends at the same phase and iteration on every executor.
+//!   `tests/fault_injection.rs` runs executor × family under both fault
+//!   classes with bitwise replay and exact counters: a NaN msolve or SpMV
+//!   fault costs exactly 1 detection, 1 in-place replacement and 0
+//!   fallbacks. A planned fault fires once, so the iteration a restart
+//!   repeats runs clean.
 //! * **Audit with in-place replacement** — with
 //!   `RecoveryPolicy::replacement` on, every `audit_period` iterations
 //!   (default 32) the solver recomputes the TRUE residual `f − K·u` and

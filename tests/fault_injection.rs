@@ -9,9 +9,8 @@
 //!   verified by the TRUE recomputed residual against the clean matrix
 //!   (never the solver's own recurrence),
 //! * **(b) bitwise replay** — the same faulted configuration solved twice
-//!   returns bit-identical iterates (fault injection is deterministic:
-//!   application-indexed wrappers serially, iteration-indexed plans in the
-//!   SPMD workers),
+//!   returns bit-identical iterates (one `FaultPlan`, looked up by the
+//!   loop, on every executor),
 //! * **(c) exact counters** — for the NaN cells, where the detection path
 //!   is schedule-determined, `(faults_detected, replacements, fallbacks)`
 //!   is pinned at `(1, 1, 0)`: the non-finite scalar is caught once and
@@ -24,20 +23,27 @@
 //! audit policy: drift beyond the replacement bound is caught by the
 //! fused `f − K·u` audit and replaced; drift below the bound is too small
 //! to matter at the checked residual level. Either way the cell must
-//! converge.
+//! converge, and its iterate must differ from the clean solve's, which
+//! shows that the fault landed.
+//!
+//! With no replacement budget a fault ends the solve, and every executor
+//! ends it at the same `NonFinite { phase, iteration }`: the standalone
+//! pool solve, the same case in a batch and the SPMD solve at 1, 2 and 4
+//! workers.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
-use mspcg::core::pcg::{pcg_solve, PcgOptions, StoppingCriterion};
-use mspcg::core::poly::PolynomialPreconditioner;
-use mspcg::core::recovery::{
-    ApplicationFault, FaultKind, FaultPlan, FaultTarget, FaultyOp, FaultyPreconditioner,
-    IterationFault, RecoveryPolicy,
+use mspcg::core::multi::{pcg_solve_multi_with_faults, MultiRhsWorkspace, SolveStatus};
+use mspcg::core::pcg::{
+    pcg_try_solve_into_with_faults, PcgOptions, PcgReport, PcgWorkspace, StoppingCriterion,
 };
+use mspcg::core::poly::PolynomialPreconditioner;
+use mspcg::core::preconditioner::Preconditioner;
+use mspcg::core::recovery::{FaultKind, FaultPlan, FaultTarget, IterationFault, RecoveryPolicy};
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
-use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SparseOp};
+use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SparseError, SparseOp};
 
 /// Stopping tolerance of the NaN cells.
 const TOL: f64 = 1e-8;
@@ -147,6 +153,36 @@ fn run_cell<T>(
     out
 }
 
+/// The pool path's standalone solve of `K u = b` from zero under `faults`.
+fn pool_solve(
+    a: &CsrMatrix,
+    b: &[f64],
+    pre: &impl Preconditioner,
+    opts: &PcgOptions,
+    faults: &[IterationFault],
+) -> (Vec<f64>, Result<PcgReport, SparseError>) {
+    let mut u = vec![0.0; b.len()];
+    let plan = FaultPlan::new(faults.to_vec());
+    let mut ws = PcgWorkspace::new(b.len());
+    let rep = pcg_try_solve_into_with_faults(a, b, &mut u, pre, opts, &mut ws, &plan);
+    (u, rep)
+}
+
+/// A fault of a standalone or SPMD solve (right-hand side 0).
+fn fault(target: FaultTarget, iteration: usize, index: usize, kind: FaultKind) -> IterationFault {
+    IterationFault {
+        rhs: 0,
+        target,
+        iteration,
+        index,
+        kind,
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Exact `(faults_detected, replacements, fallbacks)` of a NaN
 /// preconditioner fault: one detection, one in-place restart, and no
 /// fallback (there is no second recurrence).
@@ -160,7 +196,9 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
         let b = rhs_for(n);
         let spmd = ParallelMStepPcg::new(a, &family.colors, vec![1.0; family.m]).unwrap();
 
-        // --- serial, NaN out of preconditioner application 2 ---------
+        let ssor = MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m).unwrap();
+
+        // --- serial, NaN out of the msolve after 2 iterations ----------
         {
             let label = format!("{}/serial/nan-msolve", family.name);
             let opts = PcgOptions {
@@ -168,22 +206,14 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
                 criterion: StoppingCriterion::DisplacementChange,
                 ..Default::default()
             };
+            let nan = [fault(FaultTarget::Msolve, 2, 3, FaultKind::NaN)];
             let stats = run_cell(
                 &label,
                 &mut || {
-                    let pre = FaultyPreconditioner::new(
-                        MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
-                            .unwrap(),
-                        vec![ApplicationFault {
-                            application: 2,
-                            index: 3,
-                            kind: FaultKind::NaN,
-                        }],
-                    );
-                    let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial solve");
+                    let (x, sol) = pool_solve(a, &b, &ssor, &opts, &nan);
+                    let sol = sol.expect("faulted serial solve");
                     assert!(sol.converged, "did not converge");
-                    assert_eq!(pre.injected(), 1, "fault was not consumed");
-                    (sol.x, sol.stats)
+                    (x, sol.stats)
                 },
                 a,
                 &b,
@@ -211,26 +241,20 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
                 },
                 ..Default::default()
             };
-            let stats = run_cell(
+            let flip = [fault(FaultTarget::Spmv, 3, 3, FaultKind::BitFlip(55))];
+            let (x, stats) = run_cell(
                 &label,
                 &mut || {
-                    let op = FaultyOp::new(
-                        a.clone(),
-                        vec![ApplicationFault {
-                            application: 3,
-                            index: 3,
-                            kind: FaultKind::BitFlip(55),
-                        }],
-                    );
-                    let pre = MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m)
-                        .unwrap();
-                    let sol = pcg_solve(&op, &b, &pre, &opts).expect("audited serial solve");
+                    let (x, sol) = pool_solve(a, &b, &ssor, &opts, &flip);
+                    let sol = sol.expect("audited serial solve");
                     assert!(sol.converged, "did not converge");
-                    (sol.x, sol.stats)
+                    (x.clone(), (x, sol.stats))
                 },
                 a,
                 &b,
             );
+            let (clean, _) = pool_solve(a, &b, &ssor, &opts, &[]);
+            assert_ne!(bits(&x), bits(&clean), "{label}: the fault did not land");
             assert!(stats.audits >= 1, "{label}: no audit ran");
             assert_eq!(
                 stats.faults_detected, 0,
@@ -255,12 +279,7 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
                         max_iterations: 50_000,
                         ..Default::default()
                     };
-                    let plan = FaultPlan::new(vec![IterationFault {
-                        target,
-                        iteration: 2,
-                        index,
-                        kind: FaultKind::NaN,
-                    }]);
+                    let plan = FaultPlan::new(vec![fault(target, 2, index, FaultKind::NaN)]);
                     let rep = run_cell(
                         &label,
                         &mut || {
@@ -297,12 +316,8 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
                     },
                     ..Default::default()
                 };
-                let plan = FaultPlan::new(vec![IterationFault {
-                    target: FaultTarget::Spmv,
-                    iteration: 2,
-                    index: 3,
-                    kind: FaultKind::BitFlip(55),
-                }]);
+                let flip = fault(FaultTarget::Spmv, 2, 3, FaultKind::BitFlip(55));
+                let plan = FaultPlan::new(vec![flip]);
                 let rep = run_cell(
                     &label,
                     &mut || {
@@ -314,6 +329,12 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
                     },
                     a,
                     &b,
+                );
+                let clean = spmd.solve(&b, &opts).expect("clean spmd solve");
+                assert_ne!(
+                    bits(&rep.x),
+                    bits(&clean.x),
+                    "{label}: the fault did not land"
                 );
                 assert!(rep.audits >= 1, "{label}: no audit ran");
                 assert_eq!(
@@ -338,7 +359,7 @@ fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
         let degree = 2 * family.m;
         let spmd = ParallelMStepPcg::poly(a, &family.colors, PolyKind::Chebyshev, degree).unwrap();
 
-        // --- serial, NaN out of polynomial application 2 -------------
+        // --- serial, NaN out of the polynomial msolve after 2 iterations
         {
             let label = format!("{}/serial/nan-poly-msolve", family.name);
             let opts = PcgOptions {
@@ -346,21 +367,15 @@ fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
                 criterion: StoppingCriterion::DisplacementChange,
                 ..Default::default()
             };
+            let pre = PolynomialPreconditioner::chebyshev(a.clone(), degree).unwrap();
+            let nan = [fault(FaultTarget::Msolve, 2, 3, FaultKind::NaN)];
             let stats = run_cell(
                 &label,
                 &mut || {
-                    let pre = FaultyPreconditioner::new(
-                        PolynomialPreconditioner::chebyshev(a.clone(), degree).unwrap(),
-                        vec![ApplicationFault {
-                            application: 2,
-                            index: 3,
-                            kind: FaultKind::NaN,
-                        }],
-                    );
-                    let sol = pcg_solve(a, &b, &pre, &opts).expect("faulted serial poly solve");
+                    let (x, sol) = pool_solve(a, &b, &pre, &opts, &nan);
+                    let sol = sol.expect("faulted serial poly solve");
                     assert!(sol.converged, "did not converge");
-                    assert_eq!(pre.injected(), 1, "fault was not consumed");
-                    (sol.x, sol.stats)
+                    (x, sol.stats)
                 },
                 a,
                 &b,
@@ -383,12 +398,8 @@ fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
                     max_iterations: 50_000,
                     ..Default::default()
                 };
-                let plan = FaultPlan::new(vec![IterationFault {
-                    target: FaultTarget::Msolve,
-                    iteration: 2,
-                    index,
-                    kind: FaultKind::NaN,
-                }]);
+                let plan =
+                    FaultPlan::new(vec![fault(FaultTarget::Msolve, 2, index, FaultKind::NaN)]);
                 let rep = run_cell(
                     &label,
                     &mut || {
@@ -406,6 +417,84 @@ fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
                     NAN_COUNTERS,
                     "{label}"
                 );
+            }
+        }
+    }
+}
+
+/// With no replacement budget a NaN ends the solve where it is detected,
+/// and every executor detects it at the same phase and iteration: a NaN
+/// in `K·p` of iteration `i` poisons that iteration's `(p, K·p)`, a NaN in
+/// the `r̂` after `i` iterations the `(r̂, r)` formed from it.
+#[test]
+fn every_executor_ends_a_fault_at_the_same_nonfinite_error() {
+    let recovery = RecoveryPolicy {
+        max_replacements: 0,
+        ..RecoveryPolicy::default()
+    };
+    let opts = PcgOptions {
+        tol: TOL,
+        criterion: StoppingCriterion::DisplacementChange,
+        recovery,
+        ..Default::default()
+    };
+    let points = (1..=3)
+        .map(|i| (FaultTarget::Spmv, i, "spmv-reduction"))
+        .chain((0..=3).map(|i| (FaultTarget::Msolve, i, "msolve-reduction")));
+    let points: Vec<_> = points.collect();
+    for family in families() {
+        let a = &family.matrix;
+        let n = a.rows();
+        let b = rhs_for(n);
+        let ssor = MStepSsorPreconditioner::unparametrized(a, &family.colors, family.m).unwrap();
+        let spmd = ParallelMStepPcg::new(a, &family.colors, vec![1.0; family.m]).unwrap();
+        // The faulted case is case 1 of a 3-case batch.
+        let batch: Vec<f64> = [0.5, 1.0, 1.5]
+            .iter()
+            .flat_map(|s| b.iter().map(move |v| s * v))
+            .collect();
+        for &(target, iteration, phase) in &points {
+            for index in [3, n - 1] {
+                let label = format!("{}/{target:?}@{iteration}/row {index}", family.name);
+                let nan = fault(target, iteration, index, FaultKind::NaN);
+                let expected = SparseError::NonFinite { phase, iteration };
+
+                let (_, pool) = pool_solve(a, &b, &ssor, &opts, &[nan]);
+                assert_eq!(pool.as_ref().err(), Some(&expected), "{label}: pool");
+
+                let plan = FaultPlan::new(vec![IterationFault { rhs: 1, ..nan }]);
+                let mut u = vec![0.0; 3 * n];
+                let mut ws = MultiRhsWorkspace::new(n, 3);
+                pcg_solve_multi_with_faults(a, &batch, &mut u, &ssor, &opts, &mut ws, &plan)
+                    .unwrap();
+                let statuses: Vec<_> = ws.outcomes().iter().map(|o| o.status).collect();
+                assert_eq!(
+                    statuses,
+                    [
+                        SolveStatus::Converged,
+                        SolveStatus::Breakdown,
+                        SolveStatus::Converged
+                    ],
+                    "{label}: batch"
+                );
+                assert_eq!(ws.outcomes()[1].report.iterations, iteration, "{label}");
+
+                let plan = FaultPlan::new(vec![nan]);
+                for threads in [1usize, 2, 4] {
+                    let spmd_opts = ParallelSolverOptions {
+                        threads,
+                        tol: TOL,
+                        max_iterations: 50_000,
+                        recovery,
+                        ..Default::default()
+                    };
+                    let got = spmd.solve_with_faults(&b, &spmd_opts, &plan);
+                    assert_eq!(
+                        got.err(),
+                        Some(expected.clone()),
+                        "{label}: spmd at {threads} workers"
+                    );
+                }
             }
         }
     }

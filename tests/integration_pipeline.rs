@@ -10,7 +10,6 @@ use mspcg::core::pcg::{
 };
 use mspcg::core::poly::{AutoPreconditioner, PolynomialPreconditioner};
 use mspcg::core::preconditioner::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
-use mspcg::core::recovery::FaultyPreconditioner;
 use mspcg::core::splitting::NaturalSsorSplitting;
 use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
@@ -339,11 +338,6 @@ fn provided_apply_equals_apply_with_for_every_preconditioner() {
     check(
         "Auto, polynomial arm",
         &AutoPreconditioner::Poly(newton()),
-        &r,
-    );
-    check(
-        "faulty, empty plan",
-        &FaultyPreconditioner::new(unit(), vec![]),
         &r,
     );
 }

@@ -20,21 +20,24 @@
 //! column of a block, which restarts in place or breaks down. It then
 //! reports exactly the counters and iterate of the same fault in a
 //! standalone solve, while the other columns stay bitwise equal to their
-//! clean standalone solves.
+//! clean standalone solves. A fault plan names its case, so in a 16-case
+//! batch at 1–8 lanes two faults land on their planned cases in every
+//! run.
 //!
 //! The standalone solve is itself the width-1 block; its independent
 //! reference is the literal Algorithm 1 of `tests/algorithm1_oracle.rs`.
 
 use mspcg::core::mstep::MStepSsorPreconditioner;
-use mspcg::core::multi::{pcg_solve_multi, MultiRhsWorkspace, RhsOutcome, SolveStatus};
+use mspcg::core::multi::{
+    pcg_solve_multi, pcg_solve_multi_with_faults, MultiRhsWorkspace, RhsOutcome, SolveStatus,
+};
 use mspcg::core::pcg::{
-    pcg_try_solve_into, PcgOptions, PcgReport, PcgWorkspace, StoppingCriterion,
+    pcg_try_solve_into, pcg_try_solve_into_with_faults, PcgOptions, PcgReport, PcgWorkspace,
+    StoppingCriterion,
 };
 use mspcg::core::poly::{auto_preconditioner, PolynomialPreconditioner};
 use mspcg::core::preconditioner::Preconditioner;
-use mspcg::core::recovery::{
-    ApplicationFault, FaultKind, FaultyOp, FaultyPreconditioner, RecoveryPolicy,
-};
+use mspcg::core::recovery::{FaultKind, FaultPlan, FaultTarget, IterationFault, RecoveryPolicy};
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::sparse::{par, CsrMatrix, Partition, PrecondKind, SellCsMatrix, SparseError, SparseOp};
 use std::sync::{Mutex, MutexGuard};
@@ -300,76 +303,64 @@ fn default_path_batches_match_standalone_solves_bitwise() {
     }
 }
 
-/// Column `j` of a 4-column block (one lane: application counting is
-/// serial) is hit at its standalone application `s` — the global
-/// application `4·s + j` while every column is in the block.
+/// The fault tests' block width: one lane holds one block of `WIDTH`.
 const WIDTH: usize = 4;
 
-/// The fault tests' block: `WIDTH` nonzero loads from zero guesses, so
-/// every column is in the block from the first application on.
-fn loads(rhs: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let f: Vec<f64> = (0..WIDTH)
+/// `cases` nonzero loads from zero guesses, so every column is in its
+/// block from the first iteration on.
+fn loads(rhs: &[f64], cases: usize) -> (Vec<f64>, Vec<f64>) {
+    let f: Vec<f64> = (0..cases)
         .flat_map(|j| rhs.iter().map(move |v| v * (1.0 + 0.4 * j as f64)))
         .collect();
     let u = vec![0.0; f.len()];
     (f, u)
 }
 
+/// A planned fault on case `rhs`.
+fn fault(
+    rhs: usize,
+    target: FaultTarget,
+    iteration: usize,
+    index: usize,
+    kind: FaultKind,
+) -> IterationFault {
+    IterationFault {
+        rhs,
+        target,
+        iteration,
+        index,
+        kind,
+    }
+}
+
+/// The standalone solve of every case of `f` from `u0`, each under the
+/// faults `plan` puts on its case (at `rhs` 0).
+fn standalone_solves<A: SparseOp, P: Preconditioner>(
+    (k, m, opts): (&A, &P, &PcgOptions),
+    (f, u0): (&[f64], &[f64]),
+    plan: &FaultPlan,
+) -> Vec<(Vec<f64>, Result<PcgReport, SparseError>)> {
+    let n = k.rows();
+    let mut ws = PcgWorkspace::new(n);
+    let cases = f.chunks(n).zip(u0.chunks(n)).enumerate();
+    cases
+        .map(|(j, (fj, uj))| {
+            let own = plan.faults.iter().filter(|f| f.rhs == j);
+            let own = FaultPlan::new(own.map(|&f| IterationFault { rhs: 0, ..f }).collect());
+            let mut u = uj.to_vec();
+            let rep = pcg_try_solve_into_with_faults(k, fj, &mut u, m, opts, &mut ws, &own);
+            (u, rep)
+        })
+        .collect()
+}
+
 #[test]
 fn a_nan_msolve_fault_moves_one_column_off_its_block() {
-    let _guard = sweep_lock();
-    let _restore = Threads::save();
-    par::set_max_threads(1);
-    let (k, colors, rhs) = plate(10);
-    let n = k.rows();
-    let ssor = || MStepSsorPreconditioner::unparametrized(&k, &colors, 2).unwrap();
-    let clean = ssor();
-    let (f, u0) = loads(&rhs);
-    let opts = PcgOptions {
-        tol: 1e-9,
-        criterion: StoppingCriterion::RelativeResidual,
-        ..Default::default()
-    };
-    let (hit, at, index) = (1, 3, 7);
-    let fault = |application| {
-        vec![ApplicationFault {
-            application,
-            index,
-            kind: FaultKind::NaN,
-        }]
-    };
-    let faulty = FaultyPreconditioner::new(ssor(), fault(WIDTH * at + hit));
-    let mut mws = MultiRhsWorkspace::new(n, WIDTH);
-    let mut u = u0.clone();
-    pcg_solve_multi(&k, &f, &mut u, &faulty, &opts, &mut mws).unwrap();
-    assert_eq!(faulty.injected(), 1);
-
-    let mut ws = PcgWorkspace::new(n);
-    for (j, (fj, uj)) in f.chunks(n).zip(u0.chunks(n)).enumerate() {
-        let mut want_u = uj.to_vec();
-        let want = if j == hit {
-            let standalone = FaultyPreconditioner::new(ssor(), fault(at));
-            let rep = pcg_try_solve_into(&k, fj, &mut want_u, &standalone, &opts, &mut ws);
-            assert_eq!(standalone.injected(), 1);
-            rep
-        } else {
-            pcg_try_solve_into(&k, fj, &mut want_u, &clean, &opts, &mut ws)
-        };
-        let out = &mws.outcomes()[j];
-        assert_column(
-            "NaN msolve fault",
-            j,
-            &u[j * n..(j + 1) * n],
-            out,
-            &want_u,
-            &want,
-        );
-        if j == hit {
-            let s = out.report.stats;
-            assert_eq!(out.status, SolveStatus::Replaced);
-            assert_eq!((s.faults_detected, s.replacements, s.fallbacks), (1, 1, 0));
-        }
-    }
+    let opts = relative_residual_opts();
+    let out = nan_fault_cell("NaN msolve", FaultTarget::Msolve, (1, &[3]), &opts);
+    let s = out.report.stats;
+    assert_eq!(out.status, SolveStatus::Replaced);
+    assert_eq!((s.faults_detected, s.replacements, s.fallbacks), (1, 1, 0));
 }
 
 #[test]
@@ -380,7 +371,7 @@ fn an_audited_spmv_corruption_moves_one_column_off_its_block() {
     let (k, colors, rhs) = plate(10);
     let n = k.rows();
     let pre = MStepSsorPreconditioner::unparametrized(&k, &colors, 2).unwrap();
-    let (f, u0) = loads(&rhs);
+    let (f, u0) = loads(&rhs, WIDTH);
     let opts = PcgOptions {
         tol: 1e-10,
         criterion: StoppingCriterion::RelativeResidual,
@@ -392,40 +383,19 @@ fn an_audited_spmv_corruption_moves_one_column_off_its_block() {
     };
     // A finite corruption of one column's SpMV at its iteration 3: every
     // scalar stays finite, so only the audit at iteration 5 catches it.
-    let (hit, at, index) = (3, 3, 20);
-    let fault = |application| {
-        vec![ApplicationFault {
-            application,
-            index,
-            kind: FaultKind::ScaledNoise(0.01),
-        }]
-    };
-    let op = FaultyOp::new(&k, fault(WIDTH * at + hit));
+    let hit = 3;
+    let noise = fault(hit, FaultTarget::Spmv, 3, 20, FaultKind::ScaledNoise(0.01));
+    let plan = FaultPlan::new(vec![noise]);
     let mut mws = MultiRhsWorkspace::new(n, WIDTH);
     let mut u = u0.clone();
-    pcg_solve_multi(&op, &f, &mut u, &pre, &opts, &mut mws).unwrap();
-    assert_eq!(op.injected(), 1);
+    pcg_solve_multi_with_faults(&k, &f, &mut u, &pre, &opts, &mut mws, &plan).unwrap();
 
-    let mut ws = PcgWorkspace::new(n);
-    for (j, (fj, uj)) in f.chunks(n).zip(u0.chunks(n)).enumerate() {
-        let mut want_u = uj.to_vec();
-        let want = if j == hit {
-            let standalone = FaultyOp::new(&k, fault(at));
-            let rep = pcg_try_solve_into(&standalone, fj, &mut want_u, &pre, &opts, &mut ws);
-            assert_eq!(standalone.injected(), 1);
-            rep
-        } else {
-            pcg_try_solve_into(&k, fj, &mut want_u, &pre, &opts, &mut ws)
-        };
+    let want = standalone_solves((&k, &pre, &opts), (&f, &u0), &plan);
+    let clean = standalone_solves((&k, &pre, &opts), (&f, &u0), &FaultPlan::default());
+    for (j, (want_u, want)) in want.iter().enumerate() {
         let out = &mws.outcomes()[j];
-        assert_column(
-            "audited SpMV fault",
-            j,
-            &u[j * n..(j + 1) * n],
-            out,
-            &want_u,
-            &want,
-        );
+        let got = &u[j * n..(j + 1) * n];
+        assert_column("audited SpMV fault", j, got, out, want_u, want);
         if j == hit {
             let s = out.report.stats;
             assert_eq!(out.status, SolveStatus::Replaced);
@@ -433,45 +403,42 @@ fn an_audited_spmv_corruption_moves_one_column_off_its_block() {
                 s.audits > 0 && s.replacements >= 1 && s.faults_detected == 0,
                 "{s:?}"
             );
+            assert_ne!(bits(got), bits(&clean[j].0), "the fault did not land");
         }
     }
 }
 
-/// Compare every column of a batch of `WIDTH` (`u`, `mws`) with
-/// `standalone(j, f_j, u_j)`, its standalone solve from the same guess. A
-/// standalone solve that fails with a non-finite value must leave the
-/// column `Breakdown` at the same iteration, with the same iterate.
+/// Compare every column of a batch (`u`, `mws`) with `want`, its
+/// standalone solves from the same guesses. A standalone solve that
+/// fails with a non-finite value must leave the column `Breakdown` at the
+/// same iteration, with the same iterate.
 fn compare_columns(
     what: &str,
-    (f, u0, u): (&[f64], &[f64], &[f64]),
+    u: &[f64],
     mws: &MultiRhsWorkspace,
-    mut standalone: impl FnMut(usize, &[f64], &mut [f64]) -> Result<PcgReport, SparseError>,
+    want: &[(Vec<f64>, Result<PcgReport, SparseError>)],
 ) {
-    let n = f.len() / WIDTH;
-    for (j, (fj, uj)) in f.chunks(n).zip(u0.chunks(n)).enumerate() {
-        let mut want_u = uj.to_vec();
-        let want = standalone(j, fj, &mut want_u);
+    let n = u.len() / want.len();
+    for (j, (want_u, want)) in want.iter().enumerate() {
         let (got, out) = (&u[j * n..(j + 1) * n], &mws.outcomes()[j]);
         match want {
             Err(SparseError::NonFinite { iteration, .. }) => {
-                assert_eq!(bits(got), bits(&want_u), "{what}, case {j}: solution");
+                assert_eq!(bits(got), bits(want_u), "{what}, case {j}: solution");
                 assert_eq!(out.status, SolveStatus::Breakdown, "{what}, case {j}");
-                assert_eq!(out.report.iterations, iteration, "{what}, case {j}");
+                assert_eq!(out.report.iterations, *iteration, "{what}, case {j}");
             }
-            _ => assert_column(what, j, got, out, &want_u, &want),
+            _ => assert_column(what, j, got, out, want_u, want),
         }
     }
 }
 
-/// A NaN out of `ops` — faults pinned to the block's global applications
-/// `at` — hits one column of the `WIDTH`-column block of `loads`; the same
-/// fault at its standalone applications `standalone_at` hits its
-/// standalone solve. `on_msolve` picks the preconditioner's applications,
-/// otherwise the operator's. Returns the hit column's outcome.
+/// A NaN at element 7 of `target`'s output at each of `iterations` hits
+/// column `hit` of the `WIDTH`-column block of `loads`, and the same
+/// faults hit its standalone solve. Returns the hit column's outcome.
 fn nan_fault_cell(
     what: &str,
-    on_msolve: bool,
-    (hit, at, standalone_at): (usize, &[usize], &[usize]),
+    target: FaultTarget,
+    (hit, iterations): (usize, &[usize]),
     opts: &PcgOptions,
 ) -> RhsOutcome {
     let _guard = sweep_lock();
@@ -479,58 +446,15 @@ fn nan_fault_cell(
     par::set_max_threads(1);
     let (k, colors, rhs) = plate(10);
     let n = k.rows();
-    let ssor = || MStepSsorPreconditioner::unparametrized(&k, &colors, 2).unwrap();
-    let clean = ssor();
-    let (f, u0) = loads(&rhs);
-    let faults = |applications: &[usize]| -> Vec<ApplicationFault> {
-        let nan = |&application| ApplicationFault {
-            application,
-            index: 7,
-            kind: FaultKind::NaN,
-        };
-        applications.iter().map(nan).collect()
-    };
-    let none: &[usize] = &[];
-    let (block_op, block_pre) = if on_msolve {
-        (
-            FaultyOp::new(&k, faults(none)),
-            FaultyPreconditioner::new(ssor(), faults(at)),
-        )
-    } else {
-        (
-            FaultyOp::new(&k, faults(at)),
-            FaultyPreconditioner::new(ssor(), faults(none)),
-        )
-    };
+    let ssor = MStepSsorPreconditioner::unparametrized(&k, &colors, 2).unwrap();
+    let (f, u0) = loads(&rhs, WIDTH);
+    let nan = |&i| fault(hit, target, i, 7, FaultKind::NaN);
+    let plan = FaultPlan::new(iterations.iter().map(nan).collect());
     let mut mws = MultiRhsWorkspace::new(n, WIDTH);
     let mut u = u0.clone();
-    pcg_solve_multi(&block_op, &f, &mut u, &block_pre, opts, &mut mws).unwrap();
-    assert_eq!(
-        block_op.injected() + block_pre.injected(),
-        at.len(),
-        "{what}"
-    );
-
-    let mut ws = PcgWorkspace::new(n);
-    compare_columns(what, (&f, &u0, &u), &mws, |j, fj, uj| {
-        if j != hit {
-            return pcg_try_solve_into(&k, fj, uj, &clean, opts, &mut ws);
-        }
-        let (op, pre) = if on_msolve {
-            let pre = FaultyPreconditioner::new(ssor(), faults(standalone_at));
-            (FaultyOp::new(&k, faults(none)), pre)
-        } else {
-            let op = FaultyOp::new(&k, faults(standalone_at));
-            (op, FaultyPreconditioner::new(ssor(), faults(none)))
-        };
-        let rep = pcg_try_solve_into(&op, fj, uj, &pre, opts, &mut ws);
-        assert_eq!(
-            op.injected() + pre.injected(),
-            standalone_at.len(),
-            "{what}"
-        );
-        rep
-    });
+    pcg_solve_multi_with_faults(&k, &f, &mut u, &ssor, opts, &mut mws, &plan).unwrap();
+    let want = standalone_solves((&k, &ssor, opts), (&f, &u0), &plan);
+    compare_columns(what, &u, &mws, &want);
     mws.outcomes()[hit]
 }
 
@@ -546,9 +470,8 @@ fn relative_residual_opts() -> PcgOptions {
 /// taken: the column restarts from its iterate and repeats the iteration.
 #[test]
 fn a_nan_spmv_fault_repeats_one_columns_iteration() {
-    let (hit, at) = (2, 4);
     let opts = relative_residual_opts();
-    let out = nan_fault_cell("NaN SpMV", false, (hit, &[WIDTH * at + hit], &[at]), &opts);
+    let out = nan_fault_cell("NaN SpMV", FaultTarget::Spmv, (2, &[4]), &opts);
     let s = out.report.stats;
     assert_eq!(out.status, SolveStatus::Replaced);
     assert_eq!((s.faults_detected, s.replacements, s.fallbacks), (1, 1, 0));
@@ -557,23 +480,20 @@ fn a_nan_spmv_fault_repeats_one_columns_iteration() {
 /// A NaN in one column's first msolve: the restart at iteration 0.
 #[test]
 fn a_nan_in_a_columns_first_msolve_restarts_it_at_iteration_zero() {
-    let hit = 3;
     let opts = relative_residual_opts();
-    let out = nan_fault_cell("NaN first msolve", true, (hit, &[hit], &[0]), &opts);
+    let out = nan_fault_cell("NaN first msolve", FaultTarget::Msolve, (3, &[0]), &opts);
     let s = out.report.stats;
     assert_eq!(out.status, SolveStatus::Replaced);
     assert_eq!((s.faults_detected, s.replacements, s.fallbacks), (1, 1, 0));
 }
 
-/// Two faults in one column: a NaN msolve at its iteration 3, and another
-/// in the msolve of the restart it triggers (the block's next msolve
-/// application), so the column restarts twice.
+/// Two faults in one column: a NaN msolve after its iteration 3, and
+/// another in the msolve of the restart it triggers, which also follows
+/// iteration 3, so the column restarts twice.
 #[test]
 fn two_faults_in_one_column_restart_it_twice() {
-    let (hit, at) = (1, 3);
     let opts = relative_residual_opts();
-    let block = [WIDTH * at + hit, WIDTH * at + WIDTH];
-    let out = nan_fault_cell("two NaN msolves", true, (hit, &block, &[at, at + 1]), &opts);
+    let out = nan_fault_cell("two NaN msolves", FaultTarget::Msolve, (1, &[3, 3]), &opts);
     let s = out.report.stats;
     assert_eq!(out.status, SolveStatus::Replaced);
     assert_eq!((s.faults_detected, s.replacements, s.fallbacks), (2, 2, 0));
@@ -583,7 +503,7 @@ fn two_faults_in_one_column_restart_it_twice() {
 /// standalone solve's typed error, beside clean columns.
 #[test]
 fn a_spent_replacement_budget_breaks_down_one_column_beside_clean_ones() {
-    let (hit, at) = (0, 3);
+    let at = 3;
     let opts = PcgOptions {
         recovery: RecoveryPolicy {
             max_replacements: 0,
@@ -591,7 +511,53 @@ fn a_spent_replacement_budget_breaks_down_one_column_beside_clean_ones() {
         },
         ..relative_residual_opts()
     };
-    let out = nan_fault_cell("no budget", true, (hit, &[WIDTH * at + hit], &[at]), &opts);
+    let out = nan_fault_cell("no budget", FaultTarget::Msolve, (0, &[at]), &opts);
     assert_eq!(out.status, SolveStatus::Breakdown);
     assert_eq!(out.report.iterations, at);
+}
+
+/// A fault plan names its case, so no lane can take another lane's
+/// fault: in a 16-case batch, at every lane count and in every run, the
+/// NaN SpMV fault of case 4 and the NaN msolve fault of case 11 land on
+/// their cases, each then bitwise its standalone faulted solve, and every
+/// other case is bitwise its clean solve. Without the `par` feature the
+/// pool has one lane only, and only that case runs.
+#[test]
+fn batched_faults_land_on_their_planned_cases_at_every_lane_count() {
+    let _guard = sweep_lock();
+    let _restore = Threads::save();
+    let (k, colors, rhs) = plate(10);
+    let n = k.rows();
+    let ssor = MStepSsorPreconditioner::unparametrized(&k, &colors, 2).unwrap();
+    let opts = relative_residual_opts();
+    let cases = 16;
+    let (f, u0) = loads(&rhs, cases);
+    let plan = FaultPlan::new(vec![
+        fault(4, FaultTarget::Spmv, 3, 7, FaultKind::NaN),
+        fault(11, FaultTarget::Msolve, 2, 7, FaultKind::NaN),
+    ]);
+    let want = standalone_solves((&k, &ssor, &opts), (&f, &u0), &plan);
+    let mut mws = MultiRhsWorkspace::new(n, cases);
+    for t in 1..=8 {
+        par::set_max_threads(t);
+        if par::max_threads() != t {
+            break;
+        }
+        for run in 0..20 {
+            let mut u = u0.clone();
+            pcg_solve_multi_with_faults(&k, &f, &mut u, &ssor, &opts, &mut mws, &plan).unwrap();
+            let what = format!("{t} lanes, run {run}");
+            compare_columns(&what, &u, &mws, &want);
+            for j in [4, 11] {
+                let out = &mws.outcomes()[j];
+                let s = out.report.stats;
+                assert_eq!(out.status, SolveStatus::Replaced, "{what}, case {j}");
+                assert_eq!(
+                    (s.faults_detected, s.replacements, s.fallbacks),
+                    (1, 1, 0),
+                    "{what}, case {j}"
+                );
+            }
+        }
+    }
 }

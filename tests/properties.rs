@@ -13,7 +13,7 @@ use mspcg::core::coeffs::{least_squares_alphas, residual_sup, spd_margin};
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::pcg::{pcg_solve, PcgOptions, StoppingCriterion};
 use mspcg::core::preconditioner::Preconditioner;
-use mspcg::sparse::{CooMatrix, CsrMatrix, DiaMatrix, Permutation, SellCsMatrix, SparseOp};
+use mspcg::sparse::{CooMatrix, CsrMatrix, Permutation, SellCsMatrix, SparseOp};
 
 /// Cases per property (matches the old proptest configuration).
 const CASES: u64 = 24;
@@ -62,23 +62,6 @@ fn csr_round_trips_through_dense() {
             }
         }
         assert_eq!(coo.to_csr(), a, "case {case}");
-    }
-}
-
-#[test]
-fn dia_spmv_equals_csr_spmv() {
-    let mut rng = Rng::new(2);
-    for case in 0..CASES {
-        let n = rng.range(2, 16);
-        let extra = rng.range(0, 40);
-        let a = random_spd(n, extra, 1 + rng.next() % 5000);
-        let dia = DiaMatrix::from_csr(&a);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 31 + 7) % 11) as f64 - 5.0).collect();
-        let y1 = a.mul_vec(&x);
-        let y2 = dia.mul_vec(&x);
-        for (u, v) in y1.iter().zip(&y2) {
-            assert!((u - v).abs() < 1e-12, "case {case}: {u} vs {v}");
-        }
     }
 }
 

@@ -589,8 +589,8 @@ fn block_spmv_columns_match_width_one_bitwise() {
     let a = coo.to_csr();
     assert!(a.nnz() >= mspcg::sparse::tuning::par_min_nnz());
     let mut rng = Rng::new(0xB10D);
-    let dia = mspcg::sparse::DiaMatrix::from_csr(&a);
-    at_every_width!(check_block_spmv(1, &a, &dia, &mut rng));
+    let sell = mspcg::sparse::SellCsMatrix::from_csr_default(&a);
+    at_every_width!(check_block_spmv(1, &a, &sell, &mut rng));
 }
 
 /// One color phase of `sweep::<W>` on 1 and 3 participants against
