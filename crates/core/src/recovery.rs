@@ -253,6 +253,135 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pcg::{
+        pcg_try_solve_into_with_faults, PcgOptions, PcgReport, PcgWorkspace, StoppingCriterion,
+    };
+    use crate::preconditioner::IdentityPreconditioner;
+    use mspcg_sparse::{CooMatrix, CsrMatrix, SparseError};
+
+    const N: usize = 16;
+
+    fn sample() -> CsrMatrix {
+        let mut a = CooMatrix::new(N, N);
+        for i in 0..N {
+            a.push(i, i, 4.0).unwrap();
+            if i + 1 < N {
+                a.push_sym(i, i + 1, -1.0).unwrap();
+            }
+        }
+        a.to_csr()
+    }
+
+    fn fault(
+        target: FaultTarget,
+        iteration: usize,
+        index: usize,
+        kind: FaultKind,
+    ) -> IterationFault {
+        IterationFault {
+            rhs: 0,
+            target,
+            iteration,
+            index,
+            kind,
+        }
+    }
+
+    /// A standalone pool solve of `sample()` with the identity
+    /// preconditioner, from the zero guess, under `faults`; returns the
+    /// iterate's bits.
+    fn solve_under(
+        faults: Vec<IterationFault>,
+        recovery: RecoveryPolicy,
+    ) -> (Vec<u64>, Result<PcgReport, SparseError>) {
+        let a = sample();
+        let b: Vec<f64> = (0..N).map(|i| 1.0 + 0.1 * i as f64).collect();
+        let opts = PcgOptions {
+            tol: 1e-10,
+            criterion: StoppingCriterion::RelativeResidual,
+            recovery,
+            ..Default::default()
+        };
+        let mut u = vec![0.0; N];
+        let mut ws = PcgWorkspace::new(N);
+        let pre = IdentityPreconditioner::new(N);
+        let plan = FaultPlan::new(faults);
+        let rep = pcg_try_solve_into_with_faults(&a, &b, &mut u, &pre, &opts, &mut ws, &plan);
+        (u.iter().map(|v| v.to_bits()).collect(), rep)
+    }
+
+    /// The plan's SpMV target: a NaN planned into the `K·p` of iteration
+    /// `i` poisons that iteration's `(p, K·p)` and no earlier one, and a
+    /// fault planned for another case, past the last iteration or past the
+    /// last element never fires.
+    #[test]
+    fn faulty_op_injects_only_at_planned_applications() {
+        let no_budget = RecoveryPolicy {
+            max_replacements: 0,
+            ..RecoveryPolicy::default()
+        };
+        for i in 1..=3 {
+            let nan = fault(FaultTarget::Spmv, i, 2, FaultKind::NaN);
+            let (_, rep) = solve_under(vec![nan], no_budget);
+            assert_eq!(
+                rep.err(),
+                Some(SparseError::NonFinite {
+                    phase: "spmv-reduction",
+                    iteration: i
+                }),
+                "NaN planned into the K·p of iteration {i}"
+            );
+        }
+        let (clean, rep) = solve_under(vec![], no_budget);
+        let clean_rep = rep.unwrap();
+        assert!(clean_rep.converged);
+        let elsewhere = vec![
+            IterationFault {
+                rhs: 1,
+                ..fault(FaultTarget::Spmv, 2, 2, FaultKind::NaN)
+            },
+            fault(
+                FaultTarget::Spmv,
+                clean_rep.iterations + 1,
+                2,
+                FaultKind::NaN,
+            ),
+            fault(FaultTarget::Spmv, 2, N, FaultKind::NaN),
+        ];
+        let (x, rep) = solve_under(elsewhere, no_budget);
+        let rep = rep.unwrap();
+        assert_eq!(x, clean);
+        assert_eq!(rep.iterations, clean_rep.iterations);
+        assert_eq!(rep.stats.faults_detected, 0);
+    }
+
+    /// The plan's msolve target: noise planned into element 1 of the first
+    /// `r̂` lands (the iterate's bits differ from the clean solve's), and a
+    /// NaN there fires once, so the restart that repeats that msolve runs
+    /// clean: one detection, one replacement, converged.
+    #[test]
+    fn faulty_preconditioner_counts_and_injects() {
+        let policy = RecoveryPolicy::default();
+        let (clean, _) = solve_under(vec![], policy);
+        let noise = fault(FaultTarget::Msolve, 0, 1, FaultKind::ScaledNoise(10.0));
+        let (x, rep) = solve_under(vec![noise], policy);
+        let rep = rep.unwrap();
+        assert!(rep.converged);
+        assert_eq!(rep.stats.faults_detected, 0);
+        assert_ne!(x, clean);
+
+        let nan = fault(FaultTarget::Msolve, 0, 1, FaultKind::NaN);
+        let (_, rep) = solve_under(vec![nan], policy);
+        let rep = rep.unwrap();
+        assert!(rep.converged);
+        assert!(rep.final_relative_residual < 1e-10);
+        let counters = (
+            rep.stats.faults_detected,
+            rep.stats.replacements,
+            rep.stats.fallbacks,
+        );
+        assert_eq!(counters, (1, 1, 0));
+    }
 
     #[test]
     fn perturbations_are_deterministic_and_typed() {
