@@ -1,22 +1,26 @@
 //! Preconditioner bench: (a) m-step solve cost must scale linearly in m
 //! (the `m·B` term of Eq. (4.1)); (b) the Conrad–Wallach cached sweep vs
-//! the naive two-pass step — the paper's "one SSOR step costs one SOR
-//! sweep" claim, as a measured ablation; (c) serial vs pool-parallel
-//! m-step `msolve` on the 512×512 red/black Poisson problem — the
-//! per-color parallel sweep speedup; (d) the barrier-free polynomial
-//! (Newton–Chebyshev) preconditioner vs m-step SSOR at **matched flops**
-//! (degree `2m` streams the matrix as often as `m` forward+backward
-//! sweeps): single-application cost, bitwise thread-count determinism of
-//! the chunked chain, and the full SPMD solve — iterations × barriers ×
-//! wall time, with the exact barrier formulas (`k + 3` per iteration for
-//! the degree-`k` chain, `m·(2C−1) + 3` for the sweeps) *asserted*
-//! in-run, not just recorded.
+//! the uncached step (every upper half-sum fresh: 1.5 passes a step) — the
+//! paper's "one SSOR step costs one SOR sweep" claim, as a measured
+//! ablation; (c) serial vs pool-parallel m-step `msolve` on the 512×512
+//! red/black Poisson problem — the per-color parallel sweep speedup; (d)
+//! the barrier-free polynomial (Newton–Chebyshev) preconditioner vs m-step
+//! SSOR at **matched flops** (degree `2m` streams the matrix as often as
+//! `m` forward+backward sweeps): single-application cost, bitwise
+//! thread-count determinism of the chunked chain, and the full SPMD solve
+//! — iterations × barriers × wall time, with the exact barrier formulas
+//! (`k + 3` per iteration for the degree-`k` chain, `m·(2C−1) + 3` for the
+//! sweeps) *asserted* in-run, not just recorded; (e) the SSOR spectrum
+//! estimate the fitted m-step SSOR and `Auto` run at set-up, on the
+//! a = 100 plate at 1 and 2 threads, its interval asserted bitwise equal
+//! across the two.
 //!
 //! Run: `cargo bench -p mspcg-bench --bench precond` (add `-- --json
 //! FILE` to keep the numbers; CI runs it for the in-run asserts only).
 
 use mspcg_bench::experiments::{ordered_plate, ordered_poisson};
 use mspcg_bench::timing::{bench, finish, BenchResult};
+use mspcg_core::poly::SPECTRUM_STEPS;
 use mspcg_core::preconditioner::Preconditioner;
 use mspcg_core::ssor::MulticolorSsor;
 use mspcg_core::PolynomialPreconditioner;
@@ -51,16 +55,12 @@ fn bench_conrad_wallach(results: &mut Vec<BenchResult>) {
     results.push(bench("conrad_wallach_ablation", "cached_msolve", || {
         ssor.msolve_block::<1>(black_box(&alphas), black_box(&r), black_box(&mut z), &mut y);
     }));
-    results.push(bench(
-        "conrad_wallach_ablation",
-        "naive_two_pass_steps",
-        || {
-            z.fill(0.0);
-            for s in 1..=m {
-                ssor.step(alphas[m - s], black_box(&r), black_box(&mut z));
-            }
-        },
-    ));
+    results.push(bench("conrad_wallach_ablation", "uncached_steps", || {
+        z.fill(0.0);
+        for s in 1..=m {
+            ssor.step(alphas[m - s], black_box(&r), black_box(&mut z));
+        }
+    }));
 }
 
 fn bench_serial_vs_parallel_msolve(results: &mut Vec<BenchResult>) {
@@ -218,6 +218,36 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
     }
 }
 
+/// (e) The set-up estimate: `SPECTRUM_STEPS` SSOR power steps on the
+/// a = 100 plate, each color phase one pool launch. Rows of one color
+/// are independent, so the interval must be bitwise the same at 1 and
+/// 2 threads.
+fn bench_ssor_estimate(results: &mut Vec<BenchResult>) {
+    let (_, ord) = ordered_plate(100).expect("plate");
+    let ssor = MulticolorSsor::new(ord.matrix, ord.colors, 1.0).expect("splitting");
+    let estimate = || {
+        let interval = ssor
+            .table()
+            .ssor_spectrum(1.0, SPECTRUM_STEPS)
+            .expect("estimate");
+        (interval.min.to_bits(), interval.max.to_bits())
+    };
+    let hw = par::max_threads();
+    let mut intervals = Vec::new();
+    for t in [1usize, 2] {
+        par::set_max_threads(t);
+        results.push(bench("ssor_estimate", &format!("plate100_t{t}"), || {
+            black_box(estimate());
+        }));
+        intervals.push(estimate());
+    }
+    par::set_max_threads(hw);
+    assert_eq!(
+        intervals[0], intervals[1],
+        "the SSOR estimate differs between 1 and 2 threads"
+    );
+}
+
 fn main() {
     let mut results = Vec::new();
     bench_msolve_scaling(&mut results);
@@ -226,5 +256,6 @@ fn main() {
     bench_poly_vs_mstep_apply(&mut results);
     bench_poly_thread_determinism(&mut results);
     bench_poly_vs_mstep_spmd(&mut results);
+    bench_ssor_estimate(&mut results);
     finish(&results);
 }

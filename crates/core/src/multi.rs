@@ -72,7 +72,7 @@
 //! recovery: a right-hand side whose solve restarted in place from its
 //! iterate (an audit replacement or a non-finite recovery) reports
 //! [`SolveStatus::Replaced`], and one whose replacement budget ran out
-//! reports [`SolveStatus::Breakdown`].
+//! reports [`SolveStatus::Breakdown`] with the standalone solve's error.
 //!
 //! A probe of the block path: `cargo run --release --example
 //! multi_load_cases` prints every case's iteration count and residual,
@@ -120,13 +120,17 @@ impl SolveStatus {
 }
 
 /// Per-RHS result of a [`pcg_solve_multi`] call.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct RhsOutcome {
     /// Outcome class.
     pub status: SolveStatus,
     /// Full per-solve report (for [`SolveStatus::Breakdown`] only the
     /// iteration count is meaningful).
     pub report: PcgReport,
+    /// For [`SolveStatus::Breakdown`], the error its standalone
+    /// [`crate::pcg::pcg_try_solve_into`] returns (`NotPositiveDefinite` or
+    /// `NonFinite`); `None` for every other status.
+    pub error: Option<SparseError>,
 }
 
 impl RhsOutcome {
@@ -140,6 +144,7 @@ impl RhsOutcome {
                 final_relative_residual: f64::INFINITY,
                 stats: PcgStats::default(),
             },
+            error: None,
         }
     }
 
@@ -156,6 +161,7 @@ impl RhsOutcome {
                     SolveStatus::Converged
                 },
                 report,
+                error: None,
             },
             Err(e) => {
                 let mut out = RhsOutcome::placeholder();
@@ -171,6 +177,7 @@ impl RhsOutcome {
                     }
                     _ => {}
                 }
+                out.error = Some(e);
                 out
             }
         }

@@ -82,9 +82,9 @@ use mspcg_sparse::tuning::{PolyKind, PrecondKind};
 use mspcg_sparse::{vecops, CsrMatrix, Partition, SparseError, SparseOp};
 use std::sync::Arc;
 
-/// Step budget of both spectrum estimates, [`jacobi_spectrum`]'s Lanczos
-/// (clamped to the operator dimension) and the SSOR power iteration
-/// ([`SweepTable::ssor_spectrum`]) the fitted constructors and `Auto` run.
+/// Step budget of both spectrum estimates: [`jacobi_spectrum`]'s Lanczos
+/// (clamped to the operator dimension) and the pool-parallel SSOR power
+/// iteration ([`SweepTable::ssor_spectrum`]) of the fitted SSOR and `Auto`.
 pub const SPECTRUM_STEPS: usize = 60;
 
 /// Relative safeguard on the **upper** interval end (Ritz values

@@ -83,6 +83,16 @@ pub enum Sweep {
     Backward,
 }
 
+/// The half-sums a row of the sweep row loop computes fresh: the lower,
+/// the upper, or (the spectrum step's forward pass) both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fresh {
+    Lo,
+    Up,
+    Both,
+}
+use Fresh::{Both, Lo, Up};
+
 /// Participant `p`'s rows of `block` when `parts` participants share it:
 /// contiguous chunks in participant order whose row counts differ by at
 /// most one (the first `len % parts` participants take the longer ones).
@@ -103,8 +113,9 @@ pub fn owned_chunk(block: Range<usize>, p: usize, parts: usize) -> Range<usize> 
 /// Both multicolor SSOR executors stream this table — [`MulticolorSsor`]
 /// here and `mspcg-parallel`'s SPMD solver — so [`SweepTable::new`] is
 /// the one place that validates the color blocks. Their sweeps run on
-/// [`SweepTable::sweep`]; the power iteration's fresh half-sums run on the
-/// CSR row kernel ([`CsrMatrix::dot_entries`]).
+/// [`SweepTable::sweep`], and the spectrum estimate's power steps
+/// ([`SweepTable::ssor_spectrum`]) on the same row loop, color phase by
+/// color phase on the pool.
 #[derive(Debug)]
 pub struct SweepTable {
     a: Arc<CsrMatrix>,
@@ -275,26 +286,21 @@ impl SweepTable {
             match sweep {
                 Sweep::Forward {
                     cached_upper: false,
-                } => self.sweep_rows::<W>(rows, true, scale, b, x, y, |b, lo, _| b - lo, relax),
+                } => self.sweep_rows::<W>(rows, Lo, scale, b, x, y, |b, lo, _| b - lo, relax),
                 Sweep::Forward { cached_upper: true } => {
-                    self.sweep_rows::<W>(rows, true, scale, b, x, y, |b, lo, up| b - lo - up, relax)
+                    self.sweep_rows::<W>(rows, Lo, scale, b, x, y, |b, lo, up| b - lo - up, relax)
                 }
-                Sweep::Backward => self.sweep_rows::<W>(
-                    rows,
-                    false,
-                    scale,
-                    b,
-                    x,
-                    y,
-                    |b, up, lo| b - lo - up,
-                    relax,
-                ),
+                Sweep::Backward => {
+                    self.sweep_rows::<W>(rows, Up, scale, b, x, y, |b, up, lo| b - lo - up, relax)
+                }
             }
         }
     }
 
-    /// The row loop of [`SweepTable::sweep`], with
-    /// `rhs(scale·b_i, fresh, cached)` forming its difference `s`.
+    /// The row loop of [`SweepTable::sweep`] and of the spectrum step, with
+    /// `rhs(scale·b_i, first, other)` forming its difference `s`: `first`
+    /// is the fresh lower half (`Lo`, `Both`) or upper half (`Up`), cached
+    /// in `y`; `other` is read from `y`, or is the fresh upper half (`Both`).
     ///
     /// # Safety
     /// As for [`SweepTable::sweep`], whose length checks it relies on.
@@ -303,7 +309,7 @@ impl SweepTable {
     unsafe fn sweep_rows<const W: usize>(
         &self,
         rows: Range<usize>,
-        forward: bool,
+        fresh: Fresh,
         scale: f64,
         b: &[f64],
         x: &ParSlice<'_>,
@@ -313,29 +319,35 @@ impl SweepTable {
     ) {
         let row_ptr = &self.a.row_ptr()[rows.start..=rows.end];
         let (cols, vals) = (self.a.col_idx(), self.a.values());
+        let half = |entries: Range<usize>| {
+            let mut sums = [0.0; W];
+            for (&c, &v) in cols[entries.clone()].iter().zip(&vals[entries]) {
+                let base = W * c as usize;
+                for (j, sum) in sums.iter_mut().enumerate() {
+                    // SAFETY: `c < n` (the validated column bound) and
+                    // `x.len() == W·n` (asserted by the caller); the caller
+                    // rules out a concurrent write at a fresh column.
+                    *sum += v * unsafe { x.get(base + j) };
+                }
+            }
+            sums
+        };
         let table = row_ptr
             .windows(2)
             .zip(&self.diag_at[rows.clone()])
             .zip(&self.inv_diag[rows.clone()])
             .zip(b[W * rows.start..W * rows.end].chunks_exact(W));
         for ((((ends, &d), &inv_diag), b_i), i) in table.zip(rows) {
-            let fresh = if forward { ends[0]..d } else { d + 1..ends[1] };
-            let mut sums = [0.0; W];
-            for (&c, &v) in cols[fresh.clone()].iter().zip(&vals[fresh]) {
-                let base = W * c as usize;
-                for (j, sum) in sums.iter_mut().enumerate() {
-                    // SAFETY: `c < n` (the validated column bound) and
-                    // `x.len() == W·n` (asserted by `sweep`); the caller
-                    // rules out a concurrent write at a fresh column.
-                    *sum += v * unsafe { x.get(base + j) };
-                }
-            }
+            let (lower, upper) = (ends[0]..d, d + 1..ends[1]);
+            let sums = half(if fresh == Up { upper.clone() } else { lower });
+            let fresh_upper = (fresh == Both).then(|| half(upper));
             for (j, (&sum, &b_ij)) in sums.iter().zip(b_i).enumerate() {
                 let k = W * i + j;
                 // SAFETY: `k < W·n`, and the caller makes this thread the
                 // only one touching row `i`.
                 unsafe {
-                    let s = rhs(scale * b_ij, sum, y.get(k));
+                    let other = fresh_upper.map_or_else(|| y.get(k), |up| up[j]);
+                    let s = rhs(scale * b_ij, sum, other);
                     x.set(k, relax(x.get(k), s, inv_diag));
                     y.set(k, sum);
                 }
@@ -381,29 +393,42 @@ impl SweepTable {
     }
 
     /// One full SSOR(ω) step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
-    /// starting vector, serially, both half-sums computed fresh: the step
-    /// the spectrum estimate iterates. One row range per block; a single
-    /// `flat_map` over all rows ran it 14 % slower at a = 100.
-    fn ssor_step(&self, omega: f64, scale: f64, b: &[f64], x: &mut [f64]) {
-        let backward = (0..self.backward_end(omega)).rev();
-        for rows in self
-            .colors
-            .iter()
-            .chain(backward.map(|c| self.colors.range(c)))
-        {
-            for i in rows {
-                let s = scale * b[i] - (self.lower_sum(i, x) + self.upper_sum(i, x));
-                x[i] = (1.0 - omega) * x[i] + omega * s * self.inv_diag[i];
-            }
+    /// starting vector: the step the spectrum estimate iterates, in the
+    /// msolve's phases, owners and pool launches. The forward pass keeps
+    /// each row's fresh lower half in `lower` for the backward pass: no
+    /// lower-color element of `x` changes in between, so the step is
+    /// bitwise the serial two-fresh-halves step at any thread count.
+    fn ssor_step(&self, omega: f64, scale: f64, b: &[f64], x: &mut [f64], lower: &mut [f64]) {
+        let n = self.a.rows();
+        assert_eq!([b.len(), x.len(), lower.len()], [n; 3], "step lengths");
+        let threads = par::threads_for(self.a.nnz(), tuning::par_min_nnz());
+        let (x, y) = (ParSlice::new(x), ParSlice::new(lower));
+        // IEEE addition commutes: `first + other` is `lower + upper` both ways.
+        let rhs = |b: f64, first: f64, other: f64| b - (first + other);
+        let relax = |x_i: f64, s: f64, inv: f64| (1.0 - omega) * x_i + omega * s * inv;
+        for (_, c, sweep) in self.sweep_schedule(1, omega) {
+            par::for_each_chunk(threads, threads, &|p| {
+                let rows = owned_chunk(self.colors.range(c), p, threads);
+                // SAFETY: lengths asserted above; participants sweep disjoint
+                // chunks of block `c`, whose rows read `x` in other blocks.
+                unsafe {
+                    if sweep == Sweep::Backward {
+                        self.sweep_rows::<1>(rows, Up, scale, b, &x, &y, rhs, relax);
+                    } else {
+                        self.sweep_rows::<1>(rows, Both, scale, b, &x, &y, rhs, relax);
+                    }
+                }
+            });
         }
     }
 
     /// The interval `[1 − ρ, 1]` containing `σ(P⁻¹K)` of the SSOR(ω)
     /// splitting: `σ(G_SSOR) ⊆ [0, ρ]` for SPD `K` and ω ∈ (0, 2), with `ρ`
-    /// from `iters` power-iteration steps on `G`. The one SSOR estimate:
-    /// the fitted constructors and `Auto` on both executors estimate here
-    /// (the SPMD solver on the table it streams, so no second copy of the
-    /// matrix is made), and a kept interval fits any `m` again
+    /// from `iters` power-iteration steps on `G`, color phase by color phase
+    /// on the pool (bitwise the same interval at any thread count). The one
+    /// SSOR estimate: the fitted constructors and `Auto` on both executors
+    /// estimate here (the SPMD solver on the table it streams, so no second
+    /// copy of the matrix is made), and a kept interval fits any `m` again
     /// ([`crate::mstep::MStepSsorPreconditioner::with_interval`]).
     ///
     /// # Errors
@@ -414,9 +439,10 @@ impl SweepTable {
     ///   0.999999: no fit can use a lower end that close to 0 (or below it,
     ///   for an indefinite `K`).
     pub fn ssor_spectrum(&self, omega: f64, iters: usize) -> Result<SpectralInterval, SparseError> {
+        let mut lower = vec![0.0; self.a.rows()];
         let rho = power_spectral_radius(self.a.rows(), iters, 0x5EED, |x, y| {
             y.copy_from_slice(x);
-            self.ssor_step(omega, 0.0, x, y);
+            self.ssor_step(omega, 0.0, x, y, &mut lower);
         })?;
         let min = 1.0 - rho;
         if !(rho.is_finite() && rho < 0.999_999) {
@@ -502,13 +528,14 @@ impl MulticolorSsor {
     }
 
     /// One full SSOR step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
-    /// starting vector, both half-sums computed fresh: the step the
-    /// spectrum estimate iterates, and the reference the cached msolve is
-    /// tested against.
+    /// starting vector, every half-sum computed within the step: the step
+    /// the spectrum estimate iterates (color phase by color phase on the
+    /// pool), and the reference the cached msolve is tested against.
     pub fn step(&self, scale: f64, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.dim(), "mc-ssor step: b length mismatch");
         assert_eq!(x.len(), self.dim(), "mc-ssor step: x length mismatch");
-        self.table.ssor_step(self.omega, scale, b, x);
+        let mut lower = vec![0.0; self.dim()];
+        self.table.ssor_step(self.omega, scale, b, x, &mut lower);
     }
 
     /// Algorithm 2: the m-step solve `z ← (Σᵢ αᵢ Gⁱ) P⁻¹ r` by the Horner
@@ -810,6 +837,68 @@ mod tests {
                 assert!(hi - lo <= 1, "{what}");
             }
         }
+    }
+
+    /// The serial step the pool step replaced, kept literally as its
+    /// reference: both half-sums fresh, one row loop per block.
+    fn serial_step(t: &SweepTable, omega: f64, scale: f64, b: &[f64], x: &mut [f64]) {
+        let backward = (0..t.backward_end(omega)).rev();
+        for rows in t.colors.iter().chain(backward.map(|c| t.colors.range(c))) {
+            for i in rows {
+                let s = scale * b[i] - (t.lower_sum(i, x) + t.upper_sum(i, x));
+                x[i] = (1.0 - omega) * x[i] + omega * s * t.inv_diag[i];
+            }
+        }
+    }
+
+    /// The pool step, whose backward pass reuses the forward pass's lower
+    /// half-sums, is bitwise the serial step at every thread count and ω,
+    /// on a three-color matrix (middle-color rows have both halves) above
+    /// the parallel threshold.
+    #[test]
+    fn pool_step_is_bitwise_the_serial_step() {
+        let n = 12_000;
+        let mut c = CooMatrix::new(n, n);
+        for i in 0..n {
+            c.push(i, i, 6.0).unwrap();
+            for j in [i + 1, i + 2].into_iter().filter(|&j| j < n) {
+                c.push_sym(i, j, -1.0 - (i % 7) as f64 * 0.1).unwrap();
+            }
+        }
+        let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+        let ord = Coloring::from_labels(labels, 3).unwrap().ordering();
+        let a = ord.permute_matrix(&c.to_csr()).unwrap();
+        assert!(a.nnz() > tuning::par_min_nnz());
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let (b, x0): (Vec<f64>, Vec<f64>) = (0..n).map(|_| (random(), random())).unzip();
+        let before = par::max_threads();
+        for omega in [1.0, 1.4] {
+            let mc = MulticolorSsor::new(a.clone(), ord.partition.clone(), omega).unwrap();
+            let mut want = x0.clone();
+            for _ in 0..3 {
+                serial_step(mc.table(), omega, 0.5, &b, &mut want);
+            }
+            for t in [1usize, 2, 4] {
+                par::set_max_threads(t);
+                let mut got = x0.clone();
+                for _ in 0..3 {
+                    mc.step(0.5, &b, &mut got);
+                }
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(u, v)| u.to_bits() == v.to_bits()),
+                    "omega {omega}, t = {t}"
+                );
+            }
+        }
+        par::set_max_threads(before);
     }
 
     /// Parallel sweeps must agree bitwise with the serial path across

@@ -68,37 +68,51 @@ impl PlaneStressProblem {
         }
     }
 
-    /// Assemble the constrained SPD system.
+    /// Assemble the constrained SPD system. The clamped dofs are dropped
+    /// as the element loop pushes each stiffness entry, straight into the
+    /// reduced system (no full matrix is built), so every stored value is
+    /// the sum of its element contributions in element order.
     ///
     /// # Errors
     /// Propagates sparse-construction errors (cannot occur for a
     /// well-formed mesh) and coloring errors for degenerate grids.
     pub fn assemble(&self) -> Result<AssembledProblem, SparseError> {
         let mesh = self.mesh;
-        let n_nodes = mesh.num_nodes();
-        let n_full = 2 * n_nodes;
+        let n_full = 2 * mesh.num_nodes();
 
-        // --- full stiffness ---------------------------------------------
-        let mut coo = CooMatrix::with_capacity(n_full, n_full, mesh.num_triangles() * 36);
+        // --- Dirichlet elimination (clamp left column) -------------------
+        let mut keep = vec![true; n_full];
+        for r in 0..mesh.rows {
+            let node = mesh.node_index(r, 0);
+            keep[2 * node] = false;
+            keep[2 * node + 1] = false;
+        }
+        let free_map = FreeDofMap::new(&keep);
+        let n_red = free_map.num_free();
+
+        // --- reduced stiffness --------------------------------------------
+        let mut coo = CooMatrix::with_capacity(n_red, n_red, mesh.num_triangles() * 36);
         for tri in mesh.triangles() {
-            let p: Vec<[f64; 2]> = tri.iter().map(|&n| mesh.node_coords(n)).collect();
-            let ke = cst_stiffness(p[0], p[1], p[2], &self.material);
+            let [p0, p1, p2] = tri.map(|n| mesh.node_coords(n));
+            let ke = cst_stiffness(p0, p1, p2, &self.material);
             for (r, &nr) in tri.iter().enumerate() {
                 for dr in 0..2 {
-                    let gi = 2 * nr + dr;
+                    let Some(ri) = free_map.full_to_reduced(2 * nr + dr) else {
+                        continue;
+                    };
                     for (c, &nc) in tri.iter().enumerate() {
                         for dc in 0..2 {
-                            let gj = 2 * nc + dc;
                             let v = ke[2 * r + dr][2 * c + dc];
-                            if v != 0.0 {
-                                coo.push(gi, gj, v)?;
+                            match free_map.full_to_reduced(2 * nc + dc) {
+                                Some(rj) if v != 0.0 => coo.push(ri, rj, v)?,
+                                _ => {}
                             }
                         }
                     }
                 }
             }
         }
-        let full = coo.to_csr();
+        let matrix = coo.to_csr();
 
         // --- load vector (trapezoid-weighted edge traction) --------------
         let mut f_full = vec![0.0; n_full];
@@ -121,29 +135,6 @@ impl PlaneStressProblem {
             };
             f_full[2 * node + dir] += per_length * w;
         }
-
-        // --- Dirichlet elimination (clamp left column) -------------------
-        let mut keep = vec![true; n_full];
-        for r in 0..mesh.rows {
-            let node = mesh.node_index(r, 0);
-            keep[2 * node] = false;
-            keep[2 * node + 1] = false;
-        }
-        let free_map = FreeDofMap::new(&keep);
-        let n_red = free_map.num_free();
-
-        let mut red = CooMatrix::with_capacity(n_red, n_red, full.nnz());
-        for gi in 0..n_full {
-            let Some(ri) = free_map.full_to_reduced(gi) else {
-                continue;
-            };
-            for (gj, v) in full.row_entries(gi) {
-                if let Some(rj) = free_map.full_to_reduced(gj) {
-                    red.push(ri, rj, v)?;
-                }
-            }
-        }
-        let matrix = red.to_csr();
         let rhs: Vec<f64> = (0..n_red)
             .map(|ri| f_full[free_map.reduced_to_full(ri)])
             .collect();
@@ -428,6 +419,41 @@ mod tests {
             assert_eq!(v, (a * a).div_ceil(3), "a = {a}");
             let rel = (v as f64 - v_paper as f64).abs() / v_paper as f64;
             assert!(rel < 0.01, "a = {a}: v = {v} vs paper {v_paper}");
+        }
+    }
+
+    /// The stored pattern and values are bitwise a naive per-entry
+    /// accumulation of the element stiffnesses, in element order, into
+    /// the reduced system.
+    #[test]
+    fn assembly_sums_every_entry_in_element_order() {
+        use std::collections::BTreeMap;
+        let shear = PlaneStressProblem::rectangle(5, 8, Material::unit(), EdgeLoad::TractionY(1.0));
+        let plates = [3usize, 6, 12, 24, 30].map(PlaneStressProblem::unit_square);
+        for prob in plates.iter().chain([&shear]) {
+            let asm = prob.assemble().unwrap();
+            let free = |dof| asm.free_map.full_to_reduced(dof);
+            let mut naive = BTreeMap::new();
+            for tri in prob.mesh.triangles() {
+                let p: Vec<[f64; 2]> = tri.iter().map(|&n| prob.mesh.node_coords(n)).collect();
+                let ke = cst_stiffness(p[0], p[1], p[2], &prob.material);
+                for (r, c) in (0..6).flat_map(|r| (0..6).map(move |c| (r, c))) {
+                    let (gi, gj) = (2 * tri[r / 2] + r % 2, 2 * tri[c / 2] + c % 2);
+                    if let (Some(ri), Some(rj), true) = (free(gi), free(gj), ke[r][c] != 0.0) {
+                        *naive.entry((ri, rj)).or_insert(0.0) += ke[r][c];
+                    }
+                }
+            }
+            let want: Vec<_> = naive.into_iter().map(|(at, v)| (at, v.to_bits())).collect();
+            let got: Vec<_> = (0..asm.num_unknowns())
+                .flat_map(|i| {
+                    asm.matrix
+                        .row_entries(i)
+                        .map(move |(j, v)| ((i, j), v.to_bits()))
+                })
+                .collect();
+            let mesh = prob.mesh;
+            assert!(got == want, "{} x {} plate", mesh.rows, mesh.cols);
         }
     }
 

@@ -3,7 +3,7 @@
 //! Finite-element assembly (see `mspcg-fem`) naturally produces duplicate
 //! `(row, col, value)` contributions, one per element sharing a node pair.
 //! [`CooMatrix`] accumulates them and [`CooMatrix::to_csr`] compresses into
-//! sorted, deduplicated CSR.
+//! sorted, deduplicated CSR in O(nnz), summing duplicates in push order.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -82,36 +82,50 @@ impl CooMatrix {
         Ok(())
     }
 
-    /// Compress into CSR: triplets are sorted by `(row, col)`, duplicates
-    /// summed, and entries whose accumulated magnitude is exactly zero are
+    /// Compress into CSR in O(nnz), with no global sort: a counting pass
+    /// buckets the triplets by row in push order, each row sums its
+    /// duplicates left to right in push order, and only its distinct
+    /// entries are sorted by column. Entries whose sum is exactly zero are
     /// kept (FEM cancellation keeping the symbolic stencil is intentional —
     /// the multicolor solver relies on the structural pattern).
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut triplets = self.entries.clone();
-        triplets.sort_unstable_by_key(|&(r, c, _)| ((r as u64) << 32) | c as u64);
-
         let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut col_idx: Vec<u32> = Vec::with_capacity(triplets.len());
-        let mut values: Vec<f64> = Vec::with_capacity(triplets.len());
-
-        let mut iter = triplets.into_iter().peekable();
-        while let Some((r, c, v)) = iter.next() {
-            let mut acc = v;
-            while let Some(&(r2, c2, v2)) = iter.peek() {
-                if r2 == r && c2 == c {
-                    acc += v2;
-                    iter.next();
-                } else {
-                    break;
-                }
-            }
-            col_idx.push(c);
-            values.push(acc);
+        for &(r, _, _) in &self.entries {
             row_ptr[r as usize + 1] += 1;
         }
         for i in 0..self.rows {
             row_ptr[i + 1] += row_ptr[i];
         }
+        // After the counting pass `ends[r]` is one past row `r`'s bucket.
+        let mut ends = row_ptr.clone();
+        let mut bucket = vec![(0u32, 0.0); self.entries.len()];
+        for &(r, c, v) in &self.entries {
+            bucket[ends[r as usize]] = (c, v);
+            ends[r as usize] += 1;
+        }
+        // Kept entries move to the front of `bucket`, behind the triplet
+        // read; `slot[c]` is column `c`'s kept index if in the row's range.
+        let mut slot = vec![usize::MAX; self.cols];
+        let (mut start, mut kept) = (0, 0);
+        for r in 0..self.rows {
+            let first = kept;
+            for k in start..ends[r] {
+                let (c, v) = bucket[k];
+                let s = &mut slot[c as usize];
+                if (first..kept).contains(s) {
+                    bucket[*s].1 += v;
+                } else {
+                    *s = kept;
+                    bucket[kept] = (c, v);
+                    kept += 1;
+                }
+            }
+            bucket[first..kept].sort_unstable_by_key(|&(c, _)| c);
+            start = ends[r];
+            row_ptr[r + 1] = kept;
+        }
+        bucket.truncate(kept);
+        let (col_idx, values) = bucket.into_iter().unzip();
         CsrMatrix::from_raw_parts(self.rows, self.cols, row_ptr, col_idx, values)
             .expect("COO compression produced valid CSR")
     }
@@ -177,6 +191,24 @@ mod tests {
         let csr = a.to_csr();
         let cols: Vec<usize> = csr.row_entries(0).map(|(c, _)| c).collect();
         assert_eq!(cols, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// Duplicates are summed left to right in push order, whatever the
+    /// rounding, and a sum of exactly zero stays stored.
+    #[test]
+    fn duplicates_sum_in_push_order() {
+        let sum = |order: [f64; 3]| {
+            let mut a = CooMatrix::new(2, 2);
+            a.push(1, 1, 4.0).unwrap();
+            for v in order {
+                a.push(0, 1, v).unwrap();
+            }
+            a.to_csr()
+        };
+        let cancelled = sum([1e16, 1.0, -1e16]);
+        assert_eq!(cancelled.get(0, 1).to_bits(), 0.0f64.to_bits());
+        assert_eq!(cancelled.nnz(), 2, "a zero sum stays stored");
+        assert_eq!(sum([1e16, -1e16, 1.0]).get(0, 1), 1.0);
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //! ## The row kernel
 //!
 //! The SpMV range kernels behind the pool SpMV, the batch lanes and the
-//! polynomial msolve, and the half-sums of the SSOR power iteration, run
-//! through one gather: it walks a row's `col_idx`/`values` slices in
-//! lockstep and reads `x[col]` **without a per-entry bounds check**. Its
+//! polynomial msolve, and the reference SSOR half-sums, run through one
+//! gather: it walks a row's `col_idx`/`values` slices in lockstep and
+//! reads `x[col]` **without a per-entry bounds check**. Its
 //! soundness is the column bound above: the structure is immutable after
 //! construction, so once a kernel has checked `x.len() == cols()` (once
 //! per call), every stored column indexes `x` in bounds. Each row is
 //! still summed in ascending column order, so the products are bitwise
-//! those of the checked loop. The SSOR color sweeps of both executors
-//! read `x` the same way, in `mspcg-core`'s `SweepTable::sweep`.
+//! those of the checked loop. The SSOR color sweeps and power steps of
+//! `mspcg-core`'s `SweepTable` read `x` the same way.
 //!
 //! The gather is generic over a column count `W`: on `W` right-hand sides
 //! stored interleaved ([`CsrMatrix::mul_block_into`], the batched solver's
@@ -367,7 +367,7 @@ impl CsrMatrix {
     /// `Σ values[k]·x[col_idx[k]]` over the stored entries `entries` (an
     /// index range into [`CsrMatrix::col_idx`]/[`CsrMatrix::values`],
     /// typically part of one row), accumulated in ascending entry order
-    /// from `0.0` — the half-sums of the SSOR power iteration.
+    /// from `0.0` — the reference half-sums of the SSOR sweep tests.
     ///
     /// # Panics
     /// Panics if `x.len() != cols` or `entries` is out of bounds.

@@ -478,6 +478,7 @@ fn every_executor_ends_a_fault_at_the_same_nonfinite_error() {
                     "{label}: batch"
                 );
                 assert_eq!(ws.outcomes()[1].report.iterations, iteration, "{label}");
+                assert_eq!(ws.outcomes()[1].error, Some(expected.clone()), "{label}");
 
                 let plan = FaultPlan::new(vec![nan]);
                 for threads in [1usize, 2, 4] {

@@ -135,6 +135,11 @@ fn assert_column(
 ) {
     assert_eq!(bits(got), bits(want_u), "{what}, case {i}: solution");
     assert_eq!(out.status, status(want), "{what}, case {i}: status");
+    assert_eq!(
+        out.error.as_ref(),
+        want.as_ref().err(),
+        "{what}, case {i}: error"
+    );
     match want {
         Ok(rep) => {
             let got = &out.report;
@@ -455,7 +460,7 @@ fn nan_fault_cell(
     pcg_solve_multi_with_faults(&k, &f, &mut u, &ssor, opts, &mut mws, &plan).unwrap();
     let want = standalone_solves((&k, &ssor, opts), (&f, &u0), &plan);
     compare_columns(what, &u, &mws, &want);
-    mws.outcomes()[hit]
+    mws.outcomes()[hit].clone()
 }
 
 fn relative_residual_opts() -> PcgOptions {

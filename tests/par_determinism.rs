@@ -201,31 +201,42 @@ fn spmd_default_worker_count_is_the_pool_budget() {
 
 /// `Auto` resolves to the same m-step SSOR on both executors at every
 /// thread count: the serial selector estimates on its splitting's sweep
-/// table, the SPMD constructor on the table it streams, and the fitted
-/// coefficients agree bit for bit.
+/// table, the SPMD constructor on the table it streams, and the kept
+/// interval and the fitted coefficients agree bit for bit. The a = 40
+/// plate (36 494 stored entries) is above `par_min_nnz`, so its estimate
+/// runs its color phases on the pool.
 #[test]
 fn auto_alphas_bitwise_across_executors_and_thread_counts() {
     let _guard = sweep_lock();
-    let asm = PlaneStressProblem::unit_square(24).assemble().unwrap();
-    let ord = asm.multicolor().unwrap();
-    let resolve = || {
-        let serial = auto_preconditioner(&ord.matrix, &ord.colors, 2, PrecondKind::Auto).unwrap();
-        let AutoPreconditioner::MStepSsor(p) = serial else {
-            panic!("Auto must build the m-step SSOR");
+    for a in [24usize, 40] {
+        let asm = PlaneStressProblem::unit_square(a).assemble().unwrap();
+        let ord = asm.multicolor().unwrap();
+        let resolve = || {
+            let serial =
+                auto_preconditioner(&ord.matrix, &ord.colors, 2, PrecondKind::Auto).unwrap();
+            let AutoPreconditioner::MStepSsor(p) = serial else {
+                panic!("Auto must build the m-step SSOR");
+            };
+            let spmd =
+                ParallelMStepPcg::auto(&ord.matrix, &ord.colors, 2, PrecondKind::Auto).unwrap();
+            assert_eq!(
+                bits(p.alphas()),
+                bits(spmd.alphas()),
+                "a = {a}: serial vs SPMD"
+            );
+            let interval = p.interval().expect("Auto keeps its estimate");
+            (bits(&[interval.min, interval.max]), bits(p.alphas()))
         };
-        let spmd = ParallelMStepPcg::auto(&ord.matrix, &ord.colors, 2, PrecondKind::Auto).unwrap();
-        assert_eq!(bits(p.alphas()), bits(spmd.alphas()), "serial vs SPMD");
-        bits(p.alphas())
-    };
-    let before = par::max_threads();
-    par::set_max_threads(1);
-    let reference = resolve();
-    assert!(reference.len() >= 2);
-    for t in [2usize, 4] {
-        par::set_max_threads(t);
-        assert_eq!(reference, resolve(), "t = {t}");
+        let before = par::max_threads();
+        par::set_max_threads(1);
+        let reference = resolve();
+        assert!(reference.1.len() >= 2);
+        for t in [2usize, 4, 8] {
+            par::set_max_threads(t);
+            assert_eq!(reference, resolve(), "a = {a}, t = {t}");
+        }
+        par::set_max_threads(before);
     }
-    par::set_max_threads(before);
 }
 
 #[test]
