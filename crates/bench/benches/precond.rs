@@ -4,13 +4,14 @@
 //! paper's "one SSOR step costs one SOR sweep" claim, as a measured
 //! ablation; (c) serial vs pool-parallel m-step `msolve` on the 512×512
 //! red/black Poisson problem — the per-color parallel sweep speedup; (d)
-//! the barrier-free polynomial (Newton–Chebyshev) preconditioner vs m-step
+//! the pool-path polynomial (Newton–Chebyshev) preconditioner vs m-step
 //! SSOR at **matched flops** (degree `2m` streams the matrix as often as
-//! `m` forward+backward sweeps): single-application cost, bitwise
-//! thread-count determinism of the chunked chain, and the full SPMD solve
-//! — iterations × barriers × wall time, with the exact barrier formulas
-//! (`k + 3` per iteration for the degree-`k` chain, `m·(2C−1) + 3` for the
-//! sweeps) *asserted* in-run, not just recorded; (e) the SSOR spectrum
+//! `m` forward+backward sweeps): single-application cost and bitwise
+//! thread-count determinism of the chunked chain; then the SPMD
+//! executor's own two configurations, α = 1 at m = 2 and `Auto`'s fitted
+//! α, in full solves — iterations × barriers × wall time, with the exact
+//! barrier formula `m·(2C−1) + 3` per iteration *asserted* in-run for
+//! both, not just recorded; (e) the SSOR spectrum
 //! estimate the fitted m-step SSOR and `Auto` run at set-up, on the
 //! a = 100 plate at 1 and 2 threads, its interval asserted bitwise equal
 //! across the two.
@@ -25,7 +26,7 @@ use mspcg_core::preconditioner::Preconditioner;
 use mspcg_core::ssor::MulticolorSsor;
 use mspcg_core::PolynomialPreconditioner;
 use mspcg_parallel::{ParallelMStepPcg, ParallelSolverOptions};
-use mspcg_sparse::{par, PolyKind};
+use mspcg_sparse::par;
 use std::hint::black_box;
 
 fn bench_msolve_scaling(results: &mut Vec<BenchResult>) {
@@ -108,7 +109,7 @@ fn bench_serial_vs_parallel_msolve(results: &mut Vec<BenchResult>) {
 /// chain vs one m-step SSOR msolve on the plate. The polynomial streams
 /// the matrix the same number of times but crosses zero color-sweep
 /// synchronization points — serially the two should be in the same
-/// ballpark; the barrier ledger is what separates them under SPMD.
+/// ballpark.
 fn bench_poly_vs_mstep_apply(results: &mut Vec<BenchResult>) {
     let (_, ord) = ordered_plate(40).expect("plate");
     let n = ord.matrix.rows();
@@ -170,21 +171,18 @@ fn bench_poly_thread_determinism(results: &mut Vec<BenchResult>) {
     par::set_max_threads(hw);
 }
 
-/// (d3) The headline comparison: full SPMD solves on the plate, degree-4
-/// Chebyshev vs the flop-matched 2-step SSOR, per thread count. Wall time
-/// is measured; `iterations`, `barriers_per_iter`, `reductions_per_iter`
-/// and `colors` ride the record as extras, and the exact barrier formulas
-/// are asserted before anything is recorded.
-fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
+/// (d3) The SPMD executor's own two configurations: full solves on the
+/// plate at α = 1, m = 2 and at `Auto`'s fitted α
+/// ([`ParallelMStepPcg::auto`]), per worker count. Wall time is measured;
+/// `iterations`, `m`, `barriers_per_iter`, `reductions_per_iter` and
+/// `colors` ride the record as extras, and the exact barrier formula is
+/// asserted for both before anything is recorded.
+fn bench_spmd_auto_vs_mstep(results: &mut Vec<BenchResult>) {
     let (_, ord) = ordered_plate(40).expect("plate");
     let c = ord.colors.num_blocks();
     let rhs = &ord.rhs;
-    let m = 2usize;
-    let k = 2 * m;
-    let sweep = m * (2 * c - 1);
-    let ssor = ParallelMStepPcg::new(&ord.matrix, &ord.colors, vec![1.0; m]).expect("spmd ssor");
-    let poly = ParallelMStepPcg::poly(&ord.matrix, &ord.colors, PolyKind::Chebyshev, k)
-        .expect("spmd poly");
+    let ssor = ParallelMStepPcg::new(&ord.matrix, &ord.colors, vec![1.0; 2]).expect("spmd ssor");
+    let auto = ParallelMStepPcg::auto(&ord.matrix, &ord.colors, 2).expect("spmd auto");
     for threads in [1usize, 4] {
         let opts = ParallelSolverOptions {
             threads,
@@ -192,15 +190,16 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
             max_iterations: 50_000,
             ..ParallelSolverOptions::default()
         };
-        let group = "poly_vs_mstep_spmd_plate40";
-        for (label, solver, msolve_cost) in [("mstep_m2", &ssor, sweep), ("cheby_k4", &poly, k)] {
+        let group = "spmd_auto_vs_mstep_plate40";
+        for (label, solver) in [("mstep_m2", &ssor), ("auto", &auto)] {
             let rep = solver.solve(rhs, &opts).expect("spmd solve");
             assert!(rep.converged, "{group}/{label} did not converge");
             let i = rep.iterations;
-            // The degree-k chain must obey the same pinned formula as the
-            // sweeps with `sweep → k`; the converging iteration crosses
-            // its SpMV, its update and the `‖r‖₂` of its report.
-            let expected = msolve_cost + (i - 1) * (msolve_cost + 3) + 3;
+            // `m·(2C−1)` sweep barriers per msolve, `+ 3` per iteration;
+            // the converging iteration crosses its SpMV, its update and
+            // the `‖r‖₂` of its report.
+            let sweep = solver.m() * (2 * c - 1);
+            let expected = sweep + (i - 1) * (sweep + 3) + 3;
             assert_eq!(
                 rep.barrier_crossings, expected,
                 "{group}/{label}: barrier schedule changed (threads = {threads})"
@@ -210,6 +209,7 @@ fn bench_poly_vs_mstep_spmd(results: &mut Vec<BenchResult>) {
                 black_box(solver.solve(black_box(rhs), &opts).expect("spmd solve"));
             })
             .with_extra("iterations", iters)
+            .with_extra("m", solver.m() as f64)
             .with_extra("barriers_per_iter", rep.barrier_crossings as f64 / iters)
             .with_extra("reductions_per_iter", rep.reduction_phases as f64 / iters)
             .with_extra("colors", c as f64);
@@ -255,7 +255,7 @@ fn main() {
     bench_serial_vs_parallel_msolve(&mut results);
     bench_poly_vs_mstep_apply(&mut results);
     bench_poly_thread_determinism(&mut results);
-    bench_poly_vs_mstep_spmd(&mut results);
+    bench_spmd_auto_vs_mstep(&mut results);
     bench_ssor_estimate(&mut results);
     finish(&results);
 }

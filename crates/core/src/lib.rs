@@ -29,17 +29,16 @@
 //! * [`mstep`] — the m-step multicolor SSOR preconditioner (Horner
 //!   evaluation of the polynomial in the SSOR `G`), unparametrized,
 //!   parametrized on an estimated or kept interval, or with explicit α,
-//! * [`poly`] — the barrier-free **polynomial (Newton–Chebyshev)
-//!   preconditioner** on the Lanczos-estimated spectrum of the
-//!   Jacobi-scaled operator `D⁻¹K` (`k` SpMVs per application, zero
-//!   color-sweep synchronization), the one polynomial-in-Jacobi
-//!   preconditioner, whose seed and step arithmetic
-//!   ([`poly::PolySchedule`]) both executors run; and the selection by
-//!   value that both executors share ([`poly::resolve_precond`],
-//!   [`poly::AutoPreconditioner`]):
-//!   `Auto` builds the paper's parametrized m-step SSOR — min-max α on the
-//!   estimated SSOR interval, `m` chosen by Eq. (4.1)/(4.2) with costs from
-//!   the operator's shape ([`analysis::CostModel::from_traffic`]),
+//! * [`poly`] — the **polynomial (Newton–Chebyshev) preconditioner** on
+//!   the Lanczos-estimated spectrum of the Jacobi-scaled operator `D⁻¹K`
+//!   (`k` SpMVs per application, zero color-sweep synchronization), the
+//!   one polynomial-in-Jacobi preconditioner, a pinned pool-path choice;
+//!   and the selection by value ([`poly::auto_preconditioner`],
+//!   [`poly::AutoPreconditioner`]). `Auto` builds the paper's
+//!   parametrized m-step SSOR — min-max α on the estimated SSOR interval,
+//!   `m` chosen by Eq. (4.1)/(4.2) with costs from the operator's shape
+//!   ([`analysis::CostModel::from_traffic`]) — through one rule that both
+//!   executors call ([`poly::auto_ssor`]),
 //! * [`coeffs`] — least-squares and min-max α coefficients
 //!   (Johnson–Micchelli–Paul parametrization, §2.2, Table 1) and the one
 //!   fit with its §2.1 SPD check,
@@ -87,7 +86,7 @@ pub use pcg::{
     cg_solve, pcg_solve, pcg_solve_into, pcg_try_solve_into, pcg_try_solve_into_with_faults,
     PcgOptions, PcgReport, PcgSolution, PcgVariant, PcgWorkspace, StoppingCriterion,
 };
-pub use poly::{auto_preconditioner, AutoPreconditioner, PolySchedule, PolynomialPreconditioner};
+pub use poly::{auto_preconditioner, AutoPreconditioner, PolynomialPreconditioner};
 pub use preconditioner::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
 pub use recovery::{FaultKind, FaultPlan, FaultTarget, IterationFault, RecoveryPolicy};
 pub use splitting::NaturalSsorSplitting;

@@ -50,7 +50,7 @@ impl MStepSsorPreconditioner {
     }
 
     /// Coefficients and the interval they were fitted on (`None` for
-    /// α = 1), as [`crate::poly::resolve_precond`] hands them back.
+    /// α = 1), as [`crate::poly::auto_ssor`] hands them back.
     pub(crate) fn from_parts(
         ssor: MulticolorSsor,
         alphas: Vec<f64>,

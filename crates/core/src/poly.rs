@@ -1,17 +1,17 @@
 //! Polynomial (Newton–Chebyshev) preconditioning, and the selection of a
-//! preconditioner by value ([`resolve_precond`]).
+//! preconditioner by value ([`auto_preconditioner`]; `Auto`'s rule is
+//! [`auto_ssor`]).
 //!
 //! A polynomial preconditioner `M⁻¹ = p(G)·D⁻¹` in the Jacobi-scaled
 //! operator `G = D⁻¹K` is built from **SpMVs only**: a degree-`k`
 //! application is exactly `k` products `K·z`, each followed by one fused
-//! pass over the rows ([`PolySchedule::step_rows`]) — zero color-sweep
-//! synchronization, `k` full barriers per application in SPMD
+//! pass over the rows — zero color-sweep synchronization
 //! (Bergamaschi–Martinez 2020; D'Ambra et al. 2025 for the Chebyshev-basis
-//! recipe). It is a pinned choice ([`PrecondKind::Poly`]); `Auto` does not
-//! pick it (see [`resolve_precond`]). It is the one polynomial in the
-//! Jacobi splitting here: the min-max m-step Jacobi `(Σ αᵢ Gⁱ)·D⁻¹` is the
-//! Chebyshev polynomial of degree `m − 1`, one SpMV cheaper per
-//! application.
+//! recipe). It is a pinned pool-path choice ([`PrecondKind::Poly`]);
+//! `Auto` does not pick it (see below), and the SPMD executor runs the
+//! m-step SSOR only. It is the one polynomial in the Jacobi splitting
+//! here: the min-max m-step Jacobi `(Σ αᵢ Gⁱ)·D⁻¹` is the Chebyshev
+//! polynomial of degree `m − 1`, one SpMV cheaper per application.
 //!
 //! `M⁻¹` is symmetric positive definite in the PCG sense:
 //! `p(D⁻¹K)·D⁻¹ = D^{-1/2}·p(D^{-1/2}K D^{-1/2})·D^{-1/2}` is congruent to
@@ -20,8 +20,8 @@
 //! polynomial satisfies `|1 − t·p(t)| < 1` inside it).
 //!
 //! Both recurrences are expressed by one difference scheme, whose scalars
-//! and per-row arithmetic [`PolySchedule`] holds, so the pool path and the
-//! SPMD executor run bitwise-identical applications:
+//! and per-row arithmetic one schedule holds, computed once per
+//! preconditioner:
 //!
 //! ```text
 //! z₀ = scale₀·D⁻¹r,        d₀ = z₀,
@@ -36,9 +36,7 @@
 //!   `(aⱼ, bⱼ) = (ρⱼρⱼ₋₁, 2ρⱼ/δ)`.
 //!
 //! Step `j` reads `zⱼ` from one iterate bank and writes `zⱼ₊₁` to the
-//! other ([`PolySchedule::step_writes_z`]): the SPMD executor's SpMV reads
-//! `zⱼ` across strips while the step writes, and the pool path runs the
-//! same kernel on the same banks.
+//! other, phased so that the last step lands in the caller's `z`.
 //!
 //! The spectral interval comes from [`mspcg_sparse::lanczos`] on the
 //! symmetric similar operator `D^{-1/2}K D^{-1/2}`, safeguarded
@@ -55,7 +53,8 @@
 //!
 //! [`PrecondKind::Auto`] resolves to the m-step multicolor SSOR with
 //! min-max coefficients (§2.2), its `m` chosen by the paper's cost model
-//! (§4). One 60-step power iteration estimates `σ(P⁻¹K) ⊆ [1 − ρ, 1]`
+//! (§4), on both executors through [`auto_ssor`]. One 60-step power
+//! iteration estimates `σ(P⁻¹K) ⊆ [1 − ρ, 1]`
 //! ([`SweepTable::ssor_spectrum`]); the walk fits
 //! [`minimax_alphas`] at `m_default` and steps `m → m + 1`, up to
 //! [`AUTO_MAX_M`], while inequality (4.2)
@@ -157,11 +156,10 @@ pub fn jacobi_spectrum<A: SparseOp>(
 /// The coefficient schedule of one polynomial preconditioner application:
 /// the seed scale and the per-step `(aⱼ, bⱼ)` pairs of the unified
 /// difference recurrence (module docs), and the arithmetic that applies
-/// them. Computed **once** at construction; the pool-path
-/// [`PolynomialPreconditioner`] and the SPMD executor both evaluate
-/// through it, so both run bitwise-identical arithmetic.
+/// them. Computed **once** at construction of a
+/// [`PolynomialPreconditioner`], its one user.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PolySchedule {
+struct PolySchedule {
     scale0: f64,
     steps: Vec<(f64, f64)>,
 }
@@ -180,7 +178,7 @@ impl PolySchedule {
     /// [`SparseError::InvalidPartition`] for `degree == 0`;
     /// [`SparseError::NotPositiveDefinite`] when `min ≤ 0` or the ends are
     /// not finite and ordered (the preconditioner would not be SPD).
-    pub fn new(kind: PolyKind, min: f64, max: f64, degree: usize) -> Result<Self, SparseError> {
+    fn new(kind: PolyKind, min: f64, max: f64, degree: usize) -> Result<Self, SparseError> {
         if degree == 0 {
             return Err(SparseError::InvalidPartition {
                 reason: "polynomial degree must be at least 1".into(),
@@ -226,15 +224,14 @@ impl PolySchedule {
     }
 
     /// Polynomial degree = SpMVs per application.
-    pub fn degree(&self) -> usize {
+    fn degree(&self) -> usize {
         self.steps.len()
     }
 
     /// The seed `z₀ = scale₀·D⁻¹r` at one row, from that row's `D⁻¹` and
-    /// `r`. The SPMD executor forms it on the fly inside its first SpMV,
-    /// so both executors seed through this one expression.
+    /// `r`.
     #[inline(always)]
-    pub fn seed(&self, inv_diag: f64, r: f64) -> f64 {
+    fn seed(&self, inv_diag: f64, r: f64) -> f64 {
         self.scale0 * inv_diag * r
     }
 
@@ -242,7 +239,7 @@ impl PolySchedule {
     /// second iterate bank: the banks alternate, phased so the last step
     /// lands in `z`.
     #[inline]
-    pub fn step_writes_z(&self, j: usize) -> bool {
+    fn step_writes_z(&self, j: usize) -> bool {
         (self.degree() - 1 - j).is_multiple_of(2)
     }
 
@@ -255,15 +252,15 @@ impl PolySchedule {
     ///
     /// `zⱼ` is read from `prev`; at step 0 `prev` is `None`, and
     /// `z₀ = d₀` is the [`PolySchedule::seed`] of `r`, so neither `prev`
-    /// nor `d` is read. Rows are independent: each executor runs its own
-    /// partition of them.
+    /// nor `d` is read. Rows are independent: each pool chunk runs its
+    /// own run of them.
     ///
     /// # Panics
     /// If `prev` is `None` exactly when `j > 0`, or the slices differ in
     /// length.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub fn step_rows(
+    fn step_rows(
         &self,
         j: usize,
         inv_diag: &[f64],
@@ -328,8 +325,10 @@ impl<A: SparseOp> PolynomialPreconditioner<A> {
     ///
     /// # Errors
     /// [`SparseError::NotSquare`] / [`SparseError::ZeroDiagonal`] for a
-    /// defective matrix, estimation failures, and the
-    /// [`PolySchedule::new`] validation errors.
+    /// defective matrix, estimation failures, and the schedule's
+    /// validation errors: [`SparseError::InvalidPartition`] for
+    /// `degree == 0`, [`SparseError::NotPositiveDefinite`] for an
+    /// interval whose ends are not positive, finite and ordered.
     pub fn new(a: A, kind: PolyKind, degree: usize) -> Result<Self, SparseError> {
         let inv_diag = checked_inv_diag(&a)?;
         let interval = jacobi_spectrum(&a, &inv_diag)?;
@@ -360,7 +359,8 @@ impl<A: SparseOp> PolynomialPreconditioner<A> {
     /// eigenvalue estimation.
     ///
     /// # Errors
-    /// Matrix validation and [`PolySchedule::new`] errors.
+    /// Matrix validation and the schedule's validation errors (see
+    /// [`PolynomialPreconditioner::new`]).
     pub fn with_interval(
         a: A,
         kind: PolyKind,
@@ -406,18 +406,14 @@ impl<A: SparseOp> PolynomialPreconditioner<A> {
         self.interval
     }
 
-    /// The coefficient schedule (shared with the SPMD evaluator).
-    pub fn schedule(&self) -> &PolySchedule {
-        &self.schedule
-    }
-
     /// Rebuild at another `degree` (same matrix, same kind), reusing the
     /// cached interval **and** the checked reciprocal diagonal — the
     /// degree-sweep entry point: a sweep over degrees on one matrix runs
     /// Lanczos exactly once, for the first preconditioner.
     ///
     /// # Errors
-    /// [`PolySchedule::new`] validation errors.
+    /// The schedule's validation errors (see
+    /// [`PolynomialPreconditioner::new`]).
     pub fn with_degree(&self, degree: usize) -> Result<Self, SparseError>
     where
         A: Clone,
@@ -457,8 +453,8 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
         3 * self.inv_diag.len()
     }
 
-    /// Per step one SpMV and one [`PolySchedule::step_rows`] pass; the
-    /// first SpMV reads the seed from `d`, which step 0 writes, not reads.
+    /// Per step one SpMV and one fused pass over the rows; the first SpMV
+    /// reads the seed from `d`, which step 0 writes, not reads.
     fn apply_with(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
         let n = self.inv_diag.len();
         assert_eq!(r.len(), n, "poly apply: r length mismatch");
@@ -497,10 +493,10 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
     }
 }
 
-/// The serial preconditioner a [`PrecondKind`] resolves to: the paper's
-/// m-step multicolor SSOR (`Auto` and a pinned `MStepSsor`) or a pinned
-/// polynomial, behind one type so callers can let [`resolve_precond`]
-/// choose per matrix.
+/// The serial preconditioner a [`PrecondKind`] builds
+/// ([`auto_preconditioner`]): the paper's m-step multicolor SSOR (`Auto`
+/// and a pinned `MStepSsor`) or a pinned polynomial, behind one type so
+/// callers can let `Auto` choose per matrix.
 pub enum AutoPreconditioner<A: SparseOp = CsrMatrix> {
     /// The paper's m-step multicolor SSOR; its
     /// [`MStepSsorPreconditioner::alphas`] and
@@ -576,30 +572,6 @@ impl<A: SparseOp> Preconditioner for AutoPreconditioner<A> {
     }
 }
 
-/// A [`PrecondKind`] selection resolved against one operator: what the
-/// serial [`auto_preconditioner`] and the SPMD `ParallelMStepPcg::auto`
-/// both build.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResolvedPrecond {
-    /// The m-step multicolor SSOR with these coefficients (`m` of them).
-    MStepSsor {
-        /// `alphas[i]` multiplies `Gⁱ P⁻¹`.
-        alphas: Vec<f64>,
-        /// The SSOR interval the coefficients were fitted on; `None` for
-        /// α = 1.
-        interval: Option<SpectralInterval>,
-    },
-    /// A polynomial on the safeguarded Jacobi spectrum.
-    Poly {
-        /// Recurrence family.
-        kind: PolyKind,
-        /// Polynomial degree.
-        degree: usize,
-        /// The safeguarded interval of the one Lanczos estimate.
-        interval: SpectralInterval,
-    },
-}
-
 /// Largest `m` the `Auto` walk reaches. In the `(1 − t)ⁱ` basis the
 /// min-max coefficients grow about 5× per step (max |α| is 5.3e4 at
 /// m = 8 and 1.2e6 at m = 10 on the Table-3 plate), and measured solve
@@ -610,58 +582,17 @@ pub const AUTO_MAX_M: usize = 8;
 /// the ratios between counts enter inequality (4.2).
 pub const AUTO_PREDICTION_EPS: f64 = 1e-8;
 
-/// Resolve `selection` for the operator `a`:
-///
-/// * [`PrecondKind::Auto`] → the paper's parametrized m-step SSOR (module
-///   docs): min-max α on the SSOR interval estimated on `table`, `m`
-///   walked up from `m_default` by inequality (4.2). It falls back to
-///   α = 1 at `m_default` — [`ResolvedPrecond::MStepSsor`] with no
-///   interval — when the estimate errs (an empty operator, before any
-///   step; `G = 0`, a diagonal `K`; a lower end on its clamp) and when
-///   the fit fails the SPD check;
-/// * a pinned `MStepSsor { m }` → α = 1, no estimate;
-/// * a pinned `Poly` → ONE Lanczos estimate of the Jacobi spectrum of `a`
-///   ([`jacobi_spectrum`]).
-///
-/// `table` is the operator's SSOR sweep table: `Auto` needs it, the
-/// pinned kinds do not read it.
-///
-/// # Errors
-/// [`SparseError::InvalidPartition`] for `Auto` without a table;
-/// [`SparseError::NotSquare`] / [`SparseError::ZeroDiagonal`] for a
-/// defective matrix and [`jacobi_spectrum`] failures on the `Poly` path.
-pub fn resolve_precond<A: SparseOp>(
-    a: &A,
-    table: Option<&SweepTable>,
-    m_default: usize,
-    selection: PrecondKind,
-) -> Result<ResolvedPrecond, SparseError> {
-    Ok(match selection {
-        PrecondKind::Auto => auto_ssor(
-            table.ok_or_else(|| SparseError::InvalidPartition {
-                reason: "Auto needs the operator's SSOR sweep table".into(),
-            })?,
-            m_default,
-        ),
-        PrecondKind::MStepSsor { m } => ResolvedPrecond::MStepSsor {
-            alphas: vec![1.0; m],
-            interval: None,
-        },
-        PrecondKind::Poly { kind, degree } => ResolvedPrecond::Poly {
-            kind,
-            degree,
-            interval: jacobi_spectrum(a, &checked_inv_diag(a)?)?,
-        },
-    })
-}
-
-/// `Auto`'s m-step SSOR (see [`resolve_precond`]).
-fn auto_ssor(table: &SweepTable, m_default: usize) -> ResolvedPrecond {
+/// `Auto`'s rule, the one both executors run: the paper's parametrized
+/// m-step SSOR (module docs) on the operator whose sweep table is
+/// `table`. It returns min-max α on the SSOR interval estimated on
+/// `table`, with `m` walked up from `m_default` by inequality (4.2), and
+/// that interval. It falls back to α = 1 at `m_default` with no interval
+/// when the estimate errs (an empty operator, before any step; `G = 0`, a
+/// diagonal `K`; a lower end on its clamp) and when the fit fails the SPD
+/// check.
+pub fn auto_ssor(table: &SweepTable, m_default: usize) -> (Vec<f64>, Option<SpectralInterval>) {
     let mut m = m_default.max(1);
-    let unit = ResolvedPrecond::MStepSsor {
-        alphas: vec![1.0; m],
-        interval: None,
-    };
+    let unit = (vec![1.0; m], None);
     // An empty operator errs here too, before any step is taken.
     let Ok(interval) = table.ssor_spectrum(1.0, SPECTRUM_STEPS) else {
         return unit;
@@ -681,10 +612,7 @@ fn auto_ssor(table: &SweepTable, m_default: usize) -> ResolvedPrecond {
         }
         (m, alphas, n_m) = (m + 1, next, n_next);
     }
-    ResolvedPrecond::MStepSsor {
-        alphas,
-        interval: Some(interval),
-    }
+    (alphas, Some(interval))
 }
 
 /// Min-max α at `m` on `interval` and the iterations they predict, or
@@ -696,46 +624,46 @@ fn minimax_fit(m: usize, interval: SpectralInterval) -> Option<(Vec<f64>, usize)
     Some((alphas, n))
 }
 
-/// Resolve `selection` ([`resolve_precond`]) and build the chosen serial
-/// preconditioner over `a`. `Auto` and a pinned `MStepSsor` build the
-/// SSOR splitting first — one CSR copy of `a`, which the estimate and the
-/// sweeps share — so an operator whose `colors` do not decouple is a
-/// [`SparseError::InvalidPartition`]; a pinned polynomial needs no
-/// coloring.
+/// Build the serial preconditioner `selection` names over `a`:
+///
+/// * [`PrecondKind::Auto`] → the m-step SSOR with [`auto_ssor`]'s
+///   coefficients;
+/// * a pinned `MStepSsor { m }` → the m-step SSOR at α = 1, no estimate;
+/// * a pinned `Poly` → [`PolynomialPreconditioner::new`], on ONE Lanczos
+///   estimate of the Jacobi spectrum of `a` ([`jacobi_spectrum`]).
+///
+/// The m-step SSOR builds its splitting first — one CSR copy of `a`,
+/// which the estimate and the sweeps share — so an operator whose
+/// `colors` do not decouple is a [`SparseError::InvalidPartition`]; a
+/// pinned polynomial needs no coloring.
 ///
 /// # Errors
-/// Propagates the splitting's, the resolution's and the chosen
-/// constructor's errors.
+/// Propagates the splitting's and the chosen constructor's errors.
 pub fn auto_preconditioner<A: SparseOp + Clone>(
     a: &A,
     colors: &Partition,
     m_default: usize,
     selection: PrecondKind,
 ) -> Result<AutoPreconditioner<A>, SparseError> {
-    let ssor = match selection {
-        PrecondKind::Poly { .. } => None,
-        _ => Some(MulticolorSsor::from_op(a, Arc::new(colors.clone()), 1.0)?),
-    };
-    let table = ssor.as_ref().map(MulticolorSsor::table);
-    let resolved = resolve_precond(a, table, m_default, selection)?;
-    Ok(match resolved {
-        ResolvedPrecond::MStepSsor { alphas, interval } => {
-            let ssor = ssor.expect("only a polynomial selection skips the splitting");
-            AutoPreconditioner::MStepSsor(MStepSsorPreconditioner::from_parts(
-                ssor, alphas, interval,
-            )?)
+    let ssor = || MulticolorSsor::from_op(a, Arc::new(colors.clone()), 1.0);
+    let (ssor, (alphas, interval)) = match selection {
+        PrecondKind::Auto => {
+            let ssor = ssor()?;
+            let fit = auto_ssor(ssor.table(), m_default);
+            (ssor, fit)
         }
-        ResolvedPrecond::Poly {
-            kind,
-            degree,
-            interval,
-        } => AutoPreconditioner::Poly(PolynomialPreconditioner::with_interval(
-            a.clone(),
-            kind,
-            degree,
-            interval,
-        )?),
-    })
+        PrecondKind::MStepSsor { m } => (ssor()?, (vec![1.0; m], None)),
+        PrecondKind::Poly { kind, degree } => {
+            return Ok(AutoPreconditioner::Poly(PolynomialPreconditioner::new(
+                a.clone(),
+                kind,
+                degree,
+            )?));
+        }
+    };
+    Ok(AutoPreconditioner::MStepSsor(
+        MStepSsorPreconditioner::from_parts(ssor, alphas, interval)?,
+    ))
 }
 
 #[cfg(test)]
@@ -909,7 +837,7 @@ mod tests {
     fn newton_apply_matches_manual_richardson() {
         let a = laplacian(24);
         let pre = PolynomialPreconditioner::newton(a.clone(), 3).unwrap();
-        let omega = pre.schedule().scale0;
+        let omega = pre.schedule.scale0;
         let inv_diag: Vec<f64> = a.diag().unwrap().iter().map(|d| 1.0 / d).collect();
         let r: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
         let mut z = vec![0.0; 24];
@@ -954,7 +882,7 @@ mod tests {
         let rebuilt =
             PolynomialPreconditioner::with_interval(a, PolyKind::Chebyshev, 4, first.interval())
                 .unwrap();
-        assert_eq!(first.schedule(), rebuilt.schedule());
+        assert_eq!(first.schedule, rebuilt.schedule);
         let r: Vec<f64> = (0..32).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let mut z1 = vec![0.0; 32];
         let mut z2 = vec![0.0; 32];
@@ -1126,7 +1054,7 @@ mod tests {
             panic!("a pinned Poly builds the polynomial");
         };
         let own = PolynomialPreconditioner::newton(pa.clone(), 3).unwrap();
-        assert_eq!(p.schedule(), own.schedule());
+        assert_eq!(p.schedule, own.schedule);
         assert_eq!(p.interval(), own.interval());
     }
 
@@ -1185,8 +1113,6 @@ mod tests {
                 .selected(),
             poly
         );
-        // The resolution itself refuses Auto without the sweep table.
-        assert!(resolve_precond(&a, None, 2, PrecondKind::Auto).is_err());
     }
 
     /// SpMV-counting wrapper: proves which construction paths run Lanczos.

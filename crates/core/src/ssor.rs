@@ -207,36 +207,6 @@ impl SweepTable {
         &self.inv_diag
     }
 
-    /// Stored entries of row `i` in earlier colors.
-    #[inline]
-    fn lower(&self, i: usize) -> Range<usize> {
-        self.a.row_ptr()[i]..self.diag_at[i]
-    }
-
-    /// Stored entries of row `i` in later colors.
-    #[inline]
-    fn upper(&self, i: usize) -> Range<usize> {
-        self.diag_at[i] + 1..self.a.row_ptr()[i + 1]
-    }
-
-    /// Lower half-sum of row `i`: `Σ_{color(j) < color(i)} a_ij x_j`.
-    ///
-    /// # Panics
-    /// Panics if `x.len()` differs from the dimension.
-    #[inline]
-    pub fn lower_sum(&self, i: usize, x: &[f64]) -> f64 {
-        self.a.dot_entries(self.lower(i), x)
-    }
-
-    /// Upper half-sum of row `i`: `Σ_{color(j) > color(i)} a_ij x_j`.
-    ///
-    /// # Panics
-    /// Panics if `x.len()` differs from the dimension.
-    #[inline]
-    pub fn upper_sum(&self, i: usize, x: &[f64]) -> f64 {
-        self.a.dot_entries(self.upper(i), x)
-    }
-
     /// One color phase of a cached sweep over `rows`, a range of one color
     /// block, on `W` right-hand sides stored interleaved (column `j` of row
     /// `i` at `i·W + j` in `b`, `x` and `y`; width 1 is a plain vector).
@@ -840,12 +810,23 @@ mod tests {
     }
 
     /// The serial step the pool step replaced, kept literally as its
-    /// reference: both half-sums fresh, one row loop per block.
+    /// reference: both half-sums fresh, each a naive loop over the row's
+    /// stored entries on its side of the diagonal, one row loop per block.
     fn serial_step(t: &SweepTable, omega: f64, scale: f64, b: &[f64], x: &mut [f64]) {
+        let a = &t.a;
+        let half = |entries: Range<usize>, x: &[f64]| {
+            let mut sum = 0.0;
+            for e in entries {
+                sum += a.values()[e] * x[a.col_idx()[e] as usize];
+            }
+            sum
+        };
         let backward = (0..t.backward_end(omega)).rev();
         for rows in t.colors.iter().chain(backward.map(|c| t.colors.range(c))) {
             for i in rows {
-                let s = scale * b[i] - (t.lower_sum(i, x) + t.upper_sum(i, x));
+                let lower = half(a.row_ptr()[i]..t.diag_at[i], x);
+                let upper = half(t.diag_at[i] + 1..a.row_ptr()[i + 1], x);
+                let s = scale * b[i] - (lower + upper);
                 x[i] = (1.0 - omega) * x[i] + omega * s * t.inv_diag[i];
             }
         }

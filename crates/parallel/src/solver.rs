@@ -70,47 +70,35 @@
 //! value, and a budget exit the true relative residual `‖f − K·u‖₂ / ‖f‖₂`
 //! of its iterate (one fused phase).
 //!
-//! ## Polynomial msolve (barrier-free preconditioning)
-//!
-//! The schedule above pays `m·(2C−1)` color-sweep barriers per m-step
-//! SSOR application. [`ParallelMStepPcg::poly`] swaps the sweeps for the
-//! degree-`k` **polynomial preconditioner** of `mspcg_core::poly`
-//! (Newton or Chebyshev on the Lanczos-estimated spectrum of the
-//! Jacobi-scaled operator): `z = p(D⁻¹K)·D⁻¹r` evaluated as `k` fused
-//! SpMV phases, **one full barrier each and zero color sweeps** — the
-//! msolve term drops from `m·(2C−1)` to `k`. Each phase runs the pool
-//! path's step kernel, [`PolySchedule::step_rows`], on the worker's
-//! strip. The recurrence seed ([`PolySchedule::seed`]) is folded into the
-//! first SpMV (accumulated on the fly from the msolve input), the
-//! `(z, r)` partial and `p⁰` copy into the last, and the iterate banks
-//! alternate between the caller's vector and one scratch bank
-//! ([`PolySchedule::step_writes_z`]) so a phase's cross-strip SpMV reads
-//! never race the next phase's writes. The exact-formula counter test
-//! pins the resulting schedule: `k + 3` barriers per iteration.
-//!
 //! ## `Auto`: the paper's parametrized m-step SSOR
 //!
-//! [`ParallelMStepPcg::auto`] resolves a [`PrecondKind`] through the same
-//! [`mspcg_core::poly::resolve_precond`] as the serial
-//! `auto_preconditioner`. `Auto` is the m-step SSOR with min-max
-//! coefficients fitted on the SSOR spectral interval, estimated once on
-//! this solver's own [`SweepTable`], with `m` chosen by the paper's cost
-//! model (Eq. (4.1), inequality (4.2)) — not by counting barriers: on a
-//! 2-vCPU shared-memory VM all 25 barriers of an m = 2 iteration on the
-//! Table-3 plate cost under 1 % of solve time, and fitted coefficients
-//! cost nothing per iteration (the schedule stays `m·(2C−1) + 3`). Both
-//! executors resolve bitwise the same coefficients.
+//! [`ParallelMStepPcg::auto`] fits its coefficients with
+//! [`mspcg_core::poly::auto_ssor`], the `Auto` rule the pool-path
+//! `auto_preconditioner` runs too: min-max coefficients fitted on the
+//! SSOR spectral interval, estimated once on this solver's own
+//! [`SweepTable`], with `m` chosen by the paper's cost model (Eq. (4.1),
+//! inequality (4.2)) — not by counting barriers: on a 2-vCPU
+//! shared-memory VM all 25 barriers of an m = 2 iteration on the Table-3
+//! plate cost under 1 % of solve time, and fitted coefficients cost
+//! nothing per iteration (the schedule stays `m·(2C−1) + 3`). Both
+//! executors fit bitwise the same coefficients.
+//!
+//! The sweeps are this executor's only msolve. A barrier-free polynomial
+//! in `D⁻¹K` (`k + 3` barriers per iteration) was slower than the best
+//! α = 1 sweeps in the median on every measured plate and Poisson system,
+//! so the polynomial runs on the pool path only
+//! (`mspcg_core::PolynomialPreconditioner`).
 
 use crate::barrier::SpinBarrier;
 use crate::shared::SharedVec;
 use mspcg_core::multi::{lockstep, Executor, TrueResidual};
 use mspcg_core::pcg::{validate_inputs, PcgOptions, PcgReport};
-use mspcg_core::poly::{resolve_precond, ResolvedPrecond};
+use mspcg_core::poly::auto_ssor;
 use mspcg_core::recovery::{perturb, FaultPlan, IterationFault, RecoveryPolicy};
 use mspcg_core::ssor::owned_chunk;
-use mspcg_core::{PolySchedule, SweepTable};
+use mspcg_core::SweepTable;
 use mspcg_sparse::vecops::{self, FusedUpdateNorms};
-use mspcg_sparse::{Partition, PcgVariant, PolyKind, PrecondKind, SparseError, SparseOp};
+use mspcg_sparse::{Partition, PcgVariant, SparseError, SparseOp};
 use std::sync::Arc;
 
 /// Options for the threaded solver.
@@ -270,17 +258,9 @@ impl OwnedRows {
 pub struct ParallelMStepPcg {
     /// The color-blocked matrix, its partition and the sweep split.
     table: SweepTable,
-    msolve: Msolve,
-}
-
-/// The msolve of every iteration, read by every worker.
-enum Msolve {
-    /// The m-step SSOR sweeps with these coefficients (`alphas[i]`
+    /// The m-step SSOR coefficients every worker sweeps with (`alphas[i]`
     /// multiplies `Gⁱ P⁻¹`); none is plain CG's copy `z ← r`.
-    Ssor(Vec<f64>),
-    /// The barrier-free polynomial: the schedule of the pool-path
-    /// [`mspcg_core::PolynomialPreconditioner`] over the same operator.
-    Poly(PolyKind, PolySchedule),
+    alphas: Vec<f64>,
 }
 
 impl ParallelMStepPcg {
@@ -313,88 +293,39 @@ impl ParallelMStepPcg {
     ) -> Result<Self, SparseError> {
         Ok(ParallelMStepPcg {
             table: SweepTable::new(Arc::new(matrix.try_csr_copy()?), colors)?,
-            msolve: Msolve::Ssor(alphas),
+            alphas,
         })
     }
 
-    /// Build the **barrier-free polynomial** configuration: the plain-CG
-    /// phase structure with a degree-`degree` polynomial msolve on the
-    /// Lanczos-estimated spectrum of the Jacobi-scaled operator — the
-    /// SPMD counterpart of [`mspcg_core::PolynomialPreconditioner`],
-    /// sharing its spectrum recipe and schedule scalars (and therefore
-    /// its cached-interval determinism: two instances over the same
-    /// operator replay bitwise).
+    /// The paper's parametrized m-step SSOR, fitted by
+    /// [`mspcg_core::poly::auto_ssor`] — the `Auto` rule of the serial
+    /// [`mspcg_core::auto_preconditioner`], fallbacks included: min-max α
+    /// on the SSOR interval, estimated on the sweep table this solver
+    /// streams (no second matrix copy), with `m` walked up from
+    /// `m_default` by inequality (4.2). [`ParallelMStepPcg::alphas`] shows
+    /// the result, `m_default` ones when it fell back to α = 1.
     ///
     /// # Errors
-    /// The construction errors of [`ParallelMStepPcg::new`], plus the
-    /// spectrum-estimation and schedule-validation errors of
-    /// [`mspcg_core::PolySchedule`] (zero degree, nonpositive interval).
-    pub fn poly<A: SparseOp>(
-        matrix: &A,
-        colors: &Partition,
-        kind: PolyKind,
-        degree: usize,
-    ) -> Result<Self, SparseError> {
-        Self::auto(matrix, colors, 0, PrecondKind::Poly { kind, degree })
-    }
-
-    /// Resolve `selection` with [`mspcg_core::poly::resolve_precond`] —
-    /// the same resolution, fallbacks included, as the serial
-    /// [`mspcg_core::auto_preconditioner`] — and build the chosen SPMD
-    /// configuration. `Auto` is the paper's parametrized m-step SSOR:
-    /// min-max α on the SSOR interval, estimated on the sweep table this
-    /// solver streams (no second matrix copy), with `m` walked up from
-    /// `m_default` by inequality (4.2); [`ParallelMStepPcg::alphas`] shows
-    /// the result, all ones when it fell back to α = 1.
-    ///
-    /// # Errors
-    /// The construction errors of [`ParallelMStepPcg::new`], and the
-    /// resolution's and [`mspcg_core::PolySchedule`]'s errors.
+    /// The construction errors of [`ParallelMStepPcg::new`].
     pub fn auto<A: SparseOp>(
         matrix: &A,
         colors: &Partition,
         m_default: usize,
-        selection: PrecondKind,
     ) -> Result<Self, SparseError> {
-        let mut base = Self::shared(matrix, Arc::new(colors.clone()), Vec::new())?;
-        base.msolve = match resolve_precond(matrix, Some(&base.table), m_default, selection)? {
-            ResolvedPrecond::MStepSsor { alphas, .. } => Msolve::Ssor(alphas),
-            ResolvedPrecond::Poly {
-                kind,
-                degree,
-                interval,
-            } => Msolve::Poly(
-                kind,
-                PolySchedule::new(kind, interval.min, interval.max, degree)?,
-            ),
-        };
+        let mut base = Self::new(matrix, colors, Vec::new())?;
+        base.alphas = auto_ssor(&base.table, m_default).0;
         Ok(base)
     }
 
-    /// The preconditioner this instance applies — never
-    /// [`PrecondKind::Auto`]; `MStepSsor { m: 0 }` is plain CG.
-    pub fn precond(&self) -> PrecondKind {
-        match &self.msolve {
-            Msolve::Ssor(alphas) => PrecondKind::MStepSsor { m: alphas.len() },
-            Msolve::Poly(kind, schedule) => PrecondKind::Poly {
-                kind: *kind,
-                degree: schedule.degree(),
-            },
-        }
-    }
-
-    /// Number of m-step SSOR steps (0 for plain CG and the polynomial).
+    /// Number of m-step SSOR steps (0 for plain CG).
     pub fn m(&self) -> usize {
-        self.alphas().len()
+        self.alphas.len()
     }
 
     /// The m-step SSOR coefficients (`alphas[i]` multiplies `Gⁱ P⁻¹`;
-    /// empty for plain CG and the polynomial msolve).
+    /// empty for plain CG).
     pub fn alphas(&self) -> &[f64] {
-        match &self.msolve {
-            Msolve::Ssor(alphas) => alphas,
-            Msolve::Poly(..) => &[],
-        }
+        &self.alphas
     }
 
     /// System dimension.
@@ -445,7 +376,7 @@ impl ParallelMStepPcg {
     /// a pool-path solve, at every worker count. Each planned fault fires
     /// once. A faulted m-step SSOR msolve crosses one extra barrier,
     /// because other workers read `z` across strips in its final color
-    /// phase.
+    /// phase; plain CG's copy reads none, and crosses no extra barrier.
     ///
     /// # Errors
     /// Same classes as [`ParallelMStepPcg::solve`].
@@ -465,7 +396,7 @@ impl ParallelMStepPcg {
         }
         let threads = self.resolve_threads(opts.threads);
         let owned = OwnedRows::map(self.table.colors(), threads);
-        let v = Vectors::new(f, matches!(self.msolve, Msolve::Poly(..)), threads);
+        let v = Vectors::new(f, threads);
         let barrier = SpinBarrier::new(threads);
         let pcg = PcgOptions {
             tol: opts.tol,
@@ -548,14 +479,8 @@ struct Vectors {
     /// `K·p`; between its update and the next SpMV, the scratch of an
     /// audit's or an exit's `f − K·u`.
     kp: SharedVec,
-    /// The SSOR half-sum cache, or the polynomial msolve's `K·z` strip.
+    /// The SSOR half-sum cache.
     y: SharedVec,
-    /// The polynomial msolve's difference carry `d` (own-strip only) and
-    /// the second iterate bank `zb` of its two-bank rotation (read
-    /// cross-strip by the chained SpMVs); zero-length for the sweep and
-    /// plain-CG configurations.
-    d: SharedVec,
-    zb: SharedVec,
     /// Two partial banks of two slots per worker, used in turn: at least
     /// one barrier separates a bank's readers from its next writer.
     banks: [SharedVec; 2],
@@ -563,9 +488,8 @@ struct Vectors {
 
 impl Vectors {
     /// The start of a solve of `K u = f` from `u = 0`: `r = f`.
-    fn new(f: &[f64], poly: bool, threads: usize) -> Self {
+    fn new(f: &[f64], threads: usize) -> Self {
         let n = f.len();
-        let poly_len = if poly { n } else { 0 };
         Vectors {
             u: SharedVec::zeros(n),
             r: SharedVec::from_vec(f.to_vec()),
@@ -573,8 +497,6 @@ impl Vectors {
             p: SharedVec::zeros(n),
             kp: SharedVec::zeros(n),
             y: SharedVec::zeros(n),
-            d: SharedVec::zeros(poly_len),
-            zb: SharedVec::zeros(poly_len),
             banks: [SharedVec::zeros(2 * threads), SharedVec::zeros(2 * threads)],
         }
     }
@@ -668,8 +590,9 @@ impl Worker<'_> {
     /// the first forward sweep (step 1 reads neither `z` outside the
     /// current pass nor the `y` cache, so no zero-fill phase and barrier
     /// precede it), as on the pool path.
-    fn sweep_phases(&self, alphas: &[f64]) {
+    fn sweep_phases(&self) {
         let (solver, v) = (self.solver, self.v);
+        let alphas = &solver.alphas;
         if alphas.is_empty() {
             for rows in self.own.chunks() {
                 // SAFETY: `r` was finalized before the msolve began; this
@@ -706,76 +629,6 @@ impl Worker<'_> {
             }
         }
     }
-
-    /// Barrier-free polynomial msolve `z ← p(G)·D⁻¹r`, `G = D⁻¹K`:
-    /// exactly `degree` fused SpMV phases, **zero color sweeps**, up to
-    /// the final phase, into which [`Executor::msolve`] fuses the `(z, r)`
-    /// tail.
-    ///
-    /// Each phase computes `K·zⱼ` on the worker's strip and applies
-    /// [`PolySchedule::step_rows`] to it, the pool path's kernel, so the
-    /// chain is bitwise identical to the
-    /// [`mspcg_core::PolynomialPreconditioner`] on identical inputs. Phase
-    /// 0 folds the seed into its SpMV: `K·z₀` is accumulated on the fly
-    /// from [`PolySchedule::seed`] of the input `r` — a cross-strip read,
-    /// which every caller guarantees is separated from the last write of
-    /// `r` by a barrier (the sweep msolve reads `r` own-strip only, so a
-    /// restart that rewrites `r` crosses one extra barrier for the
-    /// polynomial).
-    ///
-    /// The iterate banks alternate between `z` and the scratch bank `zb`
-    /// ([`PolySchedule::step_writes_z`]), so the **final** step lands in
-    /// `z`. A phase's SpMV reads the previous phase's bank cross-strip;
-    /// the next write of that bank is separated from those reads by the
-    /// intervening phase barrier — the same discipline as the partial
-    /// banks. The difference carry `d` and the `K·z` strip (parked in the
-    /// SSOR half-sum cache `y`, which the polynomial path never touches)
-    /// are own-strip only. The final phase reads no `z` across strips.
-    fn poly_phases(&self, schedule: &PolySchedule) {
-        let v = self.v;
-        let (a, inv_diag) = (self.solver.table.matrix(), self.solver.table.inv_diag());
-        let k = schedule.degree();
-        for j in 0..k {
-            let (prev, next) = if schedule.step_writes_z(j) {
-                (&v.zb, &v.z)
-            } else {
-                (&v.z, &v.zb)
-            };
-            // SAFETY: this phase writes only the owned rows of `y`, `d` and
-            // `next`; it reads `r`, finalized before the msolve began, and
-            // `prev`, finalized by the last barrier.
-            unsafe {
-                let (rv, prev) = (v.r.read(), prev.read());
-                for rows in self.own.chunks() {
-                    let kz = v.y.write(rows.clone());
-                    if j == 0 {
-                        for (o, i) in rows.clone().enumerate() {
-                            let mut acc = 0.0;
-                            for e in a.row_ptr()[i]..a.row_ptr()[i + 1] {
-                                let c = a.col_idx()[e] as usize;
-                                acc += a.values()[e] * schedule.seed(inv_diag[c], rv[c]);
-                            }
-                            kz[o] = acc;
-                        }
-                    } else {
-                        a.mul_vec_range_into(prev, kz, rows.clone());
-                    }
-                    schedule.step_rows(
-                        j,
-                        &inv_diag[rows.clone()],
-                        &rv[rows.clone()],
-                        kz,
-                        (j > 0).then(|| &prev[rows.clone()]),
-                        v.d.write(rows.clone()),
-                        next.write(rows),
-                    );
-                }
-            }
-            if j + 1 < k {
-                self.barrier.wait();
-            }
-        }
-    }
 }
 
 impl Executor<1> for Worker<'_> {
@@ -784,10 +637,7 @@ impl Executor<1> for Worker<'_> {
     }
 
     fn msolve_steps(&self) -> usize {
-        match &self.solver.msolve {
-            Msolve::Ssor(alphas) => alphas.len(),
-            Msolve::Poly(_, schedule) => schedule.degree(),
-        }
+        self.solver.m()
     }
 
     /// `kp ← K·p` ⊕ the `(p, Kp)` partial: the strip of `kp` this worker
@@ -845,8 +695,8 @@ impl Executor<1> for Worker<'_> {
     /// a planned fault's row perturbs the fresh `z`, and each worker forms
     /// its `(z, r)` partial (and a restart's `p ← z` copy) on its own
     /// rows. The m-step SSOR's final color phase reads `z` across strips,
-    /// so a faulted sweep msolve first crosses one extra barrier; the
-    /// plain copy and the polynomial read no `z` across strips in theirs.
+    /// so a faulted sweep msolve first crosses one extra barrier; plain
+    /// CG's copy reads no `z` across strips.
     fn msolve(
         &mut self,
         _cols: &[bool; 1],
@@ -854,14 +704,9 @@ impl Executor<1> for Worker<'_> {
         faults: &[Option<IterationFault>; 1],
     ) -> [f64; 1] {
         let v = self.v;
-        match &self.solver.msolve {
-            Msolve::Ssor(alphas) => {
-                self.sweep_phases(alphas);
-                if faults[0].is_some() && !alphas.is_empty() {
-                    self.barrier.wait();
-                }
-            }
-            Msolve::Poly(_, schedule) => self.poly_phases(schedule),
+        self.sweep_phases();
+        if faults[0].is_some() && self.solver.m() > 0 {
+            self.barrier.wait();
         }
         if let Some(fault) = faults[0].filter(|f| self.own.contains(f.index)) {
             // SAFETY: this worker alone writes row `index` of `z`, in this
@@ -910,8 +755,7 @@ impl Executor<1> for Worker<'_> {
         // SAFETY: `u` was finalized by the update's barrier and an audit
         // reads `r` own-strip only; a restart writes `r` own-strip only,
         // and nobody reads `r` cross-strip before the next barrier (the
-        // sweep msolve reads it own-strip, the polynomial one after the
-        // barrier below).
+        // msolve reads it own-strip).
         unsafe {
             let r = (to == TrueResidual::Audit).then(|| v.r.read());
             self.own_spmv(v.u.read(), out, None, |rows, out| {
@@ -923,12 +767,7 @@ impl Executor<1> for Worker<'_> {
             });
         }
         match to {
-            TrueResidual::Restart => {
-                if let Msolve::Poly(..) = self.solver.msolve {
-                    self.barrier.wait();
-                }
-                0.0
-            }
+            TrueResidual::Restart => 0.0,
             TrueResidual::Audit => self.sum(acc),
             TrueResidual::Norm => self.sum(acc).sqrt(),
         }
@@ -947,7 +786,7 @@ mod tests {
     use mspcg_core::recovery::{FaultKind, FaultTarget};
     use mspcg_core::{pcg_solve, AutoPreconditioner, MStepSsorPreconditioner, PcgOptions};
     use mspcg_fem::plate::PlaneStressProblem;
-    use mspcg_sparse::CsrMatrix;
+    use mspcg_sparse::{CsrMatrix, PolyKind, PrecondKind};
 
     fn plate(a: usize) -> (CsrMatrix, Partition, Vec<f64>) {
         let asm = PlaneStressProblem::unit_square(a).assemble().unwrap();
@@ -1480,94 +1319,6 @@ mod tests {
             .all(|(u, v)| u.to_bits() == v.to_bits()));
     }
 
-    // ------------------- polynomial msolve ------------------------------
-
-    #[test]
-    fn poly_matches_sequential_polynomial_solver() {
-        let (a, colors, rhs) = plate(8);
-        let par = ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, 4).unwrap();
-        assert_eq!(
-            par.precond(),
-            PrecondKind::Poly {
-                kind: PolyKind::Chebyshev,
-                degree: 4
-            }
-        );
-        let rep = par.solve(&rhs, &pinned_opts(4, 1e-8)).unwrap();
-        let pre = mspcg_core::PolynomialPreconditioner::chebyshev(a.clone(), 4).unwrap();
-        let seq = pcg_solve(
-            &a,
-            &rhs,
-            &pre,
-            &PcgOptions {
-                tol: 1e-8,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(rep.converged);
-        assert!(
-            (rep.iterations as isize - seq.iterations as isize).abs() <= 2,
-            "par {} vs seq {}",
-            rep.iterations,
-            seq.iterations
-        );
-        for (u, v) in rep.x.iter().zip(&seq.x) {
-            assert!((u - v).abs() < 1e-6, "{u} vs {v}");
-        }
-    }
-
-    /// The acceptance gate of the polynomial msolve, by exact formula: a
-    /// degree-`k` application costs exactly `k` full-barrier crossings
-    /// (one fused SpMV phase each) — **zero color sweeps** — so the
-    /// per-iteration budget is the sweep formula with `sweep → k`:
-    /// `k + (I−1)(k+3) + 3` crossings, `2I` reduction phases.
-    #[test]
-    fn barrier_counter_proves_polynomial_schedule() {
-        let (a, colors, rhs) = plate(8);
-        for k in [2usize, 4] {
-            let par = ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, k).unwrap();
-            for threads in [1usize, 4] {
-                let rep = par.solve(&rhs, &pinned_opts(threads, 1e-8)).unwrap();
-                assert!(rep.converged);
-                let i = rep.iterations;
-                assert!(i >= 1);
-                assert_eq!(
-                    rep.barrier_crossings,
-                    k + (i - 1) * (k + 3) + 3,
-                    "poly barrier count, k = {k}, threads = {threads}"
-                );
-                assert_eq!(rep.reduction_phases, 2 * i);
-                assert_eq!(rep.split_crossings, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn poly_is_deterministic_and_format_insensitive() {
-        let (a, colors, rhs) = plate(7);
-        let sell = mspcg_sparse::SellCsMatrix::from_csr_default(&a);
-        let par_csr = ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, 3).unwrap();
-        let par_sell = ParallelMStepPcg::poly(&sell, &colors, PolyKind::Chebyshev, 3).unwrap();
-        let opts = pinned_opts(4, 1e-8);
-        let r1 = par_csr.solve(&rhs, &opts).unwrap();
-        let r2 = par_csr.solve(&rhs, &opts).unwrap();
-        // Bitwise reproducible.
-        assert_eq!(r1.iterations, r2.iterations);
-        assert_eq!(r1.x, r2.x);
-        // And across storage formats: the SELL-C-σ row kernel is bitwise
-        // the CSR row loop, so the Lanczos interval, the schedule, and
-        // every iterate replay exactly.
-        let rs = par_sell.solve(&rhs, &opts).unwrap();
-        assert_eq!(r1.iterations, rs.iterations);
-        assert!(
-            r1.x.iter()
-                .zip(&rs.x)
-                .all(|(u, v)| u.to_bits() == v.to_bits()),
-            "format divergence"
-        );
-    }
-
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -1588,30 +1339,29 @@ mod tests {
         let (a, colors, rhs) = plate(24);
         // Auto: the SPMD estimate on its own sweep table fits bitwise the
         // coefficients the serial selector fits on its splitting's.
-        let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
+        let auto = ParallelMStepPcg::auto(&a, &colors, 2).unwrap();
         let (alphas, interval) = serial_auto(&a, &colors);
         assert!(interval.is_some());
         assert_eq!(bits(auto.alphas()), bits(&alphas));
-        assert_eq!(auto.precond(), PrecondKind::MStepSsor { m: alphas.len() });
-        // Pinned selections pass through the auto constructor verbatim.
-        let ssor = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::MStepSsor { m: 3 }).unwrap();
-        assert_eq!(ssor.precond(), PrecondKind::MStepSsor { m: 3 });
-        assert_eq!(ssor.alphas(), &[1.0; 3]);
-        let newton = PrecondKind::Poly {
-            kind: PolyKind::Newton,
-            degree: 5,
+        assert_eq!(auto.m(), alphas.len());
+        // A pinned m-step SSOR is α = 1 on both executors: the serial
+        // selector's coefficients are the ones `new` takes.
+        let pinned = PrecondKind::MStepSsor { m: 3 };
+        let AutoPreconditioner::MStepSsor(p) =
+            mspcg_core::auto_preconditioner(&a, &colors, 2, pinned).unwrap()
+        else {
+            panic!("a pinned MStepSsor builds the m-step SSOR");
         };
-        let poly = ParallelMStepPcg::auto(&a, &colors, 2, newton).unwrap();
-        assert_eq!(poly.precond(), newton);
-        assert!(poly.alphas().is_empty());
-        // All three solve the system: true relative residual ≤ 1e-8.
+        assert_eq!(p.alphas(), &[1.0; 3]);
+        let ssor = ParallelMStepPcg::new(&a, &colors, p.alphas().to_vec()).unwrap();
+        // Both solve the system: true relative residual ≤ 1e-8.
         let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        for par in [&auto, &ssor, &poly] {
+        for par in [&auto, &ssor] {
             let rep = par.solve(&rhs, &pinned_opts(2, 1e-10)).unwrap();
             assert!(rep.converged);
             let ku = a.mul_vec(&rep.x);
             let r: Vec<f64> = rhs.iter().zip(&ku).map(|(f, k)| f - k).collect();
-            assert!(norm(&r) <= 1e-8 * norm(&rhs), "{:?}", par.precond());
+            assert!(norm(&r) <= 1e-8 * norm(&rhs), "m = {}", par.m());
         }
     }
 
@@ -1696,8 +1446,7 @@ mod tests {
         let a = c.to_csr();
         let colors = Partition::from_sizes(&[6, 6]).unwrap();
         let rhs: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let auto = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
-        assert_eq!(auto.precond(), PrecondKind::MStepSsor { m: 2 });
+        let auto = ParallelMStepPcg::auto(&a, &colors, 2).unwrap();
         assert_eq!(auto.alphas(), &[1.0, 1.0]);
         assert_eq!(serial_auto(&a, &colors), (vec![1.0, 1.0], None));
         let rep = auto.solve(&rhs, &pinned_opts(2, 1e-10)).unwrap();
@@ -1705,13 +1454,5 @@ mod tests {
         for (x, f) in rep.x.iter().zip(&rhs) {
             assert!((x - f / 3.0).abs() < 1e-10, "{x} vs {}", f / 3.0);
         }
-        // A *pinned* polynomial stays pinned on the same operator: its
-        // schedule absorbs the degenerate (safeguard-widened) interval.
-        let chebyshev = PrecondKind::Poly {
-            kind: PolyKind::Chebyshev,
-            degree: 2,
-        };
-        let pinned = ParallelMStepPcg::auto(&a, &colors, 2, chebyshev).unwrap();
-        assert_eq!(pinned.precond(), chebyshev);
     }
 }

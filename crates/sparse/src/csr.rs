@@ -364,21 +364,6 @@ impl CsrMatrix {
         }
     }
 
-    /// `Σ values[k]·x[col_idx[k]]` over the stored entries `entries` (an
-    /// index range into [`CsrMatrix::col_idx`]/[`CsrMatrix::values`],
-    /// typically part of one row), accumulated in ascending entry order
-    /// from `0.0` — the reference half-sums of the SSOR sweep tests.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols` or `entries` is out of bounds.
-    #[inline]
-    pub fn dot_entries(&self, entries: std::ops::Range<usize>, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.cols, "dot_entries: x length mismatch");
-        // SAFETY: `x.len() == cols` is asserted above.
-        let [sum] = unsafe { self.gather::<1>(entries, x.as_ptr()) };
-        sum
-    }
-
     /// The one unchecked gather behind every row kernel above:
     /// `Σ values[k]·x[col_idx[k]]` over `entries`, in ascending order, for
     /// each of `W` columns stored interleaved (column `j` of row `c` at

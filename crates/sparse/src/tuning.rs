@@ -8,9 +8,8 @@
 //! determinism contract (bitwise thread-count insensitivity) holds across
 //! every solve of a process.
 //!
-//! The selection types shared by the serial solvers, the batched multi-RHS
-//! driver and the SPMD executor live here too: [`PrecondKind`] /
-//! [`PolyKind`] and [`MatrixFormat`]. Every executor runs one recurrence,
+//! The selection types of the solver stack live here too: [`PrecondKind`]
+//! / [`PolyKind`] and [`MatrixFormat`]. Every executor runs one recurrence,
 //! Algorithm 1; [`PcgVariant`] names it and is kept only so the
 //! `perfbench` package still compiles. A solve receives
 //! its configuration only as values — the options struct it is called
@@ -73,9 +72,8 @@ pub enum PcgVariant {
     Classic,
 }
 
-/// Polynomial recurrences the barrier-free preconditioner implements.
-/// Lives here (next to [`PcgVariant`]) so the serial and SPMD stacks share
-/// one selection type.
+/// Polynomial recurrences the polynomial preconditioner implements (the
+/// `kind` of [`PrecondKind::Poly`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolyKind {
     /// Scaled first-kind Newton (Richardson/truncated-Neumann) recurrence:
@@ -87,14 +85,14 @@ pub enum PolyKind {
     Chebyshev,
 }
 
-/// Preconditioner selection for the solver stack: the paper's m-step
-/// multicolor SSOR, or the barrier-free polynomial alternative built from
-/// SpMVs only.
+/// Preconditioner selection for the pool path
+/// (`mspcg_core::poly::auto_preconditioner`): the paper's m-step
+/// multicolor SSOR, or the polynomial alternative built from SpMVs only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrecondKind {
-    /// The paper's parametrized m-step SSOR, resolved per operator at
-    /// construction (`mspcg_core::poly::resolve_precond`, shared by both
-    /// executors): min-max coefficients fitted on the estimated SSOR
+    /// The paper's parametrized m-step SSOR, fitted per operator at
+    /// construction (`mspcg_core::poly::auto_ssor`, the rule both
+    /// executors call): min-max coefficients fitted on the estimated SSOR
     /// spectral interval (§2.2), with `m` stepped up from the caller's
     /// default while the paper's cost model, Eq. (4.1) and inequality
     /// (4.2), predicts a gain. `B/A` comes from the bytes an outer
@@ -103,15 +101,16 @@ pub enum PrecondKind {
     /// spectrum to fit (an empty operator, a diagonal `K`).
     #[default]
     Auto,
-    /// The paper's m-step multicolor SSOR preconditioner
+    /// The paper's m-step multicolor SSOR preconditioner at α = 1
     /// (`m·(2C−1)` color-sweep barriers per application on the SPMD
-    /// schedule, `C` = number of colors).
+    /// schedule, `C` = number of colors, where it is
+    /// `ParallelMStepPcg::new(.., vec![1.0; m])`).
     MStepSsor {
         /// Number of preconditioner steps.
         m: usize,
     },
-    /// Degree-`degree` polynomial in the Jacobi-scaled operator
-    /// (`degree` SpMV-phase barriers per application, zero color sweeps).
+    /// Degree-`degree` polynomial in the Jacobi-scaled operator (`degree`
+    /// SpMVs per application, zero color sweeps); pool path only.
     Poly {
         /// Recurrence family.
         kind: PolyKind,

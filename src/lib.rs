@@ -56,12 +56,12 @@
 //!   `threads: 0` default alike. Everything else a solve uses arrives as
 //!   a value — `PcgOptions`, `ParallelSolverOptions`, `PrecondKind`,
 //!   `RecoveryPolicy`, or the operator type the caller builds.
-//! * **One checked-once CSR row kernel** — every CSR row loop a solve
+//! * **One checked-once CSR row kernel** — every CSR product a solve
 //!   runs goes through one gather in `mspcg_sparse::csr`: the SpMV range
-//!   kernels behind the pool SpMV, the batch blocks and the polynomial
-//!   msolve, and the SSOR half-sums of both executors (`MulticolorSsor`
-//!   and the SPMD `ParallelMStepPcg` stream one `core::ssor::SweepTable`).
-//!   It checks `x.len() == cols()` once per call, then walks a row's
+//!   kernels behind the pool SpMV, the batch blocks, the polynomial
+//!   msolve and the SPMD strip products. (The SSOR half-sums of both
+//!   executors run in the color-phase sweep kernel, below, on the same
+//!   column bound.) The gather checks `x.len() == cols()` once per call, then walks a row's
 //!   `col_idx`/`values` slices in lockstep and reads `x[col]` with no
 //!   per-entry bounds check. What backs that unchecked read is the
 //!   column-bound invariant `CsrMatrix::from_raw_parts` enforces: the
@@ -97,14 +97,14 @@
 //!   |---|---|---|
 //!   | m-step SSOR, `C` colors | 2 | `m·(2C−1) + 3` |
 //!   | plain CG (`m = 0`) | 2 | 4 |
-//!   | polynomial degree `k` | 2 | **`k + 3`** |
+//!   | polynomial degree `k` (pool path only) | 2 | — |
 //!
 //!   Both counts are *measured*, not asserted: `PcgStats` carries
 //!   `reduction_phases`, and the SPMD report carries `barrier_crossings` /
 //!   `reduction_phases` from the instrumented barrier; counter tests pin
 //!   the formulas. A clean SPMD solve that converges at iteration `I`
 //!   crosses `S + (I − 1)(S + 3) + 3` barriers, `S` being the msolve's
-//!   share of the table (`m·(2C−1)`, 1 for plain CG's copy, `k`): its
+//!   share of the table (`m·(2C−1)`, or 1 for plain CG's copy): its
 //!   initial msolve, `I − 1` full iterations, and the last iteration's
 //!   SpMV, update and the `‖r‖₂` its report carries; each audit adds one. A Chronopoulos–Gear single-reduction recurrence (one
 //!   reduction phase, one barrier fewer per iteration) used to be the
@@ -113,35 +113,33 @@
 //!   an m = 2 SPMD iteration on the Table-3 plate cost 0.6 % of solve
 //!   time, and the variant's median solve time ran between 0.92× and
 //!   1.11× classic's on the plates a = 24, 40 and 100, on both executors.
-//! * **Barrier-free polynomial (Newton–Chebyshev) preconditioning** — the
-//!   multicolor SSOR sweeps cost `2C−1` barriers per step: the
-//!   *color structure itself* is the synchronization bill.
-//!   `mspcg::core::poly::PolynomialPreconditioner` replaces the sweeps
-//!   with `z = p(G)·D⁻¹r`, `G = D⁻¹K`, evaluated as a degree-`k` chain of
-//!   SpMVs, each followed by one fused pass over the rows
-//!   (`core::poly::PolySchedule::step_rows`, the one definition of the
-//!   seed and step arithmetic, which the SPMD workers run on their strips
-//!   too): **`k` barriers per application, zero color sweeps**,
-//!   allocation-free after setup (`scratch_len`/`apply_with`),
-//!   generic over `SparseOp`, and bitwise identical across thread counts
-//!   and storage formats. The coefficient schedule (Chebyshev min-max on
-//!   the estimated interval, or Newton/scaled-Richardson) is built once
-//!   from a Lanczos estimate of the Jacobi-scaled spectrum
+//! * **Polynomial (Newton–Chebyshev) preconditioning, pool path only** —
+//!   `mspcg::core::poly::PolynomialPreconditioner` evaluates
+//!   `z = p(G)·D⁻¹r`, `G = D⁻¹K`, as a degree-`k` chain of SpMVs, each
+//!   followed by one fused pass over the rows: zero color sweeps,
+//!   allocation-free after setup (`scratch_len`/`apply_with`), generic
+//!   over `SparseOp`, and bitwise identical across thread counts and
+//!   storage formats. The coefficient schedule (Chebyshev min-max on the
+//!   estimated interval, or Newton/scaled-Richardson) is built once from
+//!   a Lanczos estimate of the Jacobi-scaled spectrum
 //!   (`poly::jacobi_spectrum`, cached on the preconditioner for reuse at
-//!   other degrees) and shared verbatim by the serial evaluator and the
-//!   SPMD `ParallelMStepPcg::poly` msolve — `k` fused SpMV phases, whose
-//!   exact barrier and reduction formulas (table above) are pinned by
-//!   counter tests. The conformance and fault harnesses run the
-//!   polynomial msolve on both executors. It is the one polynomial in the
-//!   Jacobi splitting: the m-step Jacobi family (truncated Neumann,
+//!   other degrees). The SPMD executor does not run it. Its `k + 3`
+//!   barriers per iteration undercut the sweeps' `m·(2C−1) + 3`, but on a
+//!   2-vCPU VM, at ‖Δu‖∞ < 1e-8 on plates a = 24, 40, 100 and Poisson
+//!   n = 64, 150 at 1 and 2 workers, the fastest Chebyshev (k = 1–8) or
+//!   Newton (k = 1–4) solve took 1.04–1.63× as long as α = 1 SSOR at its
+//!   best `m` and 1.12–1.94× as long as `Auto` (medians over four runs of
+//!   seven rotated rounds). It is the one polynomial
+//!   in the Jacobi splitting: the m-step Jacobi family (truncated Neumann,
 //!   least-squares) spanned the same space in Horner form and is gone —
 //!   min-max m-step Jacobi at m = 4 took exactly the iterations of
 //!   Chebyshev degree 3 for one more SpMV per application, and Neumann
 //!   m = 2 is indefinite on the plates.
 //! * **`Auto` is the paper's parametrized m-step SSOR** — selection is
-//!   `PrecondKind::{Auto, MStepSsor, Poly}` on the auto constructors
-//!   (`core::poly::auto_preconditioner`, `ParallelMStepPcg::auto`), which
-//!   share one resolution (`core::poly::resolve_precond`). `Auto` fits
+//!   `PrecondKind::{Auto, MStepSsor, Poly}` on the pool path
+//!   (`core::poly::auto_preconditioner`). `Auto` is one rule,
+//!   `core::poly::auto_ssor`, which `auto_preconditioner` and the SPMD
+//!   `ParallelMStepPcg::auto` both call. It fits
 //!   min-max coefficients (§2.2) on the SSOR interval `[1 − ρ, 1]` from one
 //!   60-step power iteration, then steps `m` up from the caller's default,
 //!   to at most 8, while inequality (4.2) predicts a gain: iteration counts

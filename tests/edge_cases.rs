@@ -299,7 +299,6 @@ fn spectrum_fits_on_an_empty_system_are_errors_and_auto_falls_back() {
         degree: 2,
     };
     no_spectrum(auto_preconditioner(&a, &colors, 2, chebyshev).map(drop));
-    no_spectrum(ParallelMStepPcg::auto(&a, &colors, 2, chebyshev).map(drop));
 
     // Auto builds on both executors without an estimate: m_default steps
     // at α = 1, and the solves return the empty solution.
@@ -312,7 +311,7 @@ fn spectrum_fits_on_an_empty_system_are_errors_and_auto_falls_back() {
     assert_eq!(serial.dim(), 0);
     let sol = pcg_solve(&a, &[], &serial, &PcgOptions::default()).unwrap();
     assert!(sol.converged && sol.x.is_empty());
-    let spmd = ParallelMStepPcg::auto(&a, &colors, 2, PrecondKind::Auto).unwrap();
+    let spmd = ParallelMStepPcg::auto(&a, &colors, 2).unwrap();
     assert_eq!(spmd.alphas(), &[1.0, 1.0]);
     let rep = spmd.solve(&[], &ParallelSolverOptions::default()).unwrap();
     assert!(rep.converged && rep.x.is_empty());
@@ -351,7 +350,7 @@ fn ssor_estimate_on_its_clamp_is_an_error_and_auto_falls_back() {
     };
     assert_eq!(p.alphas(), &[1.0; 3]);
     assert_eq!(p.interval(), None);
-    let spmd = ParallelMStepPcg::auto(&a, &colors, 3, PrecondKind::Auto).unwrap();
+    let spmd = ParallelMStepPcg::auto(&a, &colors, 3).unwrap();
     assert_eq!(spmd.alphas(), &[1.0; 3]);
     // Away from the clamp the same system estimates and fits.
     let (a, colors) = two_by_two(-0.5);
@@ -378,7 +377,6 @@ fn jacobi_estimate_of_an_indefinite_matrix_is_an_error_on_every_path() {
         degree: 2,
     };
     indefinite(auto_preconditioner(&a, &colors, 2, chebyshev).map(drop));
-    indefinite(ParallelMStepPcg::poly(&a, &colors, PolyKind::Chebyshev, 2).map(drop));
 }
 
 /// An audit period of 0 iterations has no meaning: the same input check

@@ -43,7 +43,7 @@ use mspcg::core::recovery::{FaultKind, FaultPlan, FaultTarget, IterationFault, R
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
-use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SparseError, SparseOp};
+use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, SparseError, SparseOp};
 
 /// Stopping tolerance of the NaN cells.
 const TOL: f64 = 1e-8;
@@ -346,79 +346,39 @@ fn every_variant_survives_injected_faults_across_executors_and_families() {
     }
 }
 
-/// Recovery is preconditioner-agnostic: a NaN out of the barrier-free
-/// **polynomial** msolve takes the exact same detection / in-place
-/// replacement path as a poisoned SSOR sweep, serially and in the SPMD
-/// solver.
+/// Recovery is preconditioner-agnostic: a NaN out of the **polynomial**
+/// msolve (a pool-path preconditioner) takes the exact same detection /
+/// in-place replacement path as a poisoned SSOR sweep.
 #[test]
 fn nan_polynomial_msolve_walks_the_same_recovery_ladder() {
+    let opts = PcgOptions {
+        tol: TOL,
+        criterion: StoppingCriterion::DisplacementChange,
+        ..Default::default()
+    };
     for family in families() {
         let a = &family.matrix;
-        let n = a.rows();
-        let b = rhs_for(n);
-        let degree = 2 * family.m;
-        let spmd = ParallelMStepPcg::poly(a, &family.colors, PolyKind::Chebyshev, degree).unwrap();
-
-        // --- serial, NaN out of the polynomial msolve after 2 iterations
-        {
-            let label = format!("{}/serial/nan-poly-msolve", family.name);
-            let opts = PcgOptions {
-                tol: TOL,
-                criterion: StoppingCriterion::DisplacementChange,
-                ..Default::default()
-            };
-            let pre = PolynomialPreconditioner::chebyshev(a.clone(), degree).unwrap();
-            let nan = [fault(FaultTarget::Msolve, 2, 3, FaultKind::NaN)];
-            let stats = run_cell(
-                &label,
-                &mut || {
-                    let (x, sol) = pool_solve(a, &b, &pre, &opts, &nan);
-                    let sol = sol.expect("faulted serial poly solve");
-                    assert!(sol.converged, "did not converge");
-                    (x, sol.stats)
-                },
-                a,
-                &b,
-            );
-            assert_eq!(
-                (stats.faults_detected, stats.replacements, stats.fallbacks),
-                NAN_COUNTERS,
-                "{label}: counters {stats:?}"
-            );
-        }
-
-        // --- SPMD, persistent NaN at the iteration-2 poly msolve, at a
-        // first-color row and at the last worker's last-color row -----
-        for threads in [1usize, 2, 4, 8] {
-            for index in [3, n - 1] {
-                let label = format!("{}/spmd{threads}/nan-poly-msolve@{index}", family.name);
-                let opts = ParallelSolverOptions {
-                    threads,
-                    tol: TOL,
-                    max_iterations: 50_000,
-                    ..Default::default()
-                };
-                let plan =
-                    FaultPlan::new(vec![fault(FaultTarget::Msolve, 2, index, FaultKind::NaN)]);
-                let rep = run_cell(
-                    &label,
-                    &mut || {
-                        let rep = spmd
-                            .solve_with_faults(&b, &opts, &plan)
-                            .expect("faulted spmd poly solve");
-                        assert!(rep.converged, "did not converge");
-                        (rep.x.clone(), rep)
-                    },
-                    a,
-                    &b,
-                );
-                assert_eq!(
-                    (rep.faults_detected, rep.replacements, rep.recoveries),
-                    NAN_COUNTERS,
-                    "{label}"
-                );
-            }
-        }
+        let b = rhs_for(a.rows());
+        // NaN out of the polynomial msolve after 2 iterations.
+        let label = format!("{}/serial/nan-poly-msolve", family.name);
+        let pre = PolynomialPreconditioner::chebyshev(a.clone(), 2 * family.m).unwrap();
+        let nan = [fault(FaultTarget::Msolve, 2, 3, FaultKind::NaN)];
+        let stats = run_cell(
+            &label,
+            &mut || {
+                let (x, sol) = pool_solve(a, &b, &pre, &opts, &nan);
+                let sol = sol.expect("faulted serial poly solve");
+                assert!(sol.converged, "did not converge");
+                (x, sol.stats)
+            },
+            a,
+            &b,
+        );
+        assert_eq!(
+            (stats.faults_detected, stats.replacements, stats.fallbacks),
+            NAN_COUNTERS,
+            "{label}: counters {stats:?}"
+        );
     }
 }
 

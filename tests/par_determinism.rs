@@ -217,8 +217,7 @@ fn auto_alphas_bitwise_across_executors_and_thread_counts() {
             let AutoPreconditioner::MStepSsor(p) = serial else {
                 panic!("Auto must build the m-step SSOR");
             };
-            let spmd =
-                ParallelMStepPcg::auto(&ord.matrix, &ord.colors, 2, PrecondKind::Auto).unwrap();
+            let spmd = ParallelMStepPcg::auto(&ord.matrix, &ord.colors, 2).unwrap();
             assert_eq!(
                 bits(p.alphas()),
                 bits(spmd.alphas()),

@@ -14,15 +14,19 @@
 //! * **(c) iteration counts within a fixed slack across executors** —
 //!   every cell stays within [`ITER_SLACK`] of the serial CSR baseline of
 //!   its family.
+//!
+//! The loop runs three preconditioner axes: the m-step SSOR at α = 1 and
+//! at `Auto`'s fitted α on both executors, and the polynomial on the pool
+//! path, the one executor that runs it.
 
 use mspcg::coloring::Coloring;
 use mspcg::core::mstep::MStepSsorPreconditioner;
 use mspcg::core::pcg::{pcg_solve, PcgOptions, StoppingCriterion};
-use mspcg::core::poly::PolynomialPreconditioner;
+use mspcg::core::poly::{auto_preconditioner, AutoPreconditioner, PolynomialPreconditioner};
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::fem::poisson::poisson5;
 use mspcg::parallel::{ParallelMStepPcg, ParallelSolverOptions};
-use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PolyKind, SellCsMatrix};
+use mspcg::sparse::{vecops, CooMatrix, CsrMatrix, Partition, PrecondKind, SellCsMatrix};
 
 /// The paper's displacement test, common to the serial and SPMD solvers.
 const TOL: f64 = 1e-8;
@@ -230,13 +234,13 @@ fn every_variant_conforms_across_executors_families_and_formats() {
     }
 }
 
-/// The **polynomial-preconditioner axis** of the same matrix: every
-/// executor × family × format again, with the barrier-free
+/// The **polynomial-preconditioner axis** of the same matrix, on the pool
+/// path, its one executor: every family × format again, with the
 /// Newton–Chebyshev msolve in place of the m-step SSOR sweeps. The degree
 /// is `2m` — the flop-matched exchange rate (a degree-`2m` chain streams
 /// the matrix as often as `m` forward+backward sweeps) — and the slack
-/// baseline is the serial CSR *polynomial* solve of each family,
-/// since the two preconditioners converge on different iteration counts.
+/// baseline is the serial CSR *polynomial* solve of each family, since
+/// the two preconditioners converge on different iteration counts.
 #[test]
 fn every_variant_conforms_with_polynomial_preconditioning() {
     let mut rng = Rng::new(0xCEB1);
@@ -248,10 +252,6 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
         let degree = 2 * family.m;
         let pre =
             PolynomialPreconditioner::chebyshev(a.clone(), degree).expect("poly preconditioner");
-        let spmd_csr =
-            ParallelMStepPcg::poly(a, &family.colors, PolyKind::Chebyshev, degree).unwrap();
-        let spmd_sell =
-            ParallelMStepPcg::poly(&sell, &family.colors, PolyKind::Chebyshev, degree).unwrap();
 
         let serial_opts = PcgOptions {
             tol: TOL,
@@ -262,13 +262,6 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
         let baseline = pcg_solve(a, &b, &pre, &serial_opts)
             .expect("baseline")
             .iterations as isize;
-
-        let check_iters = |label: &str, iters: usize| {
-            assert!(
-                (iters as isize - baseline).abs() <= ITER_SLACK,
-                "{label}: {iters} iterations vs baseline {baseline}"
-            );
-        };
 
         for (fmt, op) in [("csr", None), ("sellcs", Some(&sell))] {
             let label = format!("{}/serial/{fmt}/poly", family.name);
@@ -286,8 +279,69 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
                 a,
                 &b,
             );
-            check_iters(&label, iters);
+            assert!(
+                (iters as isize - baseline).abs() <= ITER_SLACK,
+                "{label}: {iters} iterations vs baseline {baseline}"
+            );
         }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The **fitted-coefficient axis**: `Auto`'s min-max α on both executors.
+/// On every family the SPMD `auto` fits bitwise the α of the pool path's
+/// `auto_preconditioner(.., PrecondKind::Auto)`, in both formats, and its
+/// cells at 1/2/4/8 workers conform to that pool-path solve under
+/// (a)–(c).
+#[test]
+fn every_variant_conforms_with_fitted_alphas() {
+    let mut rng = Rng::new(0xA1FA);
+    for family in families() {
+        let a = &family.matrix;
+        let n = a.rows();
+        let sell = SellCsMatrix::from_csr_default(a);
+        let b: Vec<f64> = (0..n).map(|_| rng.unit() * 2.0 - 1.0).collect();
+        let AutoPreconditioner::MStepSsor(pre) =
+            auto_preconditioner(a, &family.colors, family.m, PrecondKind::Auto).unwrap()
+        else {
+            panic!("{}: Auto must build the m-step SSOR", family.name);
+        };
+        assert!(
+            pre.interval().is_some(),
+            "{}: Auto fell back to α = 1",
+            family.name
+        );
+        let spmd_csr = ParallelMStepPcg::auto(a, &family.colors, family.m).unwrap();
+        let spmd_sell = ParallelMStepPcg::auto(&sell, &family.colors, family.m).unwrap();
+        for (fmt, solver) in [("csr", &spmd_csr), ("sellcs", &spmd_sell)] {
+            assert_eq!(
+                bits(solver.alphas()),
+                bits(pre.alphas()),
+                "{}/spmd/{fmt}: α differs from the pool path's",
+                family.name
+            );
+        }
+
+        let serial_opts = PcgOptions {
+            tol: TOL,
+            criterion: StoppingCriterion::DisplacementChange,
+            ..Default::default()
+        };
+        // (c) baseline: the pool path's fitted solve on CSR.
+        let (_, baseline) = run_cell(
+            &format!("{}/serial/csr/auto", family.name),
+            &mut || {
+                let s = pcg_solve(a, &b, &pre, &serial_opts).expect("serial auto");
+                assert!(s.converged);
+                (s.x, s.iterations)
+            },
+            a,
+            &b,
+        );
+        let baseline = baseline as isize;
         for threads in [1usize, 2, 4, 8] {
             let spmd_opts = ParallelSolverOptions {
                 threads,
@@ -296,18 +350,21 @@ fn every_variant_conforms_with_polynomial_preconditioning() {
                 ..Default::default()
             };
             for (fmt, solver) in [("csr", &spmd_csr), ("sellcs", &spmd_sell)] {
-                let label = format!("{}/spmd{threads}/{fmt}/poly", family.name);
+                let label = format!("{}/spmd{threads}/{fmt}/auto", family.name);
                 let (_, iters) = run_cell(
                     &label,
                     &mut || {
-                        let rep = solver.solve(&b, &spmd_opts).expect("spmd poly");
+                        let rep = solver.solve(&b, &spmd_opts).expect("spmd auto");
                         assert!(rep.converged);
                         (rep.x, rep.iterations)
                     },
                     a,
                     &b,
                 );
-                check_iters(&label, iters);
+                assert!(
+                    (iters as isize - baseline).abs() <= ITER_SLACK,
+                    "{label}: {iters} iterations vs baseline {baseline}"
+                );
             }
         }
     }
