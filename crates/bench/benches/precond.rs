@@ -14,7 +14,9 @@
 //! both, not just recorded; (e) the SSOR spectrum
 //! estimate the fitted m-step SSOR and `Auto` run at set-up, on the
 //! a = 100 plate at 1 and 2 threads, its interval asserted bitwise equal
-//! across the two.
+//! across the two; (f) the width-1 m-step msolve on the same plate at
+//! m = 5 and m = 2 (the benchmark workloads' sweeps, sliced half-rows and
+//! all), at 1 and 2 threads, `z` asserted bitwise equal across the two.
 //!
 //! Run: `cargo bench -p mspcg-bench --bench precond` (add `-- --json
 //! FILE` to keep the numbers; CI runs it for the in-run asserts only).
@@ -248,6 +250,40 @@ fn bench_ssor_estimate(results: &mut Vec<BenchResult>) {
     );
 }
 
+/// (f) The benchmark plate's sweeps: the width-1 m-step msolve on the
+/// a = 100 plate at m = 5 (`Auto`'s m there) and m = 2 (the SPMD
+/// workload's), at 1 and 2 threads. Rows of one color are independent,
+/// so `z` must be bitwise the same at both thread counts.
+fn bench_plate_msolve(results: &mut Vec<BenchResult>) {
+    let (_, ord) = ordered_plate(100).expect("plate");
+    let n = ord.matrix.rows();
+    let ssor = MulticolorSsor::new(ord.matrix, ord.colors, 1.0).expect("splitting");
+    let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let (mut z, mut y) = (vec![0.0; n], vec![0.0; n]);
+    let hw = par::max_threads();
+    for m in [5usize, 2] {
+        let alphas: Vec<f64> = (0..m).map(|i| 1.0 + 0.25 * i as f64).collect();
+        let mut solutions = Vec::new();
+        for t in [1usize, 2] {
+            par::set_max_threads(t);
+            results.push(bench("msolve_plate100", &format!("m{m}_t{t}"), || {
+                ssor.msolve_block::<1>(
+                    black_box(&alphas),
+                    black_box(&r),
+                    black_box(&mut z),
+                    &mut y,
+                );
+            }));
+            solutions.push(z.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
+        }
+        assert_eq!(
+            solutions[0], solutions[1],
+            "the m = {m} msolve differs between 1 and 2 threads"
+        );
+    }
+    par::set_max_threads(hw);
+}
+
 fn main() {
     let mut results = Vec::new();
     bench_msolve_scaling(&mut results);
@@ -257,5 +293,6 @@ fn main() {
     bench_poly_thread_determinism(&mut results);
     bench_spmd_auto_vs_mstep(&mut results);
     bench_ssor_estimate(&mut results);
+    bench_plate_msolve(&mut results);
     finish(&results);
 }

@@ -35,9 +35,6 @@
 //!   `ρ₀ = 1/σ`, and step `j` uses `ρⱼ = 1/(2σ − ρⱼ₋₁)`,
 //!   `(aⱼ, bⱼ) = (ρⱼρⱼ₋₁, 2ρⱼ/δ)`.
 //!
-//! Step `j` reads `zⱼ` from one iterate bank and writes `zⱼ₊₁` to the
-//! other, phased so that the last step lands in the caller's `z`.
-//!
 //! The spectral interval comes from [`mspcg_sparse::lanczos`] on the
 //! symmetric similar operator `D^{-1/2}K D^{-1/2}`, safeguarded
 //! *relatively* on both ends ([`jacobi_spectrum`]) so a small `λ₁` keeps
@@ -235,30 +232,19 @@ impl PolySchedule {
         self.scale0 * inv_diag * r
     }
 
-    /// Whether step `j` (from 0) writes the caller's `z` rather than the
-    /// second iterate bank: the banks alternate, phased so the last step
-    /// lands in `z`.
-    #[inline]
-    fn step_writes_z(&self, j: usize) -> bool {
-        (self.degree() - 1 - j).is_multiple_of(2)
-    }
-
-    /// Step `j` (from 0) of the recurrence on a run of rows, given
-    /// `kz = K·zⱼ` on them:
+    /// Step `j` (from 0) of the recurrence on a run of rows, in place,
+    /// given `kz = K·zⱼ` on them:
     ///
     /// ```text
-    /// d ← aⱼ·d + bⱼ·D⁻¹(r − kz),    next ← zⱼ + d.
+    /// d ← aⱼ·d + bⱼ·D⁻¹(r − kz),    z ← zⱼ + d.
     /// ```
     ///
-    /// `zⱼ` is read from `prev`; at step 0 `prev` is `None`, and
-    /// `z₀ = d₀` is the [`PolySchedule::seed`] of `r`, so neither `prev`
-    /// nor `d` is read. Rows are independent: each pool chunk runs its
-    /// own run of them.
+    /// `zⱼ` is read from `z`, except at step 0, where `z₀ = d₀` is the
+    /// [`PolySchedule::seed`] of `r` and neither `z` nor `d` is read. Rows
+    /// are independent: each pool chunk runs its own run of them.
     ///
     /// # Panics
-    /// If `prev` is `None` exactly when `j > 0`, or the slices differ in
-    /// length.
-    #[allow(clippy::too_many_arguments)]
+    /// If the slices differ in length.
     #[inline]
     fn step_rows(
         &self,
@@ -266,37 +252,26 @@ impl PolySchedule {
         inv_diag: &[f64],
         r: &[f64],
         kz: &[f64],
-        prev: Option<&[f64]>,
         d: &mut [f64],
-        next: &mut [f64],
+        z: &mut [f64],
     ) {
-        let n = next.len();
-        assert_eq!(prev.is_none(), j == 0, "poly step: z₀ is the seed");
-        let lens = [
-            inv_diag.len(),
-            r.len(),
-            kz.len(),
-            d.len(),
-            prev.map_or(n, <[f64]>::len),
-        ];
-        assert!(lens == [n; 5], "poly step: length mismatch");
+        let n = z.len();
+        let lens = [inv_diag.len(), r.len(), kz.len(), d.len()];
+        assert!(lens == [n; 4], "poly step: length mismatch");
         let (a, b) = self.steps[j];
         let row = |i: usize, zi: f64, di: f64| {
             let resid = inv_diag[i] * (r[i] - kz[i]);
             let di = a * di + b * resid;
             (di, zi + di)
         };
-        match prev {
-            None => {
-                for i in 0..n {
-                    let z0 = self.seed(inv_diag[i], r[i]);
-                    (d[i], next[i]) = row(i, z0, z0);
-                }
+        if j == 0 {
+            for i in 0..n {
+                let z0 = self.seed(inv_diag[i], r[i]);
+                (d[i], z[i]) = row(i, z0, z0);
             }
-            Some(prev) => {
-                for i in 0..n {
-                    (d[i], next[i]) = row(i, prev[i], d[i]);
-                }
+        } else {
+            for i in 0..n {
+                (d[i], z[i]) = row(i, z[i], d[i]);
             }
         }
     }
@@ -448,40 +423,35 @@ impl<A: SparseOp> Preconditioner for PolynomialPreconditioner<A> {
         self.schedule.degree()
     }
 
-    /// `K·z`, the difference carry `d` and the second iterate bank.
+    /// `K·z` and the difference carry `d`.
     fn scratch_len(&self) -> usize {
-        3 * self.inv_diag.len()
+        2 * self.inv_diag.len()
     }
 
-    /// Per step one SpMV and one fused pass over the rows; the first SpMV
+    /// Per step one SpMV and one fused pass over the rows, which steps `z`
+    /// in place: the whole `K·zⱼ` is formed before the pass, and each row
+    /// reads and writes only its own `zⱼ`, `d` and `zⱼ₊₁`. The first SpMV
     /// reads the seed from `d`, which step 0 writes, not reads.
     fn apply_with(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]) {
         let n = self.inv_diag.len();
         assert_eq!(r.len(), n, "poly apply: r length mismatch");
         assert_eq!(z.len(), n, "poly apply: z length mismatch");
-        assert!(scratch.len() >= 3 * n, "poly apply: scratch too short");
-        let (kz, rest) = scratch.split_at_mut(n);
-        let (d, zb) = rest.split_at_mut(n);
-        let (s, inv_diag, zb) = (&self.schedule, &self.inv_diag[..], &mut zb[..n]);
+        assert!(scratch.len() >= 2 * n, "poly apply: scratch too short");
+        let (kz, d) = scratch.split_at_mut(n);
+        let (s, inv_diag, d) = (&self.schedule, &self.inv_diag[..], &mut d[..n]);
         vecops::elementwise::<1>(n, d, |lo, hi, d| {
             for (di, i) in d.iter_mut().zip(lo..hi) {
                 *di = s.seed(inv_diag[i], r[i]);
             }
         });
         for j in 0..s.degree() {
-            let (prev, next) = if s.step_writes_z(j) {
-                (&*zb, &mut *z)
-            } else {
-                (&*z, &mut *zb)
-            };
-            self.a.mul_vec_into(if j == 0 { d } else { prev }, kz);
+            self.a.mul_vec_into(if j == 0 { d } else { z }, kz);
             let (kz, ds) = (&*kz, ParSlice::new(d));
-            vecops::elementwise::<1>(n, next, |lo, hi, next| {
-                let prev = (j > 0).then(|| &prev[lo..hi]);
+            vecops::elementwise::<1>(n, z, |lo, hi, z| {
                 // SAFETY: the chunks are disjoint and each runs once, and
                 // nothing else touches `d` during this launch.
                 let d = unsafe { ds.slice_mut(lo..hi) };
-                s.step_rows(j, &inv_diag[lo..hi], &r[lo..hi], &kz[lo..hi], prev, d, next);
+                s.step_rows(j, &inv_diag[lo..hi], &r[lo..hi], &kz[lo..hi], d, z);
             });
         }
     }
@@ -741,7 +711,7 @@ mod tests {
         // Overwritten, never read: stale values must not leak.
         let mut d = vec![f64::NAN; n];
         let mut z = vec![f64::NAN; n];
-        s.step_rows(0, &inv_diag, &r, &kz, None, &mut d, &mut z);
+        s.step_rows(0, &inv_diag, &r, &kz, &mut d, &mut z);
         for i in 0..n {
             let z0 = 0.25 * inv_diag[i] * r[i];
             assert_eq!(s.seed(inv_diag[i], r[i]).to_bits(), z0.to_bits());
@@ -765,8 +735,8 @@ mod tests {
         let d0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).sin()).collect();
         let z0: Vec<f64> = (0..n).map(|i| 1.0 - (i % 4) as f64 * 0.3).collect();
         let mut d = d0.clone();
-        let mut z = vec![f64::NAN; n];
-        s.step_rows(1, &inv_diag, &r, &kz, Some(&z0), &mut d, &mut z);
+        let mut z = z0.clone();
+        s.step_rows(1, &inv_diag, &r, &kz, &mut d, &mut z);
         for i in 0..n {
             let resid = inv_diag[i] * (r[i] - kz[i]);
             let want_d = a * d0[i] + b * resid;
@@ -777,15 +747,13 @@ mod tests {
         // Newton instance: a = 0 drops the previous difference entirely
         // (still multiplied, so finite stale data keeps the check exact).
         let mut dn = d0.clone();
-        let mut zn = vec![f64::NAN; n];
-        s.step_rows(2, &inv_diag, &r, &kz, Some(&z0), &mut dn, &mut zn);
+        let mut zn = z0.clone();
+        s.step_rows(2, &inv_diag, &r, &kz, &mut dn, &mut zn);
         for i in 0..n {
             let want_d = 0.0 * d0[i] + b * (inv_diag[i] * (r[i] - kz[i]));
             assert_eq!(dn[i].to_bits(), want_d.to_bits());
+            assert_eq!(zn[i].to_bits(), (z0[i] + want_d).to_bits());
         }
-        // The banks alternate so the last of the three steps writes z.
-        let banks: Vec<bool> = (0..3).map(|j| s.step_writes_z(j)).collect();
-        assert_eq!(banks, [true, false, true]);
     }
 
     #[test]

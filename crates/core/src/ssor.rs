@@ -26,6 +26,45 @@
 //! `1/a_ii` once for all of them. Every column is bitwise its width-1
 //! sweep, and both executors' solves are width 1.
 //!
+//! ## Sliced half-rows
+//!
+//! A color phase is a vector operation over independent rows, but a CSR
+//! row loop does per-row work for rows this short (0 to 11 entries per
+//! half on the plate), and it pulls both halves of every row into cache to
+//! read one of them. So the width-1 sweep reads a second, lane-contiguous
+//! copy of the half-rows: the sliced ELLPACK layout of
+//! [`mspcg_sparse::sellcs`], without its sorting or padding.
+//!
+//! * **Layout.** Each color block is cut into slices of `SLICE` = 8
+//!   consecutive rows, aligned to the block's first row; a block's last
+//!   `len % 8` rows form no slice. Each half (lower, upper) of a slice
+//!   stores the first `w` entries of its 8 rows' halves, `w` the shortest
+//!   row's half length, column-major: entry `j` of lane `l` at `8j + l`
+//!   from the half's offset. Every lower half comes first, then every
+//!   upper half, so a sweep streams only the half it reads.
+//! * **Uniform and ragged.** A half is *uniform* when all 8 rows hold
+//!   exactly `w` entries there, and then it is the rows' whole half. A
+//!   *ragged* half's longer rows keep the rest of it, their tail, in the
+//!   CSR arrays only.
+//! * **Kernel.** The width-1 sweep walks each slice inside its rows 8
+//!   entries at a time into 8 accumulators, then each lane of a ragged
+//!   half over its tail, then updates the 8 rows. The rows of a slice that
+//!   an [`owned_chunk`] edge cuts, and a block's last `len % 8` rows, run
+//!   the CSR row loop.
+//! * **Bits.** Each lane adds its row's products in the row's stored
+//!   order (stored prefix, then tail) into one accumulator that starts at
+//!   +0.0, as the row loop does, and no padding is ever multiplied. So
+//!   every row is bitwise its row-loop result for every input (NaN and ±∞
+//!   included) at every participant count; rows of one color read `x` only
+//!   in other colors, so summing 8 of them before updating any changes
+//!   nothing.
+//! * **Memory.** A stored entry costs 12 B (an `f64` value and a `u32`
+//!   column), in one exact-capacity array each: ≈ 2.5 MB on the a = 100
+//!   plate, whose slices are at least 90 % uniform in each sweep kind's
+//!   rows.
+//! * **Width.** Blocks of `W > 1` columns keep the row loop: their `W`
+//!   columns already give independent sums and contiguous `x` loads.
+//!
 //! ## The Conrad–Wallach auxiliary vector
 //!
 //! A textbook SSOR step touches every off-diagonal entry twice (once in the
@@ -64,9 +103,12 @@
 
 use mspcg_sparse::lanczos::{power_spectral_radius, SpectralInterval};
 use mspcg_sparse::par::{self, ParSlice};
-use mspcg_sparse::{tuning, CsrMatrix, Partition, SparseError, SparseOp};
+use mspcg_sparse::{sellcs, tuning, CsrMatrix, Partition, SparseError, SparseOp};
 use std::ops::Range;
 use std::sync::Arc;
+
+/// Rows per slice of the sliced half-rows (module docs).
+const SLICE: usize = sellcs::DEFAULT_CHUNK;
 
 /// The half-sum a color phase of [`SweepTable::sweep`] computes fresh,
 /// and where the other half comes from.
@@ -105,17 +147,114 @@ pub fn owned_chunk(block: Range<usize>, p: usize, parts: usize) -> Range<usize> 
     start..start + base + usize::from(p < extra)
 }
 
+/// One half (lower or upper) of one slice: the first `width` entries of
+/// that half of each of its rows, entry `j` of lane `l` at
+/// `at + SLICE·j + l` in [`Slices`]' arrays. `width` is the shortest row's
+/// half length: the half is *uniform* when every row's is `width`, and
+/// otherwise *ragged*, its longer rows keeping the rest of their half (the
+/// tail) in the CSR arrays only.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lanes {
+    at: usize,
+    width: usize,
+    ragged: bool,
+}
+
+/// The sliced half-rows of a sweep table (module docs, "Sliced
+/// half-rows").
+#[derive(Debug)]
+struct Slices {
+    /// Per color block, the index of its first slice; block `c` holds
+    /// slices `first[c]..first[c + 1]`, `len_c / SLICE` of them.
+    first: Vec<usize>,
+    /// Per slice, its lower and upper half.
+    halves: Vec<[Lanes; 2]>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl Slices {
+    /// Slice the half-rows of the validated table's matrix `a`, split at
+    /// `diag_at`: the slices' shapes from the row pointers first, then
+    /// their entries into arrays of exactly their size.
+    fn new(a: &CsrMatrix, colors: &Partition, diag_at: &[usize]) -> Self {
+        let row_ptr = a.row_ptr();
+        let half = |i: usize, h: usize| {
+            if h == 0 {
+                row_ptr[i]..diag_at[i]
+            } else {
+                diag_at[i] + 1..row_ptr[i + 1]
+            }
+        };
+        let starts = || {
+            colors
+                .iter()
+                .flat_map(|blk| blk.clone().step_by(SLICE).take(blk.len() / SLICE))
+        };
+        let mut first = vec![0];
+        for blk in colors.iter() {
+            first.push(first[first.len() - 1] + blk.len() / SLICE);
+        }
+        // Every lower half, then every upper half, each in row order: a
+        // sweep streams one half, so the other stays out of its cache lines.
+        let mut halves = vec![[Lanes::default(); 2]; first[first.len() - 1]];
+        let mut len = 0;
+        for h in [0, 1] {
+            for (r0, lanes) in starts().zip(&mut halves) {
+                let lens = (r0..r0 + SLICE).map(|i| half(i, h).len());
+                let (width, longest) =
+                    lens.fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
+                let ragged = longest != width;
+                lanes[h] = Lanes {
+                    at: len,
+                    width,
+                    ragged,
+                };
+                len += SLICE * width;
+            }
+        }
+        let (mut cols, mut vals) = (vec![0; len], vec![0.0; len]);
+        let (col_idx, values) = (a.col_idx(), a.values());
+        for h in [0, 1] {
+            for (r0, lanes) in starts().zip(&halves) {
+                let Lanes { at, width, .. } = lanes[h];
+                let entries = at..at + SLICE * width;
+                let (col_chunks, _) = cols[entries.clone()].as_chunks_mut::<SLICE>();
+                let (val_chunks, _) = vals[entries].as_chunks_mut::<SLICE>();
+                // Lane by lane: entry `j` of lane `l` into chunk `j`.
+                for l in 0..SLICE {
+                    let e = half(r0 + l, h).start;
+                    let lane = col_idx[e..e + width].iter().zip(&values[e..e + width]);
+                    let chunks = col_chunks.iter_mut().zip(val_chunks.iter_mut());
+                    for ((col_chunk, val_chunk), (&c, &v)) in chunks.zip(lane) {
+                        col_chunk[l] = c;
+                        val_chunk[l] = v;
+                    }
+                }
+            }
+        }
+        Slices {
+            first,
+            halves,
+            cols,
+            vals,
+        }
+    }
+}
+
 /// The sweep table of a color-blocked matrix: the matrix and its color
-/// partition, the inverse diagonal, and per row the position of the
-/// diagonal entry, which splits the row's stored entries into its lower
-/// half (columns in earlier colors) and its upper half (later colors).
+/// partition, the inverse diagonal, per row the position of the diagonal
+/// entry, which splits the row's stored entries into its lower half
+/// (columns in earlier colors) and its upper half (later colors), and the
+/// sliced copy of those halves that width-1 sweeps read (module docs,
+/// "Sliced half-rows").
 ///
 /// Both multicolor SSOR executors stream this table — [`MulticolorSsor`]
 /// here and `mspcg-parallel`'s SPMD solver — so [`SweepTable::new`] is
-/// the one place that validates the color blocks. Their sweeps run on
-/// [`SweepTable::sweep`], and the spectrum estimate's power steps
-/// ([`SweepTable::ssor_spectrum`]) on the same row loop, color phase by
-/// color phase on the pool.
+/// the one place that validates the color blocks and slices the halves.
+/// Their sweeps run on [`SweepTable::sweep`], and the spectrum estimate's
+/// power steps ([`SweepTable::ssor_spectrum`]) on the same kernel, color
+/// phase by color phase on the pool.
 #[derive(Debug)]
 pub struct SweepTable {
     a: Arc<CsrMatrix>,
@@ -124,6 +263,7 @@ pub struct SweepTable {
     /// Per row: CSR index of its diagonal entry, the only entry inside its
     /// own color block.
     diag_at: Vec<usize>,
+    slices: Slices,
 }
 
 impl SweepTable {
@@ -184,11 +324,13 @@ impl SweepTable {
                 diag_at[i] = lo;
             }
         }
+        let slices = Slices::new(&a, &colors, &diag_at);
         Ok(SweepTable {
             a,
             colors,
             inv_diag,
             diag_at,
+            slices,
         })
     }
 
@@ -219,11 +361,18 @@ impl SweepTable {
     /// stored value and column index of a row is loaded once for all `W`
     /// columns, and every column is bitwise its width-1 sweep.
     ///
+    /// At width 1, each 8-row slice of the sliced half-rows that lies
+    /// inside `rows` runs as 8 lanes in lockstep, a ragged half's tails
+    /// read from the CSR arrays, and every other row on the CSR row loop;
+    /// each row's result is bitwise the row loop's (module docs, "Sliced
+    /// half-rows").
+    ///
     /// `row_ptr`, `diag_at`, `inv_diag` and `b` are sliced once per call.
     /// `x` is read at the rows' columns without a bounds check: every
     /// stored column of the validated, square matrix is below its
-    /// dimension, and `x.len()` is asserted equal to `W` times it once per
-    /// call (each read re-checks it in a `debug_assert!`).
+    /// dimension (the slices hold copies of them), and `x.len()` is
+    /// asserted equal to `W` times it once per call (each read re-checks
+    /// it in a `debug_assert!`).
     ///
     /// # Safety
     /// While the call runs, no other thread writes `x` at a column of the
@@ -250,7 +399,7 @@ impl SweepTable {
             x.len() == n && y.len() == n && b.len() == n,
             "sweep: vector length mismatch"
         );
-        // One row loop per sweep kind, free of row branches on it.
+        // One kernel per sweep kind, free of row branches on it.
         // SAFETY: forwarded contract.
         unsafe {
             match sweep {
@@ -267,10 +416,12 @@ impl SweepTable {
         }
     }
 
-    /// The row loop of [`SweepTable::sweep`] and of the spectrum step, with
-    /// `rhs(scale·b_i, first, other)` forming its difference `s`: `first`
-    /// is the fresh lower half (`Lo`, `Both`) or upper half (`Up`), cached
-    /// in `y`; `other` is read from `y`, or is the fresh upper half (`Both`).
+    /// The kernel of [`SweepTable::sweep`] and of the spectrum step, with
+    /// `rhs(scale·b_i, first, other)` forming its difference `s`: `first` is the fresh lower half (`Lo`,
+    /// `Both`) or upper half (`Up`), cached in `y`; `other` is read from
+    /// `y`, or is the fresh upper half (`Both`). At width 1 each slice
+    /// inside `rows` runs in lockstep ([`SweepTable::sweep_slice`]), every
+    /// other row on the row loop.
     ///
     /// # Safety
     /// As for [`SweepTable::sweep`], whose length checks it relies on.
@@ -287,21 +438,147 @@ impl SweepTable {
         rhs: impl Fn(f64, f64, f64) -> f64,
         relax: impl Fn(f64, f64, f64) -> f64,
     ) {
-        let row_ptr = &self.a.row_ptr()[rows.start..=rows.end];
-        let (cols, vals) = (self.a.col_idx(), self.a.values());
-        let half = |entries: Range<usize>| {
-            let mut sums = [0.0; W];
-            for (&c, &v) in cols[entries.clone()].iter().zip(&vals[entries]) {
-                let base = W * c as usize;
-                for (j, sum) in sums.iter_mut().enumerate() {
-                    // SAFETY: `c < n` (the validated column bound) and
-                    // `x.len() == W·n` (asserted by the caller); the caller
-                    // rules out a concurrent write at a fresh column.
-                    *sum += v * unsafe { x.get(base + j) };
+        // The first row not yet swept.
+        let mut loose = rows.start;
+        // SAFETY: forwarded contract; the slices lie inside `rows`.
+        unsafe {
+            if W == 1 && !rows.is_empty() {
+                for (r0, halves) in self.slices_inside(rows.clone()) {
+                    if loose < r0 {
+                        self.row_loop::<W>(loose..r0, fresh, scale, b, x, y, &rhs, &relax);
+                    }
+                    self.sweep_slice(r0, halves, fresh, scale, b, x, y, &rhs, &relax);
+                    loose = r0 + SLICE;
                 }
             }
-            sums
+            self.row_loop::<W>(loose..rows.end, fresh, scale, b, x, y, &rhs, &relax);
+        }
+    }
+
+    /// The slices that lie inside `rows` (a non-empty range of one color
+    /// block), in row order: each slice's first row and its lower and
+    /// upper half.
+    fn slices_inside(&self, rows: Range<usize>) -> impl Iterator<Item = (usize, [Lanes; 2])> + '_ {
+        let c = self.colors.block_of(rows.start);
+        let (first, start) = (self.slices.first[c], self.colors.range(c).start);
+        let k0 = first + (rows.start - start).div_ceil(SLICE);
+        let k1 = self.slices.first[c + 1].min(first + (rows.end - start) / SLICE);
+        (k0..k1).map(move |k| (start + SLICE * (k - first), self.slices.halves[k]))
+    }
+
+    /// One slice, rows `r0..r0 + SLICE`, as 8 lanes in lockstep: each lane
+    /// sums its row's fresh half (both, for `Both`) in stored order from
+    /// +0.0, the slice's stored prefix first and a ragged half's tail from
+    /// the CSR arrays after it; then the 8 rows update as in
+    /// [`SweepTable::row_loop`], so each is bitwise its row-loop result.
+    ///
+    /// # Safety
+    /// As for [`SweepTable::sweep`], whose length checks it relies on.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn sweep_slice(
+        &self,
+        r0: usize,
+        halves: [Lanes; 2],
+        fresh: Fresh,
+        scale: f64,
+        b: &[f64],
+        x: &ParSlice<'_>,
+        y: &ParSlice<'_>,
+        rhs: &impl Fn(f64, f64, f64) -> f64,
+        relax: &impl Fn(f64, f64, f64) -> f64,
+    ) {
+        // SAFETY: forwarded contract.
+        let sums = |h: usize| unsafe { self.slice_sums(r0, h, halves[h], x) };
+        let (sums, other) = match fresh {
+            Lo => (sums(0), None),
+            Up => (sums(1), None),
+            Both => (sums(0), Some(sums(1))),
         };
+        let rows = r0..r0 + SLICE;
+        // SAFETY: the rows lie below `n`, and the caller makes this thread
+        // the only one touching them; the sums above read other colors.
+        let (x, y) = unsafe { (x.slice_mut(rows.clone()), y.slice_mut(rows.clone())) };
+        let table = x
+            .iter_mut()
+            .zip(y)
+            .zip(&b[rows.clone()])
+            .zip(&self.inv_diag[rows]);
+        for (l, (((x_i, y_i), &b_i), &inv_diag)) in table.enumerate() {
+            let other = other.map_or(*y_i, |up| up[l]);
+            let s = rhs(scale * b_i, sums[l], other);
+            *x_i = relax(*x_i, s, inv_diag);
+            *y_i = sums[l];
+        }
+    }
+
+    /// The 8 lanes' sums of half `h` (0 lower, 1 upper) of the slice of
+    /// rows `r0..r0 + SLICE`, each over its row's half in stored order from
+    /// +0.0: the stored prefix in lockstep, then a ragged half's tails from
+    /// the CSR arrays.
+    ///
+    /// # Safety
+    /// As for [`SweepTable::sweep`], whose length checks it relies on.
+    #[inline(always)]
+    unsafe fn slice_sums(
+        &self,
+        r0: usize,
+        h: usize,
+        lanes: Lanes,
+        x: &ParSlice<'_>,
+    ) -> [f64; SLICE] {
+        let Lanes { at, width, ragged } = lanes;
+        let entries = at..at + SLICE * width;
+        let (cols, _) = self.slices.cols[entries.clone()].as_chunks::<SLICE>();
+        let (vals, _) = self.slices.vals[entries].as_chunks::<SLICE>();
+        let mut acc = [0.0; SLICE];
+        for (cols, vals) in cols.iter().zip(vals) {
+            for ((acc, &c), &v) in acc.iter_mut().zip(cols).zip(vals) {
+                // SAFETY: `c < n`, copied from the validated matrix, and
+                // `x.len() == n` (asserted by the caller); the caller rules
+                // out a concurrent write at a fresh column.
+                *acc += v * unsafe { x.get(c as usize) };
+            }
+        }
+        if ragged {
+            let (row_ptr, cols, vals) = (self.a.row_ptr(), self.a.col_idx(), self.a.values());
+            for (acc, i) in acc.iter_mut().zip(r0..) {
+                let d = self.diag_at[i];
+                let tail = if h == 0 {
+                    row_ptr[i] + width..d
+                } else {
+                    d + 1 + width..row_ptr[i + 1]
+                };
+                // SAFETY: the validated column bound, and the forwarded
+                // contract.
+                [*acc] = unsafe { add_entries([*acc], &cols[tail.clone()], &vals[tail], x) };
+            }
+        }
+        acc
+    }
+
+    /// The CSR row loop of [`SweepTable::sweep_rows`] on `W` columns.
+    ///
+    /// # Safety
+    /// As for [`SweepTable::sweep`], whose length checks it relies on.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn row_loop<const W: usize>(
+        &self,
+        rows: Range<usize>,
+        fresh: Fresh,
+        scale: f64,
+        b: &[f64],
+        x: &ParSlice<'_>,
+        y: &ParSlice<'_>,
+        rhs: &impl Fn(f64, f64, f64) -> f64,
+        relax: &impl Fn(f64, f64, f64) -> f64,
+    ) {
+        let row_ptr = &self.a.row_ptr()[rows.start..=rows.end];
+        let (cols, vals) = (self.a.col_idx(), self.a.values());
+        // SAFETY: the validated column bound, and the forwarded contract.
+        let half =
+            |e: Range<usize>| unsafe { add_entries([0.0; W], &cols[e.clone()], &vals[e], x) };
         let table = row_ptr
             .windows(2)
             .zip(&self.diag_at[rows.clone()])
@@ -427,6 +704,32 @@ impl SweepTable {
             steps: iters,
         })
     }
+}
+
+/// `sums[j]` plus the products of one row's run of stored entries
+/// (`cols`, `vals`) with column `j` of the `W`-column `x`, added in stored
+/// order: the gather of the sweep's CSR row loop and of a ragged slice's
+/// tails.
+///
+/// # Safety
+/// Every column is below `n` and `x.len() == W·n`, and no other thread
+/// writes `x` at these columns while the call runs.
+#[inline(always)]
+unsafe fn add_entries<const W: usize>(
+    mut sums: [f64; W],
+    cols: &[u32],
+    vals: &[f64],
+    x: &ParSlice<'_>,
+) -> [f64; W] {
+    for (&c, &v) in cols.iter().zip(vals) {
+        let base = W * c as usize;
+        for (j, sum) in sums.iter_mut().enumerate() {
+            // SAFETY: `base + j < W·n = x.len()`, and no concurrent write,
+            // by the contract.
+            *sum += v * unsafe { x.get(base + j) };
+        }
+    }
+    sums
 }
 
 /// Multicolor SSOR(ω) splitting of a color-blocked SPD matrix.
@@ -832,10 +1135,50 @@ mod tests {
         }
     }
 
+    /// A color-blocked matrix whose aligned 8-row runs mostly share their
+    /// lower and upper half lengths (0 to 3 entries each, random columns
+    /// and values), one run in four drawing them row by row instead: the
+    /// sliced half-rows get uniform and ragged slices of every kind.
+    fn sliced_random(sizes: &[usize], random: &mut impl FnMut() -> f64) -> (CsrMatrix, Partition) {
+        let colors = Partition::from_sizes(sizes).unwrap();
+        let n = colors.total_len();
+        let mut c = CooMatrix::new(n, n);
+        for blk in colors.iter() {
+            // The columns of the lower and of the upper half.
+            let sides = [0..blk.start, blk.end..n];
+            let lens = |random: &mut dyn FnMut() -> f64| {
+                sides
+                    .clone()
+                    .map(|side| ((random() + 0.5) * 4.0) as usize % (side.len() + 1))
+            };
+            for run in blk.clone().step_by(SLICE) {
+                let ragged = random() < -0.25;
+                let mut run_lens = lens(random);
+                for i in run..blk.end.min(run + SLICE) {
+                    if ragged {
+                        run_lens = lens(random);
+                    }
+                    c.push(i, i, 6.0).unwrap();
+                    for (side, &len) in sides.iter().zip(&run_lens) {
+                        let from = ((random() + 0.5) * 1e6) as usize;
+                        for k in 0..len {
+                            let j = side.start + (from + k) % side.len();
+                            c.push(i, j, random()).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        (c.to_csr(), colors)
+    }
+
     /// The pool step, whose backward pass reuses the forward pass's lower
     /// half-sums, is bitwise the serial step at every thread count and ω,
-    /// on a three-color matrix (middle-color rows have both halves) above
-    /// the parallel threshold.
+    /// above the parallel threshold, on two three-color matrices: a banded
+    /// one (middle-color rows have both halves) and [`sliced_random`]'s,
+    /// whose slices the forward pass, which forms both halves fresh, meets
+    /// uniform in both halves, in one, and in neither (its tails then read
+    /// from the CSR arrays).
     #[test]
     fn pool_step_is_bitwise_the_serial_step() {
         let n = 12_000;
@@ -849,7 +1192,6 @@ mod tests {
         let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
         let ord = Coloring::from_labels(labels, 3).unwrap().ordering();
         let a = ord.permute_matrix(&c.to_csr()).unwrap();
-        assert!(a.nnz() > tuning::par_min_nnz());
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut random = || {
             seed ^= seed << 13;
@@ -857,29 +1199,84 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        let (b, x0): (Vec<f64>, Vec<f64>) = (0..n).map(|_| (random(), random())).unzip();
+        let sliced = sliced_random(&[4003, 3998, 4005], &mut random);
+        let t = SweepTable::new(Arc::new(sliced.0.clone()), Arc::new(sliced.1.clone())).unwrap();
+        for fresh in [Lo, Up, Both] {
+            let rows = uniform_rows(&t, fresh);
+            assert!(
+                0 < rows && rows < 12_000,
+                "{fresh:?}: {rows} rows in uniform slices"
+            );
+        }
         let before = par::max_threads();
-        for omega in [1.0, 1.4] {
-            let mc = MulticolorSsor::new(a.clone(), ord.partition.clone(), omega).unwrap();
-            let mut want = x0.clone();
-            for _ in 0..3 {
-                serial_step(mc.table(), omega, 0.5, &b, &mut want);
-            }
-            for t in [1usize, 2, 4] {
-                par::set_max_threads(t);
-                let mut got = x0.clone();
+        for (a, colors) in [(a, ord.partition), sliced] {
+            assert!(a.nnz() > tuning::par_min_nnz());
+            let n = a.rows();
+            let (b, x0): (Vec<f64>, Vec<f64>) = (0..n).map(|_| (random(), random())).unzip();
+            for omega in [1.0, 1.4] {
+                let mc = MulticolorSsor::new(a.clone(), colors.clone(), omega).unwrap();
+                let mut want = x0.clone();
                 for _ in 0..3 {
-                    mc.step(0.5, &b, &mut got);
+                    serial_step(mc.table(), omega, 0.5, &b, &mut want);
                 }
-                assert!(
-                    got.iter()
-                        .zip(&want)
-                        .all(|(u, v)| u.to_bits() == v.to_bits()),
-                    "omega {omega}, t = {t}"
-                );
+                for t in [1usize, 2, 4] {
+                    par::set_max_threads(t);
+                    let mut got = x0.clone();
+                    for _ in 0..3 {
+                        mc.step(0.5, &b, &mut got);
+                    }
+                    assert!(
+                        got.iter()
+                            .zip(&want)
+                            .all(|(u, v)| u.to_bits() == v.to_bits()),
+                        "omega {omega}, t = {t}"
+                    );
+                }
             }
         }
         par::set_max_threads(before);
+    }
+
+    /// The rows of `t` that lie in a slice whose `fresh` halves are
+    /// uniform, so the width-1 sweep runs them in lockstep without a tail.
+    fn uniform_rows(t: &SweepTable, fresh: Fresh) -> usize {
+        let uniform = |[lower, upper]: &[Lanes; 2]| match fresh {
+            Lo => !lower.ragged,
+            Up => !upper.ragged,
+            Both => !lower.ragged && !upper.ragged,
+        };
+        SLICE
+            * t.slices
+                .halves
+                .iter()
+                .filter(|halves| uniform(halves))
+                .count()
+    }
+
+    /// The benchmark plate (a = 100, six colors) takes the lockstep path:
+    /// at least 90 % of each sweep kind's rows lie in uniform slices, and
+    /// the slices store exactly their halves' stored prefixes.
+    #[test]
+    fn benchmark_plate_sweeps_mostly_in_lockstep() {
+        let ord = mspcg_fem::PlaneStressProblem::unit_square(100)
+            .assemble()
+            .unwrap()
+            .multicolor()
+            .unwrap();
+        let mc = MulticolorSsor::new(ord.matrix, ord.colors, 1.0).unwrap();
+        let t = mc.table();
+        let n = t.a.rows();
+        for fresh in [Lo, Up, Both] {
+            let rows = uniform_rows(t, fresh);
+            assert!(
+                10 * rows >= 9 * n,
+                "{fresh:?}: {rows} of {n} rows in uniform slices"
+            );
+        }
+        let stored: usize = t.slices.halves.iter().flatten().map(|h| h.width).sum();
+        assert_eq!(t.slices.vals.len(), SLICE * stored);
+        assert_eq!(t.slices.vals.capacity(), t.slices.vals.len());
+        assert_eq!(t.slices.cols.capacity(), t.slices.cols.len());
     }
 
     /// Parallel sweeps must agree bitwise with the serial path across

@@ -248,10 +248,12 @@ impl OwnedRows {
 /// SpMV-oriented format is required to expose — so construction copies
 /// the operator once into a validated CSR matrix
 /// ([`SparseOp::try_csr_copy`]) and builds the serial splitting's
-/// [`SweepTable`] on it; every iteration phase streams that single table
-/// through the CSR row kernel (the source operator is not retained:
-/// per-worker strips are tiny, so a format's slice/block kernels could not
-/// be engaged anyway, and holding it would double the matrix memory). The
+/// [`SweepTable`] on it; every iteration phase streams that single table,
+/// the sweeps through its 8-row slices of half-rows (the rows a strip
+/// edge cuts on the CSR row loop) and the strip `K·p` through the CSR row
+/// kernel (the source operator is not retained: per-worker strips are
+/// tiny, so a format's slice/block kernels could not be engaged anyway,
+/// and holding it would double the matrix memory). The
 /// copy walks rows in ascending column order, so two formats storing the
 /// same matrix produce identical tables and therefore
 /// **bitwise-identical** solver runs.

@@ -188,8 +188,10 @@
 //!   counts equal to within one. The pool path runs each color phase as
 //!   one `T`-participant launch, the SPMD workers between barriers. The
 //!   kernel slices the table once per call and reads `x` unchecked under
-//!   the validated column bound, with one row loop per sweep kind. Each
-//!   executor passes its own update, so each keeps its own arithmetic.
+//!   the validated column bound, one kernel per sweep kind; a single
+//!   right-hand side sweeps 8 rows at a time in lockstep from a sliced
+//!   copy of the half-rows, bitwise the row loop. Each executor passes
+//!   its own update, so each keeps its own arithmetic.
 //! * **Adaptive fallback** — kernels below a work threshold
 //!   (`tuning::par_min_elems` elements, set at the measured launch
 //!   break-even, or `tuning::par_min_nnz` stored entries) run serially;

@@ -7,7 +7,10 @@
 //!   random color-blocked ones check the range kernels and the
 //!   color-phase sweeps (both half-sums included) **bitwise** against
 //!   naive loops kept here, with `x` holding ±0.0, NaN and ±∞ (a NaN
-//!   result need only be a NaN: see [`same_value`]);
+//!   result need only be a NaN: see [`same_value`]); the color-blocked
+//!   ones come free row by row and regular in aligned 8-row runs, so the
+//!   sweep's uniform and ragged slices meet chunk edges at 1, 2, 3 and 8
+//!   participants;
 //! * the same kernels on blocks of 1 to 8 interleaved right-hand sides —
 //!   the CSR block SpMV and the trait's column-by-column default, the
 //!   color-phase sweep and the block msolve, the BLAS-1 updates and
@@ -110,10 +113,30 @@ fn random_csr(rng: &mut Rng, rows: usize, cols: usize) -> CsrMatrix {
     CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values).unwrap()
 }
 
+/// How [`random_blocked`] draws the rows of a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rows {
+    /// Each row on its own: random couplings to columns outside its block.
+    Free,
+    /// Each aligned 8-row run of a block shares its lower and its upper
+    /// half length (a uniform slice of the sweep's sliced half-rows), with
+    /// random columns and values; a block's first run always does, its
+    /// second never does in a half that has columns to draw, and each
+    /// later run draws each half's lengths row by row one time in four (a
+    /// ragged slice). Blocks of 16 to 49 rows come first, then 1 to 49.
+    Regular,
+}
+
 /// A random color-blocked matrix: each row holds its positive diagonal
-/// and random couplings to columns outside its own block.
-fn random_blocked(rng: &mut Rng) -> (CsrMatrix, Partition) {
-    let sizes: Vec<usize> = (0..rng.range(1, 5)).map(|_| rng.range(1, 50)).collect();
+/// and random couplings to columns outside its own block, drawn as `rows`
+/// says.
+fn random_blocked(rng: &mut Rng, rows: Rows) -> (CsrMatrix, Partition) {
+    let sizes: Vec<usize> = match rows {
+        Rows::Free => (0..rng.range(1, 5)).map(|_| rng.range(1, 50)).collect(),
+        Rows::Regular => (0..rng.range(2, 5))
+            .map(|b| rng.range(if b == 0 { 16 } else { 1 }, 50))
+            .collect(),
+    };
     let colors = Partition::from_sizes(&sizes).unwrap();
     let n = colors.total_len();
     let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
@@ -121,9 +144,25 @@ fn random_blocked(rng: &mut Rng) -> (CsrMatrix, Partition) {
         let mut outside: Vec<u32> = (0..n as u32)
             .filter(|&j| !blk.contains(&(j as usize)))
             .collect();
+        let (mut lower, mut upper): (Vec<u32>, Vec<u32>) =
+            outside.iter().partition(|&&j| (j as usize) < blk.start);
+        let lens = match rows {
+            Rows::Free => Vec::new(),
+            Rows::Regular => regular_lens(rng, blk.len(), [lower.len(), upper.len()]),
+        };
         for i in blk.clone() {
-            let len = row_len(rng, outside.len());
-            let mut cols = pick(rng, &mut outside, len);
+            let mut cols = match rows {
+                Rows::Free => {
+                    let len = row_len(rng, outside.len());
+                    pick(rng, &mut outside, len)
+                }
+                Rows::Regular => {
+                    let [lo, up] = lens[i - blk.start];
+                    let mut cols = pick(rng, &mut lower, lo);
+                    cols.extend(pick(rng, &mut upper, up));
+                    cols
+                }
+            };
             cols.push(i as u32);
             cols.sort_unstable();
             for c in cols {
@@ -139,6 +178,56 @@ fn random_blocked(rng: &mut Rng) -> (CsrMatrix, Partition) {
     }
     let a = CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values).unwrap();
     (a, colors)
+}
+
+/// The lower and upper half lengths of a `len`-row block's rows in
+/// [`Rows::Regular`] mode, with `avail` columns below and above the block.
+fn regular_lens(rng: &mut Rng, len: usize, avail: [usize; 2]) -> Vec<[usize; 2]> {
+    let mut lens: Vec<[usize; 2]> = Vec::with_capacity(len);
+    for (k, start) in (0..len).step_by(8).enumerate() {
+        let ragged = avail.map(|avail| match k {
+            0 => false,
+            1 => avail > 0,
+            _ => rng.range(0, 4) == 0,
+        });
+        let shared = avail.map(|avail| row_len(rng, avail));
+        for _ in start..len.min(start + 8) {
+            let mut row = shared;
+            for h in 0..2 {
+                if ragged[h] {
+                    row[h] = row_len(rng, avail[h]);
+                }
+            }
+            lens.push(row);
+        }
+        // A half drawn row by row is ragged, even where the draws agree.
+        let run = &mut lens[start..];
+        for h in 0..2 {
+            if ragged[h] && run.len() == 8 && run.iter().all(|row| row[h] == run[0][h]) {
+                run[0][h] = (run[0][h] + 1) % (avail[h] + 1);
+            }
+        }
+    }
+    lens
+}
+
+/// The aligned 8-row runs of `colors`' blocks in `a` whose rows hold
+/// equally long lower and equally long upper halves (uniform slices), and
+/// those that do not (ragged), counted from the stored columns alone.
+fn slice_kinds(a: &CsrMatrix, colors: &Partition) -> [usize; 2] {
+    let mut kinds = [0; 2];
+    for blk in colors.iter() {
+        let halves = |i: usize| {
+            let cols = &a.col_idx()[a.row_ptr()[i]..a.row_ptr()[i + 1]];
+            let lower = cols.partition_point(|&j| (j as usize) < blk.start);
+            [lower, cols.len() - lower - 1]
+        };
+        for run in blk.clone().step_by(8).take(blk.len() / 8) {
+            let uniform = (run..run + 8).all(|i| halves(i) == halves(run));
+            kinds[usize::from(!uniform)] += 1;
+        }
+    }
+    kinds
 }
 
 const SHAPES: [(usize, usize); 8] = [
@@ -256,11 +345,19 @@ fn sweep_kernel_matches_a_naive_sweep_bitwise() {
         Sweep::Backward,
     ];
     let mut long_rows = 0;
-    for case in 0..CASES / 2 {
+    for (case, rows) in (0..CASES / 2).flat_map(|case| [(case, Rows::Free), (case, Rows::Regular)])
+    {
         let mut rng = Rng::new(0x5EE9 + case);
-        let (a, colors) = random_blocked(&mut rng);
+        let (a, colors) = random_blocked(&mut rng, rows);
         let n = a.rows();
         long_rows += (0..n).filter(|&i| a.row_nnz(i) > 64).count();
+        if rows == Rows::Regular {
+            let [uniform, ragged] = slice_kinds(&a, &colors);
+            assert!(
+                uniform > 0 && ragged > 0,
+                "case {case}: {uniform} uniform, {ragged} ragged slices"
+            );
+        }
         let special = [0.0, 0.05, 0.3][case as usize % 3];
         let x0: Vec<f64> = (0..n).map(|_| draw(&mut rng, special)).collect();
         let y0: Vec<f64> = (0..n).map(|_| draw(&mut rng, special)).collect();
@@ -295,7 +392,7 @@ fn sweep_kernel_matches_a_naive_sweep_bitwise() {
                                 assert!(
                                     same_value(got_x[i], want_x[i])
                                         && same_value(got_y[i], want_y[i]),
-                                    "case {case} color {c} {sweep:?} {name} w = {w}, \
+                                    "case {case} {rows:?} color {c} {sweep:?} {name} w = {w}, \
                                      {parts} participants, row {i}"
                                 );
                             }
@@ -556,12 +653,19 @@ fn block_spmv_columns_match_width_one_bitwise() {
     at_every_width!(check_block_spmv(1, &a, &sell, &mut rng));
 }
 
-/// One color phase of `sweep::<W>` on 1 and 3 participants against
-/// `sweep::<1>` on each column, for every sweep kind, update and ω; and
-/// the multicolor SSOR's block msolve against `msolve` per column.
-fn check_block_sweep<const W: usize>(case: u64) {
+/// One color phase of `sweep::<W>` on 1, 2, 3 and 8 participants
+/// against `sweep::<1>` on each column, for every sweep kind, update and
+/// ω; and the multicolor SSOR's block msolve against `msolve` per column.
+fn check_block_sweep<const W: usize>(case: u64, rows: Rows) {
     let mut rng = Rng::new(0x5EEB + case);
-    let (a, colors) = random_blocked(&mut rng);
+    let (a, colors) = random_blocked(&mut rng, rows);
+    if rows == Rows::Regular {
+        let [uniform, ragged] = slice_kinds(&a, &colors);
+        assert!(
+            uniform > 0 && ragged > 0,
+            "case {case}: {uniform} uniform, {ragged} ragged slices"
+        );
+    }
     let n = a.rows();
     let special = [0.0, 0.05, 0.3][case as usize % 3];
     let block = |rng: &mut Rng| -> Vec<f64> { (0..W * n).map(|_| draw(rng, special)).collect() };
@@ -589,7 +693,7 @@ fn check_block_sweep<const W: usize>(case: u64) {
                         unsafe { table.sweep::<1>(blk.clone(), sweep, scale, &bj, &x, &y, update) };
                         want.push((xj, yj));
                     }
-                    for parts in [1usize, 3] {
+                    for parts in [1usize, 2, 3, 8] {
                         let (mut got_x, mut got_y) = (x0.clone(), y0.clone());
                         let (x, y) = (ParSlice::new(&mut got_x), ParSlice::new(&mut got_y));
                         par::for_each_chunk(parts, parts, &|p| {
@@ -601,7 +705,7 @@ fn check_block_sweep<const W: usize>(case: u64) {
                             assert!(
                                 same_values(&column::<W>(&got_x, j), want_x)
                                     && same_values(&column::<W>(&got_y, j), want_y),
-                                "case {case} color {c} {sweep:?} {name} ω = {w}, width {W}, \
+                                "case {case} {rows:?} color {c} {sweep:?} {name} ω = {w}, width {W}, \
                                  {parts} participants, column {j}"
                             );
                         }
@@ -621,7 +725,7 @@ fn check_block_sweep<const W: usize>(case: u64) {
             ssor.msolve_block::<1>(&alphas, &column::<W>(&b, j), &mut zj, &mut vec![0.0; n]);
             assert!(
                 same_values(&column::<W>(&z, j), &zj),
-                "case {case} msolve ω = {omega}, width {W}, column {j}"
+                "case {case} {rows:?} msolve ω = {omega}, width {W}, column {j}"
             );
         }
     }
@@ -630,7 +734,8 @@ fn check_block_sweep<const W: usize>(case: u64) {
 #[test]
 fn block_sweep_columns_match_width_one_bitwise() {
     for case in 0..CASES / 4 {
-        at_every_width!(check_block_sweep(case));
+        at_every_width!(check_block_sweep(case, Rows::Free));
+        at_every_width!(check_block_sweep(case, Rows::Regular));
     }
 }
 
