@@ -49,7 +49,7 @@ impl BenchResult {
 }
 
 /// Time budget per measurement, overridable with `MSPCG_BENCH_MS`.
-fn budget_nanos() -> u128 {
+pub fn budget_nanos() -> u128 {
     let ms = std::env::var("MSPCG_BENCH_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())

@@ -1,9 +1,12 @@
 //! Coordinate (triplet) format — the assembly-friendly builder.
 //!
-//! Finite-element assembly (see `mspcg-fem`) naturally produces duplicate
-//! `(row, col, value)` contributions, one per element sharing a node pair.
-//! [`CooMatrix`] accumulates them and [`CooMatrix::to_csr`] compresses into
+//! [`CooMatrix`] collects `(row, col, value)` triplets in any order,
+//! duplicates included, and [`CooMatrix::to_csr`] compresses them into
 //! sorted, deduplicated CSR in O(nnz), summing duplicates in push order.
+//! It builds the Poisson systems of `mspcg-fem`, the examples' matrices and
+//! the tests' small systems. The plate's finite-element assembly does not
+//! use it: `mspcg-fem` sums each element entry straight into its CSR slot,
+//! bitwise the push-order sums this builder forms, with no triplet array.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;

@@ -1,9 +1,9 @@
 //! Compressed Sparse Row storage.
 //!
-//! CSR is the workhorse format of the workspace: the FEM assembler produces
-//! it (via [`crate::coo::CooMatrix`]), the multicolor SSOR preconditioner
-//! sweeps over its rows in color order, and every machine simulator derives
-//! its own layout from it.
+//! CSR is the workhorse format of the workspace: the FEM assemblers produce
+//! it (the plate directly, Poisson via [`crate::coo::CooMatrix`]), the
+//! multicolor SSOR preconditioner sweeps over its rows in color order, and
+//! every machine simulator derives its own layout from it.
 //!
 //! Invariants maintained by construction and checked by
 //! [`CsrMatrix::from_raw_parts`]:

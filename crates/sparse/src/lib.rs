@@ -11,7 +11,8 @@
 //!   stack is generic over (serial + parallel SpMV entry points, shape and
 //!   work queries, chunk-layout scheduling hooks, structure extraction);
 //!   [`op::AutoOp`] picks a format automatically,
-//! * [`coo::CooMatrix`] — triplet builder used by the FEM assembler,
+//! * [`coo::CooMatrix`] — triplet builder for the Poisson generator, the
+//!   examples and the tests (the plate assembles straight into CSR),
 //! * [`csr::CsrMatrix`] — compressed sparse row storage with sorted columns,
 //!   SpMV, symmetric permutation, transpose and structural queries,
 //! * [`sellcs::SellCsMatrix`] — SELL-C-σ (sliced ELL with sorting): the
