@@ -86,8 +86,9 @@ use crate::preconditioner::{block_scratch_len, Preconditioner};
 use crate::recovery::{
     audit_due, diverged, perturb, AuditPlan, FaultPlan, FaultTarget, IterationFault,
 };
+use mspcg_sparse::par::{self, ParSlice};
 use mspcg_sparse::vecops::{self, FusedUpdateNorms};
-use mspcg_sparse::{par, SparseError, SparseOp};
+use mspcg_sparse::{SparseError, SparseOp};
 use std::ops::Range;
 
 /// Right-hand sides a lane solves in lockstep: the most columns of one
@@ -238,48 +239,6 @@ impl MultiRhsWorkspace {
     }
 }
 
-/// Shared-pointer bundle for the lanes: lane `l` exclusively owns
-/// `lanes[l]`, the outcome slots and solution columns of its RHS range.
-/// Exactly the `SharedVec`/`ParSlice` discipline, generalized to the batch
-/// tables.
-struct BatchPtrs {
-    lanes: *mut PcgWorkspace,
-    outcomes: *mut RhsOutcome,
-    u: *mut f64,
-}
-
-// SAFETY: all access goes through disjoint lane-indexed ranges inside one
-// `for_each_chunk` region (each lane index is claimed exactly once), and
-// the region's completion barrier separates it from subsequent reads.
-unsafe impl Sync for BatchPtrs {}
-unsafe impl Send for BatchPtrs {}
-
-impl BatchPtrs {
-    /// Exclusive access to lane `l`.
-    ///
-    /// # Safety
-    /// Lane `l` must be claimed by at most one chunk per parallel region.
-    unsafe fn lane<'a>(&self, l: usize) -> &'a mut PcgWorkspace {
-        unsafe { &mut *self.lanes.add(l) }
-    }
-
-    /// Exclusive access to the solution values `range`.
-    ///
-    /// # Safety
-    /// `range` must lie in the columns of the claiming lane's RHS range.
-    unsafe fn u<'a>(&self, range: Range<usize>) -> &'a mut [f64] {
-        unsafe { std::slice::from_raw_parts_mut(self.u.add(range.start), range.len()) }
-    }
-
-    /// Exclusive access to the outcome slots `range`.
-    ///
-    /// # Safety
-    /// `range` must lie in the claiming lane's RHS range.
-    unsafe fn outcomes<'a>(&self, range: Range<usize>) -> &'a mut [RhsOutcome] {
-        unsafe { std::slice::from_raw_parts_mut(self.outcomes.add(range.start), range.len()) }
-    }
-}
-
 /// Solve `K·uᵢ = fᵢ` for a batch of right-hand sides sharing one matrix
 /// and one preconditioner.
 ///
@@ -395,26 +354,26 @@ pub fn pcg_solve_multi_with_faults<A: SparseOp>(
     for lane in &mut ws.lanes[..lanes] {
         lane.prepare(n, width, block_scratch_len(m, width));
     }
-    let ptrs = BatchPtrs {
-        lanes: ws.lanes.as_mut_ptr(),
-        outcomes: ws.outcomes.as_mut_ptr(),
-        u: u.as_mut_ptr(),
-    };
+    let (lane_ws, outcomes, us) = (
+        ParSlice::new(&mut ws.lanes[..lanes]),
+        ParSlice::new(&mut ws.outcomes),
+        ParSlice::new(u),
+    );
     par::for_each_chunk(lanes, lanes, &|l| {
         // SAFETY: lane index `l` is claimed exactly once per region;
         // `lane_range(l)` ranges are pairwise disjoint, so lane `l`, the
         // outcome slots and the `u` columns of this range have exactly one
-        // writer, and nothing reads them until the region's completion
+        // user, and nothing reads them until the region's completion
         // barrier.
-        let lane = unsafe { ptrs.lane(l) };
+        let lane = unsafe { &mut lane_ws.slice_mut(l..l + 1)[0] };
         let range = lane_range(l);
         let mut first = range.start;
         while first < range.end {
             let cols = first..(first + BLOCK_WIDTH).min(range.end);
             let (ub, out) = unsafe {
                 (
-                    ptrs.u(cols.start * n..cols.end * n),
-                    ptrs.outcomes(cols.clone()),
+                    us.slice_mut(cols.start * n..cols.end * n),
+                    outcomes.slice_mut(cols.clone()),
                 )
             };
             let fb = &f[cols.start * n..cols.end * n];

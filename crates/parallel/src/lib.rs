@@ -8,9 +8,12 @@
 //! `mspcg_core::multi::lockstep` — the loop of every pool-path solve —
 //! with itself as the loop's executor: each vector phase runs on the
 //! worker's own rows and ends at a barrier, and every scalar the loop
-//! reads is replicated, so all workers take every branch together.
+//! reads is replicated, so all workers take every branch together. The
+//! workers are the participants of one `par` pool launch, held for the
+//! whole solve: the pool path's threads, each keeping its rows from
+//! phase to phase as the machine's processors keep their nodes.
 //!
-//! The design mirrors Algorithm 3's structure. Each worker thread owns one
+//! The design mirrors Algorithm 3's structure. Each worker owns one
 //! contiguous chunk of **every** color block, the chunks of a block equal
 //! to within one row: the processor node assignment of §3.2, which gives
 //! each processor "as nearly as possible, an equal number of
@@ -24,7 +27,8 @@
 //! *other* color blocks, all updates within one color phase write disjoint
 //! locations and read only data finalized in earlier phases — the same
 //! property that made the method parallel in 1983 makes it data-race free
-//! here (see [`shared`] for the exact aliasing contract).
+//! here (see [`mspcg_sparse::par::ParSlice`] for the exact aliasing
+//! contract).
 
 // Indexed `for i in 0..n` loops are deliberate throughout the numeric
 // kernels: they address several parallel arrays (CSR structure, split
@@ -33,10 +37,7 @@
 // this pattern, so it is allowed crate-wide.
 #![allow(clippy::needless_range_loop)]
 pub mod barrier;
-pub mod shared;
 pub mod solver;
 
 pub use barrier::SpinBarrier;
-pub use mspcg_core::recovery::{FaultKind, FaultPlan, FaultTarget, IterationFault, RecoveryPolicy};
-pub use mspcg_sparse::PcgVariant;
 pub use solver::{ParallelMStepPcg, ParallelSolveReport, ParallelSolverOptions};

@@ -28,7 +28,12 @@
 //! broadcast phase — the sum/max circuit of the Finite Element Machine.
 //! The partials go to two banks in turn, so a fast worker's writes for
 //! one reduction never race a slow worker's reads of the one before.
-//! Each worker returns the loop's typed result through its join handle.
+//!
+//! The workers are the participants of one `par` pool launch
+//! (`for_each_chunk(T, T, …)`, the caller worker 0), held for the whole
+//! solve; each writes the loop's typed result into its own slot. Every
+//! vector is a local `Vec` that the workers share through a
+//! [`ParSlice`] view, under its phase discipline.
 //!
 //! ## Fused phase schedule
 //!
@@ -90,13 +95,13 @@
 //! (`mspcg_core::PolynomialPreconditioner`).
 
 use crate::barrier::SpinBarrier;
-use crate::shared::SharedVec;
 use mspcg_core::multi::{lockstep, Executor, TrueResidual};
 use mspcg_core::pcg::{validate_inputs, PcgOptions, PcgReport};
 use mspcg_core::poly::auto_ssor;
 use mspcg_core::recovery::{perturb, FaultPlan, IterationFault, RecoveryPolicy};
 use mspcg_core::ssor::owned_chunk;
 use mspcg_core::SweepTable;
+use mspcg_sparse::par::{self, ParSlice};
 use mspcg_sparse::vecops::{self, FusedUpdateNorms};
 use mspcg_sparse::{Partition, PcgVariant, SparseError, SparseOp};
 use std::sync::Arc;
@@ -104,10 +109,13 @@ use std::sync::Arc;
 /// Options for the threaded solver.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelSolverOptions {
-    /// Worker count, clamped to the problem size; `0` takes the pool
-    /// budget [`mspcg_sparse::par::max_threads`] (`MSPCG_THREADS` or
-    /// `par::set_max_threads`, else the hardware parallelism; always 1
-    /// without the `par` feature).
+    /// Worker count; `0` takes the pool budget [`par::max_threads`]
+    /// (`MSPCG_THREADS` or `par::set_max_threads`, else the hardware
+    /// parallelism). It is clamped to the problem size and to
+    /// [`par::launch_capacity`], the workers one pool launch from the
+    /// calling thread runs at once: the pool's capacity, but 1 without the
+    /// `par` feature or from inside a pool job, since a barrier across
+    /// workers run one after another never opens.
     pub threads: usize,
     /// Stopping tolerance on `‖u^{k+1} − uᵏ‖∞` (the paper's test).
     pub tol: f64,
@@ -223,17 +231,17 @@ impl OwnedRows {
     /// phase, no worker writes `r` in this phase, and no other worker
     /// touches the owned rows of `p0`.
     #[inline]
-    unsafe fn msolve_tail(&self, z: &SharedVec, r: &SharedVec, p0: Option<&SharedVec>) -> f64 {
+    unsafe fn msolve_tail(&self, z: &ParSlice, r: &ParSlice, p0: Option<&ParSlice>) -> f64 {
         let mut acc = 0.0;
         for rows in self.chunks() {
             // SAFETY: by the contract, these rows of `z` are this worker's
             // own writes and nobody writes `r` or these rows of `p0`.
             unsafe {
-                let zc = z.read_range(rows.clone());
+                let zc = z.slice(rows.clone());
                 if let Some(p) = p0 {
-                    p.write(rows.clone()).copy_from_slice(zc);
+                    p.slice_mut(rows.clone()).copy_from_slice(zc);
                 }
-                acc += vecops::dot(zc, r.read_range(rows));
+                acc += vecops::dot(zc, r.slice(rows));
             }
         }
         acc
@@ -338,11 +346,11 @@ impl ParallelMStepPcg {
 
     fn resolve_threads(&self, requested: usize) -> usize {
         let t = if requested == 0 {
-            mspcg_sparse::par::max_threads()
+            par::max_threads()
         } else {
             requested
         };
-        t.clamp(1, self.dim().max(1))
+        t.clamp(1, self.dim().max(1)).min(par::launch_capacity())
     }
 
     /// Solve `K u = f` from the zero initial guess.
@@ -398,7 +406,10 @@ impl ParallelMStepPcg {
         }
         let threads = self.resolve_threads(opts.threads);
         let owned = OwnedRows::map(self.table.colors(), threads);
-        let v = Vectors::new(f, threads);
+        let (mut u, mut r) = (vec![0.0; n], f.to_vec());
+        let [mut z, mut p, mut kp, mut y] = std::array::from_fn(|_| vec![0.0; n]);
+        let mut banks: [Vec<f64>; 2] = std::array::from_fn(|_| vec![0.0; 2 * threads]);
+        let mut results: Vec<Option<Result<PcgReport, SparseError>>> = vec![None; threads];
         let barrier = SpinBarrier::new(threads);
         let pcg = PcgOptions {
             tol: opts.tol,
@@ -406,38 +417,41 @@ impl ParallelMStepPcg {
             recovery: opts.recovery,
             ..PcgOptions::default()
         };
-
-        let results: Vec<Result<PcgReport, SparseError>> = std::thread::scope(|s| {
-            let workers: Vec<_> = owned
-                .iter()
-                .enumerate()
-                .map(|(t, own)| {
-                    let mut worker = Worker {
-                        solver: self,
-                        t,
-                        own,
-                        v: &v,
-                        barrier: &barrier,
-                        f,
-                        completed: 0,
-                        exchanges: 0,
-                    };
-                    // `serialized` pins the shared kernels to this worker:
-                    // each strip is small by construction, so nested pool
-                    // launches would only add contention.
-                    s.spawn(move || {
-                        mspcg_sparse::par::serialized(|| {
-                            let [result] = lockstep(&mut worker, &pcg, plan, 0);
-                            result
-                        })
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("an SPMD worker panicked"))
-                .collect()
-        });
+        let v = Vectors {
+            u: ParSlice::new(&mut u),
+            r: ParSlice::new(&mut r),
+            z: ParSlice::new(&mut z),
+            p: ParSlice::new(&mut p),
+            kp: ParSlice::new(&mut kp),
+            y: ParSlice::new(&mut y),
+            banks: banks.each_mut().map(|b| ParSlice::new(b)),
+        };
+        let slots = ParSlice::new(&mut results);
+        let run = |t: usize| {
+            let mut worker = Worker {
+                solver: self,
+                t,
+                own: &owned[t],
+                v: &v,
+                barrier: &barrier,
+                f,
+                completed: 0,
+                exchanges: 0,
+            };
+            let [result] = lockstep(&mut worker, &pcg, plan, 0);
+            // SAFETY: slot `t` is this worker's alone, and nothing reads
+            // the slots before the launch returns.
+            unsafe { slots.slice_mut(t..t + 1)[0] = Some(result) };
+        };
+        if threads == 1 {
+            // One worker is the calling thread, its kernels inline.
+            par::serialized(|| run(0));
+        } else {
+            // Participant `t` is worker `t`: `resolve_threads` keeps the
+            // count within what the launch runs at once, and the workers'
+            // nested kernel launches run inline.
+            par::for_each_chunk(threads, threads, &run);
+        }
         // Every branch of the loop read replicated scalars only, so every
         // worker ends with worker 0's outcome (the Debug form compares the
         // f64 fields bit for bit, NaN included).
@@ -447,7 +461,7 @@ impl ParallelMStepPcg {
                 .all(|r| format!("{r:?}") == format!("{:?}", results[0])),
             "SPMD workers disagree: {results:?}"
         );
-        let report = results.into_iter().next().expect("at least one worker")?;
+        let report = results.swap_remove(0).expect("worker 0 reports")?;
         if !report.converged {
             return Err(SparseError::DidNotConverge {
                 iterations: report.iterations,
@@ -455,7 +469,7 @@ impl ParallelMStepPcg {
             });
         }
         Ok(ParallelSolveReport {
-            x: v.u.into_vec(),
+            x: u,
             iterations: report.iterations,
             converged: true,
             final_change: report.final_change,
@@ -471,37 +485,21 @@ impl ParallelMStepPcg {
     }
 }
 
-/// The vectors of one SPMD solve, shared by its workers under the phase
-/// discipline of [`crate::shared`].
-struct Vectors {
-    u: SharedVec,
-    r: SharedVec,
-    z: SharedVec,
-    p: SharedVec,
+/// The vectors of one SPMD solve: views of the solve's local `Vec`s,
+/// shared by its workers under the phase discipline of [`ParSlice`].
+struct Vectors<'a> {
+    u: ParSlice<'a>,
+    r: ParSlice<'a>,
+    z: ParSlice<'a>,
+    p: ParSlice<'a>,
     /// `K·p`; between its update and the next SpMV, the scratch of an
     /// audit's or an exit's `f − K·u`.
-    kp: SharedVec,
+    kp: ParSlice<'a>,
     /// The SSOR half-sum cache.
-    y: SharedVec,
+    y: ParSlice<'a>,
     /// Two partial banks of two slots per worker, used in turn: at least
     /// one barrier separates a bank's readers from its next writer.
-    banks: [SharedVec; 2],
-}
-
-impl Vectors {
-    /// The start of a solve of `K u = f` from `u = 0`: `r = f`.
-    fn new(f: &[f64], threads: usize) -> Self {
-        let n = f.len();
-        Vectors {
-            u: SharedVec::zeros(n),
-            r: SharedVec::from_vec(f.to_vec()),
-            z: SharedVec::zeros(n),
-            p: SharedVec::zeros(n),
-            kp: SharedVec::zeros(n),
-            y: SharedVec::zeros(n),
-            banks: [SharedVec::zeros(2 * threads), SharedVec::zeros(2 * threads)],
-        }
-    }
+    banks: [ParSlice<'a>; 2],
 }
 
 /// One SPMD worker as the [`Executor`] of [`lockstep`]'s width-1 block:
@@ -509,7 +507,7 @@ impl Vectors {
 /// every scalar it returns is replicated.
 ///
 /// All `unsafe` blocks below follow the phase discipline documented in
-/// [`crate::shared`]: writes go only to owned rows (in a sweep phase,
+/// [`ParSlice`]: writes go only to owned rows (in a sweep phase,
 /// only to the owned chunk of the current color), reads only touch
 /// elements finalized before the previous barrier or written by this
 /// worker in the current phase.
@@ -517,7 +515,7 @@ struct Worker<'a> {
     solver: &'a ParallelMStepPcg,
     t: usize,
     own: &'a OwnedRows,
-    v: &'a Vectors,
+    v: &'a Vectors<'a>,
     barrier: &'a SpinBarrier,
     f: &'a [f64],
     /// Iterations completed: the updates so far. Until the first, `u = 0`
@@ -537,11 +535,13 @@ impl Worker<'_> {
         // SAFETY: slots `2t`, `2t + 1` are this worker's alone, and every
         // read of this bank's last round came before the barrier of the
         // round in between, which this worker has crossed.
-        unsafe { bank.write(2 * self.t..2 * self.t + 2) }.copy_from_slice(&partial);
+        unsafe { bank.slice_mut(2 * self.t..2 * self.t + 2) }.copy_from_slice(&partial);
         self.barrier.wait();
         // SAFETY: every worker wrote its slots before the barrier, and none
         // writes this bank again before the next round's barrier.
-        unsafe { bank.read() }.chunks_exact(2).map(|s| [s[0], s[1]])
+        unsafe { bank.slice(0..bank.len()) }
+            .chunks_exact(2)
+            .map(|s| [s[0], s[1]])
     }
 
     /// The replicated sum of every worker's `partial`, in worker order.
@@ -556,21 +556,21 @@ impl Worker<'_> {
     /// own.
     ///
     /// # Safety
-    /// The phase discipline of [`crate::shared`]: `x` was finalized
-    /// before the last barrier, and no other worker touches `out`'s owned
-    /// rows this phase.
+    /// The phase discipline of [`ParSlice`]: `x` was finalized before the
+    /// last barrier, and no other worker touches `out`'s owned rows this
+    /// phase.
     #[inline]
     unsafe fn own_spmv(
         &self,
         x: &[f64],
-        out: &SharedVec,
+        out: &ParSlice,
         fault: Option<IterationFault>,
         mut fuse: impl FnMut(std::ops::Range<usize>, &mut [f64]),
     ) {
         for rows in self.own.chunks() {
             // SAFETY: `rows` is owned; the caller's contract makes this
             // worker its only writer and reader in `out` this phase.
-            let y = unsafe { out.write(rows.clone()) };
+            let y = unsafe { out.slice_mut(rows.clone()) };
             self.solver
                 .table
                 .matrix()
@@ -599,11 +599,10 @@ impl Worker<'_> {
             for rows in self.own.chunks() {
                 // SAFETY: `r` was finalized before the msolve began; this
                 // worker alone writes its rows of `z` this phase.
-                unsafe { v.z.write(rows.clone()).copy_from_slice(&v.r.read()[rows]) };
+                unsafe { v.z.slice_mut(rows.clone()).copy_from_slice(v.r.slice(rows)) };
             }
         } else {
             let m = alphas.len();
-            let (zs, ys) = (v.z.par_slice(), v.y.par_slice());
             // The ω = 1 update, without the self term.
             let update = |_, s, inv_diag| s * inv_diag;
             let mut schedule = solver.table.sweep_schedule(m, 1.0).peekable();
@@ -619,9 +618,9 @@ impl Worker<'_> {
                         self.own.chunk(c),
                         sweep,
                         alpha,
-                        v.r.read(),
-                        &zs,
-                        &ys,
+                        v.r.slice(0..v.r.len()),
+                        &v.z,
+                        &v.y,
                         update,
                     )
                 };
@@ -650,7 +649,7 @@ impl Executor<1> for Worker<'_> {
         // SAFETY: `p` was finalized before the last barrier, and this
         // worker alone writes its rows of `kp` this phase.
         unsafe {
-            let p = self.v.p.read();
+            let p = self.v.p.slice(0..self.v.p.len());
             self.own_spmv(p, &self.v.kp, faults[0], |rows, out| {
                 pkp += vecops::dot(&p[rows], out);
             });
@@ -667,8 +666,8 @@ impl Executor<1> for Worker<'_> {
             // SAFETY: `p` and `kp` were finalized before the last barrier;
             // this worker alone touches its rows of `u` and `r` this phase.
             let norms = unsafe {
-                let (p, kp) = (&v.p.read()[rows.clone()], &v.kp.read()[rows.clone()]);
-                let (u, r) = (v.u.write(rows.clone()), v.r.write(rows));
+                let (p, kp) = (v.p.slice(rows.clone()), v.kp.slice(rows.clone()));
+                let (u, r) = (v.u.slice_mut(rows.clone()), v.r.slice_mut(rows));
                 vecops::fused_axpy_axpy_norm(alpha[0], p, kp, u, r)
             };
             own = [own[0].max(norms.p_norm_inf), own[1].max(norms.r_norm_inf)];
@@ -687,7 +686,7 @@ impl Executor<1> for Worker<'_> {
         let mut s = 0.0;
         for rows in self.own.chunks() {
             // SAFETY: `r` was finalized by the update's barrier.
-            let r = unsafe { self.v.r.read_range(rows) };
+            let r = unsafe { self.v.r.slice(rows) };
             s += vecops::dot(r, r);
         }
         [self.sum(s).sqrt()]
@@ -715,9 +714,8 @@ impl Executor<1> for Worker<'_> {
             // phase or an earlier one, and no other worker reads it before
             // the next barrier.
             unsafe {
-                let z = v.z.read_range(fault.index..fault.index + 1)[0];
-                v.z.write_at(fault.index, perturb(z, fault.kind));
-            }
+                v.z.set(fault.index, perturb(v.z.get(fault.index), fault.kind))
+            };
         }
         // SAFETY: every owned row of `z` was written by this worker in this
         // or an earlier phase, `r` was finalized before the msolve began,
@@ -727,13 +725,11 @@ impl Executor<1> for Worker<'_> {
     }
 
     fn xpby(&mut self, beta: &[f64; 1]) {
-        // SAFETY: `z` was finalized by the msolve's barrier; this worker
-        // alone touches its rows of `p` this phase.
-        unsafe {
-            let z = self.v.z.read();
-            for rows in self.own.chunks() {
-                vecops::xpby(&z[rows.clone()], beta[0], self.v.p.write(rows));
-            }
+        let v = self.v;
+        for rows in self.own.chunks() {
+            // SAFETY: `z` was finalized by the msolve's barrier; this
+            // worker alone touches its rows of `p` this phase.
+            unsafe { vecops::xpby(v.z.slice(rows.clone()), beta[0], v.p.slice_mut(rows)) };
         }
         self.barrier.wait();
     }
@@ -759,8 +755,8 @@ impl Executor<1> for Worker<'_> {
         // and nobody reads `r` cross-strip before the next barrier (the
         // msolve reads it own-strip).
         unsafe {
-            let r = (to == TrueResidual::Audit).then(|| v.r.read());
-            self.own_spmv(v.u.read(), out, None, |rows, out| {
+            let r = (to == TrueResidual::Audit).then(|| v.r.slice(0..v.r.len()));
+            self.own_spmv(v.u.slice(0..v.u.len()), out, None, |rows, out| {
                 for (o, i) in rows.enumerate() {
                     out[o] = f[i] - out[o];
                     let d = out[o] - r.map_or(0.0, |r| r[i]);
@@ -1155,6 +1151,43 @@ mod tests {
             .unwrap();
         assert!(rep.converged);
         assert!(rep.threads <= a.rows());
+        assert!(rep.threads <= par::pool_capacity());
+    }
+
+    /// Inside a pool job a launch runs its participants one after another,
+    /// so a barrier across them would never open: there the solver runs
+    /// one worker, with the bits of a 1-worker solve. The case runs on its
+    /// own thread, so a missing guard fails after the timeout instead of
+    /// hanging the test.
+    #[test]
+    fn a_solve_inside_a_pool_job_runs_one_worker() {
+        let (a, colors, rhs) = plate(8);
+        let spmd = ParallelMStepPcg::new(&a, &colors, vec![1.0; 2]).unwrap();
+        let one = spmd.solve(&rhs, &pinned_opts(1, 1e-8)).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let case = std::thread::spawn(move || {
+            let reports = std::sync::Mutex::new(Vec::new());
+            par::for_each_chunk(2, 2, &|_| {
+                for threads in [2, 4] {
+                    let rep = spmd.solve(&rhs, &pinned_opts(threads, 1e-8)).unwrap();
+                    reports.lock().unwrap().push(rep);
+                }
+            });
+            tx.send(reports.into_inner().unwrap()).unwrap();
+        });
+        let reports = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("an SPMD solve inside a pool job hung");
+        case.join().expect("the case thread panicked");
+        assert_eq!(reports.len(), 4);
+        for rep in reports {
+            assert_eq!(rep.threads, 1);
+            assert_eq!(
+                (rep.iterations, rep.barrier_crossings),
+                (one.iterations, one.barrier_crossings)
+            );
+            assert_eq!(bits(&rep.x), bits(&one.x));
+        }
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //!   so the result is bitwise identical for 1, 2, 4 or 8 threads, and
 //!   bitwise identical between the serial and parallel code paths,
 //! * an **adaptive serial fallback**: kernels below a work threshold (or
-//!   when one thread is configured) run inline with zero synchronization.
+//!   when one thread is configured) run inline with zero synchronization,
+//! * **one shared buffer**, [`ParSlice`], through which every parallel
+//!   region (kernel chunks, batch lanes, SPMD workers) shares mutable
+//!   memory under one phase discipline.
 //!
 //! ## Feature gating
 //!
@@ -101,47 +104,47 @@ pub fn spmv_chunk_rows(row_ptr: &[usize], chunk_nnz: usize, c: usize) -> Range<u
     lo..hi
 }
 
-/// A shared mutable `f64` slice for disjoint-index parallel writes.
+/// A shared mutable slice: the one buffer through which a parallel region
+/// shares mutable memory (pool kernels, the batch lanes, the SPMD
+/// workers).
 ///
-/// The multicolor contract ("each row inside a color block is written by
-/// exactly one chunk, reads touch only other blocks") cannot be expressed
-/// with `&mut` splitting, so — exactly like `mspcg-parallel`'s `SharedVec`
-/// — writers go through raw-pointer accessors whose safety contracts
-/// restate the discipline.
-pub struct ParSlice<'a> {
-    ptr: *mut f64,
+/// Neither the multicolor contract ("each row inside a color block is
+/// written by exactly one chunk, reads touch only other blocks") nor the
+/// SPMD phases (each worker writes its own rows, then reads every worker's
+/// after a barrier) can be expressed with `&mut` splitting, so access goes
+/// through raw-pointer accessors whose safety contracts restate the phase
+/// discipline:
+///
+/// * within one phase, every element is written by at most one
+///   participant;
+/// * an element written in a phase is read in that phase by its writer
+///   only;
+/// * phases end at a barrier or at the end of the launch, which orders
+///   every write of one phase before every read of the next.
+///
+/// Nothing checks the discipline at run time: the callers' chunk and row
+/// ownership upholds it, and the bitwise-replay tests are the evidence.
+pub struct ParSlice<'a, T = f64> {
+    ptr: *mut T,
     len: usize,
-    _marker: std::marker::PhantomData<&'a mut [f64]>,
+    _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: all access goes through the `unsafe` accessors below, whose
+// SAFETY: `ptr` and `len` describe a slice borrowed mutably for `'a`, and
+// all access to it goes through the `unsafe` accessors below, whose
 // contracts require disjoint writes and no read/write overlap within one
-// parallel region; regions are separated by the pool's completion barrier.
-unsafe impl Sync for ParSlice<'_> {}
-unsafe impl Send for ParSlice<'_> {}
+// phase; phases are separated by a barrier or the end of a launch. Other
+// threads write and drop elements (`T: Send`) and share reads of them
+// (`T: Sync`).
+unsafe impl<T: Send + Sync> Sync for ParSlice<'_, T> {}
+unsafe impl<T: Send> Send for ParSlice<'_, T> {}
 
-impl<'a> ParSlice<'a> {
+impl<'a, T> ParSlice<'a, T> {
     /// Wrap a mutable slice for the duration of one parallel region.
-    pub fn new(data: &'a mut [f64]) -> Self {
+    pub fn new(data: &'a mut [T]) -> Self {
         ParSlice {
             ptr: data.as_mut_ptr(),
             len: data.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Wrap `len` elements at `ptr`: a buffer that is shared through
-    /// interior mutability instead of a `&mut` slice (`mspcg-parallel`'s
-    /// `SharedVec`).
-    ///
-    /// # Safety
-    /// `ptr` must be valid for reads and writes of `len` `f64`s for `'a`,
-    /// and every access to them during `'a` must keep the accessors'
-    /// contracts.
-    pub unsafe fn from_raw_parts(ptr: *mut f64, len: usize) -> Self {
-        ParSlice {
-            ptr,
-            len,
             _marker: std::marker::PhantomData,
         }
     }
@@ -158,13 +161,42 @@ impl<'a> ParSlice<'a> {
         self.len == 0
     }
 
+    /// Shared view of `range`.
+    ///
+    /// # Safety
+    /// `range` must lie in `0..len()` (checked only by a `debug_assert!`),
+    /// and no participant may write any of its elements in this phase.
+    #[inline]
+    pub unsafe fn slice(&self, range: Range<usize>) -> &[T] {
+        debug_assert!(range.start <= range.end && range.end <= self.len);
+        // SAFETY: in bounds and no concurrent writer, by the forwarded
+        // contract.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(range.start), range.len()) }
+    }
+
+    /// Exclusive view of `range`, for its one writer.
+    ///
+    /// # Safety
+    /// `range` must lie in `0..len()` (checked only by a `debug_assert!`),
+    /// be disjoint from every other participant's write range, and not be
+    /// read by another participant in this phase.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
+        debug_assert!(range.start <= range.end && range.end <= self.len);
+        // SAFETY: disjointness by the forwarded contract.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
+    }
+}
+
+impl<T: Copy> ParSlice<'_, T> {
     /// Read element `i`.
     ///
     /// # Safety
-    /// `i < len()` (checked only by a `debug_assert!`), and no chunk may
-    /// concurrently write index `i` in this parallel region.
+    /// `i < len()` (checked only by a `debug_assert!`), and no other
+    /// participant may write index `i` in this phase.
     #[inline]
-    pub unsafe fn get(&self, i: usize) -> f64 {
+    pub unsafe fn get(&self, i: usize) -> T {
         debug_assert!(i < self.len);
         // SAFETY: in bounds and no concurrent writer, by the forwarded
         // contract.
@@ -175,26 +207,13 @@ impl<'a> ParSlice<'a> {
     ///
     /// # Safety
     /// `i < len()` (checked only by a `debug_assert!`), and index `i` must
-    /// be written by at most one chunk in this parallel region, and not
-    /// read concurrently.
+    /// be written by at most one participant in this phase, and read by
+    /// no other.
     #[inline]
-    pub unsafe fn set(&self, i: usize, v: f64) {
+    pub unsafe fn set(&self, i: usize, v: T) {
         debug_assert!(i < self.len);
         // SAFETY: as above.
         unsafe { *self.ptr.add(i) = v }
-    }
-
-    /// Exclusive subslice for one chunk.
-    ///
-    /// # Safety
-    /// `range` must be disjoint from every other chunk's write range and
-    /// not read concurrently during this parallel region.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [f64] {
-        debug_assert!(range.end <= self.len);
-        // SAFETY: disjointness by the forwarded contract.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
     }
 }
 
@@ -229,10 +248,17 @@ pub fn threads_for(work: usize, min_work: usize) -> usize {
 /// count and participants puts every chunk on the same thread as the
 /// previous one. Results must still depend only on chunk boundaries,
 /// which the layout functions fix; ownership is a cache-locality
-/// property, not part of the determinism contract. A panic in the body
-/// reaches the caller once every participant has finished: as raised
-/// when the calling thread's share panicked, as the pool's own panic
-/// when only a worker's did.
+/// property, not part of the determinism contract.
+///
+/// All `T ≤ pool_capacity()` participants of a launch run at once, each
+/// on its own thread, so participants may wait for one another (the SPMD
+/// workers cross barriers); [`launch_capacity`] is that count for a
+/// launch from the calling thread. A launch holds the pool for its whole
+/// body: launches from other threads wait for it, and launches from
+/// inside the body run inline. A panic in the body reaches the caller
+/// once every participant has finished: as raised when the calling
+/// thread's share panicked, as the pool's own panic when only a worker's
+/// did.
 pub fn for_each_chunk(nchunks: usize, threads: usize, body: &(dyn Fn(usize) + Sync)) {
     if threads <= 1 || nchunks <= 1 {
         for c in 0..nchunks {
@@ -243,7 +269,7 @@ pub fn for_each_chunk(nchunks: usize, threads: usize, body: &(dyn Fn(usize) + Sy
     imp::run_chunked(nchunks, threads, body);
 }
 
-pub use imp::{max_threads, pool_capacity, serialized, set_max_threads};
+pub use imp::{launch_capacity, max_threads, pool_capacity, serialized, set_max_threads};
 
 #[cfg(feature = "par")]
 mod imp {
@@ -548,6 +574,17 @@ mod imp {
         capacity()
     }
 
+    /// Participants a launch from the calling thread runs at once:
+    /// [`pool_capacity`], but 1 inside a pool job or [`serialized`], where
+    /// a launch runs its chunks inline, one after another.
+    pub fn launch_capacity() -> usize {
+        if IN_JOB.with(Cell::get) {
+            1
+        } else {
+            capacity()
+        }
+    }
+
     /// Effective thread budget for parallel kernels.
     pub fn max_threads() -> usize {
         threads_cell().load(Ordering::Relaxed)
@@ -561,9 +598,9 @@ mod imp {
     }
 
     /// Run `f` with pool launches from this thread forced inline: any
-    /// kernel `f` calls executes serially on the calling thread. For code
-    /// that manages its own threads (e.g. the SPMD solver's workers) and
-    /// wants the shared kernels without contending for the pool.
+    /// kernel `f` calls executes serially on the calling thread, as it
+    /// does inside a pool job. For code that must stay on one thread (e.g.
+    /// a one-worker SPMD solve) while it calls the shared kernels.
     pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
         struct Restore(bool);
         impl Drop for Restore {
@@ -588,6 +625,11 @@ mod imp {
 
     /// Always 1 without the `par` feature.
     pub fn pool_capacity() -> usize {
+        1
+    }
+
+    /// Always 1 without the `par` feature.
+    pub fn launch_capacity() -> usize {
         1
     }
 
@@ -720,6 +762,69 @@ mod tests {
         }
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i as f64);
+        }
+    }
+
+    #[test]
+    fn par_slice_round_trip() {
+        let mut data = vec![0.0f64; 4];
+        let ps = ParSlice::new(&mut data);
+        // SAFETY: one thread, in bounds, and no view outlives its use.
+        unsafe {
+            ps.slice_mut(1..3).copy_from_slice(&[5.0, 6.0]);
+            assert_eq!(ps.slice(0..4), &[0.0, 5.0, 6.0, 0.0]);
+            ps.set(0, -1.0);
+            assert_eq!(ps.get(0), -1.0);
+        }
+        assert_eq!(data, [-1.0, 5.0, 6.0, 0.0]);
+        // Any element type goes through the slice views.
+        let mut names = vec![String::new(); 2];
+        let ps = ParSlice::new(&mut names);
+        // SAFETY: as above.
+        unsafe { ps.slice_mut(1..2)[0].push('b') };
+        assert_eq!(unsafe { ps.slice(0..2) }, ["", "b"]);
+    }
+
+    /// Every participant of a `T`-chunk, `T`-thread launch writes its
+    /// range, waits until all `T` have arrived, then reads every range: a
+    /// barrier across the launch. A launch that ran its participants one
+    /// after another would leave the first waiting alone, so the wait has
+    /// a deadline and fails instead of hanging.
+    #[test]
+    fn launch_participants_run_at_once() {
+        use std::time::{Duration, Instant};
+        #[cfg(feature = "par")]
+        let counts = vec![1, 2, 4, pool_capacity()];
+        #[cfg(not(feature = "par"))]
+        let counts = vec![1];
+        for t in counts {
+            let mut data = vec![0.0f64; 3 * t];
+            let arrived = AtomicUsize::new(0);
+            let ps = ParSlice::new(&mut data);
+            for_each_chunk(t, t, &|p| {
+                // SAFETY: participant `p` alone writes this range, and
+                // nobody reads it before the arrival count is complete.
+                for (k, v) in unsafe { ps.slice_mut(3 * p..3 * p + 3) }
+                    .iter_mut()
+                    .enumerate()
+                {
+                    *v = (3 * p + k) as f64;
+                }
+                arrived.fetch_add(1, Ordering::Release);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while arrived.load(Ordering::Acquire) < t {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{t} participants: not all ran at once"
+                    );
+                    std::thread::yield_now();
+                }
+                // SAFETY: every participant wrote its range before its
+                // release increment, which the acquire load above saw;
+                // nobody writes `data` again in this launch.
+                let all = unsafe { ps.slice(0..3 * t) };
+                assert!(all.iter().enumerate().all(|(i, v)| *v == i as f64));
+            });
         }
     }
 

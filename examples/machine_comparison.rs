@@ -100,12 +100,14 @@ fn main() {
         if threads == 1 {
             base = secs;
         }
+        // The workers that ran: a build without `par` runs one.
         println!(
-            "  {threads} worker(s): {} iterations, {} barrier crossings",
-            rep.iterations, rep.barrier_crossings
+            "  {} worker(s): {} iterations, {} barrier crossings",
+            rep.threads, rep.iterations, rep.barrier_crossings
         );
         eprintln!(
-            "  {threads} worker(s): {:9.4} real s   speedup {:.2}",
+            "  {} worker(s): {:9.4} real s   speedup {:.2}",
+            rep.threads,
             secs,
             base / secs
         );

@@ -186,9 +186,13 @@
 //!   (`mspcg::core::ssor::owned_chunk`, the paper's §3.2 assignment):
 //!   participant `p` of `T` owns chunk `p` of every color block, row
 //!   counts equal to within one. The pool path runs each color phase as
-//!   one `T`-participant launch, the SPMD workers between barriers. The
-//!   kernel slices the table once per call and reads `x` unchecked under
-//!   the validated column bound, one kernel per sweep kind; a single
+//!   one `T`-participant launch. The SPMD workers are the `T`
+//!   participants of one launch held for the whole solve, so both
+//!   executors run on the same pool threads; they cross a barrier between
+//!   phases, and share their vectors through `par::ParSlice`, the
+//!   workspace's one phase-disciplined buffer. The kernel slices the
+//!   table once per call and reads `x` unchecked under the validated
+//!   column bound, one kernel per sweep kind; a single
 //!   right-hand side sweeps 8 rows at a time in lockstep from a sliced
 //!   copy of the half-rows, bitwise the row loop. Each executor passes
 //!   its own update, so each keeps its own arithmetic.
