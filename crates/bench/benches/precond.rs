@@ -16,7 +16,8 @@
 //! a = 100 plate at 1 and 2 threads, its interval asserted bitwise equal
 //! across the two; (f) the width-1 m-step msolve on the same plate at
 //! m = 5 and m = 2 (the benchmark workloads' sweeps, sliced half-rows and
-//! all), at 1 and 2 threads, `z` asserted bitwise equal across the two.
+//! all), and on the a = 40 plate at `Auto`'s m = 8 there, at 1 and 2
+//! threads, `z` asserted bitwise equal across the two.
 //!
 //! Run: `cargo bench -p mspcg-bench --bench precond` (add `-- --json
 //! FILE` to keep the numbers; CI runs it for the in-run asserts only).
@@ -221,7 +222,7 @@ fn bench_spmd_auto_vs_mstep(results: &mut Vec<BenchResult>) {
 }
 
 /// (e) The set-up estimate: `SPECTRUM_STEPS` SSOR power steps on the
-/// a = 100 plate, each color phase one pool launch. Rows of one color
+/// a = 100 plate, each step one pool launch. Rows of one color
 /// are independent, so the interval must be bitwise the same at 1 and
 /// 2 threads.
 fn bench_ssor_estimate(results: &mut Vec<BenchResult>) {
@@ -252,34 +253,39 @@ fn bench_ssor_estimate(results: &mut Vec<BenchResult>) {
 
 /// (f) The benchmark plate's sweeps: the width-1 m-step msolve on the
 /// a = 100 plate at m = 5 (`Auto`'s m there) and m = 2 (the SPMD
-/// workload's), at 1 and 2 threads. Rows of one color are independent,
-/// so `z` must be bitwise the same at both thread counts.
+/// workload's), and on the a = 40 plate (36 494 stored entries) at
+/// `Auto`'s m = 8 there, where each color phase covers the fewest entries
+/// above the parallel threshold, at 1 and 2 threads. Rows of one color
+/// are independent, so `z` must be bitwise the same at both thread counts.
 fn bench_plate_msolve(results: &mut Vec<BenchResult>) {
-    let (_, ord) = ordered_plate(100).expect("plate");
-    let n = ord.matrix.rows();
-    let ssor = MulticolorSsor::new(ord.matrix, ord.colors, 1.0).expect("splitting");
-    let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-    let (mut z, mut y) = (vec![0.0; n], vec![0.0; n]);
     let hw = par::max_threads();
-    for m in [5usize, 2] {
-        let alphas: Vec<f64> = (0..m).map(|i| 1.0 + 0.25 * i as f64).collect();
-        let mut solutions = Vec::new();
-        for t in [1usize, 2] {
-            par::set_max_threads(t);
-            results.push(bench("msolve_plate100", &format!("m{m}_t{t}"), || {
-                ssor.msolve_block::<1>(
-                    black_box(&alphas),
-                    black_box(&r),
-                    black_box(&mut z),
-                    &mut y,
-                );
-            }));
-            solutions.push(z.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
+    for (a, steps) in [(100, &[5usize, 2][..]), (40, &[8])] {
+        let (_, ord) = ordered_plate(a).expect("plate");
+        let n = ord.matrix.rows();
+        let ssor = MulticolorSsor::new(ord.matrix, ord.colors, 1.0).expect("splitting");
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (mut z, mut y) = (vec![0.0; n], vec![0.0; n]);
+        let group = format!("msolve_plate{a}");
+        for &m in steps {
+            let alphas: Vec<f64> = (0..m).map(|i| 1.0 + 0.25 * i as f64).collect();
+            let mut solutions = Vec::new();
+            for t in [1usize, 2] {
+                par::set_max_threads(t);
+                results.push(bench(&group, &format!("m{m}_t{t}"), || {
+                    ssor.msolve_block::<1>(
+                        black_box(&alphas),
+                        black_box(&r),
+                        black_box(&mut z),
+                        &mut y,
+                    );
+                }));
+                solutions.push(z.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
+            }
+            assert_eq!(
+                solutions[0], solutions[1],
+                "the a = {a}, m = {m} msolve differs between 1 and 2 threads"
+            );
         }
-        assert_eq!(
-            solutions[0], solutions[1],
-            "the m = {m} msolve differs between 1 and 2 threads"
-        );
     }
     par::set_max_threads(hw);
 }

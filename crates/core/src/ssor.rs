@@ -6,19 +6,18 @@
 //! pointwise diagonal solve — long vector operations / embarrassingly
 //! parallel loops.
 //!
-//! ## One kernel, one ownership rule
+//! ## One msolve, one ownership rule
 //!
-//! Both executors sweep through one color-phase kernel,
-//! [`SweepTable::sweep`], in one phase order,
-//! [`SweepTable::sweep_schedule`], on one row ownership, [`owned_chunk`]:
-//! each of `T` participants owns chunk `p` of every color block, the
-//! paper's fixed node assignment (§3.2). [`MulticolorSsor`] runs each
-//! color phase as one `T`-participant pool launch (`par` feature);
-//! `mspcg-parallel`'s SPMD workers run the same kernel on the same chunks
-//! between barriers. Rows within one color update independently (the
-//! multicolor guarantee), so a sweep is bitwise identical for any
-//! participant count. Each executor passes the kernel its own relaxation
-//! update, so each keeps its arithmetic.
+//! The m-step msolve is written once, [`SweepTable::msolve`]: participant
+//! `p` of `T` runs every color phase through one kernel,
+//! [`SweepTable::sweep`], on chunk `p` of its color block ([`owned_chunk`],
+//! the paper's §3.2 node assignment) and waits at a [`SpinBarrier`]
+//! between phases, as Algorithm 3's processors keep their nodes for a
+//! whole msolve. [`MulticolorSsor::msolve_block`] runs it as one pool
+//! launch per msolve, `mspcg-parallel`'s SPMD workers inside their solve's
+//! launch; the spectrum estimate's power step runs on the same phase loop.
+//! Rows within one color update independently (the multicolor guarantee),
+//! so a sweep is bitwise identical for any participant count.
 //!
 //! The kernel is generic over a column count `W`: the batched solver's
 //! lockstep blocks sweep `W` interleaved right-hand sides at once
@@ -102,7 +101,7 @@
 //! self-term, so the full backward sweep is performed.
 
 use mspcg_sparse::lanczos::{power_spectral_radius, SpectralInterval};
-use mspcg_sparse::par::{self, ParSlice};
+use mspcg_sparse::par::{self, ParSlice, SpinBarrier};
 use mspcg_sparse::{sellcs, tuning, CsrMatrix, Partition, SparseError, SparseOp};
 use std::ops::Range;
 use std::sync::Arc;
@@ -252,9 +251,9 @@ impl Slices {
 /// Both multicolor SSOR executors stream this table — [`MulticolorSsor`]
 /// here and `mspcg-parallel`'s SPMD solver — so [`SweepTable::new`] is
 /// the one place that validates the color blocks and slices the halves.
-/// Their sweeps run on [`SweepTable::sweep`], and the spectrum estimate's
-/// power steps ([`SweepTable::ssor_spectrum`]) on the same kernel, color
-/// phase by color phase on the pool.
+/// Both run its one msolve, [`SweepTable::msolve`], and the spectrum
+/// estimate's power steps ([`SweepTable::ssor_spectrum`]) run on the same
+/// phase loop and kernel, one pool launch per step.
 #[derive(Debug)]
 pub struct SweepTable {
     a: Arc<CsrMatrix>,
@@ -356,8 +355,9 @@ impl SweepTable {
     /// forward, the upper half going backward), subtracts both halves from
     /// `scale·b_i` in the order lower, upper, sets `x_i` to
     /// `relax(x_i, s, 1/a_ii)` where `s` is that difference, and caches the
-    /// fresh half in `y_i` for the opposite pass (Conrad–Wallach). Both
-    /// executors sweep here, each passing its own update as `relax`. Each
+    /// fresh half in `y_i` for the opposite pass (Conrad–Wallach). Every
+    /// msolve sweeps here ([`SweepTable::msolve`] passes the update it
+    /// derives from ω as `relax`). Each
     /// stored value and column index of a row is loaded once for all `W`
     /// columns, and every column is bitwise its width-1 sweep.
     ///
@@ -615,49 +615,112 @@ impl SweepTable {
         }
     }
 
-    /// The color phases of an `m`-step SSOR(ω) msolve, in order: step `s`
-    /// of `1..=m`, color block `c` and its [`Sweep`]. Both executors run
-    /// this schedule: each step sweeps forward over every color, then
-    /// backward down to color 0, from the next-to-last color when ω = 1
-    /// (see `backward_end`). The first step is fused with the `w₀ = 0`
-    /// start, so its upper halves are zero; later steps read them from the
-    /// cache, except in the last color, which has none (with ω = 1 the
-    /// backward pass skips that color, leaving a stale lower half in its
-    /// cache).
-    pub fn sweep_schedule(
+    /// The one phase loop of every sweep: participant `p` of the
+    /// `barrier`'s runs `phase(step, rows, sweep)` on its [`owned_chunk`]
+    /// of each phase's color block, waiting at `barrier` between phases.
+    /// Each step `1..=m` sweeps forward over every color, then backward
+    /// down to color 0, from the next-to-last color when ω = 1 (see
+    /// `backward_end`). The first step is fused with the `w₀ = 0` start,
+    /// so its upper halves are zero; later steps read them from the cache,
+    /// except in the last color, which has none (with ω = 1 the backward
+    /// pass skips that color, leaving a stale lower half in its cache).
+    fn sweep_schedule(
         &self,
         m: usize,
         omega: f64,
-    ) -> impl Iterator<Item = (usize, usize, Sweep)> {
+        p: usize,
+        barrier: &SpinBarrier,
+        mut phase: impl FnMut(usize, Range<usize>, Sweep),
+    ) {
         let (nb, end) = (self.colors.num_blocks(), self.backward_end(omega));
-        (1..=m).flat_map(move |s| {
+        let phases = (1..=m).flat_map(|s| {
             let forward = (0..nb).map(move |c| {
                 let cached_upper = s > 1 && c + 1 < nb;
                 (s, c, Sweep::Forward { cached_upper })
             });
             forward.chain((0..end).rev().map(move |c| (s, c, Sweep::Backward)))
-        })
+        });
+        for (k, (s, c, sweep)) in phases.enumerate() {
+            if k > 0 {
+                barrier.wait();
+            }
+            let rows = owned_chunk(self.colors.range(c), p, barrier.participants());
+            phase(s, rows, sweep);
+        }
+    }
+
+    /// One launch of `share(p, barrier)` on each participant: the pool's
+    /// thread budget above the parallel threshold, but never more than a
+    /// launch runs at once ([`par::launch_capacity`]), so 1 inside a pool
+    /// job such as a batch lane, where a barrier would never open.
+    fn launch(&self, share: impl Fn(usize, &SpinBarrier) + Sync) {
+        let parts =
+            par::threads_for(self.a.nnz(), tuning::par_min_nnz()).min(par::launch_capacity());
+        let barrier = SpinBarrier::new(parts);
+        par::for_each_chunk(parts, parts, &|p| share(p, &barrier));
+    }
+
+    /// Participant `p`'s share of the m-step SSOR(ω) msolve of
+    /// [`MulticolorSsor::msolve_block`], the one every executor runs: `z`
+    /// in `x`, the half-sum cache in `y`, each phase of the schedule a
+    /// [`SweepTable::sweep`] of `p`'s [`owned_chunk`], and a wait at
+    /// `barrier` between phases, not after the last. The update, chosen
+    /// once per phase, is `ω·s/a_ii` on the first forward pass (the fused
+    /// `w₀ = 0` start) and `(1 − ω)·x_i + ω·s/a_ii` on every other.
+    ///
+    /// # Safety
+    /// Participants `0..barrier.participants()` run this at once, each
+    /// with its own `p` and the same other arguments, and nothing else
+    /// touches `x` or `y` or writes `r` meanwhile.
+    ///
+    /// # Panics
+    /// If `x`, `y` or `r` differs in length from `W` times the dimension.
+    /// Check before the launch: the other participants would wait forever.
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn msolve<const W: usize>(
+        &self,
+        alphas: &[f64],
+        omega: f64,
+        r: &[f64],
+        x: &ParSlice<'_>,
+        y: &ParSlice<'_>,
+        p: usize,
+        barrier: &SpinBarrier,
+    ) {
+        let m = alphas.len();
+        self.sweep_schedule(m, omega, p, barrier, |step, rows, sweep| {
+            let alpha = alphas[m - step];
+            // SAFETY: by the contract, participants sweep disjoint chunks
+            // of the phase's block, whose rows read `x` only in other
+            // blocks, finalized before the last barrier.
+            if step == 1 && sweep != Sweep::Backward {
+                self.sweep::<W>(rows, sweep, alpha, r, x, y, |_, s, inv| omega * s * inv);
+            } else {
+                self.sweep::<W>(rows, sweep, alpha, r, x, y, |x_i, s, inv| {
+                    (1.0 - omega) * x_i + omega * s * inv
+                });
+            }
+        });
     }
 
     /// One full SSOR(ω) step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
-    /// starting vector: the step the spectrum estimate iterates, in the
-    /// msolve's phases, owners and pool launches. The forward pass keeps
-    /// each row's fresh lower half in `lower` for the backward pass: no
-    /// lower-color element of `x` changes in between, so the step is
+    /// starting vector: the step the spectrum estimate iterates, one
+    /// launch on the msolve's phase loop and owners. The forward pass
+    /// keeps each row's fresh lower half in `lower` for the backward pass:
+    /// no lower-color element of `x` changes in between, so the step is
     /// bitwise the serial two-fresh-halves step at any thread count.
     fn ssor_step(&self, omega: f64, scale: f64, b: &[f64], x: &mut [f64], lower: &mut [f64]) {
         let n = self.a.rows();
         assert_eq!([b.len(), x.len(), lower.len()], [n; 3], "step lengths");
-        let threads = par::threads_for(self.a.nnz(), tuning::par_min_nnz());
         let (x, y) = (ParSlice::new(x), ParSlice::new(lower));
         // IEEE addition commutes: `first + other` is `lower + upper` both ways.
         let rhs = |b: f64, first: f64, other: f64| b - (first + other);
         let relax = |x_i: f64, s: f64, inv: f64| (1.0 - omega) * x_i + omega * s * inv;
-        for (_, c, sweep) in self.sweep_schedule(1, omega) {
-            par::for_each_chunk(threads, threads, &|p| {
-                let rows = owned_chunk(self.colors.range(c), p, threads);
-                // SAFETY: lengths asserted above; participants sweep disjoint
-                // chunks of block `c`, whose rows read `x` in other blocks.
+        self.launch(|p, barrier| {
+            self.sweep_schedule(1, omega, p, barrier, |_, rows, sweep| {
+                // SAFETY: lengths asserted above; participants sweep
+                // disjoint chunks of the phase's block, whose rows read `x`
+                // in other blocks, and the launch runs them at once.
                 unsafe {
                     if sweep == Sweep::Backward {
                         self.sweep_rows::<1>(rows, Up, scale, b, &x, &y, rhs, relax);
@@ -666,13 +729,13 @@ impl SweepTable {
                     }
                 }
             });
-        }
+        });
     }
 
     /// The interval `[1 − ρ, 1]` containing `σ(P⁻¹K)` of the SSOR(ω)
     /// splitting: `σ(G_SSOR) ⊆ [0, ρ]` for SPD `K` and ω ∈ (0, 2), with `ρ`
-    /// from `iters` power-iteration steps on `G`, color phase by color phase
-    /// on the pool (bitwise the same interval at any thread count). The one
+    /// from `iters` power-iteration steps on `G`, each one pool launch
+    /// (bitwise the same interval at any thread count). The one
     /// SSOR estimate: the fitted constructors and `Auto` on both executors
     /// estimate here (the SPMD solver on the table it streams, so no second
     /// copy of the matrix is made), and a kept interval fits any `m` again
@@ -802,8 +865,8 @@ impl MulticolorSsor {
 
     /// One full SSOR step `x ← G x + P⁻¹(scale·b)` from an *arbitrary*
     /// starting vector, every half-sum computed within the step: the step
-    /// the spectrum estimate iterates (color phase by color phase on the
-    /// pool), and the reference the cached msolve is tested against.
+    /// the spectrum estimate iterates (one pool launch), and the reference
+    /// the cached msolve is tested against.
     pub fn step(&self, scale: f64, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.dim(), "mc-ssor step: b length mismatch");
         assert_eq!(x.len(), self.dim(), "mc-ssor step: x length mismatch");
@@ -821,9 +884,10 @@ impl MulticolorSsor {
     /// sharing one splitting never contend. The `w_0 = 0`, `y = 0` start
     /// is fused into the first forward sweep, which writes `z` and the
     /// cache before reading them — no zero-fill passes, each color block
-    /// swept once per step. Each color phase is one pool launch streaming
-    /// the sweep table once for all `W` columns, and every column is
-    /// bitwise its width-1 solve.
+    /// swept once per step. The msolve is one pool launch of
+    /// [`SweepTable::msolve`], whose participants cross a barrier between
+    /// color phases, streaming the sweep table once for all `W` columns,
+    /// and every column is bitwise its width-1 solve.
     pub fn msolve_block<const W: usize>(
         &self,
         alphas: &[f64],
@@ -831,35 +895,17 @@ impl MulticolorSsor {
         z: &mut [f64],
         scratch: &mut [f64],
     ) {
+        // Every check before the launch: a participant that panicked
+        // alone would leave the others waiting at the barrier.
         assert!(!alphas.is_empty(), "msolve needs at least one coefficient");
         let n = W * self.dim();
         assert_eq!(r.len(), n, "mc-ssor msolve: r length mismatch");
         assert_eq!(z.len(), n, "mc-ssor msolve: z length mismatch");
-        let (t, m, omega) = (&self.table, alphas.len(), self.omega);
-        // One participant count for the whole msolve, so every color phase
-        // keeps the same owners: one launch per phase, participant `p`
-        // sweeping chunk `p` of the block.
-        let threads = par::threads_for(t.a.nnz(), tuning::par_min_nnz());
         let (x, y) = (ParSlice::new(z), ParSlice::new(&mut scratch[..n]));
-        for (step, c, sweep) in t.sweep_schedule(m, omega) {
-            let (blk, alpha) = (t.colors.range(c), alphas[m - step]);
-            // The first forward pass starts from `x = 0`: no self term.
-            let from_zero = step == 1 && sweep != Sweep::Backward;
-            par::for_each_chunk(threads, threads, &|p| {
-                let rows = owned_chunk(blk.clone(), p, threads);
-                // SAFETY: participants sweep disjoint chunks of block `c`,
-                // whose rows read `x` only in other blocks.
-                unsafe {
-                    if from_zero {
-                        t.sweep::<W>(rows, sweep, alpha, r, &x, &y, |_, s, inv| omega * s * inv);
-                    } else {
-                        t.sweep::<W>(rows, sweep, alpha, r, &x, &y, |x_i, s, inv| {
-                            (1.0 - omega) * x_i + omega * s * inv
-                        });
-                    }
-                }
-            });
-        }
+        let t = &self.table;
+        // SAFETY: the launch runs its participants at once, each with its
+        // own `p`, and nothing else touches `z` or the cache meanwhile.
+        t.launch(|p, barrier| unsafe { t.msolve::<W>(alphas, self.omega, r, &x, &y, p, barrier) });
     }
 }
 

@@ -11,7 +11,8 @@
 //! reads is replicated, so all workers take every branch together. The
 //! workers are the participants of one `par` pool launch, held for the
 //! whole solve: the pool path's threads, each keeping its rows from
-//! phase to phase as the machine's processors keep their nodes.
+//! phase to phase as the machine's processors keep their nodes, and
+//! running the pool path's msolve and barrier ([`SpinBarrier`]).
 //!
 //! The design mirrors Algorithm 3's structure. Each worker owns one
 //! contiguous chunk of **every** color block, the chunks of a block equal
@@ -36,8 +37,7 @@
 // obscure the math. Clippy's needless_range_loop lint fires on exactly
 // this pattern, so it is allowed crate-wide.
 #![allow(clippy::needless_range_loop)]
-pub mod barrier;
 pub mod solver;
 
-pub use barrier::SpinBarrier;
+pub use mspcg_sparse::par::SpinBarrier;
 pub use solver::{ParallelMStepPcg, ParallelSolveReport, ParallelSolverOptions};

@@ -11,12 +11,13 @@
 //! barrier-separated. ω is fixed at 1, the paper's recommendation for
 //! multicolor orderings.
 //!
-//! One kernel, one ownership rule: the chunks come from
-//! [`mspcg_core::ssor::owned_chunk`] and every phase of
-//! [`SweepTable::sweep_schedule`] runs [`SweepTable::sweep`] on the
-//! worker's chunk — the rule, the order and the kernel the pool-path
-//! `MulticolorSsor` sweeps with. The SPMD executor passes its own update
-//! (ω = 1, no self term) and keeps its fused tail and its barriers.
+//! One msolve: each worker runs [`SweepTable::msolve`] at ω = 1 as
+//! participant `t` of the solve's launch, on its chunk of each color
+//! ([`mspcg_core::ssor::owned_chunk`]) and crossing the solve's barrier
+//! between color phases — the loop, the chunks, the kernel and the update
+//! of the pool-path `MulticolorSsor`, which runs it as one launch per
+//! msolve. The SPMD executor keeps its fused `(z, r)` tail and its
+//! barriers.
 //!
 //! ## One loop, two executors
 //!
@@ -94,14 +95,13 @@
 //! so the polynomial runs on the pool path only
 //! (`mspcg_core::PolynomialPreconditioner`).
 
-use crate::barrier::SpinBarrier;
 use mspcg_core::multi::{lockstep, Executor, TrueResidual};
 use mspcg_core::pcg::{validate_inputs, PcgOptions, PcgReport};
 use mspcg_core::poly::auto_ssor;
 use mspcg_core::recovery::{perturb, FaultPlan, IterationFault, RecoveryPolicy};
 use mspcg_core::ssor::owned_chunk;
 use mspcg_core::SweepTable;
-use mspcg_sparse::par::{self, ParSlice};
+use mspcg_sparse::par::{self, ParSlice, SpinBarrier};
 use mspcg_sparse::vecops::{self, FusedUpdateNorms};
 use mspcg_sparse::{Partition, PcgVariant, SparseError, SparseOp};
 use std::sync::Arc;
@@ -202,12 +202,6 @@ impl OwnedRows {
                     .collect(),
             })
             .collect()
-    }
-
-    /// The owned chunk of color block `c`.
-    #[inline]
-    fn chunk(&self, c: usize) -> std::ops::Range<usize> {
-        self.chunks[c].clone()
     }
 
     /// The owned chunks, in color order.
@@ -502,9 +496,11 @@ struct Vectors<'a> {
     banks: [ParSlice<'a>; 2],
 }
 
-/// One SPMD worker as the [`Executor`] of [`lockstep`]'s width-1 block:
-/// every phase runs on the worker's strip and ends at the barrier, and
-/// every scalar it returns is replicated.
+/// One SPMD worker as the [`Executor`] of [`lockstep`]'s width-1 block,
+/// participant `t` of the solve's launch: every vector phase runs on the
+/// worker's strip and ends at the barrier, its msolve is its share of the
+/// pool path's [`SweepTable::msolve`] on the same barrier, and every
+/// scalar it returns is replicated.
 ///
 /// All `unsafe` blocks below follow the phase discipline documented in
 /// [`ParSlice`]: writes go only to owned rows (in a sweep phase,
@@ -581,55 +577,6 @@ impl Worker<'_> {
             fuse(rows, y);
         }
     }
-
-    /// Barrier-per-color m-step SSOR solve `z ← M⁻¹ r` (ω = 1), or a plain
-    /// copy when no coefficients are set (plain CG), up to its final
-    /// phase, into which [`Executor::msolve`] fuses the `(z, r)` tail.
-    /// Each phase of [`SweepTable::sweep_schedule`] runs
-    /// [`SweepTable::sweep`] on this worker's chunk of the color, as the
-    /// pool-path `MulticolorSsor` does, here with the ω = 1 update
-    /// `s/a_ii`, without the self term. The `w₀ = 0` start is folded into
-    /// the first forward sweep (step 1 reads neither `z` outside the
-    /// current pass nor the `y` cache, so no zero-fill phase and barrier
-    /// precede it), as on the pool path.
-    fn sweep_phases(&self) {
-        let (solver, v) = (self.solver, self.v);
-        let alphas = &solver.alphas;
-        if alphas.is_empty() {
-            for rows in self.own.chunks() {
-                // SAFETY: `r` was finalized before the msolve began; this
-                // worker alone writes its rows of `z` this phase.
-                unsafe { v.z.slice_mut(rows.clone()).copy_from_slice(v.r.slice(rows)) };
-            }
-        } else {
-            let m = alphas.len();
-            // The ω = 1 update, without the self term.
-            let update = |_, s, inv_diag| s * inv_diag;
-            let mut schedule = solver.table.sweep_schedule(m, 1.0).peekable();
-            while let Some((step, c, sweep)) = schedule.next() {
-                let alpha = alphas[m - step];
-                // SAFETY: within a color phase every worker writes only its
-                // own chunk of the color (one writer per row) and reads `z`
-                // only in other colors, finalized before the last barrier —
-                // the multicolor guarantee; `r` was finalized before the
-                // preconditioner began.
-                unsafe {
-                    solver.table.sweep::<1>(
-                        self.own.chunk(c),
-                        sweep,
-                        alpha,
-                        v.r.slice(0..v.r.len()),
-                        &v.z,
-                        &v.y,
-                        update,
-                    )
-                };
-                if schedule.peek().is_some() {
-                    self.barrier.wait();
-                }
-            }
-        }
-    }
 }
 
 impl Executor<1> for Worker<'_> {
@@ -692,21 +639,39 @@ impl Executor<1> for Worker<'_> {
         [self.sum(s).sqrt()]
     }
 
-    /// The msolve, then its tail fused into the final phase: the owner of
-    /// a planned fault's row perturbs the fresh `z`, and each worker forms
-    /// its `(z, r)` partial (and a restart's `p ← z` copy) on its own
-    /// rows. The m-step SSOR's final color phase reads `z` across strips,
-    /// so a faulted sweep msolve first crosses one extra barrier; plain
-    /// CG's copy reads no `z` across strips.
+    /// The msolve — this worker's share of the pool path's
+    /// [`SweepTable::msolve`] at ω = 1 on the solve's barrier, or plain
+    /// CG's copy `z ← r` on its rows — then its tail fused into the final
+    /// phase: the owner of a planned fault's row perturbs the fresh `z`,
+    /// and each worker forms its `(z, r)` partial (and a restart's `p ← z`
+    /// copy) on its own rows. The m-step SSOR's final color phase reads
+    /// `z` across strips, so a faulted sweep msolve first crosses one
+    /// extra barrier; plain CG's copy reads no `z` across strips.
     fn msolve(
         &mut self,
         _cols: &[bool; 1],
         restart: bool,
         faults: &[Option<IterationFault>; 1],
     ) -> [f64; 1] {
-        let v = self.v;
-        self.sweep_phases();
-        if faults[0].is_some() && self.solver.m() > 0 {
+        let (solver, v) = (self.solver, self.v);
+        // SAFETY: `r` was finalized before the msolve began. Plain CG's
+        // copy writes only this worker's rows of `z`. The sweeps' callers
+        // are the solve's workers, its launch's participants, each its own
+        // `t`, on `n`-value vectors no other phase touches meanwhile.
+        unsafe {
+            if solver.alphas.is_empty() {
+                for rows in self.own.chunks() {
+                    v.z.slice_mut(rows.clone()).copy_from_slice(v.r.slice(rows));
+                }
+            } else {
+                let r = v.r.slice(0..v.r.len());
+                let (alphas, t) = (&solver.alphas, self.t);
+                solver
+                    .table
+                    .msolve::<1>(alphas, 1.0, r, &v.z, &v.y, t, self.barrier);
+            }
+        }
+        if faults[0].is_some() && solver.m() > 0 {
             self.barrier.wait();
         }
         if let Some(fault) = faults[0].filter(|f| self.own.contains(f.index)) {
@@ -916,7 +881,8 @@ mod tests {
                     assert_eq!(own.chunks().count(), colors.num_blocks());
                 }
                 for (c, blk) in colors.iter().enumerate() {
-                    let chunks: Vec<_> = map.iter().map(|own| own.chunk(c)).collect();
+                    let chunks: Vec<_> =
+                        map.iter().map(|own| own.chunks().nth(c).unwrap()).collect();
                     assert_eq!(chunks[0].start, blk.start, "color {c}, {threads} workers");
                     assert_eq!(
                         chunks[threads - 1].end,

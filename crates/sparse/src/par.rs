@@ -28,7 +28,9 @@
 //!   when one thread is configured) run inline with zero synchronization,
 //! * **one shared buffer**, [`ParSlice`], through which every parallel
 //!   region (kernel chunks, batch lanes, SPMD workers) shares mutable
-//!   memory under one phase discipline.
+//!   memory under one phase discipline, and **one barrier**,
+//!   [`SpinBarrier`], that ends each phase of a multi-phase launch (the
+//!   m-step SSOR msolve's color phases, the SPMD solver's vector phases).
 //!
 //! ## Feature gating
 //!
@@ -45,6 +47,7 @@
 
 use crate::tuning;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on reduction partials (and on chunks handed out per kernel
 /// launch). Chosen so partial arrays fit on the stack while still giving
@@ -217,6 +220,86 @@ impl<T: Copy> ParSlice<'_, T> {
     }
 }
 
+/// A sense-reversing spin barrier for the participants of one launch,
+/// which must all run at once (at most [`launch_capacity`] of them).
+///
+/// It ends each phase of the m-step SSOR msolve (`m·(2C−1)` color phases,
+/// `C` colors, `m` steps) on either executor and of the SPMD solver's
+/// vector phases. `std::sync::Barrier` parks through the OS on every wait,
+/// microseconds each; this generation-counter spin costs ~100 ns when the
+/// participants arrive together (each owns an equal chunk of every
+/// color), and yields to the scheduler every 64 polls under
+/// oversubscription. A barrier of one returns at once.
+///
+/// Memory ordering: each participant's writes precede its release
+/// `fetch_add` of the counter, which the last arriver acquires before its
+/// release bump of the generation, which the spinners acquire.
+///
+/// It **counts its crossings** ([`SpinBarrier::crossings`]), one per
+/// generation, so the SPMD solver reports its synchronization cost as a
+/// measured number (a relaxed add by the last arriver, none in the spin).
+pub struct SpinBarrier {
+    count: AtomicUsize,
+    generation: AtomicUsize,
+    crossings: AtomicUsize,
+    total: usize,
+}
+
+impl SpinBarrier {
+    /// Barrier for `n` participants.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "barrier needs at least one worker");
+        SpinBarrier {
+            count: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            crossings: AtomicUsize::new(0),
+            total: n,
+        }
+    }
+
+    /// The participants that cross it.
+    pub fn participants(&self) -> usize {
+        self.total
+    }
+
+    /// Completed barrier crossings (generations) since construction. One
+    /// crossing = one synchronization of all participants — the unit the
+    /// `m·(2C−1) + k` per-iteration cost model counts.
+    pub fn crossings(&self) -> usize {
+        self.crossings.load(Ordering::Relaxed)
+    }
+
+    /// Block (spinning) until all participants have called `wait`.
+    pub fn wait(&self) {
+        if self.total == 1 {
+            self.crossings.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let gen = self.generation.load(Ordering::Acquire);
+        let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
+        if arrived == self.total {
+            // Last arriver: reset and release the generation.
+            self.count.store(0, Ordering::Relaxed);
+            self.crossings.fetch_add(1, Ordering::Relaxed);
+            self.generation
+                .store(gen.wrapping_add(1), Ordering::Release);
+        } else {
+            let mut spins = 0u32;
+            while self.generation.load(Ordering::Acquire) == gen {
+                spins += 1;
+                if spins.is_multiple_of(64) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+    }
+}
+
 /// Parse an `MSPCG_THREADS` value: `Some(n)` for a positive integer,
 /// `None` for anything else (`0`, empty, non-numeric, overflow). A budget
 /// of zero threads is meaningless — it would describe an empty pool — so
@@ -328,7 +411,7 @@ mod imp {
         /// publishes `word`; read only by that launch's participating
         /// workers, before they decrement `active`.
         job: UnsafeCell<Job>,
-        /// Hardware threads, counted once when the pool starts.
+        /// Hardware threads (`hardware_threads`).
         hardware: usize,
     }
 
@@ -349,19 +432,12 @@ mod imp {
         run_lock: Mutex<()>,
     }
 
+    /// Hardware threads, read once: `available_parallelism` reads cgroup
+    /// files on every call (≈ 22 µs on a 2-vCPU VM), and every msolve asks
+    /// for `launch_capacity`.
     fn hardware_threads() -> usize {
-        thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    }
-
-    /// Execution slots the pool will have once spawned. Pure — consulting
-    /// it must not construct the pool, so serial-only processes (small
-    /// kernels, `MSPCG_THREADS=1`) never spawn idle workers.
-    fn capacity() -> usize {
-        // Keep at least 8 slots so the determinism tests can exercise
-        // real multi-thread schedules even on small CI boxes.
-        hardware_threads().clamp(8, 16)
+        static HARDWARE: OnceLock<usize> = OnceLock::new();
+        *HARDWARE.get_or_init(|| thread::available_parallelism().map_or(1, |p| p.get()))
     }
 
     fn pool() -> &'static Pool {
@@ -378,7 +454,7 @@ mod imp {
                 }),
                 hardware: hardware_threads(),
             }));
-            let workers = (1..capacity())
+            let workers = (1..pool_capacity())
                 .map(|w| {
                     thread::Builder::new()
                         .name(format!("mspcg-par-{w}"))
@@ -568,10 +644,13 @@ mod imp {
         THREADS.get_or_init(|| AtomicUsize::new(default_threads()))
     }
 
-    /// Total execution slots (workers + the calling thread). Pure: does
-    /// not spawn the pool — workers start at the first parallel launch.
+    /// Total execution slots (workers + the calling thread), at least 8
+    /// so the determinism tests exercise real multi-thread schedules even
+    /// on small CI boxes. Pure: consulting it does not spawn the pool, so
+    /// serial-only processes (small kernels, `MSPCG_THREADS=1`) never spawn
+    /// idle workers; workers start at the first parallel launch.
     pub fn pool_capacity() -> usize {
-        capacity()
+        hardware_threads().clamp(8, 16)
     }
 
     /// Participants a launch from the calling thread runs at once:
@@ -581,7 +660,7 @@ mod imp {
         if IN_JOB.with(Cell::get) {
             1
         } else {
-            capacity()
+            pool_capacity()
         }
     }
 
@@ -826,6 +905,67 @@ mod tests {
                 assert!(all.iter().enumerate().all(|(i, v)| *v == i as f64));
             });
         }
+    }
+
+    #[test]
+    fn single_worker_never_blocks() {
+        let b = SpinBarrier::new(1);
+        for _ in 0..10 {
+            b.wait();
+        }
+        assert_eq!(b.crossings(), 10);
+    }
+
+    #[test]
+    fn crossings_count_generations_not_waits() {
+        const T: usize = 4;
+        const ROUNDS: usize = 50;
+        let b = SpinBarrier::new(T);
+        std::thread::scope(|s| {
+            for _ in 0..T {
+                let b = &b;
+                s.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        b.wait();
+                    }
+                });
+            }
+        });
+        // 4 workers × 50 waits = 50 crossings.
+        assert_eq!(b.crossings(), ROUNDS);
+    }
+
+    #[test]
+    fn orders_phases_across_threads() {
+        // Classic message-passing test: phase-1 writes must be visible
+        // after the barrier in every thread, for many generations.
+        use std::sync::atomic::AtomicU64;
+        const T: usize = 4;
+        const ROUNDS: usize = 200;
+        let b = SpinBarrier::new(T);
+        let cells: Vec<AtomicU64> = (0..T).map(|_| AtomicU64::new(0)).collect();
+        std::thread::scope(|s| {
+            for t in 0..T {
+                let b = &b;
+                let cells = &cells;
+                s.spawn(move || {
+                    for round in 1..=ROUNDS as u64 {
+                        cells[t].store(round, Ordering::Relaxed);
+                        b.wait();
+                        for c in cells {
+                            assert_eq!(c.load(Ordering::Relaxed), round);
+                        }
+                        b.wait();
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_workers_rejected() {
+        SpinBarrier::new(0);
     }
 
     #[test]

@@ -180,22 +180,19 @@
 //!   dense-ish rows on an irregular FEM matrix cannot serialize the pool;
 //!   layouts stay thread-count independent. All thresholds are
 //!   constants in `mspcg::sparse::tuning`.
-//! * **One SSOR color-phase kernel** — both executors sweep through
-//!   `mspcg::core::SweepTable::sweep`, in the phase order of
-//!   `SweepTable::sweep_schedule`, on one fixed row ownership
-//!   (`mspcg::core::ssor::owned_chunk`, the paper's §3.2 assignment):
-//!   participant `p` of `T` owns chunk `p` of every color block, row
-//!   counts equal to within one. The pool path runs each color phase as
-//!   one `T`-participant launch. The SPMD workers are the `T`
-//!   participants of one launch held for the whole solve, so both
-//!   executors run on the same pool threads; they cross a barrier between
-//!   phases, and share their vectors through `par::ParSlice`, the
-//!   workspace's one phase-disciplined buffer. The kernel slices the
-//!   table once per call and reads `x` unchecked under the validated
-//!   column bound, one kernel per sweep kind; a single
-//!   right-hand side sweeps 8 rows at a time in lockstep from a sliced
-//!   copy of the half-rows, bitwise the row loop. Each executor passes
-//!   its own update, so each keeps its own arithmetic.
+//! * **One SSOR msolve** — both executors run
+//!   `mspcg::core::SweepTable::msolve`: participant `p` of `T` sweeps
+//!   chunk `p` of every color block (`mspcg::core::ssor::owned_chunk`,
+//!   the paper's §3.2 assignment) through one color-phase kernel,
+//!   `SweepTable::sweep`, crossing `par::SpinBarrier` between color
+//!   phases. The pool path runs it as one launch per msolve (and the SSOR
+//!   estimate one per power step); the SPMD workers are the participants
+//!   of one launch held for the whole solve, sharing their vectors
+//!   through `par::ParSlice`, the one phase-disciplined buffer. The kernel
+//!   slices the table once per call and reads `x` unchecked under the
+//!   validated column bound; a single right-hand side sweeps 8 rows at a
+//!   time in lockstep from a sliced copy of the half-rows, bitwise the
+//!   row loop.
 //! * **Adaptive fallback** — kernels below a work threshold
 //!   (`tuning::par_min_elems` elements, set at the measured launch
 //!   break-even, or `tuning::par_min_nnz` stored entries) run serially;

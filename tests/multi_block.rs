@@ -38,6 +38,7 @@ use mspcg::core::pcg::{
 use mspcg::core::poly::{auto_preconditioner, PolynomialPreconditioner};
 use mspcg::core::preconditioner::Preconditioner;
 use mspcg::core::recovery::{FaultKind, FaultPlan, FaultTarget, IterationFault, RecoveryPolicy};
+use mspcg::core::ssor::MulticolorSsor;
 use mspcg::fem::plate::PlaneStressProblem;
 use mspcg::sparse::{par, CsrMatrix, Partition, PrecondKind, SellCsMatrix, SparseError, SparseOp};
 use std::sync::{Mutex, MutexGuard};
@@ -306,6 +307,66 @@ fn default_path_batches_match_standalone_solves_bitwise() {
         check_batches("Chebyshev", &k, &chebyshev, &f, &u0, &opts, &[1, 2]);
         check_batches("SELL-C-σ", &sell, &ssor_sell, &f, &u0, &opts, &[1, 2]);
     }
+}
+
+/// Run `case` on a thread of its own and return what it returns, failing
+/// after a minute instead of hanging the suite.
+fn within_a_minute<T: Send + 'static>(what: &str, case: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || tx.send(case()).unwrap());
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(out) => {
+            thread.join().expect("the case thread ends after sending");
+            out
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what} hung"),
+        Err(_) => std::panic::resume_unwind(thread.join().unwrap_err()),
+    }
+}
+
+/// Inside a pool job, such as a batch lane, a launch runs its
+/// participants one after another, so a barrier across them would never
+/// open: there the m-step SSOR msolve runs one participant. On the a = 40
+/// plate (above `par_min_nnz`, so a top-level msolve runs 2 participants)
+/// at 2 threads, each case of a 4-case batch (two lanes) equals its
+/// standalone solve bitwise, and an msolve called inside a 2-participant
+/// launch equals its call from outside.
+#[test]
+fn a_pool_msolve_inside_a_pool_job_runs_one_participant() {
+    let _guard = sweep_lock();
+    let _restore = Threads::save();
+    par::set_max_threads(2);
+    #[cfg(feature = "par")]
+    assert_eq!(par::max_threads(), 2, "two lanes, two participants");
+    let (k, colors, rhs) = plate(40);
+    assert!(k.nnz() > mspcg::sparse::tuning::par_min_nnz());
+    let n = k.rows();
+
+    let pre = MStepSsorPreconditioner::unparametrized(&k, &colors, 2).unwrap();
+    let (f, u0) = batch(&k, &rhs, 4);
+    let opts = PcgOptions {
+        tol: 1e-9,
+        ..Default::default()
+    };
+    let batched = (k.clone(), f, u0);
+    within_a_minute("a 4-case batch", move || {
+        let (k, f, u0) = batched;
+        check_batches("α = 1, a = 40", &k, &pre, &f, &u0, &opts, &[2]);
+    });
+
+    let ssor = MulticolorSsor::new(k, colors, 1.0).unwrap();
+    let msolve = move || {
+        let mut z = vec![0.0; n];
+        ssor.msolve_block::<1>(&[1.0, 0.75, 1.25], &rhs, &mut z, &mut vec![0.0; n]);
+        bits(&z)
+    };
+    let outside = msolve();
+    let inside = within_a_minute("an msolve inside a 2-participant launch", move || {
+        let zs = Mutex::new(Vec::new());
+        par::for_each_chunk(2, 2, &|_| zs.lock().unwrap().push(msolve()));
+        zs.into_inner().unwrap()
+    });
+    assert_eq!(inside, [outside.clone(), outside]);
 }
 
 /// The fault tests' block width: one lane holds one block of `WIDTH`.
